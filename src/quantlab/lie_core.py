@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -110,8 +111,9 @@ class LieModel:
     def rank(self) -> int:
         return len(self.torus_indices)
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
+        # computed once per model: structure constants never change
         return not np.any(self.structure_constants)
 
     def positive_roots(self) -> list[RealRoot]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -45,11 +46,15 @@ class QuadratureRule:
 
     ``nodes`` is an (N, d) array of point coordinates for flat rules, or an
     (N, k, k) array of defining-representation matrices for group rules.
+    A product rule may also keep its factors in ``axes``: one (points,
+    weights) pair per axis, with ``nodes`` and ``weights`` running over
+    the axes in C order, last axis fastest.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness: dict[str, Any] = field(default_factory=dict)
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
         if np.any(self.weights < 0):
@@ -112,6 +117,12 @@ def su2_haar_rule(level: int) -> QuadratureRule:
     they can see, and what survives is a polynomial in u of degree <= level.
     Products of coefficients with total spin <= level are exact too, which
     is how the Gram certificates choose their level.
+
+    The rule is a product over the three angles: ``axes`` holds
+    (alpha, 1/n_a), (beta, w_u/2) and (gamma, 1/n_c), and node
+    (i_a, i_u, i_c) sits at flat index (i_a * n_u + i_u) * n_c + i_c.  A
+    spin-j matrix there is e^{-i m a} d^j(b) e^{-i m' c}, so callers can
+    build it from the n_u distinct values of b alone.
     """
     if level < 1:
         raise ValueError("level >= 1 required")
@@ -141,7 +152,24 @@ def su2_haar_rule(level: int) -> QuadratureRule:
         mats.reshape(-1, 2, 2),
         weights.reshape(-1),
         {"kind": "su2_haar", "level": level},
+        (
+            (alpha, np.full(n_a, 1.0 / n_a)),
+            (beta, wu / 2.0),
+            (gamma, np.full(n_c, 1.0 / n_c)),
+        ),
     )
+
+
+@lru_cache(maxsize=None)
+def _hermite_points(points: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Hermite nodes and weights remapped to e^{-2 pi y^2}, computed
+    # once per point count; read-only, since every rule shares them
+    x, w = hermgauss(points)
+    y = x / math.sqrt(2.0 * math.pi)
+    wy = w / math.sqrt(2.0 * math.pi)
+    y.flags.writeable = False
+    wy.flags.writeable = False
+    return y, wy
 
 
 def gaussian_rule(r: int, level: int) -> QuadratureRule:
@@ -153,9 +181,7 @@ def gaussian_rule(r: int, level: int) -> QuadratureRule:
     """
     if level < 1:
         raise ValueError("level >= 1 required")
-    x, w = hermgauss(16 * level)
-    y = x / math.sqrt(2.0 * math.pi)
-    wy = w / math.sqrt(2.0 * math.pi)
+    y, wy = _hermite_points(16 * level)
     grids = np.meshgrid(*([y] * r), indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
     wgrids = np.meshgrid(*([wy] * r), indexing="ij")

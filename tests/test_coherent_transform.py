@@ -8,6 +8,7 @@ from scipy.stats import norm, qmc
 from quantlab.coherent_transform import (
     PeterWeylVector,
     build_sigma_table,
+    character_gram,
     equivariance_certificate,
     group_action,
     irrep,
@@ -25,7 +26,7 @@ from quantlab.lie_core import (
     get_model,
     random_group_point,
 )
-from quantlab.quadrature import su2_haar_rule, torus_rule
+from quantlab.quadrature import gaussian_rule, su2_haar_rule, torus_rule
 
 SU2 = get_model("su2")
 U1 = get_model("u1")
@@ -72,6 +73,43 @@ def test_irrep_construction_and_validation():
 def test_spin_half_matches_defining_rep():
     ir = irrep(SU2, 0.5)
     assert np.abs(ir.generator_images - SU2.generators).max() < 1e-12
+
+
+def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
+    from quantlab.coherent_transform import _su2_wigner_factors
+
+    for level in (1, 2, 3, 4):
+        rule = su2_haar_rule(level)
+        for k in range(7):
+            ir = irrep(SU2, k / 2.0)
+            left, right = _su2_wigner_factors(ir, rule)
+            closed = (left[:, :, None] * right[None, None, :, None, :]
+                      ).reshape(-1, ir.dim, ir.dim)
+            for node, mat in zip(rule.nodes, closed):
+                want = ir.rep_unitary(GroupPoint(SU2, node))
+                assert np.abs(mat - want).max() < 1e-13
+
+
+def test_torus_rep_unitary_rejects_nonunitary_points():
+    bad = GroupPoint(T2, np.diag([2.0, 1.0]).astype(complex))
+    good = GroupPoint(T2, np.eye(2, dtype=complex))
+    f = PeterWeylVector(T2, 2, {((1, -2), 0, 0): 1.0})
+    with pytest.raises(ValueError):
+        irrep(T2, (1, -2)).rep_unitary(bad)
+    with pytest.raises(ValueError):
+        group_action(f, bad, good)
+    with pytest.raises(ValueError):
+        group_action(f, good, bad)
+    with pytest.raises(ValueError):
+        irrep(U1, 3).rep_unitary(GroupPoint(U1, np.array([[0.5 + 0j]])))
+
+
+def test_torus_rep_unitary_is_the_phase():
+    theta = np.array([0.7, -2.9])
+    g = GroupPoint(T2, np.diag(np.exp(1j * theta)))
+    got = irrep(T2, (3, -2)).rep_unitary(g)
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - np.exp(1j * (3 * theta[0] - 2 * theta[1]))) < 1e-13
 
 
 def test_rep_unitary_is_homomorphism():
@@ -264,6 +302,49 @@ def test_unitarity_certificate_su2():
     assert rep.max_error < 1e-4
     assert rep.metadata["basis_size"] == 55
     assert rep.metadata["block_leakage"] < 1e-10
+
+
+def test_unitarity_certificate_su2_cutoff_three():
+    rep = unitarity_certificate(SU2, 3.0)
+    assert rep.passed
+    assert rep.max_error <= 1e-13
+    assert rep.metadata["basis_size"] == 140
+
+
+def _pairwise_torus_gram(model, labels, level):
+    # the per-pair sums the shared character table replaces
+    n_cut = max(max(abs(c) for c in lab) for lab in labels)
+    g_rule = torus_rule(model.rank, 2 * n_cut)
+    y_rule = gaussian_rule(model.rank, level)
+    haar = np.zeros((len(labels), len(labels)), dtype=complex)
+    gauss = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, la in enumerate(labels):
+        for k, lb in enumerate(labels):
+            na, nb = np.asarray(la, float), np.asarray(lb, float)
+            haar[i, k] = np.sum(
+                g_rule.weights * np.exp(1j * g_rule.nodes @ (na - nb)))
+            gauss[i, k] = np.sum(
+                y_rule.weights * np.exp(-y_rule.nodes @ (na + nb)))
+    return haar, gauss
+
+
+def test_torus_grams_match_pairwise_formula():
+    from quantlab.coherent_transform import _gram_blocks
+
+    for model, cutoff, level in ((U1, 8, 3), (U1, 8, 4), (T2, 3, 3),
+                                 (T2, 3, 4)):
+        labels = irrep_labels(model, cutoff)
+        haar, gauss = _pairwise_torus_gram(model, labels, level)
+        want = haar * gauss
+        scale = np.abs(want).max()
+        got = character_gram(model, labels, level)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        hl2, l2 = _gram_blocks(model, labels, level)
+        for i, la in enumerate(labels):
+            for k, lb in enumerate(labels):
+                assert hl2[(la, lb)].shape == (1, 1)
+                assert abs(hl2[(la, lb)][0, 0] - want[i, k]) <= 1e-14 * scale
+                assert abs(l2[(la, lb)][0, 0] - haar[i, k]) <= 1e-14
 
 
 def test_gram_entries_stable_under_cutoff_growth():

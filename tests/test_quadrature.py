@@ -103,6 +103,28 @@ def test_gaussian_rule_mass_and_moments():
     assert abs(rule2.mass - 0.5) < 1e-13
 
 
+def test_gaussian_rule_arrays_are_not_shared():
+    # rules hand out fresh arrays, so editing one leaves later rules intact
+    for r in (1, 2):
+        first = quad.gaussian_rule(r, level=2)
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        again = quad.gaussian_rule(r, level=2)
+        assert abs(again.mass - 2.0 ** (-r / 2)) < 1e-13
+        assert np.abs(again.nodes).max() > 1.0
+
+
+def test_su2_haar_rule_axes_rebuild_the_product():
+    rule = quad.su2_haar_rule(level=3)
+    (alpha, w_a), (beta, w_u), (gamma, w_c) = rule.axes
+    weights = np.einsum("a,u,c->auc", w_a, w_u, w_c).reshape(-1)
+    assert np.abs(weights - rule.weights).max() < 1e-16
+    # the (0, 0) entry of exp(a e3) exp(b e2) exp(c e3) at each node
+    corner = np.einsum("a,u,c->auc", np.exp(-0.5j * alpha),
+                       np.cos(beta / 2.0), np.exp(-0.5j * gamma))
+    assert np.abs(corner.reshape(-1) - rule.nodes[:, 0, 0]).max() < 1e-15
+
+
 def test_radial_rule_mass():
     rule = quad.radial_rule(level=2)
     assert abs(rule.mass - 2**-1.5) < 1e-12
