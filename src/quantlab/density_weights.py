@@ -21,11 +21,11 @@ from quantlab.lie_core import (
     AlgebraVec,
     GroupPoint,
     LieModel,
+    adjoint_action_batch,
     algebra_vec,
-    adjoint_action,
+    exp_alg_batch,
     get_model,
-    random_algebra,
-    random_group_point,
+    random_coords_batch,
     torus_point,
     weyl_group,
 )
@@ -184,17 +184,21 @@ def _check_class_function(
 ) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        g = random_group_point(model, rng)
-        if on_group:
-            x = random_group_point(model, rng)
-            conj = GroupPoint(
-                model, g.matrix @ x.matrix @ np.linalg.inv(g.matrix)
-            )
-            worst = max(worst, abs(f(conj) - f(x)))
-        else:
-            y = random_algebra(model, rng)
-            worst = max(worst, abs(f(adjoint_action(g, y)) - f(y)))
+    if on_group:
+        g_c, x_c = random_coords_batch(model, rng, samples,
+                                       ("group", "group"))
+        g = exp_alg_batch(model, g_c)
+        x = exp_alg_batch(model, x_c)
+        conj = g @ x @ np.linalg.inv(g)
+        for c, xm in zip(conj, x):
+            worst = max(worst, abs(f(GroupPoint(model, c))
+                                   - f(GroupPoint(model, xm))))
+        return worst
+    g_c, ys = random_coords_batch(model, rng, samples, ("group", "algebra"))
+    moved = adjoint_action_batch(model, exp_alg_batch(model, g_c), ys)
+    for a, y in zip(moved, ys):
+        worst = max(worst, abs(f(AlgebraVec(model, a))
+                               - f(AlgebraVec(model, y))))
     return worst
 
 

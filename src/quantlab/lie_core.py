@@ -13,6 +13,17 @@ All numeric examples and tolerances in the test suite are pinned to this
 normalization.  Everything downstream (densities, transforms, reduction)
 consumes a LieModel and stays model-generic where it can.
 
+Group operations come in stacked form: ``alg_to_matrix_batch``,
+``coords_from_matrix_batch``, ``exp_alg_batch`` and ``adjoint_action_batch``
+take algebra coordinates as (N, n) arrays and defining-representation
+matrices as (N, k, k) arrays, with n = ``model.dim`` and
+k = ``model.defining_rep_dim``.  ``adjoint_action_batch`` checks unitarity
+once for the whole stack with ``is_unitary_batch``, the one predicate behind
+``GroupPoint.is_unitary`` as well: max |m m* - I| <= 1e-10 over every
+entry of every matrix.  The scalar ``alg_to_matrix``, ``coords_from_matrix``,
+``exp_alg`` and ``adjoint_action`` are one-row calls of the stacked ones, so
+a row of a stack and the scalar result agree exactly.
+
 Types are immutable after construction and safe to share across threads.
 """
 
@@ -36,17 +47,23 @@ __all__ = [
     "load_model_file",
     "bracket",
     "adjoint_action",
+    "adjoint_action_batch",
     "exp_alg",
+    "exp_alg_batch",
     "weyl_group",
     "weyl_determinant",
     "algebra_vec",
     "alg_to_matrix",
+    "alg_to_matrix_batch",
     "coords_from_matrix",
+    "coords_from_matrix_batch",
+    "is_unitary_batch",
     "ad_matrix",
     "torus_point",
     "unitary_log",
     "random_algebra",
     "random_group_point",
+    "random_coords_batch",
     "validate_model",
 ]
 
@@ -116,6 +133,17 @@ class LieModel:
         # computed once per model: structure constants never change
         return not np.any(self.structure_constants)
 
+    @cached_property
+    def _traceless_2x2(self) -> bool:
+        # every algebra image, real or times i, is then a traceless 2x2
+        return self.defining_rep_dim == 2 and all(
+            abs(np.trace(g)) < 1e-13 for g in self.generators)
+
+    @cached_property
+    def _generator_rows(self) -> np.ndarray:
+        # (n, k*k): row i is the flattened defining-rep image of e_i
+        return np.stack([g.reshape(-1) for g in self.generators])
+
     def positive_roots(self) -> list[RealRoot]:
         """Roots whose first nonzero coefficient is positive."""
         out = []
@@ -155,10 +183,20 @@ class GroupPoint:
 
     @property
     def is_unitary(self) -> bool:
-        m = self.matrix
-        return bool(
-            np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-10)
-        )
+        return is_unitary_batch(self.matrix)
+
+
+UNITARY_TOL = 1e-10
+
+
+def is_unitary_batch(mats: np.ndarray) -> bool:
+    """True when every matrix of a (..., k, k) stack is unitary:
+    max |m m* - I| <= UNITARY_TOL over all entries.  An absolute bound on
+    every entry, diagonal included, so a 1e-7 drift of an eigenvalue's
+    modulus is rejected; NaN entries are rejected too."""
+    m = np.asarray(mats)
+    resid = m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(m.shape[-1])
+    return bool(np.abs(resid).max(initial=0.0) <= UNITARY_TOL)
 
 
 def algebra_vec(model: LieModel, coords: Sequence[float]) -> AlgebraVec:
@@ -396,18 +434,46 @@ def ad_matrix(model: LieModel, coords: np.ndarray) -> np.ndarray:
                      model.structure_constants)
 
 
+def alg_to_matrix_batch(model: LieModel, coords: np.ndarray) -> np.ndarray:
+    """Defining-representation images of a stack of (N, n) algebra
+    coordinates, as an (N, k, k) array."""
+    coords = np.asarray(coords)
+    k = model.defining_rep_dim
+    return (coords @ model._generator_rows).reshape(-1, k, k)
+
+
 def alg_to_matrix(model: LieModel, coords: np.ndarray) -> np.ndarray:
     """Defining-representation image of an algebra coordinate vector."""
-    out = np.zeros((model.defining_rep_dim,) * 2, dtype=complex)
-    for yk, gen in zip(np.asarray(coords), model.generators):
-        if yk:
-            out += yk * gen
-    return out
+    return alg_to_matrix_batch(model, np.asarray(coords)[None, :])[0]
+
+
+def coords_from_matrix_batch(model: LieModel, mats: np.ndarray) -> np.ndarray:
+    """Coordinates of a stack of (N, k, k) defining-rep algebra matrices
+    (least-squares projection), as an (N, n) array."""
+    mats = np.asarray(mats)
+    flat = mats.reshape(mats.shape[0], -1, 1)
+    # one matrix-vector product per row, the same product for any N
+    return np.real(np.matmul(model._coord_proj, flat)[:, :, 0])
 
 
 def coords_from_matrix(model: LieModel, mat: np.ndarray) -> np.ndarray:
     """Coordinates of a defining-rep algebra matrix (least-squares projection)."""
-    return np.real(model._coord_proj @ mat.reshape(-1))
+    return coords_from_matrix_batch(model, np.asarray(mat)[None])[0]
+
+
+def adjoint_action_batch(model: LieModel, g_mats: np.ndarray,
+                         ys: np.ndarray) -> np.ndarray:
+    """Ad_g Y row by row, for (N, k, k) group matrices and (N, n) algebra
+    coordinates; returns (N, n).  Raises unless every g is unitary."""
+    g_mats = np.asarray(g_mats)
+    ys = np.asarray(ys, float)
+    if not is_unitary_batch(g_mats):
+        raise ValueError("adjoint_action requires unitary group points")
+    if model.is_abelian:
+        return ys.copy()
+    m = (g_mats @ alg_to_matrix_batch(model, ys)
+         @ np.conj(np.swapaxes(g_mats, -1, -2)))
+    return coords_from_matrix_batch(model, m)
 
 
 def adjoint_action(g: GroupPoint, Y: AlgebraVec) -> AlgebraVec:
@@ -415,25 +481,53 @@ def adjoint_action(g: GroupPoint, Y: AlgebraVec) -> AlgebraVec:
     model = g.model
     if Y.model is not model:
         raise ValueError("adjoint_action arguments belong to different models")
-    if not g.is_unitary:
-        raise ValueError("adjoint_action requires a unitary group point")
-    if model.is_abelian:
-        return AlgebraVec(model, Y.coords.copy())
-    m = g.matrix @ alg_to_matrix(model, Y.coords) @ g.matrix.conj().T
-    return AlgebraVec(model, coords_from_matrix(model, m))
+    moved = adjoint_action_batch(model, g.matrix[None], Y.coords[None])
+    return AlgebraVec(model, moved[0])
 
 
-def _exp_matrix(model: LieModel, mat: np.ndarray) -> np.ndarray:
+def _exp_matrices(model: LieModel, mats: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (N, k, k) stack of algebra images."""
     if model.is_abelian:
-        return np.diag(np.exp(np.diag(mat)))
-    if model.defining_rep_dim == 2 and abs(np.trace(mat)) < 1e-13:
+        out = np.zeros_like(mats)
+        diag = np.arange(mats.shape[-1])
+        out[:, diag, diag] = np.exp(mats[:, diag, diag])
+        return out
+    if model._traceless_2x2:
         # Closed form for traceless 2x2: mat^2 = -det(mat) * identity.
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        z = np.sqrt(complex(-det))
-        if abs(z) < 1e-30:
-            return np.eye(2, dtype=complex) + mat
-        return np.cosh(z) * np.eye(2) + (np.sinh(z) / z) * mat
-    return scipy.linalg.expm(mat)
+        # The determinant is formed in separate real operations: a fused
+        # multiply-add, as vectorized complex loops may use, leaves an
+        # imaginary part of about 1e-17 on the real determinant of an
+        # su(2) image and breaks the exact [[a, -b*], [b, a*]] form of
+        # its exponential.
+        a, b = mats[:, 0, 0], mats[:, 0, 1]
+        c, d = mats[:, 1, 0], mats[:, 1, 1]
+        det = np.empty(mats.shape[0], dtype=complex)
+        det.real = ((a.real * d.real - a.imag * d.imag)
+                    - (b.real * c.real - b.imag * c.imag))
+        det.imag = ((a.real * d.imag + a.imag * d.real)
+                    - (b.real * c.imag + b.imag * c.real))
+        z = np.sqrt(-det)
+        small = np.abs(z) < 1e-30
+        ratio = np.sinh(z) / np.where(small, 1.0, z)
+        ratio[small] = 1.0  # the removable singularity of sinh(z)/z
+        out = ratio[:, None, None] * mats
+        cosh = np.cosh(z)
+        out[:, 0, 0] += cosh
+        out[:, 1, 1] += cosh
+        return out
+    return scipy.linalg.expm(mats)
+
+
+def exp_alg_batch(model: LieModel, ys: np.ndarray,
+                  complex_parts: np.ndarray | None = None) -> np.ndarray:
+    """The polar-form exponential exp(Y) * exp(i * C) row by row, for
+    (N, n) coordinates Y and optional (N, n) coordinates C; returns
+    (N, k, k) matrices.  A zero row of C contributes the identity."""
+    u = _exp_matrices(model, alg_to_matrix_batch(model, ys))
+    if complex_parts is None or not np.any(complex_parts):
+        return u
+    return u @ _exp_matrices(model,
+                             1j * alg_to_matrix_batch(model, complex_parts))
 
 
 def exp_alg(Y: AlgebraVec, complex_part: AlgebraVec | None = None) -> GroupPoint:
@@ -443,13 +537,12 @@ def exp_alg(Y: AlgebraVec, complex_part: AlgebraVec | None = None) -> GroupPoint
     first argument it is the positive-definite Hermitian factor.
     """
     model = Y.model
-    u = _exp_matrix(model, alg_to_matrix(model, Y.coords))
-    if complex_part is not None and np.any(complex_part.coords):
+    cs = None
+    if complex_part is not None:
         if complex_part.model is not model:
             raise ValueError("exp_alg arguments belong to different models")
-        p = _exp_matrix(model, 1j * alg_to_matrix(model, complex_part.coords))
-        return GroupPoint(model, u @ p)
-    return GroupPoint(model, u)
+        cs = complex_part.coords[None]
+    return GroupPoint(model, exp_alg_batch(model, Y.coords[None], cs)[0])
 
 
 def torus_point(model: LieModel, angles: Sequence[float]) -> GroupPoint:
@@ -541,8 +634,45 @@ def random_algebra(model: LieModel, rng: np.random.Generator,
     return AlgebraVec(model, scale * rng.standard_normal(model.dim))
 
 
+def random_coords_batch(model: LieModel, rng: np.random.Generator,
+                        count: int, kinds: Sequence[str]) -> list[np.ndarray]:
+    """``count`` rounds of draws, each drawing one coordinate vector per
+    entry of ``kinds``, in order: "group" for the algebra vector whose
+    exponential is a random group point (uniform torus angles on tori,
+    2 * standard normal otherwise), "algebra" for a standard-normal algebra
+    vector.  Returns one (count, n) array per kind.  The stream is consumed
+    exactly as ``count`` rounds of scalar draws would consume it, so the
+    samples do not depend on whether a caller batches them."""
+    for kind in kinds:
+        if kind not in ("group", "algebra"):
+            raise ValueError(f"unknown sample kind {kind!r}; use group, "
+                             "algebra")
+    if not model.is_abelian:
+        # every draw is standard normal: one call yields the same stream
+        block = rng.standard_normal((count, len(kinds) * model.dim))
+        cols = np.split(block, len(kinds), axis=1)
+        return [2.0 * c if kind == "group" else c
+                for kind, c in zip(kinds, cols)]
+    # uniform and normal draws interleave on tori: draw round by round.
+    # 2 pi * random() is what uniform(0, 2 pi) computes, draw for draw,
+    # without the argument handling that is most of its call cost.
+    sizes = [model.rank if kind == "group" else model.dim for kind in kinds]
+    draws = [rng.random if kind == "group" else rng.standard_normal
+             for kind in kinds]
+    raw = [np.empty((count, size)) for size in sizes]
+    for i in range(count):
+        for arr, draw, size in zip(raw, draws, sizes):
+            arr[i] = draw(size)
+    out = []
+    for kind, arr in zip(kinds, raw):
+        if kind == "group":
+            coords = np.zeros((count, model.dim))
+            coords[:, list(model.torus_indices)] = 2.0 * math.pi * arr
+            arr = coords
+        out.append(arr)
+    return out
+
+
 def random_group_point(model: LieModel, rng: np.random.Generator) -> GroupPoint:
-    if model.is_abelian:
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=model.rank)
-        return torus_point(model, angles)
-    return exp_alg(random_algebra(model, rng, scale=2.0))
+    (coords,) = random_coords_batch(model, rng, 1, ("group",))
+    return GroupPoint(model, exp_alg_batch(model, coords)[0])

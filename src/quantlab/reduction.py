@@ -36,8 +36,11 @@ from quantlab.lie_core import (
     GroupPoint,
     LieModel,
     adjoint_action,
+    adjoint_action_batch,
     alg_to_matrix,
     exp_alg,
+    exp_alg_batch,
+    random_coords_batch,
     torus_point,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
@@ -49,6 +52,8 @@ __all__ = [
     "StratumTag",
     "ReducedFunction",
     "momentum_map",
+    "momentum_map_batch",
+    "momentum_equivariance_certificate",
     "zero_set_point",
     "torus_representative",
     "weyl_canonicalize",
@@ -60,10 +65,51 @@ __all__ = [
 ZERO_SET_TOL = 1e-9
 
 
+def momentum_map_batch(model: LieModel, g_mats: np.ndarray,
+                       ys: np.ndarray) -> np.ndarray:
+    """j(g, Y) = Ad_g Y - Y row by row, for (N, k, k) group matrices and
+    (N, n) algebra coordinates; returns (N, n)."""
+    return adjoint_action_batch(model, g_mats, ys) - ys
+
+
 def momentum_map(p: BasePoint) -> AlgebraVec:
     """j(g, Y) = Ad_g Y - Y."""
-    moved = adjoint_action(p.x, p.Y)
-    return AlgebraVec(p.Y.model, moved.coords - p.Y.coords)
+    model = p.Y.model
+    if p.x.model is not model:
+        raise ValueError("momentum_map arguments belong to different models")
+    j = momentum_map_batch(model, p.x.matrix[None], p.Y.coords[None])
+    return AlgebraVec(model, j[0])
+
+
+def momentum_equivariance_certificate(
+    model: LieModel, rng: np.random.Generator, seed: int,
+    samples: int = 10_000, tolerance: float = 1e-10,
+) -> CheckReport:
+    """j(h g h^-1, Ad_h Y) = Ad_h j(g, Y) at random (g, Y, h).
+
+    Each sample draws g, then Y, then h from ``rng``, as a
+    ``random_group_point``, ``random_algebra``, ``random_group_point``
+    sequence would, so a caller that keeps drawing from ``rng`` afterwards
+    sees the same stream; ``seed`` is the seed ``rng`` was made from,
+    recorded in the report.
+    """
+    g_c, ys, h_c = random_coords_batch(model, rng, samples,
+                                       ("group", "algebra", "group"))
+    g = exp_alg_batch(model, g_c)
+    h = exp_alg_batch(model, h_c)
+    moved_g = h @ g @ np.conj(np.swapaxes(h, -1, -2))
+    moved_y = adjoint_action_batch(model, h, ys)
+    lhs = momentum_map_batch(model, moved_g, moved_y)
+    rhs = adjoint_action_batch(model, h, momentum_map_batch(model, g, ys))
+    return CheckReport.from_error(
+        "reduction.momentum_equivariance",
+        "the momentum map intertwines conjugation on the group with "
+        "the adjoint action on the fiber",
+        tolerance=tolerance,
+        max_error=float(np.abs(lhs - rhs).max(initial=0.0)),
+        samples=samples,
+        seed=seed,
+    )
 
 
 @dataclass(frozen=True, eq=False)

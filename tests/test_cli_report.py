@@ -192,3 +192,22 @@ def test_cli_honest_failure_exits_one():
     # an unreachable tolerance must surface as exit code 1, not a throw
     assert main(["run", "--model", "u1", "--suite", "kahler",
                  "--tol", "1e-18"]) == 1
+
+
+def test_cli_suite_crash_exits_three(monkeypatch, capsys):
+    # a crash inside a suite is not a verdict: exit 3, one error line
+    from quantlab import cli_report
+
+    def boom(cfg):
+        raise ArithmeticError("no mix weight produced a joint "
+                              "diagonalization\nsecond line")
+
+    monkeypatch.setitem(cli_report._SUITE_RUNNERS, "psh", boom)
+    with pytest.raises(ArithmeticError):
+        run_suite(SuiteConfig(model="u1", suite="psh"))
+    capsys.readouterr()
+    assert main(["run", "--model", "u1", "--suite", "psh"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+    assert "ArithmeticError" in err and "second line" not in err

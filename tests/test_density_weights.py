@@ -190,3 +190,35 @@ def test_weyl_integration_rejects_non_class():
     rep = dw.weyl_integration_check(su2, f)
     assert not rep.passed
     assert "precondition" in rep.metadata
+
+
+@pytest.mark.parametrize("name", ["t2", "su2"])
+def test_class_function_check_reproduces_scalar_loop(name):
+    # the per-sample loop moved onto stacked group operations, kept as the
+    # reference: same draws, same conjugations, same worst residual
+    model = lc.get_model(name)
+
+    def on_group(g):
+        return float(np.real(np.trace(g.matrix @ g.matrix))
+                     + g.matrix[0, -1].real)
+
+    def on_fiber(y):
+        return float(np.dot(y.coords, y.coords) + y.coords[0])
+
+    for f, grouped in ((on_group, True), (on_fiber, False)):
+        rng = np.random.default_rng(12345)
+        worst = 0.0
+        for _ in range(32):
+            g = lc.random_group_point(model, rng)
+            if grouped:
+                x = lc.random_group_point(model, rng)
+                conj = lc.GroupPoint(
+                    model, g.matrix @ x.matrix @ np.linalg.inv(g.matrix))
+                worst = max(worst, abs(f(conj) - f(x)))
+            else:
+                y = lc.random_algebra(model, rng)
+                worst = max(worst, abs(f(lc.adjoint_action(g, y)) - f(y)))
+        got = dw._check_class_function(model, f, on_group=grouped)
+        assert got == worst
+        # neither function is a class function on su2
+        assert (worst > 1e-3) == (not model.is_abelian)

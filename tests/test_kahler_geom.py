@@ -157,6 +157,25 @@ def test_dphi_matches_finite_difference_oracle():
     assert worst < 1e-6, worst
 
 
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_polar_differential_certificate_reproduces_scalar_loop(name):
+    # the per-sample loop the certificate replaced, kept as its reference
+    model = lc.get_model(name)
+    rng_batch = np.random.default_rng(0)
+    rng_loop = np.random.default_rng(0)
+    report = kg.polar_differential_certificate(model, rng_batch, seed=0,
+                                               samples=40)
+    worst = 0.0
+    for _ in range(40):
+        y = rng_loop.standard_normal(model.dim) * rng_loop.uniform(0.1, 2.0)
+        got = kg.dphi_matrix(lc.algebra_vec(model, y))
+        worst = max(worst, float(np.abs(got - _dphi_fd_oracle(model, y)).max()))
+    assert report.passed
+    assert report.max_error == worst
+    assert worst > 0.0
+    assert rng_batch.random() == rng_loop.random()
+
+
 def test_dphi_near_zero_taylor_branch():
     su2 = lc.get_model("su2")
     y = np.array([1e-8, -2e-8, 1e-8])

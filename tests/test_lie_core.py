@@ -239,3 +239,109 @@ def test_model_file_rejects_bad_jacobi(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         lc.load_model_file(str(path))
+
+
+# ---------------------------------------------------------------------------
+# stacked operations: every row equals the scalar result exactly
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_stacked_ops_rows_equal_scalar_results(name):
+    model = lc.get_model(name)
+    rng = np.random.default_rng(21)
+    count = 64
+    ys = rng.standard_normal((count, model.dim)) * 2.5
+    cs = rng.standard_normal((count, model.dim))
+    cs[::5] = 0.0  # zero rows of C contribute the identity
+    mats = lc.alg_to_matrix_batch(model, ys)
+    coords = lc.coords_from_matrix_batch(model, mats)
+    units = lc.exp_alg_batch(model, ys)
+    polar = lc.exp_alg_batch(model, ys, cs)
+    moved = lc.adjoint_action_batch(model, units, cs)
+    for i in range(count):
+        y = lc.algebra_vec(model, ys[i])
+        c = lc.algebra_vec(model, cs[i])
+        assert np.array_equal(mats[i], lc.alg_to_matrix(model, ys[i]))
+        assert np.array_equal(coords[i], lc.coords_from_matrix(model, mats[i]))
+        assert np.array_equal(units[i], lc.exp_alg(y).matrix)
+        assert np.array_equal(polar[i], lc.exp_alg(y, c).matrix)
+        g = lc.GroupPoint(model, units[i])
+        assert np.array_equal(moved[i], lc.adjoint_action(g, c).coords)
+    assert np.allclose(coords, ys, atol=1e-12)
+
+
+def test_exp_alg_batch_matches_expm():
+    su2 = lc.get_model("su2")
+    rng = np.random.default_rng(22)
+    ys = rng.standard_normal((20, 3)) * 1.5
+    cs = rng.standard_normal((20, 3)) * 1.5
+    got = lc.exp_alg_batch(su2, ys, cs)
+    for i in range(20):
+        direct = scipy.linalg.expm(
+            lc.alg_to_matrix(su2, ys[i])
+        ) @ scipy.linalg.expm(1j * lc.alg_to_matrix(su2, cs[i]))
+        assert np.allclose(got[i], direct, atol=1e-12)
+    # exp of an su(2) image keeps the exact form [[a, -b*], [b, a*]]: the
+    # determinant behind the closed form is exactly real
+    u = lc.exp_alg_batch(su2, rng.standard_normal((500, 3)) * 3.0)
+    assert np.array_equal(u[:, 0, 0], np.conj(u[:, 1, 1]))
+    assert np.array_equal(u[:, 0, 1], -np.conj(u[:, 1, 0]))
+    # rows at the removable singularity of sinh(z)/z: exp(X) = I + X
+    tiny = np.array([[0.0, 0.0, 0.0], [1e-31, 0.0, 0.0]])
+    got = lc.exp_alg_batch(su2, tiny)
+    want = np.eye(2) + lc.alg_to_matrix_batch(su2, tiny)
+    assert np.array_equal(got, want)
+    assert got[1, 0, 1] != 0.0
+
+
+def _scalar_group_point(model, rng):
+    # the scalar sampler the stacked draws must reproduce
+    if model.is_abelian:
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=model.rank)
+        return lc.torus_point(model, angles)
+    return lc.exp_alg(lc.random_algebra(model, rng, scale=2.0))
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_random_coords_batch_keeps_the_scalar_stream(name):
+    # rounds of (group, algebra, group), drawn in batch and one by one
+    model = lc.get_model(name)
+    batch_rng = np.random.default_rng(23)
+    scalar_rng = np.random.default_rng(23)
+    g_c, y_c, h_c = lc.random_coords_batch(
+        model, batch_rng, 50, ("group", "algebra", "group"))
+    g_mats = lc.exp_alg_batch(model, g_c)
+    for i in range(50):
+        g = _scalar_group_point(model, scalar_rng)
+        y = lc.random_algebra(model, scalar_rng)
+        h = _scalar_group_point(model, scalar_rng)
+        assert np.array_equal(g.matrix, g_mats[i])
+        assert np.array_equal(y.coords, y_c[i])
+        assert np.array_equal(h.matrix, lc.exp_alg_batch(model, h_c[i:i + 1])[0])
+    assert batch_rng.random() == scalar_rng.random()
+    one_rng = np.random.default_rng(23)
+    assert np.array_equal(lc.random_group_point(model, one_rng).matrix, g_mats[0])
+    with pytest.raises(ValueError):
+        lc.random_coords_batch(model, batch_rng, 1, ("torus",))
+
+
+def test_unitarity_rejects_a_small_drift():
+    # the old allclose test kept rtol=1e-5 and passed this point
+    su2 = lc.get_model("su2")
+    drift = lc.GroupPoint(su2, np.diag([1 + 1e-7, 1 - 1e-7]).astype(complex))
+    assert not drift.is_unitary
+    e1 = lc.algebra_vec(su2, [1, 0, 0])
+    with pytest.raises(ValueError):
+        lc.adjoint_action(drift, e1)
+    with pytest.raises(ValueError):
+        lc.unitary_log(drift)
+    rng = np.random.default_rng(24)
+    (coords,) = lc.random_coords_batch(su2, rng, 10_000, ("group",))
+    g_mats = lc.exp_alg_batch(su2, coords)
+    ys = rng.standard_normal((10_000, 3))
+    assert lc.is_unitary_batch(g_mats)
+    lc.adjoint_action_batch(su2, g_mats, ys)
+    g_mats[6789] = drift.matrix
+    assert not lc.is_unitary_batch(g_mats)
+    with pytest.raises(ValueError):
+        lc.adjoint_action_batch(su2, g_mats, ys)

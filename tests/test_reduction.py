@@ -19,7 +19,9 @@ from quantlab.lie_core import (
 from quantlab.reduction import (
     ReducedRepresentative,
     ZeroSetPoint,
+    momentum_equivariance_certificate,
     momentum_map,
+    momentum_map_batch,
     qr_commutes_certificate,
     reduction_unitary,
     stratum_classify,
@@ -84,6 +86,54 @@ def test_momentum_equivariance():
         rhs = adjoint_action(h, momentum_map(p)).coords
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_momentum_map_batch_rows_equal_scalar(name):
+    model = get_model(name)
+    rng = np.random.default_rng(5)
+    gs = [random_group_point(model, rng) for _ in range(40)]
+    ys = rng.standard_normal((40, model.dim))
+    got = momentum_map_batch(model, np.array([g.matrix for g in gs]), ys)
+    for g, y, row in zip(gs, ys, got):
+        want = momentum_map(base_point(g, AlgebraVec(model, y))).coords
+        assert np.array_equal(row, want)
+
+
+def _scalar_momentum_equivariance(model, rng, samples):
+    # the per-sample loop the certificate replaced, kept as its reference
+    worst = 0.0
+    for _ in range(samples):
+        g = random_group_point(model, rng)
+        Y = random_algebra(model, rng)
+        h = random_group_point(model, rng)
+        p = base_point(g, Y)
+        moved = base_point(
+            GroupPoint(model, h.matrix @ g.matrix @ h.matrix.conj().T),
+            adjoint_action(h, Y),
+        )
+        gap = np.abs(
+            momentum_map(moved).coords
+            - adjoint_action(h, momentum_map(p)).coords
+        ).max()
+        worst = max(worst, float(gap))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_momentum_certificate_reproduces_scalar_loop(name):
+    model = get_model(name)
+    rng_batch = np.random.default_rng(0)
+    rng_loop = np.random.default_rng(0)
+    report = momentum_equivariance_certificate(model, rng_batch, seed=0,
+                                               samples=300)
+    assert report.passed
+    assert report.max_error == _scalar_momentum_equivariance(
+        model, rng_loop, 300)
+    if not model.is_abelian:
+        assert report.max_error > 0.0
+    # the suite keeps drawing from the same stream afterwards
+    assert rng_batch.random() == rng_loop.random()
 
 
 def test_zero_set_gate():
