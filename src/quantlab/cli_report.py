@@ -1,6 +1,6 @@
 """Command-line orchestration: run certificate suites, emit reports.
 
-``quantlab run`` assembles the certificates of the other modules into named
+``quantlab run`` calls the certificates of the other modules in named
 suites, prints one verdict line per check, and optionally serializes the
 whole batch.  ``quantlab emit`` re-renders a saved JSON report as CSV or as
 a self-contained SVG plot sheet.  Reports are deterministic: the same
@@ -21,47 +21,32 @@ import numpy as np
 
 from . import __version__
 from .coherent_transform import (
-    DEFAULT_CUTOFF,
-    PeterWeylVector,
     equivariance_certificate,
-    irrep_labels,
-    sigma,
+    sigma,  # not called here: the benchmark tracer's self-test patches it
+    sigma_oracle_certificate,
     spin_weighted_gram,
     unitarity_certificate,
-    _irrep_cached,
 )
 from .density_weights import eta_log_convexity_certificate
 from .kahler_geom import (
-    BasePoint,
     completeness_certificate,
-    complex_structure_batch,
-    dphi_matrix,
+    j_squared_certificate,
+    omega_potential_certificate,
     polar_differential_certificate,
 )
-from .lie_core import (
-    GroupPoint,
-    adjoint_action,
-    algebra_vec,
-    coords_from_matrix,
-    exp_alg,
-    get_model,
-    random_group_point,
-    torus_point,
-)
+from .lie_core import get_model
 from .psh_analysis import (
     canonical_semi_negativity_certificate,
-    make_potential,
-    theta_matrix_oracle,
-    theta_spectrum,
+    oracle_agreement_certificate,
+    spectrum_curve_certificate,
     twist_positivity_certificate,
+    wall_limit_certificate,
 )
 from .reduction import (
     momentum_equivariance_certificate,
     qr_commutes_certificate,
-    reduction_unitary,
-    torus_representative,
-    weyl_canonicalize,
-    zero_set_point,
+    round_trip_certificate,
+    weyl_isometry_certificate,
 )
 from .report import CheckReport
 from .stratum_density import (
@@ -88,10 +73,13 @@ class SuiteConfig:
     """Everything a suite run depends on.
 
     ``cutoff`` and ``tol`` default to None, meaning each certificate keeps
-    its own pinned value; ``tol`` only rescales the checks whose tolerance
-    the suite passes in (those cli_report assembles, plus the momentum
-    equivariance and polar differential certificates), never a module
-    certificate's pinned tolerance.
+    its own pinned value.  ``tol`` replaces the tolerance of exactly these
+    checks: ``kahler.j_squared``, ``kahler.omega_potential``,
+    ``kahler.polar_differential``, ``psh.oracle_agreement``,
+    ``psh.wall_limit``, ``transform.sigma_oracle``,
+    ``reduction.momentum_equivariance``, ``reduction.round_trip`` and
+    ``reduction.weyl_isometry``.  Every other check keeps its pinned
+    tolerance.
     """
 
     model: str = "su2"
@@ -183,382 +171,65 @@ def _sanitize(report: CheckReport) -> CheckReport:
     return replace(report, metadata=_plain(report.metadata))
 
 
-# ---------------------------------------------------------------------------
-# suite: kahler
-
-
-def _complex_hessian(fun, n, h=1e-3):
-    hess = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-
-            def second(part_k, part_l):
-                def val(s_k, s_l):
-                    zx = np.zeros(n)
-                    zy = np.zeros(n)
-                    for m, part, s in ((k, part_k, s_k), (l, part_l, s_l)):
-                        (zx if part == "x" else zy)[m] += s * h
-                    return fun(zx + 1j * zy)
-
-                if k == l and part_k == part_l:
-                    return (val(1, 0) - 2 * val(0, 0) + val(-1, 0)) / (h * h)
-                return (
-                    val(1, 1) - val(1, -1) - val(-1, 1) + val(-1, -1)
-                ) / (4 * h * h)
-
-            # d^2/dz_k dzbar_l via Wirtinger combination
-            hess[k, l] = 0.25 * (
-                second("x", "x")
-                + second("y", "y")
-                + 1j * (second("x", "y") - second("y", "x"))
-            )
-    return hess
-
-
-def _omega_potential_error(model, y_coords):
-    import scipy.linalg
-
-    from .kahler_geom import omega_matrix
-
-    n = model.dim
-    y = np.asarray(y_coords, float)
-    center = exp_alg(
-        algebra_vec(model, np.zeros(n)), algebra_vec(model, y)
-    ).matrix
-
-    def potential(gmat):
-        w, vec = np.linalg.eigh(gmat.conj().T @ gmat)
-        coords = coords_from_matrix(
-            model, -0.5j * (vec @ np.diag(np.log(w)) @ vec.conj().T)
-        )
-        return float(np.dot(coords, coords))
-
-    def chart_value(z):
-        zmat = sum(z[k] * model.generators[k] for k in range(n))
-        return potential(center @ scipy.linalg.expm(zmat))
-
-    hess = _complex_hessian(chart_value, n)
-    dphi = dphi_matrix(algebra_vec(model, y))
-    om = omega_matrix(model, y)
-    za = dphi[:n, :] + 1j * dphi[n:, :]
-    rhs = -1j * (za.T @ hess @ np.conj(za) - (za.T @ hess @ np.conj(za)).T)
-    return float(
-        max(np.abs(om - np.real(rhs)).max(), np.abs(np.imag(rhs)).max())
-    )
+def _tol(cfg: SuiteConfig) -> dict:
+    # for the checks that honour an override (see SuiteConfig)
+    return {} if cfg.tol is None else {"tolerance": cfg.tol}
 
 
 def _suite_kahler(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
+    # j_squared and polar_differential draw from one stream, in this order
     rng = np.random.default_rng(cfg.seed)
-    n = model.dim
-
-    ys = rng.standard_normal((10_000, n)) * 1.5
-    js = complex_structure_batch(model, ys)
-    j_sq_err = float(np.abs(js @ js + np.eye(2 * n)).max())
-    reports = [
-        CheckReport.from_error(
-            "kahler.j_squared",
-            "the pulled-back complex structure squares to -identity at "
-            "every base point",
-            tolerance=cfg.tol or 1e-10,
-            max_error=j_sq_err,
-            samples=10_000,
-            seed=cfg.seed,
-        )
-    ]
-
-    if model.is_abelian:
-        pts = [0.5 * np.ones(n), -0.3 * np.ones(n)]
-    else:
-        pts = [np.array([0.1, -0.2, 0.5]), np.array([0.0, 0.0, 1.1])]
-    omega_err = max(_omega_potential_error(model, y) for y in pts)
-    reports.append(
-        CheckReport.from_error(
-            "kahler.omega_potential",
-            "the symplectic form equals the complex Hessian of |Y|^2 "
-            "transported through the polar chart",
-            tolerance=cfg.tol or 1e-5,
-            max_error=omega_err,
-            chart_points=len(pts),
-        )
-    )
-
-    reports.append(
-        completeness_certificate(model, sample_count=10_000, seed=cfg.seed)
-    )
-
-    reports.append(
+    return [
+        j_squared_certificate(model, rng, cfg.seed, **_tol(cfg)),
+        omega_potential_certificate(model, **_tol(cfg)),
+        completeness_certificate(model, sample_count=10_000, seed=cfg.seed),
         polar_differential_certificate(
-            model, rng, seed=cfg.seed,
-            samples=1000 if not model.is_abelian else 100,
-            tolerance=cfg.tol or 1e-6,
-        )
-    )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# suite: psh
-
-
-_PSH_PRESETS = ("square", "logeta", "combined:6.283185307179586,2")
-
-
-def _spectra_gap(closed: np.ndarray, oracle: np.ndarray) -> float:
-    a = np.sort(closed)
-    b = np.sort(oracle)
-    scale = max(1e-8, float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max() / scale)
+            model, rng, cfg.seed,
+            samples=100 if model.is_abelian else 1000, **_tol(cfg),
+        ),
+    ]
 
 
 def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
-    reports = [
+    return [
         eta_log_convexity_certificate(),
         canonical_semi_negativity_certificate(model),
-        twist_positivity_certificate(
-            2 * math.pi, 2.0, model=model
-        ),
+        twist_positivity_certificate(2 * math.pi, 2.0, model=model),
+        oracle_agreement_certificate(model, **_tol(cfg)),
+        wall_limit_certificate(model, **_tol(cfg)),
+        spectrum_curve_certificate(model),
     ]
 
-    ys = np.linspace(0.15, 2.5, 17)
-    worst = 0.0
-    points = 0
-    for preset in _PSH_PRESETS:
-        K = make_potential(model, preset)
-        for yval in ys:
-            coords = np.zeros(model.dim)
-            coords[-1] = yval
-            Y = algebra_vec(model, coords)
-            closed = theta_spectrum(K, Y).all_values()
-            oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, Y))
-            worst = max(worst, _spectra_gap(closed, oracle))
-            points += 1
-    reports.append(
-        CheckReport.from_error(
-            "psh.oracle_agreement",
-            "closed-form curvature eigenvalues agree with the "
-            "finite-difference hermitian-operator route at every grid "
-            "point, for each potential preset",
-            tolerance=cfg.tol or 1e-4,
-            max_error=worst,
-            grid_points=points,
-            presets=list(_PSH_PRESETS),
-        )
-    )
 
-    wall_worst = 0.0
-    if not model.is_abelian:
-        yval = 1e-3
-        for preset in _PSH_PRESETS:
-            K = make_potential(model, preset)
-            rep = theta_spectrum(K, algebra_vec(model, [0, 0, yval]))
-            hess0 = float(K.hess(np.array([0.0]))[0, 0])
-            for (cov,), val in rep.root_eigenvalues:
-                ay = cov * yval
-                limit = hess0 * (ay / math.tanh(ay) + ay)
-                wall_worst = max(wall_worst, abs(val - limit))
-    reports.append(
-        CheckReport.from_error(
-            "psh.wall_limit",
-            "next to a reflection wall the root-direction eigenvalue "
-            "matches its continuous limit formula",
-            tolerance=cfg.tol or 1e-5,
-            max_error=wall_worst,
-            alpha_y=1e-3,
-        )
-    )
-
-    grid = np.linspace(-5.0, 5.0, 201)
-    curve_pts = grid.reshape(-1, 1)
-    if model.rank > 1:
-        curve_pts = np.hstack([curve_pts, 0.3 * curve_pts])
-    curves = {}
-    floor = 0.0
-    for preset in ("square", "logeta"):
-        K = make_potential(model, preset)
-        vals = []
-        for row in curve_pts:
-            coords = np.zeros(model.dim)
-            coords[-model.rank :] = row
-            vals.append(
-                float(theta_spectrum(K, algebra_vec(model, coords))
-                      .min_eigenvalue)
-            )
-        curves[preset] = vals
-        if preset == "square":
-            floor = min(vals)
-    reports.append(
-        CheckReport.from_error(
-            "psh.spectrum_curve",
-            "the flat potential keeps a nonnegative curvature spectrum "
-            "along the scanned slice of the flat directions",
-            tolerance=1e-8,
-            max_error=max(0.0, -floor),
-            spectrum_grid=[float(g) for g in grid],
-            spectrum_min=curves,
-        )
-    )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# suite: transform
-
-
-def _sigma_closed_form(model, label) -> float:
-    if model.is_abelian:
-        n = np.asarray(label, float)
-        return float(
-            math.exp(float(np.dot(n, n)) / (2 * math.pi))
-            * 2.0 ** (-model.rank / 2)
-        )
-    j = float(label)
-    a = 2.0 * math.pi
-    total = 0.0
-    for k in range(int(2 * j) + 1):
-        c = (2.0 * (j - k)) / (2 * a)
-        total += c / (2 * a) + math.exp(a * c * c) * (
-            1 / (2 * a) + c * c
-        ) * (math.sqrt(math.pi / a) / 2) * (1 + math.erf(c * math.sqrt(a)))
-    dim = int(2 * j + 1)
-    return float(4 * math.pi * total / dim)
+# the transform suite's default cutoff: t2's basis grows as (2 c + 1)^2
+_TRANSFORM_CUTOFF = {"u1": 8, "t2": 3, "su2": 2.0}
 
 
 def _suite_transform(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
-    cutoff = cfg.cutoff
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
-        if model.is_abelian:
-            cutoff = 8 if model.rank == 1 else 3
-
-    worst = 0.0
-    labels = irrep_labels(model, cutoff if not model.is_abelian else
-                          min(cutoff, 8))
-    for label in labels:
-        ir = _irrep_cached(model.name, label)
-        quad = sigma(ir, level=max(cfg.level, 4))
-        closed = _sigma_closed_form(model, label)
-        worst = max(worst, abs(quad - closed) / closed)
-    reports = [
-        CheckReport.from_error(
-            "transform.sigma_oracle",
-            "per-block Gaussian normalization by quadrature matches the "
-            "complete-the-square / error-function closed form",
-            tolerance=cfg.tol or 1e-10,
-            max_error=worst,
-            labels=len(labels),
-            cutoff=cutoff,
-        )
+    cutoff = cfg.cutoff or _TRANSFORM_CUTOFF[cfg.model]
+    level = max(cfg.level, 4)
+    return [
+        sigma_oracle_certificate(model, cutoff, level=level, **_tol(cfg)),
+        unitarity_certificate(model, cutoff=cutoff, level=cfg.level),
+        equivariance_certificate(model, cutoff=cutoff, samples=10,
+                                 seed=cfg.seed),
+        spin_weighted_gram(model, cutoff=cutoff, level=level),
     ]
-    reports.append(unitarity_certificate(model, cutoff=cutoff,
-                                         level=cfg.level))
-    reports.append(
-        equivariance_certificate(
-            model, cutoff=cutoff, samples=10, seed=cfg.seed
-        )
-    )
-    reports.append(spin_weighted_gram(model, cutoff=cutoff,
-                                      level=max(cfg.level, 4)))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# suite: reduction
 
 
 def _suite_reduction(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
+    # the round trips keep drawing from the momentum check's stream
     rng = np.random.default_rng(cfg.seed)
-
-    # the round trips below keep drawing from the same stream
-    reports = [
-        momentum_equivariance_certificate(
-            model, rng, seed=cfg.seed, samples=10_000,
-            tolerance=cfg.tol or 1e-10,
-        )
+    return [
+        momentum_equivariance_certificate(model, rng, cfg.seed, **_tol(cfg)),
+        round_trip_certificate(model, rng, cfg.seed, **_tol(cfg)),
+        weyl_isometry_certificate(model, **_tol(cfg)),
+        qr_commutes_certificate(model, cutoff=cfg.cutoff, level=4),
     ]
-
-    worst = 0.0
-    trips = 200
-    for _ in range(trips):
-        if model.is_abelian:
-            tau = rng.uniform(0, 2 * math.pi, size=model.rank)
-            yv = rng.uniform(-2, 2, size=model.rank)
-            t0 = torus_point(model, tau)
-            y0 = algebra_vec(model, yv)
-            p = BasePoint(t0, y0)
-            rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
-            worst = max(
-                worst,
-                float(np.abs(rep.t.matrix - t0.matrix).max()),
-                float(np.abs(rep.Y0.coords - y0.coords).max()),
-            )
-            continue
-        tau = rng.uniform(0.3, 5.5)
-        yv = rng.uniform(-2, 2)
-        h0 = random_group_point(model, rng)
-        t0 = torus_point(model, [tau])
-        y0 = algebra_vec(model, [0, 0, yv])
-        g = GroupPoint(model, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
-        p = BasePoint(g, adjoint_action(h0, y0))
-        rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
-        direct = weyl_canonicalize(
-            torus_representative(zero_set_point(BasePoint(t0, y0)))
-        )
-        worst = max(
-            worst,
-            float(np.abs(rep.t.matrix - direct.t.matrix).max()),
-            float(np.abs(rep.Y0.coords - direct.Y0.coords).max()),
-        )
-    reports.append(
-        CheckReport.from_error(
-            "reduction.round_trip",
-            "conjugating a torus pair by a random element and reducing "
-            "recovers the same canonical representative",
-            tolerance=cfg.tol or 1e-8,
-            max_error=worst,
-            samples=trips,
-            seed=cfg.seed,
-        )
-    )
-
-    worst = 0.0
-    if model.is_abelian:
-        for k in range(4):
-            label = tuple([k] + [0] * (model.rank - 1))
-            vec = PeterWeylVector(model, 4, {(label, 0, 0): 1.0})
-            sec = reduction_unitary(vec)
-            worst = max(worst, abs(sec.norm_sq - 1.0))
-        count = 4
-    else:
-        js = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        for j in js:
-            d = int(2 * j + 1)
-            coeffs = {(j, a, a): 1.0 / math.sqrt(d) for a in range(d)}
-            sec = reduction_unitary(PeterWeylVector(model, 3.0, coeffs))
-            worst = max(worst, abs(sec.norm_sq - 1.0))
-        count = len(js)
-    reports.append(
-        CheckReport.from_error(
-            "reduction.weyl_isometry",
-            "restriction to the torus weighted by the absolute Weyl "
-            "denominator preserves the norm of every character",
-            tolerance=cfg.tol or 1e-6,
-            max_error=worst,
-            characters=count,
-        )
-    )
-
-    reports.append(
-        qr_commutes_certificate(model, cutoff=cfg.cutoff, level=4)
-    )
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# suite: density
 
 
 def _suite_density(cfg: SuiteConfig) -> list[CheckReport]:
@@ -586,11 +257,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run the selected suite(s).  A check that misses its tolerance is
     reported as a FAIL; an exception inside a suite propagates to the
     caller (``quantlab run`` turns it into exit code 3)."""
-    names = (
-        ("kahler", "psh", "transform", "reduction", "density")
-        if config.suite == "all"
-        else (config.suite,)
-    )
+    names = _SUITE_RUNNERS if config.suite == "all" else (config.suite,)
     reports = []
     for name in names:
         reports.extend(_SUITE_RUNNERS[name](config))
@@ -604,11 +271,8 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 def _config_dict(config: SuiteConfig) -> dict:
     # the output path is not part of the computation: leaving it out keeps
     # reports byte-identical wherever they are written
-    return {
-        f.name: getattr(config, f.name)
-        for f in fields(SuiteConfig)
-        if f.name != "out"
-    }
+    return {f.name: getattr(config, f.name)
+            for f in fields(SuiteConfig) if f.name != "out"}
 
 
 def render_json(reports: list[CheckReport],
@@ -700,16 +364,12 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
         f'<text x="{x0 + 10}" y="{y0 + 18}" font-size="14" '
         f'font-family="monospace">{title}</text>'
     )
-    def tx(vals):
+    def scaled(vals, log):
         v = np.asarray(vals, float)
-        return np.log10(np.maximum(v, 1e-300)) if logx else v
+        return np.log10(np.maximum(v, 1e-300)) if log else v
 
-    def ty(vals):
-        v = np.asarray(vals, float)
-        return np.log10(np.maximum(v, 1e-300)) if logy else v
-
-    all_x = np.concatenate([tx(s[1]) for s in series])
-    all_y = np.concatenate([ty(s[2]) for s in series])
+    all_x = np.concatenate([scaled(s[1], logx) for s in series])
+    all_y = np.concatenate([scaled(s[2], logy) for s in series])
     xmin, xmax = float(all_x.min()), float(all_x.max())
     ymin, ymax = float(all_y.min()), float(all_y.max())
     if xmax - xmin < 1e-12:
@@ -746,7 +406,7 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
     for k, (name, xs, ys) in enumerate(series):
         pts = " ".join(
             f"{_fmt(px(a))},{_fmt(py(b))}"
-            for a, b in zip(tx(xs), ty(ys))
+            for a, b in zip(scaled(xs, logx), scaled(ys, logy))
         )
         color = palette[k % len(palette)]
         out.append(
@@ -879,14 +539,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a certificate suite")
     run_p.add_argument("--config", help="flat key=value config file")
-    run_p.add_argument("--model", help="u1 | t2 | su2")
-    run_p.add_argument("--suite", help=" | ".join(SUITE_NAMES))
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--cutoff", type=float)
-    run_p.add_argument("--tol", type=float)
-    run_p.add_argument("--level", type=int)
-    run_p.add_argument("--grid", type=int)
-    run_p.add_argument("--out", help="write the report here")
+    helps = {"model": " | ".join(MODEL_NAMES),
+             "suite": " | ".join(SUITE_NAMES), "out": "write the report here"}
+    for key, parse in _CONFIG_PARSERS.items():
+        run_p.add_argument(f"--{key}", type=parse, help=helps.get(key))
     run_p.add_argument(
         "--format", choices=("json", "csv", "svg"), default="json"
     )
@@ -902,8 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
-    for key in ("model", "suite", "seed", "cutoff", "tol", "level",
-                "grid", "out"):
+    for key in _CONFIG_PARSERS:
         override = getattr(args, key)
         if override is not None:
             values[key] = override
@@ -954,10 +609,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_emit(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

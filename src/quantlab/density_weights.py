@@ -10,7 +10,6 @@ weight is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +31,6 @@ from quantlab.lie_core import (
 from quantlab.report import CheckReport
 
 __all__ = [
-    "EtaProfile",
     "sinhc",
     "log_sinhc",
     "eta_tilde",
@@ -66,16 +64,6 @@ def log_sinhc(x: np.ndarray) -> np.ndarray:
     big = x - np.log(2.0 * xl) + np.log1p(-np.exp(-2.0 * xl))
     mid = np.log(np.sinh(safe) / safe)
     return np.where(small, series, np.where(large, big, mid))
-
-
-@dataclass(frozen=True, eq=False)
-class EtaProfile:
-    """The density as a function on t, carried by its positive roots."""
-
-    model: LieModel
-
-    def tilde(self, t_coords: np.ndarray) -> np.ndarray:
-        return eta_tilde(self.model, t_coords)
 
 
 def eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
@@ -156,17 +144,16 @@ def weyl_denominator(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     if model.is_abelian:
         out = np.ones(t_coords.shape[0], dtype=complex)
         return out if out.shape[0] > 1 else out.reshape(())
-    out = np.empty(t_coords.shape[0], dtype=complex)
-    for i, tc in enumerate(t_coords):
-        mat = torus_point(model, tc).matrix
-        lam = np.linalg.eigvals(mat)
-        # consistent ordering by eigenvalue angle keeps |delta| smooth
-        lam = lam[np.argsort(np.angle(lam))]
-        acc = 1.0 + 0j
-        for a in range(len(lam)):
-            for b in range(a + 1, len(lam)):
-                acc *= lam[b] - lam[a]
-        out[i] = acc
+    coords = np.zeros((t_coords.shape[0], model.dim))
+    coords[:, list(model.torus_indices)] = t_coords
+    # torus points are diagonal: their eigenvalues are the diagonal,
+    # ordered by angle so that |delta| stays smooth
+    lam = np.diagonal(exp_alg_batch(model, coords), axis1=1, axis2=2)
+    lam = np.take_along_axis(lam, np.argsort(np.angle(lam), axis=1), axis=1)
+    out = np.ones(t_coords.shape[0], dtype=complex)
+    for a in range(lam.shape[1]):
+        for b in range(a + 1, lam.shape[1]):
+            out = out * (lam[:, b] - lam[:, a])
     return out if out.shape[0] > 1 else out.reshape(())
 
 

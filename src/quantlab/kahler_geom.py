@@ -22,17 +22,19 @@ the block formulas have removable singularities there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from quantlab.lie_core import (
     AlgebraVec,
     GroupPoint,
     LieModel,
+    algebra_vec,
     bracket,
+    coords_from_matrix,
     coords_from_matrix_batch,
     exp_alg,
     exp_alg_batch,
@@ -55,6 +57,8 @@ __all__ = [
     "metric_g",
     "df_coords",
     "dbar_function",
+    "j_squared_certificate",
+    "omega_potential_certificate",
     "completeness_certificate",
     "polar_differential_certificate",
 ]
@@ -257,6 +261,104 @@ def dbar_function(
     coeffs = 0.5 * (c + 1j * (j.T @ c))
     n = model.dim
     return CovectorPair(coeffs[:n], coeffs[n:])
+
+
+def j_squared_certificate(
+    model: LieModel, rng: np.random.Generator, seed: int,
+    samples: int = 10_000, tolerance: float = 1e-10,
+) -> CheckReport:
+    """J^2 = -identity for the pulled-back complex structure at Y drawn as
+    1.5 times a standard normal vector, in one draw of (samples, n) from
+    ``rng``; ``seed`` is the seed ``rng`` was made from, recorded in the
+    report."""
+    ys = rng.standard_normal((samples, model.dim)) * 1.5
+    js = complex_structure_batch(model, ys)
+    return CheckReport.from_error(
+        "kahler.j_squared",
+        "the pulled-back complex structure squares to -identity at "
+        "every base point",
+        tolerance=tolerance,
+        max_error=float(np.abs(js @ js + np.eye(2 * model.dim)).max()),
+        samples=samples,
+        seed=seed,
+    )
+
+
+def _complex_hessian(fun, n, h=1e-3):
+    hess = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+
+            def second(part_k, part_l):
+                def val(s_k, s_l):
+                    zx = np.zeros(n)
+                    zy = np.zeros(n)
+                    for m, part, s in ((k, part_k, s_k), (l, part_l, s_l)):
+                        (zx if part == "x" else zy)[m] += s * h
+                    return fun(zx + 1j * zy)
+
+                if k == l and part_k == part_l:
+                    return (val(1, 0) - 2 * val(0, 0) + val(-1, 0)) / (h * h)
+                return (
+                    val(1, 1) - val(1, -1) - val(-1, 1) + val(-1, -1)
+                ) / (4 * h * h)
+
+            # d^2/dz_k dzbar_l via Wirtinger combination
+            hess[k, l] = 0.25 * (
+                second("x", "x")
+                + second("y", "y")
+                + 1j * (second("x", "y") - second("y", "x"))
+            )
+    return hess
+
+
+def _omega_potential_error(model: LieModel, y_coords) -> float:
+    """Worst entry of omega minus -i(dd-bar of |Y|^2) at (1, Y), with the
+    complex Hessian taken by finite differences in the holomorphic chart
+    z -> exp(iY) exp(z) and transported through the polar differential."""
+    n = model.dim
+    y = np.asarray(y_coords, float)
+    center = exp_alg(
+        algebra_vec(model, np.zeros(n)), algebra_vec(model, y)
+    ).matrix
+
+    def potential(gmat):
+        w, vec = np.linalg.eigh(gmat.conj().T @ gmat)
+        coords = coords_from_matrix(
+            model, -0.5j * (vec @ np.diag(np.log(w)) @ vec.conj().T)
+        )
+        return float(np.dot(coords, coords))
+
+    def chart_value(z):
+        zmat = sum(z[k] * model.generators[k] for k in range(n))
+        return potential(center @ scipy.linalg.expm(zmat))
+
+    hess = _complex_hessian(chart_value, n)
+    dphi = dphi_matrix(algebra_vec(model, y))
+    om = omega_matrix(model, y)
+    za = dphi[:n, :] + 1j * dphi[n:, :]
+    rhs = -1j * (za.T @ hess @ np.conj(za) - (za.T @ hess @ np.conj(za)).T)
+    return float(
+        max(np.abs(om - np.real(rhs)).max(), np.abs(np.imag(rhs)).max())
+    )
+
+
+def omega_potential_certificate(
+    model: LieModel, tolerance: float = 1e-5
+) -> CheckReport:
+    """omega = -i dd-bar |Y|^2 at two fixed chart points."""
+    if model.is_abelian:
+        pts = [0.5 * np.ones(model.dim), -0.3 * np.ones(model.dim)]
+    else:
+        pts = [np.array([0.1, -0.2, 0.5]), np.array([0.0, 0.0, 1.1])]
+    return CheckReport.from_error(
+        "kahler.omega_potential",
+        "the symplectic form equals the complex Hessian of |Y|^2 "
+        "transported through the polar chart",
+        tolerance=tolerance,
+        max_error=max(_omega_potential_error(model, y) for y in pts),
+        chart_points=len(pts),
+    )
 
 
 def completeness_certificate(

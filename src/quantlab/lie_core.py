@@ -35,7 +35,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LieModel",
@@ -44,7 +43,6 @@ __all__ = [
     "AlgebraVec",
     "GroupPoint",
     "get_model",
-    "load_model_file",
     "bracket",
     "adjoint_action",
     "adjoint_action_batch",
@@ -132,12 +130,6 @@ class LieModel:
     def is_abelian(self) -> bool:
         # computed once per model: structure constants never change
         return not np.any(self.structure_constants)
-
-    @cached_property
-    def _traceless_2x2(self) -> bool:
-        # every algebra image, real or times i, is then a traceless 2x2
-        return self.defining_rep_dim == 2 and all(
-            abs(np.trace(g)) < 1e-13 for g in self.generators)
 
     @cached_property
     def _generator_rows(self) -> np.ndarray:
@@ -292,87 +284,6 @@ def get_model(name: str) -> LieModel:
     return _MODELS[name]
 
 
-def load_model_file(path: str) -> LieModel:
-    """Load a model from a plain-text description.
-
-    Line format (1-based indices, '#' comments):
-
-        name mygroup
-        dim 3
-        torus 3
-        period 12.566370614359172
-        c 1 2 3 1.0
-        root 1.0
-
-    'c i j k v' sets the e_k-coefficient of [e_i, e_j]; the antisymmetric
-    partner is filled in automatically.  Abelian models get the diagonal
-    torus representation; non-abelian ones fall back to the adjoint
-    representation, which is faithful only up to the center.
-    """
-    name = "custom"
-    dim = None
-    torus: list[int] = []
-    periods: list[float] = []
-    c_entries: list[tuple[int, int, int, float]] = []
-    root_rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key = parts[0]
-            if key == "name":
-                name = parts[1]
-            elif key == "dim":
-                dim = int(parts[1])
-            elif key == "torus":
-                torus = [int(p) - 1 for p in parts[1:]]
-            elif key == "period":
-                periods = [float(p) for p in parts[1:]]
-            elif key == "c":
-                i, j, k = (int(p) - 1 for p in parts[1:4])
-                c_entries.append((i, j, k, float(parts[4])))
-            elif key == "root":
-                root_rows.append(np.array([float(p) for p in parts[1:]]))
-            else:
-                raise ValueError(f"unrecognized model-file line: {raw!r}")
-    if dim is None:
-        raise ValueError("model file must declare 'dim'")
-    c = np.zeros((dim, dim, dim))
-    for i, j, k, v in c_entries:
-        c[i, j, k] = v
-        c[j, i, k] = -v
-    if not torus:
-        torus = list(range(dim)) if not np.any(c) else []
-    if not periods:
-        periods = [2.0 * math.pi] * len(torus)
-    if np.any(c):
-        gens = tuple(
-            np.ascontiguousarray(c[i].T, dtype=complex) for i in range(dim)
-        )
-        rep_dim = dim
-    else:
-        gens = tuple(
-            np.diag([1j if m == k else 0.0 for m in range(dim)])
-            for k in range(dim)
-        )
-        rep_dim = dim
-    return _finish(
-        LieModel(
-            name=name,
-            dim=dim,
-            structure_constants=c,
-            inner=np.eye(dim),
-            torus_indices=tuple(torus),
-            torus_periods=tuple(periods),
-            roots=tuple(RealRoot(r) for r in root_rows),
-            defining_rep_dim=rep_dim,
-            generators=gens,
-        )
-    )
-
-
 def validate_model(model: LieModel) -> None:
     """Check the structural invariants; raise on violation.
 
@@ -408,8 +319,6 @@ def validate_model(model: LieModel) -> None:
                 c[i, j, k] * model.generators[k] for k in range(model.dim)
             )
             if not np.allclose(lhs, rhs, atol=1e-12):
-                # The adjoint fallback of file models reproduces brackets
-                # exactly; a mismatch means the file itself is inconsistent.
                 raise ValueError(
                     f"{model.name}: generators do not satisfy the bracket table"
                 )
@@ -492,30 +401,28 @@ def _exp_matrices(model: LieModel, mats: np.ndarray) -> np.ndarray:
         diag = np.arange(mats.shape[-1])
         out[:, diag, diag] = np.exp(mats[:, diag, diag])
         return out
-    if model._traceless_2x2:
-        # Closed form for traceless 2x2: mat^2 = -det(mat) * identity.
-        # The determinant is formed in separate real operations: a fused
-        # multiply-add, as vectorized complex loops may use, leaves an
-        # imaginary part of about 1e-17 on the real determinant of an
-        # su(2) image and breaks the exact [[a, -b*], [b, a*]] form of
-        # its exponential.
-        a, b = mats[:, 0, 0], mats[:, 0, 1]
-        c, d = mats[:, 1, 0], mats[:, 1, 1]
-        det = np.empty(mats.shape[0], dtype=complex)
-        det.real = ((a.real * d.real - a.imag * d.imag)
-                    - (b.real * c.real - b.imag * c.imag))
-        det.imag = ((a.real * d.imag + a.imag * d.real)
-                    - (b.real * c.imag + b.imag * c.real))
-        z = np.sqrt(-det)
-        small = np.abs(z) < 1e-30
-        ratio = np.sinh(z) / np.where(small, 1.0, z)
-        ratio[small] = 1.0  # the removable singularity of sinh(z)/z
-        out = ratio[:, None, None] * mats
-        cosh = np.cosh(z)
-        out[:, 0, 0] += cosh
-        out[:, 1, 1] += cosh
-        return out
-    return scipy.linalg.expm(mats)
+    # su2 images, real or times i, are traceless 2x2, so the closed form
+    # mat^2 = -det(mat) * identity applies.  The determinant is formed in
+    # separate real operations: a fused multiply-add, as vectorized complex
+    # loops may use, leaves an imaginary part of about 1e-17 on the real
+    # determinant of an su(2) image and breaks the exact [[a, -b*], [b, a*]]
+    # form of its exponential.
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, d = mats[:, 1, 0], mats[:, 1, 1]
+    det = np.empty(mats.shape[0], dtype=complex)
+    det.real = ((a.real * d.real - a.imag * d.imag)
+                - (b.real * c.real - b.imag * c.imag))
+    det.imag = ((a.real * d.imag + a.imag * d.real)
+                - (b.real * c.imag + b.imag * c.real))
+    z = np.sqrt(-det)
+    small = np.abs(z) < 1e-30
+    ratio = np.sinh(z) / np.where(small, 1.0, z)
+    ratio[small] = 1.0  # the removable singularity of sinh(z)/z
+    out = ratio[:, None, None] * mats
+    cosh = np.cosh(z)
+    out[:, 0, 0] += cosh
+    out[:, 1, 1] += cosh
+    return out
 
 
 def exp_alg_batch(model: LieModel, ys: np.ndarray,
@@ -570,18 +477,15 @@ def unitary_log(g: GroupPoint) -> AlgebraVec:
             coords[idx] = a
         return AlgebraVec(model, coords)
     vals, vecs = np.linalg.eig(g.matrix)
-    if model.defining_rep_dim == 2:
-        phi = float(np.angle(vals[0]))
-        if abs(vals[0] - vals[1]) < 1e-12:
-            mat = np.diag([1j * phi, -1j * phi]).astype(complex)
-        else:
-            q, _ = np.linalg.qr(vecs)
-            # QR may flip eigenvector phases; re-derive each eigenvalue.
-            lam = np.diag(q.conj().T @ g.matrix @ q)
-            phi = float(np.angle(lam[0]))
-            mat = q @ np.diag([1j * phi, -1j * phi]) @ q.conj().T
-        return AlgebraVec(model, coords_from_matrix(model, mat))
-    mat = scipy.linalg.logm(g.matrix)
+    phi = float(np.angle(vals[0]))
+    if abs(vals[0] - vals[1]) < 1e-12:
+        mat = np.diag([1j * phi, -1j * phi]).astype(complex)
+    else:
+        q, _ = np.linalg.qr(vecs)
+        # QR may flip eigenvector phases; re-derive each eigenvalue.
+        lam = np.diag(q.conj().T @ g.matrix @ q)
+        phi = float(np.angle(lam[0]))
+        mat = q @ np.diag([1j * phi, -1j * phi]) @ q.conj().T
     return AlgebraVec(model, coords_from_matrix(model, mat))
 
 

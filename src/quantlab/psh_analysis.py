@@ -18,7 +18,7 @@ finite-difference assembly of the hermitian matrix itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,12 @@ __all__ = [
     "psh_verdict",
     "canonical_semi_negativity_certificate",
     "twist_positivity_certificate",
+    "oracle_agreement_certificate",
+    "wall_limit_certificate",
+    "spectrum_curve_certificate",
 ]
+
+_PRESETS = ("square", "logeta", "combined:6.283185307179586,2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,13 +379,6 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
     return out
 
 
-def _spectra_match(closed: np.ndarray, oracle: np.ndarray) -> float:
-    a = np.sort(closed)
-    b = np.sort(oracle)
-    scale = max(1e-8, float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max() / scale)
-
-
 def psh_verdict(
     K: InvariantPotential, grid: np.ndarray, margin: float = 0.0
 ) -> CheckReport:
@@ -466,4 +464,101 @@ def twist_positivity_certificate(
         tolerance=1e-15,
         max_error=max(0.0, margin - meta["min_eigenvalue"]),
         **meta,
+    )
+
+
+def _spectra_gap(closed: np.ndarray, oracle: np.ndarray) -> float:
+    a = np.sort(closed)
+    b = np.sort(oracle)
+    scale = max(1e-8, float(np.abs(a).max()), float(np.abs(b).max()))
+    return float(np.abs(a - b).max() / scale)
+
+
+def oracle_agreement_certificate(
+    model: LieModel, tolerance: float = 1e-4
+) -> CheckReport:
+    """theta_spectrum against the eigenvalues of theta_matrix_oracle at 17
+    points of the last algebra axis, Y in [0.15, 2.5], for each preset; the
+    gap is relative to the larger spectrum."""
+    ys = np.linspace(0.15, 2.5, 17)
+    worst = 0.0
+    points = 0
+    for preset in _PRESETS:
+        K = make_potential(model, preset)
+        for yval in ys:
+            coords = np.zeros(model.dim)
+            coords[-1] = yval
+            Y = algebra_vec(model, coords)
+            closed = theta_spectrum(K, Y).all_values()
+            oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, Y))
+            worst = max(worst, _spectra_gap(closed, oracle))
+            points += 1
+    return CheckReport.from_error(
+        "psh.oracle_agreement",
+        "closed-form curvature eigenvalues agree with the "
+        "finite-difference hermitian-operator route at every grid "
+        "point, for each potential preset",
+        tolerance=tolerance,
+        max_error=worst,
+        grid_points=points,
+        presets=list(_PRESETS),
+    )
+
+
+def wall_limit_certificate(
+    model: LieModel, tolerance: float = 1e-5
+) -> CheckReport:
+    """Root eigenvalues at alpha(Y) = 1e-3 against K~''(0) (alpha(Y)
+    coth(alpha(Y)) + alpha(Y)), for each preset; tori have no wall and
+    read 0."""
+    yval = 1e-3
+    worst = 0.0
+    if not model.is_abelian:
+        for preset in _PRESETS:
+            K = make_potential(model, preset)
+            rep = theta_spectrum(K, algebra_vec(model, [0, 0, yval]))
+            hess0 = float(K.hess(np.array([0.0]))[0, 0])
+            for (cov,), val in rep.root_eigenvalues:
+                ay = cov * yval
+                limit = hess0 * (ay / math.tanh(ay) + ay)
+                worst = max(worst, abs(val - limit))
+    return CheckReport.from_error(
+        "psh.wall_limit",
+        "next to a reflection wall the root-direction eigenvalue "
+        "matches its continuous limit formula",
+        tolerance=tolerance,
+        max_error=worst,
+        alpha_y=yval,
+    )
+
+
+def spectrum_curve_certificate(model: LieModel) -> CheckReport:
+    """The least curvature eigenvalue of the square and logeta potentials
+    along 201 points of [-5, 5] on t (second torus axis at 0.3 times the
+    first); the square potential's curve must stay nonnegative, and both
+    curves go into the report."""
+    grid = np.linspace(-5.0, 5.0, 201)
+    curve_pts = grid.reshape(-1, 1)
+    if model.rank > 1:
+        curve_pts = np.hstack([curve_pts, 0.3 * curve_pts])
+    curves = {}
+    for preset in ("square", "logeta"):
+        K = make_potential(model, preset)
+        vals = []
+        for row in curve_pts:
+            coords = np.zeros(model.dim)
+            coords[-model.rank :] = row
+            vals.append(
+                float(theta_spectrum(K, algebra_vec(model, coords))
+                      .min_eigenvalue)
+            )
+        curves[preset] = vals
+    return CheckReport.from_error(
+        "psh.spectrum_curve",
+        "the flat potential keeps a nonnegative curvature spectrum "
+        "along the scanned slice of the flat directions",
+        tolerance=1e-8,
+        max_error=max(0.0, -min(curves["square"])),
+        spectrum_grid=[float(g) for g in grid],
+        spectrum_min=curves,
     )

@@ -38,9 +38,11 @@ from quantlab.lie_core import (
     adjoint_action,
     adjoint_action_batch,
     alg_to_matrix,
+    algebra_vec,
     exp_alg,
     exp_alg_batch,
     random_coords_batch,
+    random_group_point,
     torus_point,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
@@ -57,8 +59,10 @@ __all__ = [
     "zero_set_point",
     "torus_representative",
     "weyl_canonicalize",
+    "round_trip_certificate",
     "stratum_classify",
     "reduction_unitary",
+    "weyl_isometry_certificate",
     "qr_commutes_certificate",
 ]
 
@@ -246,6 +250,60 @@ def weyl_canonicalize(rep: ReducedRepresentative) -> ReducedRepresentative:
     return ReducedRepresentative(rep.t, rep.Y0, rep.conjugator, True)
 
 
+def round_trip_certificate(
+    model: LieModel, rng: np.random.Generator, seed: int,
+    trips: int = 200, tolerance: float = 1e-8,
+) -> CheckReport:
+    """Reduce a conjugated torus pair and compare with the pair's own
+    canonical representative.
+
+    Each trip draws from ``rng``: on tori an angle vector and a flat vector
+    (the pair is its own representative); on su2 tau, then y, then a
+    random_group_point h, and reduces (h t h^-1, Ad_h y e3).  ``seed`` is
+    the seed ``rng`` was made from, recorded in the report.
+    """
+    worst = 0.0
+    for _ in range(trips):
+        if model.is_abelian:
+            tau = rng.uniform(0, 2 * math.pi, size=model.rank)
+            yv = rng.uniform(-2, 2, size=model.rank)
+            t0 = torus_point(model, tau)
+            y0 = algebra_vec(model, yv)
+            p = BasePoint(t0, y0)
+            rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
+            worst = max(
+                worst,
+                float(np.abs(rep.t.matrix - t0.matrix).max()),
+                float(np.abs(rep.Y0.coords - y0.coords).max()),
+            )
+            continue
+        tau = rng.uniform(0.3, 5.5)
+        yv = rng.uniform(-2, 2)
+        h0 = random_group_point(model, rng)
+        t0 = torus_point(model, [tau])
+        y0 = algebra_vec(model, [0, 0, yv])
+        g = GroupPoint(model, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
+        p = BasePoint(g, adjoint_action(h0, y0))
+        rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
+        direct = weyl_canonicalize(
+            torus_representative(zero_set_point(BasePoint(t0, y0)))
+        )
+        worst = max(
+            worst,
+            float(np.abs(rep.t.matrix - direct.t.matrix).max()),
+            float(np.abs(rep.Y0.coords - direct.Y0.coords).max()),
+        )
+    return CheckReport.from_error(
+        "reduction.round_trip",
+        "conjugating a torus pair by a random element and reducing "
+        "recovers the same canonical representative",
+        tolerance=tolerance,
+        max_error=worst,
+        samples=trips,
+        seed=seed,
+    )
+
+
 def stratum_classify(rep: ReducedRepresentative) -> StratumTag:
     """Orbit-type data of a reduced point.
 
@@ -338,21 +396,45 @@ def reduction_unitary(f: PeterWeylVector, modes: int | None = None
     return ReducedFunction(rule, wfactor * np.abs(delta) * vals)
 
 
+def weyl_isometry_certificate(model: LieModel,
+                              tolerance: float = 1e-6) -> CheckReport:
+    """|reduction_unitary(chi)|^2 = 1 for unit-norm characters: modes 0..3
+    of the first torus axis, or spins 0..3 in half steps on su2."""
+    if model.is_abelian:
+        cutoff = 4
+        labels = [tuple([k] + [0] * (model.rank - 1)) for k in range(4)]
+    else:
+        cutoff = 3.0
+        labels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    worst = 0.0
+    for label in labels:
+        d = irrep(model, label).dim
+        coeffs = {(label, a, a): 1.0 / math.sqrt(d) for a in range(d)}
+        sec = reduction_unitary(PeterWeylVector(model, cutoff, coeffs))
+        worst = max(worst, abs(sec.norm_sq - 1.0))
+    return CheckReport.from_error(
+        "reduction.weyl_isometry",
+        "restriction to the torus weighted by the absolute Weyl "
+        "denominator preserves the norm of every character",
+        tolerance=tolerance,
+        max_error=worst,
+        characters=len(labels),
+    )
+
+
 def _side_a_grams(model: LieModel, labels, level: int):
     """Reduction after quantization: the sigma^{-1/2}-scaled character Gram
     in the holomorphic inner product, then the torus Gram of the reduced
     sections."""
-    table = build_sigma_table(model, max(
+    cutoff_freq = max(
         float(l) if not model.is_abelian else max(abs(c) for c in l)
-        for l in labels))
+        for l in labels)
+    table = build_sigma_table(model, cutoff_freq)
     raw = character_gram(model, labels, level)
     scale = np.array([1.0 / math.sqrt(table[lab]) for lab in labels])
     hl2 = raw * np.outer(scale, scale)
     gram_red = np.zeros((len(labels), len(labels)), dtype=complex)
     sections = []
-    cutoff_freq = max(
-        float(l) if not model.is_abelian else max(abs(c) for c in l)
-        for l in labels)
     modes = 4 * int(math.ceil(cutoff_freq)) + 6
     for lab in labels:
         d = irrep(model, lab).dim
@@ -422,7 +504,7 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         hl2, gram_red, sections = _side_a_grams(model, labels, level)
         # side (B) on a torus model is word-for-word the same construction
         gram_b = gram_red.copy()
-        winv_b = 0.0
+        winv_a = winv_b = 0.0
         dims_match = True
         tol = 1e-9
     else:
@@ -433,15 +515,13 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         gram_b, winv_b = _side_b_gram(model, labels, level)
         dims_match = gram_b.shape == gram_red.shape
         tol = 1e-4
-    # reduced sections are Weyl-even: the angle grid maps onto itself
-    # under tau -> -tau by index reversal
-    winv_a = 0.0
-    for s in sections:
-        v = s.values
-        flipped = np.concatenate([v[:1], v[1:][::-1]])
-        winv_a = max(winv_a, float(np.abs(v - flipped).max()))
-    if model.is_abelian:
+        # reduced sections are Weyl-even: the angle grid maps onto itself
+        # under tau -> -tau by index reversal
         winv_a = 0.0
+        for s in sections:
+            v = s.values
+            flipped = np.concatenate([v[:1], v[1:][::-1]])
+            winv_a = max(winv_a, float(np.abs(v - flipped).max()))
     eye = np.eye(len(labels))
     dev_a_hl2 = float(np.abs(hl2 - eye).max())
     dev_a_red = float(np.abs(gram_red - eye).max())

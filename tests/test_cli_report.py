@@ -70,12 +70,42 @@ def test_kahler_suite_su2_includes_completeness():
     assert all(r.passed for r in reports)
 
 
-def test_full_pipeline_u1_all_passes():
-    reports = run_suite(SuiteConfig(model="u1", suite="all", seed=0))
-    assert len(reports) == 22
+def _all_check_ids(model):
+    # the order run_suite(suite="all") reports in; the benchmark counts on
+    # each suite's share of it
+    return [
+        "kahler.j_squared", "kahler.omega_potential", "kahler.completeness",
+        "kahler.polar_differential",
+        "density.eta_log_convexity", "psh.canonical_semi_negativity",
+        "psh.twist_positivity", "psh.oracle_agreement", "psh.wall_limit",
+        "psh.spectrum_curve",
+        "transform.sigma_oracle", f"transform.unitarity.{model}",
+        f"transform.equivariance.{model}", f"transform.spin_gram.{model}",
+        "reduction.momentum_equivariance", "reduction.round_trip",
+        "reduction.weyl_isometry", f"reduction.qr_commutes.{model}",
+        "density.norm_equivalence", "density.codim2_removal",
+        "density.codim1_contrast", "density.grid_refinement",
+    ]
+
+
+@pytest.mark.parametrize("model", ["u1", "t2", "su2"])
+def test_full_pipeline_all_passes(model):
+    reports = run_suite(SuiteConfig(model=model, suite="all", seed=0))
+    assert [r.check_id for r in reports] == _all_check_ids(model)
     failed = [r.check_id for r in reports if not r.passed]
     assert failed == []
     assert all(r.citation for r in reports)
+
+
+def test_tol_override_reaches_exactly_the_documented_checks():
+    reports = run_suite(SuiteConfig(model="su2", suite="all", tol=1e-3))
+    assert {r.check_id for r in reports if r.tolerance == 1e-3} == {
+        "kahler.j_squared", "kahler.omega_potential",
+        "kahler.polar_differential", "psh.oracle_agreement",
+        "psh.wall_limit", "transform.sigma_oracle",
+        "reduction.momentum_equivariance", "reduction.round_trip",
+        "reduction.weyl_isometry",
+    }
 
 
 def test_json_round_trip_and_determinism():

@@ -98,6 +98,15 @@ def test_weyl_denominator_su2():
     # vanishes exactly at the singular torus points tau = 0, 2 pi
     sing = dw.weyl_denominator(su2, np.array([[0.0], [2 * math.pi]]))
     assert np.abs(sing).max() < 1e-12
+    # the diagonal read equals eigenvalues per point, sorted by angle,
+    # bit for bit
+    many = np.random.default_rng(4).uniform(-10.0, 10.0, (200, 1))
+    ref = []
+    for tc in many:
+        lam = np.linalg.eigvals(lc.torus_point(su2, tc).matrix)
+        lam = lam[np.argsort(np.angle(lam))]
+        ref.append(lam[1] - lam[0])
+    assert np.array_equal(dw.weyl_denominator(su2, many), np.array(ref))
     t2 = lc.get_model("t2")
     ones = dw.weyl_denominator(t2, np.array([[0.3, 1.1], [2.0, -0.4]]))
     assert np.allclose(ones, 1.0)

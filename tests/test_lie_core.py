@@ -206,41 +206,6 @@ def test_unitary_log_round_trip():
     assert np.allclose(lc.unitary_log(g).coords, [2.0], atol=1e-12)
 
 
-def test_model_file_round_trip(tmp_path):
-    text = "\n".join(
-        [
-            "# a clone of the rank-1 model, adjoint representation",
-            "name clone3",
-            "dim 3",
-            "torus 3",
-            "period 12.566370614359172",
-            "c 1 2 3 1.0",
-            "c 2 3 1 1.0",
-            "c 3 1 2 1.0",
-            "root 1.0",
-            "root -1.0",
-            "",
-        ]
-    )
-    path = tmp_path / "clone.model"
-    path.write_text(text)
-    model = lc.load_model_file(str(path))
-    assert model.dim == 3
-    assert model.torus_indices == (2,)
-    assert len(lc.weyl_group(model)) == 2
-    e1 = lc.algebra_vec(model, [1, 0, 0])
-    e2 = lc.algebra_vec(model, [0, 1, 0])
-    assert np.allclose(lc.bracket(e1, e2).coords, [0, 0, 1])
-
-
-def test_model_file_rejects_bad_jacobi(tmp_path):
-    text = "\n".join(["dim 3", "c 1 2 3 1.0", "c 2 3 1 1.0", "c 3 1 2 -1.0"])
-    path = tmp_path / "bad.model"
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        lc.load_model_file(str(path))
-
-
 # ---------------------------------------------------------------------------
 # stacked operations: every row equals the scalar result exactly
 
