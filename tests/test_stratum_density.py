@@ -6,6 +6,7 @@ import pytest
 from quantlab.stratum_density import (
     CutoffSequence,
     GridField,
+    _graph_norm,
     dolbeault_graph_norm,
     field_from_function,
     grid_axes,
@@ -20,6 +21,26 @@ from quantlab.stratum_density import (
 )
 
 M_LIST = [math.e, math.e**2, math.e**3, math.e**4]
+
+
+def _lopsided(n):
+    # complex field with no symmetry: off-centre support, tilted phase
+    def fn(X, Y):
+        rho_sq = (X - 0.1) ** 2 + (Y + 0.15) ** 2
+        out = np.zeros(X.shape, dtype=complex)
+        inside = rho_sq < 0.49
+        out[inside] = np.exp(-1.0 / (0.49 - rho_sq[inside]))
+        return out * (1.0 + X) * np.exp(1j * (2.0 * X - Y))
+
+    return field_from_function(fn, n)
+
+
+def _full_grid_discarded(f, m, removed_codim):
+    # (1 - psi_m(dist)) * f over the whole meshgrid, the unwindowed form
+    x, _ = grid_axes(f.size)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    dist = np.hypot(X, Y) if removed_codim == 2 else np.abs(Y)
+    return f.values * (1.0 - CutoffSequence(m).profile(dist))
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +112,37 @@ def test_cutoff_profile_shape():
     assert 0.0 < mid < 1.0
     with pytest.raises(ValueError):
         CutoffSequence(1.0)
+
+
+@pytest.mark.parametrize("n", [64, 65, 257, 1024])
+@pytest.mark.parametrize("removed_codim", [1, 2])
+def test_windowed_removal_errors_match_full_grid(n, removed_codim):
+    # m = 1.01: the window is the whole grid; m = 2n: no sample of an
+    # even grid lies within 1/m, the window is empty and E(m) is exactly
+    # 0.0 (an odd grid keeps its centre sample)
+    f = _lopsided(n)
+    m_list = [1.01, *M_LIST, 2.0 * n]
+    got = removal_errors(f, m_list, removed_codim)
+    for m, e in zip(m_list, got):
+        ref = _graph_norm(_full_grid_discarded(f, m, removed_codim), f.spacing)
+        assert abs(e - ref) <= 1e-13 * ref, (m, e, ref)
+    assert (got[-1] == 0.0) == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("removed_codim", [1, 2])
+def test_puncture_matches_full_grid_product(removed_codim):
+    f = _lopsided(257)
+    for m in [1.01, *M_LIST, 600.0]:
+        ref = _full_grid_discarded(f, m, removed_codim)
+        assert np.array_equal(puncture(f, m, removed_codim).values, ref)
+
+
+@pytest.mark.parametrize("make", [standard_bump, _lopsided])
+def test_norm_equivalence_metadata_is_the_standalone_norms(make):
+    f = make(512)
+    rep = norm_equivalence_report(f)
+    assert rep.metadata["h1_norm"] == h1_norm(f)
+    assert rep.metadata["graph_norm"] == dolbeault_graph_norm(f)
 
 
 def test_puncture_keeps_only_the_core():
