@@ -435,35 +435,52 @@ def _torus_gram_factors(model: LieModel, labels, level: int):
     return haar[diff], gauss[total]
 
 
+def _su2_small_d(ir: Irrep, beta: np.ndarray) -> np.ndarray:
+    # d^j(b) = exp(b pi(e2)) at each b, shape (n_b, d, d), from one eigh of
+    # J_y
+    lam, vec = np.linalg.eigh(1j * ir.generator_images[1])
+    return np.einsum("pk,uk,qk->upq", vec,
+                     np.exp(-1j * np.outer(beta, lam)), vec.conj())
+
+
 def _su2_wigner_factors(ir: Irrep, rule: QuadratureRule):
     """Spin-j matrices on the Euler-angle axes of ``su2_haar_rule``.
 
-    D^j(a, b, c) = e^{-i m a} d^j(b) e^{-i m' c} with d^j(b) = exp(b pi(e2))
-    from one eigh of J_y, evaluated at the rule's distinct b only.  Returns
-    (left, right): left[i_a, i_u] = e^{-i m a} d^j(b), shape (n_a, n_u, d,
-    d), and right[i_c] = e^{-i m' c}, shape (n_c, d), so the matrix at node
-    (i_a, i_u, i_c) is left[i_a, i_u] * right[i_c].
+    D^j(a, b, c) = e^{-i m a} d^j(b) e^{-i m' c}, with d^j(b) evaluated at
+    the rule's distinct b only.  Returns (left, right): left[i_a, i_u] =
+    e^{-i m a} d^j(b), shape (n_a, n_u, d, d), and right[i_c] = e^{-i m'
+    c}, shape (n_c, d), so the matrix at node (i_a, i_u, i_c) is
+    left[i_a, i_u] * right[i_c].
     """
     (alpha, _), (beta, _), (gamma, _) = rule.axes
     m = ir.weight_diag()
-    lam, vec = np.linalg.eigh(1j * ir.generator_images[1])
-    small_d = np.einsum("pk,uk,qk->upq", vec,
-                        np.exp(-1j * np.outer(beta, lam)), vec.conj())
-    left = np.exp(-1j * np.outer(alpha, m))[:, None, :, None] * small_d
+    left = (np.exp(-1j * np.outer(alpha, m))[:, None, :, None]
+            * _su2_small_d(ir, beta))
     return left, np.exp(-1j * np.outer(gamma, m))
 
 
-def _gram_blocks(model: LieModel, labels, level: int):
+def _su2_gram_rules(labels, level: int):
+    # the Haar rule integrates every product of two spin-j coefficients
+    # within the labels exactly, and the radial rule resolves the largest
+    # growth e^{2 j_max r}
+    top = max(float(lab) for lab in labels)
+    return (su2_haar_rule(max(1, int(math.ceil(2 * top)))),
+            radial_rule(level, tilt=4.0 * top))
+
+
+def _basis_grams(model: LieModel, labels, level: int):
     """Quadrature Gram of the orthonormal basis over group x algebra.
 
-    Returns (hl2_blocks, l2_blocks): dicts keyed by label pairs.  The
-    product measure Haar x Gaussian factorizes the double sum, so the Haar
-    tensor A and the Gaussian tensor B are contracted per block pair.
+    Returns (hl2, l2): the holomorphic and the flat Gram, each one matrix
+    over the basis in label order, d_j^2 rows per label.  The product
+    measure Haar x Gaussian factorizes the double sum, so the Haar tensor A
+    and the Gaussian tensor B are contracted per block pair.
 
-    Torus blocks are 1x1 and come from one character table per rule.  For
-    su2 the Gaussian integral runs in polar form, Y = r Ad_u e3, with the
-    direction average done by a second Haar rule, and every sum is taken
-    along one axis of a product rule before the axes meet:
+    On a torus every block is 1x1, so the Grams are the character Gram
+    factors themselves.  For su2 the Gaussian integral runs in polar form,
+    Y = r Ad_u e3, with the direction average done by a second Haar rule,
+    and every sum is taken along one axis of a product rule before the
+    axes meet:
 
     * the spin matrices are e^{-i m a} d^j(b) e^{-i m' c} on the Euler
       axes (``_su2_wigner_factors``);
@@ -474,21 +491,10 @@ def _gram_blocks(model: LieModel, labels, level: int):
     """
     if model.is_abelian:
         haar, gauss = _torus_gram_factors(model, labels, level)
-        hl2 = (haar * gauss)[:, None, :, None]
-        l2 = haar[:, None, :, None]
-        hl2_blocks = {}
-        l2_blocks = {}
-        for i, la in enumerate(labels):
-            for k, lb in enumerate(labels):
-                hl2_blocks[(la, lb)] = hl2[i, :, k]
-                l2_blocks[(la, lb)] = l2[i, :, k]
-        return hl2_blocks, l2_blocks
-    level_g = max(1, int(math.ceil(2 * max(float(l) for l in labels))))
-    g_rule = su2_haar_rule(level_g)
+        return haar * gauss, haar
+    g_rule, r_rule = _su2_gram_rules(labels, level)
     (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
     w_dir = np.outer(w_a, w_u).reshape(-1)
-    max_tilt = 4.0 * max(float(l) for l in labels)
-    r_rule = radial_rule(level, tilt=max_tilt)
     r = r_rule.nodes[:, 0]
     dims, left, right, radial, pair, pair_w = {}, {}, {}, {}, {}, {}
     for lab in labels:
@@ -501,12 +507,15 @@ def _gram_blocks(model: LieModel, labels, level: int):
         # pair[n, p, b, x] = D[p, x] conj(D[b, x]) at direction n
         pair[lab] = left[lab][:, :, None, :] * left[lab][:, None].conj()
         pair_w[lab] = pair[lab] * w_dir[:, None, None, None]
-    hl2 = {}
-    l2 = {}
-    for la in labels:
+    offs = np.concatenate([[0], np.cumsum([dims[lab] ** 2 for lab in labels])])
+    hl2 = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    l2 = np.zeros_like(hl2)
+    for i, la in enumerate(labels):
         left_w = left[la] * w_dir[:, None, None]
-        for lb in labels:
+        for k, lb in enumerate(labels):
             da, db = dims[la], dims[lb]
+            rows = slice(offs[i], offs[i + 1])
+            cols = slice(offs[k], offs[k + 1])
             scale = math.sqrt(da * db)
             gam = (right[la].T * w_c) @ right[lb].conj()
             a_t = np.tensordot(left_w, left[lb].conj(), axes=(0, 0))
@@ -517,20 +526,10 @@ def _gram_blocks(model: LieModel, labels, level: int):
                 pair[lb].conj(), axes=([0, 3], [0, 3]),
             )
             full = np.tensordot(a_t, b_t, axes=([1, 3], [0, 2]))
-            hl2[(la, lb)] = scale * full.transpose(0, 2, 1, 3).reshape(
+            hl2[rows, cols] = scale * full.transpose(0, 2, 1, 3).reshape(
                 da * da, db * db)
-            l2[(la, lb)] = scale * a_t.reshape(da * da, db * db)
+            l2[rows, cols] = scale * a_t.reshape(da * da, db * db)
     return hl2, l2
-
-
-def _assemble_big(blocks, labels, dims) -> np.ndarray:
-    sizes = [dims[lab] ** 2 for lab in labels]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    big = np.zeros((offs[-1], offs[-1]), dtype=complex)
-    for i, la in enumerate(labels):
-        for k, lb in enumerate(labels):
-            big[offs[i]:offs[i + 1], offs[k]:offs[k + 1]] = blocks[(la, lb)]
-    return big
 
 
 def unitarity_certificate(model: LieModel, cutoff=None,
@@ -547,14 +546,13 @@ def unitarity_certificate(model: LieModel, cutoff=None,
     labels = irrep_labels(model, cutoff)
     dims = {lab: irrep(model, lab).dim for lab in labels}
     table = build_sigma_table(model, cutoff, level)
-    hl2, l2 = _gram_blocks(model, labels, level)
+    hl2, big_l2 = _basis_grams(model, labels, level)
     # owner[i]: the position in ``labels`` of basis element i's irrep
     owner = np.repeat(np.arange(len(labels)),
                       [dims[lab] ** 2 for lab in labels])
     sig = np.array([table[lab] for lab in labels])
     scale = 1.0 / np.sqrt(np.outer(sig, sig))
-    big_c = scale[np.ix_(owner, owner)] * _assemble_big(hl2, labels, dims)
-    big_l2 = _assemble_big(l2, labels, dims)
+    big_c = scale[np.ix_(owner, owner)] * hl2
     off_block = owner[:, None] != owner[None, :]
     leakage = float(np.abs(big_c[off_block]).max()) if len(labels) > 1 else 0.0
     tol = 1e-6 if model.is_abelian else 1e-4
@@ -618,35 +616,74 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
     )
 
 
+def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
+                        r_rule: QuadratureRule,
+                        radial_weights: np.ndarray) -> np.ndarray:
+    """su2 character Gram under ``radial_weights`` (weights on the nodes of
+    ``r_rule``), from axis tables of the Euler-angle rule ``g_rule``.
+
+    At g e^{rH}, H = diag(1/2, -1/2), the spin-j character is
+    chi_j = sum_m D^j_mm(g) e^{r m}, with D^j_mm = e^{-i m (a + c)}
+    d^j_mm(b) on the rule's axes.  So each Gram entry is a sum over weight
+    pairs (m, m') of labels (x, y) of four one-axis factors:
+
+        G_xy = sum T_a[m - m'] T_b[m, m'] T_c[m - m'] R[m + m'],
+
+    with T_a and T_c the trapezoid sums of e^{-i (m - m') angle} over the
+    a and c axes, T_b[m, m'] = sum_u w_u d^x_mm(b_u) conj(d^y_m'm'(b_u))
+    over the n_u distinct b, and R[m + m'] = sum_r w_r e^{r (m + m')}.
+    The angle tables are summed on the rule's nodes, not taken as
+    Kronecker deltas, so a rule too coarse for the spins shows up as the
+    aliasing the node sum would have.
+    """
+    (alpha, w_a), (beta, w_u), (gamma, w_c) = g_rule.axes
+    irs = [irrep(model, lab) for lab in labels]
+    # every weight of every label, stacked in label order, as integers 2m
+    twice_m = np.rint(2.0 * np.concatenate(
+        [ir.weight_diag() for ir in irs])).astype(int)
+    d_diag = np.concatenate(
+        [np.diagonal(_su2_small_d(ir, beta), axis1=1, axis2=2) for ir in irs],
+        axis=1)
+    span = 2 * int(np.abs(twice_m).max())
+    # shifts[k] = k/2 - span/2 runs over every m - m' and m + m'
+    shifts = np.arange(-span, span + 1) / 2.0
+    t_a = np.exp(-1j * np.outer(shifts, alpha)) @ w_a
+    t_c = np.exp(-1j * np.outer(shifts, gamma)) @ w_c
+    t_b = (d_diag.T * w_u) @ d_diag.conj()
+    diff = twice_m[:, None] - twice_m[None, :] + span
+    total = twice_m[:, None] + twice_m[None, :] + span
+    haar = (t_a * t_c)[diff] * t_b
+    radial = radial_weights @ np.exp(np.outer(r_rule.nodes[:, 0], shifts))
+    starts = np.cumsum([0] + [ir.dim for ir in irs[:-1]])
+    return np.add.reduceat(
+        np.add.reduceat(haar * radial[total], starts, axis=0), starts, axis=1)
+
+
 def character_gram(model: LieModel, labels, level: int = 4,
                    eta_weight: bool = False) -> np.ndarray:
     """Quadrature Gram of the holomorphically extended characters in the
     Gaussian-weighted inner product over group x algebra, optionally with
-    the fiber density as an extra radial weight.
+    the fiber density eta~ as an extra radial weight.
 
     Class invariance lets the algebra integral run in polar form with a
     fixed direction: the group average is exact for the spins involved, so
-    the direction dependence integrates away.
+    the direction dependence integrates away.  On a torus the Gram is the
+    product of a Haar and a Gaussian character table over label
+    differences and sums.  On su2 it is contracted from one-axis tables,
+    never from characters at the Haar x radial nodes: a trapezoid table
+    in each of the angles a and c over m - m', a Gauss-Legendre table in
+    b of the Wigner diagonals d^x_mm d^y_m'm', and a radial table over
+    m + m' (``_su2_character_gram``).
     """
     labels = list(labels)
     if model.is_abelian:
         haar, gauss = _torus_gram_factors(model, labels, level)
         return haar * gauss
-    level_g = max(1, int(math.ceil(2 * max(float(l) for l in labels))))
-    g_rule = su2_haar_rule(level_g)
-    r_rule = radial_rule(level, tilt=4.0 * max(float(l) for l in labels))
-    r = r_rule.nodes[:, 0]
-    grow = np.exp(r / 2.0)
-    g00 = g_rule.nodes[:, 0, 0]
-    g11 = g_rule.nodes[:, 1, 1]
-    half_tr = (np.outer(g00, grow) + np.outer(g11, 1.0 / grow)) / 2.0
-    chi = _su2_characters(half_tr, [float(lab) for lab in labels])
-    wr = r_rule.weights
+    g_rule, r_rule = _su2_gram_rules(labels, level)
+    weights = r_rule.weights
     if eta_weight:
-        wr = wr * np.atleast_1d(
-            np.asarray(eta_tilde(model, r.reshape(-1, 1)), float)
-        )
-    return np.einsum("g,r,agr,bgr->ab", g_rule.weights, wr, chi, chi.conj())
+        weights = weights * eta_tilde(model, r_rule.nodes)
+    return _su2_character_gram(model, labels, g_rule, r_rule, weights)
 
 
 def spin_weighted_gram(model: LieModel, cutoff=None,

@@ -24,6 +24,7 @@ import scipy.linalg
 
 from quantlab.coherent_transform import (
     PeterWeylVector,
+    _su2_characters,
     build_sigma_table,
     character_gram,
     irrep,
@@ -365,11 +366,8 @@ def _torus_character_values(model: LieModel, label, taus: np.ndarray
     if model.is_abelian:
         n = np.asarray(label, float)
         return np.exp(1j * taus @ n)
-    j = float(label)
-    acc = np.zeros(taus.shape[0], dtype=complex)
-    for k in range(int(round(2 * j)) + 1):
-        acc += np.exp(1j * (k - j) * taus[:, 0])
-    return acc
+    # diag(e^{-i tau/2}, e^{i tau/2}) has half-trace cos(tau/2)
+    return _su2_characters(np.cos(taus[:, 0] / 2.0), [float(label)])[0]
 
 
 def reduction_unitary(f: PeterWeylVector, modes: int | None = None

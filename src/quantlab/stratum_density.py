@@ -279,7 +279,10 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
 
     E(m) must be strictly decreasing along m_list and the fitted rate
     exponent p in E(m) ~ (sqrt(log m))^(-p) must land in [0.5, 2.0], the
-    band around the capacity prediction p = 1.
+    band around the capacity prediction p = 1.  The fit takes log E(m),
+    so an E(m) that is zero (no sample within 1/m, nothing deleted) or
+    not finite leaves no rate to fit: the check then fails with
+    max_error 1.0, says why in ``failure`` and reports no rate.
     """
     m_list = [float(m) for m in m_list]
     if len(m_list) < 2 or any(m <= 1 for m in m_list):
@@ -289,8 +292,16 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
     errors = removal_errors(f, m_list, removed_codim=2)
     diffs = np.diff(errors)
     decrease_violation = max(0.0, float(diffs.max()))
-    rate = _fit_rate_exponent(m_list, errors)
-    band_violation = max(0.0, 0.5 - rate, rate - 2.0)
+    failure = {}
+    if all(0.0 < e < math.inf for e in errors):
+        rate = _fit_rate_exponent(m_list, errors)
+        max_error = max(decrease_violation, 0.5 - rate, rate - 2.0)
+    else:
+        rate = None
+        max_error = 1.0
+        failure["failure"] = (
+            "E(m) is not positive and finite at every cutoff, so log E(m) "
+            "has no rate to fit")
     bound = _resolution_bound(f)
     unresolved = [m for m in m_list if m > bound]
     return CheckReport.from_error(
@@ -301,7 +312,7 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
             "vanishing near a codimension-2 set are dense in graph norm"
         ),
         tolerance=1e-12,
-        max_error=max(decrease_violation, band_violation),
+        max_error=max_error,
         m_list=m_list,
         errors=[float(e) for e in errors],
         rate_exponent=rate,
@@ -311,6 +322,7 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
         grid=f.size,
         resolution_bound_m=bound,
         min_unresolved_m=min(unresolved) if unresolved else None,
+        **failure,
     )
 
 

@@ -26,7 +26,13 @@ from quantlab.lie_core import (
     get_model,
     random_group_point,
 )
-from quantlab.quadrature import gaussian_rule, su2_haar_rule, torus_rule
+from quantlab.density_weights import eta_tilde
+from quantlab.quadrature import (
+    gaussian_rule,
+    radial_rule,
+    su2_haar_rule,
+    torus_rule,
+)
 
 SU2 = get_model("su2")
 U1 = get_model("u1")
@@ -329,7 +335,7 @@ def _pairwise_torus_gram(model, labels, level):
 
 
 def test_torus_grams_match_pairwise_formula():
-    from quantlab.coherent_transform import _gram_blocks
+    from quantlab.coherent_transform import _basis_grams
 
     for model, cutoff, level in ((U1, 8, 3), (U1, 8, 4), (T2, 3, 3),
                                  (T2, 3, 4)):
@@ -339,25 +345,83 @@ def test_torus_grams_match_pairwise_formula():
         scale = np.abs(want).max()
         got = character_gram(model, labels, level)
         assert np.abs(got - want).max() <= 1e-14 * scale
-        hl2, l2 = _gram_blocks(model, labels, level)
-        for i, la in enumerate(labels):
-            for k, lb in enumerate(labels):
-                assert hl2[(la, lb)].shape == (1, 1)
-                assert abs(hl2[(la, lb)][0, 0] - want[i, k]) <= 1e-14 * scale
-                assert abs(l2[(la, lb)][0, 0] - haar[i, k]) <= 1e-14
+        hl2, l2 = _basis_grams(model, labels, level)
+        assert hl2.shape == l2.shape == (len(labels), len(labels))
+        assert np.abs(hl2 - want).max() <= 1e-14 * scale
+        assert np.abs(l2 - haar).max() <= 1e-14
+
+
+def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):
+    # brute force: every character at every Haar x radial node, then one
+    # weighted sum over both node sets
+    from quantlab.coherent_transform import _su2_characters
+
+    grow = np.exp(r_rule.nodes[:, 0] / 2.0)
+    half_tr = (np.outer(g_rule.nodes[:, 0, 0], grow)
+               + np.outer(g_rule.nodes[:, 1, 1], 1.0 / grow)) / 2.0
+    chi = _su2_characters(half_tr, [float(lab) for lab in labels])
+    return np.einsum("g,r,agr,bgr->ab", g_rule.weights, radial_weights, chi,
+                     chi.conj())
+
+
+def _relative_to_diagonal(got, want):
+    # |got - want| entrywise, relative to sqrt(G_ii G_jj) of the reference
+    diag = np.abs(np.diagonal(want))
+    return float((np.abs(got - want) / np.sqrt(np.outer(diag, diag))).max())
+
+
+@pytest.mark.parametrize("eta_weight", [False, True])
+@pytest.mark.parametrize("cutoff", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_su2_character_gram_matches_node_sum(cutoff, eta_weight):
+    labels = irrep_labels(SU2, cutoff)
+    g_rule = su2_haar_rule(max(1, math.ceil(2 * cutoff)))
+    r_rule = radial_rule(4, tilt=4.0 * cutoff)
+    weights = r_rule.weights
+    if eta_weight:
+        weights = weights * eta_tilde(SU2, r_rule.nodes)
+    want = _node_sum_character_gram(labels, g_rule, r_rule, weights)
+    got = character_gram(SU2, labels, 4, eta_weight=eta_weight)
+    assert _relative_to_diagonal(got, want) < 1e-13
+
+
+def test_su2_character_gram_keeps_the_aliasing_of_a_coarse_rule():
+    # level 1 integrates products of total spin <= 1 exactly; spins up to 2
+    # need level 4.  The angle tables are summed, not assumed to be Kronecker
+    # deltas, so the too-coarse rule aliases exactly as the node sum does.
+    from quantlab.coherent_transform import _su2_character_gram
+
+    labels = irrep_labels(SU2, 2.0)
+    g_rule = su2_haar_rule(1)
+    r_rule = radial_rule(4, tilt=8.0)
+    want = _node_sum_character_gram(labels, g_rule, r_rule, r_rule.weights)
+    got = _su2_character_gram(SU2, labels, g_rule, r_rule, r_rule.weights)
+    assert _relative_to_diagonal(got, want) < 1e-13
+    off = got - np.diag(np.diagonal(got))
+    assert _relative_to_diagonal(off, want) > 1e-2
+
+
+def test_spin_weighted_gram_su2_is_the_character_grams():
+    labels = irrep_labels(SU2, 2.0)
+    rep = spin_weighted_gram(SU2, 2.0)
+    for key, eta_weight in (("flat_diagonal", False), ("eta_diagonal", True)):
+        want = np.real(np.diagonal(
+            character_gram(SU2, labels, 4, eta_weight=eta_weight)))
+        assert np.abs(np.array(rep.metadata[key]) / want - 1.0).max() < 1e-14
 
 
 def test_gram_entries_stable_under_cutoff_growth():
     # entries shared between cutoffs move by less than 1e-8 even though the
     # larger cutoff re-derives its quadrature rules
-    from quantlab.coherent_transform import _gram_blocks
+    from quantlab.coherent_transform import _basis_grams
 
     small_labels = irrep_labels(SU2, 1.0)
     big_labels = irrep_labels(SU2, 2.0)
-    hl2_small, _ = _gram_blocks(SU2, small_labels, 3)
-    hl2_big, _ = _gram_blocks(SU2, big_labels, 3)
-    for key, block in hl2_small.items():
-        assert np.abs(block - hl2_big[key]).max() < 1e-8
+    hl2_small, _ = _basis_grams(SU2, small_labels, 3)
+    hl2_big, _ = _basis_grams(SU2, big_labels, 3)
+    # the small basis is the leading part of the big one, label by label
+    n = hl2_small.shape[0]
+    assert n == sum((2 * j + 1) ** 2 for j in small_labels)
+    assert np.abs(hl2_small - hl2_big[:n, :n]).max() < 1e-8
 
 
 def test_equivariance_certificates():

@@ -320,6 +320,26 @@ def test_qr_certificate_su2():
     assert np.abs(gram_b - np.eye(5)).max() < 1e-4
 
 
+def test_qr_certificate_su2_cutoff_six():
+    # 13 spins: the axis-first character Gram keeps this inside tier 1
+    rep = qr_commutes_certificate(SU2, 6.0)
+    assert rep.passed
+    assert rep.metadata["dimension"] == 13
+    assert rep.metadata["dims_match"]
+
+
+def test_su2_torus_character_values_are_the_weight_sums():
+    # chi_j(diag(e^{-i tau/2}, e^{i tau/2})) = sum of e^{i m tau}, m = -j..j
+    from quantlab.reduction import _torus_character_values
+
+    taus = np.linspace(0.0, 4.0 * math.pi, 41)[:, None]
+    for j in (0.0, 0.5, 1.0, 2.5, 4.0):
+        want = sum(np.exp(1j * (k - j) * taus[:, 0])
+                   for k in range(int(2 * j) + 1))
+        got = _torus_character_values(SU2, j, taus)
+        assert np.abs(got - want).max() < 1e-13 * (2 * j + 1)
+
+
 def test_qr_certificate_truncation_monotone():
     small = qr_commutes_certificate(SU2, 1.0)
     big = qr_commutes_certificate(SU2, 2.0)

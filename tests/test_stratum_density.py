@@ -218,3 +218,29 @@ def test_demo_input_validation(bump_1024):
         removal_density_demo(bump_1024, [0.5, math.e])
     with pytest.raises(ValueError):
         removal_density_demo(bump_1024, [math.e])
+
+
+def test_removal_demo_fails_when_a_cutoff_deletes_nothing():
+    # on the 64 grid no sample lies within 1/e^4 of the origin, so E(e^4)
+    # is exactly 0 and log E(m) has no rate to fit
+    rep = removal_density_demo(standard_bump(64), M_LIST)
+    assert rep.metadata["errors"][-1] == 0.0
+    assert not rep.passed
+    assert rep.max_error == 1.0
+    assert rep.metadata["rate_exponent"] is None
+    assert "not positive and finite" in rep.metadata["failure"]
+
+
+def test_removal_demo_fails_on_a_non_finite_cost():
+    values = standard_bump(256).values.copy()
+    values[128, 128] = np.nan
+    rep = removal_density_demo(GridField(values, grid_axes(256)[1]), M_LIST)
+    assert not rep.passed
+    assert rep.metadata["rate_exponent"] is None
+    assert "failure" in rep.metadata
+
+
+def test_removal_demo_passing_report_has_no_failure(bump_1024):
+    rep = removal_density_demo(bump_1024, M_LIST)
+    assert rep.passed
+    assert "failure" not in rep.metadata
