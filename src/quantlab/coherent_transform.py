@@ -17,6 +17,7 @@ non-abelian model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,6 +55,12 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = {"abelian": 8, "su2": 2.0}
+
+
+def _default_cutoff(model: LieModel, cutoff):
+    if cutoff is not None:
+        return cutoff
+    return DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,18 +197,7 @@ def irrep_labels(model: LieModel, cutoff) -> list:
     models, j in {0, 1/2, ..., cutoff} for the non-abelian model."""
     if model.is_abelian:
         n = int(cutoff)
-        ranges = [range(-n, n + 1)] * model.rank
-        out: list = []
-
-        def rec(prefix, rest):
-            if not rest:
-                out.append(tuple(prefix))
-                return
-            for v in rest[0]:
-                rec(prefix + [v], rest[1:])
-
-        rec([], ranges)
-        return out
+        return list(itertools.product(range(-n, n + 1), repeat=model.rank))
     steps = int(round(2 * float(cutoff)))
     return [k / 2.0 for k in range(steps + 1)]
 
@@ -231,6 +227,14 @@ class PeterWeylVector:
             d = irrep(self.model, label).dim
             if not (0 <= a < d and 0 <= b < d):
                 raise ValueError("matrix index outside the irrep block")
+
+    @classmethod
+    def _from_valid(cls, f: PeterWeylVector, coeffs: dict) -> PeterWeylVector:
+        # f's model and cutoff, with keys inside f's blocks, so valid
+        # already: skip the per-key checks of public construction
+        out = object.__new__(cls)
+        out.__dict__.update(model=f.model, cutoff=f.cutoff, coeffs=coeffs)
+        return out
 
     @property
     def norm_sq(self) -> float:
@@ -262,10 +266,12 @@ class SigmaTable:
 
 
 def _torus_sigmas(model: LieModel, labels, level: int) -> np.ndarray:
-    # sigma for every torus label at once, from one Gauss-Hermite rule
-    rule = gaussian_rule(model.rank, level)
+    # sigma for every torus label at once, one Gauss-Hermite axis at a
+    # time: sigma(n) = prod_k sum_y w(y) e^{2 n_k y}
     n = np.asarray(labels, float).reshape(-1, model.rank)
-    return rule.weights @ np.exp(2.0 * rule.nodes @ n.T)
+    axes = gaussian_rule(model.rank, level).axes
+    return np.prod([np.exp(2.0 * np.outer(n[:, k], y)) @ w
+                    for k, (y, w) in enumerate(axes)], axis=0)
 
 
 def sigma(ir: Irrep, level: int = 3) -> float:
@@ -316,8 +322,7 @@ def sigma_oracle_certificate(model: LieModel, cutoff, level: int = 4,
     labels = irrep_labels(model, cutoff if not model.is_abelian else
                           min(cutoff, 8))
     worst = 0.0
-    for label in labels:
-        quad = sigma(irrep(model, label), level=level)
+    for label, quad in zip(labels, _sigmas(model, labels, level)):
         closed = _sigma_closed_form(model, label)
         worst = max(worst, abs(quad - closed) / closed)
     return CheckReport.from_error(
@@ -331,22 +336,22 @@ def sigma_oracle_certificate(model: LieModel, cutoff, level: int = 4,
     )
 
 
+def _sigmas(model: LieModel, labels, level: int):
+    # sigma for every label: torus labels share one rule
+    if model.is_abelian:
+        return _torus_sigmas(model, labels, level)
+    return [sigma(irrep(model, label), level) for label in labels]
+
+
 def build_sigma_table(model: LieModel, cutoff=None, level: int = 3) -> SigmaTable:
     """SigmaTable over all labels within the cutoff, with a doubling error
     estimate per label.  Torus labels share one rule per level."""
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
+    cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
-    if model.is_abelian:
-        coarse = _torus_sigmas(model, labels, level)
-        fine = _torus_sigmas(model, labels, level + 1)
-    else:
-        irs = [irrep(model, label) for label in labels]
-        coarse = [sigma(ir, level) for ir in irs]
-        fine = [sigma(ir, level + 1) for ir in irs]
     values = {}
     errors = {}
-    for label, v, v2 in zip(labels, coarse, fine):
+    for label, v, v2 in zip(labels, _sigmas(model, labels, level),
+                            _sigmas(model, labels, level + 1)):
         values[label] = float(v)
         errors[str(label)] = abs(float(v) - float(v2))
     meta = {
@@ -378,35 +383,32 @@ def transform_C_phi(f: PeterWeylVector, table: SigmaTable) -> PeterWeylVector:
         if label not in table.values:
             raise ValueError(f"label {label!r} missing from the sigma table")
         out[(label, a, b)] = v / math.sqrt(table.values[label])
-    return PeterWeylVector(f.model, f.cutoff, out)
+    return PeterWeylVector._from_valid(f, out)
 
 
 def group_action(f: PeterWeylVector, h1: GroupPoint,
                  h2: GroupPoint) -> PeterWeylVector:
     """The two-sided action (h1, h2) . f (x) = f(h1^{-1} x h2) expressed on
-    coefficient blocks: C -> conj(pi(h1)) C pi(h2)^T."""
+    coefficient blocks: C -> conj(pi(h1)) C pi(h2)^T.  On a torus every
+    block is 1x1, so the action is one phase per key, conj(e^{i n.x1})
+    e^{i n.x2}."""
     x1 = unitary_log(h1).coords
     x2 = unitary_log(h2).coords
-    blocks: dict = {}
-    for key, v in f.coeffs.items():
-        blocks.setdefault(key[0], []).append((key[1], key[2], v))
+    if f.model.is_abelian:
+        keys = list(f.coeffs)
+        n = np.array([k[0] for k in keys], float).reshape(-1, f.model.rank)
+        v = np.array(list(f.coeffs.values()), complex)
+        new = np.exp(1j * (n @ x1)).conj() * v * np.exp(1j * (n @ x2))
+        return PeterWeylVector._from_valid(
+            f, {key: c for key, c in zip(keys, new) if c != 0})
     out = {}
-    for label, entries in blocks.items():
+    for label in dict.fromkeys(key[0] for key in f.coeffs):
         ir = irrep(f.model, label)
-        c = np.zeros((ir.dim, ir.dim), dtype=complex)
-        for a, b, v in entries:
-            c[a, b] = v
-        cnew = ir._rep_exp(x1).conj() @ c @ ir._rep_exp(x2).T
+        cnew = ir._rep_exp(x1).conj() @ f.block(label) @ ir._rep_exp(x2).T
         for (a, b), v in np.ndenumerate(cnew):
             if v != 0:
                 out[(label, a, b)] = v
-    return PeterWeylVector(f.model, f.cutoff, out)
-
-
-def _torus_characters(modes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # chi_n(exp(i p)) = e^{i n.p}, one row per point and one column per
-    # mode n; complex points give the holomorphic extension
-    return np.exp(1j * (points @ np.asarray(modes, float).T))
+    return PeterWeylVector._from_valid(f, out)
 
 
 def _torus_gram_factors(model: LieModel, labels, level: int):
@@ -414,25 +416,23 @@ def _torus_gram_factors(model: LieModel, labels, level: int):
     torus.  The product measure splits the Gram entrywise, G = A * B, with
     A_ab = sum_theta e^{i (n_a - n_b).theta} over the angle rule (exact, so
     the identity) and B_ab = sum_y e^{-(n_a + n_b).y} over the Gaussian
-    rule.  Each factor depends on one lattice point, n_a - n_b or n_a + n_b,
-    so both come from one character table over the lattice of label sums
-    and differences; every entry keeps a single phase per node, as a
-    per-pair sum would."""
+    rule.  Both rules are products over the torus axes, so each factor is
+    a product over k of one-axis sums that depend only on (n_a - n_b)_k or
+    (n_a + n_b)_k: tables over -span..span, summed on the rule's nodes
+    rather than taken as Kronecker deltas."""
     n = np.asarray(labels, int).reshape(len(labels), model.rank)
     span = 2 * int(np.abs(n).max())
-    g_rule = torus_rule(model.rank, span)
-    y_rule = gaussian_rule(model.rank, level)
-    shape = (2 * span + 1,) * model.rank
-    axis = np.arange(-span, span + 1)
-    lattice = np.stack(np.meshgrid(*([axis] * model.rank), indexing="ij"),
-                       axis=-1).reshape(-1, model.rank)
-    haar = g_rule.weights @ _torus_characters(lattice, g_rule.nodes)
-    gauss = y_rule.weights @ _torus_characters(lattice, 1j * y_rule.nodes)
-    diff = np.ravel_multi_index(
-        np.moveaxis(n[:, None] - n[None, :] + span, -1, 0), shape)
-    total = np.ravel_multi_index(
-        np.moveaxis(n[:, None] + n[None, :] + span, -1, 0), shape)
-    return haar[diff], gauss[total]
+    shifts = np.arange(-span, span + 1)
+    haar = gauss = 1.0
+    for k, ((theta, w_t), (y, w_y)) in enumerate(zip(
+            torus_rule(model.rank, span).axes,
+            gaussian_rule(model.rank, level).axes)):
+        col = n[:, k]
+        haar = haar * (np.exp(1j * np.outer(shifts, theta)) @ w_t)[
+            col[:, None] - col[None, :] + span]
+        gauss = gauss * (np.exp(-np.outer(shifts, y)) @ w_y)[
+            col[:, None] + col[None, :] + span]
+    return haar, gauss
 
 
 def _su2_small_d(ir: Irrep, beta: np.ndarray) -> np.ndarray:
@@ -496,34 +496,40 @@ def _basis_grams(model: LieModel, labels, level: int):
     (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
     w_dir = np.outer(w_a, w_u).reshape(-1)
     r = r_rule.nodes[:, 0]
-    dims, left, right, radial, pair, pair_w = {}, {}, {}, {}, {}, {}
+    # per-label tables: weighted (_w) and conjugated (_c) once per label,
+    # not once per label pair
+    dims, left_w, left_c, right_w, right_c, radial, pair_c, pair_w = (
+        {} for _ in range(8))
     for lab in labels:
         ir = irrep(model, lab)
         lf, rt = _su2_wigner_factors(ir, g_rule)
         dims[lab] = ir.dim
-        left[lab] = lf.reshape(-1, ir.dim, ir.dim)
-        right[lab] = rt
+        lf = lf.reshape(-1, ir.dim, ir.dim)
+        left_w[lab] = lf * w_dir[:, None, None]
+        left_c[lab] = lf.conj()
+        right_w[lab] = rt.T * w_c
+        right_c[lab] = rt.conj()
         radial[lab] = np.exp(np.outer(r, ir.weight_diag()))
         # pair[n, p, b, x] = D[p, x] conj(D[b, x]) at direction n
-        pair[lab] = left[lab][:, :, None, :] * left[lab][:, None].conj()
-        pair_w[lab] = pair[lab] * w_dir[:, None, None, None]
+        pair = lf[:, :, None, :] * left_c[lab][:, None]
+        pair_c[lab] = pair.conj()
+        pair_w[lab] = pair * w_dir[:, None, None, None]
     offs = np.concatenate([[0], np.cumsum([dims[lab] ** 2 for lab in labels])])
     hl2 = np.zeros((offs[-1], offs[-1]), dtype=complex)
     l2 = np.zeros_like(hl2)
     for i, la in enumerate(labels):
-        left_w = left[la] * w_dir[:, None, None]
         for k, lb in enumerate(labels):
             da, db = dims[la], dims[lb]
             rows = slice(offs[i], offs[i + 1])
             cols = slice(offs[k], offs[k + 1])
             scale = math.sqrt(da * db)
-            gam = (right[la].T * w_c) @ right[lb].conj()
-            a_t = np.tensordot(left_w, left[lb].conj(), axes=(0, 0))
+            gam = right_w[la] @ right_c[lb]
+            a_t = np.tensordot(left_w[la], left_c[lb], axes=(0, 0))
             a_t *= gam[None, :, None, :]
             rad = (radial[la].T * r_rule.weights) @ radial[lb]
             b_t = np.tensordot(
                 np.tensordot(pair_w[la], rad, axes=(3, 0)),
-                pair[lb].conj(), axes=([0, 3], [0, 3]),
+                pair_c[lb], axes=([0, 3], [0, 3]),
             )
             full = np.tensordot(a_t, b_t, axes=([1, 3], [0, 2]))
             hl2[rows, cols] = scale * full.transpose(0, 2, 1, 3).reshape(
@@ -541,8 +547,7 @@ def unitarity_certificate(model: LieModel, cutoff=None,
     the reported deviation is dominated by the Gaussian-side quadrature and
     by the sigma values themselves.
     """
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
+    cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
     dims = {lab: irrep(model, lab).dim for lab in labels}
     table = build_sigma_table(model, cutoff, level)
@@ -577,34 +582,26 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
     """Two-sided translations commute with the transform."""
     from quantlab.lie_core import random_group_point
 
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
+    cutoff = _default_cutoff(model, cutoff)
     rng = np.random.default_rng(seed)
     table = build_sigma_table(model, cutoff)
-    labels = irrep_labels(model, cutoff)
+    dims = {lab: irrep(model, lab).dim for lab in irrep_labels(model, cutoff)}
     worst = 0.0
     for _ in range(samples):
         coeffs = {}
-        for lab in labels:
-            d = irrep(model, lab).dim
+        for lab, d in dims.items():
             block = rng.standard_normal((d, d)) + 1j * rng.standard_normal(
                 (d, d))
-            for a in range(d):
-                for b in range(d):
-                    coeffs[(lab, a, b)] = block[a, b]
+            coeffs.update(((lab, a, b), v)
+                          for (a, b), v in np.ndenumerate(block))
         f = PeterWeylVector(model, cutoff, coeffs)
         h1 = random_group_point(model, rng)
         h2 = random_group_point(model, rng)
         left = transform_C_phi(group_action(f, h1, h2), table)
         right = group_action(transform_C_phi(f, table), h1, h2)
-        keys = set(left.coeffs) | set(right.coeffs)
-        worst = max(
-            worst,
-            max(
-                abs(left.coeffs.get(k, 0) - right.coeffs.get(k, 0))
-                for k in keys
-            ),
-        )
+        lc, rc = left.coeffs, right.coeffs
+        for k in set(lc) | set(rc):
+            worst = max(worst, abs(lc.get(k, 0) - rc.get(k, 0)))
     return CheckReport.from_error(
         f"transform.equivariance.{model.name}",
         "the transform scales each irrep block by a scalar, so two-sided "
@@ -693,14 +690,11 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
 
     For torus models the density is 1 and the two Grams coincide.
     """
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
+    cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
     gram = character_gram(model, labels, level, eta_weight=False)
-    if model.is_abelian:
-        gram_eta = gram.copy()
-    else:
-        gram_eta = character_gram(model, labels, level, eta_weight=True)
+    gram_eta = gram if model.is_abelian else character_gram(
+        model, labels, level, eta_weight=True)
     diag = np.real(np.diagonal(gram_eta))
     off_eta = float(np.abs(gram_eta - np.diag(np.diagonal(gram_eta))).max())
     off_eps = float(np.abs(gram - np.diag(np.diagonal(gram))).max())

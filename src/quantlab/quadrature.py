@@ -86,7 +86,8 @@ def torus_rule(r: int, modes: int) -> QuadratureRule:
     grids = np.meshgrid(*([theta] * r), indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
     weights = np.full(nodes.shape[0], 1.0 / n**r)
-    return QuadratureRule(nodes, weights, {"kind": "torus", "modes": modes})
+    return QuadratureRule(nodes, weights, {"kind": "torus", "modes": modes},
+                          ((theta, np.full(n, 1.0 / n)),) * r)
 
 
 def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
@@ -187,7 +188,8 @@ def gaussian_rule(r: int, level: int) -> QuadratureRule:
     wgrids = np.meshgrid(*([wy] * r), indexing="ij")
     weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
     return QuadratureRule(
-        nodes, weights, {"kind": "gaussian", "r": r, "points": 16 * level}
+        nodes, weights, {"kind": "gaussian", "r": r, "points": 16 * level},
+        ((y, wy),) * r,
     )
 
 

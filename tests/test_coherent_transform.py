@@ -317,21 +317,18 @@ def test_unitarity_certificate_su2_cutoff_three():
     assert rep.metadata["basis_size"] == 140
 
 
-def _pairwise_torus_gram(model, labels, level):
-    # the per-pair sums the shared character table replaces
-    n_cut = max(max(abs(c) for c in lab) for lab in labels)
-    g_rule = torus_rule(model.rank, 2 * n_cut)
+def _full_node_sums(model, labels, level):
+    # sigma and both Gram factors as sums over every node of the product
+    # rules, one row of label pairs at a time
+    n = np.asarray(labels, float).reshape(len(labels), model.rank)
     y_rule = gaussian_rule(model.rank, level)
-    haar = np.zeros((len(labels), len(labels)), dtype=complex)
-    gauss = np.zeros((len(labels), len(labels)), dtype=complex)
-    for i, la in enumerate(labels):
-        for k, lb in enumerate(labels):
-            na, nb = np.asarray(la, float), np.asarray(lb, float)
-            haar[i, k] = np.sum(
-                g_rule.weights * np.exp(1j * g_rule.nodes @ (na - nb)))
-            gauss[i, k] = np.sum(
-                y_rule.weights * np.exp(-y_rule.nodes @ (na + nb)))
-    return haar, gauss
+    g_rule = torus_rule(model.rank, 2 * int(np.abs(n).max()))
+    sig = y_rule.weights @ np.exp(2.0 * y_rule.nodes @ n.T)
+    haar = np.array([g_rule.weights @ np.exp(1j * g_rule.nodes @ (na - n).T)
+                     for na in n])
+    gauss = np.array([y_rule.weights @ np.exp(-y_rule.nodes @ (na + n).T)
+                      for na in n])
+    return sig, haar, gauss
 
 
 def test_torus_grams_match_pairwise_formula():
@@ -340,7 +337,7 @@ def test_torus_grams_match_pairwise_formula():
     for model, cutoff, level in ((U1, 8, 3), (U1, 8, 4), (T2, 3, 3),
                                  (T2, 3, 4)):
         labels = irrep_labels(model, cutoff)
-        haar, gauss = _pairwise_torus_gram(model, labels, level)
+        _, haar, gauss = _full_node_sums(model, labels, level)
         want = haar * gauss
         scale = np.abs(want).max()
         got = character_gram(model, labels, level)
@@ -349,6 +346,85 @@ def test_torus_grams_match_pairwise_formula():
         assert hl2.shape == l2.shape == (len(labels), len(labels))
         assert np.abs(hl2 - want).max() <= 1e-14 * scale
         assert np.abs(l2 - haar).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model,cutoff", [(U1, 8), (T2, 5)])
+def test_axis_first_torus_tables_match_full_node_sums(model, cutoff):
+    from quantlab.coherent_transform import _torus_gram_factors, _torus_sigmas
+
+    labels = irrep_labels(model, cutoff)
+    for level in (3, 4):
+        sig, haar, gauss = _full_node_sums(model, labels, level)
+        got = _torus_sigmas(model, labels, level)
+        assert np.abs(got / sig - 1.0).max() <= 1e-14
+        got_haar, got_gauss = _torus_gram_factors(model, labels, level)
+        # the Haar factor is the identity, so its scale is 1
+        assert np.abs(got_haar - haar).max() <= 1e-14
+        assert np.abs(got_gauss / gauss - 1.0).max() <= 1e-14
+
+
+def test_axis_first_sigma_keeps_the_untilted_rule_error():
+    # the Gauss-Hermite rule is still centred at 0, not at the tilted peak
+    # n / (2 pi): at |n| = 20 and level 3 it misses the closed form by
+    # about 1.5e-2, and the axis-first sum reproduces that error
+    from quantlab.coherent_transform import _sigma_closed_form
+
+    for label in ((20,), (-20,)):
+        got = sigma(irrep(U1, label), level=3)
+        node_sum, _, _ = _full_node_sums(U1, [label], 3)
+        assert abs(got / node_sum[0] - 1.0) <= 1e-14
+        rel = abs(got - _sigma_closed_form(U1, label)) / _sigma_closed_form(
+            U1, label)
+        assert 1.4e-2 < rel < 1.6e-2
+
+
+@pytest.mark.parametrize("coeffs,cutoff,model", [
+    ({(3, 0, 0): 1.0}, 4, U1),
+    ({("0.5", 0, 0): 1.0}, 1.0, SU2),
+    ({((3, 0), 0, 0): 1.0}, 2, T2),
+    ({(1.5, 0, 0): 1.0}, 1.0, SU2),
+    ({((1, 0), 0, 1): 1.0}, 2, T2),
+    ({(0.5, 2, 0): 1.0}, 1.0, SU2),
+    ({(0.5, 0, -1): 1.0}, 1.0, SU2),
+], ids=["unnormalized-u1", "unnormalized-su2", "beyond-cutoff-t2",
+        "beyond-cutoff-su2", "index-t2", "index-su2", "negative-index-su2"])
+def test_public_construction_rejects_invalid_keys(coeffs, cutoff, model):
+    with pytest.raises(ValueError):
+        PeterWeylVector(model, cutoff, coeffs)
+
+
+def _random_vector(model, cutoff, rng):
+    coeffs = {}
+    for lab in irrep_labels(model, cutoff):
+        d = irrep(model, lab).dim
+        for a in range(d):
+            for b in range(d):
+                coeffs[(lab, a, b)] = complex(*rng.standard_normal(2))
+    return PeterWeylVector(model, cutoff, coeffs)
+
+
+@pytest.mark.parametrize("model,cutoff", [(T2, 5), (SU2, 2.0)])
+def test_action_and_transform_match_per_label_loop(model, cutoff):
+    rng = np.random.default_rng(11)
+    table = build_sigma_table(model, cutoff)
+    for _ in range(3):
+        f = _random_vector(model, cutoff, rng)
+        h1 = random_group_point(model, rng)
+        h2 = random_group_point(model, rng)
+        want_act, want_tr = {}, {}
+        for lab in irrep_labels(model, cutoff):
+            ir = irrep(model, lab)
+            block = ir.rep_unitary(h1).conj() @ f.block(lab) @ (
+                ir.rep_unitary(h2).T)
+            for (a, b), v in np.ndenumerate(block):
+                want_act[(lab, a, b)] = v
+                want_tr[(lab, a, b)] = f.coeffs[(lab, a, b)] / math.sqrt(
+                    table[lab])
+        for got, want in ((group_action(f, h1, h2), want_act),
+                          (transform_C_phi(f, table), want_tr)):
+            assert set(got.coeffs) == set(want)
+            assert got.model is model and got.cutoff == cutoff
+            assert max(abs(got.coeffs[k] - want[k]) for k in want) <= 1e-14
 
 
 def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):

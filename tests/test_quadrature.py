@@ -125,6 +125,20 @@ def test_su2_haar_rule_axes_rebuild_the_product():
     assert np.abs(corner.reshape(-1) - rule.nodes[:, 0, 0]).max() < 1e-15
 
 
+@pytest.mark.parametrize("rule", [quad.torus_rule(2, 5),
+                                  quad.gaussian_rule(1, 2),
+                                  quad.gaussian_rule(2, 1)])
+def test_flat_product_rule_axes_rebuild_the_product(rule):
+    # nodes and weights run over the axes in C order, last axis fastest
+    points = np.meshgrid(*[p for p, _ in rule.axes], indexing="ij")
+    weights = np.meshgrid(*[w for _, w in rule.axes], indexing="ij")
+    assert len(rule.axes) == rule.nodes.shape[1]
+    for k, grid in enumerate(points):
+        assert np.array_equal(grid.reshape(-1), rule.nodes[:, k])
+    assert np.abs(np.prod(weights, axis=0).reshape(-1)
+                  - rule.weights).max() < 1e-16
+
+
 def test_radial_rule_mass():
     rule = quad.radial_rule(level=2)
     assert abs(rule.mass - 2**-1.5) < 1e-12

@@ -220,6 +220,15 @@ def test_demo_input_validation(bump_1024):
         removal_density_demo(bump_1024, [math.e])
 
 
+def test_demo_rejects_repeated_cutoff_indices():
+    # a tie leaves the rate fit ill-posed, so it is an input error, not a
+    # FAIL with a meaningless rate
+    with pytest.raises(ValueError):
+        removal_density_demo(standard_bump(128), [3.0, 3.0])
+    with pytest.raises(ValueError):
+        removal_density_demo(standard_bump(128), [math.e, 3.0, 3.0])
+
+
 def test_removal_demo_fails_when_a_cutoff_deletes_nothing():
     # on the 64 grid no sample lies within 1/e^4 of the origin, so E(e^4)
     # is exactly 0 and log E(m) has no rate to fit
