@@ -196,7 +196,7 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
     return [
         eta_log_convexity_certificate(),
         canonical_semi_negativity_certificate(model),
-        twist_positivity_certificate(2 * math.pi, 2.0, model=model),
+        twist_positivity_certificate(model, 2 * math.pi, 2.0),
         oracle_agreement_certificate(model, **_tol(cfg)),
         wall_limit_certificate(model, **_tol(cfg)),
         spectrum_curve_certificate(model),

@@ -26,7 +26,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from quantlab.density_weights import eta_tilde
-from quantlab.lie_core import GroupPoint, LieModel, get_model, unitary_log
+from quantlab.lie_core import (
+    GroupPoint,
+    LieModel,
+    get_model,
+    random_group_point,
+    unitary_log,
+)
 from quantlab.quadrature import (
     QuadratureRule,
     gaussian_rule,
@@ -580,8 +586,6 @@ def unitarity_certificate(model: LieModel, cutoff=None,
 def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
                              seed: int = 0) -> CheckReport:
     """Two-sided translations commute with the transform."""
-    from quantlab.lie_core import random_group_point
-
     cutoff = _default_cutoff(model, cutoff)
     rng = np.random.default_rng(seed)
     table = build_sigma_table(model, cutoff)

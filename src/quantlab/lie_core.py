@@ -49,7 +49,6 @@ __all__ = [
     "exp_alg",
     "exp_alg_batch",
     "weyl_group",
-    "weyl_determinant",
     "algebra_vec",
     "alg_to_matrix",
     "alg_to_matrix_batch",
@@ -518,15 +517,6 @@ def weyl_group(model: LieModel) -> list[WeylElement]:
                     new.append(el)
         frontier = new
     return elements
-
-
-def weyl_determinant(w: WeylElement) -> int:
-    """det of the Weyl action on t; always +1 or -1."""
-    d = float(np.linalg.det(w.matrix))
-    out = int(round(d))
-    if out not in (1, -1) or abs(d - out) > 1e-9:
-        raise ValueError("Weyl element determinant is not a unit")
-    return out
 
 
 # ---------------------------------------------------------------------------

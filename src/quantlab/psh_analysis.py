@@ -41,7 +41,6 @@ __all__ = [
     "InvariantPotential",
     "SpectrumReport",
     "make_potential",
-    "load_potential_table",
     "mu_gradient",
     "theta_spectrum",
     "theta_matrix_oracle",
@@ -54,6 +53,8 @@ __all__ = [
 ]
 
 _PRESETS = ("square", "logeta", "combined:6.283185307179586,2")
+# the least eigenvalue a twisted potential must clear to count as positive
+_TWIST_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,34 +200,6 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
             symmetry_checked=True,
         )
     raise ValueError(f"unknown potential {spec!r}")
-
-
-def load_potential_table(model: LieModel, path: str) -> InvariantPotential:
-    """Custom rank-1 potential from a two-column table (t, value), cubic
-    interpolation.  The table must cover a symmetric range; symmetry is
-    verified on samples like any other potential."""
-    from scipy.interpolate import CubicSpline
-
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("potential table must have two columns: t, value")
-    if model.rank != 1:
-        raise ValueError("tabulated potentials support rank-1 models only")
-    order = np.argsort(data[:, 0])
-    spline = CubicSpline(data[order, 0], data[order, 1])
-
-    def tilde(t):
-        return float(spline(float(t[0])))
-
-    ok = _verify_symmetry(model, tilde)
-    return InvariantPotential(
-        f"table:{path}",
-        model,
-        tilde=tilde,
-        grad_fn=lambda t: np.array([float(spline(float(t[0]), 1))]),
-        hess_fn=lambda t: np.array([[float(spline(float(t[0]), 2))]]),
-        symmetry_checked=ok,
-    )
 
 
 def _require_invariant(K: InvariantPotential) -> None:
@@ -413,18 +386,19 @@ def psh_verdict(
     )
 
 
-def canonical_semi_negativity_certificate(
-    model: LieModel, grid: np.ndarray | None = None
-) -> CheckReport:
-    """Convexity of the log-density over a grid: the curvature of the
-    top-degree holomorphic form bundle is semi-negative iff this spectrum
-    is nonnegative; tori give the identically flat case."""
-    if grid is None:
-        grid = np.linspace(-5.0, 5.0, 201).reshape(-1, 1)
-        if model.rank > 1:
-            grid = np.hstack([grid] + [0.3 * grid] * (model.rank - 1))
+def _scan_grid(model: LieModel) -> np.ndarray:
+    """201 points of [-5, 5] on t, one per row; every further torus axis
+    runs at 0.3 times the first."""
+    grid = np.linspace(-5.0, 5.0, 201).reshape(-1, 1)
+    return np.hstack([grid] + [0.3 * grid] * (model.rank - 1))
+
+
+def canonical_semi_negativity_certificate(model: LieModel) -> CheckReport:
+    """Convexity of the log-density over the scan grid: the curvature of
+    the top-degree holomorphic form bundle is semi-negative iff this
+    spectrum is nonnegative; tori give the identically flat case."""
     K = make_potential(model, "logeta")
-    inner = psh_verdict(K, grid)
+    inner = psh_verdict(K, _scan_grid(model))
     return CheckReport.from_error(
         "psh.canonical_semi_negativity",
         "log of the fiber density is convex on t (limit value 1/3 at the "
@@ -437,24 +411,15 @@ def canonical_semi_negativity_certificate(
 
 
 def twist_positivity_certificate(
-    a: float, b: float, grid: np.ndarray | None = None,
-    model: LieModel | None = None, margin: float = 1e-6
+    model: LieModel, a: float, b: float
 ) -> CheckReport:
-    """Strict positivity of the combined potential a|Y|^2 + b log(eta):
-    the curvature form of the twisted bundle is positive when this
-    spectrum clears a positive margin."""
+    """Strict positivity of the combined potential a|Y|^2 + b log(eta)
+    over the scan grid: the curvature form of the twisted bundle is
+    positive when this spectrum clears _TWIST_MARGIN."""
     if a <= 0:
         raise ValueError("twist coefficient a must be positive")
-    if model is None:
-        from quantlab.lie_core import get_model
-
-        model = get_model("su2")
-    if grid is None:
-        grid = np.linspace(-5.0, 5.0, 201).reshape(-1, 1)
-        if model.rank > 1:
-            grid = np.hstack([grid, 0.3 * grid])
     K = make_potential(model, f"combined:{a},{b}")
-    inner = psh_verdict(K, grid, margin=margin)
+    inner = psh_verdict(K, _scan_grid(model), margin=_TWIST_MARGIN)
     meta = dict(inner.metadata)
     meta.update({"a": a, "b": b})
     return CheckReport.from_error(
@@ -462,7 +427,7 @@ def twist_positivity_certificate(
         "the quadratic prequantum potential plus b times the log-density "
         "stays strictly convex in the curvature-spectrum sense",
         tolerance=1e-15,
-        max_error=max(0.0, margin - meta["min_eigenvalue"]),
+        max_error=max(0.0, _TWIST_MARGIN - meta["min_eigenvalue"]),
         **meta,
     )
 
@@ -534,13 +499,9 @@ def wall_limit_certificate(
 
 def spectrum_curve_certificate(model: LieModel) -> CheckReport:
     """The least curvature eigenvalue of the square and logeta potentials
-    along 201 points of [-5, 5] on t (second torus axis at 0.3 times the
-    first); the square potential's curve must stay nonnegative, and both
-    curves go into the report."""
-    grid = np.linspace(-5.0, 5.0, 201)
-    curve_pts = grid.reshape(-1, 1)
-    if model.rank > 1:
-        curve_pts = np.hstack([curve_pts, 0.3 * curve_pts])
+    along the scan grid; the square potential's curve must stay
+    nonnegative, and both curves go into the report."""
+    curve_pts = _scan_grid(model)
     curves = {}
     for preset in ("square", "logeta"):
         K = make_potential(model, preset)
@@ -559,6 +520,6 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
         "along the scanned slice of the flat directions",
         tolerance=1e-8,
         max_error=max(0.0, -min(curves["square"])),
-        spectrum_grid=[float(g) for g in grid],
+        spectrum_grid=[float(g) for g in curve_pts[:, 0]],
         spectrum_min=curves,
     )

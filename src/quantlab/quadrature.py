@@ -11,8 +11,9 @@ Four rule families cover every integral in the package:
   optional exponential tilt so integrands like e^{b r} e^{-2 pi r^2} keep
   their mass inside the truncation radius.
 
-All weights are nonnegative, and every certificate that leans on a rule uses
-the doubling gate below as its convergence check.
+All weights are nonnegative.  The one convergence check built on these
+rules is the sigma table's doubling estimate in
+coherent_transform.build_sigma_table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -36,7 +37,6 @@ __all__ = [
     "gaussian_rule",
     "radial_rule",
     "integrate",
-    "doubling_gate",
 ]
 
 
@@ -213,16 +213,3 @@ def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
         r.reshape(-1, 1), weights,
         {"kind": "radial", "rmax": rmax, "tilt": tilt, "points": 16 * level},
     )
-
-
-def doubling_gate(
-    rule_at: Callable[[int], QuadratureRule],
-    integrand: Callable[[QuadratureRule], np.ndarray],
-    level: int,
-) -> float:
-    """|I(level) - I(2 level)|: the convergence gate used by certificates."""
-    r1 = rule_at(level)
-    r2 = rule_at(2 * level)
-    i1 = integrate(r1, integrand(r1))
-    i2 = integrate(r2, integrand(r2))
-    return float(np.max(np.abs(np.atleast_1d(i1 - i2))))

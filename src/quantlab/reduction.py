@@ -5,9 +5,9 @@ The conjugation action of the group on its polarized phase space has
 momentum map j(g, Y) = Ad_g Y - Y.  On the zero set g and e^{tY} commute,
 so every orbit meets the torus part; the quotient is (T x t)/W.  The
 operations here construct that normal form numerically: find a conjugator
-into T x t, canonicalize under the Weyl group, classify the orbit-type
-stratum, and realize the reduction isometry on class functions as
-multiplication by |W|^{-1/2} |delta| followed by torus restriction.
+into T x t, canonicalize under the Weyl group, and realize the reduction
+isometry on class functions as multiplication by |W|^{-1/2} |delta|
+followed by torus restriction.
 
 The headline certificate builds the reduced quantization two ways, once by
 reducing the invariant part of the quantization and once by quantizing the
@@ -45,6 +45,7 @@ from quantlab.lie_core import (
     random_coords_batch,
     random_group_point,
     torus_point,
+    weyl_group,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
 from quantlab.report import CheckReport
@@ -52,7 +53,6 @@ from quantlab.report import CheckReport
 __all__ = [
     "ZeroSetPoint",
     "ReducedRepresentative",
-    "StratumTag",
     "ReducedFunction",
     "momentum_map",
     "momentum_map_batch",
@@ -61,7 +61,6 @@ __all__ = [
     "torus_representative",
     "weyl_canonicalize",
     "round_trip_certificate",
-    "stratum_classify",
     "reduction_unitary",
     "weyl_isometry_certificate",
     "qr_commutes_certificate",
@@ -140,13 +139,6 @@ class ReducedRepresentative:
     Y0: AlgebraVec
     conjugator: GroupPoint
     weyl_canonical: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class StratumTag:
-    isotropy_dim: int
-    principal: bool
-    distance_to_singular: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,45 +297,6 @@ def round_trip_certificate(
     )
 
 
-def stratum_classify(rep: ReducedRepresentative) -> StratumTag:
-    """Orbit-type data of a reduced point.
-
-    The isotropy algebra of (t, Y0) is ker(Ad_t - I) intersect ker(ad_Y0),
-    measured as the nullity of the stacked matrix with singular-value
-    threshold 1e-8.  A singular value inside (threshold, 10x threshold)
-    leaves the dimension ill-determined and is reported as an error.
-    """
-    model = rep.Y0.model
-    n = model.dim
-    ad_t = np.empty((n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = 1.0
-        ad_t[:, k] = adjoint_action(rep.t, AlgebraVec(model, ek)).coords
-    from quantlab.lie_core import ad_matrix
-
-    stacked = np.vstack([ad_t - np.eye(n), ad_matrix(model, rep.Y0.coords)])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    thresh = 1e-8
-    borderline = [s for s in svals if thresh <= s < 10 * thresh]
-    if borderline:
-        raise ArithmeticError(
-            f"isotropy dimension ambiguous: singular value {borderline[0]:g} "
-            "sits within a decade of the threshold"
-        )
-    nullity = int(np.sum(svals < thresh))
-    principal = nullity == model.rank
-    if model.is_abelian:
-        distance = math.inf
-    else:
-        tau = _su2_torus_angle(rep.t)
-        y = float(rep.Y0.coords[2])
-        d0 = min(tau, 4.0 * math.pi - tau)
-        d2 = abs(tau - 2.0 * math.pi)
-        distance = math.sqrt(min(d0, d2) ** 2 + y * y)
-    return StratumTag(nullity, principal, distance)
-
-
 def _class_coefficients(f: PeterWeylVector) -> dict:
     """Character coefficients of a class-invariant vector; rejects vectors
     whose blocks are not scalar."""
@@ -374,8 +327,6 @@ def reduction_unitary(f: PeterWeylVector, modes: int | None = None
                       ) -> ReducedFunction:
     """The reduction isometry on class functions: multiply the torus
     restriction by |W|^{-1/2} |delta| and sample on a torus grid."""
-    from quantlab.lie_core import weyl_group
-
     model = f.model
     coeffs = _class_coefficients(f)
     max_freq = 0.0

@@ -67,13 +67,3 @@ class CheckReport:
             passed=bool(max_error <= tolerance),
             metadata=dict(metadata),
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "check_id": self.check_id,
-            "citation": self.citation,
-            "tolerance": self.tolerance,
-            "max_error": self.max_error,
-            "passed": self.passed,
-            "metadata": self.metadata,
-        }

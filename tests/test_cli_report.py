@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quantlab
 from quantlab.cli_report import (
     SuiteConfig,
     UsageError,
@@ -241,3 +246,16 @@ def test_cli_suite_crash_exits_three(monkeypatch, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: ")
     assert "ArithmeticError" in err and "second line" not in err
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.integrate alone pulls in optimize, sparse, spatial and fft;
+    # nothing the CLI runs needs them, so importing it must not load them
+    probe = ("import sys, quantlab.cli_report; "
+             "print(' '.join(m for m in ('scipy.integrate', "
+             "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(quantlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -1,4 +1,4 @@
-"""Density, log-convexity, measure identification, and Weyl integration."""
+"""Density, log-convexity, and the Weyl denominator."""
 
 import math
 
@@ -110,124 +110,3 @@ def test_weyl_denominator_su2():
     t2 = lc.get_model("t2")
     ones = dw.weyl_denominator(t2, np.array([[0.3, 1.1], [2.0, -0.4]]))
     assert np.allclose(ones, 1.0)
-
-
-def test_haar_liouville_torus():
-    t2 = lc.get_model("t2")
-    rep = dw.haar_liouville_consistency(t2, lambda Y: 1.0, level=2)
-    assert rep.passed, rep
-    assert abs(rep.metadata["side_flat_times_eta_sq"] - 0.5) < 1e-9
-    rep0 = dw.haar_liouville_consistency(t2, lambda Y: 0.0, level=1)
-    assert rep0.passed
-    assert rep0.metadata["side_polar_volume"] == 0.0
-
-
-def test_haar_liouville_su2_character():
-    su2 = lc.get_model("su2")
-
-    def f(Y):
-        g = lc.exp_alg(
-            lc.algebra_vec(su2, np.zeros(3)), Y
-        )
-        return abs(np.trace(g.matrix)) ** 2
-
-    rep = dw.haar_liouville_consistency(su2, f, level=3)
-    assert rep.passed, rep
-
-
-def test_haar_liouville_su2_gaussian_profile():
-    su2 = lc.get_model("su2")
-
-    def f(Y):
-        return math.exp(-float(np.dot(Y.coords, Y.coords)))
-
-    rep = dw.haar_liouville_consistency(su2, f, level=3)
-    assert rep.passed, rep
-
-
-def test_haar_liouville_rejects_non_class():
-    su2 = lc.get_model("su2")
-    rep = dw.haar_liouville_consistency(su2, lambda Y: float(Y.coords[0]))
-    assert not rep.passed
-    assert "precondition" in rep.metadata
-
-
-def test_weyl_integration_constant_and_characters():
-    su2 = lc.get_model("su2")
-    rep1 = dw.weyl_integration_check(su2, lambda g: 1.0)
-    assert rep1.passed, rep1
-    assert abs(rep1.metadata["group_integral"] - 1.0) < 1e-12
-
-    def char_sq(j):
-        def f(g):
-            lam = np.linalg.eigvals(g.matrix)
-            z = lam[np.argmax(np.abs(np.angle(lam)))]
-            # character as a geometric sum over exponents -j..j
-            tau = 2.0 * np.angle(z)
-            if abs(math.sin(tau / 2.0)) < 1e-8:
-                return float((2 * j + 1) ** 2)
-            val = math.sin((2 * j + 1) * tau / 2.0) / math.sin(tau / 2.0)
-            return float(val * val)
-        return f
-
-    for j in (0.5, 1.0, 1.5, 3.0):
-        rep = dw.weyl_integration_check(su2, char_sq(j), level=7)
-        assert rep.passed, (j, rep)
-        assert abs(rep.metadata["group_integral"] - 1.0) < 1e-9
-        assert abs(rep.metadata["c_fitted"] - 2**-0.5) < 1e-9
-
-
-def test_weyl_integration_torus_trivial():
-    t2 = lc.get_model("t2")
-
-    def f(g):
-        return float(np.real(g.matrix[0, 0] * np.conj(g.matrix[1, 1])))
-
-    rep = dw.weyl_integration_check(t2, f)
-    assert rep.passed, rep
-    assert rep.metadata["weyl_order"] == 1
-
-
-def test_weyl_integration_rejects_non_class():
-    # note Re(g00) = trace/2 IS a class function on this group; the
-    # off-diagonal modulus is not.
-    su2 = lc.get_model("su2")
-
-    def f(g):
-        return float(abs(g.matrix[0, 1]) ** 2)
-
-    rep = dw.weyl_integration_check(su2, f)
-    assert not rep.passed
-    assert "precondition" in rep.metadata
-
-
-@pytest.mark.parametrize("name", ["t2", "su2"])
-def test_class_function_check_reproduces_scalar_loop(name):
-    # the per-sample loop moved onto stacked group operations, kept as the
-    # reference: same draws, same conjugations, same worst residual
-    model = lc.get_model(name)
-
-    def on_group(g):
-        return float(np.real(np.trace(g.matrix @ g.matrix))
-                     + g.matrix[0, -1].real)
-
-    def on_fiber(y):
-        return float(np.dot(y.coords, y.coords) + y.coords[0])
-
-    for f, grouped in ((on_group, True), (on_fiber, False)):
-        rng = np.random.default_rng(12345)
-        worst = 0.0
-        for _ in range(32):
-            g = lc.random_group_point(model, rng)
-            if grouped:
-                x = lc.random_group_point(model, rng)
-                conj = lc.GroupPoint(
-                    model, g.matrix @ x.matrix @ np.linalg.inv(g.matrix))
-                worst = max(worst, abs(f(conj) - f(x)))
-            else:
-                y = lc.random_algebra(model, rng)
-                worst = max(worst, abs(f(lc.adjoint_action(g, y)) - f(y)))
-        got = dw._check_class_function(model, f, on_group=grouped)
-        assert got == worst
-        # neither function is a class function on su2
-        assert (worst > 1e-3) == (not model.is_abelian)

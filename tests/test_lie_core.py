@@ -177,8 +177,6 @@ def test_weyl_group_su2():
     assert len(ws) == 2
     mats = sorted(float(w.matrix[0, 0]) for w in ws)
     assert np.allclose(mats, [-1.0, 1.0])
-    dets = sorted(lc.weyl_determinant(w) for w in ws)
-    assert dets == [-1, 1]
 
 
 def test_weyl_elements_permute_roots():

@@ -17,7 +17,6 @@ from quantlab.lie_core import (
 from quantlab.psh_analysis import (
     InvariantPotential,
     canonical_semi_negativity_certificate,
-    load_potential_table,
     make_potential,
     mu_gradient,
     psh_verdict,
@@ -184,15 +183,15 @@ def test_canonical_certificate_su2_and_torus():
 def test_twist_certificates_for_shipped_coefficients():
     two_pi = 2 * math.pi
     for b in (2.0, 1.0):
-        rep = twist_positivity_certificate(two_pi, b)
+        rep = twist_positivity_certificate(SU2, two_pi, b)
         assert rep.passed
         assert rep.metadata["min_eigenvalue"] > 1e-6
 
 
 def test_twist_certificate_rejects_bad_coefficients():
     with pytest.raises(ValueError):
-        twist_positivity_certificate(-1.0, 2.0)
-    rep = twist_positivity_certificate(0.001, -5.0)
+        twist_positivity_certificate(SU2, -1.0, 2.0)
+    rep = twist_positivity_certificate(SU2, 0.001, -5.0)
     assert not rep.passed
 
 
@@ -201,17 +200,3 @@ def test_combined_parse_errors():
         make_potential(SU2, "combined:1")
     with pytest.raises(ValueError):
         make_potential(SU2, "no-such-potential")
-
-
-def test_tabulated_potential_round_trip(tmp_path):
-    ts = np.linspace(-6, 6, 601)
-    table = np.column_stack([ts, ts**2])
-    path = tmp_path / "pot.txt"
-    np.savetxt(path, table)
-    K = load_potential_table(SU2, str(path))
-    assert K.symmetry_checked
-    ref = make_potential(SU2, "square")
-    Y = torus_vec(SU2, 1.3)
-    got = np.sort(theta_spectrum(K, Y).all_values())
-    want = np.sort(theta_spectrum(ref, Y).all_values())
-    assert np.abs(got - want).max() < 1e-7

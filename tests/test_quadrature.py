@@ -158,15 +158,6 @@ def test_radial_rule_tilted_against_erf_closed_form():
         assert abs(val - closed(b)) < 1e-12 * max(1.0, closed(b)), b
 
 
-def test_doubling_gate_radial():
-    gap = quad.doubling_gate(
-        lambda lv: quad.radial_rule(lv, tilt=4.0),
-        lambda rule: np.exp(4.0 * rule.nodes[:, 0]),
-        level=2,
-    )
-    assert gap < 1e-9
-
-
 def test_weights_nonnegative_everywhere():
     for rule in (
         quad.torus_rule(2, 6),

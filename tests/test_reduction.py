@@ -18,13 +18,11 @@ from quantlab.lie_core import (
 )
 from quantlab.reduction import (
     ReducedRepresentative,
-    ZeroSetPoint,
     momentum_equivariance_certificate,
     momentum_map,
     momentum_map_batch,
     qr_commutes_certificate,
     reduction_unitary,
-    stratum_classify,
     torus_representative,
     weyl_canonicalize,
     zero_set_point,
@@ -220,51 +218,6 @@ def test_weyl_canonicalize_angle_tie_break():
     assert _su2_torus_angle(canon.t) <= 2 * math.pi + 1e-9
     again = weyl_canonicalize(canon)
     assert np.abs(again.t.matrix - canon.t.matrix).max() < 1e-12
-
-
-def test_stratum_principal_and_singular():
-    generic = ReducedRepresentative(
-        torus_point(SU2, [1.3]), algebra_vec(SU2, [0, 0, 1.0]),
-        identity(SU2), True
-    )
-    tag = stratum_classify(generic)
-    assert tag.isotropy_dim == 1
-    assert tag.principal
-    central = ReducedRepresentative(
-        GroupPoint(SU2, -np.eye(2, dtype=complex)),
-        algebra_vec(SU2, [0, 0, 0]), identity(SU2), True
-    )
-    tag2 = stratum_classify(central)
-    assert tag2.isotropy_dim == 3
-    assert not tag2.principal
-    assert tag2.distance_to_singular < 1e-12
-
-
-def test_stratum_distance_and_torus_model():
-    rep = ReducedRepresentative(
-        torus_point(SU2, [math.pi]), algebra_vec(SU2, [0, 0, 0.5]),
-        identity(SU2), True
-    )
-    tag = stratum_classify(rep)
-    assert tag.distance_to_singular == pytest.approx(
-        math.sqrt(math.pi**2 + 0.25), rel=1e-12
-    )
-    flat = ReducedRepresentative(
-        torus_point(U1, [0.4]), algebra_vec(U1, [0.9]), identity(U1), True
-    )
-    ftag = stratum_classify(flat)
-    assert ftag.principal
-    assert ftag.isotropy_dim == U1.rank
-    assert math.isinf(ftag.distance_to_singular)
-
-
-def test_stratum_borderline_is_ambiguous():
-    rep = ReducedRepresentative(
-        torus_point(SU2, [3e-8]), algebra_vec(SU2, [0, 0, 0]),
-        identity(SU2), True
-    )
-    with pytest.raises(ArithmeticError):
-        stratum_classify(rep)
 
 
 def test_reduction_unitary_torus_identity():
