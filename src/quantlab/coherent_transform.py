@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from quantlab.density_weights import eta_tilde
 from quantlab.lie_core import (
@@ -280,6 +279,19 @@ def _torus_sigmas(model: LieModel, labels, level: int) -> np.ndarray:
                     for k, (y, w) in enumerate(axes)], axis=0)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    # log(sum(exp(a), axis=1)) step for step as scipy.special.logsumexp
+    # computes it, so the value matches bit for bit: the row maximum (each
+    # tied copy of it) comes out of the sum as a_max + log(count), and the
+    # shifted rest goes through log1p.  Finite where a plain sum overflows.
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    count = at_max.sum(axis=1, keepdims=True, dtype=float)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=1,
+               keepdims=True) / count
+    return (np.log1p(s) + np.log(count) + a_max)[:, 0]
+
+
 def sigma(ir: Irrep, level: int = 3) -> float:
     """Quadrature value of the per-irrep Gaussian weight.
 
@@ -295,7 +307,7 @@ def sigma(ir: Irrep, level: int = 3) -> float:
     rule = radial_rule(level, tilt=2.0 * j)
     r = rule.nodes[:, 0]
     m = ir.weight_diag()
-    hs = np.exp(logsumexp(2.0 * np.outer(r, m), axis=1))
+    hs = np.exp(_logsumexp_rows(2.0 * np.outer(r, m)))
     return float(rule.weights @ hs) / ir.dim
 
 

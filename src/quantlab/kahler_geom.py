@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from quantlab.lie_core import (
     AlgebraVec,
     GroupPoint,
     LieModel,
+    _exp_matrices,
     algebra_vec,
     bracket,
     coords_from_matrix,
@@ -331,7 +331,7 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
 
     def chart_value(z):
         zmat = sum(z[k] * model.generators[k] for k in range(n))
-        return potential(center @ scipy.linalg.expm(zmat))
+        return potential(center @ _exp_matrices(model, zmat[None])[0])
 
     hess = _complex_hessian(chart_value, n)
     dphi = dphi_matrix(algebra_vec(model, y))

@@ -35,6 +35,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; every suite seeds a Generator,
+# so load it with the package rather than inside the first suite run
+import numpy.random  # noqa: F401
 
 __all__ = [
     "LieModel",
@@ -394,13 +397,15 @@ def adjoint_action(g: GroupPoint, Y: AlgebraVec) -> AlgebraVec:
 
 
 def _exp_matrices(model: LieModel, mats: np.ndarray) -> np.ndarray:
-    """exp of each matrix of an (N, k, k) stack of algebra images."""
+    """exp of each matrix of an (N, k, k) stack of complex combinations
+    sum_k z_k e_k of the generators: diagonal on tori, traceless 2x2 on
+    su2."""
     if model.is_abelian:
         out = np.zeros_like(mats)
         diag = np.arange(mats.shape[-1])
         out[:, diag, diag] = np.exp(mats[:, diag, diag])
         return out
-    # su2 images, real or times i, are traceless 2x2, so the closed form
+    # su2 combinations are traceless 2x2, so the closed form
     # mat^2 = -det(mat) * identity applies.  The determinant is formed in
     # separate real operations: a fused multiply-add, as vectorized complex
     # loops may use, leaves an imaginary part of about 1e-17 on the real

@@ -132,7 +132,7 @@ def su2_haar_rule(level: int) -> QuadratureRule:
     n_c = 4 * level + 3
     alpha = np.arange(n_a) * (2.0 * math.pi / n_a)
     gamma = np.arange(n_c) * (4.0 * math.pi / n_c)
-    u, wu = leggauss(n_u)
+    u, wu = _legendre_points(n_u)
     beta = np.arccos(u)
     # exp(t e3) = diag(e^{-it/2}, e^{it/2});  exp(b e2) rotates by b/2.
     half_a = alpha / 2.0
@@ -159,6 +159,16 @@ def su2_haar_rule(level: int) -> QuadratureRule:
             (gamma, np.full(n_c, 1.0 / n_c)),
         ),
     )
+
+
+@lru_cache(maxsize=None)
+def _legendre_points(points: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre nodes and weights on [-1, 1], computed once per point
+    # count; read-only, since every rule shares them
+    x, w = leggauss(points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +215,7 @@ def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
     if level < 1:
         raise ValueError("level >= 1 required")
     rmax = abs(tilt) / (4.0 * math.pi) + 2.5
-    x, w = leggauss(16 * level)
+    x, w = _legendre_points(16 * level)
     r = (x + 1.0) * (rmax / 2.0)
     wr = w * (rmax / 2.0)
     weights = wr * 4.0 * math.pi * r**2 * np.exp(-2.0 * math.pi * r**2)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from quantlab.coherent_transform import (
     PeterWeylVector,
@@ -177,13 +176,31 @@ def _clean_torus_pair(model: LieModel, t_mat: np.ndarray,
     return t, y0
 
 
+def _unit_eigenvector(mat: np.ndarray) -> np.ndarray:
+    # one unit eigenvector of a 2x2 matrix: with h = (a - d)/2 and
+    # s = sqrt(h^2 + bc), (s + h, c) is an eigenvector for (a + d)/2 + s,
+    # and the root whose sign makes Re(conj(h) s) >= 0 keeps
+    # |s + h|^2 >= |s|^2 + |h|^2, free of cancellation
+    (a, b), (c, d) = mat
+    h = 0.5 * (a - d)
+    s = np.sqrt(h * h + b * c)
+    if (h.conjugate() * s).real < 0:
+        s = -s
+    v = np.array([s + h, c])
+    norm = np.linalg.norm(v)
+    # zero only for a scalar matrix, where every vector is an eigenvector
+    return v / norm if norm > 0 else np.array([1.0 + 0j, 0j])
+
+
 def torus_representative(zp: ZeroSetPoint) -> ReducedRepresentative:
     """A conjugator h with (h g h^{-1}, Ad_h Y) in T x t.
 
     The pair commutes on the zero set, so the defining-representation
-    matrices are simultaneously diagonalizable; a Schur decomposition of a
-    generic linear mix does both at once.  Mix weights are retried before
-    declaring the problem defective.
+    matrices are simultaneously diagonalizable, and the normal matrix of
+    a generic linear mix diagonalizes both at once.  Its 2x2 Schur basis is
+    one unit eigenvector v and its orthogonal complement, which together
+    form the SU(2) matrix [[v0, -v1*], [v1, v0*]].  Mix weights are retried
+    before declaring the problem defective.
     """
     model = zp.p.Y.model
     if model.is_abelian:
@@ -196,9 +213,8 @@ def torus_representative(zp: ZeroSetPoint) -> ReducedRepresentative:
     herm = 1j * y_mat
     for lam in (0.7310585786300049, 0.31830988618367, 1.9021605823):
         mix = g_mat + lam * herm
-        tmat, z = scipy.linalg.schur(mix, output="complex")
-        det_phase = np.linalg.det(z)
-        z = z * np.conj(det_phase) ** 0.5
+        v = _unit_eigenvector(mix)
+        z = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
         h = GroupPoint(model, z.conj().T)
         t_mat = h.matrix @ g_mat @ h.matrix.conj().T
         y_new = adjoint_action(h, zp.p.Y).coords

@@ -248,14 +248,35 @@ def test_cli_suite_crash_exits_three(monkeypatch, capsys):
     assert "ArithmeticError" in err and "second line" not in err
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    # scipy.integrate alone pulls in optimize, sparse, spatial and fft;
-    # nothing the CLI runs needs them, so importing it must not load them
-    probe = ("import sys, quantlab.cli_report; "
-             "print(' '.join(m for m in ('scipy.integrate', "
-             "'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+def _fresh_interpreter(probe: str) -> str:
     src = str(Path(quantlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # the runtime needs numpy only: scipy is the tests' oracle, and
+    # importing it costs more than the rest of the package together
+    probe = ("import sys, quantlab.cli_report; "
+             "print(' '.join(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh_interpreter(probe) == ""
+
+
+def test_suite_runs_load_no_module_after_import():
+    # an import deferred into a suite run would be paid inside every
+    # run's wall time instead of once at start-up
+    probe = (
+        "import sys\n"
+        "from quantlab.cli_report import (SUITE_NAMES, SuiteConfig, "
+        "render_csv, render_json, render_svg, run_suite)\n"
+        "before = set(sys.modules)\n"
+        "for suite in SUITE_NAMES:\n"
+        "    reports = run_suite(SuiteConfig(model='u1', suite=suite))\n"
+        "    render_json(reports); render_csv(reports)\n"
+        "render_svg(reports)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    assert _fresh_interpreter(probe) == ""

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, logsumexp
 from scipy.stats import norm, qmc
 
 from quantlab.coherent_transform import (
     PeterWeylVector,
+    _logsumexp_rows,
     build_sigma_table,
     character_gram,
     equivariance_certificate,
@@ -173,6 +174,32 @@ def test_sigma_su2_against_quasirandom_3d():
     est = 2 ** -1.5 * hs.mean() / (2 * j + 1)
     want = sigma_su2_closed(j)
     assert abs(est - want) / want < 1e-3
+
+
+def _sigma_exponents(j, level):
+    # the rows sigma sums in log space: 2 r m over radial nodes r and
+    # weights m of spin j
+    r = radial_rule(level, tilt=2.0 * j).nodes[:, 0]
+    return 2.0 * np.outer(r, irrep(SU2, j).weight_diag())
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_logsumexp_rows_matches_scipy_bit_for_bit(level):
+    for twice_j in range(21):
+        a = _sigma_exponents(twice_j / 2, level)
+        assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
+    # tied row maxima, including an all-zero row
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, -2.0], [3.0, -1.0, 0.5]])
+    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
+
+
+def test_logsumexp_rows_finite_where_plain_sum_overflows():
+    a = _sigma_exponents(100, 3)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.log(np.sum(np.exp(a), axis=1))))
+    got = _logsumexp_rows(a)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, logsumexp(a, axis=1), rtol=1e-15, atol=0)
 
 
 def test_sigma_symmetric_under_weyl():

@@ -257,6 +257,21 @@ def test_exp_alg_batch_matches_expm():
     assert got[1, 0, 1] != 0.0
 
 
+@pytest.mark.parametrize("name", ["su2", "t2"])
+def test_exp_matrices_on_complex_combinations_match_expm(name):
+    # the holomorphic chart exp(sum_k z_k e_k) of kahler.omega_potential
+    model = lc.get_model(name)
+    rng = np.random.default_rng(23)
+    zs = (rng.standard_normal((30, model.dim))
+          + 1j * rng.standard_normal((30, model.dim))) * 1.5
+    mats = np.einsum("nk,kab->nab", zs, np.stack(model.generators))
+    got = lc._exp_matrices(model, mats)
+    for i in range(30):
+        direct = scipy.linalg.expm(mats[i])
+        err = np.abs(got[i] - direct).max() / np.abs(direct).max()
+        assert err < 1e-13
+
+
 def _scalar_group_point(model, rng):
     # the scalar sampler the stacked draws must reproduce
     if model.is_abelian:

@@ -9,6 +9,7 @@ from quantlab.lie_core import (
     AlgebraVec,
     GroupPoint,
     adjoint_action,
+    alg_to_matrix,
     algebra_vec,
     exp_alg,
     get_model,
@@ -180,6 +181,52 @@ def test_torus_representative_already_reduced():
     canon = weyl_canonicalize(rep)
     assert abs(canon.Y0.coords[2] - 0.5) < 1e-10
     assert np.abs(canon.t.matrix - p.x.matrix).max() < 1e-9
+
+
+def assert_su2_conjugator_diagonalizes(rep, p):
+    h = rep.conjugator.matrix
+    assert abs(np.linalg.det(h) - 1.0) < 1e-12
+    assert np.abs(h @ h.conj().T - np.eye(2)).max() < 1e-12
+    for mat in (p.x.matrix, 1j * alg_to_matrix(SU2, p.Y.coords)):
+        conj = h @ mat @ h.conj().T
+        assert max(abs(conj[0, 1]), abs(conj[1, 0])) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_torus_representative_conjugator_for_central_g(sign):
+    central = GroupPoint(SU2, sign * np.eye(2, dtype=complex))
+    rng = np.random.default_rng(5)
+    for y in (np.zeros(3), rng.standard_normal(3)):
+        p = base_point(central, algebra_vec(SU2, y))
+        assert_su2_conjugator_diagonalizes(
+            torus_representative(zero_set_point(p)), p)
+
+
+def test_torus_representative_conjugator_for_zero_y():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        p = base_point(random_group_point(SU2, rng),
+                       algebra_vec(SU2, np.zeros(3)))
+        assert_su2_conjugator_diagonalizes(
+            torus_representative(zero_set_point(p)), p)
+
+
+def test_torus_representative_conjugator_for_generic_pair():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        p, _, _ = commuting_pair(rng)
+        assert_su2_conjugator_diagonalizes(
+            torus_representative(zero_set_point(p)), p)
+    # pairs a hair off the torus, where the eigenvector's first entry
+    # cancels unless the square-root sign is chosen against it
+    for eps in (1e-4, 1e-8, 1e-12):
+        h0 = exp_alg(algebra_vec(SU2, [eps, 0.3 * eps, 0.0]))
+        for tau, y in ((0.5, -1.5), (4.0, 0.0), (5.5, 1.5)):
+            t0 = torus_point(SU2, [tau])
+            g = GroupPoint(SU2, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
+            p = base_point(g, adjoint_action(h0, algebra_vec(SU2, [0, 0, y])))
+            assert_su2_conjugator_diagonalizes(
+                torus_representative(zero_set_point(p)), p)
 
 
 def test_weyl_canonicalize_flip_and_idempotence():
