@@ -54,12 +54,15 @@ from .stratum_density import (
     norm_equivalence_report,
     refinement_study,
     removal_density_demo,
+    removal_errors,
     standard_bump,
 )
 
 MODEL_NAMES = ("u1", "t2", "su2")
 SUITE_NAMES = ("kahler", "psh", "transform", "reduction", "density", "all")
 DENSITY_M_LIST = (math.e, math.e**2, math.e**3, math.e**4)
+# suites whose reports carry nothing render_svg can plot
+UNPLOTTABLE_SUITES = ("kahler", "transform")
 REPORT_SCHEMA = "quantlab.report.v1"
 EXIT_CRASH = 3
 
@@ -233,13 +236,16 @@ def _suite_reduction(cfg: SuiteConfig) -> list[CheckReport]:
 
 
 def _suite_density(cfg: SuiteConfig) -> list[CheckReport]:
+    # each grid is built once and each point-deletion cost E(m) is
+    # computed once, then shared by the three certificates that read it
     bump = standard_bump(cfg.grid)
+    errors = removal_errors(bump, DENSITY_M_LIST)
     return [
         norm_equivalence_report(bump),
-        removal_density_demo(bump, list(DENSITY_M_LIST)),
-        line_removal_contrast(bump, list(DENSITY_M_LIST)),
+        removal_density_demo(bump, DENSITY_M_LIST, errors),
+        line_removal_contrast(bump, DENSITY_M_LIST, errors),
         refinement_study(
-            standard_bump, list(DENSITY_M_LIST), coarse=cfg.grid // 2
+            bump, standard_bump(cfg.grid // 2), DENSITY_M_LIST, errors
         ),
     ]
 
@@ -563,6 +569,12 @@ def _cmd_run(args) -> int:
         if override is not None:
             values[key] = override
     config = SuiteConfig(**values)
+    if (args.format == "svg" and config.out
+            and config.suite in UNPLOTTABLE_SUITES):
+        raise UsageError(
+            f"suite {config.suite} has no plottable report; "
+            "choose --format json or csv"
+        )
     try:
         reports = run_suite(config)
     except Exception as exc:

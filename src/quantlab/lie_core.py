@@ -58,7 +58,6 @@ __all__ = [
     "coords_from_matrix",
     "coords_from_matrix_batch",
     "is_unitary_batch",
-    "ad_matrix",
     "torus_point",
     "unitary_log",
     "random_algebra",
@@ -337,12 +336,6 @@ def bracket(X: AlgebraVec, Y: AlgebraVec) -> AlgebraVec:
     c = X.model.structure_constants
     out = np.einsum("i,j,ijk->k", X.coords, Y.coords, c)
     return AlgebraVec(X.model, out)
-
-
-def ad_matrix(model: LieModel, coords: np.ndarray) -> np.ndarray:
-    """Matrix of ad(Y): X -> [Y, X] on coordinates; real antisymmetric."""
-    return np.einsum("i,ijk->kj", np.asarray(coords, float),
-                     model.structure_constants)
 
 
 def alg_to_matrix_batch(model: LieModel, coords: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from quantlab.lie_core import (
     algebra_vec,
     bracket,
     exp_alg,
-    weyl_group,
 )
 from quantlab.report import CheckReport
 
@@ -59,54 +58,22 @@ _TWIST_MARGIN = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class InvariantPotential:
-    """A Weyl-invariant potential on t with optional analytic derivatives."""
+    """A Weyl-invariant potential on t with its analytic derivatives."""
 
     name: str
     model: LieModel
     tilde: Callable[[np.ndarray], float]
-    grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    symmetry_checked: bool = False
+    grad_fn: Callable[[np.ndarray], np.ndarray]
+    hess_fn: Callable[[np.ndarray], np.ndarray]
 
     def value(self, t: np.ndarray) -> float:
         return float(self.tilde(np.asarray(t, float)))
 
     def grad(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, float)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(t), float)
-        h = 1e-6
-        out = np.zeros_like(t)
-        for k in range(t.size):
-            e = np.zeros_like(t)
-            e[k] = h
-            out[k] = (self.value(t + e) - self.value(t - e)) / (2 * h)
-        return out
+        return np.asarray(self.grad_fn(np.asarray(t, float)), float)
 
     def hess(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, float)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(t), float)
-        h = 1e-4
-        r = t.size
-        out = np.zeros((r, r))
-        for a in range(r):
-            for b in range(r):
-                ea = np.zeros(r)
-                eb = np.zeros(r)
-                ea[a] = h
-                eb[b] = h
-                if a == b:
-                    out[a, a] = (
-                        self.value(t + ea) - 2 * self.value(t)
-                        + self.value(t - ea)
-                    ) / h**2
-                else:
-                    out[a, b] = (
-                        self.value(t + ea + eb) - self.value(t + ea - eb)
-                        - self.value(t - ea + eb) + self.value(t - ea - eb)
-                    ) / (4 * h**2)
-        return 0.5 * (out + out.T)
+        return np.asarray(self.hess_fn(np.asarray(t, float)), float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +88,6 @@ class SpectrumReport:
         vals = list(self.hessian_eigenvalues)
         vals += [v for (_, v) in self.root_eigenvalues]
         return np.asarray(vals)
-
-
-def _verify_symmetry(model: LieModel, tilde, seed: int = 99) -> bool:
-    rng = np.random.default_rng(seed)
-    ws = weyl_group(model)
-    for _ in range(24):
-        t = rng.standard_normal(model.rank) * 2.0
-        base = tilde(t)
-        for w in ws:
-            if abs(tilde(w.matrix @ t) - base) > 1e-10:
-                return False
-    return True
 
 
 def _coth_guarded(x: float) -> float:
@@ -151,7 +106,6 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
             tilde=lambda t: float(np.dot(t, t)),
             grad_fn=lambda t: 2.0 * t,
             hess_fn=lambda t: 2.0 * np.eye(t.size),
-            symmetry_checked=True,
         )
     if spec == "logeta":
         def grad(t):
@@ -179,7 +133,6 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
             tilde=lambda t: float(dw.log_eta_tilde(model, t)),
             grad_fn=grad,
             hess_fn=hess,
-            symmetry_checked=True,
         )
     if spec.startswith("combined:"):
         try:
@@ -197,16 +150,8 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
             tilde=lambda t: a * sq.value(t) + b * le.value(t),
             grad_fn=lambda t: a * sq.grad(t) + b * le.grad(t),
             hess_fn=lambda t: a * sq.hess(t) + b * le.hess(t),
-            symmetry_checked=True,
         )
     raise ValueError(f"unknown potential {spec!r}")
-
-
-def _require_invariant(K: InvariantPotential) -> None:
-    if not (K.symmetry_checked or _verify_symmetry(K.model, K.value)):
-        raise ValueError(
-            f"potential {K.name!r} is not Weyl-invariant on samples"
-        )
 
 
 def _flat_gradient(K: InvariantPotential, y_coords: np.ndarray) -> np.ndarray:
@@ -232,7 +177,6 @@ def _flat_gradient(K: InvariantPotential, y_coords: np.ndarray) -> np.ndarray:
 def mu_gradient(K: InvariantPotential, p: BasePoint) -> AlgebraVec:
     """The equivariant moment-style map: Ad_x applied to the invariant
     gradient of the potential at Y."""
-    _require_invariant(K)
     model = K.model
     flat = _flat_gradient(K, p.Y.coords)
     return adjoint_action(p.x, AlgebraVec(model, flat))
@@ -255,7 +199,6 @@ def theta_spectrum(K: InvariantPotential, Y: AlgebraVec) -> SpectrumReport:
     form: the across-wall second derivative of the potential times
     (alpha(Y) coth(alpha(Y)) + alpha(Y)).
     """
-    _require_invariant(K)
     model = K.model
     t = _torus_part_checked(Y)
     hess = K.hess(t)
@@ -309,7 +252,6 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
     reading of the direction; derivatives are central differences with one
     Richardson extrapolation step.
     """
-    _require_invariant(K)
     model = Y.model
     n = model.dim
     _torus_part_checked(Y)
@@ -358,7 +300,6 @@ def psh_verdict(
     """Spectrum scan over a grid on t: the potential is accepted when every
     eigenvalue stays above -1e-8 + margin, and otherwise the worst witness
     point is reported."""
-    _require_invariant(K)
     model = K.model
     grid = np.atleast_2d(np.asarray(grid, float))
     if grid.shape[1] != model.rank:

@@ -231,18 +231,6 @@ def _discarded_box(
     return box, f.values[box] * (1.0 - cut.profile(dist))
 
 
-def puncture(f: GridField, m: float, removed_codim: int = 2) -> GridField:
-    """Return (1 - psi_m(dist)) * f, the part of f the cutoff discards.
-
-    removed_codim = 2 measures distance to the origin, removed_codim = 1
-    distance to the line {y = 0}.
-    """
-    box, discarded = _discarded_box(f, m, removed_codim)
-    values = np.zeros_like(f.values)
-    values[box] = discarded
-    return GridField(values, f.spacing)
-
-
 def removal_errors(
     f: GridField, m_list, removed_codim: int = 2
 ) -> list[float]:
@@ -274,9 +262,24 @@ def _fit_rate_exponent(m_list, errors) -> float:
     return float(-slope)
 
 
-def removal_density_demo(f: GridField, m_list) -> CheckReport:
+def _checked_costs(m_list, errors) -> tuple[list[float], list[float]]:
+    # cutoff indices strictly increasing, all > 1, at least two, and one
+    # deletion cost per index
+    m_list = [float(m) for m in m_list]
+    if len(m_list) < 2 or any(m <= 1 for m in m_list):
+        raise ValueError("need at least two cutoff indices, all > 1")
+    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
+        raise ValueError("cutoff indices must strictly increase")
+    errors = [float(e) for e in errors]
+    if len(errors) != len(m_list):
+        raise ValueError("need one deletion cost per cutoff index")
+    return m_list, errors
+
+
+def removal_density_demo(f: GridField, m_list, errors) -> CheckReport:
     """Certify the codimension-2 deletion cost: decreasing, capacity rate.
 
+    ``errors`` holds E(m) = removal_errors(f, m_list), one per cutoff.
     E(m) must be strictly decreasing along m_list and the fitted rate
     exponent p in E(m) ~ (sqrt(log m))^(-p) must land in [0.5, 2.0], the
     band around the capacity prediction p = 1.  The fit takes log E(m),
@@ -284,12 +287,7 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
     not finite leaves no rate to fit: the check then fails with
     max_error 1.0, says why in ``failure`` and reports no rate.
     """
-    m_list = [float(m) for m in m_list]
-    if len(m_list) < 2 or any(m <= 1 for m in m_list):
-        raise ValueError("need at least two cutoff indices, all > 1")
-    if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
-        raise ValueError("cutoff indices must strictly increase")
-    errors = removal_errors(f, m_list, removed_codim=2)
+    m_list, errors = _checked_costs(m_list, errors)
     diffs = np.diff(errors)
     decrease_violation = max(0.0, float(diffs.max()))
     failure = {}
@@ -314,7 +312,7 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
         tolerance=1e-12,
         max_error=max_error,
         m_list=m_list,
-        errors=[float(e) for e in errors],
+        errors=errors,
         rate_exponent=rate,
         scaled_errors=[
             float(e * math.sqrt(math.log(m))) for e, m in zip(errors, m_list)
@@ -326,16 +324,17 @@ def removal_density_demo(f: GridField, m_list) -> CheckReport:
     )
 
 
-def line_removal_contrast(f: GridField, m_list) -> CheckReport:
+def line_removal_contrast(f: GridField, m_list, point_errors) -> CheckReport:
     """Certify that deleting a line (codimension 1) is NOT free.
 
-    The same cutoff applied to the distance from the line {y = 0} must
-    keep E(m) above 0.1 * E_point(first m); a line has positive capacity
-    in H1 on the plane, so no cutoff sequence can push the cost to zero.
+    ``point_errors`` holds the point-deletion costs
+    removal_errors(f, m_list).  The same cutoff applied to the distance
+    from the line {y = 0} must keep E(m) above 0.1 * E_point(first m); a
+    line has positive capacity in H1 on the plane, so no cutoff sequence
+    can push the cost to zero.
     """
-    m_list = [float(m) for m in m_list]
+    m_list, point_errors = _checked_costs(m_list, point_errors)
     line_errors = removal_errors(f, m_list, removed_codim=1)
-    point_errors = removal_errors(f, m_list, removed_codim=2)
     floor = 0.1 * point_errors[0]
     worst = min(line_errors)
     return CheckReport.from_error(
@@ -349,29 +348,31 @@ def line_removal_contrast(f: GridField, m_list) -> CheckReport:
         max_error=max(0.0, floor - worst),
         m_list=m_list,
         line_errors=[float(e) for e in line_errors],
-        point_errors=[float(e) for e in point_errors],
+        point_errors=point_errors,
         floor=floor,
         grid=f.size,
     )
 
 
 def refinement_study(
-    make_field, m_list, coarse: int = 1024
+    f: GridField, coarse: GridField, m_list, errors
 ) -> CheckReport:
-    """Recompute E(m) on a grid and its refinement; demand < 10% drift.
+    """Compare E(m) on the grid of ``f`` with E(m) on a coarser grid of
+    the same field; demand < 10% drift.
 
-    Only cutoffs the coarse grid resolves (inner radius at least two
-    cells) are compared; the rest are reported but not scored.
+    ``errors`` holds removal_errors(f, m_list); only the coarse costs are
+    computed here.  Only cutoffs the coarse grid resolves (inner radius at
+    least two cells) are compared; the rest are reported but not scored.
     """
-    fine = 2 * coarse
-    f_coarse = make_field(coarse)
-    f_fine = make_field(fine)
-    bound = _resolution_bound(f_coarse)
-    resolved = [m for m in m_list if float(m) <= bound]
+    m_list, errors = _checked_costs(m_list, errors)
+    if coarse.size >= f.size:
+        raise ValueError("the coarse grid must have fewer points than f")
+    bound = _resolution_bound(coarse)
+    resolved = [m for m in m_list if m <= bound]
     if not resolved:
         raise ValueError("no cutoff index is resolvable on the coarse grid")
-    e_coarse = removal_errors(f_coarse, resolved)
-    e_fine = removal_errors(f_fine, resolved)
+    e_coarse = removal_errors(coarse, resolved)
+    e_fine = errors[: len(resolved)]
     rel = [
         abs(a - b) / abs(b) for a, b in zip(e_coarse, e_fine)
     ]
@@ -384,11 +385,11 @@ def refinement_study(
         ),
         tolerance=0.10,
         max_error=max(rel),
-        coarse_grid=coarse,
-        fine_grid=fine,
-        resolved_m=[float(m) for m in resolved],
-        skipped_m=[float(m) for m in m_list if float(m) > bound],
+        coarse_grid=coarse.size,
+        fine_grid=f.size,
+        resolved_m=resolved,
+        skipped_m=m_list[len(resolved):],
         coarse_errors=[float(e) for e in e_coarse],
-        fine_errors=[float(e) for e in e_fine],
+        fine_errors=e_fine,
         relative_shift=[float(r) for r in rel],
     )

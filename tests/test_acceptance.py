@@ -20,6 +20,7 @@ from quantlab.stratum_density import (
     line_removal_contrast,
     refinement_study,
     removal_density_demo,
+    removal_errors,
     standard_bump,
 )
 
@@ -132,15 +133,16 @@ def test_criterion_7_qr_commutes(suites):
 
 def test_criterion_8_density_demo():
     bump = standard_bump(2048)
-    demo = removal_density_demo(bump, M_LIST)
+    errors = removal_errors(bump, M_LIST)
+    demo = removal_density_demo(bump, M_LIST, errors)
     assert demo.passed
     errs = demo.metadata["errors"]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert 0.5 <= demo.metadata["rate_exponent"] <= 2.0
-    contrast = line_removal_contrast(bump, M_LIST)
+    contrast = line_removal_contrast(bump, M_LIST, errors)
     assert contrast.passed
     assert min(contrast.metadata["line_errors"]) >= 0.1 * errs[0]
-    refine = refinement_study(standard_bump, M_LIST, coarse=1024)
+    refine = refinement_study(bump, standard_bump(1024), M_LIST, errors)
     assert refine.passed
     assert refine.max_error < 0.10
 

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import quantlab
+from quantlab import cli_report, stratum_density
 from quantlab.cli_report import (
+    SUITE_NAMES,
+    UNPLOTTABLE_SUITES,
     SuiteConfig,
     UsageError,
     emit,
@@ -173,6 +176,69 @@ def test_svg_panels():
     bare = CheckReport.from_error("x.y", "c", 1.0, 0.0)
     with pytest.raises(UsageError):
         render_svg([bare])
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
+def test_unplottable_suites_are_the_ones_render_svg_rejects(suite):
+    reports = run_suite(SuiteConfig(model="u1", suite=suite, grid=128))
+    if suite in UNPLOTTABLE_SUITES:
+        with pytest.raises(UsageError):
+            render_svg(reports)
+    else:
+        assert render_svg(reports).startswith("<svg ")
+
+
+@pytest.mark.parametrize("model,suite", [
+    ("u1", "kahler"), ("su2", "transform"), ("t2", "transform"),
+])
+def test_cli_svg_of_an_unplottable_suite_fails_before_it_runs(
+        tmp_path, capsys, model, suite):
+    out = tmp_path / "x.svg"
+    rc = main(["run", "--model", model, "--suite", suite,
+               "--format", "svg", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no plottable report" in captured.err
+    assert not out.exists()
+
+
+def test_cli_psh_svg_writes_its_sheet(tmp_path):
+    out = tmp_path / "psh.svg"
+    rc = main(["run", "--model", "u1", "--suite", "psh",
+               "--format", "svg", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().startswith("<svg ")
+
+
+def test_density_suite_builds_each_grid_and_each_cost_once(monkeypatch):
+    bumps, costs = [], []
+    real_bump = stratum_density.standard_bump
+    real_costs = stratum_density.removal_errors
+
+    def counting_bump(n):
+        bumps.append(n)
+        return real_bump(n)
+
+    def counting_costs(f, m_list, removed_codim=2):
+        costs.append((f.size, removed_codim))
+        return real_costs(f, m_list, removed_codim)
+
+    monkeypatch.setattr(cli_report, "standard_bump", counting_bump)
+    for module in (cli_report, stratum_density):
+        monkeypatch.setattr(module, "removal_errors", counting_costs)
+    reports = run_suite(SuiteConfig(suite="density", grid=256))
+    assert all(r.passed for r in reports)
+    assert sorted(bumps) == [128, 256]
+    assert costs.count((256, 2)) == 1
+
+
+def test_density_refinement_compares_the_requested_grid():
+    # at an odd grid n the fine grid is n itself, against n // 2
+    reports = run_suite(SuiteConfig(suite="density", grid=129))
+    refine = next(r for r in reports if r.check_id == "density.grid_refinement")
+    assert refine.metadata["fine_grid"] == 129
+    assert refine.metadata["coarse_grid"] == 64
 
 
 def test_emit_writes_files(tmp_path):

@@ -57,13 +57,6 @@ def test_mu_is_equivariant():
             assert np.abs(left.coords - right.coords).max() < 1e-10
 
 
-def test_non_invariant_potential_rejected():
-    K = InvariantPotential("odd", SU2, tilde=lambda t: float(t[0]))
-    p = BasePoint(exp_alg(algebra_vec(SU2, [0, 0, 0])), algebra_vec(SU2, [0, 0, 1.0]))
-    with pytest.raises(ValueError):
-        mu_gradient(K, p)
-
-
 def test_spectrum_square_at_unit_torus_point():
     # Hessian eigenvalue 2; root values 2(coth(1) +/- 1)
     K = make_potential(SU2, "square")
@@ -149,7 +142,6 @@ def test_psh_verdict_accepts_square_and_rejects_negative_square():
         tilde=lambda t: -float(t @ t),
         grad_fn=lambda t: -2.0 * t,
         hess_fn=lambda t: -2.0 * np.eye(t.size),
-        symmetry_checked=True,
     )
     bad = psh_verdict(bad_pot, grid)
     assert not bad.passed
@@ -160,7 +152,8 @@ def test_psh_verdict_locates_witness_for_cosine():
     pot = InvariantPotential(
         "cosine", SU2,
         tilde=lambda t: float(np.cos(t[0])),
-        symmetry_checked=True,
+        grad_fn=lambda t: -np.sin(t),
+        hess_fn=lambda t: np.diag(-np.cos(t)),
     )
     rep = psh_verdict(pot, np.linspace(-3, 3, 121))
     assert not rep.passed

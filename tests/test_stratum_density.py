@@ -13,7 +13,6 @@ from quantlab.stratum_density import (
     h1_norm,
     line_removal_contrast,
     norm_equivalence_report,
-    puncture,
     refinement_study,
     removal_density_demo,
     removal_errors,
@@ -129,14 +128,6 @@ def test_windowed_removal_errors_match_full_grid(n, removed_codim):
     assert (got[-1] == 0.0) == (n % 2 == 0)
 
 
-@pytest.mark.parametrize("removed_codim", [1, 2])
-def test_puncture_matches_full_grid_product(removed_codim):
-    f = _lopsided(257)
-    for m in [1.01, *M_LIST, 600.0]:
-        ref = _full_grid_discarded(f, m, removed_codim)
-        assert np.array_equal(puncture(f, m, removed_codim).values, ref)
-
-
 @pytest.mark.parametrize("make", [standard_bump, _lopsided])
 def test_norm_equivalence_metadata_is_the_standalone_norms(make):
     f = make(512)
@@ -145,23 +136,20 @@ def test_norm_equivalence_metadata_is_the_standalone_norms(make):
     assert rep.metadata["graph_norm"] == dolbeault_graph_norm(f)
 
 
-def test_puncture_keeps_only_the_core():
+def test_removal_errors_input_validation():
     f = standard_bump(512)
-    g = puncture(f, math.e)
-    x, _ = grid_axes(512)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    outside = np.hypot(X, Y) >= 1.0 / math.e
-    assert np.abs(g.values[outside]).max() == 0.0
-    center = 256
-    assert g.values[center, center] != 0.0
     with pytest.raises(ValueError):
-        puncture(f, math.e, removed_codim=3)
+        removal_errors(f, M_LIST, removed_codim=3)
     with pytest.raises(ValueError):
-        puncture(GridField(np.zeros((64, 64)), 0.1), math.e)
+        removal_errors(GridField(np.zeros((64, 64)), 0.1), M_LIST)
+
+
+def _demo(f, m_list):
+    return removal_density_demo(f, m_list, removal_errors(f, m_list))
 
 
 def test_removal_demo_frozen_values(bump_1024):
-    rep = removal_density_demo(bump_1024, M_LIST)
+    rep = _demo(bump_1024, M_LIST)
     assert rep.passed
     frozen = [0.363258, 0.260803, 0.204862, 0.140086]
     assert np.allclose(rep.metadata["errors"], frozen, atol=2e-6)
@@ -183,7 +171,8 @@ def test_capacity_constant_oracle(bump_1024):
 
 
 def test_line_contrast_certificate(bump_1024):
-    rep = line_removal_contrast(bump_1024, M_LIST)
+    rep = line_removal_contrast(
+        bump_1024, M_LIST, removal_errors(bump_1024, M_LIST))
     assert rep.passed
     line = rep.metadata["line_errors"]
     assert min(line) > 10 * rep.metadata["floor"]
@@ -203,36 +192,63 @@ def test_far_support_trivial_zero():
     assert removal_errors(g, M_LIST) == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_refinement_study_is_stable():
-    rep = refinement_study(standard_bump, M_LIST, coarse=512)
+def test_refinement_study_is_stable(bump_1024):
+    errors = removal_errors(bump_1024, M_LIST)
+    rep = refinement_study(bump_1024, standard_bump(512), M_LIST, errors)
     assert rep.passed
     assert rep.max_error < 0.10
+    assert (rep.metadata["coarse_grid"], rep.metadata["fine_grid"]) == (
+        512, 1024)
     assert rep.metadata["resolved_m"] == [math.e, math.e**2]
     assert rep.metadata["skipped_m"] == [math.e**3, math.e**4]
+    # the fine costs are the ones passed in, not recomputed
+    assert rep.metadata["fine_errors"] == errors[:2]
+
+
+def test_refinement_study_rejects_a_coarse_grid_that_is_not_coarser(
+        bump_1024):
+    errors = removal_errors(bump_1024, M_LIST)
+    with pytest.raises(ValueError):
+        refinement_study(bump_1024, bump_1024, M_LIST, errors)
+
+
+def _check_m_list_rejections(certify, f):
+    # the cost vector is well formed, so each rejection is the
+    # certificate's own check of m_list
+    for m_list in ([math.e**2, math.e], [0.5, math.e], [math.e]):
+        with pytest.raises(ValueError):
+            certify(f, m_list, [0.3] * len(m_list))
+    with pytest.raises(ValueError):
+        certify(f, M_LIST, [0.3, 0.2])
 
 
 def test_demo_input_validation(bump_1024):
-    with pytest.raises(ValueError):
-        removal_density_demo(bump_1024, [math.e**2, math.e])
-    with pytest.raises(ValueError):
-        removal_density_demo(bump_1024, [0.5, math.e])
-    with pytest.raises(ValueError):
-        removal_density_demo(bump_1024, [math.e])
+    _check_m_list_rejections(removal_density_demo, bump_1024)
+
+
+def test_contrast_and_refinement_input_validation(bump_1024):
+    _check_m_list_rejections(line_removal_contrast, bump_1024)
+    coarse = standard_bump(512)
+    _check_m_list_rejections(
+        lambda f, m_list, errors: refinement_study(f, coarse, m_list, errors),
+        bump_1024,
+    )
 
 
 def test_demo_rejects_repeated_cutoff_indices():
     # a tie leaves the rate fit ill-posed, so it is an input error, not a
     # FAIL with a meaningless rate
     with pytest.raises(ValueError):
-        removal_density_demo(standard_bump(128), [3.0, 3.0])
+        removal_density_demo(standard_bump(128), [3.0, 3.0], [0.3, 0.3])
     with pytest.raises(ValueError):
-        removal_density_demo(standard_bump(128), [math.e, 3.0, 3.0])
+        removal_density_demo(
+            standard_bump(128), [math.e, 3.0, 3.0], [0.3, 0.2, 0.2])
 
 
 def test_removal_demo_fails_when_a_cutoff_deletes_nothing():
     # on the 64 grid no sample lies within 1/e^4 of the origin, so E(e^4)
     # is exactly 0 and log E(m) has no rate to fit
-    rep = removal_density_demo(standard_bump(64), M_LIST)
+    rep = _demo(standard_bump(64), M_LIST)
     assert rep.metadata["errors"][-1] == 0.0
     assert not rep.passed
     assert rep.max_error == 1.0
@@ -243,13 +259,13 @@ def test_removal_demo_fails_when_a_cutoff_deletes_nothing():
 def test_removal_demo_fails_on_a_non_finite_cost():
     values = standard_bump(256).values.copy()
     values[128, 128] = np.nan
-    rep = removal_density_demo(GridField(values, grid_axes(256)[1]), M_LIST)
+    rep = _demo(GridField(values, grid_axes(256)[1]), M_LIST)
     assert not rep.passed
     assert rep.metadata["rate_exponent"] is None
     assert "failure" in rep.metadata
 
 
 def test_removal_demo_passing_report_has_no_failure(bump_1024):
-    rep = removal_density_demo(bump_1024, M_LIST)
+    rep = _demo(bump_1024, M_LIST)
     assert rep.passed
     assert "failure" not in rep.metadata
