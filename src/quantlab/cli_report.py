@@ -105,6 +105,8 @@ class SuiteConfig:
                 f"unknown suite {self.suite!r}; choose from "
                 + ", ".join(SUITE_NAMES)
             )
+        if self.seed < 0:
+            raise UsageError("seed must be a non-negative integer")
         if self.tol is not None and not self.tol > 0:
             raise UsageError("tolerance override must be positive")
         if self.cutoff is not None and not self.cutoff > 0:
@@ -304,21 +306,35 @@ def render_json(reports: list[CheckReport],
 
 
 def parse_reports(text: str) -> list[CheckReport]:
-    """Inverse of render_json, up to the config echo."""
-    doc = json.loads(text)
+    """Inverse of render_json, up to the config echo.  Input that is not
+    such a document is a usage error: not JSON, ``checks`` not a list of
+    objects, a missing key, or a ``pass`` that the check's own numbers
+    contradict."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"report is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise UsageError("not a recognized report document")
-    return [
-        CheckReport(
-            check_id=c["check_id"],
-            citation=c["citation"],
-            tolerance=c["tolerance"],
-            max_error=c["max_error"],
-            passed=c["pass"],
-            metadata=c["metadata"],
-        )
-        for c in doc["checks"]
-    ]
+    checks = doc.get("checks")
+    if not isinstance(checks, list):
+        raise UsageError("report 'checks' must be a list")
+    reports = []
+    for index, c in enumerate(checks):
+        try:
+            reports.append(CheckReport(
+                check_id=c["check_id"],
+                citation=c["citation"],
+                tolerance=c["tolerance"],
+                max_error=c["max_error"],
+                passed=c["pass"],
+                metadata=c["metadata"],
+            ))
+        except KeyError as exc:
+            raise UsageError(f"check {index} lacks key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"check {index} is malformed: {exc}") from exc
+    return reports
 
 
 def render_csv(reports: list[CheckReport]) -> str:

@@ -50,7 +50,6 @@ __all__ = [
     "sigma",
     "build_sigma_table",
     "sigma_oracle_certificate",
-    "phi_kernel",
     "transform_C_phi",
     "group_action",
     "unitarity_certificate",
@@ -90,10 +89,6 @@ class Irrep:
         # rounds differently from the array one
         half = np.trace(np.asarray(mat, complex)[None], axis1=1, axis2=2)
         return complex(_su2_characters(half / 2.0, [self.label])[0, 0])
-
-    def rep_unitary(self, g: GroupPoint) -> np.ndarray:
-        """pi(g) for a unitary group point, via the exponentiated log."""
-        return self._rep_exp(unitary_log(g).coords)
 
     def _rep_exp(self, coords: np.ndarray) -> np.ndarray:
         # pi(exp X) from the coordinates of X; on a torus that is the
@@ -241,10 +236,6 @@ class PeterWeylVector:
         out.__dict__.update(model=f.model, cutoff=f.cutoff, coeffs=coeffs)
         return out
 
-    @property
-    def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.coeffs.values()))
-
     def block(self, label) -> np.ndarray:
         d = irrep(self.model, label).dim
         out = np.zeros((d, d), dtype=complex)
@@ -379,18 +370,6 @@ def build_sigma_table(model: LieModel, cutoff=None, level: int = 3) -> SigmaTabl
         "error_estimates": errors,
     }
     return SigmaTable(model, cutoff, values, meta)
-
-
-def phi_kernel(tmat: np.ndarray, table: SigmaTable) -> complex:
-    """Truncated entire kernel: sum over irreps of dim / sqrt(sigma) times
-    the character of the inverse point."""
-    model = table.model
-    tinv = np.linalg.inv(np.asarray(tmat, complex))
-    out = 0.0 + 0.0j
-    for label, s in table.values.items():
-        ir = irrep(model, label)
-        out += ir.dim / math.sqrt(s) * ir.character(tinv)
-    return complex(out)
 
 
 def transform_C_phi(f: PeterWeylVector, table: SigmaTable) -> PeterWeylVector:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from quantlab.lie_core import AlgebraVec, LieModel, exp_alg_batch, get_model
+from quantlab.lie_core import LieModel, exp_alg_batch, get_model
 from quantlab.report import CheckReport
 
 __all__ = [
     "sinhc",
     "log_sinhc",
     "eta_tilde",
-    "eta",
     "log_eta_tilde",
     "eta_log_convexity_certificate",
     "weyl_denominator",
@@ -64,17 +63,6 @@ def log_eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     for root in model.positive_roots():
         out = out + log_sinhc(t_coords @ root.covector)
     return out if out.shape[0] > 1 else out.reshape(())
-
-
-def eta(Y: AlgebraVec) -> float:
-    """The density at Y in t.  General Y must be routed through a torus
-    representative first; a component off t is a usage error."""
-    model = Y.model
-    t_idx = list(model.torus_indices)
-    off = np.delete(Y.coords, t_idx)
-    if off.size and np.abs(off).max() > 1e-12:
-        raise ValueError("eta expects Y in t; reduce to a torus representative")
-    return float(eta_tilde(model, Y.coords[t_idx]))
 
 
 def eta_log_convexity_certificate(

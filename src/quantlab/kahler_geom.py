@@ -5,15 +5,16 @@ Conventions, fixed once and used by every routine here:
 
 * A point is a pair (x, Y) with x in the group and Y in the algebra; the
   polar map sends it to x * exp(iY) in the complexification.
-* Tangent vectors are pairs (X1, X2) of algebra vectors in the
-  left-trivialized frame; covectors are coefficient pairs (a, b) on the dual
-  frame {alpha_k, dy_k}.
+* Every matrix here acts on 2n-vectors (X1, X2) in the frame
+  {(e_k, 0), (0, e_k)}: X1 holds the left-trivialized group directions,
+  X2 the flat algebra directions.
 * The tautological 1-form is theta(X1, X2) = <Y, X1>; its exterior
   derivative is the symplectic form
       omega((X1,X2),(Z1,Z2)) = <X2,Z1> - <X1,Z2> - <Y,[X1,Z1]>.
 * The polar-map differential acts blockwise through analytic functions of
   A = ad(Y); the complex structure is its pullback of the flat structure
-  (X1, X2) -> (-X2, X1), and the metric is g(v, w) = omega(Jv, w).
+  (X1, X2) -> (-X2, X1), and the metric is g(v, w) = omega(Jv, w), the
+  matrix J^T Omega.
 
 Analytic functions of ad(Y) are evaluated by eigendecomposition of the
 Hermitian matrix i ad(Y) with series fallbacks near zero eigenvalues, since
@@ -23,7 +24,6 @@ the block formulas have removable singularities there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from quantlab.lie_core import (
     LieModel,
     _exp_matrices,
     algebra_vec,
-    bracket,
     coords_from_matrix,
     coords_from_matrix_batch,
     exp_alg,
@@ -43,20 +42,12 @@ from quantlab.report import CheckReport
 
 __all__ = [
     "BasePoint",
-    "TangentPair",
-    "CovectorPair",
-    "theta_form",
-    "omega_matrix",
     "omega_batch",
-    "omega_form",
     "dphi_matrix",
     "dphi_batch",
     "complex_structure_J",
     "complex_structure_batch",
-    "metric_matrix",
-    "metric_g",
-    "df_coords",
-    "dbar_function",
+    "metric_batch",
     "j_squared_certificate",
     "omega_potential_certificate",
     "completeness_certificate",
@@ -68,54 +59,6 @@ __all__ = [
 class BasePoint:
     x: GroupPoint
     Y: AlgebraVec
-
-
-@dataclass(frozen=True, eq=False)
-class TangentPair:
-    X1: AlgebraVec
-    X2: AlgebraVec
-
-
-@dataclass(frozen=True, eq=False)
-class CovectorPair:
-    """Coefficients on the left-invariant coframe: ``a`` against {alpha_k},
-    ``b`` against {dy_k}.  Entries may be complex."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.a, self.b])
-
-    def pair(self, v: TangentPair) -> complex:
-        return complex(
-            np.dot(self.a, v.X1.coords) + np.dot(self.b, v.X2.coords)
-        )
-
-
-def theta_form(p: BasePoint, v: TangentPair) -> float:
-    """The tautological 1-form: <Y, X1>, blind to x and to X2."""
-    return float(np.dot(p.Y.coords, v.X1.coords))
-
-
-def omega_matrix(model: LieModel, y_coords: np.ndarray) -> np.ndarray:
-    """Matrix of omega in the frame {(e_k,0),(0,e_k)}: [[-B, -I], [I, 0]]
-    with B[i,j] = <Y, [e_i, e_j]>."""
-    n = model.dim
-    b = np.einsum("ijk,k->ij", model.structure_constants,
-                  np.asarray(y_coords, float))
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = -b
-    out[:n, n:] = -np.eye(n)
-    out[n:, :n] = np.eye(n)
-    return out
-
-
-def omega_form(p: BasePoint, v: TangentPair, w: TangentPair) -> float:
-    x1, x2 = v.X1.coords, v.X2.coords
-    z1, z2 = w.X1.coords, w.X2.coords
-    lie = bracket(v.X1, w.X1).coords
-    return float(np.dot(x2, z1) - np.dot(x1, z2) - np.dot(p.Y.coords, lie))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +74,8 @@ def _ad_eigensystem(model: LieModel, ys: np.ndarray):
 
 
 def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
-    """Batched omega Gram matrices; ys has shape (N, n)."""
+    """Matrices of omega, [[-B, -I], [I, 0]] with B[i,j] = <Y, [e_i, e_j]>,
+    batched over the rows of the (N, n) array ys."""
     ys = np.atleast_2d(np.asarray(ys, float))
     n = model.dim
     out = np.zeros((ys.shape[0], 2 * n, 2 * n))
@@ -204,63 +148,12 @@ def complex_structure_J(Y: AlgebraVec) -> np.ndarray:
     return complex_structure_batch(Y.model, Y.coords[None, :])[0]
 
 
-def metric_matrix(model: LieModel, y_coords: np.ndarray) -> np.ndarray:
-    """Gram matrix of g in the left-trivialized frame: J^T Omega."""
-    j = complex_structure_batch(model, np.asarray(y_coords)[None, :])[0]
-    return j.T @ omega_matrix(model, y_coords)
-
-
-def metric_g(p: BasePoint, v: TangentPair, w: TangentPair) -> float:
-    g = metric_matrix(p.Y.model, p.Y.coords)
-    vv = np.concatenate([v.X1.coords, v.X2.coords])
-    ww = np.concatenate([w.X1.coords, w.X2.coords])
-    return float(vv @ g @ ww)
-
-
-# ---------------------------------------------------------------------------
-# differentials of scalar fields
-
-
-def df_coords(
-    f: Callable[[BasePoint], float], p: BasePoint, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference differential of f at p in the coframe
-    {alpha_k, dy_k}: group directions move along x exp(s e_k), flat
-    directions along Y + s e_k."""
-    model = p.Y.model
-    n = model.dim
-    out = np.zeros(2 * n, dtype=complex)
-    for k in range(n):
-        step = np.zeros(n)
-        step[k] = h
-        xp = GroupPoint(model, p.x.matrix @ exp_alg(
-            AlgebraVec(model, step)).matrix)
-        xm = GroupPoint(model, p.x.matrix @ exp_alg(
-            AlgebraVec(model, -step)).matrix)
-        out[k] = (f(BasePoint(xp, p.Y)) - f(BasePoint(xm, p.Y))) / (2 * h)
-        yp = AlgebraVec(model, p.Y.coords + step)
-        ym = AlgebraVec(model, p.Y.coords - step)
-        out[n + k] = (f(BasePoint(p.x, yp)) - f(BasePoint(p.x, ym))) / (2 * h)
-    if np.abs(out.imag).max() < 1e-14:
-        return out.real
-    return out
-
-
-def dbar_function(
-    f: Callable[[BasePoint], float], p: BasePoint, h: float = 1e-5
-) -> CovectorPair:
-    """The (0,1)-part of df for real f: (df - i J df) / 2.
-
-    J acts on covectors by (J alpha)(X) = -alpha(JX), i.e. by -J^T on
-    coefficient vectors; the sign convention is pinned by the closed-form
-    value (i pi Y, pi Y) that pi |Y|^2 must produce on the torus slice.
-    """
-    model = p.Y.model
-    c = df_coords(f, p, h)
-    j = complex_structure_batch(model, p.Y.coords[None, :])[0]
-    coeffs = 0.5 * (c + 1j * (j.T @ c))
-    n = model.dim
-    return CovectorPair(coeffs[:n], coeffs[n:])
+def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
+    """Gram matrices J^T Omega of the metric g(v, w) = omega(Jv, w),
+    batched over the rows of the (N, n) array ys."""
+    ys = np.atleast_2d(np.asarray(ys, float))
+    return np.einsum("mji,mjk->mik", complex_structure_batch(model, ys),
+                     omega_batch(model, ys))
 
 
 def j_squared_certificate(
@@ -335,7 +228,7 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
 
     hess = _complex_hessian(chart_value, n)
     dphi = dphi_matrix(algebra_vec(model, y))
-    om = omega_matrix(model, y)
+    om = omega_batch(model, y)[0]
     za = dphi[:n, :] + 1j * dphi[n:, :]
     rhs = -1j * (za.T @ hess @ np.conj(za) - (za.T @ hess @ np.conj(za)).T)
     return float(
@@ -379,12 +272,10 @@ def completeness_certificate(
         0.1, 3.0, size=(sample_count, 1)
     )
     norms_sq = np.sum(ys**2, axis=1)
-    # df = (0, 2 Y / (1 + |Y|^2)) in the {alpha_k, dy_k} coframe.
+    # df = (0, 2 Y / (1 + |Y|^2)) on the dual of the 2n-vector frame.
     cov = np.zeros((sample_count, 2 * n))
     cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
-    js = complex_structure_batch(model, ys)
-    omegas = omega_batch(model, ys)
-    grams = np.einsum("mji,mjk->mik", js, omegas)
+    grams = metric_batch(model, ys)
     sharped = np.linalg.solve(grams, cov[:, :, None])[:, :, 0]
     via_metric = np.einsum("mi,mi->m", cov, sharped)
     closed = 4.0 * norms_sq / (1.0 + norms_sq) ** 2

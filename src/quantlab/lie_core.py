@@ -74,9 +74,6 @@ class RealRoot:
 
     covector: np.ndarray
 
-    def value(self, torus_coords: np.ndarray) -> float:
-        return float(np.dot(self.covector, torus_coords))
-
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
@@ -145,9 +142,6 @@ class LieModel:
             if nz.size and nz[0] > 0:
                 out.append(root)
         return out
-
-    def torus_part(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords)[list(self.torus_indices)]
 
 
 @dataclass(frozen=True, eq=False)

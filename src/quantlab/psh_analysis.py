@@ -82,7 +82,6 @@ class SpectrumReport:
     hessian_eigenvalues: np.ndarray
     root_eigenvalues: list[tuple[tuple[float, ...], float]]
     min_eigenvalue: float
-    oracle_residual: float | None = None
 
     def all_values(self) -> np.ndarray:
         vals = list(self.hessian_eigenvalues)
@@ -231,17 +230,6 @@ def theta_spectrum(K: InvariantPotential, Y: AlgebraVec) -> SpectrumReport:
     )
 
 
-def _mu_coords(K: InvariantPotential, x_mat: np.ndarray,
-               y_coords: np.ndarray) -> np.ndarray:
-    model = K.model
-    flat = _flat_gradient(K, y_coords)
-    if model.is_abelian:
-        return flat
-    return adjoint_action(
-        GroupPoint(model, x_mat), AlgebraVec(model, flat)
-    ).coords
-
-
 def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
     """Finite-difference assembly of the hermitian endomorphism whose
     spectrum theta_spectrum predicts.
@@ -258,12 +246,13 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
     jmat = complex_structure_J(Y)
     # (1 - cos ad Y)/ad Y is the upper-right block of the polar differential
     q_block = dphi_matrix(Y)[:n, n:]
-    mu0 = _mu_coords(K, np.eye(model.defining_rep_dim, dtype=complex),
-                     Y.coords)
+    identity = GroupPoint(model, np.eye(model.defining_rep_dim, dtype=complex))
+    mu0 = mu_gradient(K, BasePoint(identity, Y)).coords
 
     def mu_along(h1: np.ndarray, h2: np.ndarray, s: float) -> np.ndarray:
         x = exp_alg(AlgebraVec(model, s * h1))
-        return _mu_coords(K, x.matrix, Y.coords + s * h2)
+        y = AlgebraVec(model, Y.coords + s * h2)
+        return mu_gradient(K, BasePoint(x, y)).coords
 
     def dmu(h1: np.ndarray, h2: np.ndarray, h: float) -> np.ndarray:
         d1 = (mu_along(h1, h2, h) - mu_along(h1, h2, -h)) / (2 * h)

@@ -19,9 +19,8 @@ coherent_transform.build_sigma_table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -36,13 +35,12 @@ __all__ = [
     "su2_haar_rule",
     "gaussian_rule",
     "radial_rule",
-    "integrate",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes, nonnegative weights, and exactness metadata.
+    """Nodes and nonnegative weights.
 
     ``nodes`` is an (N, d) array of point coordinates for flat rules, or an
     (N, k, k) array of defining-representation matrices for group rules.
@@ -53,26 +51,11 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: dict[str, Any] = field(default_factory=dict)
     axes: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
         if np.any(self.weights < 0):
             raise ValueError("quadrature weights must be nonnegative")
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-
-def integrate(rule: QuadratureRule, values: np.ndarray) -> complex:
-    """Weighted sum of integrand values sampled at the rule's nodes.
-
-    ``values`` may carry trailing axes (e.g. matrix-valued integrands);
-    the contraction runs over the leading node axis.
-    """
-    out = np.tensordot(rule.weights, np.asarray(values), axes=(0, 0))
-    return out.item() if out.ndim == 0 else out
 
 
 def torus_rule(r: int, modes: int) -> QuadratureRule:
@@ -86,8 +69,7 @@ def torus_rule(r: int, modes: int) -> QuadratureRule:
     grids = np.meshgrid(*([theta] * r), indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
     weights = np.full(nodes.shape[0], 1.0 / n**r)
-    return QuadratureRule(nodes, weights, {"kind": "torus", "modes": modes},
-                          ((theta, np.full(n, 1.0 / n)),) * r)
+    return QuadratureRule(nodes, weights, ((theta, np.full(n, 1.0 / n)),) * r)
 
 
 def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
@@ -100,12 +82,7 @@ def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
     """
     base = torus_rule(model.rank, modes)
     nodes = base.nodes * (np.asarray(model.torus_periods) / (2.0 * math.pi))
-    return QuadratureRule(
-        nodes,
-        base.weights.copy(),
-        {"kind": "model_torus", "modes": modes,
-         "periods": tuple(model.torus_periods)},
-    )
+    return QuadratureRule(nodes, base.weights.copy())
 
 
 def su2_haar_rule(level: int) -> QuadratureRule:
@@ -152,7 +129,6 @@ def su2_haar_rule(level: int) -> QuadratureRule:
     return QuadratureRule(
         mats.reshape(-1, 2, 2),
         weights.reshape(-1),
-        {"kind": "su2_haar", "level": level},
         (
             (alpha, np.full(n_a, 1.0 / n_a)),
             (beta, wu / 2.0),
@@ -197,10 +173,7 @@ def gaussian_rule(r: int, level: int) -> QuadratureRule:
     nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
     wgrids = np.meshgrid(*([wy] * r), indexing="ij")
     weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
-    return QuadratureRule(
-        nodes, weights, {"kind": "gaussian", "r": r, "points": 16 * level},
-        ((y, wy),) * r,
-    )
+    return QuadratureRule(nodes, weights, ((y, wy),) * r)
 
 
 def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
@@ -219,7 +192,4 @@ def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
     r = (x + 1.0) * (rmax / 2.0)
     wr = w * (rmax / 2.0)
     weights = wr * 4.0 * math.pi * r**2 * np.exp(-2.0 * math.pi * r**2)
-    return QuadratureRule(
-        r.reshape(-1, 1), weights,
-        {"kind": "radial", "rmax": rmax, "tilt": tilt, "points": 16 * level},
-    )
+    return QuadratureRule(r.reshape(-1, 1), weights)

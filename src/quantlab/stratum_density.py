@@ -117,25 +117,10 @@ def _l2_sq(values: np.ndarray, h: float) -> float:
     return float(h * h * np.sum(np.abs(values) ** 2))
 
 
-def h1_norm(f: GridField) -> float:
-    """Discrete H1 norm: sqrt(||f||^2 + ||dx f||^2 + ||dy f||^2)."""
-    h = f.spacing
-    return math.sqrt(
-        _l2_sq(f.values, h)
-        + _l2_sq(_diff(f.values, 0, h), h)
-        + _l2_sq(_diff(f.values, 1, h), h)
-    )
-
-
 def _graph_norm(values: np.ndarray, h: float) -> float:
     # zero-extended graph norm of any rectangular array of samples
     dbar = 0.5 * (_diff(values, 0, h) + 1j * _diff(values, 1, h))
     return math.sqrt(_l2_sq(values, h) + 2.0 * _l2_sq(dbar, h))
-
-
-def dolbeault_graph_norm(f: GridField) -> float:
-    """Graph norm sqrt(||f||^2 + 2 ||dbar f||^2), dbar = (dx + i dy) / 2."""
-    return _graph_norm(f.values, f.spacing)
 
 
 def norm_equivalence_report(f: GridField) -> CheckReport:
@@ -187,14 +172,6 @@ class CutoffSequence:
     def __post_init__(self):
         if not self.index > 1:
             raise ValueError("cutoff index must exceed 1")
-
-    @property
-    def inner_radius(self) -> float:
-        return 1.0 / self.index**2
-
-    @property
-    def outer_radius(self) -> float:
-        return 1.0 / self.index
 
     def profile(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

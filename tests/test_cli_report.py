@@ -44,6 +44,8 @@ def test_config_validation():
         SuiteConfig(grid=32)
     with pytest.raises(UsageError):
         SuiteConfig(level=0)
+    with pytest.raises(UsageError):
+        SuiteConfig(seed=-1)
 
 
 def test_parse_config_file(tmp_path):
@@ -251,6 +253,45 @@ def test_emit_writes_files(tmp_path):
     with pytest.raises(UsageError):
         emit(reports, "pdf", str(tmp_path / "r.pdf"))
     assert parse_reports((tmp_path / "r.json").read_text()) == reports
+
+
+def _mangled_report(mangle):
+    doc = json.loads(render_json([_fake_density_report()]))
+    mangle(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    _mangled_report(lambda doc: doc.update(checks={"check_id": "x"})),
+    _mangled_report(lambda doc: doc.update(checks=["not an object"])),
+    _mangled_report(lambda doc: doc["checks"][0].pop("citation")),
+    _mangled_report(lambda doc: doc["checks"][0].update({"pass": False})),
+], ids=["not-json", "checks-not-a-list", "check-not-an-object",
+        "missing-key", "pass-contradicts-numbers"])
+def test_emit_of_a_malformed_report_is_a_usage_error(tmp_path, text):
+    with pytest.raises(UsageError):
+        parse_reports(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["emit", "--in", str(bad), "--format", "csv",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, via_config):
+    argv = ["run", "--model", "u1", "--suite", "kahler"]
+    if via_config:
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "crashed" not in err
 
 
 def test_cli_run_and_emit(tmp_path):

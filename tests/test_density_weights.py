@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from quantlab import density_weights as dw
 from quantlab import lie_core as lc
@@ -11,23 +10,12 @@ from quantlab import lie_core as lc
 
 def test_eta_basics():
     su2 = lc.get_model("su2")
-    assert abs(dw.eta(lc.algebra_vec(su2, [0, 0, 0])) - 1.0) < 1e-15
-    assert abs(
-        dw.eta(lc.algebra_vec(su2, [0, 0, 1.0])) - math.sinh(1.0)
-    ) < 1e-14
+    assert abs(dw.eta_tilde(su2, [0.0]) - 1.0) < 1e-15
+    assert abs(dw.eta_tilde(su2, [1.0]) - math.sinh(1.0)) < 1e-14
     # even in Y
-    assert abs(
-        dw.eta(lc.algebra_vec(su2, [0, 0, -1.3]))
-        - dw.eta(lc.algebra_vec(su2, [0, 0, 1.3]))
-    ) < 1e-14
+    assert abs(dw.eta_tilde(su2, [-1.3]) - dw.eta_tilde(su2, [1.3])) < 1e-14
     t2 = lc.get_model("t2")
-    assert dw.eta(lc.algebra_vec(t2, [0.4, -2.0])) == 1.0
-
-
-def test_eta_requires_torus_part():
-    su2 = lc.get_model("su2")
-    with pytest.raises(ValueError):
-        dw.eta(lc.algebra_vec(su2, [0.5, 0, 1.0]))
+    assert dw.eta_tilde(t2, [0.4, -2.0]) == 1.0
 
 
 def test_eta_weyl_invariance():

@@ -1,12 +1,10 @@
-"""Checks for the Kahler structure: forms, the polar-map differential, the
-complex structure, the metric, dbar, and the completeness certificate.
+"""Checks for the Kahler structure: omega, the polar-map differential, the
+complex structure, the metric, and the completeness certificate.
 
 The polar-map differential is held against a finite-difference oracle that
 never touches the block formulas: it differentiates the matrix-valued map
 (x, Y) -> x exp(iY) directly in the defining representation and reads the
 left-trivialized velocity off the group."""
-
-import math
 
 import numpy as np
 import pytest
@@ -15,75 +13,44 @@ from quantlab import kahler_geom as kg
 from quantlab import lie_core as lc
 
 
-def _point(model, x_mat, y_coords):
-    return kg.BasePoint(
-        lc.GroupPoint(model, x_mat), lc.algebra_vec(model, y_coords)
-    )
+def _omega(model, y):
+    return kg.omega_batch(model, y)[0]
 
 
-def _pair(model, a, b):
-    return kg.TangentPair(lc.algebra_vec(model, a), lc.algebra_vec(model, b))
-
-
-def _identity_point(model, y_coords):
-    eye = np.eye(model.defining_rep_dim, dtype=complex)
-    return _point(model, eye, y_coords)
+def _omega_form(model, y, v, w):
+    # <X2,Z1> - <X1,Z2> - <Y,[X1,Z1]> for 2n-vectors v = (X1, X2),
+    # w = (Z1, Z2), straight from the definition
+    n = model.dim
+    lie = _field_bracket(model, v, w)[:n]
+    return float(np.dot(v[n:], w[:n]) - np.dot(v[:n], w[n:])
+                 - np.dot(y, lie))
 
 
 # ---------------------------------------------------------------------------
-# theta and omega
-
-
-def test_theta_examples():
-    su2 = lc.get_model("su2")
-    rng = np.random.default_rng(0)
-    p0 = _identity_point(su2, [0, 0, 0])
-    v = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-    assert kg.theta_form(p0, v) == 0.0
-    p1 = _identity_point(su2, [1, 0, 0])
-    v1 = _pair(su2, [1, 0, 0], rng.standard_normal(3))
-    assert abs(kg.theta_form(p1, v1) - 1.0) < 1e-15
-    for _ in range(10):
-        y = rng.standard_normal(3)
-        a = rng.standard_normal(3)
-        p = _identity_point(su2, y)
-        v = _pair(su2, a, rng.standard_normal(3))
-        assert abs(kg.theta_form(p, v) - np.dot(y, a)) < 1e-14
+# omega
 
 
 def test_omega_examples():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(1)
-    y = rng.standard_normal(3)
-    p = _identity_point(su2, y)
-    v = _pair(su2, [1, 0, 0], [0, 0, 0])
-    w = _pair(su2, [0, 0, 0], [1, 0, 0])
-    assert abs(kg.omega_form(p, v, w) - (-1.0)) < 1e-14
-    # antisymmetry on random pairs
-    for _ in range(10):
-        v = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        w = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        assert abs(
-            kg.omega_form(p, v, w) + kg.omega_form(p, w, v)
-        ) < 1e-13
-    p3 = _identity_point(su2, [0, 0, 1])
-    v = _pair(su2, [1, 0, 0], [0, 0, 0])
-    w = _pair(su2, [0, 1, 0], [0, 0, 0])
-    assert abs(kg.omega_form(p3, v, w) - (-1.0)) < 1e-14
+    om = _omega(su2, rng.standard_normal(3))
+    e1 = np.array([1.0, 0, 0, 0, 0, 0])
+    assert abs(e1 @ om @ np.roll(e1, 3) - (-1.0)) < 1e-14
+    assert np.abs(om + om.T).max() < 1e-14
+    # at Y = e3: omega((e1, 0), (e2, 0)) = -<e3, [e1, e2]> = -1
+    om3 = _omega(su2, [0, 0, 1.0])
+    assert abs(e1 @ om3 @ np.roll(e1, 1) - (-1.0)) < 1e-14
 
 
 def test_omega_matrix_matches_form():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(2)
     y = rng.standard_normal(3)
-    p = _identity_point(su2, y)
-    mat = kg.omega_matrix(su2, y)
+    mat = _omega(su2, y)
     for _ in range(5):
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
-        v = _pair(su2, a[:3], a[3:])
-        w = _pair(su2, b[:3], b[3:])
-        assert abs(kg.omega_form(p, v, w) - a @ mat @ b) < 1e-13
+        assert abs(_omega_form(su2, y, a, b) - a @ mat @ b) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +195,28 @@ def test_J_squared_and_spectrum():
 
 def test_metric_flat_at_zero():
     su2 = lc.get_model("su2")
-    p = _identity_point(su2, [0, 0, 0])
-    v = _pair(su2, [1, 0, 0], [0, 0, 0])
-    assert abs(kg.metric_g(p, v, v) - 1.0) < 1e-13
+    g = kg.metric_batch(su2, np.zeros(3))[0]
+    assert np.abs(g - np.eye(6)).max() < 1e-13
 
 
 def test_metric_symmetric_and_compatible():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        y = rng.standard_normal(3)
-        g = kg.metric_matrix(su2, y)
-        assert np.abs(g - g.T).max() < 1e-10
+    ys = rng.standard_normal((10, 3))
+    gs = kg.metric_batch(su2, ys)
+    assert np.abs(gs - np.swapaxes(gs, 1, 2)).max() < 1e-10
+    for y in ys:
         j = kg.complex_structure_J(lc.algebra_vec(su2, y))
-        om = kg.omega_matrix(su2, y)
+        om = _omega(su2, y)
         # omega(Jv, Jw) = omega(v, w)
         assert np.abs(j.T @ om @ j - om).max() < 1e-9
 
 
 def test_metric_positive_definite_at_e3():
+    # g = J^T Omega is positive definite only for this orientation of J:
+    # -J squares to -identity too, but gives a negative definite g
     su2 = lc.get_model("su2")
-    g = kg.metric_matrix(su2, np.array([0, 0, 1.0]))
+    g = kg.metric_batch(su2, np.array([0, 0, 1.0]))[0]
     assert np.linalg.eigvalsh(g).min() > 0
 
 
@@ -256,127 +224,63 @@ def test_metric_positive_definite_at_e3():
 # exterior-derivative consistency (Palais formulas with finite differences)
 
 
-def _lie_derivative(model, func, p, direction, h=1e-6):
-    x1, x2 = direction.X1.coords, direction.X2.coords
-    def at(s):
-        xs = lc.GroupPoint(
-            model, p.x.matrix @ lc.exp_alg(
-                lc.algebra_vec(model, s * x1)).matrix
-        )
-        return func(kg.BasePoint(
-            xs, lc.algebra_vec(model, p.Y.coords + s * x2)))
-    return (at(h) - at(-h)) / (2 * h)
+def _lie_derivative(model, func, y, direction, h=1e-6):
+    # derivative along the left-invariant field of the 2n-vector
+    # direction = (X1, X2); theta and omega do not depend on the group
+    # point, so only the flat part X2 moves the argument Y
+    x2 = direction[model.dim:]
+    return (func(y + h * x2) - func(y - h * x2)) / (2 * h)
+
+
+def _field_bracket(model, v, w):
+    # [v, w] of left-invariant fields: ([X1, Z1], 0)
+    n = model.dim
+    lie = lc.bracket(lc.algebra_vec(model, v[:n]),
+                     lc.algebra_vec(model, w[:n]))
+    return np.concatenate([lie.coords, np.zeros(n)])
 
 
 def test_dtheta_reproduces_omega():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(8)
+
+    def theta(y, v):
+        # the tautological 1-form <Y, X1>
+        return float(np.dot(y, v[:3]))
+
     worst = 0.0
     for _ in range(10):
-        p = _identity_point(su2, rng.standard_normal(3))
-        v = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        w = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        dv = _lie_derivative(su2, lambda q: kg.theta_form(q, w), p, v)
-        dw = _lie_derivative(su2, lambda q: kg.theta_form(q, v), p, w)
-        lie_vw = kg.TangentPair(
-            lc.bracket(v.X1, w.X1), lc.algebra_vec(su2, np.zeros(3))
-        )
-        dtheta = dv - dw - kg.theta_form(p, lie_vw)
-        worst = max(worst, abs(dtheta - kg.omega_form(p, v, w)))
+        y = rng.standard_normal(3)
+        v = rng.standard_normal(6)
+        w = rng.standard_normal(6)
+        dv = _lie_derivative(su2, lambda q: theta(q, w), y, v)
+        dw = _lie_derivative(su2, lambda q: theta(q, v), y, w)
+        dtheta = dv - dw - theta(y, _field_bracket(su2, v, w))
+        worst = max(worst, abs(dtheta - v @ _omega(su2, y) @ w))
     assert worst < 1e-6, worst
 
 
 def test_domega_vanishes():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(9)
+
+    def omega(y, a, b):
+        return a @ _omega(su2, y) @ b
+
     worst = 0.0
     for _ in range(5):
-        p = _identity_point(su2, rng.standard_normal(3))
-        u = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        v = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        w = _pair(su2, rng.standard_normal(3), rng.standard_normal(3))
-        def fb(a, b):
-            return kg.TangentPair(
-                lc.bracket(a.X1, b.X1), lc.algebra_vec(su2, np.zeros(3))
-            )
+        y = rng.standard_normal(3)
+        u, v, w = rng.standard_normal((3, 6))
         total = (
-            _lie_derivative(su2, lambda q: kg.omega_form(q, v, w), p, u)
-            - _lie_derivative(su2, lambda q: kg.omega_form(q, u, w), p, v)
-            + _lie_derivative(su2, lambda q: kg.omega_form(q, u, v), p, w)
-            - kg.omega_form(p, fb(u, v), w)
-            + kg.omega_form(p, fb(u, w), v)
-            - kg.omega_form(p, fb(v, w), u)
+            _lie_derivative(su2, lambda q: omega(q, v, w), y, u)
+            - _lie_derivative(su2, lambda q: omega(q, u, w), y, v)
+            + _lie_derivative(su2, lambda q: omega(q, u, v), y, w)
+            - omega(y, _field_bracket(su2, u, v), w)
+            + omega(y, _field_bracket(su2, u, w), v)
+            - omega(y, _field_bracket(su2, v, w), u)
         )
         worst = max(worst, abs(total))
     assert worst < 1e-5, worst
-
-
-# ---------------------------------------------------------------------------
-# dbar
-
-
-def test_dbar_constant_is_zero():
-    su2 = lc.get_model("su2")
-    p = _identity_point(su2, [0.3, -0.1, 0.7])
-    out = kg.dbar_function(lambda q: 2.5, p)
-    assert np.abs(out.stacked()).max() < 1e-12
-
-
-def test_dbar_of_kahler_potential_on_torus_slice():
-    # At (identity, Y in t) the (0,1)-part of pi |Y|^2 is (i pi Y, pi Y)
-    # on the {alpha_k, dy_k} coframe: this pins the sign convention.
-    def phi(q):
-        return math.pi * float(np.dot(q.Y.coords, q.Y.coords))
-
-    su2 = lc.get_model("su2")
-    p = _identity_point(su2, [0, 0, 1.0])
-    out = kg.dbar_function(phi, p)
-    expect_a = 1j * math.pi * np.array([0, 0, 1.0])
-    expect_b = math.pi * np.array([0, 0, 1.0])
-    assert np.abs(out.a - expect_a).max() < 1e-7
-    assert np.abs(out.b - expect_b).max() < 1e-7
-    u1 = lc.get_model("u1")
-    p1 = _identity_point(u1, [0.6])
-    out1 = kg.dbar_function(phi, p1)
-    assert np.abs(out1.a - 1j * math.pi * 0.6).max() < 1e-8
-    assert np.abs(out1.b - math.pi * 0.6).max() < 1e-8
-
-
-def test_dbar_equals_projected_theta_for_potential():
-    # dbar(pi |Y|^2) = 2 pi i * (0,1)-projection of theta, tested off t.
-    def phi(q):
-        return math.pi * float(np.dot(q.Y.coords, q.Y.coords))
-
-    su2 = lc.get_model("su2")
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        y = rng.standard_normal(3)
-        p = _identity_point(su2, y)
-        out = kg.dbar_function(phi, p).stacked()
-        # theta as a coefficient vector: (Y, 0); (0,1)-projection is
-        # (theta - i J theta)/2 with J acting by -J^T on coefficients.
-        th = np.concatenate([y, np.zeros(3)])
-        j = kg.complex_structure_J(lc.algebra_vec(su2, y))
-        proj = 0.5 * (th + 1j * (j.T @ th))
-        assert np.abs(out - 2j * math.pi * proj).max() < 1e-6
-
-
-def test_dbar_decomposition_reconstructs_df():
-    su2 = lc.get_model("su2")
-    rng = np.random.default_rng(11)
-
-    def f(q):
-        y = q.Y.coords
-        tr = np.real(np.trace(q.x.matrix))
-        return float(np.sin(y[0]) * tr + 0.3 * y[1] * y[2] + 0.1 * tr**2)
-
-    for _ in range(3):
-        p = kg.BasePoint(
-            lc.random_group_point(su2, rng), lc.random_algebra(su2, rng)
-        )
-        c = kg.df_coords(f, p)
-        dbar = kg.dbar_function(f, p).stacked()
-        assert np.abs(dbar + np.conj(dbar) - c).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +340,7 @@ def test_kahler_potential_consistency(name, y):
 
     hess = _complex_hessian(chart_value, n)
     dphi = kg.dphi_matrix(yvec)
-    om = kg.omega_matrix(model, np.asarray(y, float))
+    om = _omega(model, y)
     worst = 0.0
     for a in range(2 * n):
         for b in range(2 * n):
@@ -463,7 +367,7 @@ def test_completeness_values():
     # |Y| = 1 gives exactly 1.0 through the closed form; the metric route
     # must match it.
     y = np.array([1.0, 0, 0])
-    g = kg.metric_matrix(su2, y)
+    g = kg.metric_batch(su2, y)[0]
     cov = np.concatenate([np.zeros(3), 2 * y / 2.0])
     val = cov @ np.linalg.solve(g, cov)
     assert abs(val - 1.0) < 1e-9

@@ -7,10 +7,8 @@ from quantlab.stratum_density import (
     CutoffSequence,
     GridField,
     _graph_norm,
-    dolbeault_graph_norm,
     field_from_function,
     grid_axes,
-    h1_norm,
     line_removal_contrast,
     norm_equivalence_report,
     refinement_study,
@@ -47,11 +45,16 @@ def bump_1024():
     return standard_bump(1024)
 
 
+def _norms(f):
+    # the H1 and graph norms norm_equivalence_report records
+    rep = norm_equivalence_report(f)
+    return rep.metadata["h1_norm"], rep.metadata["graph_norm"]
+
+
 def test_zero_field_norms():
     _, h = grid_axes(64)
     f = GridField(np.zeros((64, 64)), h)
-    assert h1_norm(f) == 0.0
-    assert dolbeault_graph_norm(f) == 0.0
+    assert _norms(f) == (0.0, 0.0)
 
 
 def test_support_boundary_rejected():
@@ -82,7 +85,7 @@ def test_gaussian_h1_analytic_oracle():
 
     n = 257
     norms = [
-        h1_norm(field_from_function(gauss, k))
+        _norms(field_from_function(gauss, k))[0]
         for k in (n, 2 * n - 1, 4 * n - 3)
     ]
     ratio = (norms[0] - norms[1]) / (norms[1] - norms[2])
@@ -101,11 +104,10 @@ def test_norm_equivalence_certificate():
 
 def test_cutoff_profile_shape():
     cut = CutoffSequence(5.0)
-    assert cut.inner_radius == pytest.approx(0.04)
-    assert cut.outer_radius == pytest.approx(0.2)
     assert cut.profile(0.0) == 0.0
-    assert cut.profile(cut.inner_radius) == pytest.approx(0.0, abs=1e-14)
-    assert cut.profile(cut.outer_radius) == pytest.approx(1.0, abs=1e-14)
+    # 0 inside r = 1/m^2, 1 outside r = 1/m
+    assert cut.profile(0.04) == pytest.approx(0.0, abs=1e-14)
+    assert cut.profile(0.2) == pytest.approx(1.0, abs=1e-14)
     assert cut.profile(10.0) == 1.0
     mid = cut.profile(0.09)
     assert 0.0 < mid < 1.0
@@ -131,9 +133,16 @@ def test_windowed_removal_errors_match_full_grid(n, removed_codim):
 @pytest.mark.parametrize("make", [standard_bump, _lopsided])
 def test_norm_equivalence_metadata_is_the_standalone_norms(make):
     f = make(512)
-    rep = norm_equivalence_report(f)
-    assert rep.metadata["h1_norm"] == h1_norm(f)
-    assert rep.metadata["graph_norm"] == dolbeault_graph_norm(f)
+    # H1 = sqrt(||f||^2 + ||dx f||^2 + ||dy f||^2), central differences
+    # with zero extension
+    h1, graph = _norms(f)
+    h = f.spacing
+    p = np.pad(f.values, 1)
+    dx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
+    dy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
+    sq = np.abs(f.values) ** 2 + np.abs(dx) ** 2 + np.abs(dy) ** 2
+    assert h1 == pytest.approx(h * math.sqrt(np.sum(sq)), rel=1e-13)
+    assert graph == _graph_norm(f.values, h)
 
 
 def test_removal_errors_input_validation():
