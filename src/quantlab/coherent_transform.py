@@ -432,28 +432,37 @@ def _torus_gram_factors(model: LieModel, labels, level: int):
     return haar, gauss
 
 
-def _su2_small_d(ir: Irrep, beta: np.ndarray) -> np.ndarray:
-    # d^j(b) = exp(b pi(e2)) at each b, shape (n_b, d, d), from one eigh of
-    # J_y
-    lam, vec = np.linalg.eigh(1j * ir.generator_images[1])
-    return np.einsum("pk,uk,qk->upq", vec,
-                     np.exp(-1j * np.outer(beta, lam)), vec.conj())
+def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
+    """Euler-axis tables of the spin matrices of ``labels`` on the rule
+    ``g_rule``, one column per basis element (x, p, k) in label order.
 
-
-def _su2_wigner_factors(ir: Irrep, rule: QuadratureRule):
-    """Spin-j matrices on the Euler-angle axes of ``su2_haar_rule``.
-
-    D^j(a, b, c) = e^{-i m a} d^j(b) e^{-i m' c}, with d^j(b) evaluated at
-    the rule's distinct b only.  Returns (left, right): left[i_a, i_u] =
-    e^{-i m a} d^j(b), shape (n_a, n_u, d, d), and right[i_c] = e^{-i m'
-    c}, shape (n_c, d), so the matrix at node (i_a, i_u, i_c) is
-    left[i_a, i_u] * right[i_c].
+    D^x_pk(a, b, c) = e^{-i m_p a} d^x_pk(b) e^{-i m_k c}.  Returns
+    (d_b, twice_p, twice_k, t_a, t_c): d_b[u, (x, p, k)] = d^x_pk(b_u) at
+    the rule's distinct b, from one eigh of J_y per label; the integers
+    2 m_p and 2 m_k; and the trapezoid sums t_a[s] = sum_a w_a e^{-i h a}
+    and t_c (the same over c) at the half-integer shifts h = (s - span) / 2
+    with span = len(t_a) // 2, which covers every (m_k - m_q) - (m_k' -
+    m_q') of the labels.  The shift tables are summed on the rule's nodes,
+    not taken as Kronecker deltas, so a rule too coarse for the spins shows
+    up as the aliasing the node sum would have.
     """
-    (alpha, _), (beta, _), (gamma, _) = rule.axes
-    m = ir.weight_diag()
-    left = (np.exp(-1j * np.outer(alpha, m))[:, None, :, None]
-            * _su2_small_d(ir, beta))
-    return left, np.exp(-1j * np.outer(gamma, m))
+    (alpha, w_a), (beta, _), (gamma, w_c) = g_rule.axes
+    d_b, twice_p, twice_k = [], [], []
+    for lab in labels:
+        ir = irrep(model, lab)
+        lam, vec = np.linalg.eigh(1j * ir.generator_images[1])
+        d_b.append(np.einsum("pk,uk,qk->upq", vec,
+                             np.exp(-1j * np.outer(beta, lam)),
+                             vec.conj()).reshape(len(beta), -1))
+        m2 = np.rint(2.0 * ir.weight_diag()).astype(int)
+        twice_p.append(np.repeat(m2, ir.dim))
+        twice_k.append(np.tile(m2, ir.dim))
+    twice_p = np.concatenate(twice_p)
+    span = 4 * int(np.abs(twice_p).max())
+    shifts = np.arange(-span, span + 1) / 2.0
+    return (np.concatenate(d_b, axis=1), twice_p, np.concatenate(twice_k),
+            np.exp(-1j * np.outer(shifts, alpha)) @ w_a,
+            np.exp(-1j * np.outer(shifts, gamma)) @ w_c)
 
 
 def _su2_gram_rules(labels, level: int):
@@ -469,70 +478,62 @@ def _basis_grams(model: LieModel, labels, level: int):
     """Quadrature Gram of the orthonormal basis over group x algebra.
 
     Returns (hl2, l2): the holomorphic and the flat Gram, each one matrix
-    over the basis in label order, d_j^2 rows per label.  The product
-    measure Haar x Gaussian factorizes the double sum, so the Haar tensor A
-    and the Gaussian tensor B are contracted per block pair.
+    over the basis in label order, d_j^2 rows per label.
 
     On a torus every block is 1x1, so the Grams are the character Gram
-    factors themselves.  For su2 the Gaussian integral runs in polar form,
-    Y = r Ad_u e3, with the direction average done by a second Haar rule,
-    and every sum is taken along one axis of a product rule before the
-    axes meet:
+    factors themselves.  For su2 every node sum is one matrix product over
+    the whole basis, from the axis tables of ``_su2_axis_tables``:
 
-    * the spin matrices are e^{-i m a} d^j(b) e^{-i m' c} on the Euler
-      axes (``_su2_wigner_factors``);
-    * in A the c sum collapses to a d_a x d_b table of trapezoid sums;
-    * in B the phase e^{-i m' c} cancels, so only the (a, b) directions
-      are summed, and the 48-node radial axis collapses first to the
-      d_a x d_b table R[x, y] = sum_r w_r e^{r (m_x + m_y)}.
+    * the flat Gram is sqrt(d_x d_y) A with A = T_a[m_p - m_p'] T_c[m_k -
+      m_k'] sum_u w_u d^x_pk(b_u) conj(d^y_p'k'(b_u));
+    * the Gaussian integral runs in polar form, Y = r Ad_u e3, with the
+      direction average over the c = 0 nodes of the same rule.  There
+      E^x(u, r) = D^x(u) diag(e^{r m}) D^x(u)^dagger has entries e^{-i
+      (m_k - m_q) a} F^x_kq(b, r), F^x_kq = sum_s d^x_ks conj(d^x_qs)
+      e^{r m_s}, so its Gram over the directions and radii is B =
+      T_a[(m_k - m_q) - (m_k' - m_q')] sum_{u, r} w_u w_r F^x_kq
+      conj(F^y_k'q');
+    * hl2 = sqrt(d_x d_y) sum_{k, k'} A[(p, k), (p', k')] B[(k, q), (k',
+      q')], one small product per label pair over blocks already built.
     """
     if model.is_abelian:
         haar, gauss = _torus_gram_factors(model, labels, level)
         return haar * gauss, haar
     g_rule, r_rule = _su2_gram_rules(labels, level)
-    (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
-    w_dir = np.outer(w_a, w_u).reshape(-1)
+    w_u = g_rule.axes[1][1]
     r = r_rule.nodes[:, 0]
-    # per-label tables: weighted (_w) and conjugated (_c) once per label,
-    # not once per label pair
-    dims, left_w, left_c, right_w, right_c, radial, pair_c, pair_w = (
-        {} for _ in range(8))
-    for lab in labels:
-        ir = irrep(model, lab)
-        lf, rt = _su2_wigner_factors(ir, g_rule)
-        dims[lab] = ir.dim
-        lf = lf.reshape(-1, ir.dim, ir.dim)
-        left_w[lab] = lf * w_dir[:, None, None]
-        left_c[lab] = lf.conj()
-        right_w[lab] = rt.T * w_c
-        right_c[lab] = rt.conj()
-        radial[lab] = np.exp(np.outer(r, ir.weight_diag()))
-        # pair[n, p, b, x] = D[p, x] conj(D[b, x]) at direction n
-        pair = lf[:, :, None, :] * left_c[lab][:, None]
-        pair_c[lab] = pair.conj()
-        pair_w[lab] = pair * w_dir[:, None, None, None]
-    offs = np.concatenate([[0], np.cumsum([dims[lab] ** 2 for lab in labels])])
-    hl2 = np.zeros((offs[-1], offs[-1]), dtype=complex)
-    l2 = np.zeros_like(hl2)
-    for i, la in enumerate(labels):
-        for k, lb in enumerate(labels):
-            da, db = dims[la], dims[lb]
-            rows = slice(offs[i], offs[i + 1])
-            cols = slice(offs[k], offs[k + 1])
-            scale = math.sqrt(da * db)
-            gam = right_w[la] @ right_c[lb]
-            a_t = np.tensordot(left_w[la], left_c[lb], axes=(0, 0))
-            a_t *= gam[None, :, None, :]
-            rad = (radial[la].T * r_rule.weights) @ radial[lb]
-            b_t = np.tensordot(
-                np.tensordot(pair_w[la], rad, axes=(3, 0)),
-                pair_c[lb], axes=([0, 3], [0, 3]),
-            )
-            full = np.tensordot(a_t, b_t, axes=([1, 3], [0, 2]))
-            hl2[rows, cols] = scale * full.transpose(0, 2, 1, 3).reshape(
-                da * da, db * db)
-            l2[rows, cols] = scale * a_t.reshape(da * da, db * db)
-    return hl2, l2
+    d_b, twice_p, twice_k, t_a, t_c = _su2_axis_tables(model, labels, g_rule)
+    span = len(t_a) // 2
+    dims = [irrep(model, lab).dim for lab in labels]
+    a_full = (t_a[twice_p[:, None] - twice_p[None, :] + span]
+              * t_c[twice_k[:, None] - twice_k[None, :] + span]
+              * ((d_b.T * w_u) @ d_b.conj()))
+    # f_nodes[(u, r), (x, k, q)] = F^x_kq(b_u, r)
+    f_nodes = []
+    offs = np.concatenate([[0], np.cumsum([d * d for d in dims])])
+    for d, lo, hi in zip(dims, offs[:-1], offs[1:]):
+        dd = d_b[:, lo:hi].reshape(-1, d, d)
+        grow = np.exp(np.outer(twice_k[lo:lo + d] / 2.0, r))
+        f = (dd[:, :, None, :] * dd.conj()[:, None, :, :]) @ grow
+        f_nodes.append(f.transpose(0, 3, 1, 2).reshape(-1, d * d))
+    f_nodes = np.concatenate(f_nodes, axis=1)
+    w_ur = np.outer(w_u, r_rule.weights).reshape(-1)
+    diff = twice_p - twice_k
+    b_full = (t_a[diff[:, None] - diff[None, :] + span]
+              * ((f_nodes.T * w_ur) @ f_nodes.conj()))
+    hl2 = np.empty_like(a_full)
+    for dx, xl, xh in zip(dims, offs[:-1], offs[1:]):
+        for dy, yl, yh in zip(dims, offs[:-1], offs[1:]):
+            # A[(p, p'), (k, k')] @ B[(k, k'), (q, q')], regrouped to
+            # [(p, q), (p', q')]
+            a_blk, b_blk = (
+                m[xl:xh, yl:yh].reshape(dx, dx, dy, dy).transpose(0, 2, 1, 3)
+                .reshape(dx * dy, dx * dy) for m in (a_full, b_full))
+            hl2[xl:xh, yl:yh] = (a_blk @ b_blk).reshape(
+                dx, dy, dx, dy).transpose(0, 2, 1, 3).reshape(dx * dx, dy * dy)
+    scale = np.sqrt(np.repeat(np.asarray(dims, float), np.square(dims)))
+    scale = np.outer(scale, scale)
+    return scale * hl2, scale * a_full
 
 
 def unitarity_certificate(model: LieModel, cutoff=None,
@@ -624,31 +625,25 @@ def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
     with T_a and T_c the trapezoid sums of e^{-i (m - m') angle} over the
     a and c axes, T_b[m, m'] = sum_u w_u d^x_mm(b_u) conj(d^y_m'm'(b_u))
     over the n_u distinct b, and R[m + m'] = sum_r w_r e^{r (m + m')}.
-    The angle tables are summed on the rule's nodes, not taken as
-    Kronecker deltas, so a rule too coarse for the spins shows up as the
-    aliasing the node sum would have.
+    T_a, T_c and the Wigner diagonals are those of ``_su2_axis_tables``.
     """
-    (alpha, w_a), (beta, w_u), (gamma, w_c) = g_rule.axes
-    irs = [irrep(model, lab) for lab in labels]
-    # every weight of every label, stacked in label order, as integers 2m
-    twice_m = np.rint(2.0 * np.concatenate(
-        [ir.weight_diag() for ir in irs])).astype(int)
-    d_diag = np.concatenate(
-        [np.diagonal(_su2_small_d(ir, beta), axis1=1, axis2=2) for ir in irs],
-        axis=1)
-    span = 2 * int(np.abs(twice_m).max())
-    # shifts[k] = k/2 - span/2 runs over every m - m' and m + m'
-    shifts = np.arange(-span, span + 1) / 2.0
-    t_a = np.exp(-1j * np.outer(shifts, alpha)) @ w_a
-    t_c = np.exp(-1j * np.outer(shifts, gamma)) @ w_c
-    t_b = (d_diag.T * w_u) @ d_diag.conj()
-    diff = twice_m[:, None] - twice_m[None, :] + span
-    total = twice_m[:, None] + twice_m[None, :] + span
-    haar = (t_a * t_c)[diff] * t_b
-    radial = radial_weights @ np.exp(np.outer(r_rule.nodes[:, 0], shifts))
-    starts = np.cumsum([0] + [ir.dim for ir in irs[:-1]])
-    return np.add.reduceat(
-        np.add.reduceat(haar * radial[total], starts, axis=0), starts, axis=1)
+    d_b, twice_p, twice_k, t_a, t_c = _su2_axis_tables(model, labels, g_rule)
+    span = len(t_a) // 2
+    # the Wigner diagonals: the p = k columns, which within one label are
+    # the columns with m_p = m_k
+    on_diag = twice_p == twice_k
+    twice_m = twice_p[on_diag]
+    d_diag = d_b[:, on_diag]
+    t_b = (d_diag.T * g_rule.axes[1][1]) @ d_diag.conj()
+    haar = (t_a * t_c)[twice_m[:, None] - twice_m[None, :] + span] * t_b
+    # R[m + m'] at every 2 (m + m') in -top..top
+    top = 2 * int(np.abs(twice_m).max())
+    radial = radial_weights @ np.exp(np.outer(
+        r_rule.nodes[:, 0], np.arange(-top, top + 1) / 2.0))
+    starts = np.cumsum([0] + [irrep(model, lab).dim for lab in labels[:-1]])
+    return np.add.reduceat(np.add.reduceat(
+        haar * radial[twice_m[:, None] + twice_m[None, :] + top], starts,
+        axis=0), starts, axis=1)
 
 
 def character_gram(model: LieModel, labels, level: int = 4,

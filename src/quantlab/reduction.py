@@ -398,7 +398,6 @@ def _side_a_grams(model: LieModel, labels, level: int):
     raw = character_gram(model, labels, level)
     scale = np.array([1.0 / math.sqrt(table[lab]) for lab in labels])
     hl2 = raw * np.outer(scale, scale)
-    gram_red = np.zeros((len(labels), len(labels)), dtype=complex)
     sections = []
     modes = 4 * int(math.ceil(cutoff_freq)) + 6
     for lab in labels:
@@ -406,11 +405,9 @@ def _side_a_grams(model: LieModel, labels, level: int):
         coeffs = {(lab, a, a): 1.0 / math.sqrt(d) for a in range(d)}
         f = PeterWeylVector(model, cutoff_freq, coeffs)
         sections.append(reduction_unitary(f, modes=modes))
-    for i, si in enumerate(sections):
-        for k, sk in enumerate(sections):
-            gram_red[i, k] = np.sum(
-                si.rule.weights * si.values * np.conj(sk.values)
-            )
+    # every section shares one torus rule
+    vals = np.array([s.values for s in sections])
+    gram_red = (vals * sections[0].rule.weights) @ vals.conj().T
     return hl2, gram_red, sections
 
 
@@ -438,14 +435,10 @@ def _side_b_gram(model: LieModel, labels, level: int):
                       / math.sqrt(sigma_t(mm)))
         return block / math.sqrt(len(orbit))
 
-    vecs = [
-        symmetrized(m, taus[:, None], y[None, :]) for m in orbit_reps
-    ]
-    gram = np.zeros((len(vecs), len(vecs)), dtype=complex)
-    wt = t_rule.weights[:, None] * y_rule.weights[None, :]
-    for i, vi in enumerate(vecs):
-        for k, vk in enumerate(vecs):
-            gram[i, k] = np.sum(wt * vi * np.conj(vk))
+    vecs = np.array([symmetrized(m, taus[:, None], y[None, :]).reshape(-1)
+                     for m in orbit_reps])
+    wt = np.outer(t_rule.weights, y_rule.weights).reshape(-1)
+    gram = (vecs * wt) @ vecs.conj().T
     # Weyl flip (tau, y) -> (-tau, -y) at off-grid samples
     sample_t = np.array([0.3, 1.9, 5.1])
     sample_y = np.array([0.45, -0.8, 1.3])

@@ -99,18 +99,23 @@ def test_spin_half_matches_defining_rep():
 
 
 def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
-    from quantlab.coherent_transform import _su2_wigner_factors
+    from quantlab.coherent_transform import _su2_axis_tables
 
+    labels = [k / 2.0 for k in range(7)]
     for level in (1, 2, 3, 4):
         rule = su2_haar_rule(level)
-        for k in range(7):
-            ir = irrep(SU2, k / 2.0)
-            left, right = _su2_wigner_factors(ir, rule)
-            closed = (left[:, :, None] * right[None, None, :, None, :]
-                      ).reshape(-1, ir.dim, ir.dim)
-            for node, mat in zip(rule.nodes, closed):
-                want = rep_unitary(ir, GroupPoint(SU2, node))
-                assert np.abs(mat - want).max() < 1e-13
+        (alpha, _), (beta, _), (gamma, _) = rule.axes
+        d_b, twice_p, twice_k, _, _ = _su2_axis_tables(SU2, labels, rule)
+        # D^x_pk at node (a, b, c) = e^{-i m_p a} d^x_pk(b) e^{-i m_k c}
+        closed = (np.exp(-0.5j * np.multiply.outer(alpha, twice_p))[
+            :, None, None, :] * d_b[None, :, None, :]
+            * np.exp(-0.5j * np.multiply.outer(gamma, twice_k))[
+            None, None, :, :]).reshape(len(rule.nodes), -1)
+        for node, got in zip(rule.nodes, closed):
+            want = np.concatenate([
+                rep_unitary(irrep(SU2, lab), GroupPoint(SU2, node)).reshape(-1)
+                for lab in labels])
+            assert np.abs(got - want).max() < 1e-13
 
 
 def test_torus_rep_unitary_rejects_nonunitary_points():
@@ -527,6 +532,49 @@ def test_spin_weighted_gram_su2_is_the_character_grams():
         want = np.real(np.diagonal(
             character_gram(SU2, labels, 4, eta_weight=eta_weight)))
         assert np.abs(np.array(rep.metadata[key]) / want - 1.0).max() < 1e-14
+
+
+def _node_sum_basis_grams(labels, level):
+    # brute force: sqrt(d_x) D^x(g) E^x(u, r) at every Haar node g, every
+    # direction node u (the c = 0 nodes of the same rule) and every radial
+    # node r, with E^x(u, r) = D^x(u) diag(e^{r m}) D^x(u)^dagger; one Haar
+    # node at a time, summed over the whole direction x radial set
+    g_rule = su2_haar_rule(max(1, math.ceil(2 * max(labels))))
+    r_rule = radial_rule(level, tilt=4.0 * max(labels))
+    (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
+    dirs = g_rule.nodes.reshape(len(w_a), len(w_u), len(w_c), 2, 2)[:, :, 0]
+    w_ur = np.multiply.outer(np.outer(w_a, w_u), r_rule.weights).reshape(-1)
+    irs = [irrep(SU2, lab) for lab in labels]
+    gauss = []
+    for ir in irs:
+        d_u = np.array([rep_unitary(ir, GroupPoint(SU2, u))
+                        for u in dirs.reshape(-1, 2, 2)])
+        grow = np.exp(np.outer(r_rule.nodes[:, 0], ir.weight_diag()))
+        gauss.append(np.einsum("upk,rk,uqk->urpq", d_u, grow, d_u.conj())
+                     .reshape(-1, ir.dim, ir.dim))
+    n = sum(ir.dim ** 2 for ir in irs)
+    hl2 = np.zeros((n, n), dtype=complex)
+    l2 = np.zeros((n, n), dtype=complex)
+    for node, w_g in zip(g_rule.nodes, g_rule.weights):
+        d_g = [rep_unitary(ir, GroupPoint(SU2, node)) for ir in irs]
+        flat = np.concatenate([math.sqrt(ir.dim) * d.reshape(-1)
+                               for ir, d in zip(irs, d_g)])
+        holo = np.concatenate([math.sqrt(ir.dim) * (d @ e).reshape(len(e), -1)
+                               for ir, d, e in zip(irs, d_g, gauss)], axis=1)
+        l2 += w_g * np.outer(flat, flat.conj())
+        hl2 += w_g * ((holo.T * w_ur) @ holo.conj())
+    return hl2, l2
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0])
+def test_su2_basis_grams_match_node_sum(cutoff):
+    from quantlab.coherent_transform import _basis_grams
+
+    labels = irrep_labels(SU2, cutoff)
+    want_hl2, want_l2 = _node_sum_basis_grams(labels, 3)
+    hl2, l2 = _basis_grams(SU2, labels, 3)
+    assert _relative_to_diagonal(hl2, want_hl2) <= 1e-13
+    assert np.abs(l2 - want_l2).max() <= 1e-13
 
 
 def test_gram_entries_stable_under_cutoff_growth():
