@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .coherent_transform import (
     equivariance_certificate,
+    irrep_labels,
     sigma,  # not called here: the benchmark tracer's self-test patches it
     sigma_oracle_certificate,
     spin_weighted_gram,
@@ -111,6 +112,15 @@ class SuiteConfig:
             raise UsageError("tolerance override must be positive")
         if self.cutoff is not None and not self.cutoff > 0:
             raise UsageError("cutoff override must be positive")
+        # labels grow with the cutoff, and every model's second label
+        # lies within cutoff 1, so capping it keeps t2's check small
+        if self.cutoff is not None and len(irrep_labels(
+                get_model(self.model), min(self.cutoff, 1.0))) < 2:
+            raise UsageError(
+                f"cutoff {self.cutoff:g} leaves a single irrep label on "
+                f"{self.model}, and a one-label basis passes every check "
+                "trivially"
+            )
         if self.level < 1:
             raise UsageError("quadrature level must be at least 1")
         if self.grid < 64:
@@ -208,20 +218,16 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
     ]
 
 
-# the transform suite's default cutoff: t2's basis grows as (2 c + 1)^2
-_TRANSFORM_CUTOFF = {"u1": 8, "t2": 3, "su2": 2.0}
-
-
 def _suite_transform(cfg: SuiteConfig) -> list[CheckReport]:
+    # a cutoff of None keeps each certificate's DEFAULT_CUTOFF for the model
     model = get_model(cfg.model)
-    cutoff = cfg.cutoff or _TRANSFORM_CUTOFF[cfg.model]
     level = max(cfg.level, 4)
     return [
-        sigma_oracle_certificate(model, cutoff, level=level, **_tol(cfg)),
-        unitarity_certificate(model, cutoff=cutoff, level=cfg.level),
-        equivariance_certificate(model, cutoff=cutoff, samples=10,
+        sigma_oracle_certificate(model, cfg.cutoff, level=level, **_tol(cfg)),
+        unitarity_certificate(model, cutoff=cfg.cutoff, level=cfg.level),
+        equivariance_certificate(model, cutoff=cfg.cutoff, samples=10,
                                  seed=cfg.seed),
-        spin_weighted_gram(model, cutoff=cutoff, level=level),
+        spin_weighted_gram(model, cutoff=cfg.cutoff, level=level),
     ]
 
 

@@ -58,13 +58,13 @@ __all__ = [
     "spin_weighted_gram",
 ]
 
-DEFAULT_CUTOFF = {"abelian": 8, "su2": 2.0}
+# the cutoff a certificate uses when given none: t2's basis grows as
+# (2 c + 1)^2, so it stops lower than u1
+DEFAULT_CUTOFF = {"u1": 8, "t2": 3, "su2": 2.0}
 
 
 def _default_cutoff(model: LieModel, cutoff):
-    if cutoff is not None:
-        return cutoff
-    return DEFAULT_CUTOFF["abelian" if model.is_abelian else "su2"]
+    return DEFAULT_CUTOFF[model.name] if cutoff is None else cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +194,12 @@ def _validate_irrep(ir: Irrep) -> None:
 
 def irrep_labels(model: LieModel, cutoff) -> list:
     """All labels up to the cutoff: |n_k| <= cutoff componentwise for torus
-    models, j in {0, 1/2, ..., cutoff} for the non-abelian model."""
+    models, j in {0, 1/2, ..., cutoff} for the non-abelian model, with the
+    1e-12 slack of ``_label_within``."""
     if model.is_abelian:
         n = int(cutoff)
         return list(itertools.product(range(-n, n + 1), repeat=model.rank))
-    steps = int(round(2 * float(cutoff)))
+    steps = math.floor(2.0 * (float(cutoff) + 1e-12))
     return [k / 2.0 for k in range(steps + 1)]
 
 
@@ -323,11 +324,12 @@ def _sigma_closed_form(model: LieModel, label) -> float:
     return float(4 * math.pi * total / dim)
 
 
-def sigma_oracle_certificate(model: LieModel, cutoff, level: int = 4,
+def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
                              tolerance: float = 1e-10) -> CheckReport:
     """sigma by quadrature against its closed form, relative error, over
     every label within the cutoff; torus labels stop at 8, where the
     untilted Gauss-Hermite rule still resolves e^{2 n.y}."""
+    cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff if not model.is_abelian else
                           min(cutoff, 8))
     worst = 0.0
@@ -389,8 +391,8 @@ def group_action(f: PeterWeylVector, h1: GroupPoint,
     coefficient blocks: C -> conj(pi(h1)) C pi(h2)^T.  On a torus every
     block is 1x1, so the action is one phase per key, conj(e^{i n.x1})
     e^{i n.x2}."""
-    x1 = unitary_log(h1).coords
-    x2 = unitary_log(h2).coords
+    x1 = unitary_log(h1)
+    x2 = unitary_log(h2)
     if f.model.is_abelian:
         keys = list(f.coeffs)
         n = np.array([k[0] for k in keys], float).reshape(-1, f.model.rank)

@@ -23,29 +23,19 @@ the block formulas have removable singularities there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from quantlab.lie_core import (
-    AlgebraVec,
-    GroupPoint,
     LieModel,
     _exp_matrices,
-    algebra_vec,
-    coords_from_matrix,
     coords_from_matrix_batch,
-    exp_alg,
     exp_alg_batch,
 )
 from quantlab.report import CheckReport
 
 __all__ = [
-    "BasePoint",
     "omega_batch",
-    "dphi_matrix",
     "dphi_batch",
-    "complex_structure_J",
     "complex_structure_batch",
     "metric_batch",
     "j_squared_certificate",
@@ -53,12 +43,6 @@ __all__ = [
     "completeness_certificate",
     "polar_differential_certificate",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BasePoint:
-    x: GroupPoint
-    Y: AlgebraVec
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +109,6 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def dphi_matrix(Y: AlgebraVec) -> np.ndarray:
-    return dphi_batch(Y.model, Y.coords[None, :])[0]
-
-
 def _flat_J(n: int) -> np.ndarray:
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = -np.eye(n)
@@ -142,10 +122,6 @@ def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     dphi = dphi_batch(model, ys)
     je = _flat_J(model.dim)
     return np.linalg.solve(dphi, np.einsum("ij,mjk->mik", je, dphi))
-
-
-def complex_structure_J(Y: AlgebraVec) -> np.ndarray:
-    return complex_structure_batch(Y.model, Y.coords[None, :])[0]
 
 
 def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -211,15 +187,13 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
     z -> exp(iY) exp(z) and transported through the polar differential."""
     n = model.dim
     y = np.asarray(y_coords, float)
-    center = exp_alg(
-        algebra_vec(model, np.zeros(n)), algebra_vec(model, y)
-    ).matrix
+    center = exp_alg_batch(model, np.zeros((1, n)), y[None])[0]
 
     def potential(gmat):
         w, vec = np.linalg.eigh(gmat.conj().T @ gmat)
-        coords = coords_from_matrix(
-            model, -0.5j * (vec @ np.diag(np.log(w)) @ vec.conj().T)
-        )
+        coords = coords_from_matrix_batch(
+            model, -0.5j * (vec @ np.diag(np.log(w)) @ vec.conj().T)[None]
+        )[0]
         return float(np.dot(coords, coords))
 
     def chart_value(z):
@@ -227,7 +201,7 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
         return potential(center @ _exp_matrices(model, zmat[None])[0])
 
     hess = _complex_hessian(chart_value, n)
-    dphi = dphi_matrix(algebra_vec(model, y))
+    dphi = dphi_batch(model, y[None])[0]
     om = omega_batch(model, y)[0]
     za = dphi[:n, :] + 1j * dphi[n:, :]
     rhs = -1j * (za.T @ hess @ np.conj(za) - (za.T @ hess @ np.conj(za)).T)

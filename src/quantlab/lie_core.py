@@ -13,16 +13,19 @@ All numeric examples and tolerances in the test suite are pinned to this
 normalization.  Everything downstream (densities, transforms, reduction)
 consumes a LieModel and stays model-generic where it can.
 
-Group operations come in stacked form: ``alg_to_matrix_batch``,
+Points have one representation: algebra elements are coordinate arrays,
+(n,) for one element and (N, n) for a stack, and group points are
+defining-representation matrices, (k, k) or (N, k, k), with n =
+``model.dim`` and k = ``model.defining_rep_dim``.  ``alg_to_matrix_batch``,
 ``coords_from_matrix_batch``, ``exp_alg_batch`` and ``adjoint_action_batch``
-take algebra coordinates as (N, n) arrays and defining-representation
-matrices as (N, k, k) arrays, with n = ``model.dim`` and
-k = ``model.defining_rep_dim``.  ``adjoint_action_batch`` checks unitarity
-once for the whole stack with ``is_unitary_batch``, the one predicate behind
-``GroupPoint.is_unitary`` as well: max |m m* - I| <= 1e-10 over every
-entry of every matrix.  The scalar ``alg_to_matrix``, ``coords_from_matrix``,
-``exp_alg`` and ``adjoint_action`` are one-row calls of the stacked ones, so
-a row of a stack and the scalar result agree exactly.
+work on stacks only; a caller with one point passes a one-row stack and
+takes row 0, so one point and a row of a stack are computed by the same
+code.  ``adjoint_action_batch`` checks unitarity once for the whole stack
+with ``is_unitary_batch``, the one predicate behind ``GroupPoint.is_unitary``
+as well: max |m m* - I| <= 1e-10 over every entry of every matrix.
+``GroupPoint`` wraps one such matrix only where a single group point is
+the natural unit: the result of ``random_group_point`` and the argument of
+``unitary_log`` and of the coherent transform's two-sided action.
 
 Types are immutable after construction and safe to share across threads.
 """
@@ -43,24 +46,16 @@ __all__ = [
     "LieModel",
     "RealRoot",
     "WeylElement",
-    "AlgebraVec",
     "GroupPoint",
     "get_model",
     "bracket",
-    "adjoint_action",
     "adjoint_action_batch",
-    "exp_alg",
     "exp_alg_batch",
     "weyl_group",
-    "algebra_vec",
-    "alg_to_matrix",
     "alg_to_matrix_batch",
-    "coords_from_matrix",
     "coords_from_matrix_batch",
     "is_unitary_batch",
-    "torus_point",
     "unitary_log",
-    "random_algebra",
     "random_group_point",
     "random_coords_batch",
     "validate_model",
@@ -145,18 +140,6 @@ class LieModel:
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebraVec:
-    """An algebra element by its coordinates in the orthonormal basis."""
-
-    model: LieModel
-    coords: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True, eq=False)
 class GroupPoint:
     """A group (or complexified-group) point in the defining representation.
 
@@ -184,16 +167,6 @@ def is_unitary_batch(mats: np.ndarray) -> bool:
     m = np.asarray(mats)
     resid = m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(m.shape[-1])
     return bool(np.abs(resid).max(initial=0.0) <= UNITARY_TOL)
-
-
-def algebra_vec(model: LieModel, coords: Sequence[float]) -> AlgebraVec:
-    arr = np.asarray(coords, dtype=float)
-    if arr.shape != (model.dim,):
-        raise ValueError(
-            f"expected {model.dim} coordinates for model {model.name!r}, "
-            f"got shape {arr.shape}"
-        )
-    return AlgebraVec(model, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +296,13 @@ def validate_model(model: LieModel) -> None:
 # operations
 
 
-def bracket(X: AlgebraVec, Y: AlgebraVec) -> AlgebraVec:
-    """Lie bracket [X, Y] by structure-constant contraction."""
-    if X.model is not Y.model:
-        raise ValueError("bracket arguments belong to different models")
-    c = X.model.structure_constants
-    out = np.einsum("i,j,ijk->k", X.coords, Y.coords, c)
-    return AlgebraVec(X.model, out)
+def bracket(model: LieModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lie bracket [x, y] of two (n,) coordinate arrays by
+    structure-constant contraction."""
+    if np.shape(x) != (model.dim,) or np.shape(y) != (model.dim,):
+        raise ValueError(f"bracket on {model.name} takes {model.dim} "
+                         "coordinates per argument")
+    return np.einsum("i,j,ijk->k", x, y, model.structure_constants)
 
 
 def alg_to_matrix_batch(model: LieModel, coords: np.ndarray) -> np.ndarray:
@@ -340,11 +313,6 @@ def alg_to_matrix_batch(model: LieModel, coords: np.ndarray) -> np.ndarray:
     return (coords @ model._generator_rows).reshape(-1, k, k)
 
 
-def alg_to_matrix(model: LieModel, coords: np.ndarray) -> np.ndarray:
-    """Defining-representation image of an algebra coordinate vector."""
-    return alg_to_matrix_batch(model, np.asarray(coords)[None, :])[0]
-
-
 def coords_from_matrix_batch(model: LieModel, mats: np.ndarray) -> np.ndarray:
     """Coordinates of a stack of (N, k, k) defining-rep algebra matrices
     (least-squares projection), as an (N, n) array."""
@@ -352,11 +320,6 @@ def coords_from_matrix_batch(model: LieModel, mats: np.ndarray) -> np.ndarray:
     flat = mats.reshape(mats.shape[0], -1, 1)
     # one matrix-vector product per row, the same product for any N
     return np.real(np.matmul(model._coord_proj, flat)[:, :, 0])
-
-
-def coords_from_matrix(model: LieModel, mat: np.ndarray) -> np.ndarray:
-    """Coordinates of a defining-rep algebra matrix (least-squares projection)."""
-    return coords_from_matrix_batch(model, np.asarray(mat)[None])[0]
 
 
 def adjoint_action_batch(model: LieModel, g_mats: np.ndarray,
@@ -372,15 +335,6 @@ def adjoint_action_batch(model: LieModel, g_mats: np.ndarray,
     m = (g_mats @ alg_to_matrix_batch(model, ys)
          @ np.conj(np.swapaxes(g_mats, -1, -2)))
     return coords_from_matrix_batch(model, m)
-
-
-def adjoint_action(g: GroupPoint, Y: AlgebraVec) -> AlgebraVec:
-    """Ad_g Y, computed by conjugation in the defining representation."""
-    model = g.model
-    if Y.model is not model:
-        raise ValueError("adjoint_action arguments belong to different models")
-    moved = adjoint_action_batch(model, g.matrix[None], Y.coords[None])
-    return AlgebraVec(model, moved[0])
 
 
 def _exp_matrices(model: LieModel, mats: np.ndarray) -> np.ndarray:
@@ -428,31 +382,8 @@ def exp_alg_batch(model: LieModel, ys: np.ndarray,
                              1j * alg_to_matrix_batch(model, complex_parts))
 
 
-def exp_alg(Y: AlgebraVec, complex_part: AlgebraVec | None = None) -> GroupPoint:
-    """The polar-form exponential: exp(Y) * exp(i * complex_part).
-
-    With a zero second argument this is the group exponential; with a zero
-    first argument it is the positive-definite Hermitian factor.
-    """
-    model = Y.model
-    cs = None
-    if complex_part is not None:
-        if complex_part.model is not model:
-            raise ValueError("exp_alg arguments belong to different models")
-        cs = complex_part.coords[None]
-    return GroupPoint(model, exp_alg_batch(model, Y.coords[None], cs)[0])
-
-
-def torus_point(model: LieModel, angles: Sequence[float]) -> GroupPoint:
-    """exp of an element of t given by torus coordinates."""
-    coords = np.zeros(model.dim)
-    for idx, a in zip(model.torus_indices, angles):
-        coords[idx] = a
-    return exp_alg(AlgebraVec(model, coords))
-
-
-def unitary_log(g: GroupPoint) -> AlgebraVec:
-    """A logarithm of a unitary group point, landing in the model's algebra.
+def unitary_log(g: GroupPoint) -> np.ndarray:
+    """Coordinates of a logarithm of a unitary group point.
 
     Torus models read angles off the diagonal (wrapped to (-pi, pi]).  For
     su(2) the branch is chosen traceless, so the center element -identity
@@ -466,7 +397,7 @@ def unitary_log(g: GroupPoint) -> AlgebraVec:
         coords = np.zeros(model.dim)
         for idx, a in zip(model.torus_indices, ang):
             coords[idx] = a
-        return AlgebraVec(model, coords)
+        return coords
     vals, vecs = np.linalg.eig(g.matrix)
     phi = float(np.angle(vals[0]))
     if abs(vals[0] - vals[1]) < 1e-12:
@@ -477,7 +408,7 @@ def unitary_log(g: GroupPoint) -> AlgebraVec:
         lam = np.diag(q.conj().T @ g.matrix @ q)
         phi = float(np.angle(lam[0]))
         mat = q @ np.diag([1j * phi, -1j * phi]) @ q.conj().T
-    return AlgebraVec(model, coords_from_matrix(model, mat))
+    return coords_from_matrix_batch(model, mat[None])[0]
 
 
 def weyl_group(model: LieModel) -> list[WeylElement]:
@@ -513,11 +444,6 @@ def weyl_group(model: LieModel) -> list[WeylElement]:
 
 # ---------------------------------------------------------------------------
 # sampling helpers shared by the test suites
-
-
-def random_algebra(model: LieModel, rng: np.random.Generator,
-                   scale: float = 1.0) -> AlgebraVec:
-    return AlgebraVec(model, scale * rng.standard_normal(model.dim))
 
 
 def random_coords_batch(model: LieModel, rng: np.random.Generator,

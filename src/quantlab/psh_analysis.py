@@ -24,15 +24,12 @@ from typing import Callable
 import numpy as np
 
 from quantlab import density_weights as dw
-from quantlab.kahler_geom import BasePoint, complex_structure_J, dphi_matrix
+from quantlab.kahler_geom import complex_structure_batch, dphi_batch
 from quantlab.lie_core import (
-    AlgebraVec,
-    GroupPoint,
     LieModel,
-    adjoint_action,
-    algebra_vec,
+    adjoint_action_batch,
     bracket,
-    exp_alg,
+    exp_alg_batch,
 )
 from quantlab.report import CheckReport
 
@@ -173,33 +170,34 @@ def _flat_gradient(K: InvariantPotential, y_coords: np.ndarray) -> np.ndarray:
     return slope * y_coords
 
 
-def mu_gradient(K: InvariantPotential, p: BasePoint) -> AlgebraVec:
-    """The equivariant moment-style map: Ad_x applied to the invariant
-    gradient of the potential at Y."""
-    model = K.model
-    flat = _flat_gradient(K, p.Y.coords)
-    return adjoint_action(p.x, AlgebraVec(model, flat))
+def mu_gradient(K: InvariantPotential, x: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """The equivariant moment-style map at (x, Y), for a (k, k) group
+    matrix x and (n,) coordinates y: Ad_x applied to the invariant gradient
+    of the potential at Y."""
+    flat = _flat_gradient(K, np.asarray(y, float))
+    return adjoint_action_batch(K.model, np.asarray(x)[None], flat[None])[0]
 
 
-def _torus_part_checked(Y: AlgebraVec) -> np.ndarray:
-    model = Y.model
+def _torus_part_checked(model: LieModel, y: np.ndarray) -> np.ndarray:
     tidx = list(model.torus_indices)
-    off = np.delete(Y.coords, tidx)
+    off = np.delete(y, tidx)
     if off.size and np.abs(off).max() > 1e-12:
         raise ValueError("expected a point of t")
-    return Y.coords[tidx]
+    return y[tidx]
 
 
-def theta_spectrum(K: InvariantPotential, Y: AlgebraVec) -> SpectrumReport:
+def theta_spectrum(K: InvariantPotential, y: np.ndarray) -> SpectrumReport:
     """Closed-form spectrum of the hermitian curvature endomorphism at a
-    torus point: Hessian eigenvalues plus one value per root.
+    torus point, given by (n,) coordinates y: Hessian eigenvalues plus one
+    value per root.
 
     Within 1e-6 of a root hyperplane the root value switches to its limit
     form: the across-wall second derivative of the potential times
     (alpha(Y) coth(alpha(Y)) + alpha(Y)).
     """
     model = K.model
-    t = _torus_part_checked(Y)
+    t = _torus_part_checked(model, np.asarray(y, float))
     hess = K.hess(t)
     heigs = np.linalg.eigvalsh(hess)
     grad = K.grad(t)
@@ -230,9 +228,9 @@ def theta_spectrum(K: InvariantPotential, Y: AlgebraVec) -> SpectrumReport:
     )
 
 
-def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
-    """Finite-difference assembly of the hermitian endomorphism whose
-    spectrum theta_spectrum predicts.
+def theta_matrix_oracle(K: InvariantPotential, y: np.ndarray) -> np.ndarray:
+    """Finite-difference assembly, at the torus point with (n,) coordinates
+    y, of the hermitian endomorphism whose spectrum theta_spectrum predicts.
 
     Column k: the covariant derivative of the equivariant gradient along
     the horizontal direction J(e_k, 0), minus i times the bracket with the
@@ -240,19 +238,18 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
     reading of the direction; derivatives are central differences with one
     Richardson extrapolation step.
     """
-    model = Y.model
+    model = K.model
     n = model.dim
-    _torus_part_checked(Y)
-    jmat = complex_structure_J(Y)
+    y = np.asarray(y, float)
+    _torus_part_checked(model, y)
+    jmat = complex_structure_batch(model, y[None])[0]
     # (1 - cos ad Y)/ad Y is the upper-right block of the polar differential
-    q_block = dphi_matrix(Y)[:n, n:]
-    identity = GroupPoint(model, np.eye(model.defining_rep_dim, dtype=complex))
-    mu0 = mu_gradient(K, BasePoint(identity, Y)).coords
+    q_block = dphi_batch(model, y[None])[0][:n, n:]
+    mu0 = mu_gradient(K, np.eye(model.defining_rep_dim, dtype=complex), y)
 
     def mu_along(h1: np.ndarray, h2: np.ndarray, s: float) -> np.ndarray:
-        x = exp_alg(AlgebraVec(model, s * h1))
-        y = AlgebraVec(model, Y.coords + s * h2)
-        return mu_gradient(K, BasePoint(x, y)).coords
+        x = exp_alg_batch(model, (s * h1)[None])[0]
+        return mu_gradient(K, x, y + s * h2)
 
     def dmu(h1: np.ndarray, h2: np.ndarray, h: float) -> np.ndarray:
         d1 = (mu_along(h1, h2, h) - mu_along(h1, h2, -h)) / (2 * h)
@@ -260,7 +257,6 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
         return (4.0 * d2 - d1) / 3.0
 
     out = np.zeros((n, n), dtype=complex)
-    muvec = AlgebraVec(model, mu0)
     for k in range(n):
         unit = np.zeros(2 * n)
         unit[k] = 1.0
@@ -268,13 +264,8 @@ def theta_matrix_oracle(K: InvariantPotential, Y: AlgebraVec) -> np.ndarray:
         h1, h2 = hvec[:n], hvec[n:]
         deriv = dmu(h1, h2, 1e-5)
         conn = h1 - q_block @ h2
-        covariant = deriv - bracket(
-            AlgebraVec(model, conn), muvec
-        ).coords
-        ek = np.zeros(n)
-        ek[k] = 1.0
-        out[:, k] = covariant - 1j * bracket(muvec, AlgebraVec(model, ek)
-                                             ).coords
+        covariant = deriv - bracket(model, conn, mu0)
+        out[:, k] = covariant - 1j * bracket(model, mu0, unit[:n])
     herm_defect = float(np.abs(out - out.conj().T).max())
     if herm_defect > 1e-8:
         raise ArithmeticError(
@@ -298,7 +289,7 @@ def psh_verdict(
     for t in grid:
         coords = np.zeros(model.dim)
         coords[list(model.torus_indices)] = t
-        rep = theta_spectrum(K, AlgebraVec(model, coords))
+        rep = theta_spectrum(K, coords)
         if rep.min_eigenvalue < worst_val:
             worst_val = rep.min_eigenvalue
             worst_point = t.copy()
@@ -383,9 +374,8 @@ def oracle_agreement_certificate(
         for yval in ys:
             coords = np.zeros(model.dim)
             coords[-1] = yval
-            Y = algebra_vec(model, coords)
-            closed = theta_spectrum(K, Y).all_values()
-            oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, Y))
+            closed = theta_spectrum(K, coords).all_values()
+            oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, coords))
             worst = max(worst, _spectra_gap(closed, oracle))
             points += 1
     return CheckReport.from_error(
@@ -411,7 +401,7 @@ def wall_limit_certificate(
     if not model.is_abelian:
         for preset in _PRESETS:
             K = make_potential(model, preset)
-            rep = theta_spectrum(K, algebra_vec(model, [0, 0, yval]))
+            rep = theta_spectrum(K, np.array([0.0, 0.0, yval]))
             hess0 = float(K.hess(np.array([0.0]))[0, 0])
             for (cov,), val in rep.root_eigenvalues:
                 ay = cov * yval
@@ -439,10 +429,7 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
         for row in curve_pts:
             coords = np.zeros(model.dim)
             coords[-model.rank :] = row
-            vals.append(
-                float(theta_spectrum(K, algebra_vec(model, coords))
-                      .min_eigenvalue)
-            )
+            vals.append(float(theta_spectrum(K, coords).min_eigenvalue))
         curves[preset] = vals
     return CheckReport.from_error(
         "psh.spectrum_curve",

@@ -30,33 +30,23 @@ from quantlab.coherent_transform import (
     irrep_labels,
 )
 from quantlab.density_weights import weyl_denominator
-from quantlab.kahler_geom import BasePoint
 from quantlab.lie_core import (
-    AlgebraVec,
-    GroupPoint,
     LieModel,
-    adjoint_action,
     adjoint_action_batch,
-    alg_to_matrix,
-    algebra_vec,
-    exp_alg,
+    alg_to_matrix_batch,
     exp_alg_batch,
     random_coords_batch,
     random_group_point,
-    torus_point,
     weyl_group,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
 from quantlab.report import CheckReport
 
 __all__ = [
-    "ZeroSetPoint",
     "ReducedRepresentative",
     "ReducedFunction",
-    "momentum_map",
     "momentum_map_batch",
     "momentum_equivariance_certificate",
-    "zero_set_point",
     "torus_representative",
     "weyl_canonicalize",
     "round_trip_certificate",
@@ -75,26 +65,18 @@ def momentum_map_batch(model: LieModel, g_mats: np.ndarray,
     return adjoint_action_batch(model, g_mats, ys) - ys
 
 
-def momentum_map(p: BasePoint) -> AlgebraVec:
-    """j(g, Y) = Ad_g Y - Y."""
-    model = p.Y.model
-    if p.x.model is not model:
-        raise ValueError("momentum_map arguments belong to different models")
-    j = momentum_map_batch(model, p.x.matrix[None], p.Y.coords[None])
-    return AlgebraVec(model, j[0])
-
-
 def momentum_equivariance_certificate(
     model: LieModel, rng: np.random.Generator, seed: int,
     samples: int = 10_000, tolerance: float = 1e-10,
 ) -> CheckReport:
     """j(h g h^-1, Ad_h Y) = Ad_h j(g, Y) at random (g, Y, h).
 
-    Each sample draws g, then Y, then h from ``rng``, as a
-    ``random_group_point``, ``random_algebra``, ``random_group_point``
-    sequence would, so a caller that keeps drawing from ``rng`` afterwards
-    sees the same stream; ``seed`` is the seed ``rng`` was made from,
-    recorded in the report.
+    Each sample draws g, then Y, then h from ``rng``: a
+    ``random_group_point``, a standard-normal coordinate vector, and a
+    ``random_group_point`` again, through ``random_coords_batch``, which
+    consumes the stream exactly as that per-sample sequence would.  So a
+    caller that keeps drawing from ``rng`` afterwards sees the same stream;
+    ``seed`` is the seed ``rng`` was made from, recorded in the report.
     """
     g_c, ys, h_c = random_coords_batch(model, rng, samples,
                                        ("group", "algebra", "group"))
@@ -116,28 +98,14 @@ def momentum_equivariance_certificate(
 
 
 @dataclass(frozen=True, eq=False)
-class ZeroSetPoint:
-    p: BasePoint
-    residual: float
-
-    def __post_init__(self) -> None:
-        if not self.residual < ZERO_SET_TOL:
-            raise ValueError(
-                f"momentum residual {self.residual:g} exceeds the zero-set "
-                f"tolerance {ZERO_SET_TOL:g}"
-            )
-
-
-def zero_set_point(p: BasePoint) -> ZeroSetPoint:
-    return ZeroSetPoint(p, momentum_map(p).norm)
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedRepresentative:
-    t: GroupPoint
-    Y0: AlgebraVec
-    conjugator: GroupPoint
-    weyl_canonical: bool = False
+    """A point (t, Y0) of T x t as a (k, k) torus matrix and (n,)
+    coordinates, with the (k, k) conjugator h that carried the original
+    pair (g, Y) there: h g h^-1 = t and Ad_h Y = Y0."""
+
+    t: np.ndarray
+    Y0: np.ndarray
+    conjugator: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,18 +120,16 @@ class ReducedFunction:
         return float(self.rule.weights @ (np.abs(self.values) ** 2))
 
 
-def _su2_torus_angle(t: GroupPoint) -> float:
+def _su2_torus_angle(t: np.ndarray) -> float:
     # t = diag(e^{-i tau/2}, e^{i tau/2}); wrapped to [0, 4 pi)
-    tau = 2.0 * float(np.angle(t.matrix[1, 1]))
+    tau = 2.0 * float(np.angle(t[1, 1]))
     return tau % (4.0 * math.pi)
 
 
 def _clean_torus_pair(model: LieModel, t_mat: np.ndarray,
                       y_coords: np.ndarray):
-    """Project a numerically diagonal pair onto the exact torus data,
+    """Project a numerically diagonal su2 pair onto the exact torus data,
     verifying the discarded parts are below 1e-9."""
-    if model.is_abelian:
-        return GroupPoint(model, t_mat), AlgebraVec(model, y_coords)
     off = max(abs(t_mat[0, 1]), abs(t_mat[1, 0]),
               abs(y_coords[0]), abs(y_coords[1]))
     if off > 1e-9:
@@ -171,9 +137,8 @@ def _clean_torus_pair(model: LieModel, t_mat: np.ndarray,
             f"simultaneous diagonalization left residual {off:g}"
         )
     tau = 2.0 * float(np.angle(t_mat[1, 1]))
-    t = torus_point(model, [tau])
-    y0 = AlgebraVec(model, np.array([0.0, 0.0, float(y_coords[2])]))
-    return t, y0
+    t = exp_alg_batch(model, np.array([[0.0, 0.0, tau]]))[0]
+    return t, np.array([0.0, 0.0, float(y_coords[2])])
 
 
 def _unit_eigenvector(mat: np.ndarray) -> np.ndarray:
@@ -192,32 +157,39 @@ def _unit_eigenvector(mat: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0 else np.array([1.0 + 0j, 0j])
 
 
-def torus_representative(zp: ZeroSetPoint) -> ReducedRepresentative:
-    """A conjugator h with (h g h^{-1}, Ad_h Y) in T x t.
+def torus_representative(model: LieModel, g: np.ndarray,
+                         y: np.ndarray) -> ReducedRepresentative:
+    """A conjugator h with (h g h^{-1}, Ad_h Y) in T x t, for a (k, k)
+    group matrix g and (n,) coordinates y of a point of the zero set.
 
-    The pair commutes on the zero set, so the defining-representation
-    matrices are simultaneously diagonalizable, and the normal matrix of
-    a generic linear mix diagonalizes both at once.  Its 2x2 Schur basis is
-    one unit eigenvector v and its orthogonal complement, which together
-    form the SU(2) matrix [[v0, -v1*], [v1, v0*]].  Mix weights are retried
-    before declaring the problem defective.
+    Raises ValueError unless the momentum residual |j(g, Y)| is below
+    ZERO_SET_TOL.  The pair commutes on the zero set, so the
+    defining-representation matrices are simultaneously diagonalizable, and
+    the normal matrix of a generic linear mix diagonalizes both at once.
+    Its 2x2 Schur basis is one unit eigenvector v and its orthogonal
+    complement, which together form the SU(2) matrix
+    [[v0, -v1*], [v1, v0*]].  Mix weights are retried before declaring the
+    problem defective.
     """
-    model = zp.p.Y.model
+    g = np.asarray(g)
+    y = np.asarray(y, float)
+    residual = float(np.linalg.norm(momentum_map_batch(model, g[None],
+                                                       y[None])[0]))
+    if not residual < ZERO_SET_TOL:
+        raise ValueError(
+            f"momentum residual {residual:g} exceeds the zero-set "
+            f"tolerance {ZERO_SET_TOL:g}"
+        )
     if model.is_abelian:
         return ReducedRepresentative(
-            zp.p.x, zp.p.Y, GroupPoint(model, np.eye(model.defining_rep_dim,
-                                                     dtype=complex))
-        )
-    g_mat = zp.p.x.matrix
-    y_mat = alg_to_matrix(model, zp.p.Y.coords)
-    herm = 1j * y_mat
+            g, y, np.eye(model.defining_rep_dim, dtype=complex))
+    herm = 1j * alg_to_matrix_batch(model, y[None])[0]
     for lam in (0.7310585786300049, 0.31830988618367, 1.9021605823):
-        mix = g_mat + lam * herm
-        v = _unit_eigenvector(mix)
+        v = _unit_eigenvector(g + lam * herm)
         z = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
-        h = GroupPoint(model, z.conj().T)
-        t_mat = h.matrix @ g_mat @ h.matrix.conj().T
-        y_new = adjoint_action(h, zp.p.Y).coords
+        h = z.conj().T
+        t_mat = h @ g @ h.conj().T
+        y_new = adjoint_action_batch(model, h[None], y[None])[0]
         try:
             t, y0 = _clean_torus_pair(model, t_mat, y_new)
         except ArithmeticError:
@@ -226,37 +198,24 @@ def torus_representative(zp: ZeroSetPoint) -> ReducedRepresentative:
     raise ArithmeticError("no mix weight produced a joint diagonalization")
 
 
-def _weyl_flip_element(model: LieModel) -> GroupPoint:
-    # exp(pi e1) swaps the torus diagonal and negates t
-    return exp_alg(AlgebraVec(model, np.array([math.pi, 0.0, 0.0])))
-
-
-def weyl_canonicalize(rep: ReducedRepresentative) -> ReducedRepresentative:
+def weyl_canonicalize(model: LieModel,
+                      rep: ReducedRepresentative) -> ReducedRepresentative:
     """The unique fundamental-domain representative: y > 0 kept, y < 0
-    flipped, and the |y| <= 1e-12 boundary tie-broken by normalizing the
-    torus angle into its own fundamental arc.  Idempotent."""
-    model = rep.Y0.model
+    flipped, and on the |y| <= 1e-12 boundary Y0 set to 0 and the torus
+    angle flipped into its own fundamental arc [0, 2 pi].  The flip
+    conjugates by exp(pi e1), which swaps the torus diagonal and negates t.
+    Idempotent."""
     if model.is_abelian:
-        return ReducedRepresentative(rep.t, rep.Y0, rep.conjugator, True)
-    y = float(rep.Y0.coords[2])
-    flip = _weyl_flip_element(model)
-    if y < -1e-12:
-        t = GroupPoint(model, flip.matrix @ rep.t.matrix
-                       @ flip.matrix.conj().T)
-        y0 = AlgebraVec(model, -rep.Y0.coords)
-        h = GroupPoint(model, flip.matrix @ rep.conjugator.matrix)
-        return ReducedRepresentative(t, y0, h, True)
-    if abs(y) <= 1e-12:
-        tau = _su2_torus_angle(rep.t)
-        if tau > 2.0 * math.pi + 1e-12:
-            t = GroupPoint(model, flip.matrix @ rep.t.matrix
-                           @ flip.matrix.conj().T)
-            h = GroupPoint(model, flip.matrix @ rep.conjugator.matrix)
-            y0 = AlgebraVec(model, np.zeros(model.dim))
-            return ReducedRepresentative(t, y0, h, True)
-        y0 = AlgebraVec(model, np.zeros(model.dim))
-        return ReducedRepresentative(rep.t, y0, rep.conjugator, True)
-    return ReducedRepresentative(rep.t, rep.Y0, rep.conjugator, True)
+        return rep
+    y = float(rep.Y0[2])
+    on_wall = abs(y) <= 1e-12
+    y0 = np.zeros(model.dim) if on_wall else rep.Y0
+    if y < -1e-12 or (on_wall
+                      and _su2_torus_angle(rep.t) > 2.0 * math.pi + 1e-12):
+        flip = exp_alg_batch(model, np.array([[math.pi, 0.0, 0.0]]))[0]
+        return ReducedRepresentative(flip @ rep.t @ flip.conj().T, -y0,
+                                     flip @ rep.conjugator)
+    return ReducedRepresentative(rep.t, y0, rep.conjugator)
 
 
 def round_trip_certificate(
@@ -271,36 +230,30 @@ def round_trip_certificate(
     random_group_point h, and reduces (h t h^-1, Ad_h y e3).  ``seed`` is
     the seed ``rng`` was made from, recorded in the report.
     """
+    def reduce(g, y):
+        return weyl_canonicalize(model, torus_representative(model, g, y))
+
     worst = 0.0
     for _ in range(trips):
         if model.is_abelian:
             tau = rng.uniform(0, 2 * math.pi, size=model.rank)
-            yv = rng.uniform(-2, 2, size=model.rank)
-            t0 = torus_point(model, tau)
-            y0 = algebra_vec(model, yv)
-            p = BasePoint(t0, y0)
-            rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
-            worst = max(
-                worst,
-                float(np.abs(rep.t.matrix - t0.matrix).max()),
-                float(np.abs(rep.Y0.coords - y0.coords).max()),
-            )
-            continue
-        tau = rng.uniform(0.3, 5.5)
-        yv = rng.uniform(-2, 2)
-        h0 = random_group_point(model, rng)
-        t0 = torus_point(model, [tau])
-        y0 = algebra_vec(model, [0, 0, yv])
-        g = GroupPoint(model, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
-        p = BasePoint(g, adjoint_action(h0, y0))
-        rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
-        direct = weyl_canonicalize(
-            torus_representative(zero_set_point(BasePoint(t0, y0)))
-        )
+            y0 = rng.uniform(-2, 2, size=model.rank)
+            t0 = exp_alg_batch(model, tau[None])[0]
+            rep = reduce(t0, y0)
+        else:
+            tau = rng.uniform(0.3, 5.5)
+            yv = rng.uniform(-2, 2)
+            h0 = random_group_point(model, rng).matrix
+            t0 = exp_alg_batch(model, np.array([[0.0, 0.0, tau]]))[0]
+            y0 = np.array([0.0, 0.0, yv])
+            rep = reduce(h0 @ t0 @ h0.conj().T,
+                         adjoint_action_batch(model, h0[None], y0[None])[0])
+            direct = reduce(t0, y0)
+            t0, y0 = direct.t, direct.Y0
         worst = max(
             worst,
-            float(np.abs(rep.t.matrix - direct.t.matrix).max()),
-            float(np.abs(rep.Y0.coords - direct.Y0.coords).max()),
+            float(np.abs(rep.t - t0).max()),
+            float(np.abs(rep.Y0 - y0).max()),
         )
     return CheckReport.from_error(
         "reduction.round_trip",

@@ -48,6 +48,36 @@ def test_config_validation():
         SuiteConfig(seed=-1)
 
 
+@pytest.mark.parametrize("model,cutoff", [("su2", 0.2), ("su2", 0.49),
+                                          ("u1", 0.9), ("t2", 0.5)])
+def test_cutoff_leaving_one_label_is_a_usage_error(model, cutoff, capsys):
+    # a one-label basis makes unitarity, equivariance and spin_gram read
+    # exactly 0, a pass that shows nothing
+    with pytest.raises(UsageError, match="single irrep label"):
+        SuiteConfig(model=model, cutoff=cutoff)
+    assert main(["run", "--model", model, "--suite", "transform",
+                 "--cutoff", str(cutoff)]) == 2
+    assert "single irrep label" in capsys.readouterr().err
+    # the smallest cutoff with a second label is accepted
+    SuiteConfig(model=model, cutoff=0.5 if model == "su2" else 1.0)
+
+
+def test_cli_su2_cutoff_between_half_integers(tmp_path):
+    # cutoff 1.8 keeps the spins 0 .. 1.5 and no spin above it
+    out = tmp_path / "r.json"
+    for suite in ("transform", "reduction"):
+        assert main(["run", "--model", "su2", "--suite", suite,
+                     "--cutoff", "1.8", "--out", str(out)]) == 0
+        checks = {c["check_id"]: c for c in
+                  json.loads(out.read_text())["checks"]}
+        if suite == "transform":
+            spin_gram = checks["transform.spin_gram.su2"]["metadata"]
+            assert spin_gram["labels"] == ["0.0", "0.5", "1.0", "1.5"]
+        else:
+            qr = checks["reduction.qr_commutes.su2"]["metadata"]
+            assert qr["dimension"] == 4
+
+
 def test_parse_config_file(tmp_path):
     p = tmp_path / "cfg"
     p.write_text(

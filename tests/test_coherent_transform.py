@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import erf, logsumexp
 from scipy.stats import norm, qmc
 
@@ -21,8 +23,7 @@ from quantlab.coherent_transform import (
 )
 from quantlab.lie_core import (
     GroupPoint,
-    algebra_vec,
-    exp_alg,
+    exp_alg_batch,
     get_model,
     random_group_point,
     unitary_log,
@@ -64,7 +65,7 @@ def sigma_su2_closed(j: float) -> float:
 
 def rep_unitary(ir, g):
     # pi(g) for a unitary group point, via the exponentiated log
-    return ir._rep_exp(unitary_log(g).coords)
+    return ir._rep_exp(unitary_log(g))
 
 
 def phi_kernel(tmat, table):
@@ -158,9 +159,9 @@ def test_rep_unitary_is_homomorphism():
 def test_character_on_torus_points():
     ir = irrep(SU2, 1.0)
     for tau in (0.3, 1.7, -2.2):
-        g = exp_alg(algebra_vec(SU2, [0, 0, tau]))
+        g = exp_alg_batch(SU2, np.array([[0.0, 0.0, tau]]))[0]
         want = sum(np.exp(1j * m * tau) for m in (-1, 0, 1))
-        assert abs(ir.character(g.matrix) - want) < 1e-12
+        assert abs(ir.character(g) - want) < 1e-12
 
 
 def test_sigma_u1_against_closed_form():
@@ -295,9 +296,9 @@ def test_transform_su2_character_against_quadrature():
     table = build_sigma_table(SU2, cutoff)
     rule = su2_haar_rule(3)
     ir = irrep(SU2, 0.5)
-    tpoint = exp_alg(
-        algebra_vec(SU2, [0.2, -0.1, 0.4]), algebra_vec(SU2, [0.0, 0.0, 0.3])
-    ).matrix
+    tpoint = exp_alg_batch(
+        SU2, np.array([[0.2, -0.1, 0.4]]), np.array([[0.0, 0.0, 0.3]])
+    )[0]
     vals = np.empty(rule.nodes.shape[0], dtype=complex)
     for i, x in enumerate(rule.nodes):
         vals[i] = ir.character(x) * phi_kernel(
@@ -617,3 +618,14 @@ def test_spin_weighted_gram_torus_trivial():
     rep = spin_weighted_gram(U1, 4)
     assert rep.passed
     assert rep.metadata["eta_diagonal"] == rep.metadata["flat_diagonal"]
+
+
+@given(st.floats(0.0, 8.0, exclude_min=True))
+def test_su2_irrep_labels_are_the_half_integers_within_the_cutoff(cutoff):
+    # with the 1e-12 slack that PeterWeylVector applies to its keys, so
+    # every label is accepted and the next half-integer is refused
+    labels = irrep_labels(SU2, cutoff)
+    assert labels == [k / 2.0 for k in range(17) if k / 2.0 <= cutoff + 1e-12]
+    PeterWeylVector(SU2, cutoff, {(labels[-1], 0, 0): 1.0})
+    with pytest.raises(ValueError, match="exceeds cutoff"):
+        PeterWeylVector(SU2, cutoff, {(labels[-1] + 0.5, 0, 0): 1.0})

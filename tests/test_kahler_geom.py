@@ -17,6 +17,23 @@ def _omega(model, y):
     return kg.omega_batch(model, y)[0]
 
 
+def _dphi(model, y):
+    return kg.dphi_batch(model, np.asarray(y, float)[None])[0]
+
+
+def _J(model, y):
+    return kg.complex_structure_batch(model, np.asarray(y, float)[None])[0]
+
+
+def _exp(model, y, c=None):
+    cs = None if c is None else np.asarray(c, float)[None]
+    return lc.exp_alg_batch(model, np.asarray(y, float)[None], cs)[0]
+
+
+def _coords(model, mat):
+    return lc.coords_from_matrix_batch(model, mat[None])[0]
+
+
 def _omega_form(model, y, v, w):
     # <X2,Z1> - <X1,Z2> - <Y,[X1,Z1]> for 2n-vectors v = (X1, X2),
     # w = (Z1, Z2), straight from the definition
@@ -61,51 +78,35 @@ def _dphi_fd_oracle(model, y_coords, h=1e-6):
     """Columns: left-trivialized velocity of s -> x exp(s E1) exp(i(Y+s E2))
     for each frame direction, via central differences in the defining rep."""
     n = model.dim
-    y = lc.algebra_vec(model, np.asarray(y_coords, float))
-    base = lc.exp_alg(lc.algebra_vec(model, np.zeros(n)), y)
-    base_inv = np.linalg.inv(base.matrix)
+    y = np.asarray(y_coords, float)
+    base_inv = np.linalg.inv(_exp(model, np.zeros(n), y))
     cols = []
     for idx in range(2 * n):
         e1 = np.zeros(n)
         e2 = np.zeros(n)
         (e1 if idx < n else e2)[idx % n] = 1.0
         def phi(s):
-            xs = lc.exp_alg(lc.algebra_vec(model, s * e1))
-            ps = lc.exp_alg(
-                lc.algebra_vec(model, np.zeros(n)),
-                lc.algebra_vec(model, y.coords + s * e2),
-            )
-            return xs.matrix @ ps.matrix
+            return _exp(model, s * e1) @ _exp(model, np.zeros(n), y + s * e2)
         m = base_inv @ (phi(h) - phi(-h)) / (2 * h)
         a_part = (m - m.conj().T) / 2.0
         b_part = (m + m.conj().T) / 2j
         cols.append(
-            np.concatenate(
-                [
-                    lc.coords_from_matrix(model, a_part),
-                    lc.coords_from_matrix(model, b_part),
-                ]
-            )
+            np.concatenate([_coords(model, a_part), _coords(model, b_part)])
         )
     return np.stack(cols, axis=1)
 
 
 def test_dphi_identity_at_zero_and_on_torus():
     su2 = lc.get_model("su2")
-    assert np.allclose(
-        kg.dphi_matrix(lc.algebra_vec(su2, [0, 0, 0])), np.eye(6), atol=1e-14
-    )
+    assert np.allclose(_dphi(su2, [0, 0, 0]), np.eye(6), atol=1e-14)
     t2 = lc.get_model("t2")
     rng = np.random.default_rng(3)
     for _ in range(5):
         y = rng.standard_normal(2)
-        assert np.allclose(
-            kg.dphi_matrix(lc.algebra_vec(t2, y)), np.eye(4), atol=1e-14
-        )
+        assert np.allclose(_dphi(t2, y), np.eye(4), atol=1e-14)
     # su(2) with Y in t: the formula need not be the identity off t-directions,
     # but restricted to the torus block it is.
-    y3 = lc.algebra_vec(su2, [0, 0, 0.8])
-    d = kg.dphi_matrix(y3)
+    d = _dphi(su2, [0, 0, 0.8])
     for idx in (2, 5):
         col = np.zeros(6)
         col[idx] = 1.0
@@ -118,7 +119,7 @@ def test_dphi_matches_finite_difference_oracle():
     worst = 0.0
     for _ in range(25):
         y = rng.standard_normal(3) * rng.uniform(0.1, 2.0)
-        got = kg.dphi_matrix(lc.algebra_vec(su2, y))
+        got = _dphi(su2, y)
         oracle = _dphi_fd_oracle(su2, y)
         worst = max(worst, np.abs(got - oracle).max())
     assert worst < 1e-6, worst
@@ -135,7 +136,7 @@ def test_polar_differential_certificate_reproduces_scalar_loop(name):
     worst = 0.0
     for _ in range(40):
         y = rng_loop.standard_normal(model.dim) * rng_loop.uniform(0.1, 2.0)
-        got = kg.dphi_matrix(lc.algebra_vec(model, y))
+        got = _dphi(model, y)
         worst = max(worst, float(np.abs(got - _dphi_fd_oracle(model, y)).max()))
     assert report.passed
     assert report.max_error == worst
@@ -146,7 +147,7 @@ def test_polar_differential_certificate_reproduces_scalar_loop(name):
 def test_dphi_near_zero_taylor_branch():
     su2 = lc.get_model("su2")
     y = np.array([1e-8, -2e-8, 1e-8])
-    got = kg.dphi_matrix(lc.algebra_vec(su2, y))
+    got = _dphi(su2, y)
     oracle = _dphi_fd_oracle(su2, y, h=1e-5)
     assert np.abs(got - oracle).max() < 1e-6
 
@@ -157,7 +158,7 @@ def test_dphi_near_zero_taylor_branch():
 
 def test_J_flat_at_zero():
     su2 = lc.get_model("su2")
-    j = kg.complex_structure_J(lc.algebra_vec(su2, [0, 0, 0]))
+    j = _J(su2, [0, 0, 0])
     expect = np.zeros((6, 6))
     expect[:3, 3:] = -np.eye(3)
     expect[3:, :3] = np.eye(3)
@@ -170,7 +171,7 @@ def test_J_on_vertical_Y_direction():
     rng = np.random.default_rng(5)
     for _ in range(10):
         y = rng.standard_normal(3) * rng.uniform(0.2, 2.5)
-        j = kg.complex_structure_J(lc.algebra_vec(su2, y))
+        j = _J(su2, y)
         vin = np.concatenate([np.zeros(3), 2 * y])
         vout = j @ vin
         assert np.allclose(vout, np.concatenate([-2 * y, np.zeros(3)]),
@@ -206,7 +207,7 @@ def test_metric_symmetric_and_compatible():
     gs = kg.metric_batch(su2, ys)
     assert np.abs(gs - np.swapaxes(gs, 1, 2)).max() < 1e-10
     for y in ys:
-        j = kg.complex_structure_J(lc.algebra_vec(su2, y))
+        j = _J(su2, y)
         om = _omega(su2, y)
         # omega(Jv, Jw) = omega(v, w)
         assert np.abs(j.T @ om @ j - om).max() < 1e-9
@@ -235,9 +236,7 @@ def _lie_derivative(model, func, y, direction, h=1e-6):
 def _field_bracket(model, v, w):
     # [v, w] of left-invariant fields: ([X1, Z1], 0)
     n = model.dim
-    lie = lc.bracket(lc.algebra_vec(model, v[:n]),
-                     lc.algebra_vec(model, w[:n]))
-    return np.concatenate([lie.coords, np.zeros(n)])
+    return np.concatenate([lc.bracket(model, v[:n], w[:n]), np.zeros(n)])
 
 
 def test_dtheta_reproduces_omega():
@@ -290,7 +289,7 @@ def test_domega_vanishes():
 def _potential_value(model, gmat):
     w, vec = np.linalg.eigh(gmat.conj().T @ gmat)
     lg = vec @ np.diag(np.log(w)) @ vec.conj().T
-    coords = lc.coords_from_matrix(model, -0.5j * lg)
+    coords = _coords(model, -0.5j * lg)
     return float(np.dot(coords, coords))
 
 
@@ -330,8 +329,7 @@ def _complex_hessian(fun, n, h=1e-3):
 def test_kahler_potential_consistency(name, y):
     model = lc.get_model(name)
     n = model.dim
-    yvec = lc.algebra_vec(model, y)
-    center = lc.exp_alg(lc.algebra_vec(model, np.zeros(n)), yvec).matrix
+    center = _exp(model, np.zeros(n), y)
 
     def chart_value(z):
         zmat = sum(z[k] * model.generators[k] for k in range(n))
@@ -339,7 +337,7 @@ def test_kahler_potential_consistency(name, y):
         return _potential_value(model, center @ scipy.linalg.expm(zmat))
 
     hess = _complex_hessian(chart_value, n)
-    dphi = kg.dphi_matrix(yvec)
+    dphi = _dphi(model, y)
     om = _omega(model, y)
     worst = 0.0
     for a in range(2 * n):

@@ -11,6 +11,17 @@ from quantlab import lie_core as lc
 from quantlab.kahler_geom import _ad_eigensystem
 
 
+def _exp(model, y, c=None):
+    # one point: a one-row call of the stacked exponential
+    cs = None if c is None else np.asarray(c, float)[None]
+    return lc.exp_alg_batch(model, np.asarray(y, float)[None], cs)[0]
+
+
+def _ad(model, g, y):
+    return lc.adjoint_action_batch(model, np.asarray(g)[None],
+                                   np.asarray(y, float)[None])[0]
+
+
 def test_builtin_models_validate():
     for name in ("u1", "t2", "su2"):
         model = lc.get_model(name)
@@ -20,73 +31,67 @@ def test_builtin_models_validate():
 
 def test_bracket_su2_basis():
     su2 = lc.get_model("su2")
-    e1 = lc.algebra_vec(su2, [1, 0, 0])
-    e2 = lc.algebra_vec(su2, [0, 1, 0])
-    e3 = lc.algebra_vec(su2, [0, 0, 1])
-    assert np.allclose(lc.bracket(e1, e2).coords, e3.coords)
-    assert np.allclose(lc.bracket(e2, e3).coords, e1.coords)
-    assert np.allclose(lc.bracket(e3, e1).coords, e2.coords)
+    e1, e2, e3 = np.eye(3)
+    assert np.allclose(lc.bracket(su2, e1, e2), e3)
+    assert np.allclose(lc.bracket(su2, e2, e3), e1)
+    assert np.allclose(lc.bracket(su2, e3, e1), e2)
 
 
 def test_bracket_antisymmetry_and_self():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(7)
     for _ in range(20):
-        x = lc.random_algebra(su2, rng)
-        y = lc.random_algebra(su2, rng)
+        x, y = rng.standard_normal((2, 3))
         assert np.allclose(
-            lc.bracket(x, y).coords, -lc.bracket(y, x).coords, atol=1e-14
+            lc.bracket(su2, x, y), -lc.bracket(su2, y, x), atol=1e-14
         )
-        assert np.allclose(lc.bracket(x, x).coords, 0.0, atol=1e-14)
+        assert np.allclose(lc.bracket(su2, x, x), 0.0, atol=1e-14)
 
 
 def test_bracket_torus_abelian():
     t2 = lc.get_model("t2")
     rng = np.random.default_rng(8)
     for _ in range(10):
-        x = lc.random_algebra(t2, rng)
-        y = lc.random_algebra(t2, rng)
-        assert np.allclose(lc.bracket(x, y).coords, 0.0)
+        x, y = rng.standard_normal((2, 2))
+        assert np.allclose(lc.bracket(t2, x, y), 0.0)
 
 
 def test_bracket_model_mismatch_is_usage_error():
+    # coordinates of another model's length are refused, a length-1 array
+    # included, which einsum alone would broadcast
     su2 = lc.get_model("su2")
-    u1 = lc.get_model("u1")
     with pytest.raises(ValueError):
-        lc.bracket(
-            lc.algebra_vec(su2, [1, 0, 0]), lc.algebra_vec(u1, [1.0])
-        )
+        lc.bracket(su2, np.array([1.0, 0, 0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        lc.bracket(su2, np.array([1.0, 0]), np.array([1.0, 0]))
 
 
 def test_adjoint_identity_and_torus():
     for name in ("u1", "t2", "su2"):
         model = lc.get_model(name)
         rng = np.random.default_rng(11)
-        y = lc.random_algebra(model, rng)
-        e = lc.GroupPoint(model, np.eye(model.defining_rep_dim, dtype=complex))
-        assert np.allclose(lc.adjoint_action(e, y).coords, y.coords)
+        y = rng.standard_normal(model.dim)
+        e = np.eye(model.defining_rep_dim, dtype=complex)
+        assert np.allclose(_ad(model, e, y), y)
     t2 = lc.get_model("t2")
     rng = np.random.default_rng(12)
     g = lc.random_group_point(t2, rng)
-    y = lc.random_algebra(t2, rng)
-    assert np.allclose(lc.adjoint_action(g, y).coords, y.coords)
+    y = rng.standard_normal(2)
+    assert np.allclose(_ad(t2, g.matrix, y), y)
 
 
 def test_adjoint_rotation_oracle():
     # Conjugating e_1 by exp(t e_3) in the 2x2 defining rep and projecting
     # back to coordinates must give the plane rotation (cos t, sin t, 0).
     su2 = lc.get_model("su2")
-    e1 = lc.algebra_vec(su2, [1, 0, 0])
     for t in (0.25, 0.7, math.pi / 2, 2.0):
         g_mat = scipy.linalg.expm(t * su2.generators[2])
-        oracle = lc.coords_from_matrix(
-            su2, g_mat @ su2.generators[0] @ g_mat.conj().T
-        )
+        oracle = lc.coords_from_matrix_batch(
+            su2, (g_mat @ su2.generators[0] @ g_mat.conj().T)[None]
+        )[0]
         assert np.allclose(oracle, [math.cos(t), math.sin(t), 0.0], atol=1e-12)
-        got = lc.adjoint_action(
-            lc.exp_alg(lc.algebra_vec(su2, [0, 0, t])), e1
-        )
-        assert np.allclose(got.coords, oracle, atol=1e-12)
+        got = _ad(su2, _exp(su2, [0, 0, t]), [1, 0, 0])
+        assert np.allclose(got, oracle, atol=1e-12)
 
 
 def test_adjoint_preserves_inner_product():
@@ -94,32 +99,29 @@ def test_adjoint_preserves_inner_product():
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(200):
-        g = lc.random_group_point(su2, rng)
-        x = lc.random_algebra(su2, rng)
-        y = lc.random_algebra(su2, rng)
-        lhs = np.dot(
-            lc.adjoint_action(g, x).coords, lc.adjoint_action(g, y).coords
-        )
-        worst = max(worst, abs(lhs - np.dot(x.coords, y.coords)))
+        g = lc.random_group_point(su2, rng).matrix
+        x, y = rng.standard_normal((2, 3))
+        lhs = np.dot(_ad(su2, g, x), _ad(su2, g, y))
+        worst = max(worst, abs(lhs - np.dot(x, y)))
     assert worst < 1e-10
 
 
 def test_adjoint_rejects_nonunitary():
     su2 = lc.get_model("su2")
-    bad = lc.GroupPoint(su2, np.diag([2.0 + 0j, 0.5]))
+    bad = np.diag([2.0 + 0j, 0.5])
     with pytest.raises(ValueError):
-        lc.adjoint_action(bad, lc.algebra_vec(su2, [1, 0, 0]))
+        _ad(su2, bad, [1, 0, 0])
 
 
 def test_exp_alg_identity_and_polar_factors():
     su2 = lc.get_model("su2")
-    zero = lc.algebra_vec(su2, [0, 0, 0])
-    assert np.allclose(lc.exp_alg(zero, zero).matrix, np.eye(2))
+    zero = np.zeros(3)
+    assert np.allclose(_exp(su2, zero, zero), np.eye(2))
     rng = np.random.default_rng(14)
-    y = lc.random_algebra(su2, rng)
-    u = lc.exp_alg(y).matrix
+    y = rng.standard_normal(3)
+    u = _exp(su2, y)
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-    p = lc.exp_alg(zero, y).matrix
+    p = _exp(su2, zero, y)
     assert np.allclose(p, p.conj().T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(p) > 0)
 
@@ -127,8 +129,7 @@ def test_exp_alg_identity_and_polar_factors():
 def test_exp_alg_u1_phase():
     u1 = lc.get_model("u1")
     theta = 0.9
-    g = lc.exp_alg(lc.algebra_vec(u1, [theta]))
-    assert np.allclose(g.matrix, [[np.exp(1j * theta)]])
+    assert np.allclose(_exp(u1, [theta]), [[np.exp(1j * theta)]])
 
 
 def test_exp_alg_center_element():
@@ -139,20 +140,17 @@ def test_exp_alg_center_element():
     for _ in range(5):
         axis = rng.standard_normal(3)
         axis *= 2 * math.pi / np.linalg.norm(axis)
-        g = lc.exp_alg(lc.algebra_vec(su2, axis))
-        assert np.allclose(g.matrix, -np.eye(2), atol=1e-12)
+        assert np.allclose(_exp(su2, axis), -np.eye(2), atol=1e-12)
 
 
 def test_exp_alg_matches_expm():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(16)
     for _ in range(20):
-        y = lc.random_algebra(su2, rng, scale=1.5)
-        c = lc.random_algebra(su2, rng, scale=1.5)
-        direct = scipy.linalg.expm(
-            lc.alg_to_matrix(su2, y.coords)
-        ) @ scipy.linalg.expm(1j * lc.alg_to_matrix(su2, c.coords))
-        assert np.allclose(lc.exp_alg(y, c).matrix, direct, atol=1e-12)
+        y, c = 1.5 * rng.standard_normal((2, 3))
+        y_mat, c_mat = lc.alg_to_matrix_batch(su2, np.stack([y, c]))
+        direct = scipy.linalg.expm(y_mat) @ scipy.linalg.expm(1j * c_mat)
+        assert np.allclose(_exp(su2, y, c), direct, atol=1e-12)
 
 
 def test_ad_matrix_spectrum_on_torus_element():
@@ -194,19 +192,20 @@ def test_unitary_log_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(30):
         g = lc.random_group_point(su2, rng)
-        back = lc.exp_alg(lc.unitary_log(g))
-        assert np.allclose(back.matrix, g.matrix, atol=1e-9)
+        back = _exp(su2, lc.unitary_log(g))
+        assert np.allclose(back, g.matrix, atol=1e-9)
     minus = lc.GroupPoint(su2, -np.eye(2, dtype=complex))
     lg = lc.unitary_log(minus)
-    assert abs(lg.norm - 2 * math.pi) < 1e-9
-    assert np.allclose(lc.exp_alg(lg).matrix, -np.eye(2), atol=1e-9)
+    assert abs(np.linalg.norm(lg) - 2 * math.pi) < 1e-9
+    assert np.allclose(_exp(su2, lg), -np.eye(2), atol=1e-9)
     u1 = lc.get_model("u1")
-    g = lc.torus_point(u1, [2.0])
-    assert np.allclose(lc.unitary_log(g).coords, [2.0], atol=1e-12)
+    g = lc.GroupPoint(u1, _exp(u1, [2.0]))
+    assert np.allclose(lc.unitary_log(g), [2.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# stacked operations: every row equals the scalar result exactly
+# stacked operations: every row equals a one-row call exactly, so a
+# caller with one point gets what a row of a stack gets
 
 
 @pytest.mark.parametrize("name", ["u1", "t2", "su2"])
@@ -223,14 +222,14 @@ def test_stacked_ops_rows_equal_scalar_results(name):
     polar = lc.exp_alg_batch(model, ys, cs)
     moved = lc.adjoint_action_batch(model, units, cs)
     for i in range(count):
-        y = lc.algebra_vec(model, ys[i])
-        c = lc.algebra_vec(model, cs[i])
-        assert np.array_equal(mats[i], lc.alg_to_matrix(model, ys[i]))
-        assert np.array_equal(coords[i], lc.coords_from_matrix(model, mats[i]))
-        assert np.array_equal(units[i], lc.exp_alg(y).matrix)
-        assert np.array_equal(polar[i], lc.exp_alg(y, c).matrix)
-        g = lc.GroupPoint(model, units[i])
-        assert np.array_equal(moved[i], lc.adjoint_action(g, c).coords)
+        row = slice(i, i + 1)
+        assert np.array_equal(mats[i],
+                              lc.alg_to_matrix_batch(model, ys[row])[0])
+        assert np.array_equal(coords[i],
+                              lc.coords_from_matrix_batch(model, mats[row])[0])
+        assert np.array_equal(units[i], _exp(model, ys[i]))
+        assert np.array_equal(polar[i], _exp(model, ys[i], cs[i]))
+        assert np.array_equal(moved[i], _ad(model, units[i], cs[i]))
     assert np.allclose(coords, ys, atol=1e-12)
 
 
@@ -240,10 +239,11 @@ def test_exp_alg_batch_matches_expm():
     ys = rng.standard_normal((20, 3)) * 1.5
     cs = rng.standard_normal((20, 3)) * 1.5
     got = lc.exp_alg_batch(su2, ys, cs)
+    y_mats = lc.alg_to_matrix_batch(su2, ys)
+    c_mats = lc.alg_to_matrix_batch(su2, cs)
     for i in range(20):
-        direct = scipy.linalg.expm(
-            lc.alg_to_matrix(su2, ys[i])
-        ) @ scipy.linalg.expm(1j * lc.alg_to_matrix(su2, cs[i]))
+        direct = scipy.linalg.expm(y_mats[i]) @ scipy.linalg.expm(
+            1j * c_mats[i])
         assert np.allclose(got[i], direct, atol=1e-12)
     # exp of an su(2) image keeps the exact form [[a, -b*], [b, a*]]: the
     # determinant behind the closed form is exactly real
@@ -274,11 +274,15 @@ def test_exp_matrices_on_complex_combinations_match_expm(name):
 
 
 def _scalar_group_point(model, rng):
-    # the scalar sampler the stacked draws must reproduce
+    # the per-point sampler the stacked draws must reproduce: uniform
+    # torus angles on tori, 2 * standard normal coordinates otherwise
     if model.is_abelian:
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=model.rank)
-        return lc.torus_point(model, angles)
-    return lc.exp_alg(lc.random_algebra(model, rng, scale=2.0))
+        coords = np.zeros(model.dim)
+        coords[list(model.torus_indices)] = rng.uniform(
+            0.0, 2.0 * math.pi, size=model.rank)
+    else:
+        coords = 2.0 * rng.standard_normal(model.dim)
+    return _exp(model, coords)
 
 
 @pytest.mark.parametrize("name", ["u1", "t2", "su2"])
@@ -292,11 +296,11 @@ def test_random_coords_batch_keeps_the_scalar_stream(name):
     g_mats = lc.exp_alg_batch(model, g_c)
     for i in range(50):
         g = _scalar_group_point(model, scalar_rng)
-        y = lc.random_algebra(model, scalar_rng)
+        y = scalar_rng.standard_normal(model.dim)
         h = _scalar_group_point(model, scalar_rng)
-        assert np.array_equal(g.matrix, g_mats[i])
-        assert np.array_equal(y.coords, y_c[i])
-        assert np.array_equal(h.matrix, lc.exp_alg_batch(model, h_c[i:i + 1])[0])
+        assert np.array_equal(g, g_mats[i])
+        assert np.array_equal(y, y_c[i])
+        assert np.array_equal(h, lc.exp_alg_batch(model, h_c[i:i + 1])[0])
     assert batch_rng.random() == scalar_rng.random()
     one_rng = np.random.default_rng(23)
     assert np.array_equal(lc.random_group_point(model, one_rng).matrix, g_mats[0])
@@ -309,9 +313,8 @@ def test_unitarity_rejects_a_small_drift():
     su2 = lc.get_model("su2")
     drift = lc.GroupPoint(su2, np.diag([1 + 1e-7, 1 - 1e-7]).astype(complex))
     assert not drift.is_unitary
-    e1 = lc.algebra_vec(su2, [1, 0, 0])
     with pytest.raises(ValueError):
-        lc.adjoint_action(drift, e1)
+        _ad(su2, drift.matrix, [1, 0, 0])
     with pytest.raises(ValueError):
         lc.unitary_log(drift)
     rng = np.random.default_rng(24)

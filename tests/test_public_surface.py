@@ -2,6 +2,7 @@
 listed name resolves, and every public function or class the module
 defines is listed."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -28,3 +29,23 @@ def test_export_list_is_the_public_surface(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+# the scalar point layer the stacked forms replaced: a point is a group
+# matrix and a coordinate array, with no wrapper type or one-point twin
+DELETED = {
+    "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
+                 "coords_from_matrix", "adjoint_action", "exp_alg",
+                 "torus_point", "random_algebra"),
+    "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
+    "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(DELETED))
+def test_point_wrappers_and_scalar_twins_stay_deleted(module):
+    mod = importlib.import_module(f"quantlab.{module}")
+    assert [name for name in DELETED[module] if hasattr(mod, name)] == []
+    if module == "reduction":
+        fields = dataclasses.fields(mod.ReducedRepresentative)
+        assert [f.name for f in fields] == ["t", "Y0", "conjugator"]

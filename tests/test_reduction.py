@@ -2,118 +2,116 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quantlab import reduction
 from quantlab.coherent_transform import PeterWeylVector
-from quantlab.kahler_geom import BasePoint
 from quantlab.lie_core import (
-    AlgebraVec,
-    GroupPoint,
-    adjoint_action,
-    alg_to_matrix,
-    algebra_vec,
-    exp_alg,
+    adjoint_action_batch,
+    alg_to_matrix_batch,
+    exp_alg_batch,
     get_model,
-    random_algebra,
     random_group_point,
-    torus_point,
 )
 from quantlab.reduction import (
     ReducedRepresentative,
+    _su2_torus_angle,
     momentum_equivariance_certificate,
-    momentum_map,
     momentum_map_batch,
     qr_commutes_certificate,
     reduction_unitary,
     torus_representative,
     weyl_canonicalize,
-    zero_set_point,
 )
 
 SU2 = get_model("su2")
 U1 = get_model("u1")
+EYE2 = np.eye(2, dtype=complex)
 
 
-def base_point(g, Y):
-    return BasePoint(g, Y)
+def _exp(model, y):
+    # one point: a one-row call of the stacked exponential
+    return exp_alg_batch(model, np.asarray(y, float)[None])[0]
 
 
-def identity(model):
-    return GroupPoint(model, np.eye(model.defining_rep_dim, dtype=complex))
+def _ad(model, g, y):
+    return adjoint_action_batch(model, g[None], np.asarray(y, float)[None])[0]
+
+
+def _momentum(model, g, y):
+    return momentum_map_batch(model, g[None], np.asarray(y, float)[None])[0]
+
+
+def torus_pair(tau, y):
+    return _exp(SU2, [0, 0, tau]), np.array([0.0, 0.0, y])
 
 
 def commuting_pair(rng, tau=None, y=None):
     # a random conjugate of a torus pair: always on the zero set
     tau = rng.uniform(0.3, 5.5) if tau is None else tau
     y = rng.uniform(-2, 2) if y is None else y
-    h0 = random_group_point(SU2, rng)
-    t0 = torus_point(SU2, [tau])
-    y0 = algebra_vec(SU2, [0, 0, y])
-    g = GroupPoint(SU2, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
-    return base_point(g, adjoint_action(h0, y0)), t0, y0
+    h0 = random_group_point(SU2, rng).matrix
+    t0, y0 = torus_pair(tau, y)
+    return (h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)), t0, y0
+
+
+def _reduce(g, y):
+    return weyl_canonicalize(SU2, torus_representative(SU2, g, y))
 
 
 def test_momentum_trivial_cases():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        Y = random_algebra(SU2, rng)
-        assert momentum_map(base_point(identity(SU2), Y)).norm < 1e-14
-        g = random_group_point(SU2, rng)
-        zero = algebra_vec(SU2, [0, 0, 0])
-        assert momentum_map(base_point(g, zero)).norm < 1e-14
+        y = rng.standard_normal(3)
+        assert np.linalg.norm(_momentum(SU2, EYE2, y)) < 1e-14
+        g = random_group_point(SU2, rng).matrix
+        assert np.linalg.norm(_momentum(SU2, g, np.zeros(3))) < 1e-14
 
 
 def test_momentum_quarter_turn_example():
-    g = exp_alg(algebra_vec(SU2, [0, 0, math.pi / 2]))
-    j = momentum_map(base_point(g, algebra_vec(SU2, [1, 0, 0])))
-    assert np.allclose(j.coords, [-1.0, 1.0, 0.0], atol=1e-12)
-    assert abs(j.norm - math.sqrt(2)) < 1e-12
+    g = _exp(SU2, [0, 0, math.pi / 2])
+    j = _momentum(SU2, g, [1, 0, 0])
+    assert np.allclose(j, [-1.0, 1.0, 0.0], atol=1e-12)
+    assert abs(np.linalg.norm(j) - math.sqrt(2)) < 1e-12
 
 
 def test_momentum_equivariance():
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(500):
-        g = random_group_point(SU2, rng)
-        Y = random_algebra(SU2, rng)
-        h = random_group_point(SU2, rng)
-        p = base_point(g, Y)
-        moved = base_point(
-            GroupPoint(SU2, h.matrix @ g.matrix @ h.matrix.conj().T),
-            adjoint_action(h, Y),
-        )
-        lhs = momentum_map(moved).coords
-        rhs = adjoint_action(h, momentum_map(p)).coords
+        g = random_group_point(SU2, rng).matrix
+        y = rng.standard_normal(3)
+        h = random_group_point(SU2, rng).matrix
+        lhs = _momentum(SU2, h @ g @ h.conj().T, _ad(SU2, h, y))
+        rhs = _ad(SU2, h, _momentum(SU2, g, y))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-10
 
 
 @pytest.mark.parametrize("name", ["u1", "t2", "su2"])
 def test_momentum_map_batch_rows_equal_scalar(name):
+    # every row of a stack equals the one-row call for that point
     model = get_model(name)
     rng = np.random.default_rng(5)
-    gs = [random_group_point(model, rng) for _ in range(40)]
+    gs = np.array([random_group_point(model, rng).matrix for _ in range(40)])
     ys = rng.standard_normal((40, model.dim))
-    got = momentum_map_batch(model, np.array([g.matrix for g in gs]), ys)
+    got = momentum_map_batch(model, gs, ys)
     for g, y, row in zip(gs, ys, got):
-        want = momentum_map(base_point(g, AlgebraVec(model, y))).coords
-        assert np.array_equal(row, want)
+        assert np.array_equal(row, _momentum(model, g, y))
 
 
 def _scalar_momentum_equivariance(model, rng, samples):
-    # the per-sample loop the certificate replaced, kept as its reference
+    # the per-sample loop the certificate replaced, kept as its reference:
+    # g, a standard-normal Y, then h, drawn one point at a time
     worst = 0.0
     for _ in range(samples):
-        g = random_group_point(model, rng)
-        Y = random_algebra(model, rng)
-        h = random_group_point(model, rng)
-        p = base_point(g, Y)
-        moved = base_point(
-            GroupPoint(model, h.matrix @ g.matrix @ h.matrix.conj().T),
-            adjoint_action(h, Y),
-        )
+        g = random_group_point(model, rng).matrix
+        y = rng.standard_normal(model.dim)
+        h = random_group_point(model, rng).matrix
         gap = np.abs(
-            momentum_map(moved).coords
-            - adjoint_action(h, momentum_map(p)).coords
+            _momentum(model, h @ g @ h.conj().T, _ad(model, h, y))
+            - _ad(model, h, _momentum(model, g, y))
         ).max()
         worst = max(worst, float(gap))
     return worst
@@ -136,135 +134,151 @@ def test_momentum_certificate_reproduces_scalar_loop(name):
 
 
 def test_zero_set_gate():
+    # torus_representative refuses a pair off the zero set
     rng = np.random.default_rng(2)
-    p, _, _ = commuting_pair(rng)
-    zp = zero_set_point(p)
-    assert zp.residual < 1e-9
-    bad = base_point(
-        exp_alg(algebra_vec(SU2, [0, 0, 1.0])), algebra_vec(SU2, [1.0, 0, 0])
-    )
-    with pytest.raises(ValueError):
-        zero_set_point(bad)
+    (g, y), _, _ = commuting_pair(rng)
+    assert np.linalg.norm(_momentum(SU2, g, y)) < reduction.ZERO_SET_TOL
+    torus_representative(SU2, g, y)
+    bad_g, bad_y = _exp(SU2, [0, 0, 1.0]), np.array([1.0, 0, 0])
+    with pytest.raises(ValueError, match="zero-set tolerance"):
+        torus_representative(SU2, bad_g, bad_y)
+    # on a torus every pair commutes, but the gate still reads j = 0
+    t2 = get_model("t2")
+    rep = torus_representative(t2, _exp(t2, [0.4, 1.0]), np.array([1.0, 2]))
+    assert np.array_equal(rep.conjugator, np.eye(2))
 
 
-def assert_representative_invariant(rep, p):
+def assert_representative_invariant(rep, g, y):
     h = rep.conjugator
-    lhs_g = h.matrix @ p.x.matrix @ h.matrix.conj().T
-    assert np.abs(lhs_g - rep.t.matrix).max() < 1e-9
-    lhs_y = adjoint_action(h, p.Y).coords
-    assert np.abs(lhs_y - rep.Y0.coords).max() < 1e-9
+    assert np.abs(h @ g @ h.conj().T - rep.t).max() < 1e-9
+    assert np.abs(_ad(SU2, h, y) - rep.Y0).max() < 1e-9
 
 
 def test_torus_representative_generic():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        p, _, _ = commuting_pair(rng)
-        rep = torus_representative(zero_set_point(p))
-        assert_representative_invariant(rep, p)
-        assert abs(rep.Y0.coords[0]) < 1e-12
-        assert abs(rep.Y0.coords[1]) < 1e-12
+        (g, y), _, _ = commuting_pair(rng)
+        rep = torus_representative(SU2, g, y)
+        assert_representative_invariant(rep, g, y)
+        assert abs(rep.Y0[0]) < 1e-12
+        assert abs(rep.Y0[1]) < 1e-12
 
 
 def test_torus_representative_fixed_points():
     # central group part with algebra part along e1
-    minus_eye = GroupPoint(SU2, -np.eye(2, dtype=complex))
-    p = base_point(minus_eye, algebra_vec(SU2, [0.7, 0, 0]))
-    rep = torus_representative(zero_set_point(p))
-    assert_representative_invariant(rep, p)
-    assert abs(abs(rep.Y0.coords[2]) - 0.7) < 1e-10
+    g, y = -EYE2, np.array([0.7, 0, 0])
+    rep = torus_representative(SU2, g, y)
+    assert_representative_invariant(rep, g, y)
+    assert abs(abs(rep.Y0[2]) - 0.7) < 1e-10
 
 
 def test_torus_representative_already_reduced():
-    p = base_point(torus_point(SU2, [1.2]), algebra_vec(SU2, [0, 0, 0.5]))
-    rep = torus_representative(zero_set_point(p))
-    assert_representative_invariant(rep, p)
-    canon = weyl_canonicalize(rep)
-    assert abs(canon.Y0.coords[2] - 0.5) < 1e-10
-    assert np.abs(canon.t.matrix - p.x.matrix).max() < 1e-9
+    g, y = torus_pair(1.2, 0.5)
+    rep = torus_representative(SU2, g, y)
+    assert_representative_invariant(rep, g, y)
+    canon = weyl_canonicalize(SU2, rep)
+    assert abs(canon.Y0[2] - 0.5) < 1e-10
+    assert np.abs(canon.t - g).max() < 1e-9
 
 
-def assert_su2_conjugator_diagonalizes(rep, p):
-    h = rep.conjugator.matrix
+def assert_su2_conjugator_diagonalizes(rep, g, y):
+    h = rep.conjugator
     assert abs(np.linalg.det(h) - 1.0) < 1e-12
     assert np.abs(h @ h.conj().T - np.eye(2)).max() < 1e-12
-    for mat in (p.x.matrix, 1j * alg_to_matrix(SU2, p.Y.coords)):
+    for mat in (g, 1j * alg_to_matrix_batch(SU2, y[None])[0]):
         conj = h @ mat @ h.conj().T
         assert max(abs(conj[0, 1]), abs(conj[1, 0])) < 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_torus_representative_conjugator_for_central_g(sign):
-    central = GroupPoint(SU2, sign * np.eye(2, dtype=complex))
+    central = sign * EYE2
     rng = np.random.default_rng(5)
     for y in (np.zeros(3), rng.standard_normal(3)):
-        p = base_point(central, algebra_vec(SU2, y))
         assert_su2_conjugator_diagonalizes(
-            torus_representative(zero_set_point(p)), p)
+            torus_representative(SU2, central, y), central, y)
 
 
 def test_torus_representative_conjugator_for_zero_y():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        p = base_point(random_group_point(SU2, rng),
-                       algebra_vec(SU2, np.zeros(3)))
+        g, y = random_group_point(SU2, rng).matrix, np.zeros(3)
         assert_su2_conjugator_diagonalizes(
-            torus_representative(zero_set_point(p)), p)
+            torus_representative(SU2, g, y), g, y)
 
 
 def test_torus_representative_conjugator_for_generic_pair():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        p, _, _ = commuting_pair(rng)
+        (g, y), _, _ = commuting_pair(rng)
         assert_su2_conjugator_diagonalizes(
-            torus_representative(zero_set_point(p)), p)
+            torus_representative(SU2, g, y), g, y)
     # pairs a hair off the torus, where the eigenvector's first entry
     # cancels unless the square-root sign is chosen against it
     for eps in (1e-4, 1e-8, 1e-12):
-        h0 = exp_alg(algebra_vec(SU2, [eps, 0.3 * eps, 0.0]))
-        for tau, y in ((0.5, -1.5), (4.0, 0.0), (5.5, 1.5)):
-            t0 = torus_point(SU2, [tau])
-            g = GroupPoint(SU2, h0.matrix @ t0.matrix @ h0.matrix.conj().T)
-            p = base_point(g, adjoint_action(h0, algebra_vec(SU2, [0, 0, y])))
+        h0 = _exp(SU2, [eps, 0.3 * eps, 0.0])
+        for tau, yv in ((0.5, -1.5), (4.0, 0.0), (5.5, 1.5)):
+            t0, y0 = torus_pair(tau, yv)
+            g, y = h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)
             assert_su2_conjugator_diagonalizes(
-                torus_representative(zero_set_point(p)), p)
+                torus_representative(SU2, g, y), g, y)
 
 
 def test_weyl_canonicalize_flip_and_idempotence():
-    t = torus_point(SU2, [2.1])
-    rep = ReducedRepresentative(
-        t, algebra_vec(SU2, [0, 0, -0.8]), identity(SU2)
-    )
-    canon = weyl_canonicalize(rep)
-    assert canon.Y0.coords[2] == pytest.approx(0.8, abs=1e-14)
-    assert canon.weyl_canonical
-    again = weyl_canonicalize(canon)
-    assert np.abs(again.t.matrix - canon.t.matrix).max() < 1e-12
-    assert np.abs(again.Y0.coords - canon.Y0.coords).max() < 1e-12
+    t, y = torus_pair(2.1, -0.8)
+    canon = weyl_canonicalize(SU2, ReducedRepresentative(t, y, EYE2))
+    assert canon.Y0[2] == pytest.approx(0.8, abs=1e-14)
+    again = weyl_canonicalize(SU2, canon)
+    assert np.abs(again.t - canon.t).max() < 1e-12
+    assert np.abs(again.Y0 - canon.Y0).max() < 1e-12
 
 
 def test_weyl_canonicalize_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        p, t0, y0 = commuting_pair(rng)
-        rep = weyl_canonicalize(torus_representative(zero_set_point(p)))
-        direct = weyl_canonicalize(
-            ReducedRepresentative(t0, y0, identity(SU2))
-        )
-        assert abs(rep.Y0.coords[2] - direct.Y0.coords[2]) < 1e-8
-        assert np.abs(rep.t.matrix - direct.t.matrix).max() < 1e-8
+        (g, y), t0, y0 = commuting_pair(rng)
+        rep = _reduce(g, y)
+        direct = weyl_canonicalize(SU2, ReducedRepresentative(t0, y0, EYE2))
+        assert abs(rep.Y0[2] - direct.Y0[2]) < 1e-8
+        assert np.abs(rep.t - direct.t).max() < 1e-8
 
 
 def test_weyl_canonicalize_angle_tie_break():
-    rep = ReducedRepresentative(
-        torus_point(SU2, [3.0 * math.pi]), algebra_vec(SU2, [0, 0, 0]),
-        identity(SU2)
-    )
-    canon = weyl_canonicalize(rep)
-    from quantlab.reduction import _su2_torus_angle
-
+    t, y = torus_pair(3.0 * math.pi, 0.0)
+    canon = weyl_canonicalize(SU2, ReducedRepresentative(t, y, EYE2))
     assert _su2_torus_angle(canon.t) <= 2 * math.pi + 1e-9
-    again = weyl_canonicalize(canon)
-    assert np.abs(again.t.matrix - canon.t.matrix).max() < 1e-12
+    again = weyl_canonicalize(SU2, canon)
+    assert np.abs(again.t - canon.t).max() < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau=st.floats(0.0, 4.0 * math.pi, exclude_max=True),
+    y=st.one_of(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11]),
+                st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weyl_canonicalize_lands_in_the_fundamental_domain(tau, y, seed):
+    # the pair (t, y e3) conjugated by a random h0, reduced and
+    # canonicalized; |y| <= 1e-12 is the wall
+    assume(abs(abs(y) - 1e-12) > 1e-15)
+    h0 = random_group_point(SU2, np.random.default_rng(seed)).matrix
+    t0, y0 = torus_pair(tau, y)
+    g, yy = h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)
+    canon = _reduce(g, yy)
+    assert canon.Y0[2] >= 0.0
+    if abs(y) <= 1e-12:
+        assert canon.Y0[2] == 0.0
+        assert 0.0 <= _su2_torus_angle(canon.t) <= 2.0 * math.pi + 1e-12
+    else:
+        assert abs(canon.Y0[2] - abs(y)) < 1e-9
+    again = weyl_canonicalize(SU2, canon)
+    assert np.array_equal(again.t, canon.t)
+    assert np.array_equal(again.Y0, canon.Y0)
+    assert np.array_equal(again.conjugator, canon.conjugator)
+    h = canon.conjugator
+    assert np.abs(h @ g @ h.conj().T - canon.t).max() < 1e-9
+    assert np.abs(_ad(SU2, h, yy) - canon.Y0).max() < 1e-9
 
 
 def test_reduction_unitary_torus_identity():
