@@ -108,10 +108,12 @@ class SuiteConfig:
             )
         if self.seed < 0:
             raise UsageError("seed must be a non-negative integer")
-        if self.tol is not None and not self.tol > 0:
-            raise UsageError("tolerance override must be positive")
-        if self.cutoff is not None and not self.cutoff > 0:
-            raise UsageError("cutoff override must be positive")
+        # an infinite tolerance passes every check, and an infinite cutoff
+        # sizes no basis
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise UsageError("tolerance override must be positive and finite")
+        if self.cutoff is not None and not 0 < self.cutoff < math.inf:
+            raise UsageError("cutoff override must be positive and finite")
         # labels grow with the cutoff, and every model's second label
         # lies within cutoff 1, so capping it keeps t2's check small
         if self.cutoff is not None and len(irrep_labels(

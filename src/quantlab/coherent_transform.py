@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,8 +43,6 @@ from quantlab.report import CheckReport
 
 __all__ = [
     "Irrep",
-    "PeterWeylVector",
-    "SigmaTable",
     "irrep",
     "irrep_labels",
     "sigma",
@@ -194,8 +192,8 @@ def _validate_irrep(ir: Irrep) -> None:
 
 def irrep_labels(model: LieModel, cutoff) -> list:
     """All labels up to the cutoff: |n_k| <= cutoff componentwise for torus
-    models, j in {0, 1/2, ..., cutoff} for the non-abelian model, with the
-    1e-12 slack of ``_label_within``."""
+    models, j in {0, 1/2, ..., cutoff} for the non-abelian model, with 1e-12
+    of slack so a cutoff rounded just below a half-integer keeps it."""
     if model.is_abelian:
         n = int(cutoff)
         return list(itertools.product(range(-n, n + 1), repeat=model.rank))
@@ -203,63 +201,12 @@ def irrep_labels(model: LieModel, cutoff) -> list:
     return [k / 2.0 for k in range(steps + 1)]
 
 
-def _label_within(model: LieModel, label, cutoff) -> bool:
-    if model.is_abelian:
-        return max(abs(n) for n in label) <= int(cutoff)
-    return float(label) <= float(cutoff) + 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PeterWeylVector:
-    """Finite coefficient vector in the orthonormal matrix-coefficient
-    basis; keys are (label, row, column)."""
-
-    model: LieModel
-    cutoff: object
-    coeffs: dict
-
-    def __post_init__(self) -> None:
-        for (label, a, b) in self.coeffs:
-            norm = _normalize_label(self.model, label)
-            if norm != label:
-                raise ValueError(f"unnormalized label {label!r}")
-            if not _label_within(self.model, label, self.cutoff):
-                raise ValueError(f"label {label!r} exceeds cutoff")
-            d = irrep(self.model, label).dim
-            if not (0 <= a < d and 0 <= b < d):
-                raise ValueError("matrix index outside the irrep block")
-
-    @classmethod
-    def _from_valid(cls, f: PeterWeylVector, coeffs: dict) -> PeterWeylVector:
-        # f's model and cutoff, with keys inside f's blocks, so valid
-        # already: skip the per-key checks of public construction
-        out = object.__new__(cls)
-        out.__dict__.update(model=f.model, cutoff=f.cutoff, coeffs=coeffs)
-        return out
-
-    def block(self, label) -> np.ndarray:
-        d = irrep(self.model, label).dim
-        out = np.zeros((d, d), dtype=complex)
-        for (lab, a, b), v in self.coeffs.items():
-            if lab == label:
-                out[a, b] = v
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class SigmaTable:
-    model: LieModel
-    cutoff: object
-    values: dict
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for label, v in self.values.items():
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"sigma({label!r}) must be positive finite")
-
-    def __getitem__(self, label) -> float:
-        return self.values[label]
+def _basis_owner(model: LieModel, labels) -> np.ndarray:
+    """The basis order every coefficient array and Gram uses: the labels in
+    order, each label's d x d block row-major.  Entry i is the position in
+    ``labels`` of basis element i's label."""
+    return np.repeat(np.arange(len(labels)),
+                     [irrep(model, lab).dim ** 2 for lab in labels])
 
 
 def _torus_sigmas(model: LieModel, labels, level: int) -> np.ndarray:
@@ -333,7 +280,7 @@ def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
     labels = irrep_labels(model, cutoff if not model.is_abelian else
                           min(cutoff, 8))
     worst = 0.0
-    for label, quad in zip(labels, _sigmas(model, labels, level)):
+    for label, quad in zip(labels, build_sigma_table(model, labels, level)):
         closed = _sigma_closed_form(model, label)
         worst = max(worst, abs(quad - closed) / closed)
     return CheckReport.from_error(
@@ -347,67 +294,46 @@ def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
     )
 
 
-def _sigmas(model: LieModel, labels, level: int):
-    # sigma for every label: torus labels share one rule
+def build_sigma_table(model: LieModel, labels, level: int = 3) -> np.ndarray:
+    """sigma for every label, in label order.  Torus labels share one
+    rule."""
     if model.is_abelian:
         return _torus_sigmas(model, labels, level)
-    return [sigma(irrep(model, label), level) for label in labels]
+    return np.array([sigma(irrep(model, label), level) for label in labels])
 
 
-def build_sigma_table(model: LieModel, cutoff=None, level: int = 3) -> SigmaTable:
-    """SigmaTable over all labels within the cutoff, with a doubling error
-    estimate per label.  Torus labels share one rule per level."""
-    cutoff = _default_cutoff(model, cutoff)
-    labels = irrep_labels(model, cutoff)
-    values = {}
-    errors = {}
-    for label, v, v2 in zip(labels, _sigmas(model, labels, level),
-                            _sigmas(model, labels, level + 1)):
-        values[label] = float(v)
-        errors[str(label)] = abs(float(v) - float(v2))
-    meta = {
-        "rule": "gauss-hermite" if model.is_abelian else "radial-legendre",
-        "level": level,
-        "max_error_estimate": max(errors.values()),
-        "error_estimates": errors,
-    }
-    return SigmaTable(model, cutoff, values, meta)
+def transform_C_phi(coeffs: np.ndarray, sigmas: np.ndarray,
+                    owner: np.ndarray) -> np.ndarray:
+    """Blockwise scalar action on a basis-ordered coefficient array: each
+    irrep block is scaled by sigma^{-1/2}; the output lives in the
+    holomorphically extended basis."""
+    return coeffs / np.sqrt(sigmas)[owner]
 
 
-def transform_C_phi(f: PeterWeylVector, table: SigmaTable) -> PeterWeylVector:
-    """Blockwise scalar action: each irrep coefficient is scaled by
-    sigma^{-1/2}; the output lives in the holomorphically extended basis."""
-    out = {}
-    for (label, a, b), v in f.coeffs.items():
-        if label not in table.values:
-            raise ValueError(f"label {label!r} missing from the sigma table")
-        out[(label, a, b)] = v / math.sqrt(table.values[label])
-    return PeterWeylVector._from_valid(f, out)
-
-
-def group_action(f: PeterWeylVector, h1: GroupPoint,
-                 h2: GroupPoint) -> PeterWeylVector:
-    """The two-sided action (h1, h2) . f (x) = f(h1^{-1} x h2) expressed on
-    coefficient blocks: C -> conj(pi(h1)) C pi(h2)^T.  On a torus every
-    block is 1x1, so the action is one phase per key, conj(e^{i n.x1})
-    e^{i n.x2}."""
+def group_action(model: LieModel, labels, coeffs: np.ndarray,
+                 h1: GroupPoint, h2: GroupPoint) -> np.ndarray:
+    """The two-sided action (h1, h2) . f (x) = f(h1^{-1} x h2) on a
+    basis-ordered coefficient array: each block C -> conj(pi(h1)) C
+    pi(h2)^T.  On a torus every block is 1x1, so the action is one phase
+    per label, conj(e^{i n.x1}) e^{i n.x2}."""
     x1 = unitary_log(h1)
     x2 = unitary_log(h2)
-    if f.model.is_abelian:
-        keys = list(f.coeffs)
-        n = np.array([k[0] for k in keys], float).reshape(-1, f.model.rank)
-        v = np.array(list(f.coeffs.values()), complex)
-        new = np.exp(1j * (n @ x1)).conj() * v * np.exp(1j * (n @ x2))
-        return PeterWeylVector._from_valid(
-            f, {key: c for key, c in zip(keys, new) if c != 0})
-    out = {}
-    for label in dict.fromkeys(key[0] for key in f.coeffs):
-        ir = irrep(f.model, label)
-        cnew = ir._rep_exp(x1).conj() @ f.block(label) @ ir._rep_exp(x2).T
-        for (a, b), v in np.ndenumerate(cnew):
-            if v != 0:
-                out[(label, a, b)] = v
-    return PeterWeylVector._from_valid(f, out)
+    owner = _basis_owner(model, labels)
+    coeffs = np.asarray(coeffs, complex)
+    if coeffs.shape != owner.shape:
+        raise ValueError(f"{coeffs.shape} coefficients for a basis of "
+                         f"{owner.size}")
+    if model.is_abelian:
+        n = np.array(labels, float).reshape(-1, model.rank)
+        return np.exp(1j * (n @ x1)).conj() * coeffs * np.exp(1j * (n @ x2))
+    out = np.empty_like(coeffs)
+    for k, label in enumerate(labels):
+        ir = irrep(model, label)
+        block = owner == k
+        out[block] = (ir._rep_exp(x1).conj()
+                      @ coeffs[block].reshape(ir.dim, ir.dim)
+                      @ ir._rep_exp(x2).T).reshape(-1)
+    return out
 
 
 def _torus_gram_factors(model: LieModel, labels, level: int):
@@ -533,7 +459,7 @@ def _basis_grams(model: LieModel, labels, level: int):
                 .reshape(dx * dy, dx * dy) for m in (a_full, b_full))
             hl2[xl:xh, yl:yh] = (a_blk @ b_blk).reshape(
                 dx, dy, dx, dy).transpose(0, 2, 1, 3).reshape(dx * dx, dy * dy)
-    scale = np.sqrt(np.repeat(np.asarray(dims, float), np.square(dims)))
+    scale = np.sqrt(np.asarray(dims, float)[_basis_owner(model, labels)])
     scale = np.outer(scale, scale)
     return scale * hl2, scale * a_full
 
@@ -549,13 +475,12 @@ def unitarity_certificate(model: LieModel, cutoff=None,
     """
     cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
-    dims = {lab: irrep(model, lab).dim for lab in labels}
-    table = build_sigma_table(model, cutoff, level)
+    sig = build_sigma_table(model, labels, level)
+    # the doubling estimate: the same table one quadrature level up
+    sig_error = float(np.abs(sig - build_sigma_table(model, labels,
+                                                     level + 1)).max())
     hl2, big_l2 = _basis_grams(model, labels, level)
-    # owner[i]: the position in ``labels`` of basis element i's irrep
-    owner = np.repeat(np.arange(len(labels)),
-                      [dims[lab] ** 2 for lab in labels])
-    sig = np.array([table[lab] for lab in labels])
+    owner = _basis_owner(model, labels)
     scale = 1.0 / np.sqrt(np.outer(sig, sig))
     big_c = scale[np.ix_(owner, owner)] * hl2
     off_block = owner[:, None] != owner[None, :]
@@ -573,7 +498,7 @@ def unitarity_certificate(model: LieModel, cutoff=None,
         basis_size=int(big_c.shape[0]),
         block_leakage=leakage,
         quadrature_level=level,
-        sigma_error_estimate=table.metadata["max_error_estimate"],
+        sigma_error_estimate=sig_error,
     )
 
 
@@ -582,24 +507,22 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
     """Two-sided translations commute with the transform."""
     cutoff = _default_cutoff(model, cutoff)
     rng = np.random.default_rng(seed)
-    table = build_sigma_table(model, cutoff)
-    dims = {lab: irrep(model, lab).dim for lab in irrep_labels(model, cutoff)}
+    labels = irrep_labels(model, cutoff)
+    sigmas = build_sigma_table(model, labels)
+    owner = _basis_owner(model, labels)
+    dims = [irrep(model, lab).dim for lab in labels]
     worst = 0.0
     for _ in range(samples):
-        coeffs = {}
-        for lab, d in dims.items():
-            block = rng.standard_normal((d, d)) + 1j * rng.standard_normal(
-                (d, d))
-            coeffs.update(((lab, a, b), v)
-                          for (a, b), v in np.ndenumerate(block))
-        f = PeterWeylVector(model, cutoff, coeffs)
+        f = np.concatenate([
+            (rng.standard_normal((d, d))
+             + 1j * rng.standard_normal((d, d))).reshape(-1) for d in dims])
         h1 = random_group_point(model, rng)
         h2 = random_group_point(model, rng)
-        left = transform_C_phi(group_action(f, h1, h2), table)
-        right = group_action(transform_C_phi(f, table), h1, h2)
-        lc, rc = left.coeffs, right.coeffs
-        for k in set(lc) | set(rc):
-            worst = max(worst, abs(lc.get(k, 0) - rc.get(k, 0)))
+        left = transform_C_phi(group_action(model, labels, f, h1, h2),
+                               sigmas, owner)
+        right = group_action(model, labels,
+                             transform_C_phi(f, sigmas, owner), h1, h2)
+        worst = max(worst, float(np.abs(left - right).max()))
     return CheckReport.from_error(
         f"transform.equivariance.{model.name}",
         "the transform scales each irrep block by a scalar, so two-sided "

@@ -12,8 +12,9 @@ Four rule families cover every integral in the package:
   their mass inside the truncation radius.
 
 All weights are nonnegative.  The one convergence check built on these
-rules is the sigma table's doubling estimate in
-coherent_transform.build_sigma_table.
+rules is the sigma doubling estimate in
+coherent_transform.unitarity_certificate, which compares the sigma table
+at the quadrature level against the table one level up.
 """
 
 from __future__ import annotations

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantlab.coherent_transform import (
-    PeterWeylVector,
     _su2_characters,
     build_sigma_table,
     character_gram,
-    irrep,
     irrep_labels,
 )
 from quantlab.density_weights import weyl_denominator
@@ -44,7 +42,6 @@ from quantlab.report import CheckReport
 
 __all__ = [
     "ReducedRepresentative",
-    "ReducedFunction",
     "momentum_map_batch",
     "momentum_equivariance_certificate",
     "torus_representative",
@@ -106,18 +103,6 @@ class ReducedRepresentative:
     t: np.ndarray
     Y0: np.ndarray
     conjugator: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedFunction:
-    """Samples of a reduced section on the torus grid of the rule."""
-
-    rule: object
-    values: np.ndarray
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.rule.weights @ (np.abs(self.values) ** 2))
 
 
 def _su2_torus_angle(t: np.ndarray) -> float:
@@ -266,70 +251,50 @@ def round_trip_certificate(
     )
 
 
-def _class_coefficients(f: PeterWeylVector) -> dict:
-    """Character coefficients of a class-invariant vector; rejects vectors
-    whose blocks are not scalar."""
-    model = f.model
-    out = {}
-    for label in {lab for (lab, _, _) in f.coeffs}:
-        d = irrep(model, label).dim
-        block = f.block(label)
-        mean = np.trace(block) / d
-        if np.abs(block - mean * np.eye(d)).max() > 1e-10:
-            raise ValueError("reduction_unitary expects a class-invariant "
-                             "vector (scalar irrep blocks)")
-        if abs(mean) > 0:
-            out[label] = mean * math.sqrt(d)
-    return out
-
-
-def _torus_character_values(model: LieModel, label, taus: np.ndarray
+def _torus_character_values(model: LieModel, labels, taus: np.ndarray
                             ) -> np.ndarray:
+    # one row per label: its character on the torus nodes ``taus``
     if model.is_abelian:
-        n = np.asarray(label, float)
-        return np.exp(1j * taus @ n)
+        return np.array([np.exp(1j * taus @ np.asarray(label, float))
+                         for label in labels])
     # diag(e^{-i tau/2}, e^{i tau/2}) has half-trace cos(tau/2)
-    return _su2_characters(np.cos(taus[:, 0] / 2.0), [float(label)])[0]
+    return _su2_characters(np.cos(taus[:, 0] / 2.0),
+                           [float(label) for label in labels])
 
 
-def reduction_unitary(f: PeterWeylVector, modes: int | None = None
-                      ) -> ReducedFunction:
-    """The reduction isometry on class functions: multiply the torus
-    restriction by |W|^{-1/2} |delta| and sample on a torus grid."""
-    model = f.model
-    coeffs = _class_coefficients(f)
-    max_freq = 0.0
-    for label in coeffs:
-        max_freq = max(max_freq, float(label) if not model.is_abelian
-                       else max(abs(c) for c in label))
+def _top_frequency(model: LieModel, labels) -> float:
+    return max(float(l) if not model.is_abelian else max(abs(c) for c in l)
+               for l in labels)
+
+
+def reduction_unitary(model: LieModel, labels, modes: int | None = None):
+    """The reduction isometry on the unit characters of ``labels``: each
+    torus restriction times |W|^{-1/2} |delta|, sampled on a torus grid.
+    Returns (rule, values), one row of ``values`` per label."""
     if modes is None:
-        modes = 2 * int(math.ceil(2 * max_freq)) + 4
+        modes = 2 * int(math.ceil(2 * _top_frequency(model, labels))) + 4
     rule = model_torus_rule(model, modes)
     taus = rule.nodes
-    vals = np.zeros(taus.shape[0], dtype=complex)
-    for label, c in coeffs.items():
-        vals += c * _torus_character_values(model, label, taus)
     wfactor = 1.0 / math.sqrt(len(weyl_group(model)))
     delta = np.atleast_1d(weyl_denominator(model, taus))
-    return ReducedFunction(rule, wfactor * np.abs(delta) * vals)
+    chars = _torus_character_values(model, labels, taus)
+    return rule, wfactor * np.abs(delta) * chars
 
 
 def weyl_isometry_certificate(model: LieModel,
                               tolerance: float = 1e-6) -> CheckReport:
     """|reduction_unitary(chi)|^2 = 1 for unit-norm characters: modes 0..3
-    of the first torus axis, or spins 0..3 in half steps on su2."""
+    of the first torus axis, or spins 0..3 in half steps on su2.  Each
+    character is reduced on its own grid."""
     if model.is_abelian:
-        cutoff = 4
         labels = [tuple([k] + [0] * (model.rank - 1)) for k in range(4)]
     else:
-        cutoff = 3.0
         labels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     worst = 0.0
     for label in labels:
-        d = irrep(model, label).dim
-        coeffs = {(label, a, a): 1.0 / math.sqrt(d) for a in range(d)}
-        sec = reduction_unitary(PeterWeylVector(model, cutoff, coeffs))
-        worst = max(worst, abs(sec.norm_sq - 1.0))
+        rule, values = reduction_unitary(model, [label])
+        norm_sq = float(rule.weights @ (np.abs(values[0]) ** 2))
+        worst = max(worst, abs(norm_sq - 1.0))
     return CheckReport.from_error(
         "reduction.weyl_isometry",
         "restriction to the torus weighted by the absolute Weyl "
@@ -343,25 +308,13 @@ def weyl_isometry_certificate(model: LieModel,
 def _side_a_grams(model: LieModel, labels, level: int):
     """Reduction after quantization: the sigma^{-1/2}-scaled character Gram
     in the holomorphic inner product, then the torus Gram of the reduced
-    sections."""
-    cutoff_freq = max(
-        float(l) if not model.is_abelian else max(abs(c) for c in l)
-        for l in labels)
-    table = build_sigma_table(model, cutoff_freq)
-    raw = character_gram(model, labels, level)
-    scale = np.array([1.0 / math.sqrt(table[lab]) for lab in labels])
-    hl2 = raw * np.outer(scale, scale)
-    sections = []
-    modes = 4 * int(math.ceil(cutoff_freq)) + 6
-    for lab in labels:
-        d = irrep(model, lab).dim
-        coeffs = {(lab, a, a): 1.0 / math.sqrt(d) for a in range(d)}
-        f = PeterWeylVector(model, cutoff_freq, coeffs)
-        sections.append(reduction_unitary(f, modes=modes))
-    # every section shares one torus rule
-    vals = np.array([s.values for s in sections])
-    gram_red = (vals * sections[0].rule.weights) @ vals.conj().T
-    return hl2, gram_red, sections
+    characters, which are returned as the rows of ``values``."""
+    scale = 1.0 / np.sqrt(build_sigma_table(model, labels))
+    hl2 = character_gram(model, labels, level) * np.outer(scale, scale)
+    modes = 4 * int(math.ceil(_top_frequency(model, labels))) + 6
+    rule, values = reduction_unitary(model, labels, modes=modes)
+    gram_red = (values * rule.weights) @ values.conj().T
+    return hl2, gram_red, values
 
 
 def _side_b_gram(model: LieModel, labels, level: int):
@@ -412,7 +365,7 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         if cutoff is None:
             cutoff = 4
         labels = irrep_labels(model, cutoff)
-        hl2, gram_red, sections = _side_a_grams(model, labels, level)
+        hl2, gram_red, _ = _side_a_grams(model, labels, level)
         # side (B) on a torus model is word-for-word the same construction
         gram_b = gram_red.copy()
         winv_a = winv_b = 0.0
@@ -422,15 +375,14 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         if cutoff is None:
             cutoff = 2.0
         labels = irrep_labels(model, cutoff)
-        hl2, gram_red, sections = _side_a_grams(model, labels, level)
+        hl2, gram_red, values = _side_a_grams(model, labels, level)
         gram_b, winv_b = _side_b_gram(model, labels, level)
         dims_match = gram_b.shape == gram_red.shape
         tol = 1e-4
         # reduced sections are Weyl-even: the angle grid maps onto itself
         # under tau -> -tau by index reversal
         winv_a = 0.0
-        for s in sections:
-            v = s.values
+        for v in values:
             flipped = np.concatenate([v[:1], v[1:][::-1]])
             winv_a = max(winv_a, float(np.abs(v - flipped).max()))
     eye = np.eye(len(labels))

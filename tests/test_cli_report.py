@@ -41,6 +41,10 @@ def test_config_validation():
     with pytest.raises(UsageError):
         SuiteConfig(cutoff=0.0)
     with pytest.raises(UsageError):
+        SuiteConfig(cutoff=math.inf)
+    with pytest.raises(UsageError):
+        SuiteConfig(tol=math.inf)
+    with pytest.raises(UsageError):
         SuiteConfig(grid=32)
     with pytest.raises(UsageError):
         SuiteConfig(level=0)
@@ -322,6 +326,28 @@ def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, via_config):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "seed" in err and "crashed" not in err
+
+
+@pytest.mark.parametrize("key", ["cutoff", "tol"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_cli_non_finite_override_is_a_usage_error(tmp_path, capsys,
+                                                  via_config, key):
+    # an infinite cutoff sizes no basis, and an infinite tolerance passes
+    # every check it reaches and writes Infinity, which is not JSON
+    out = tmp_path / "r.json"
+    for value in ("inf", "nan"):
+        argv = ["run", "--model", "u1", "--suite", "reduction",
+                "--out", str(out)]
+        if via_config:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--{key}", value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "crashed" not in err
+        assert not out.exists()
 
 
 def test_cli_run_and_emit(tmp_path):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, logsumexp
 from scipy.stats import norm, qmc
 
 from quantlab.coherent_transform import (
-    PeterWeylVector,
+    _basis_owner,
     _logsumexp_rows,
     build_sigma_table,
     character_gram,
@@ -68,15 +68,21 @@ def rep_unitary(ir, g):
     return ir._rep_exp(unitary_log(g))
 
 
-def phi_kernel(tmat, table):
+def phi_kernel(tmat, model, labels, sigmas):
     # the truncated entire kernel of the transform (Hall 1994): sum over
     # irreps of dim / sqrt(sigma) times the character of the inverse point
     tinv = np.linalg.inv(np.asarray(tmat, complex))
     out = 0.0 + 0.0j
-    for label, s in table.values.items():
-        ir = irrep(table.model, label)
+    for label, s in zip(labels, sigmas):
+        ir = irrep(model, label)
         out += ir.dim / math.sqrt(s) * ir.character(tinv)
     return complex(out)
+
+
+def sigma_table(model, cutoff):
+    # the labels within the cutoff and their sigmas, in label order
+    labels = irrep_labels(model, cutoff)
+    return labels, build_sigma_table(model, labels)
 
 
 def test_irrep_construction_and_validation():
@@ -122,13 +128,15 @@ def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
 def test_torus_rep_unitary_rejects_nonunitary_points():
     bad = GroupPoint(T2, np.diag([2.0, 1.0]).astype(complex))
     good = GroupPoint(T2, np.eye(2, dtype=complex))
-    f = PeterWeylVector(T2, 2, {((1, -2), 0, 0): 1.0})
+    labels = irrep_labels(T2, 2)
+    f = np.zeros(len(labels), complex)
+    f[labels.index((1, -2))] = 1.0
     with pytest.raises(ValueError):
         rep_unitary(irrep(T2, (1, -2)), bad)
     with pytest.raises(ValueError):
-        group_action(f, bad, good)
+        group_action(T2, labels, f, bad, good)
     with pytest.raises(ValueError):
-        group_action(f, good, bad)
+        group_action(T2, labels, f, good, bad)
     with pytest.raises(ValueError):
         rep_unitary(irrep(U1, 3), GroupPoint(U1, np.array([[0.5 + 0j]])))
 
@@ -232,41 +240,45 @@ def test_sigma_symmetric_under_weyl():
 
 
 def test_sigma_table_positive_with_estimates():
-    table = build_sigma_table(SU2, 2.0)
-    assert set(table.values) == {0.0, 0.5, 1.0, 1.5, 2.0}
-    assert all(v > 0 for v in table.values.values())
-    assert table.metadata["max_error_estimate"] < 1e-9
+    labels, table = sigma_table(SU2, 2.0)
+    assert labels == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert table.shape == (5,) and np.all(table > 0)
+    assert all(s == sigma(irrep(SU2, lab)) for lab, s in zip(labels, table))
+    # the doubling estimate is the table against the one a level up
+    estimate = unitarity_certificate(SU2, 2.0).metadata["sigma_error_estimate"]
+    assert estimate == np.abs(table - build_sigma_table(SU2, labels, 4)).max()
+    assert estimate < 1e-9
 
 
 def test_phi_kernel_u1_direct_sum():
-    table = build_sigma_table(U1, 8)
+    labels, table = sigma_table(U1, 8)
     theta = 0.9
     t = np.array([[np.exp(1j * theta)]])
     want = sum(
-        np.exp(-1j * n * theta) / math.sqrt(table[(n,)])
-        for n in range(-8, 9)
+        np.exp(-1j * n * theta) / math.sqrt(s)
+        for (n,), s in zip(labels, table)
     )
-    assert abs(phi_kernel(t, table) - want) < 1e-12
+    assert abs(phi_kernel(t, U1, labels, table) - want) < 1e-12
 
 
 def test_phi_kernel_conjugation_invariance():
     rng = np.random.default_rng(11)
-    table = build_sigma_table(SU2, 2.0)
+    table = sigma_table(SU2, 2.0)
     x = random_group_point(SU2, rng)
     g = random_group_point(SU2, rng)
     conj = GroupPoint(SU2, g.matrix @ x.matrix @ g.matrix.conj().T)
-    assert abs(phi_kernel(x.matrix, table)
-               - phi_kernel(conj.matrix, table)) < 1e-9
+    assert abs(phi_kernel(x.matrix, SU2, *table)
+               - phi_kernel(conj.matrix, SU2, *table)) < 1e-9
 
 
 def test_phi_truncation_tail():
     # at the identity the N -> N+5 difference is exactly the sigma tail
     t = np.array([[1.0 + 0j]])
-    t8 = build_sigma_table(U1, 8)
-    t13 = build_sigma_table(U1, 13)
-    diff = phi_kernel(t, t13) - phi_kernel(t, t8)
+    t8 = sigma_table(U1, 8)
+    labels, table = t13 = sigma_table(U1, 13)
+    diff = phi_kernel(t, U1, *t13) - phi_kernel(t, U1, *t8)
     tail = sum(
-        1.0 / math.sqrt(t13[(n,)]) for n in range(-13, 14) if abs(n) > 8
+        1.0 / math.sqrt(s) for (n,), s in zip(labels, table) if abs(n) > 8
     )
     assert abs(diff - tail) < 1e-10
     assert tail < 12 * math.exp(-(9 ** 2) / (4 * math.pi))
@@ -276,7 +288,7 @@ def test_transform_diagonal_action_u1_against_quadrature():
     # quadrature of the defining convolution against the diagonal rule,
     # at a complexified point t = e^{i(theta + i y)}
     cutoff = 6
-    table = build_sigma_table(U1, cutoff)
+    labels, table = sigma_table(U1, cutoff)
     rule = torus_rule(1, 2 * cutoff + 2)
     theta, yy = 0.7, 0.4
     tpoint = np.array([[np.exp(1j * (theta + 1j * yy))]])
@@ -285,15 +297,17 @@ def test_transform_diagonal_action_u1_against_quadrature():
         for (ang,) in rule.nodes:
             x = np.array([[np.exp(1j * ang)]])
             xinv_t = np.linalg.inv(x) @ tpoint
-            vals.append(np.exp(1j * n * ang) * phi_kernel(xinv_t, table))
+            vals.append(np.exp(1j * n * ang)
+                        * phi_kernel(xinv_t, U1, labels, table))
         got = complex(np.dot(rule.weights, vals))
-        want = irrep(U1, n).character(tpoint) / math.sqrt(table[(n,)])
+        want = irrep(U1, n).character(tpoint) / math.sqrt(
+            table[labels.index((n,))])
         assert abs(got - want) < 1e-8
 
 
 def test_transform_su2_character_against_quadrature():
     cutoff = 2.0
-    table = build_sigma_table(SU2, cutoff)
+    labels, table = sigma_table(SU2, cutoff)
     rule = su2_haar_rule(3)
     ir = irrep(SU2, 0.5)
     tpoint = exp_alg_batch(
@@ -302,37 +316,37 @@ def test_transform_su2_character_against_quadrature():
     vals = np.empty(rule.nodes.shape[0], dtype=complex)
     for i, x in enumerate(rule.nodes):
         vals[i] = ir.character(x) * phi_kernel(
-            np.linalg.inv(x) @ tpoint, table
+            np.linalg.inv(x) @ tpoint, SU2, labels, table
         )
     got = complex(np.dot(rule.weights, vals))
-    want = ir.character(tpoint) / math.sqrt(table[0.5])
+    want = ir.character(tpoint) / math.sqrt(table[labels.index(0.5)])
     assert abs(got - want) < 1e-8
 
 
 def test_transform_zero_and_cutoff_mismatch():
-    table = build_sigma_table(U1, 4)
-    zero = PeterWeylVector(U1, 4, {})
-    assert transform_C_phi(zero, table).coeffs == {}
-    f = PeterWeylVector(U1, 6, {((6,), 0, 0): 1.0})
+    labels, table = sigma_table(U1, 4)
+    owner = _basis_owner(U1, labels)
+    zero = np.zeros(owner.size, dtype=complex)
+    assert np.array_equal(transform_C_phi(zero, table, owner), zero)
+    # an array over the cutoff-6 basis does not fit the cutoff-4 table
+    f = np.zeros(len(irrep_labels(U1, 6)), dtype=complex)
+    f[-1] = 1.0
     with pytest.raises(ValueError):
-        transform_C_phi(f, table)
+        transform_C_phi(f, table, owner)
 
 
 def test_parseval_truncated():
     # quadrature norm equals coefficient norm for a trig polynomial
     rng = np.random.default_rng(5)
     cutoff = 5
-    coeffs = {
-        ((n,), 0, 0): complex(*rng.standard_normal(2))
-        for n in range(-cutoff, cutoff + 1)
-    }
-    f = PeterWeylVector(U1, cutoff, coeffs)
+    labels = irrep_labels(U1, cutoff)
+    coeffs = np.array([complex(*rng.standard_normal(2)) for _ in labels])
     rule = torus_rule(1, 2 * cutoff)
     vals = np.zeros(rule.nodes.shape[0], dtype=complex)
-    for (lab, _, _), c in coeffs.items():
-        vals += c * np.exp(1j * lab[0] * rule.nodes[:, 0])
+    for (n,), c in zip(labels, coeffs):
+        vals += c * np.exp(1j * n * rule.nodes[:, 0])
     quad_norm = float(np.dot(rule.weights, np.abs(vals) ** 2))
-    norm_sq = sum(abs(c) ** 2 for c in coeffs.values())
+    norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     assert abs(quad_norm - norm_sq) < 1e-10
 
 
@@ -340,9 +354,13 @@ def test_group_action_u1_phases():
     a = 0.8
     h1 = GroupPoint(U1, np.array([[np.exp(1j * a)]]))
     h2 = GroupPoint(U1, np.eye(1, dtype=complex))
-    f = PeterWeylVector(U1, 3, {((2,), 0, 0): 1.0})
-    acted = group_action(f, h1, h2)
-    assert abs(acted.coeffs[((2,), 0, 0)] - np.exp(-2j * a)) < 1e-12
+    labels = irrep_labels(U1, 3)
+    f = np.zeros(len(labels), complex)
+    f[labels.index((2,))] = 1.0
+    acted = group_action(U1, labels, f, h1, h2)
+    want = f.copy()
+    want[labels.index((2,))] = np.exp(-2j * a)
+    assert np.abs(acted - want).max() < 1e-12
 
 
 def test_unitarity_certificate_u1():
@@ -428,53 +446,105 @@ def test_axis_first_sigma_keeps_the_untilted_rule_error():
         assert 1.4e-2 < rel < 1.6e-2
 
 
-@pytest.mark.parametrize("coeffs,cutoff,model", [
-    ({(3, 0, 0): 1.0}, 4, U1),
-    ({("0.5", 0, 0): 1.0}, 1.0, SU2),
-    ({((3, 0), 0, 0): 1.0}, 2, T2),
-    ({(1.5, 0, 0): 1.0}, 1.0, SU2),
-    ({((1, 0), 0, 1): 1.0}, 2, T2),
-    ({(0.5, 2, 0): 1.0}, 1.0, SU2),
-    ({(0.5, 0, -1): 1.0}, 1.0, SU2),
+def _identity(model):
+    return GroupPoint(model, np.eye(model.defining_rep_dim, dtype=complex))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("model,cutoff", [(U1, 4), (T2, 2), (SU2, 1.0)],
+                         ids=["u1", "t2", "su2"])
+def test_group_action_rejects_wrong_length(model, cutoff, extra):
+    # an array one entry off the basis size is refused, not sliced
+    labels = irrep_labels(model, cutoff)
+    size = sum(irrep(model, lab).dim ** 2 for lab in labels)
+    e = _identity(model)
+    f = np.arange(size, dtype=complex)
+    assert np.array_equal(group_action(model, labels, f, e, e), f)
+    with pytest.raises(ValueError, match="basis of"):
+        group_action(model, labels, np.arange(size + extra, dtype=complex),
+                     e, e)
+
+
+# The array form of the per-key checks: group_action, the public entry for
+# a coefficient array, refuses a label that normalizes to no irrep (a
+# fractional torus mode, a spin that is not a half-integer), an array over
+# a larger cutoff than its labels, and an array with an entry added past a
+# block's end or dropped before its start, which shifts every later entry.
+@pytest.mark.parametrize("model,labels,size,match", [
+    (U1, [(0,), (2.5,)], 2, "integers"),
+    (SU2, [0.0, "0.75"], 2, "half-integers"),
+    (T2, irrep_labels(T2, 2), len(irrep_labels(T2, 3)), "basis of"),
+    (SU2, irrep_labels(SU2, 1.0), 1 + 4 + 9 + 16, "basis of"),
+    (T2, irrep_labels(T2, 2), 25 + 1, "basis of"),
+    (SU2, irrep_labels(SU2, 1.0), 1 + 4 + 9 + 1, "basis of"),
+    (SU2, irrep_labels(SU2, 1.0), 1 + 4 + 9 - 1, "basis of"),
 ], ids=["unnormalized-u1", "unnormalized-su2", "beyond-cutoff-t2",
         "beyond-cutoff-su2", "index-t2", "index-su2", "negative-index-su2"])
-def test_public_construction_rejects_invalid_keys(coeffs, cutoff, model):
-    with pytest.raises(ValueError):
-        PeterWeylVector(model, cutoff, coeffs)
+def test_public_construction_rejects_invalid_keys(model, labels, size, match):
+    e = _identity(model)
+    with pytest.raises(ValueError, match=match):
+        group_action(model, labels, np.ones(size, dtype=complex), e, e)
 
 
-def _random_vector(model, cutoff, rng):
-    coeffs = {}
-    for lab in irrep_labels(model, cutoff):
-        d = irrep(model, lab).dim
-        for a in range(d):
-            for b in range(d):
-                coeffs[(lab, a, b)] = complex(*rng.standard_normal(2))
-    return PeterWeylVector(model, cutoff, coeffs)
+def _random_coeffs(size, rng):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 @pytest.mark.parametrize("model,cutoff", [(T2, 5), (SU2, 2.0)])
 def test_action_and_transform_match_per_label_loop(model, cutoff):
+    # the oracle walks the basis with its own block offsets: label by
+    # label, d^2 entries each, row-major
     rng = np.random.default_rng(11)
-    table = build_sigma_table(model, cutoff)
+    labels, table = sigma_table(model, cutoff)
+    owner = _basis_owner(model, labels)
     for _ in range(3):
-        f = _random_vector(model, cutoff, rng)
+        f = _random_coeffs(owner.size, rng)
         h1 = random_group_point(model, rng)
         h2 = random_group_point(model, rng)
-        want_act, want_tr = {}, {}
-        for lab in irrep_labels(model, cutoff):
+        want_act, want_tr = [], []
+        lo = 0
+        for lab, s in zip(labels, table):
             ir = irrep(model, lab)
-            block = rep_unitary(ir, h1).conj() @ f.block(lab) @ (
-                rep_unitary(ir, h2).T)
-            for (a, b), v in np.ndenumerate(block):
-                want_act[(lab, a, b)] = v
-                want_tr[(lab, a, b)] = f.coeffs[(lab, a, b)] / math.sqrt(
-                    table[lab])
-        for got, want in ((group_action(f, h1, h2), want_act),
-                          (transform_C_phi(f, table), want_tr)):
-            assert set(got.coeffs) == set(want)
-            assert got.model is model and got.cutoff == cutoff
-            assert max(abs(got.coeffs[k] - want[k]) for k in want) <= 1e-14
+            block = f[lo:lo + ir.dim ** 2].reshape(ir.dim, ir.dim)
+            want_act.append((rep_unitary(ir, h1).conj() @ block
+                             @ rep_unitary(ir, h2).T).reshape(-1))
+            want_tr.append(block.reshape(-1) / math.sqrt(s))
+            lo += ir.dim ** 2
+        assert lo == f.size
+        for got, want in ((group_action(model, labels, f, h1, h2), want_act),
+                          (transform_C_phi(f, table, owner), want_tr)):
+            want = np.concatenate(want)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model,cutoff", [(U1, 3), (T2, 2), (SU2, 1.5)])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_group_action_is_a_unitary_representation(model, cutoff, seed):
+    # composition (k1, k2) . ((h1, h2) . f) = (k1 h1, k2 h2) . f, the
+    # coefficient norm preserved, and the action commuting with the
+    # blockwise transform
+    rng = np.random.default_rng(seed)
+    labels, table = sigma_table(model, cutoff)
+    owner = _basis_owner(model, labels)
+    f = _random_coeffs(owner.size, rng)
+    h1, h2, k1, k2 = (random_group_point(model, rng) for _ in range(4))
+
+    def act(g1, g2, coeffs):
+        return group_action(model, labels, coeffs, g1, g2)
+
+    def times(a, b):
+        return GroupPoint(model, a.matrix @ b.matrix)
+
+    moved = act(h1, h2, f)
+    scale = np.linalg.norm(f)
+    assert abs(np.linalg.norm(moved) - scale) <= 1e-12 * scale
+    assert (np.abs(act(k1, k2, moved) - act(times(k1, h1), times(k2, h2), f))
+            .max() <= 1e-10 * scale)
+    assert (np.abs(transform_C_phi(moved, table, owner)
+                   - act(h1, h2, transform_C_phi(f, table, owner))).max()
+            <= 1e-12 * scale)
 
 
 def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):
@@ -607,10 +677,9 @@ def test_spin_weighted_gram_su2():
     assert all(d > 0 for d in diag)
     assert rep.metadata["off_diagonal_eta"] < 1e-6
     # the flat diagonal reproduces the sigma values
-    table = build_sigma_table(SU2, 2.0)
-    flat = rep.metadata["flat_diagonal"]
-    for lab, got in zip(rep.metadata["labels"], flat):
-        want = table[float(lab)]
+    labels, table = sigma_table(SU2, 2.0)
+    assert rep.metadata["labels"] == [str(lab) for lab in labels]
+    for got, want in zip(rep.metadata["flat_diagonal"], table):
         assert abs(got - want) / want < 1e-6
 
 
@@ -622,10 +691,10 @@ def test_spin_weighted_gram_torus_trivial():
 
 @given(st.floats(0.0, 8.0, exclude_min=True))
 def test_su2_irrep_labels_are_the_half_integers_within_the_cutoff(cutoff):
-    # with the 1e-12 slack that PeterWeylVector applies to its keys, so
-    # every label is accepted and the next half-integer is refused
+    # with 1e-12 of slack, so a cutoff rounded just below a half-integer
+    # keeps it; the basis holds (2j + 1)^2 entries per label
     labels = irrep_labels(SU2, cutoff)
     assert labels == [k / 2.0 for k in range(17) if k / 2.0 <= cutoff + 1e-12]
-    PeterWeylVector(SU2, cutoff, {(labels[-1], 0, 0): 1.0})
-    with pytest.raises(ValueError, match="exceeds cutoff"):
-        PeterWeylVector(SU2, cutoff, {(labels[-1] + 0.5, 0, 0): 1.0})
+    owner = _basis_owner(SU2, labels)
+    assert np.array_equal(np.bincount(owner),
+                          [(2 * j + 1) ** 2 for j in labels])

@@ -32,13 +32,18 @@ def test_export_list_is_the_public_surface(module):
 
 
 # the scalar point layer the stacked forms replaced: a point is a group
-# matrix and a coordinate array, with no wrapper type or one-point twin
+# matrix and a coordinate array, with no wrapper type or one-point twin;
+# and the dict coefficient format: a coefficient vector is one
+# basis-ordered array, a sigma table one array in label order, and a
+# reduced character one row of samples
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
-    "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map"),
+    "coherent_transform": ("PeterWeylVector", "SigmaTable"),
+    "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
+                  "ReducedFunction"),
 }
 
 

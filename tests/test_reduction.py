@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantlab import reduction
-from quantlab.coherent_transform import PeterWeylVector
 from quantlab.lie_core import (
     adjoint_action_batch,
     alg_to_matrix_batch,
@@ -281,45 +280,29 @@ def test_weyl_canonicalize_lands_in_the_fundamental_domain(tau, y, seed):
     assert np.abs(_ad(SU2, h, yy) - canon.Y0).max() < 1e-9
 
 
+def _norm_sq(rule, values):
+    return rule.weights @ (np.abs(values) ** 2)
+
+
 def test_reduction_unitary_torus_identity():
-    f = PeterWeylVector(U1, 3, {((2,), 0, 0): 1.0})
-    sec = reduction_unitary(f)
-    taus = sec.rule.nodes[:, 0]
-    assert np.abs(sec.values - np.exp(2j * taus)).max() < 1e-12
-    assert abs(sec.norm_sq - 1.0) < 1e-12
+    rule, values = reduction_unitary(U1, [(2,)])
+    taus = rule.nodes[:, 0]
+    assert values.shape == (1, len(taus))
+    assert np.abs(values[0] - np.exp(2j * taus)).max() < 1e-12
+    assert abs(_norm_sq(rule, values[0]) - 1.0) < 1e-12
 
 
 def test_reduction_unitary_su2_isometry():
     for j in (0.0, 0.5, 1.0, 2.0):
-        d = int(2 * j + 1)
-        coeffs = {(j, a, a): 1.0 / math.sqrt(d) for a in range(d)}
-        f = PeterWeylVector(SU2, 2.0, coeffs)
-        sec = reduction_unitary(f)
-        assert abs(sec.norm_sq - 1.0) < 1e-10
+        rule, values = reduction_unitary(SU2, [j])
+        assert abs(_norm_sq(rule, values[0]) - 1.0) < 1e-10
 
 
 def test_reduction_unitary_preserves_orthogonality():
-    secs = {}
-    for j in (0.5, 1.0, 1.5):
-        d = int(2 * j + 1)
-        coeffs = {(j, a, a): 1.0 / math.sqrt(d) for a in range(d)}
-        secs[j] = reduction_unitary(
-            PeterWeylVector(SU2, 2.0, coeffs), modes=16
-        )
-    for ja in secs:
-        for jb in secs:
-            inner = np.sum(
-                secs[ja].rule.weights * secs[ja].values
-                * np.conj(secs[jb].values)
-            )
-            want = 1.0 if ja == jb else 0.0
-            assert abs(inner - want) < 1e-10
-
-
-def test_reduction_unitary_rejects_non_class():
-    f = PeterWeylVector(SU2, 1.0, {(1.0, 0, 1): 1.0})
-    with pytest.raises(ValueError):
-        reduction_unitary(f)
+    # one call, one grid, one row per character
+    rule, values = reduction_unitary(SU2, [0.5, 1.0, 1.5], modes=16)
+    gram = (values * rule.weights) @ values.conj().T
+    assert np.abs(gram - np.eye(3)).max() < 1e-10
 
 
 def test_qr_certificate_su2():
@@ -347,10 +330,12 @@ def test_su2_torus_character_values_are_the_weight_sums():
     from quantlab.reduction import _torus_character_values
 
     taus = np.linspace(0.0, 4.0 * math.pi, 41)[:, None]
-    for j in (0.0, 0.5, 1.0, 2.5, 4.0):
+    spins = (0.0, 0.5, 1.0, 2.5, 4.0)
+    rows = _torus_character_values(SU2, spins, taus)
+    assert rows.shape == (len(spins), len(taus))
+    for j, got in zip(spins, rows):
         want = sum(np.exp(1j * (k - j) * taus[:, 0])
                    for k in range(int(2 * j) + 1))
-        got = _torus_character_values(SU2, j, taus)
         assert np.abs(got - want).max() < 1e-13 * (2 * j + 1)
 
 
