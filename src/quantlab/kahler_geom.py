@@ -17,8 +17,9 @@ Conventions, fixed once and used by every routine here:
   matrix J^T Omega.
 
 Analytic functions of ad(Y) are evaluated by eigendecomposition of the
-Hermitian matrix i ad(Y) with series fallbacks near zero eigenvalues, since
-the block formulas have removable singularities there.
+Hermitian matrix i ad(Y), in forms that keep full precision at small
+eigenvalues; only an eigenvalue of exactly zero takes the limit of a
+removable singularity.
 """
 
 from __future__ import annotations
@@ -50,7 +51,13 @@ __all__ = [
 
 
 def _ad_eigensystem(model: LieModel, ys: np.ndarray):
-    """Batched eigendecomposition of i ad(Y); ys has shape (N, n)."""
+    """Batched eigendecomposition of i ad(Y); ys has shape (N, n).  On an
+    abelian model ad(Y) = 0, whose eigh is zero eigenvalues and the
+    identity basis, so no decomposition is run."""
+    if model.is_abelian:
+        count, n = ys.shape
+        return (np.zeros((count, n)),
+                np.broadcast_to(np.eye(n, dtype=complex), (count, n, n)))
     c = model.structure_constants
     ad = np.einsum("mi,ijk->mkj", ys, c)
     lam, vec = np.linalg.eigh(1j * ad)
@@ -71,24 +78,42 @@ def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
 
 def _assemble(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """V diag(vals) V^* (batched), real part."""
-    return np.einsum("mij,mj,mkj->mik", vec, vals, vec.conj()).real
+    return ((vec * vals[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
 
 
 def _block_values(lam: np.ndarray):
     """Eigenvalues of the four blocks as functions of the eigenvalues of
     i ad(Y).  ad(Y) itself has eigenvalue -i*lam, so the entire functions
     cos, (1-cos)/z, -sin, sin(z)/z are evaluated at z = -i*lam, turning
-    them into cosh/sinh expressions of the real variable lam."""
+    them into cosh/sinh expressions of the real variable lam.  (1-cos z)/z
+    is taken as -2 sinh(lam/2)^2 / lam, which keeps every digit where
+    1 - cosh(lam) would cancel; only lam = 0 itself needs its limit."""
     lam = np.asarray(lam, float)
-    small = np.abs(lam) < 1e-6
-    safe = np.where(small, 1.0, lam)
+    zero = lam == 0.0
+    safe = np.where(zero, 1.0, lam)
     cos_v = np.cosh(lam).astype(complex)
-    ratio = np.where(small, -lam / 2.0 * (1.0 + lam**2 / 12.0),
-                     (1.0 - np.cosh(lam)) / safe)
-    onemcos_v = 1j * ratio
+    onemcos_v = 1j * (-2.0 * np.sinh(lam / 2.0) ** 2 / safe)
     msin_v = 1j * np.sinh(lam)
-    sinc_v = np.where(small, 1.0 + lam**2 / 6.0, np.sinh(lam) / safe)
+    sinc_v = np.where(zero, 1.0, np.sinh(lam) / safe)
     return cos_v, onemcos_v, msin_v, sinc_v.astype(complex)
+
+
+def _j_block_values(lam: np.ndarray):
+    """Eigenvalues of the upper-left, upper-right and lower-left blocks of
+    J, as functions of the eigenvalues lam of i ad(Y); the lower-right
+    block is minus the upper-left one.  The four blocks of the polar
+    differential commute, with block determinant sinh(lam)/lam, so
+    inverting the 2x2 block matrix eigenvalue by eigenvalue gives
+    J = [[-i tanh(lam/2), -2 tanh(lam/2)/lam],
+         [lam/sinh(lam), i tanh(lam/2)]]."""
+    lam = np.asarray(lam, float)
+    zero = lam == 0.0
+    safe = np.where(zero, 1.0, lam)
+    tanh_half = np.tanh(lam / 2.0)
+    upper_left = -1j * tanh_half
+    upper_right = np.where(zero, -1.0, -2.0 * tanh_half / safe)
+    lower_left = safe / np.where(zero, 1.0, np.sinh(lam))
+    return upper_left, upper_right, lower_left
 
 
 def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -109,27 +134,27 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flat_J(n: int) -> np.ndarray:
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
-
-
 def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
-    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y."""
+    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form: the
+    blocks of ``_j_block_values`` assembled in the eigenbasis of i ad(Y)."""
     ys = np.atleast_2d(np.asarray(ys, float))
-    dphi = dphi_batch(model, ys)
-    je = _flat_J(model.dim)
-    return np.linalg.solve(dphi, np.einsum("ij,mjk->mik", je, dphi))
+    n = model.dim
+    lam, vec = _ad_eigensystem(model, ys)
+    upper_left, upper_right, lower_left = _j_block_values(lam)
+    out = np.empty((ys.shape[0], 2 * n, 2 * n))
+    out[:, :n, :n] = _assemble(vec, upper_left)
+    out[:, :n, n:] = _assemble(vec, upper_right)
+    out[:, n:, :n] = _assemble(vec, lower_left)
+    out[:, n:, n:] = -out[:, :n, :n]
+    return out
 
 
 def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     """Gram matrices J^T Omega of the metric g(v, w) = omega(Jv, w),
     batched over the rows of the (N, n) array ys."""
     ys = np.atleast_2d(np.asarray(ys, float))
-    return np.einsum("mji,mjk->mik", complex_structure_batch(model, ys),
-                     omega_batch(model, ys))
+    return (np.swapaxes(complex_structure_batch(model, ys), 1, 2)
+            @ omega_batch(model, ys))
 
 
 def j_squared_certificate(

@@ -16,9 +16,9 @@ consumes a LieModel and stays model-generic where it can.
 Points have one representation: algebra elements are coordinate arrays,
 (n,) for one element and (N, n) for a stack, and group points are
 defining-representation matrices, (k, k) or (N, k, k), with n =
-``model.dim`` and k = ``model.defining_rep_dim``.  ``alg_to_matrix_batch``,
-``coords_from_matrix_batch``, ``exp_alg_batch`` and ``adjoint_action_batch``
-work on stacks only; a caller with one point passes a one-row stack and
+``model.dim`` and k = ``model.defining_rep_dim``.  ``bracket``,
+``alg_to_matrix_batch``, ``coords_from_matrix_batch``, ``exp_alg_batch`` and
+``adjoint_action_batch`` work on stacks only; a caller with one point passes a one-row stack and
 takes row 0, so one point and a row of a stack are computed by the same
 code.  ``adjoint_action_batch`` checks unitarity once for the whole stack
 with ``is_unitary_batch``, the one predicate behind ``GroupPoint.is_unitary``
@@ -297,12 +297,14 @@ def validate_model(model: LieModel) -> None:
 
 
 def bracket(model: LieModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Lie bracket [x, y] of two (n,) coordinate arrays by
-    structure-constant contraction."""
-    if np.shape(x) != (model.dim,) or np.shape(y) != (model.dim,):
-        raise ValueError(f"bracket on {model.name} takes {model.dim} "
-                         "coordinates per argument")
-    return np.einsum("i,j,ijk->k", x, y, model.structure_constants)
+    """Lie brackets [x, y] row by row of two (N, n) coordinate stacks, by
+    structure-constant contraction; returns (N, n)."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != model.dim:
+        raise ValueError(f"bracket on {model.name} takes two equal (N, "
+                         f"{model.dim}) coordinate stacks")
+    return np.einsum("mi,mj,ijk->mk", x, y, model.structure_constants)
 
 
 def alg_to_matrix_batch(model: LieModel, coords: np.ndarray) -> np.ndarray:
@@ -465,16 +467,17 @@ def random_coords_batch(model: LieModel, rng: np.random.Generator,
         cols = np.split(block, len(kinds), axis=1)
         return [2.0 * c if kind == "group" else c
                 for kind, c in zip(kinds, cols)]
-    # uniform and normal draws interleave on tori: draw round by round.
+    # uniform and normal draws interleave on tori: draw round by round, one
+    # scalar call per coordinate, which consumes the stream exactly as an
+    # array call of that size does and costs less than one.
     # 2 pi * random() is what uniform(0, 2 pi) computes, draw for draw,
     # without the argument handling that is most of its call cost.
     sizes = [model.rank if kind == "group" else model.dim for kind in kinds]
-    draws = [rng.random if kind == "group" else rng.standard_normal
-             for kind in kinds]
-    raw = [np.empty((count, size)) for size in sizes]
-    for i in range(count):
-        for arr, draw, size in zip(raw, draws, sizes):
-            arr[i] = draw(size)
+    one_round = [rng.random if kind == "group" else rng.standard_normal
+                 for kind, size in zip(kinds, sizes) for _ in range(size)]
+    flat = np.array([draw() for _ in range(count) for draw in one_round])
+    raw = np.split(flat.reshape(count, len(one_round)),
+                   np.cumsum(sizes)[:-1], axis=1)
     out = []
     for kind, arr in zip(kinds, raw):
         if kind == "group":

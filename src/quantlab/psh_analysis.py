@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from quantlab import density_weights as dw
 from quantlab.kahler_geom import complex_structure_batch, dphi_batch
 from quantlab.lie_core import (
     LieModel,
@@ -55,42 +54,61 @@ _TWIST_MARGIN = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class InvariantPotential:
-    """A Weyl-invariant potential on t with its analytic derivatives."""
+    """A Weyl-invariant potential on t, given by its analytic gradient and
+    Hessian.  Both act on (N, r) stacks of torus coordinates, r =
+    ``model.rank``: ``grad_fn`` returns an (N, r) array and ``hess_fn`` an
+    (N, r, r) one."""
 
     name: str
     model: LieModel
-    tilde: Callable[[np.ndarray], float]
     grad_fn: Callable[[np.ndarray], np.ndarray]
     hess_fn: Callable[[np.ndarray], np.ndarray]
 
-    def value(self, t: np.ndarray) -> float:
-        return float(self.tilde(np.asarray(t, float)))
+    def _checked(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, float)
+        if ts.ndim != 2 or ts.shape[1] != self.model.rank:
+            raise ValueError(
+                f"{self.name} takes an (N, {self.model.rank}) stack of "
+                f"torus coordinates, got shape {ts.shape}"
+            )
+        return ts
 
-    def grad(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(np.asarray(t, float)), float)
+    def grad(self, ts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.grad_fn(self._checked(ts)), float)
 
-    def hess(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.hess_fn(np.asarray(t, float)), float)
+    def hess(self, ts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.hess_fn(self._checked(ts)), float)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
+    """Closed-form curvature spectra at N torus points: ``point`` (N, r),
+    ``hessian_eigenvalues`` (N, r) in ascending order, ``root_eigenvalues``
+    (N, R) with one column per root of ``model.roots`` in order, and
+    ``min_eigenvalue`` (N,)."""
+
     point: np.ndarray
     hessian_eigenvalues: np.ndarray
-    root_eigenvalues: list[tuple[tuple[float, ...], float]]
-    min_eigenvalue: float
+    root_eigenvalues: np.ndarray
+    min_eigenvalue: np.ndarray
 
     def all_values(self) -> np.ndarray:
-        vals = list(self.hessian_eigenvalues)
-        vals += [v for (_, v) in self.root_eigenvalues]
-        return np.asarray(vals)
+        return np.concatenate([self.hessian_eigenvalues,
+                               self.root_eigenvalues], axis=1)
 
 
-def _coth_guarded(x: float) -> float:
-    # coth(x) - 1/x with its removable singularity, plus the raw coth
-    if abs(x) < 1e-4:
-        return x / 3.0 - x**3 / 45.0
-    return 1.0 / math.tanh(x) - 1.0 / x
+def _coth_guarded(x: np.ndarray) -> np.ndarray:
+    # coth(x) - 1/x elementwise, with its removable singularity
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    return np.where(small, x / 3.0 - x**3 / 45.0,
+                    1.0 / np.tanh(safe) - 1.0 / safe)
+
+
+def _covectors(model: LieModel, roots) -> np.ndarray:
+    # (R, r): one root covector per row
+    return np.array([root.covector for root in roots], float).reshape(
+        len(roots), model.rank)
 
 
 def make_potential(model: LieModel, spec: str) -> InvariantPotential:
@@ -99,37 +117,27 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
         return InvariantPotential(
             "square",
             model,
-            tilde=lambda t: float(np.dot(t, t)),
             grad_fn=lambda t: 2.0 * t,
-            hess_fn=lambda t: 2.0 * np.eye(t.size),
+            hess_fn=lambda t: np.broadcast_to(
+                2.0 * np.eye(t.shape[1]), (t.shape[0],) + 2 * t.shape[1:]),
         )
     if spec == "logeta":
+        pos = _covectors(model, model.positive_roots())
+        outers = pos[:, :, None] * pos[:, None, :]
+
         def grad(t):
-            out = np.zeros_like(t)
-            for root in model.positive_roots():
-                x = float(t @ root.covector)
-                out += _coth_guarded(x) * root.covector
-            return out
+            return _coth_guarded(t @ pos.T) @ pos
 
         def hess(t):
-            r = t.size
-            out = np.zeros((r, r))
-            for root in model.positive_roots():
-                x = float(t @ root.covector)
-                if abs(x) < 1e-4:
-                    second = 1.0 / 3.0 - x * x / 15.0
-                else:
-                    second = 1.0 / x**2 - 1.0 / math.sinh(x) ** 2
-                out += second * np.outer(root.covector, root.covector)
-            return out
+            x = t @ pos.T
+            small = np.abs(x) < 1e-4
+            safe = np.where(small, 1.0, x)
+            second = np.where(small, 1.0 / 3.0 - x * x / 15.0,
+                              1.0 / safe**2 - 1.0 / np.sinh(safe) ** 2)
+            return (second[:, :, None, None] * outers).sum(axis=1)
 
-        return InvariantPotential(
-            "logeta",
-            model,
-            tilde=lambda t: float(dw.log_eta_tilde(model, t)),
-            grad_fn=grad,
-            hess_fn=hess,
-        )
+        return InvariantPotential("logeta", model, grad_fn=grad,
+                                  hess_fn=hess)
     if spec.startswith("combined:"):
         try:
             a_str, b_str = spec.split(":", 1)[1].split(",")
@@ -143,15 +151,15 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
         return InvariantPotential(
             spec,
             model,
-            tilde=lambda t: a * sq.value(t) + b * le.value(t),
             grad_fn=lambda t: a * sq.grad(t) + b * le.grad(t),
             hess_fn=lambda t: a * sq.hess(t) + b * le.hess(t),
         )
     raise ValueError(f"unknown potential {spec!r}")
 
 
-def _flat_gradient(K: InvariantPotential, y_coords: np.ndarray) -> np.ndarray:
-    """The equivariant gradient on the algebra, evaluated at Y.
+def _flat_gradient(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
+    """The equivariant gradient on the algebra at each row of the (N, n)
+    array ys.
 
     Torus models: the flat gradient in torus coordinates.  The rank-1
     non-abelian model: the radial extension grad(Y) = (K~'(r)/r) Y, whose
@@ -159,114 +167,122 @@ def _flat_gradient(K: InvariantPotential, y_coords: np.ndarray) -> np.ndarray:
     """
     model = K.model
     if model.is_abelian:
-        out = np.zeros(model.dim)
+        out = np.zeros_like(ys)
         tidx = list(model.torus_indices)
-        out[tidx] = K.grad(y_coords[tidx])
+        out[:, tidx] = K.grad(ys[:, tidx])
         return out
-    r = float(np.linalg.norm(y_coords))
-    if r < 1e-9:
-        return float(K.hess(np.zeros(model.rank))[0, 0]) * y_coords
-    slope = float(K.grad(np.array([r]))[0]) / r
-    return slope * y_coords
+    r = np.linalg.norm(ys, axis=1)
+    small = r < 1e-9
+    slope = np.empty_like(r)
+    if small.any():
+        slope[small] = K.hess(np.zeros((1, model.rank)))[0, 0, 0]
+    big = ~small
+    slope[big] = K.grad(r[big, None])[:, 0] / r[big]
+    return slope[:, None] * ys
 
 
-def mu_gradient(K: InvariantPotential, x: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-    """The equivariant moment-style map at (x, Y), for a (k, k) group
-    matrix x and (n,) coordinates y: Ad_x applied to the invariant gradient
-    of the potential at Y."""
-    flat = _flat_gradient(K, np.asarray(y, float))
-    return adjoint_action_batch(K.model, np.asarray(x)[None], flat[None])[0]
+def mu_gradient(K: InvariantPotential, xs: np.ndarray,
+                ys: np.ndarray) -> np.ndarray:
+    """The equivariant moment-style map row by row, for (N, k, k) group
+    matrices xs and (N, n) coordinates ys: Ad_x applied to the invariant
+    gradient of the potential at Y; returns (N, n)."""
+    flat = _flat_gradient(K, np.asarray(ys, float))
+    return adjoint_action_batch(K.model, xs, flat)
 
 
-def _torus_part_checked(model: LieModel, y: np.ndarray) -> np.ndarray:
+def _torus_part_checked(model: LieModel, ys: np.ndarray) -> np.ndarray:
+    ys = np.asarray(ys, float)
+    if ys.ndim != 2 or ys.shape[1] != model.dim:
+        raise ValueError(f"expected an (N, {model.dim}) stack of "
+                         f"coordinates, got shape {ys.shape}")
     tidx = list(model.torus_indices)
-    off = np.delete(y, tidx)
+    off = np.delete(ys, tidx, axis=1)
     if off.size and np.abs(off).max() > 1e-12:
-        raise ValueError("expected a point of t")
-    return y[tidx]
+        raise ValueError("expected points of t")
+    return ys[:, tidx]
 
 
-def theta_spectrum(K: InvariantPotential, y: np.ndarray) -> SpectrumReport:
-    """Closed-form spectrum of the hermitian curvature endomorphism at a
-    torus point, given by (n,) coordinates y: Hessian eigenvalues plus one
-    value per root.
+def theta_spectrum(K: InvariantPotential, ys: np.ndarray) -> SpectrumReport:
+    """Closed-form spectra of the hermitian curvature endomorphism at the
+    torus points given by the rows of the (N, n) array ys: Hessian
+    eigenvalues plus one value per root.
 
     Within 1e-6 of a root hyperplane the root value switches to its limit
     form: the across-wall second derivative of the potential times
     (alpha(Y) coth(alpha(Y)) + alpha(Y)).
     """
     model = K.model
-    t = _torus_part_checked(model, np.asarray(y, float))
-    hess = K.hess(t)
-    heigs = np.linalg.eigvalsh(hess)
-    grad = K.grad(t)
-    root_vals: list[tuple[tuple[float, ...], float]] = []
-    for root in model.roots:
-        a = root.covector
-        ay = float(a @ t)
-        amu = float(a @ grad)
-        if abs(ay) < 1e-6:
+    t = _torus_part_checked(model, ys)
+    heigs = np.linalg.eigvalsh(K.hess(t))
+    covs = _covectors(model, model.roots)
+    ay = t @ covs.T
+    amu = K.grad(t) @ covs.T
+    near = np.abs(ay) < 1e-6
+    ratio = amu / np.where(near, 1.0, ay)
+    for j, a in enumerate(covs):
+        rows = near[:, j]
+        if rows.any():
             # limit form on the wall
-            proj = t - (ay / float(a @ a)) * a
-            ratio = float(a @ K.hess(proj) @ a) / float(a @ a)
-        else:
-            ratio = amu / ay
-        if abs(ay) < 1e-4:
-            factor = 1.0 + ay + ay * ay / 3.0
-        else:
-            factor = ay / math.tanh(ay) + ay
-        root_vals.append((tuple(a), ratio * factor))
-    all_vals = np.concatenate([heigs, [v for _, v in root_vals]]) if (
-        root_vals
-    ) else heigs
+            aa = float(a @ a)
+            proj = t[rows] - (ay[rows, j] / aa)[:, None] * a
+            ratio[rows, j] = (K.hess(proj) @ a) @ a / aa
+    # alpha coth(alpha) + alpha as -2 alpha / expm1(-2 alpha): the sum
+    # cancels for alpha << 0, this form keeps every digit; 1 at alpha = 0
+    zero = ay == 0.0
+    safe = np.where(zero, 1.0, ay)
+    factor = np.where(zero, 1.0, -2.0 * safe / np.expm1(-2.0 * safe))
+    root_vals = ratio * factor
     return SpectrumReport(
-        point=t.copy(),
+        point=t,
         hessian_eigenvalues=heigs,
         root_eigenvalues=root_vals,
-        min_eigenvalue=float(all_vals.min()),
+        min_eigenvalue=np.concatenate([heigs, root_vals], axis=1).min(axis=1),
     )
 
 
-def theta_matrix_oracle(K: InvariantPotential, y: np.ndarray) -> np.ndarray:
-    """Finite-difference assembly, at the torus point with (n,) coordinates
-    y, of the hermitian endomorphism whose spectrum theta_spectrum predicts.
+def theta_matrix_oracle(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
+    """Finite-difference assembly, at the torus points given by the rows of
+    the (N, n) array ys, of the hermitian endomorphisms whose spectra
+    theta_spectrum predicts; returns (N, n, n).
 
     Column k: the covariant derivative of the equivariant gradient along
     the horizontal direction J(e_k, 0), minus i times the bracket with the
     gradient itself.  The covariant correction subtracts the connection
     reading of the direction; derivatives are central differences with one
-    Richardson extrapolation step.
+    Richardson extrapolation step.  The 4n shifted points of every row are
+    evaluated in one stack.
     """
     model = K.model
     n = model.dim
-    y = np.asarray(y, float)
-    _torus_part_checked(model, y)
-    jmat = complex_structure_batch(model, y[None])[0]
+    ys = np.asarray(ys, float)
+    _torus_part_checked(model, ys)
+    count = ys.shape[0]
+    k = model.defining_rep_dim
+    jmat = complex_structure_batch(model, ys)
     # (1 - cos ad Y)/ad Y is the upper-right block of the polar differential
-    q_block = dphi_batch(model, y[None])[0][:n, n:]
-    mu0 = mu_gradient(K, np.eye(model.defining_rep_dim, dtype=complex), y)
-
-    def mu_along(h1: np.ndarray, h2: np.ndarray, s: float) -> np.ndarray:
-        x = exp_alg_batch(model, (s * h1)[None])[0]
-        return mu_gradient(K, x, y + s * h2)
-
-    def dmu(h1: np.ndarray, h2: np.ndarray, h: float) -> np.ndarray:
-        d1 = (mu_along(h1, h2, h) - mu_along(h1, h2, -h)) / (2 * h)
-        d2 = (mu_along(h1, h2, h / 2) - mu_along(h1, h2, -h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        unit = np.zeros(2 * n)
-        unit[k] = 1.0
-        hvec = jmat @ unit
-        h1, h2 = hvec[:n], hvec[n:]
-        deriv = dmu(h1, h2, 1e-5)
-        conn = h1 - q_block @ h2
-        covariant = deriv - bracket(model, conn, mu0)
-        out[:, k] = covariant - 1j * bracket(model, mu0, unit[:n])
-    herm_defect = float(np.abs(out - out.conj().T).max())
+    q_block = dphi_batch(model, ys)[:, :n, n:]
+    mu0 = mu_gradient(
+        K, np.broadcast_to(np.eye(k, dtype=complex), (count, k, k)), ys)
+    # row j of h1 and h2 holds the direction J(e_j, 0) = (h1, h2)
+    h1 = np.swapaxes(jmat[:, :n, :n], 1, 2)
+    h2 = np.swapaxes(jmat[:, n:, :n], 1, 2)
+    h = 1e-5
+    steps = np.array([h, -h, h / 2, -h / 2])[:, None]
+    xs = exp_alg_batch(model, (steps * h1[:, :, None, :]).reshape(-1, n))
+    shifted = (ys[:, None, None, :] + steps * h2[:, :, None, :]).reshape(-1, n)
+    mu = mu_gradient(K, xs, shifted).reshape(count, n, 4, n)
+    d1 = (mu[:, :, 0] - mu[:, :, 1]) / (2 * h)
+    d2 = (mu[:, :, 2] - mu[:, :, 3]) / h
+    deriv = (4.0 * d2 - d1) / 3.0
+    conn = h1 - np.swapaxes(q_block @ jmat[:, n:, :n], 1, 2)
+    mu_rows = np.repeat(mu0, n, axis=0)
+    covariant = deriv - bracket(model, conn.reshape(-1, n),
+                                mu_rows).reshape(count, n, n)
+    units = np.tile(np.eye(n), (count, 1))
+    twist = bracket(model, mu_rows, units).reshape(count, n, n)
+    out = np.swapaxes(covariant - 1j * twist, 1, 2)
+    herm_defect = float(
+        np.abs(out - np.conj(np.swapaxes(out, 1, 2))).max(initial=0.0))
     if herm_defect > 1e-8:
         raise ArithmeticError(
             f"assembled endomorphism is not hermitian: defect {herm_defect:g}"
@@ -277,31 +293,34 @@ def theta_matrix_oracle(K: InvariantPotential, y: np.ndarray) -> np.ndarray:
 def psh_verdict(
     K: InvariantPotential, grid: np.ndarray, margin: float = 0.0
 ) -> CheckReport:
-    """Spectrum scan over a grid on t: the potential is accepted when every
-    eigenvalue stays above -1e-8 + margin, and otherwise the worst witness
-    point is reported."""
+    """Spectrum scan over a grid on t, one point per row of an (N, r)
+    array (a 1-D array is accepted at rank 1 only): the potential is
+    accepted when every eigenvalue stays above -1e-8 + margin, and
+    otherwise the worst witness point is reported."""
     model = K.model
-    grid = np.atleast_2d(np.asarray(grid, float))
-    if grid.shape[1] != model.rank:
-        grid = grid.reshape(-1, model.rank)
-    worst_val = np.inf
-    worst_point = None
-    for t in grid:
-        coords = np.zeros(model.dim)
-        coords[list(model.torus_indices)] = t
-        rep = theta_spectrum(K, coords)
-        if rep.min_eigenvalue < worst_val:
-            worst_val = rep.min_eigenvalue
-            worst_point = t.copy()
+    grid = np.asarray(grid, float)
+    if grid.ndim == 1 and model.rank == 1:
+        grid = grid[:, None]
+    if grid.ndim != 2 or grid.shape[1] != model.rank or not grid.shape[0]:
+        raise ValueError(
+            f"psh_verdict on {model.name} takes a nonempty (N, {model.rank}) "
+            f"grid of torus coordinates, got shape {grid.shape}"
+        )
+    coords = np.zeros((grid.shape[0], model.dim))
+    coords[:, list(model.torus_indices)] = grid
+    mins = theta_spectrum(K, coords).min_eigenvalue
+    worst = int(np.argmin(mins))
+    worst_val = float(mins[worst])
     return CheckReport.from_error(
         f"psh.verdict.{K.name}",
         "an invariant potential is plurisubharmonic exactly when its flat "
         "Hessian and all root values alpha(mu)(coth(alpha)+1) are "
         "nonnegative over t",
         tolerance=1e-8,
-        max_error=max(0.0, margin - worst_val),
-        min_eigenvalue=float(worst_val),
-        witness_point=list(worst_point) if worst_point is not None else None,
+        # a NaN eigenvalue propagates and fails the check
+        max_error=np.maximum(0.0, margin - worst_val),
+        min_eigenvalue=worst_val,
+        witness_point=list(grid[worst]),
         grid_points=int(grid.shape[0]),
         margin=margin,
     )
@@ -353,11 +372,13 @@ def twist_positivity_certificate(
     )
 
 
-def _spectra_gap(closed: np.ndarray, oracle: np.ndarray) -> float:
-    a = np.sort(closed)
-    b = np.sort(oracle)
-    scale = max(1e-8, float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max() / scale)
+def _spectra_gaps(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    # row by row: the largest gap of the sorted spectra over their scale
+    a = np.sort(closed, axis=1)
+    b = np.sort(oracle, axis=1)
+    scale = np.maximum(1e-8, np.maximum(np.abs(a).max(axis=1),
+                                        np.abs(b).max(axis=1)))
+    return np.abs(a - b).max(axis=1) / scale
 
 
 def oracle_agreement_certificate(
@@ -366,26 +387,23 @@ def oracle_agreement_certificate(
     """theta_spectrum against the eigenvalues of theta_matrix_oracle at 17
     points of the last algebra axis, Y in [0.15, 2.5], for each preset; the
     gap is relative to the larger spectrum."""
-    ys = np.linspace(0.15, 2.5, 17)
+    coords = np.zeros((17, model.dim))
+    coords[:, -1] = np.linspace(0.15, 2.5, 17)
     worst = 0.0
-    points = 0
     for preset in _PRESETS:
         K = make_potential(model, preset)
-        for yval in ys:
-            coords = np.zeros(model.dim)
-            coords[-1] = yval
-            closed = theta_spectrum(K, coords).all_values()
-            oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, coords))
-            worst = max(worst, _spectra_gap(closed, oracle))
-            points += 1
+        closed = theta_spectrum(K, coords).all_values()
+        oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, coords))
+        # np.maximum, so that a NaN gap propagates and fails the check
+        worst = np.maximum(worst, _spectra_gaps(closed, oracle).max())
     return CheckReport.from_error(
         "psh.oracle_agreement",
         "closed-form curvature eigenvalues agree with the "
         "finite-difference hermitian-operator route at every grid "
         "point, for each potential preset",
         tolerance=tolerance,
-        max_error=worst,
-        grid_points=points,
+        max_error=float(worst),
+        grid_points=len(coords) * len(_PRESETS),
         presets=list(_PRESETS),
     )
 
@@ -401,12 +419,12 @@ def wall_limit_certificate(
     if not model.is_abelian:
         for preset in _PRESETS:
             K = make_potential(model, preset)
-            rep = theta_spectrum(K, np.array([0.0, 0.0, yval]))
-            hess0 = float(K.hess(np.array([0.0]))[0, 0])
-            for (cov,), val in rep.root_eigenvalues:
-                ay = cov * yval
+            rep = theta_spectrum(K, np.array([[0.0, 0.0, yval]]))
+            hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
+            for root, val in zip(model.roots, rep.root_eigenvalues[0]):
+                ay = float(root.covector[0]) * yval
                 limit = hess0 * (ay / math.tanh(ay) + ay)
-                worst = max(worst, abs(val - limit))
+                worst = max(worst, abs(float(val) - limit))
     return CheckReport.from_error(
         "psh.wall_limit",
         "next to a reflection wall the root-direction eigenvalue "
@@ -422,15 +440,13 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
     along the scan grid; the square potential's curve must stay
     nonnegative, and both curves go into the report."""
     curve_pts = _scan_grid(model)
-    curves = {}
-    for preset in ("square", "logeta"):
-        K = make_potential(model, preset)
-        vals = []
-        for row in curve_pts:
-            coords = np.zeros(model.dim)
-            coords[-model.rank :] = row
-            vals.append(float(theta_spectrum(K, coords).min_eigenvalue))
-        curves[preset] = vals
+    coords = np.zeros((len(curve_pts), model.dim))
+    coords[:, -model.rank:] = curve_pts
+    curves = {
+        preset: [float(v) for v in theta_spectrum(
+            make_potential(model, preset), coords).min_eigenvalue]
+        for preset in ("square", "logeta")
+    }
     return CheckReport.from_error(
         "psh.spectrum_curve",
         "the flat potential keeps a nonnegative curvature spectrum "

@@ -34,7 +34,6 @@ from quantlab.lie_core import (
     alg_to_matrix_batch,
     exp_alg_batch,
     random_coords_batch,
-    random_group_point,
     weyl_group,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
@@ -96,111 +95,137 @@ def momentum_equivariance_certificate(
 
 @dataclass(frozen=True, eq=False)
 class ReducedRepresentative:
-    """A point (t, Y0) of T x t as a (k, k) torus matrix and (n,)
-    coordinates, with the (k, k) conjugator h that carried the original
-    pair (g, Y) there: h g h^-1 = t and Ad_h Y = Y0."""
+    """Points (t, Y0) of T x t as an (N, k, k) stack of torus matrices and
+    (N, n) coordinates, with the (N, k, k) conjugators h that carried the
+    original pairs (g, Y) there: h g h^-1 = t and Ad_h Y = Y0 row by
+    row."""
 
     t: np.ndarray
     Y0: np.ndarray
     conjugator: np.ndarray
 
 
-def _su2_torus_angle(t: np.ndarray) -> float:
-    # t = diag(e^{-i tau/2}, e^{i tau/2}); wrapped to [0, 4 pi)
-    tau = 2.0 * float(np.angle(t[1, 1]))
+def _su2_torus_angle(t: np.ndarray) -> np.ndarray:
+    # t = diag(e^{-i tau/2}, e^{i tau/2}), one per row of an (N, 2, 2)
+    # stack; tau wrapped to [0, 4 pi)
+    tau = 2.0 * np.angle(t[:, 1, 1])
     return tau % (4.0 * math.pi)
 
 
-def _clean_torus_pair(model: LieModel, t_mat: np.ndarray,
-                      y_coords: np.ndarray):
-    """Project a numerically diagonal su2 pair onto the exact torus data,
-    verifying the discarded parts are below 1e-9."""
-    off = max(abs(t_mat[0, 1]), abs(t_mat[1, 0]),
-              abs(y_coords[0]), abs(y_coords[1]))
-    if off > 1e-9:
-        raise ArithmeticError(
-            f"simultaneous diagonalization left residual {off:g}"
-        )
-    tau = 2.0 * float(np.angle(t_mat[1, 1]))
-    t = exp_alg_batch(model, np.array([[0.0, 0.0, tau]]))[0]
-    return t, np.array([0.0, 0.0, float(y_coords[2])])
+def _torus_rows(model: LieModel, taus: np.ndarray) -> np.ndarray:
+    # (N, n) coordinates tau e_3 of su2 torus points
+    coords = np.zeros((len(taus), model.dim))
+    coords[:, 2] = taus
+    return coords
 
 
-def _unit_eigenvector(mat: np.ndarray) -> np.ndarray:
-    # one unit eigenvector of a 2x2 matrix: with h = (a - d)/2 and
-    # s = sqrt(h^2 + bc), (s + h, c) is an eigenvector for (a + d)/2 + s,
-    # and the root whose sign makes Re(conj(h) s) >= 0 keeps
-    # |s + h|^2 >= |s|^2 + |h|^2, free of cancellation
-    (a, b), (c, d) = mat
+def _unit_eigenvectors(mats: np.ndarray) -> np.ndarray:
+    # one unit eigenvector per 2x2 matrix of an (N, 2, 2) stack: with
+    # h = (a - d)/2 and s = sqrt(h^2 + bc), (s + h, c) is an eigenvector
+    # for (a + d)/2 + s, and the root whose sign makes Re(conj(h) s) >= 0
+    # keeps |s + h|^2 >= |s|^2 + |h|^2, free of cancellation
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, d = mats[:, 1, 0], mats[:, 1, 1]
     h = 0.5 * (a - d)
     s = np.sqrt(h * h + b * c)
-    if (h.conjugate() * s).real < 0:
-        s = -s
-    v = np.array([s + h, c])
-    norm = np.linalg.norm(v)
+    s = np.where((np.conj(h) * s).real < 0, -s, s)
+    v = np.stack([s + h, c], axis=1)
+    norm = np.linalg.norm(v, axis=1)
     # zero only for a scalar matrix, where every vector is an eigenvector
-    return v / norm if norm > 0 else np.array([1.0 + 0j, 0j])
+    scalar = norm == 0
+    v[scalar] = [1.0, 0.0]
+    return v / np.where(scalar, 1.0, norm)[:, None]
 
 
-def torus_representative(model: LieModel, g: np.ndarray,
-                         y: np.ndarray) -> ReducedRepresentative:
-    """A conjugator h with (h g h^{-1}, Ad_h Y) in T x t, for a (k, k)
-    group matrix g and (n,) coordinates y of a point of the zero set.
+# mix weights of g + lam * i Y, tried in order on the rows still open
+_MIX_WEIGHTS = (0.7310585786300049, 0.31830988618367, 1.9021605823)
 
-    Raises ValueError unless the momentum residual |j(g, Y)| is below
-    ZERO_SET_TOL.  The pair commutes on the zero set, so the
+
+def torus_representative(model: LieModel, gs: np.ndarray,
+                         ys: np.ndarray) -> ReducedRepresentative:
+    """Conjugators h with (h g h^{-1}, Ad_h Y) in T x t, row by row, for an
+    (N, k, k) stack of group matrices gs and (N, n) coordinates ys of
+    points of the zero set.
+
+    Raises ValueError unless the momentum residual |j(g, Y)| of every row
+    is below ZERO_SET_TOL.  The pair commutes on the zero set, so the
     defining-representation matrices are simultaneously diagonalizable, and
     the normal matrix of a generic linear mix diagonalizes both at once.
     Its 2x2 Schur basis is one unit eigenvector v and its orthogonal
     complement, which together form the SU(2) matrix
-    [[v0, -v1*], [v1, v0*]].  Mix weights are retried before declaring the
-    problem defective.
+    [[v0, -v1*], [v1, v0*]].  A row whose mix leaves off-diagonal parts
+    above 1e-9 is retried with the next mix weight, and only such rows;
+    a row that no weight diagonalizes raises ArithmeticError.
     """
-    g = np.asarray(g)
-    y = np.asarray(y, float)
-    residual = float(np.linalg.norm(momentum_map_batch(model, g[None],
-                                                       y[None])[0]))
-    if not residual < ZERO_SET_TOL:
+    gs = np.asarray(gs)
+    ys = np.asarray(ys, float)
+    residual = np.linalg.norm(momentum_map_batch(model, gs, ys), axis=1)
+    bad = ~(residual < ZERO_SET_TOL)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"momentum residual {residual:g} exceeds the zero-set "
-            f"tolerance {ZERO_SET_TOL:g}"
+            f"momentum residual {residual[row]:g} of row {row} exceeds the "
+            f"zero-set tolerance {ZERO_SET_TOL:g}"
         )
     if model.is_abelian:
+        eye = np.eye(model.defining_rep_dim, dtype=complex)
         return ReducedRepresentative(
-            g, y, np.eye(model.defining_rep_dim, dtype=complex))
-    herm = 1j * alg_to_matrix_batch(model, y[None])[0]
-    for lam in (0.7310585786300049, 0.31830988618367, 1.9021605823):
-        v = _unit_eigenvector(g + lam * herm)
-        z = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
-        h = z.conj().T
-        t_mat = h @ g @ h.conj().T
-        y_new = adjoint_action_batch(model, h[None], y[None])[0]
-        try:
-            t, y0 = _clean_torus_pair(model, t_mat, y_new)
-        except ArithmeticError:
-            continue
-        return ReducedRepresentative(t, y0, h)
-    raise ArithmeticError("no mix weight produced a joint diagonalization")
+            gs, ys, np.broadcast_to(eye, gs.shape).copy())
+    herm = 1j * alg_to_matrix_batch(model, ys)
+    t_out = np.empty_like(gs, dtype=complex)
+    y_out = np.zeros_like(ys)
+    h_out = np.empty_like(t_out)
+    todo = np.arange(len(ys))
+    for lam in _MIX_WEIGHTS:
+        if not len(todo):
+            break
+        g = gs[todo]
+        v = _unit_eigenvectors(g + lam * herm[todo])
+        h = np.empty((len(todo), 2, 2), dtype=complex)
+        h[:, 0, 0] = np.conj(v[:, 0])
+        h[:, 0, 1] = np.conj(v[:, 1])
+        h[:, 1, 0] = -v[:, 1]
+        h[:, 1, 1] = v[:, 0]
+        t_mat = h @ g @ np.conj(np.swapaxes(h, 1, 2))
+        y_new = adjoint_action_batch(model, h, ys[todo])
+        # the discarded off-diagonal and off-torus parts must be below 1e-9
+        off = np.max(np.abs(np.stack([t_mat[:, 0, 1], t_mat[:, 1, 0],
+                                      y_new[:, 0], y_new[:, 1]])), axis=0)
+        ok = off <= 1e-9
+        done = todo[ok]
+        taus = 2.0 * np.angle(t_mat[ok, 1, 1])
+        t_out[done] = exp_alg_batch(model, _torus_rows(model, taus))
+        y_out[done, 2] = y_new[ok, 2]
+        h_out[done] = h[ok]
+        todo = todo[~ok]
+    if len(todo):
+        raise ArithmeticError(
+            f"no mix weight produced a joint diagonalization of row "
+            f"{int(todo[0])}"
+        )
+    return ReducedRepresentative(t_out, y_out, h_out)
 
 
 def weyl_canonicalize(model: LieModel,
                       rep: ReducedRepresentative) -> ReducedRepresentative:
-    """The unique fundamental-domain representative: y > 0 kept, y < 0
-    flipped, and on the |y| <= 1e-12 boundary Y0 set to 0 and the torus
-    angle flipped into its own fundamental arc [0, 2 pi].  The flip
-    conjugates by exp(pi e1), which swaps the torus diagonal and negates t.
-    Idempotent."""
+    """The unique fundamental-domain representative of each row: y > 0
+    kept, y < 0 flipped, and on the |y| <= 1e-12 boundary Y0 set to 0 and
+    the torus angle flipped into its own fundamental arc [0, 2 pi].  The
+    flip conjugates by exp(pi e1), which swaps the torus diagonal and
+    negates t.  Idempotent."""
     if model.is_abelian:
         return rep
-    y = float(rep.Y0[2])
-    on_wall = abs(y) <= 1e-12
-    y0 = np.zeros(model.dim) if on_wall else rep.Y0
-    if y < -1e-12 or (on_wall
-                      and _su2_torus_angle(rep.t) > 2.0 * math.pi + 1e-12):
-        flip = exp_alg_batch(model, np.array([[math.pi, 0.0, 0.0]]))[0]
-        return ReducedRepresentative(flip @ rep.t @ flip.conj().T, -y0,
-                                     flip @ rep.conjugator)
-    return ReducedRepresentative(rep.t, y0, rep.conjugator)
+    y = rep.Y0[:, 2]
+    on_wall = np.abs(y) <= 1e-12
+    y0 = np.where(on_wall[:, None], 0.0, rep.Y0)
+    flipped = (y < -1e-12) | (
+        on_wall & (_su2_torus_angle(rep.t) > 2.0 * math.pi + 1e-12))
+    flip = exp_alg_batch(model, np.array([[math.pi, 0.0, 0.0]]))[0]
+    rows = flipped[:, None, None]
+    return ReducedRepresentative(
+        np.where(rows, flip @ rep.t @ flip.conj().T, rep.t),
+        np.where(flipped[:, None], -y0, y0),
+        np.where(rows, flip @ rep.conjugator, rep.conjugator))
 
 
 def round_trip_certificate(
@@ -211,35 +236,37 @@ def round_trip_certificate(
     canonical representative.
 
     Each trip draws from ``rng``: on tori an angle vector and a flat vector
-    (the pair is its own representative); on su2 tau, then y, then a
-    random_group_point h, and reduces (h t h^-1, Ad_h y e3).  ``seed`` is
-    the seed ``rng`` was made from, recorded in the report.
+    (the pair is its own representative); on su2 tau, then y, then the
+    coordinates of a random_group_point h, and reduces
+    (h t h^-1, Ad_h y e3).  Every trip is drawn first, trip by trip, and
+    then all trips are reduced in one stack.  ``seed`` is the seed ``rng``
+    was made from, recorded in the report.
     """
     def reduce(g, y):
         return weyl_canonicalize(model, torus_representative(model, g, y))
 
-    worst = 0.0
-    for _ in range(trips):
-        if model.is_abelian:
-            tau = rng.uniform(0, 2 * math.pi, size=model.rank)
-            y0 = rng.uniform(-2, 2, size=model.rank)
-            t0 = exp_alg_batch(model, tau[None])[0]
-            rep = reduce(t0, y0)
-        else:
-            tau = rng.uniform(0.3, 5.5)
-            yv = rng.uniform(-2, 2)
-            h0 = random_group_point(model, rng).matrix
-            t0 = exp_alg_batch(model, np.array([[0.0, 0.0, tau]]))[0]
-            y0 = np.array([0.0, 0.0, yv])
-            rep = reduce(h0 @ t0 @ h0.conj().T,
-                         adjoint_action_batch(model, h0[None], y0[None])[0])
-            direct = reduce(t0, y0)
-            t0, y0 = direct.t, direct.Y0
-        worst = max(
-            worst,
-            float(np.abs(rep.t - t0).max()),
-            float(np.abs(rep.Y0 - y0).max()),
-        )
+    r, n = model.rank, model.dim
+    if model.is_abelian:
+        draws = np.array([
+            np.concatenate([rng.uniform(0, 2 * math.pi, size=r),
+                            rng.uniform(-2, 2, size=r)])
+            for _ in range(trips)]).reshape(trips, 2 * r)
+        t0, y0 = exp_alg_batch(model, draws[:, :r]), draws[:, r:]
+        rep = reduce(t0, y0)
+    else:
+        draws = np.array([
+            [rng.uniform(0.3, 5.5), rng.uniform(-2, 2),
+             *random_coords_batch(model, rng, 1, ("group",))[0][0]]
+            for _ in range(trips)]).reshape(trips, 2 + n)
+        t0 = exp_alg_batch(model, _torus_rows(model, draws[:, 0]))
+        y0 = _torus_rows(model, draws[:, 1])
+        h0 = exp_alg_batch(model, draws[:, 2:])
+        rep = reduce(h0 @ t0 @ np.conj(np.swapaxes(h0, 1, 2)),
+                     adjoint_action_batch(model, h0, y0))
+        direct = reduce(t0, y0)
+        t0, y0 = direct.t, direct.Y0
+    worst = max(float(np.abs(rep.t - t0).max(initial=0.0)),
+                float(np.abs(rep.Y0 - y0).max(initial=0.0)))
     return CheckReport.from_error(
         "reduction.round_trip",
         "conjugating a torus pair by a random element and reducing "

@@ -8,6 +8,8 @@ left-trivialized velocity off the group."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantlab import kahler_geom as kg
 from quantlab import lie_core as lc
@@ -144,6 +146,26 @@ def test_polar_differential_certificate_reproduces_scalar_loop(name):
     assert rng_batch.random() == rng_loop.random()
 
 
+def _one_minus_cos_taylor(x):
+    # (1 - cosh x)/x = -(x/2 + x^3/24 + x^5/720 + x^7/40320 + ...)
+    return -(x / 2 + x**3 / 24 + x**5 / 720 + x**7 / 40320)
+
+
+def _sinhc_taylor(x):
+    return 1 + x**2 / 6 + x**4 / 120 + x**6 / 5040
+
+
+@pytest.mark.parametrize("lam", [1.1e-6, 1e-5, 1e-3])
+def test_block_values_keep_every_digit_at_small_eigenvalues(lam):
+    # just above 1e-6, (1 - cosh lam)/lam cancels and loses up to four
+    # digits; both blocks must match their Taylor series to rounding
+    for x in (lam, -lam):
+        _, onemcos, _, sinhc = kg._block_values(np.array([x]))
+        assert onemcos[0].real == 0.0
+        assert abs(onemcos[0].imag / _one_minus_cos_taylor(x) - 1) < 1e-15
+        assert abs(sinhc[0].real / _sinhc_taylor(x) - 1) < 1e-15
+
+
 def test_dphi_near_zero_taylor_branch():
     su2 = lc.get_model("su2")
     y = np.array([1e-8, -2e-8, 1e-8])
@@ -176,6 +198,62 @@ def test_J_on_vertical_Y_direction():
         vout = j @ vin
         assert np.allclose(vout, np.concatenate([-2 * y, np.zeros(3)]),
                            atol=1e-10)
+
+
+def _solve_route_J(model, ys):
+    # the definition J = dphi^{-1} J_flat dphi, as a linear solve: the
+    # oracle the closed form is held against
+    n = model.dim
+    flat = np.zeros((2 * n, 2 * n))
+    flat[:n, n:] = -np.eye(n)
+    flat[n:, :n] = np.eye(n)
+    dphi = kg.dphi_batch(model, ys)
+    return np.linalg.solve(dphi, flat @ dphi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    radius=st.one_of(
+        st.sampled_from([0.0, 1e-7, 1e-6 - 1e-12, 1e-6, 1e-6 + 1e-12, 1e-5,
+                         1e-3, 10.0]),
+        st.floats(0.0, 10.0)),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_closed_form_J_matches_the_solve_route(radius, direction):
+    su2 = lc.get_model("su2")
+    d = np.array(direction)
+    assume(np.linalg.norm(d) > 1e-3)
+    y = radius * d / np.linalg.norm(d)
+    got = _J(su2, y)
+    want = _solve_route_J(su2, y[None])[0]
+    # the solve loses digits as the condition of dphi grows like
+    # cosh(|Y|)^2; the closed form does not
+    assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.cosh(radius) ** 2)
+    assert np.abs(got @ got + np.eye(6)).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["u1", "t2"])
+def test_closed_form_J_is_the_solve_route_on_tori(name):
+    model = lc.get_model(name)
+    ys = np.random.default_rng(11).standard_normal((50, model.dim)) * 3
+    assert np.array_equal(kg.complex_structure_batch(model, ys),
+                          _solve_route_J(model, ys))
+
+
+def test_j_squared_fails_on_a_perturbed_block(monkeypatch):
+    # J is assembled from its blocks, not conjugated from J_flat, so a
+    # wrong block breaks J^2 = -1 and the certificate must see it
+    su2 = lc.get_model("su2")
+    assert kg.j_squared_certificate(su2, np.random.default_rng(0), 0).passed
+    blocks = kg._j_block_values
+
+    def perturbed(lam):
+        upper_left, upper_right, lower_left = blocks(lam)
+        return upper_left, upper_right * (1.0 + 1e-6), lower_left
+
+    monkeypatch.setattr(kg, "_j_block_values", perturbed)
+    assert not kg.j_squared_certificate(su2, np.random.default_rng(0),
+                                        0).passed
 
 
 def test_J_squared_and_spectrum():
@@ -236,7 +314,8 @@ def _lie_derivative(model, func, y, direction, h=1e-6):
 def _field_bracket(model, v, w):
     # [v, w] of left-invariant fields: ([X1, Z1], 0)
     n = model.dim
-    return np.concatenate([lc.bracket(model, v[:n], w[:n]), np.zeros(n)])
+    return np.concatenate([lc.bracket(model, v[None, :n], w[None, :n])[0],
+                           np.zeros(n)])
 
 
 def test_dtheta_reproduces_omega():

@@ -30,40 +30,41 @@ def test_builtin_models_validate():
 
 
 def test_bracket_su2_basis():
+    # [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2, one row each
     su2 = lc.get_model("su2")
-    e1, e2, e3 = np.eye(3)
-    assert np.allclose(lc.bracket(su2, e1, e2), e3)
-    assert np.allclose(lc.bracket(su2, e2, e3), e1)
-    assert np.allclose(lc.bracket(su2, e3, e1), e2)
+    e = np.eye(3)
+    assert np.allclose(lc.bracket(su2, e, np.roll(e, -1, axis=0)),
+                       np.roll(e, -2, axis=0))
 
 
 def test_bracket_antisymmetry_and_self():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        x, y = rng.standard_normal((2, 3))
-        assert np.allclose(
-            lc.bracket(su2, x, y), -lc.bracket(su2, y, x), atol=1e-14
-        )
-        assert np.allclose(lc.bracket(su2, x, x), 0.0, atol=1e-14)
+    x, y = rng.standard_normal((2, 20, 3))
+    assert np.allclose(
+        lc.bracket(su2, x, y), -lc.bracket(su2, y, x), atol=1e-14
+    )
+    assert np.allclose(lc.bracket(su2, x, x), 0.0, atol=1e-14)
 
 
 def test_bracket_torus_abelian():
     t2 = lc.get_model("t2")
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        x, y = rng.standard_normal((2, 2))
-        assert np.allclose(lc.bracket(t2, x, y), 0.0)
+    x, y = rng.standard_normal((2, 10, 2))
+    assert np.allclose(lc.bracket(t2, x, y), 0.0)
 
 
 def test_bracket_model_mismatch_is_usage_error():
-    # coordinates of another model's length are refused, a length-1 array
-    # included, which einsum alone would broadcast
+    # coordinates of another model's length are refused, a length-1 row
+    # included, which einsum alone would broadcast; so is a bare (n,)
+    # vector, which is not a stack
     su2 = lc.get_model("su2")
     with pytest.raises(ValueError):
-        lc.bracket(su2, np.array([1.0, 0, 0]), np.array([1.0]))
+        lc.bracket(su2, np.array([[1.0, 0, 0]]), np.array([[1.0]]))
     with pytest.raises(ValueError):
-        lc.bracket(su2, np.array([1.0, 0]), np.array([1.0, 0]))
+        lc.bracket(su2, np.array([[1.0, 0]]), np.array([[1.0, 0]]))
+    with pytest.raises(ValueError):
+        lc.bracket(su2, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
 
 
 def test_adjoint_identity_and_torus():

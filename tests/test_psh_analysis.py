@@ -34,10 +34,20 @@ def _ad(model, g, y):
     return adjoint_action_batch(model, g[None], y[None])[0]
 
 
+def _mu(K, x, y):
+    # one point: a one-row call of the stacked gradient map
+    return mu_gradient(K, x[None], y[None])[0]
+
+
+def _spectrum(K, y):
+    # one point: a one-row call; every field keeps its row axis
+    return theta_spectrum(K, y[None])
+
+
 def test_square_gradient_is_doubling():
     K = make_potential(SU2, "square")
     y = np.array([0.3, -0.1, 0.7])
-    mu = mu_gradient(K, np.eye(2, dtype=complex), y)
+    mu = _mu(K, np.eye(2, dtype=complex), y)
     assert np.allclose(mu, 2 * y, atol=1e-12)
 
 
@@ -50,29 +60,29 @@ def test_mu_is_equivariant():
             h = random_group_point(SU2, rng).matrix
             y = 1.3 * rng.standard_normal(3)
             conj = h @ x @ h.conj().T
-            left = mu_gradient(K, conj, _ad(SU2, h, y))
-            right = _ad(SU2, h, mu_gradient(K, x, y))
+            left = _mu(K, conj, _ad(SU2, h, y))
+            right = _ad(SU2, h, _mu(K, x, y))
             assert np.abs(left - right).max() < 1e-10
 
 
 def test_spectrum_square_at_unit_torus_point():
     # Hessian eigenvalue 2; root values 2(coth(1) +/- 1)
     K = make_potential(SU2, "square")
-    rep = theta_spectrum(K, torus_vec(SU2, 1.0))
+    rep = _spectrum(K, torus_vec(SU2, 1.0))
     coth1 = 1.0 / math.tanh(1.0)
-    assert rep.hessian_eigenvalues.shape == (1,)
-    assert abs(rep.hessian_eigenvalues[0] - 2.0) < 1e-10
-    got = sorted(v for _, v in rep.root_eigenvalues)
+    assert rep.hessian_eigenvalues.shape == (1, 1)
+    assert abs(rep.hessian_eigenvalues[0, 0] - 2.0) < 1e-10
+    got = sorted(rep.root_eigenvalues[0])
     want = sorted([2 * (coth1 + 1), 2 * (coth1 - 1)])
     assert np.allclose(got, want, atol=1e-10)
-    assert abs(rep.min_eigenvalue - 2 * (coth1 - 1)) < 1e-10
+    assert abs(rep.min_eigenvalue[0] - 2 * (coth1 - 1)) < 1e-10
 
 
 def test_spectrum_logeta_at_origin_is_one_third():
     K = make_potential(SU2, "logeta")
-    rep = theta_spectrum(K, torus_vec(SU2, 0.0))
+    rep = _spectrum(K, torus_vec(SU2, 0.0))
     vals = rep.all_values()
-    assert vals.shape == (3,)
+    assert vals.shape == (1, 3)
     assert np.abs(vals - 1.0 / 3.0).max() < 1e-9
 
 
@@ -83,17 +93,17 @@ def test_wall_limit_matches_nearby_closed_form():
                  "combined:6.283185307179586,1"):
         K = make_potential(SU2, name)
         y = 1e-3
-        rep = theta_spectrum(K, torus_vec(SU2, y))
-        hess0 = float(K.hess(np.array([0.0]))[0, 0])
-        for (cov,), val in rep.root_eigenvalues:
-            ay = cov * y
+        rep = _spectrum(K, torus_vec(SU2, y))
+        hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
+        for root, val in zip(SU2.roots, rep.root_eigenvalues[0]):
+            ay = root.covector[0] * y
             limit = hess0 * (ay / math.tanh(ay) + ay)
             assert abs(val - limit) < 1e-5
 
 
 def test_spectrum_exactly_on_wall_uses_limit():
     K = make_potential(SU2, "square")
-    rep = theta_spectrum(K, torus_vec(SU2, 0.0))
+    rep = _spectrum(K, torus_vec(SU2, 0.0))
     assert np.abs(rep.all_values() - 2.0).max() < 1e-12
 
 
@@ -101,11 +111,10 @@ def test_gradient_sign_lemma_for_convex_potentials():
     # alpha(grad) has the sign of alpha(Y) when the potential is convex
     for name in ("square", "combined:6.283185307179586,2"):
         K = make_potential(SU2, name)
-        for y in np.linspace(-5, 5, 41):
-            if abs(y) < 1e-12:
-                continue
-            ratio = float(K.grad(np.array([y]))[0]) / y
-            assert ratio >= -1e-10
+        ys = np.linspace(-5, 5, 41)
+        ys = ys[np.abs(ys) >= 1e-12]
+        ratio = K.grad(ys[:, None])[:, 0] / ys
+        assert ratio.min() >= -1e-10
 
 
 @pytest.mark.parametrize("name", ["square", "logeta",
@@ -114,20 +123,20 @@ def test_gradient_sign_lemma_for_convex_potentials():
 def test_oracle_matrix_matches_closed_spectrum_su2(name, y):
     K = make_potential(SU2, name)
     Y = torus_vec(SU2, y)
-    mat = theta_matrix_oracle(K, Y)
+    mat = theta_matrix_oracle(K, Y[None])[0]
     assert np.abs(mat - mat.conj().T).max() < 1e-8
     oracle = np.linalg.eigvalsh(mat)
-    closed = np.sort(theta_spectrum(K, Y).all_values())
+    closed = np.sort(_spectrum(K, Y).all_values()[0])
     scale = max(1e-8, np.abs(closed).max())
     assert np.abs(oracle - closed).max() / scale < 1e-4
 
 
 def test_oracle_reduces_to_hessian_on_torus_models():
     K = make_potential(U1, "square")
-    mat = theta_matrix_oracle(K, torus_vec(U1, 0.8))
+    mat = theta_matrix_oracle(K, torus_vec(U1, 0.8)[None])
     assert np.abs(mat - 2.0 * np.eye(1)).max() < 1e-6
     K2 = make_potential(T2, "square")
-    mat2 = theta_matrix_oracle(K2, torus_vec(T2, 0.4, -1.1))
+    mat2 = theta_matrix_oracle(K2, torus_vec(T2, 0.4, -1.1)[None])
     assert np.abs(mat2 - 2.0 * np.eye(2)).max() < 1e-6
 
 
@@ -137,9 +146,8 @@ def test_psh_verdict_accepts_square_and_rejects_negative_square():
     assert good.passed
     bad_pot = InvariantPotential(
         "negsquare", SU2,
-        tilde=lambda t: -float(t @ t),
         grad_fn=lambda t: -2.0 * t,
-        hess_fn=lambda t: -2.0 * np.eye(t.size),
+        hess_fn=lambda t: -2.0 * np.eye(t.shape[1]) * np.ones((len(t), 1, 1)),
     )
     bad = psh_verdict(bad_pot, grid)
     assert not bad.passed
@@ -149,17 +157,16 @@ def test_psh_verdict_accepts_square_and_rejects_negative_square():
 def test_psh_verdict_locates_witness_for_cosine():
     pot = InvariantPotential(
         "cosine", SU2,
-        tilde=lambda t: float(np.cos(t[0])),
         grad_fn=lambda t: -np.sin(t),
-        hess_fn=lambda t: np.diag(-np.cos(t)),
+        hess_fn=lambda t: -np.cos(t)[:, :, None] * np.eye(t.shape[1]),
     )
     rep = psh_verdict(pot, np.linspace(-3, 3, 121))
     assert not rep.passed
     assert rep.metadata["min_eigenvalue"] < -0.5
     # the witness really attains the reported minimum
     witness = torus_vec(SU2, rep.metadata["witness_point"][0])
-    again = theta_spectrum(pot, witness)
-    assert abs(again.min_eigenvalue - rep.metadata["min_eigenvalue"]) < 1e-12
+    again = _spectrum(pot, witness)
+    assert abs(again.min_eigenvalue[0] - rep.metadata["min_eigenvalue"]) < 1e-12
 
 
 def test_canonical_certificate_su2_and_torus():
@@ -191,3 +198,75 @@ def test_combined_parse_errors():
         make_potential(SU2, "combined:1")
     with pytest.raises(ValueError):
         make_potential(SU2, "no-such-potential")
+
+
+def _scan_coords(model):
+    # the scan line of the certificates plus points at and near the wall
+    ts = np.concatenate([np.linspace(-5.0, 5.0, 41),
+                         [0.0, 1e-7, -5e-7, 3e-5, -2e-4]])
+    coords = np.zeros((len(ts), model.dim))
+    for axis, idx in enumerate(model.torus_indices):
+        coords[:, idx] = ts * 0.3**axis
+    return coords
+
+
+PRESETS = ["square", "logeta", "combined:6.283185307179586,2"]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("model", [U1, T2, SU2], ids=lambda m: m.name)
+def test_theta_spectrum_rows_equal_one_row_calls(model, preset):
+    K = make_potential(model, preset)
+    coords = _scan_coords(model)
+    rep = theta_spectrum(K, coords)
+    for i, y in enumerate(coords):
+        one = _spectrum(K, y)
+        for field in ("point", "hessian_eigenvalues", "root_eigenvalues",
+                      "min_eigenvalue"):
+            assert np.array_equal(getattr(one, field)[0],
+                                  getattr(rep, field)[i])
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("model", [U1, T2, SU2], ids=lambda m: m.name)
+def test_theta_matrix_oracle_rows_equal_one_row_calls(model, preset):
+    K = make_potential(model, preset)
+    coords = _scan_coords(model)[::4]
+    mats = theta_matrix_oracle(K, coords)
+    assert mats.shape == (len(coords), model.dim, model.dim)
+    for y, mat in zip(coords, mats):
+        assert np.array_equal(theta_matrix_oracle(K, y[None])[0], mat)
+
+
+@pytest.mark.parametrize("alpha", [-5.0, -3.0, -1.0, 1e-5, 2.0])
+def test_root_values_keep_their_digits_below_the_wall(alpha):
+    # the square potential's root value is 2 (alpha coth(alpha) + alpha),
+    # that is 4 alpha e^{2 alpha} / (e^{2 alpha} - 1), where the sum
+    # cancels for alpha << 0
+    rep = _spectrum(make_potential(SU2, "square"), torus_vec(SU2, alpha))
+    e = math.exp(2.0 * alpha)
+    want = 4.0 * alpha * e / math.expm1(2.0 * alpha)
+    got = rep.root_eigenvalues[0][0]
+    assert abs(got / want - 1.0) < 1e-15
+
+
+def test_psh_verdict_refuses_a_grid_that_is_not_rank_wide():
+    # full su2 coordinates are not 15 rank-1 points, a 1-D grid is only
+    # a rank-1 grid, and an empty grid has nothing to certify
+    K = make_potential(SU2, "square")
+    with pytest.raises(ValueError, match="grid"):
+        psh_verdict(K, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="grid"):
+        psh_verdict(make_potential(T2, "square"), np.linspace(-1, 1, 6))
+    with pytest.raises(ValueError, match="grid"):
+        psh_verdict(K, np.zeros((0, 1)))
+    assert psh_verdict(K, np.linspace(-1, 1, 5)).metadata["grid_points"] == 5
+
+
+def test_psh_verdict_fails_on_a_nan_spectrum():
+    nan_pot = InvariantPotential(
+        "nan", SU2,
+        grad_fn=lambda t: np.full_like(t, np.nan),
+        hess_fn=lambda t: np.full((len(t), 1, 1), np.nan),
+    )
+    assert not psh_verdict(nan_pot, np.linspace(-1, 1, 5)).passed

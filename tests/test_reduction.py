@@ -55,8 +55,19 @@ def commuting_pair(rng, tau=None, y=None):
     return (h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)), t0, y0
 
 
+def _rep(model, g, y):
+    # one pair: a one-row call of the stacked normal form
+    return torus_representative(model, g[None], np.asarray(y, float)[None])
+
+
+def _canon(t, y, h=EYE2):
+    # the canonical form of one torus pair (t, y) with conjugator h
+    return weyl_canonicalize(SU2, ReducedRepresentative(t[None], y[None],
+                                                        h[None]))
+
+
 def _reduce(g, y):
-    return weyl_canonicalize(SU2, torus_representative(SU2, g, y))
+    return weyl_canonicalize(SU2, _rep(SU2, g, y))
 
 
 def test_momentum_trivial_cases():
@@ -137,51 +148,57 @@ def test_zero_set_gate():
     rng = np.random.default_rng(2)
     (g, y), _, _ = commuting_pair(rng)
     assert np.linalg.norm(_momentum(SU2, g, y)) < reduction.ZERO_SET_TOL
-    torus_representative(SU2, g, y)
+    _rep(SU2, g, y)
     bad_g, bad_y = _exp(SU2, [0, 0, 1.0]), np.array([1.0, 0, 0])
     with pytest.raises(ValueError, match="zero-set tolerance"):
-        torus_representative(SU2, bad_g, bad_y)
+        _rep(SU2, bad_g, bad_y)
+    # the gate reads every row: one pair off the zero set among good ones
+    # is refused, and named
+    gs = np.array([g, bad_g, g])
+    ys = np.array([y, bad_y, y])
+    with pytest.raises(ValueError, match="row 1 exceeds"):
+        torus_representative(SU2, gs, ys)
     # on a torus every pair commutes, but the gate still reads j = 0
     t2 = get_model("t2")
-    rep = torus_representative(t2, _exp(t2, [0.4, 1.0]), np.array([1.0, 2]))
-    assert np.array_equal(rep.conjugator, np.eye(2))
+    rep = _rep(t2, _exp(t2, [0.4, 1.0]), np.array([1.0, 2]))
+    assert np.array_equal(rep.conjugator, np.eye(2)[None])
 
 
 def assert_representative_invariant(rep, g, y):
-    h = rep.conjugator
-    assert np.abs(h @ g @ h.conj().T - rep.t).max() < 1e-9
-    assert np.abs(_ad(SU2, h, y) - rep.Y0).max() < 1e-9
+    h = rep.conjugator[0]
+    assert np.abs(h @ g @ h.conj().T - rep.t[0]).max() < 1e-9
+    assert np.abs(_ad(SU2, h, y) - rep.Y0[0]).max() < 1e-9
 
 
 def test_torus_representative_generic():
     rng = np.random.default_rng(3)
     for _ in range(25):
         (g, y), _, _ = commuting_pair(rng)
-        rep = torus_representative(SU2, g, y)
+        rep = _rep(SU2, g, y)
         assert_representative_invariant(rep, g, y)
-        assert abs(rep.Y0[0]) < 1e-12
-        assert abs(rep.Y0[1]) < 1e-12
+        assert abs(rep.Y0[0, 0]) < 1e-12
+        assert abs(rep.Y0[0, 1]) < 1e-12
 
 
 def test_torus_representative_fixed_points():
     # central group part with algebra part along e1
     g, y = -EYE2, np.array([0.7, 0, 0])
-    rep = torus_representative(SU2, g, y)
+    rep = _rep(SU2, g, y)
     assert_representative_invariant(rep, g, y)
-    assert abs(abs(rep.Y0[2]) - 0.7) < 1e-10
+    assert abs(abs(rep.Y0[0, 2]) - 0.7) < 1e-10
 
 
 def test_torus_representative_already_reduced():
     g, y = torus_pair(1.2, 0.5)
-    rep = torus_representative(SU2, g, y)
+    rep = _rep(SU2, g, y)
     assert_representative_invariant(rep, g, y)
     canon = weyl_canonicalize(SU2, rep)
-    assert abs(canon.Y0[2] - 0.5) < 1e-10
-    assert np.abs(canon.t - g).max() < 1e-9
+    assert abs(canon.Y0[0, 2] - 0.5) < 1e-10
+    assert np.abs(canon.t[0] - g).max() < 1e-9
 
 
-def assert_su2_conjugator_diagonalizes(rep, g, y):
-    h = rep.conjugator
+def assert_su2_conjugator_diagonalizes(rep, g, y, row=0):
+    h = rep.conjugator[row]
     assert abs(np.linalg.det(h) - 1.0) < 1e-12
     assert np.abs(h @ h.conj().T - np.eye(2)).max() < 1e-12
     for mat in (g, 1j * alg_to_matrix_batch(SU2, y[None])[0]):
@@ -195,7 +212,7 @@ def test_torus_representative_conjugator_for_central_g(sign):
     rng = np.random.default_rng(5)
     for y in (np.zeros(3), rng.standard_normal(3)):
         assert_su2_conjugator_diagonalizes(
-            torus_representative(SU2, central, y), central, y)
+            _rep(SU2, central, y), central, y)
 
 
 def test_torus_representative_conjugator_for_zero_y():
@@ -203,7 +220,7 @@ def test_torus_representative_conjugator_for_zero_y():
     for _ in range(10):
         g, y = random_group_point(SU2, rng).matrix, np.zeros(3)
         assert_su2_conjugator_diagonalizes(
-            torus_representative(SU2, g, y), g, y)
+            _rep(SU2, g, y), g, y)
 
 
 def test_torus_representative_conjugator_for_generic_pair():
@@ -211,7 +228,7 @@ def test_torus_representative_conjugator_for_generic_pair():
     for _ in range(25):
         (g, y), _, _ = commuting_pair(rng)
         assert_su2_conjugator_diagonalizes(
-            torus_representative(SU2, g, y), g, y)
+            _rep(SU2, g, y), g, y)
     # pairs a hair off the torus, where the eigenvector's first entry
     # cancels unless the square-root sign is chosen against it
     for eps in (1e-4, 1e-8, 1e-12):
@@ -220,13 +237,13 @@ def test_torus_representative_conjugator_for_generic_pair():
             t0, y0 = torus_pair(tau, yv)
             g, y = h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)
             assert_su2_conjugator_diagonalizes(
-                torus_representative(SU2, g, y), g, y)
+                _rep(SU2, g, y), g, y)
 
 
 def test_weyl_canonicalize_flip_and_idempotence():
     t, y = torus_pair(2.1, -0.8)
-    canon = weyl_canonicalize(SU2, ReducedRepresentative(t, y, EYE2))
-    assert canon.Y0[2] == pytest.approx(0.8, abs=1e-14)
+    canon = _canon(t, y)
+    assert canon.Y0[0, 2] == pytest.approx(0.8, abs=1e-14)
     again = weyl_canonicalize(SU2, canon)
     assert np.abs(again.t - canon.t).max() < 1e-12
     assert np.abs(again.Y0 - canon.Y0).max() < 1e-12
@@ -237,15 +254,15 @@ def test_weyl_canonicalize_round_trip():
     for _ in range(20):
         (g, y), t0, y0 = commuting_pair(rng)
         rep = _reduce(g, y)
-        direct = weyl_canonicalize(SU2, ReducedRepresentative(t0, y0, EYE2))
-        assert abs(rep.Y0[2] - direct.Y0[2]) < 1e-8
+        direct = _canon(t0, y0)
+        assert abs(rep.Y0[0, 2] - direct.Y0[0, 2]) < 1e-8
         assert np.abs(rep.t - direct.t).max() < 1e-8
 
 
 def test_weyl_canonicalize_angle_tie_break():
     t, y = torus_pair(3.0 * math.pi, 0.0)
-    canon = weyl_canonicalize(SU2, ReducedRepresentative(t, y, EYE2))
-    assert _su2_torus_angle(canon.t) <= 2 * math.pi + 1e-9
+    canon = _canon(t, y)
+    assert _su2_torus_angle(canon.t)[0] <= 2 * math.pi + 1e-9
     again = weyl_canonicalize(SU2, canon)
     assert np.abs(again.t - canon.t).max() < 1e-12
 
@@ -265,19 +282,118 @@ def test_weyl_canonicalize_lands_in_the_fundamental_domain(tau, y, seed):
     t0, y0 = torus_pair(tau, y)
     g, yy = h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)
     canon = _reduce(g, yy)
-    assert canon.Y0[2] >= 0.0
+    assert canon.Y0[0, 2] >= 0.0
     if abs(y) <= 1e-12:
-        assert canon.Y0[2] == 0.0
-        assert 0.0 <= _su2_torus_angle(canon.t) <= 2.0 * math.pi + 1e-12
+        assert canon.Y0[0, 2] == 0.0
+        assert 0.0 <= _su2_torus_angle(canon.t)[0] <= 2.0 * math.pi + 1e-12
     else:
-        assert abs(canon.Y0[2] - abs(y)) < 1e-9
+        assert abs(canon.Y0[0, 2] - abs(y)) < 1e-9
     again = weyl_canonicalize(SU2, canon)
     assert np.array_equal(again.t, canon.t)
     assert np.array_equal(again.Y0, canon.Y0)
     assert np.array_equal(again.conjugator, canon.conjugator)
-    h = canon.conjugator
-    assert np.abs(h @ g @ h.conj().T - canon.t).max() < 1e-9
-    assert np.abs(_ad(SU2, h, yy) - canon.Y0).max() < 1e-9
+    h = canon.conjugator[0]
+    assert np.abs(h @ g @ h.conj().T - canon.t[0]).max() < 1e-9
+    assert np.abs(_ad(SU2, h, yy) - canon.Y0[0]).max() < 1e-9
+
+
+def _pair_stack(seed=8):
+    # commuting pairs of every kind: generic conjugates of torus pairs,
+    # central g with generic and zero y, pairs on the wall y = 0 with the
+    # angle on either side of 2 pi, and pairs a hair off the torus
+    rng = np.random.default_rng(seed)
+    pairs = [commuting_pair(rng)[0] for _ in range(12)]
+    pairs += [(sign * EYE2, y) for sign in (1.0, -1.0)
+              for y in (np.zeros(3), rng.standard_normal(3))]
+    pairs += [commuting_pair(rng, tau=tau, y=0.0)[0]
+              for tau in (1.0, 3.0 * math.pi, 2.0 * math.pi)]
+    pairs += [torus_pair(tau, y) for tau, y in ((5.0, 0.0), (2.1, -0.8))]
+    h0 = _exp(SU2, [1e-8, 3e-9, 0.0])
+    t0, y0 = torus_pair(4.0, 0.0)
+    pairs.append((h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)))
+    return (np.array([g for g, _ in pairs]), np.array([y for _, y in pairs]))
+
+
+def _assert_rows_equal(stacked, rows):
+    for field in ("t", "Y0", "conjugator"):
+        got = getattr(stacked, field)
+        for i, row in enumerate(rows):
+            assert np.array_equal(got[i], getattr(row, field)[0])
+
+
+def test_torus_representative_rows_equal_one_row_calls():
+    gs, ys = _pair_stack()
+    stacked = torus_representative(SU2, gs, ys)
+    rows = [_rep(SU2, g, y) for g, y in zip(gs, ys)]
+    _assert_rows_equal(stacked, rows)
+    _assert_rows_equal(weyl_canonicalize(SU2, stacked),
+                       [weyl_canonicalize(SU2, row) for row in rows])
+    t2 = get_model("t2")
+    rng = np.random.default_rng(9)
+    gs2 = exp_alg_batch(t2, rng.uniform(0, 2 * math.pi, (6, 2)))
+    ys2 = rng.standard_normal((6, 2))
+    _assert_rows_equal(torus_representative(t2, gs2, ys2),
+                       [_rep(t2, g, y) for g, y in zip(gs2, ys2)])
+
+
+def test_mix_weight_retry_reaches_only_the_failed_rows(monkeypatch):
+    # with a first weight of 0 the mix is g alone: a central g is scalar,
+    # so its rows fail and are retried with the next weight, while every
+    # other row is finished by the first weight
+    gs, ys = _pair_stack()
+    central = np.array([np.allclose(g, g[0, 0] * EYE2) for g in gs])
+    assert central.any() and not central.all()
+    monkeypatch.setattr(reduction, "_MIX_WEIGHTS",
+                        (0.0,) + reduction._MIX_WEIGHTS)
+    stacked = torus_representative(SU2, gs, ys)
+    _assert_rows_equal(stacked, [_rep(SU2, g, y) for g, y in zip(gs, ys)])
+    for row, (g, y) in enumerate(zip(gs, ys)):
+        assert_su2_conjugator_diagonalizes(stacked, g, y, row)
+    monkeypatch.setattr(reduction, "_MIX_WEIGHTS", (0.0,))
+    alone = torus_representative(SU2, gs[~central], ys[~central])
+    assert np.array_equal(alone.conjugator, stacked.conjugator[~central])
+    first = int(np.flatnonzero(central & np.any(ys != 0, axis=1))[0])
+    with pytest.raises(ArithmeticError, match=f"row {first}"):
+        torus_representative(SU2, gs, ys)
+
+
+def _round_trip_loop(model, rng, trips):
+    # the trip-by-trip loop the certificate replaced, kept as its
+    # reference: draw, reduce and compare one trip at a time
+    def reduce(g, y):
+        return weyl_canonicalize(model, _rep(model, g, y))
+
+    worst = 0.0
+    for _ in range(trips):
+        if model.is_abelian:
+            tau = rng.uniform(0, 2 * math.pi, size=model.rank)
+            y0 = rng.uniform(-2, 2, size=model.rank)
+            t0 = _exp(model, tau)
+            rep = reduce(t0, y0)
+            t_ref, y_ref = t0, y0
+        else:
+            tau = rng.uniform(0.3, 5.5)
+            yv = rng.uniform(-2, 2)
+            h0 = random_group_point(model, rng).matrix
+            t0, y0 = torus_pair(tau, yv)
+            rep = reduce(h0 @ t0 @ h0.conj().T, _ad(model, h0, y0))
+            direct = reduce(t0, y0)
+            t_ref, y_ref = direct.t[0], direct.Y0[0]
+        worst = max(worst, float(np.abs(rep.t[0] - t_ref).max()),
+                    float(np.abs(rep.Y0[0] - y_ref).max()))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_round_trip_certificate_reproduces_the_trip_loop(name):
+    model = get_model(name)
+    rng_batch = np.random.default_rng(3)
+    rng_loop = np.random.default_rng(3)
+    report = reduction.round_trip_certificate(model, rng_batch, seed=3,
+                                              trips=60)
+    assert report.passed
+    assert report.max_error == _round_trip_loop(model, rng_loop, 60)
+    assert rng_batch.random() == rng_loop.random()
 
 
 def _norm_sq(rule, values):
