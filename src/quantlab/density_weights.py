@@ -8,6 +8,8 @@ weight is needed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from quantlab.lie_core import LieModel, exp_alg_batch, get_model
@@ -30,6 +32,20 @@ def sinhc(x: np.ndarray) -> np.ndarray:
     safe = np.where(small, 1.0, x)
     series = 1.0 + x**2 / 6.0 + x**4 / 120.0
     return np.where(small, series, np.sinh(safe) / safe)
+
+
+# 1/(2k+3)!, k = 11, ..., 0: the series of (sinh x - x)/x^3 in x^2, as
+# np.polyval wants it; it converges to rounding for |x| < 2
+_SINH_REMAINDER_SERIES = [1.0 / math.factorial(2 * k + 3)
+                          for k in reversed(range(12))]
+
+
+def _sinh_remainder(x: np.ndarray) -> np.ndarray:
+    """(sinh(x) - x)/x^3 elementwise, by its series where it cancels."""
+    small = np.abs(x) < 2.0
+    safe = np.where(small, 2.0, x)
+    return np.where(small, np.polyval(_SINH_REMAINDER_SERIES, x * x),
+                    (np.sinh(safe) - safe) / safe**3)
 
 
 def log_sinhc(x: np.ndarray) -> np.ndarray:

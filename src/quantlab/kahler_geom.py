@@ -16,16 +16,19 @@ Conventions, fixed once and used by every routine here:
   (X1, X2) -> (-X2, X1), and the metric is g(v, w) = omega(Jv, w), the
   matrix J^T Omega.
 
-Analytic functions of ad(Y) are evaluated by eigendecomposition of the
-Hermitian matrix i ad(Y), in forms that keep full precision at small
-eigenvalues; only an eigenvalue of exactly zero takes the limit of a
-removable singularity.
+Every model satisfies A^3 = -theta^2 A, theta^2 = -trace(A^2)/2
+(``validate_model`` refuses any other), so i A has eigenvalues 0 and
++/- theta and every analytic function of A is a I + b A + c A^2, with
+coefficients in theta that keep every digit as theta -> 0 and overflow
+with sinh(theta), near theta = 710.  On a torus A = 0 and the same code
+gives the flat blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from quantlab.density_weights import _sinh_remainder, sinhc
 from quantlab.lie_core import (
     LieModel,
     _exp_matrices,
@@ -50,18 +53,13 @@ __all__ = [
 # the polar-map differential and everything built on it
 
 
-def _ad_eigensystem(model: LieModel, ys: np.ndarray):
-    """Batched eigendecomposition of i ad(Y); ys has shape (N, n).  On an
-    abelian model ad(Y) = 0, whose eigh is zero eigenvalues and the
-    identity basis, so no decomposition is run."""
-    if model.is_abelian:
-        count, n = ys.shape
-        return (np.zeros((count, n)),
-                np.broadcast_to(np.eye(n, dtype=complex), (count, n, n)))
-    c = model.structure_constants
-    ad = np.einsum("mi,ijk->mkj", ys, c)
-    lam, vec = np.linalg.eigh(1j * ad)
-    return lam, vec
+def _ad_powers(model: LieModel, ys: np.ndarray):
+    """A = ad(Y), A @ A and theta, (N, 1, 1), for the rows of ys."""
+    ys = np.atleast_2d(np.asarray(ys, float))
+    ad = np.einsum("mi,ijk->mkj", ys, model.structure_constants)
+    ad2 = ad @ ad
+    theta = np.sqrt(-0.5 * np.trace(ad2, axis1=1, axis2=2))
+    return ad, ad2, theta[:, None, None]
 
 
 def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -76,44 +74,27 @@ def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(vec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """V diag(vals) V^* (batched), real part."""
-    return ((vec * vals[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
+def _block_values(theta: np.ndarray):
+    """(c_cos, b_onemcos, b_msin, c_sinc) with cos A = I + c_cos A^2,
+    (1 - cos A)/A = b_onemcos A, -sin A = b_msin A and
+    sin A / A = I + c_sinc A^2: -2 sinh(theta/2)^2/theta^2, its negative,
+    -sinh(theta)/theta and -(sinh(theta) - theta)/theta^3."""
+    half_sq = 0.5 * sinhc(theta / 2.0) ** 2
+    return -half_sq, half_sq, -sinhc(theta), -_sinh_remainder(theta)
 
 
-def _block_values(lam: np.ndarray):
-    """Eigenvalues of the four blocks as functions of the eigenvalues of
-    i ad(Y).  ad(Y) itself has eigenvalue -i*lam, so the entire functions
-    cos, (1-cos)/z, -sin, sin(z)/z are evaluated at z = -i*lam, turning
-    them into cosh/sinh expressions of the real variable lam.  (1-cos z)/z
-    is taken as -2 sinh(lam/2)^2 / lam, which keeps every digit where
-    1 - cosh(lam) would cancel; only lam = 0 itself needs its limit."""
-    lam = np.asarray(lam, float)
-    zero = lam == 0.0
-    safe = np.where(zero, 1.0, lam)
-    cos_v = np.cosh(lam).astype(complex)
-    onemcos_v = 1j * (-2.0 * np.sinh(lam / 2.0) ** 2 / safe)
-    msin_v = 1j * np.sinh(lam)
-    sinc_v = np.where(zero, 1.0, np.sinh(lam) / safe)
-    return cos_v, onemcos_v, msin_v, sinc_v.astype(complex)
-
-
-def _j_block_values(lam: np.ndarray):
-    """Eigenvalues of the upper-left, upper-right and lower-left blocks of
-    J, as functions of the eigenvalues lam of i ad(Y); the lower-right
-    block is minus the upper-left one.  The four blocks of the polar
-    differential commute, with block determinant sinh(lam)/lam, so
-    inverting the 2x2 block matrix eigenvalue by eigenvalue gives
-    J = [[-i tanh(lam/2), -2 tanh(lam/2)/lam],
-         [lam/sinh(lam), i tanh(lam/2)]]."""
-    lam = np.asarray(lam, float)
-    zero = lam == 0.0
-    safe = np.where(zero, 1.0, lam)
-    tanh_half = np.tanh(lam / 2.0)
-    upper_left = -1j * tanh_half
-    upper_right = np.where(zero, -1.0, -2.0 * tanh_half / safe)
-    lower_left = safe / np.where(zero, 1.0, np.sinh(lam))
-    return upper_left, upper_right, lower_left
+def _j_block_values(theta: np.ndarray):
+    """(b_ul, c_ur, c_ll) with J = [[b_ul A, -I + c_ur A^2],
+    [I + c_ll A^2, -b_ul A]], the blockwise inverse of dphi applied to
+    J_flat dphi: J = [[tan(A/2), -2 tan(A/2)/A], [A/sin A, -tan(A/2)]].
+    With h = theta/2, b_ul = tanh(h)/theta, and the cancelling
+    c_ur = (tanh(h)/h - 1)/theta^2 and c_ll = (1 - theta/sinh theta)/theta^2
+    are taken through (sinh x - x)/x^3."""
+    half = theta / 2.0
+    b_ul = 0.5 * sinhc(half) / np.cosh(half)
+    c_ur = (_sinh_remainder(half) - 0.5 * sinhc(half / 2.0) ** 2) / (
+        4.0 * np.cosh(half))
+    return b_ul, c_ur, _sinh_remainder(theta) / sinhc(theta)
 
 
 def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -122,31 +103,20 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     Returns (N, 2n, 2n) real matrices with block layout
     [[cos A, (1-cos A)/A], [-sin A, sin A / A]], A = ad(Y).
     """
-    ys = np.atleast_2d(np.asarray(ys, float))
-    n = model.dim
-    lam, vec = _ad_eigensystem(model, ys)
-    cos_v, onemcos_v, msin_v, sinc_v = _block_values(lam)
-    out = np.empty((ys.shape[0], 2 * n, 2 * n))
-    out[:, :n, :n] = _assemble(vec, cos_v)
-    out[:, :n, n:] = _assemble(vec, onemcos_v)
-    out[:, n:, :n] = _assemble(vec, msin_v)
-    out[:, n:, n:] = _assemble(vec, sinc_v)
-    return out
+    ad, ad2, theta = _ad_powers(model, ys)
+    eye = np.eye(model.dim)
+    c_cos, b_onemcos, b_msin, c_sinc = _block_values(theta)
+    return np.block([[eye + c_cos * ad2, b_onemcos * ad],
+                     [b_msin * ad, eye + c_sinc * ad2]])
 
 
 def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
-    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form: the
-    blocks of ``_j_block_values`` assembled in the eigenbasis of i ad(Y)."""
-    ys = np.atleast_2d(np.asarray(ys, float))
-    n = model.dim
-    lam, vec = _ad_eigensystem(model, ys)
-    upper_left, upper_right, lower_left = _j_block_values(lam)
-    out = np.empty((ys.shape[0], 2 * n, 2 * n))
-    out[:, :n, :n] = _assemble(vec, upper_left)
-    out[:, :n, n:] = _assemble(vec, upper_right)
-    out[:, n:, :n] = _assemble(vec, lower_left)
-    out[:, n:, n:] = -out[:, :n, :n]
-    return out
+    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form."""
+    ad, ad2, theta = _ad_powers(model, ys)
+    eye = np.eye(model.dim)
+    b_ul, c_ur, c_ll = _j_block_values(theta)
+    return np.block([[b_ul * ad, c_ur * ad2 - eye],
+                     [c_ll * ad2 + eye, -b_ul * ad]])
 
 
 def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:

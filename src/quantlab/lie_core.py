@@ -32,6 +32,7 @@ Types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -256,7 +257,8 @@ def validate_model(model: LieModel) -> None:
     """Check the structural invariants; raise on violation.
 
     Antisymmetry, the Jacobi identity, ad-invariance of the inner product,
-    commuting torus basis, and the generator bracket table must all hold to
+    commuting torus basis, the generator bracket table and, for
+    ``kahler_geom``, ad(Y)^3 = (1/2) trace(ad(Y)^2) ad(Y) must all hold to
     1e-12.
     """
     c = model.structure_constants
@@ -290,6 +292,14 @@ def validate_model(model: LieModel) -> None:
                 raise ValueError(
                     f"{model.name}: generators do not satisfy the bracket table"
                 )
+    # ad(Y)^3 + theta^2 ad(Y) is cubic in Y: it vanishes for every Y iff
+    # its coefficient tensor, symmetrized over i, j, k, does
+    ad = np.swapaxes(c, 1, 2)  # ad[i] is the matrix of ad(e_i)
+    cubic = (np.einsum("iab,jbc,kcd->ijkad", ad, ad, ad)
+             - 0.5 * np.einsum("iab,jba,kcd->ijkcd", ad, ad, ad))
+    if np.abs(sum(cubic.transpose(p + (3, 4))
+                  for p in itertools.permutations(range(3)))).max() > 1e-12:
+        raise ValueError(f"{model.name}: ad(Y)^3 = -theta^2 ad(Y) fails")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from quantlab.density_weights import _sinh_remainder, sinhc
 from quantlab.kahler_geom import complex_structure_batch, dphi_batch
 from quantlab.lie_core import (
     LieModel,
@@ -97,14 +98,6 @@ class SpectrumReport:
                                self.root_eigenvalues], axis=1)
 
 
-def _coth_guarded(x: np.ndarray) -> np.ndarray:
-    # coth(x) - 1/x elementwise, with its removable singularity
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    return np.where(small, x / 3.0 - x**3 / 45.0,
-                    1.0 / np.tanh(safe) - 1.0 / safe)
-
-
 def _covectors(model: LieModel, roots) -> np.ndarray:
     # (R, r): one root covector per row
     return np.array([root.covector for root in roots], float).reshape(
@@ -125,15 +118,18 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
         pos = _covectors(model, model.positive_roots())
         outers = pos[:, :, None] * pos[:, None, :]
 
+        # coth x - 1/x = (x cosh x - sinh x)/(x sinh x) and its derivative
+        # 1/x^2 - 1/sinh(x)^2 = (sinh x - x)(sinh x + x)/(x sinh x)^2, with
+        # x cosh x - sinh x = 2x sinh(x/2)^2 - (sinh x - x): no cancellation
         def grad(t):
-            return _coth_guarded(t @ pos.T) @ pos
+            x = t @ pos.T
+            return (x * (0.5 * sinhc(x / 2.0) ** 2 - _sinh_remainder(x))
+                    / sinhc(x)) @ pos
 
         def hess(t):
             x = t @ pos.T
-            small = np.abs(x) < 1e-4
-            safe = np.where(small, 1.0, x)
-            second = np.where(small, 1.0 / 3.0 - x * x / 15.0,
-                              1.0 / safe**2 - 1.0 / np.sinh(safe) ** 2)
+            inv_sinhc = 1.0 / sinhc(x)
+            second = _sinh_remainder(x) * inv_sinhc * (1.0 + inv_sinhc)
             return (second[:, :, None, None] * outers).sum(axis=1)
 
         return InvariantPotential("logeta", model, grad_fn=grad,

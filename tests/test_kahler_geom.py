@@ -146,24 +146,36 @@ def test_polar_differential_certificate_reproduces_scalar_loop(name):
     assert rng_batch.random() == rng_loop.random()
 
 
-def _one_minus_cos_taylor(x):
-    # (1 - cosh x)/x = -(x/2 + x^3/24 + x^5/720 + x^7/40320 + ...)
-    return -(x / 2 + x**3 / 24 + x**5 / 720 + x**7 / 40320)
+# the coefficients that cancel as theta -> 0, each with its Taylor
+# coefficients in theta^2 (enough for theta <= 1e-2 to rounding) and the
+# naive quotient that loses digits there
+_CANCELLING_COEFFICIENTS = {
+    "b_onemcos": (lambda t: kg._block_values(t)[1],
+                  [1 / 2, 1 / 24, 1 / 720, 1 / 40320],
+                  lambda t: (np.cosh(t) - 1) / t**2),
+    "c_sinc": (lambda t: kg._block_values(t)[3],
+               [-1 / 6, -1 / 120, -1 / 5040, -1 / 362880],
+               lambda t: (1 - np.sinh(t) / t) / t**2),
+    "c_ur": (lambda t: kg._j_block_values(t)[1],
+             [-1 / 12, 1 / 120, -17 / 20160, 31 / 362880],
+             lambda t: (2 * np.tanh(t / 2) / t - 1) / t**2),
+    "c_ll": (lambda t: kg._j_block_values(t)[2],
+             [1 / 6, -7 / 360, 31 / 15120, -127 / 604800],
+             lambda t: (1 - t / np.sinh(t)) / t**2),
+}
 
 
-def _sinhc_taylor(x):
-    return 1 + x**2 / 6 + x**4 / 120 + x**6 / 5040
-
-
-@pytest.mark.parametrize("lam", [1.1e-6, 1e-5, 1e-3])
-def test_block_values_keep_every_digit_at_small_eigenvalues(lam):
-    # just above 1e-6, (1 - cosh lam)/lam cancels and loses up to four
-    # digits; both blocks must match their Taylor series to rounding
-    for x in (lam, -lam):
-        _, onemcos, _, sinhc = kg._block_values(np.array([x]))
-        assert onemcos[0].real == 0.0
-        assert abs(onemcos[0].imag / _one_minus_cos_taylor(x) - 1) < 1e-15
-        assert abs(sinhc[0].real / _sinhc_taylor(x) - 1) < 1e-15
+@pytest.mark.parametrize("theta", [1e-8, 1e-6, 1.1e-6, 1e-5, 1e-4, 1e-3,
+                                   1e-2])
+def test_block_values_keep_every_digit_at_small_eigenvalues(theta):
+    # every dphi and J coefficient that cancels as theta -> 0 matches its
+    # Taylor series to rounding, where the naive quotient misses it
+    t = np.array([theta])
+    for name, (coefficient, series, naive) in (
+            _CANCELLING_COEFFICIENTS.items()):
+        taylor = sum(c * theta ** (2 * k) for k, c in enumerate(series))
+        assert abs(coefficient(t)[0] / taylor - 1) < 1e-15, name
+        assert abs(naive(t)[0] / taylor - 1) > 1e-12, name
 
 
 def test_dphi_near_zero_taylor_branch():
@@ -241,19 +253,78 @@ def test_closed_form_J_is_the_solve_route_on_tori(name):
 
 
 def test_j_squared_fails_on_a_perturbed_block(monkeypatch):
-    # J is assembled from its blocks, not conjugated from J_flat, so a
-    # wrong block breaks J^2 = -1 and the certificate must see it
+    # J is assembled from its block coefficients, not conjugated from
+    # J_flat, so one wrong coefficient breaks J^2 = -1 and the certificate
+    # must see it
     su2 = lc.get_model("su2")
     assert kg.j_squared_certificate(su2, np.random.default_rng(0), 0).passed
-    blocks = kg._j_block_values
+    coefficients = kg._j_block_values
 
-    def perturbed(lam):
-        upper_left, upper_right, lower_left = blocks(lam)
-        return upper_left, upper_right * (1.0 + 1e-6), lower_left
+    def perturbed(theta):
+        b_ul, c_ur, c_ll = coefficients(theta)
+        return b_ul, c_ur * (1.0 + 1e-6), c_ll
 
     monkeypatch.setattr(kg, "_j_block_values", perturbed)
     assert not kg.j_squared_certificate(su2, np.random.default_rng(0),
                                         0).passed
+
+
+def _eigh_route(model, ys):
+    """dphi and J from one eigendecomposition of the hermitian i ad(Y) per
+    row: the functions of ad(Y) applied eigenvalue by eigenvalue, the
+    oracle the quadratics in ad(Y) are held against.  With eigenvalue lam
+    of i ad(Y), dphi has block values [[cosh lam, -2i sinh(lam/2)^2/lam],
+    [i sinh lam, sinh(lam)/lam]] and J has [[-i tanh(lam/2),
+    -2 tanh(lam/2)/lam], [lam/sinh lam, i tanh(lam/2)]]."""
+    ad = np.einsum("mi,ijk->mkj", ys, model.structure_constants)
+    lam, vec = np.linalg.eigh(1j * ad)
+    zero = lam == 0.0
+    safe = np.where(zero, 1.0, lam)
+
+    def assemble(vals):
+        vals = np.broadcast_to(vals, lam.shape)
+        return ((vec * vals[:, None, :])
+                @ np.conj(np.swapaxes(vec, 1, 2))).real
+
+    def block_matrix(rows):
+        return np.block([[assemble(v) for v in row] for row in rows])
+
+    tanh_half = np.tanh(lam / 2)
+    dphi = block_matrix(
+        [[np.cosh(lam), 1j * (-2 * np.sinh(lam / 2) ** 2 / safe)],
+         [1j * np.sinh(lam), np.where(zero, 1.0, np.sinh(lam) / safe)]])
+    js = block_matrix(
+        [[-1j * tanh_half, np.where(zero, -1.0, -2 * tanh_half / safe)],
+         [safe / np.where(zero, 1.0, np.sinh(lam)), 1j * tanh_half]])
+    return dphi, js
+
+
+# radii below 1e-100 are left out: there the oracle's eigh returns the
+# zero eigenvalue as a subnormal, and its quotients lose their digits
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 2.0, 20.0]),
+                  st.floats(1e-100, 20.0)),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+    min_size=1, max_size=6))
+def test_quadratics_in_ad_match_the_eigh_route(rows):
+    su2 = lc.get_model("su2")
+    ys = []
+    for radius, direction in rows:
+        d = np.array(direction)
+        assume(np.linalg.norm(d) > 1e-3)
+        ys.append(radius * d / np.linalg.norm(d))
+    ys = np.array(ys)
+    dphi = kg.dphi_batch(su2, ys)
+    js = kg.complex_structure_batch(su2, ys)
+    want_dphi, want_js = _eigh_route(su2, ys)
+    # the eigh route carries rounding of the size of the largest entry,
+    # cosh|Y|
+    scale = 1e-13 * np.cosh(np.linalg.norm(ys, axis=1))
+    assert np.all(np.abs(dphi - want_dphi).max(axis=(1, 2)) <= scale)
+    assert np.all(np.abs(js - want_js).max(axis=(1, 2)) <= scale)
+    assert np.abs(js @ js + np.eye(6)).max() <= 1e-14
 
 
 def test_J_squared_and_spectrum():

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from quantlab import lie_core as lc
-from quantlab.kahler_geom import _ad_eigensystem
 
 
 def _exp(model, y, c=None):
@@ -26,6 +25,41 @@ def test_builtin_models_validate():
     for name in ("u1", "t2", "su2"):
         model = lc.get_model(name)
         assert model.name == name
+        lc.validate_model(model)
+
+
+def _su2_plus_su2():
+    # su(2) + su(2): direct-sum structure constants, generators block
+    # diagonal in the 4x4 sum of two defining representations
+    su2 = lc.get_model("su2")
+    c = np.zeros((6, 6, 6))
+    c[:3, :3, :3] = c[3:, 3:, 3:] = su2.structure_constants
+    gens = []
+    for k in range(6):
+        g = np.zeros((4, 4), dtype=complex)
+        b = 2 * (k // 3)
+        g[b:b + 2, b:b + 2] = su2.generators[k % 3]
+        gens.append(g)
+    roots = tuple(lc.RealRoot(np.array(v, float))
+                  for v in ([1, 0], [-1, 0], [0, 1], [0, -1]))
+    return lc.LieModel(
+        name="su2+su2", dim=6, structure_constants=c, inner=np.eye(6),
+        torus_indices=(2, 5), torus_periods=(4 * math.pi,) * 2, roots=roots,
+        defining_rep_dim=4, generators=tuple(gens))
+
+
+def test_validate_model_refuses_su2_plus_su2():
+    # A = ad(Y) is block diagonal with blocks of moduli theta_1, theta_2,
+    # so A^3 + theta^2 A, theta^2 = theta_1^2 + theta_2^2, is not zero
+    model = _su2_plus_su2()
+    y = np.array([0.3, -1.2, 0.7, 1.1, 0.4, -0.5])
+    ad = np.einsum("i,ijk->kj", y, model.structure_constants)
+    theta_sq = -0.5 * np.trace(ad @ ad)
+    assert np.abs(ad @ ad @ ad + theta_sq * ad).max() > 0.1
+    # the cubic identity is checked last, so every earlier invariant
+    # (antisymmetry, Jacobi, ad-invariance, commuting torus, bracket table)
+    # has passed when this message is raised
+    with pytest.raises(ValueError, match=r"ad\(Y\)\^3 = -theta\^2 ad\(Y\)"):
         lc.validate_model(model)
 
 
@@ -158,10 +192,11 @@ def test_ad_matrix_spectrum_on_torus_element():
     # ad(y e_3) acts on the root plane with eigenvalues +/- i y and kills
     # t, so the hermitian i ad(y e_3) has eigenvalues {-y, 0, y}.
     su2 = lc.get_model("su2")
-    ys = np.array([[0, 0, y] for y in (0.3, 1.0, 2.7)])
-    lam, _ = _ad_eigensystem(su2, ys)
-    for y, eig in zip(ys[:, 2], lam):
-        assert np.allclose(eig, [-y, 0.0, y], atol=1e-10)
+    for y in (0.3, 1.0, 2.7):
+        # column j of ad(y e_3) is [y e_3, e_j] = y c[2, j, :]
+        ad = y * su2.structure_constants[2].T
+        assert np.allclose(np.linalg.eigvalsh(1j * ad), [-y, 0.0, y],
+                           atol=1e-10)
 
 
 def test_weyl_group_torus_trivial():

@@ -250,6 +250,30 @@ def test_root_values_keep_their_digits_below_the_wall(alpha):
     assert abs(got / want - 1.0) < 1e-15
 
 
+# coth x - 1/x = sum_k a_k x^(2k+1), a_k = 2^(2k+2) B_(2k+2) / (2k+2)!
+_COTH_MINUS_RECIPROCAL_SERIES = [1 / 3, -1 / 45, 2 / 945, -1 / 4725,
+                                 2 / 93555, -1382 / 638512875]
+
+
+@pytest.mark.parametrize("x", [1.0001e-4, 2e-4, 1e-3, 1e-2])
+def test_logeta_derivatives_keep_their_digits_at_small_arguments(x):
+    # on su2 the logeta gradient is coth x - 1/x and its Hessian
+    # 1/x^2 - 1/sinh(x)^2, the derivative of the gradient; both cancel
+    # for small x.  The reference is their Taylor series, summed until a
+    # term falls below rounding
+    grad_terms = [a * x ** (2 * k + 1)
+                  for k, a in enumerate(_COTH_MINUS_RECIPROCAL_SERIES)]
+    hess_terms = [(2 * k + 1) * a * x ** (2 * k)
+                  for k, a in enumerate(_COTH_MINUS_RECIPROCAL_SERIES)]
+    for terms in (grad_terms, hess_terms):
+        assert abs(terms[-1]) < 1e-17 * abs(math.fsum(terms))
+    K = make_potential(SU2, "logeta")
+    for sign in (1.0, -1.0):
+        t = np.array([[sign * x]])
+        assert abs(K.grad(t)[0, 0] / (sign * math.fsum(grad_terms)) - 1) < 1e-15
+        assert abs(K.hess(t)[0, 0, 0] / math.fsum(hess_terms) - 1) < 1e-15
+
+
 def test_psh_verdict_refuses_a_grid_that_is_not_rank_wide():
     # full su2 coordinates are not 15 rank-1 points, a 1-D grid is only
     # a rank-1 grid, and an empty grid has nothing to certify
