@@ -21,11 +21,12 @@ import numpy as np
 
 from . import __version__
 from .coherent_transform import (
+    build_sigma_table,
     equivariance_certificate,
-    irrep_labels,
     sigma,  # not called here: the benchmark tracer's self-test patches it
     sigma_oracle_certificate,
     spin_weighted_gram,
+    top_label,
     unitarity_certificate,
 )
 from .density_weights import eta_log_convexity_certificate
@@ -114,15 +115,22 @@ class SuiteConfig:
             raise UsageError("tolerance override must be positive and finite")
         if self.cutoff is not None and not 0 < self.cutoff < math.inf:
             raise UsageError("cutoff override must be positive and finite")
-        # labels grow with the cutoff, and every model's second label
-        # lies within cutoff 1, so capping it keeps t2's check small
-        if self.cutoff is not None and len(irrep_labels(
-                get_model(self.model), min(self.cutoff, 1.0))) < 2:
-            raise UsageError(
-                f"cutoff {self.cutoff:g} leaves a single irrep label on "
-                f"{self.model}, and a one-label basis passes every check "
-                "trivially"
-            )
+        if self.cutoff is not None:
+            model = get_model(self.model)
+            top = top_label(model, self.cutoff)
+            if not np.any(top):
+                raise UsageError(
+                    f"cutoff {self.cutoff:g} leaves a single irrep label on "
+                    f"{self.model}, and a one-label basis passes every check "
+                    "trivially"
+                )
+            # every transform and reduction Gram is divided by the
+            # closed-form sigma, which grows as e^{|n|^2 / 2 pi}
+            if not np.isfinite(build_sigma_table(model, [top])[0]):
+                raise UsageError(
+                    f"cutoff {self.cutoff:g} puts the sigma of label {top} "
+                    f"on {self.model} past the largest double"
+                )
         if self.level < 1:
             raise UsageError("quadrature level must be at least 1")
         if self.grid < 64:

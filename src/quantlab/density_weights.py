@@ -64,13 +64,13 @@ def log_sinhc(x: np.ndarray) -> np.ndarray:
 
 def eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     """Product over positive roots of sinh(alpha(Y))/alpha(Y) on torus
-    coordinates; identically 1 for tori (empty product).  Vectorized over a
-    leading batch axis."""
+    coordinates; identically 1 for tori (empty product).  One value per row
+    of an (N, r) stack, shape (N,), a one-row stack included."""
     t_coords = np.atleast_2d(np.asarray(t_coords, dtype=float))
     out = np.ones(t_coords.shape[0])
     for root in model.positive_roots():
         out = out * sinhc(t_coords @ root.covector)
-    return out if out.shape[0] > 1 else out.reshape(())
+    return out
 
 
 def log_eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def log_eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     out = np.zeros(t_coords.shape[0])
     for root in model.positive_roots():
         out = out + log_sinhc(t_coords @ root.covector)
-    return out if out.shape[0] > 1 else out.reshape(())
+    return out
 
 
 def eta_log_convexity_certificate(
@@ -124,11 +124,11 @@ def eta_log_convexity_certificate(
 def weyl_denominator(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     """delta at torus points: the Vandermonde of the defining-representation
     eigenvalues.  Only |delta| carries meaning; the phase is a convention.
-    Identically 1 for tori."""
+    Identically 1 for tori.  One value per row of an (N, r) stack, shape
+    (N,)."""
     t_coords = np.atleast_2d(np.asarray(t_coords, dtype=float))
     if model.is_abelian:
-        out = np.ones(t_coords.shape[0], dtype=complex)
-        return out if out.shape[0] > 1 else out.reshape(())
+        return np.ones(t_coords.shape[0], dtype=complex)
     coords = np.zeros((t_coords.shape[0], model.dim))
     coords[:, list(model.torus_indices)] = t_coords
     # torus points are diagonal: their eigenvalues are the diagonal,
@@ -139,4 +139,4 @@ def weyl_denominator(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     for a in range(lam.shape[1]):
         for b in range(a + 1, lam.shape[1]):
             out = out * (lam[:, b] - lam[:, a])
-    return out if out.shape[0] > 1 else out.reshape(())
+    return out

@@ -11,10 +11,12 @@ Four rule families cover every integral in the package:
   optional exponential tilt so integrands like e^{b r} e^{-2 pi r^2} keep
   their mass inside the truncation radius.
 
-All weights are nonnegative.  The one convergence check built on these
-rules is the sigma doubling estimate in
-coherent_transform.unitarity_certificate, which compares the sigma table
-at the quadrature level against the table one level up.
+All weights are nonnegative.  No rule checks itself: each certificate
+that integrates with these rules compares the result against a closed
+form.  The transform and reduction Grams are scaled by the closed-form
+sigma, coherent_transform.sigma_oracle_certificate compares the
+Gauss-Hermite and radial sigma against it label by label, and
+reduction.weyl_isometry_certificate compares the torus norms against 1.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ def gaussian_rule(r: int, level: int) -> QuadratureRule:
     """Gauss-Hermite product rule for the weight e^{-2 pi |Y|^2} on R^r.
 
     Total mass is 2^{-r/2}.  The remapped nodes reach past six standard
-    deviations of the Gaussian already at level 1, so truncation error is
-    far below the doubling gate.
+    deviations of the Gaussian already at level 1.  The rule is centred at
+    0, so an integrand e^{2 n.y} whose peak n / 2 pi moves out of the nodes
+    is not resolved: at level 3 sigma is off by 1.5e-2 at |n| = 20.
     """
     if level < 1:
         raise ValueError("level >= 1 required")

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantlab.coherent_transform import (
+    _scaled,
     _su2_characters,
+    _torus_norms,
     build_sigma_table,
     character_gram,
     irrep_labels,
@@ -303,7 +305,7 @@ def reduction_unitary(model: LieModel, labels, modes: int | None = None):
     rule = model_torus_rule(model, modes)
     taus = rule.nodes
     wfactor = 1.0 / math.sqrt(len(weyl_group(model)))
-    delta = np.atleast_1d(weyl_denominator(model, taus))
+    delta = weyl_denominator(model, taus)
     chars = _torus_character_values(model, labels, taus)
     return rule, wfactor * np.abs(delta) * chars
 
@@ -336,8 +338,8 @@ def _side_a_grams(model: LieModel, labels, level: int):
     """Reduction after quantization: the sigma^{-1/2}-scaled character Gram
     in the holomorphic inner product, then the torus Gram of the reduced
     characters, which are returned as the rows of ``values``."""
-    scale = 1.0 / np.sqrt(build_sigma_table(model, labels))
-    hl2 = character_gram(model, labels, level) * np.outer(scale, scale)
+    hl2 = _scaled(character_gram(model, labels, level),
+                  build_sigma_table(model, labels))
     modes = 4 * int(math.ceil(_top_frequency(model, labels))) + 6
     rule, values = reduction_unitary(model, labels, modes=modes)
     gram_red = (values * rule.weights) @ values.conj().T
@@ -346,7 +348,8 @@ def _side_a_grams(model: LieModel, labels, level: int):
 
 def _side_b_gram(model: LieModel, labels, level: int):
     """Quantization after reduction: Gaussian-weighted holomorphic torus
-    modes, symmetrized over Weyl orbits with the 1/sqrt(orbit) factor."""
+    modes over their closed-form norms, symmetrized over Weyl orbits with
+    the 1/sqrt(orbit) factor."""
     if model.is_abelian:
         return None, None
     orbit_reps = [float(l) for l in labels]
@@ -355,30 +358,25 @@ def _side_b_gram(model: LieModel, labels, level: int):
     period_modes = 4 * int(math.ceil(2 * max(orbit_reps))) + 6
     t_rule = model_torus_rule(model, period_modes)
     taus = t_rule.nodes[:, 0]
+    norms = _torus_norms(np.array(orbit_reps)[:, None])  # same at -m
 
-    def sigma_t(m: float) -> float:
-        return float(y_rule.weights @ np.exp(-2.0 * m * y))
-
-    def symmetrized(m_rep: float, tau_pts: np.ndarray, y_pts: np.ndarray
-                    ) -> np.ndarray:
+    def symmetrized(m_rep: float, norm: float, tau_pts: np.ndarray,
+                    y_pts: np.ndarray) -> np.ndarray:
         orbit = [m_rep] if m_rep == 0 else [m_rep, -m_rep]
-        block = np.zeros(np.broadcast(tau_pts, y_pts).shape, dtype=complex)
-        for mm in orbit:
-            block += (np.exp(1j * mm * tau_pts) * np.exp(-mm * y_pts)
-                      / math.sqrt(sigma_t(mm)))
-        return block / math.sqrt(len(orbit))
+        return sum(np.exp(1j * mm * tau_pts) * np.exp(-mm * y_pts)
+                   for mm in orbit) / math.sqrt(len(orbit) * norm)
 
-    vecs = np.array([symmetrized(m, taus[:, None], y[None, :]).reshape(-1)
-                     for m in orbit_reps])
+    vecs = np.array([symmetrized(m, c, taus[:, None], y[None, :]).reshape(-1)
+                     for m, c in zip(orbit_reps, norms)])
     wt = np.outer(t_rule.weights, y_rule.weights).reshape(-1)
     gram = (vecs * wt) @ vecs.conj().T
     # Weyl flip (tau, y) -> (-tau, -y) at off-grid samples
     sample_t = np.array([0.3, 1.9, 5.1])
     sample_y = np.array([0.45, -0.8, 1.3])
     winv = 0.0
-    for m in orbit_reps:
-        a = symmetrized(m, sample_t, sample_y)
-        b = symmetrized(m, -sample_t, -sample_y)
+    for m, c in zip(orbit_reps, norms):
+        a = symmetrized(m, c, sample_t, sample_y)
+        b = symmetrized(m, c, -sample_t, -sample_y)
         winv = max(winv, float(np.abs(a - b).max()))
     return gram, winv
 

@@ -66,6 +66,31 @@ def test_cutoff_leaving_one_label_is_a_usage_error(model, cutoff, capsys):
     SuiteConfig(model=model, cutoff=0.5 if model == "su2" else 1.0)
 
 
+@pytest.mark.parametrize("model,suite,cutoff,accepted", [
+    ("u1", "all", 100, 66), ("su2", "transform", 70, 66.5),
+    ("t2", "transform", 48, 47)])
+def test_cutoff_past_a_finite_sigma_is_a_usage_error(model, suite, cutoff,
+                                                     accepted, capsys):
+    # every transform and reduction Gram is divided by the closed-form
+    # sigma; past the largest double u1 read NaN FAILs and su2 crashed
+    with pytest.raises(UsageError, match="largest double"):
+        SuiteConfig(model=model, cutoff=cutoff)
+    assert main(["run", "--model", model, "--suite", suite,
+                 "--cutoff", str(cutoff)]) == 2
+    err = capsys.readouterr().err
+    assert "largest double" in err and "crashed" not in err
+    # the largest cutoff whose top sigma is finite is accepted
+    SuiteConfig(model=model, cutoff=accepted)
+
+
+def test_huge_cutoff_is_refused_without_enumerating_labels():
+    # the top label is worked out directly: t2 at 1e9 would have 4e18
+    # labels, su2 at 1e12 two trillion
+    for model, cutoff in (("t2", 1e9), ("su2", 1e12), ("u1", 1e300)):
+        with pytest.raises(UsageError, match="largest double"):
+            SuiteConfig(model=model, cutoff=cutoff)
+
+
 def test_cli_su2_cutoff_between_half_integers(tmp_path):
     # cutoff 1.8 keeps the spins 0 .. 1.5 and no spin above it
     out = tmp_path / "r.json"

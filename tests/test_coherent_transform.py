@@ -239,15 +239,22 @@ def test_sigma_symmetric_under_weyl():
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
-def test_sigma_table_positive_with_estimates():
+def test_sigma_table_is_the_closed_form():
+    # the table is Hall's closed form, with no quadrature level: the erf
+    # sum on su2 and e^{|n|^2 / 2 pi} 2^{-r/2} on the tori, to rounding
     labels, table = sigma_table(SU2, 2.0)
     assert labels == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert table.shape == (5,) and np.all(table > 0)
-    assert all(s == sigma(irrep(SU2, lab)) for lab, s in zip(labels, table))
-    # the doubling estimate is the table against the one a level up
-    estimate = unitarity_certificate(SU2, 2.0).metadata["sigma_error_estimate"]
-    assert estimate == np.abs(table - build_sigma_table(SU2, labels, 4)).max()
-    assert estimate < 1e-9
+    want = np.array([sigma_su2_closed(j) for j in labels])
+    assert np.abs(table / want - 1.0).max() <= 1e-14
+    labels, table = sigma_table(U1, 30)
+    want = np.array([sigma_u1_closed(n) for (n,) in labels])
+    assert np.abs(table / want - 1.0).max() <= 1e-14
+    labels, table = sigma_table(T2, 5)
+    want = np.array([sigma_u1_closed(a) * sigma_u1_closed(b)
+                     for a, b in labels])
+    assert np.abs(table / want - 1.0).max() <= 1e-14
+    with pytest.raises(TypeError):
+        build_sigma_table(SU2, [1.0], 4)
 
 
 def test_phi_kernel_u1_direct_sum():
@@ -435,15 +442,49 @@ def test_axis_first_sigma_keeps_the_untilted_rule_error():
     # the Gauss-Hermite rule is still centred at 0, not at the tilted peak
     # n / (2 pi): at |n| = 20 and level 3 it misses the closed form by
     # about 1.5e-2, and the axis-first sum reproduces that error
-    from quantlab.coherent_transform import _sigma_closed_form
-
     for label in ((20,), (-20,)):
         got = sigma(irrep(U1, label), level=3)
         node_sum, _, _ = _full_node_sums(U1, [label], 3)
         assert abs(got / node_sum[0] - 1.0) <= 1e-14
-        rel = abs(got - _sigma_closed_form(U1, label)) / _sigma_closed_form(
-            U1, label)
-        assert 1.4e-2 < rel < 1.6e-2
+        closed = build_sigma_table(U1, [label])[0]
+        assert 1.4e-2 < abs(got - closed) / closed < 1.6e-2
+
+
+def _quadrature_sigma_error(model, cutoff, level):
+    # the worst relative error of the Gauss-Hermite sigma against the
+    # closed form, one sigma_u1_closed factor per axis, over the labels
+    # within the cutoff
+    from quantlab.coherent_transform import _torus_sigmas
+
+    labels = irrep_labels(model, cutoff)
+    quad = _torus_sigmas(model, labels, level)
+    closed = np.array([math.prod(sigma_u1_closed(n) for n in lab)
+                       for lab in labels])
+    return float(np.abs(quad / closed - 1.0).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.tuples(st.just("u1"), st.integers(1, 40)),
+                 st.tuples(st.just("t2"), st.integers(1, 16))))
+def test_unitarity_sees_the_quadrature_sigma_error(case):
+    # the Gram is scaled by the closed form, so the quadrature's own sigma
+    # error shows in the unitarity residual instead of cancelling; 1e-14
+    # allows for rounding where that error is itself rounding
+    name, cutoff = case
+    model = get_model(name)
+    rep = unitarity_certificate(model, cutoff, 3)
+    want = _quadrature_sigma_error(model, cutoff, 3)
+    assert rep.max_error + 1e-14 >= 0.5 * want
+
+
+def test_unitarity_fails_where_the_torus_quadrature_is_unresolved():
+    # u1 at cutoff 20, level 3: the untilted Gauss-Hermite rule misses the
+    # top sigma by 1.5e-2, and unitarity reports that error
+    rep = unitarity_certificate(U1, 20, 3)
+    want = _quadrature_sigma_error(U1, 20, 3)
+    assert 1.4e-2 < want < 1.6e-2
+    assert not rep.passed
+    assert want / 2 <= rep.max_error <= 2 * want
 
 
 def _identity(model):
@@ -673,14 +714,46 @@ def test_equivariance_certificates():
 def test_spin_weighted_gram_su2():
     rep = spin_weighted_gram(SU2, 2.0)
     assert rep.passed
-    diag = rep.metadata["eta_diagonal"]
-    assert all(d > 0 for d in diag)
-    assert rep.metadata["off_diagonal_eta"] < 1e-6
-    # the flat diagonal reproduces the sigma values
+    assert rep.metadata["deviation_eta"] < 1e-13
+    assert rep.metadata["deviation_flat"] < 1e-13
+    assert rep.max_error == max(rep.metadata["deviation_eta"],
+                                rep.metadata["deviation_flat"])
+    # the flat diagonal reproduces the sigma values, and the eta diagonal
+    # the torus norm at j + 1/2 over |W| = 2: 2^{-3/2} e^{(j + 1/2)^2 / 2 pi}
     labels, table = sigma_table(SU2, 2.0)
     assert rep.metadata["labels"] == [str(lab) for lab in labels]
     for got, want in zip(rep.metadata["flat_diagonal"], table):
-        assert abs(got - want) / want < 1e-6
+        assert abs(got - want) / want < 1e-13
+    for got, j in zip(rep.metadata["eta_diagonal"], labels):
+        want = 2 ** -1.5 * math.exp((j + 0.5) ** 2 / (2 * math.pi))
+        assert abs(got - want) / want < 1e-13
+
+
+@pytest.mark.parametrize("model,cutoff", [(SU2, 11.5), (SU2, 16.0),
+                                          (T2, 9), (T2, 12), (U1, 13),
+                                          (U1, 16)])
+def test_spin_weighted_gram_scaled_by_its_closed_form(model, cutoff):
+    # an absolute off-diagonal grows with the Gram's scale and failed at
+    # these cutoffs; the Grams scaled by their closed diagonals do not
+    rep = spin_weighted_gram(model, cutoff)
+    assert rep.passed
+    assert rep.max_error <= 1e-12
+
+
+def test_spin_weighted_gram_fails_on_a_wrong_eta(monkeypatch):
+    # sinh(1.01 t) / t in place of sinh(t) / t moves every eta-weighted
+    # norm off sigma_T(j + 1/2) / 2, though the characters stay orthogonal
+    from quantlab import coherent_transform
+
+    def wrong_eta(model, t_coords):
+        t = np.asarray(t_coords, float)[:, 0]
+        return np.sinh(1.01 * t) / np.where(t == 0, 1.0, t) + (t == 0) * 1.01
+
+    monkeypatch.setattr(coherent_transform, "eta_tilde", wrong_eta)
+    rep = spin_weighted_gram(SU2, 2.0)
+    assert not rep.passed
+    assert rep.metadata["deviation_eta"] > 1e-3
+    assert rep.metadata["deviation_flat"] < 1e-13
 
 
 def test_spin_weighted_gram_torus_trivial():

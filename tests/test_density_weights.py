@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from quantlab import density_weights as dw
 from quantlab import lie_core as lc
@@ -10,12 +11,25 @@ from quantlab import lie_core as lc
 
 def test_eta_basics():
     su2 = lc.get_model("su2")
-    assert abs(dw.eta_tilde(su2, [0.0]) - 1.0) < 1e-15
-    assert abs(dw.eta_tilde(su2, [1.0]) - math.sinh(1.0)) < 1e-14
+    assert abs(dw.eta_tilde(su2, [0.0])[0] - 1.0) < 1e-15
+    assert abs(dw.eta_tilde(su2, [1.0])[0] - math.sinh(1.0)) < 1e-14
     # even in Y
-    assert abs(dw.eta_tilde(su2, [-1.3]) - dw.eta_tilde(su2, [1.3])) < 1e-14
+    assert abs(dw.eta_tilde(su2, [-1.3])[0]
+               - dw.eta_tilde(su2, [1.3])[0]) < 1e-14
     t2 = lc.get_model("t2")
-    assert dw.eta_tilde(t2, [0.4, -2.0]) == 1.0
+    assert dw.eta_tilde(t2, [0.4, -2.0])[0] == 1.0
+
+
+@pytest.mark.parametrize("name,row", [("su2", [0.7]), ("t2", [0.4, -2.0])])
+def test_one_row_in_one_row_out(name, row):
+    # a one-row stack gives shape (1,), as every other stacked function
+    # does, never a 0-d array
+    model = lc.get_model(name)
+    for func in (dw.eta_tilde, dw.log_eta_tilde, dw.weyl_denominator):
+        assert func(model, np.array([row])).shape == (1,)
+        many = func(model, np.array([row, row]))
+        assert many.shape == (2,)
+        assert func(model, np.array([row]))[0] == many[0]
 
 
 def test_eta_weyl_invariance():
@@ -24,7 +38,7 @@ def test_eta_weyl_invariance():
     ws = lc.weyl_group(su2)
     for _ in range(50):
         t = rng.standard_normal(1) * 2.0
-        vals = [float(dw.eta_tilde(su2, w.matrix @ t)) for w in ws]
+        vals = [float(dw.eta_tilde(su2, w.matrix @ t)[0]) for w in ws]
         assert max(vals) - min(vals) < 1e-12
 
 
