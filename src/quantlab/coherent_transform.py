@@ -349,16 +349,23 @@ def group_action(model: LieModel, labels, coeffs: np.ndarray,
     return out
 
 
-def _torus_gram_factors(model: LieModel, labels, level: int):
-    """Haar and Gaussian factors of the holomorphic character Gram on a
-    torus.  The product measure splits the Gram entrywise, G = A * B, with
-    A_ab = sum_theta e^{i (n_a - n_b).theta} over the angle rule (exact, so
-    the identity) and B_ab = sum_y e^{-(n_a + n_b).y} over the Gaussian
+def _torus_gram_factors(model: LieModel, weights, level: int):
+    """Haar and Gaussian factors of the Gram of the holomorphic torus modes
+    e^{i m.tau} e^{-m.y}, one per weight m: the rows of ``weights``, in the
+    model's torus coordinates (the labels themselves on a torus).
+
+    The product measure splits the Gram entrywise, G = A * B, with A_ab =
+    sum_tau e^{i (m_a - m_b).tau} over the probability angle rule (exact,
+    so the identity) and B_ab = sum_y e^{-(m_a + m_b).y} over the Gaussian
     rule.  Both rules are products over the torus axes, so each factor is
-    a product over k of one-axis sums that depend only on (n_a - n_b)_k or
-    (n_a + n_b)_k: tables over -span..span, summed on the rule's nodes
-    rather than taken as Kronecker deltas."""
-    n = np.asarray(labels, int).reshape(len(labels), model.rank)
+    a product over k of one-axis sums that depend only on (m_a - m_b)_k or
+    (m_a + m_b)_k: tables over -span..span, summed on the rule's nodes
+    rather than taken as Kronecker deltas.  They run over the integer
+    weights n = m period / 2 pi, with y scaled by 2 pi / period; both
+    scales are exactly 1 on a torus."""
+    scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
+    n = np.rint(np.asarray(weights, float).reshape(-1, model.rank)
+                * scale).astype(int)
     span = 2 * int(np.abs(n).max())
     shifts = np.arange(-span, span + 1)
     haar = gauss = 1.0
@@ -368,7 +375,7 @@ def _torus_gram_factors(model: LieModel, labels, level: int):
         col = n[:, k]
         haar = haar * (np.exp(1j * np.outer(shifts, theta)) @ w_t)[
             col[:, None] - col[None, :] + span]
-        gauss = gauss * (np.exp(-np.outer(shifts, y)) @ w_y)[
+        gauss = gauss * (np.exp(-np.outer(shifts, y / scale[k])) @ w_y)[
             col[:, None] + col[None, :] + span]
     return haar, gauss
 

@@ -87,20 +87,15 @@ def eta_log_convexity_certificate(
     """Log-convexity of the rank-1 density along a root coordinate.
 
     Two routes to eta~ * eta~'' - (eta~')^2: the closed form
-    (sinh^2 t - t^2) / t^4 (series-guarded near 0), and a finite-difference
-    second derivative of log eta~ times eta~^2.  The closed form must be
-    strictly positive away from 0 and the routes must agree to 1e-5.
+    (sinh^2 t - t^2) / t^4, factored as (sinh t - t) / t^3 times
+    sinh(t) / t + 1 so that neither factor cancels near 0, and a
+    finite-difference second derivative of log eta~ times eta~^2.  The
+    closed form must be strictly positive away from 0 and the routes must
+    agree to 1e-5.
     """
     su2 = get_model("su2")
     t = np.linspace(t_range[0], t_range[1], grid)
-    t2 = t * t
-    small = np.abs(t) < 0.05
-    safe = np.where(small, 1.0, t)
-    closed = np.where(
-        small,
-        1.0 / 3.0 + 2.0 * t2 / 45.0 + t2 * t2 / 315.0,
-        (np.sinh(safe) ** 2 - safe**2) / safe**4,
-    )
+    closed = _sinh_remainder(t) * (sinhc(t) + 1.0)
     h = 1e-3
     cols = np.stack([t - h, t, t + h], axis=1).reshape(-1, 1)
     lg = log_eta_tilde(su2, cols).reshape(-1, 3)

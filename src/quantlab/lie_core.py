@@ -425,7 +425,7 @@ def unitary_log(g: GroupPoint) -> np.ndarray:
 
 def weyl_group(model: LieModel) -> list[WeylElement]:
     """The Weyl group as orthogonal matrices on t, generated by root
-    reflections and closed under composition."""
+    reflections and closed under composition; the identity comes first."""
     r = model.rank
     elements = [WeylElement(np.eye(r), "e")]
     gens = []

@@ -9,9 +9,12 @@ into T x t, canonicalize under the Weyl group, and realize the reduction
 isometry on class functions as multiplication by |W|^{-1/2} |delta|
 followed by torus restriction.
 
-The headline certificate builds the reduced quantization two ways, once by
-reducing the invariant part of the quantization and once by quantizing the
-reduced space directly, and compares the resulting Gram matrices.
+The headline certificate builds the reduced quantization two ways, with
+the same calls on every model: once by reducing the invariant part of the
+quantization, and once by quantizing the reduced space directly, from the
+W-invariant holomorphic torus modes (Hall 2002; Hall-Kirwin 2007), whose
+Gram is summed from the torus Gram tables over Weyl orbits.  It compares
+the resulting Gram matrices with the identity.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from quantlab.coherent_transform import (
     _scaled,
     _su2_characters,
+    _torus_gram_factors,
     _torus_norms,
     build_sigma_table,
     character_gram,
@@ -38,7 +42,7 @@ from quantlab.lie_core import (
     random_coords_batch,
     weyl_group,
 )
-from quantlab.quadrature import gaussian_rule, model_torus_rule
+from quantlab.quadrature import model_torus_rule
 from quantlab.report import CheckReport
 
 __all__ = [
@@ -336,99 +340,80 @@ def weyl_isometry_certificate(model: LieModel,
 
 def _side_a_grams(model: LieModel, labels, level: int):
     """Reduction after quantization: the sigma^{-1/2}-scaled character Gram
-    in the holomorphic inner product, then the torus Gram of the reduced
-    characters, which are returned as the rows of ``values``."""
+    in the holomorphic inner product, the torus Gram of the reduced
+    characters, and the largest change of a reduced character under a Weyl
+    element other than the identity (none on a torus).  Each maps the
+    angle grid onto itself: node index vector i goes to w i mod n, so on
+    su2 tau -> -tau is the index reversal i -> -i."""
     hl2 = _scaled(character_gram(model, labels, level),
                   build_sigma_table(model, labels))
     modes = 4 * int(math.ceil(_top_frequency(model, labels))) + 6
     rule, values = reduction_unitary(model, labels, modes=modes)
     gram_red = (values * rule.weights) @ values.conj().T
-    return hl2, gram_red, values
+    shape = (modes + 1,) * model.rank
+    index = np.indices(shape).reshape(model.rank, -1)
+    winv = 0.0
+    for w in weyl_group(model)[1:]:
+        image = np.ravel_multi_index(
+            (w.matrix.astype(int) @ index) % (modes + 1), shape)
+        winv = max(winv, float(np.abs(values - values[:, image]).max()))
+    return hl2, gram_red, winv
 
 
 def _side_b_gram(model: LieModel, labels, level: int):
-    """Quantization after reduction: Gaussian-weighted holomorphic torus
-    modes over their closed-form norms, symmetrized over Weyl orbits with
-    the 1/sqrt(orbit) factor."""
-    if model.is_abelian:
-        return None, None
-    orbit_reps = [float(l) for l in labels]
-    y_rule = gaussian_rule(1, level)
-    y = y_rule.nodes[:, 0]
-    period_modes = 4 * int(math.ceil(2 * max(orbit_reps))) + 6
-    t_rule = model_torus_rule(model, period_modes)
-    taus = t_rule.nodes[:, 0]
-    norms = _torus_norms(np.array(orbit_reps)[:, None])  # same at -m
+    """Quantization after reduction: the Gram of the W-invariant
+    holomorphic torus modes in the Gaussian-weighted inner product on
+    T x t, scaled to the identity by closed-form norms.
 
-    def symmetrized(m_rep: float, norm: float, tau_pts: np.ndarray,
-                    y_pts: np.ndarray) -> np.ndarray:
-        orbit = [m_rep] if m_rep == 0 else [m_rep, -m_rep]
-        return sum(np.exp(1j * mm * tau_pts) * np.exp(-mm * y_pts)
-                   for mm in orbit) / math.sqrt(len(orbit) * norm)
-
-    vecs = np.array([symmetrized(m, c, taus[:, None], y[None, :]).reshape(-1)
-                     for m, c in zip(orbit_reps, norms)])
-    wt = np.outer(t_rule.weights, y_rule.weights).reshape(-1)
-    gram = (vecs * wt) @ vecs.conj().T
-    # Weyl flip (tau, y) -> (-tau, -y) at off-grid samples
-    sample_t = np.array([0.3, 1.9, 5.1])
-    sample_y = np.array([0.45, -0.8, 1.3])
-    winv = 0.0
-    for m, c in zip(orbit_reps, norms):
-        a = symmetrized(m, c, sample_t, sample_y)
-        b = symmetrized(m, c, -sample_t, -sample_y)
-        winv = max(winv, float(np.abs(a - b).max()))
-    return gram, winv
+    Each label contributes the orbit sum of e^{i m.tau} e^{-m.y} over the
+    distinct Weyl images m of its top weight: the label alone on a torus,
+    j and -j on su2.  The Gram of every orbit weight is the product of the
+    Haar and Gaussian torus tables; summed over orbit blocks it is the Gram
+    of the orbit sums.  The Haar factor makes the modes of one orbit
+    orthogonal, so an orbit sum has norm |orbit| times the torus norm of
+    its top weight."""
+    tops = np.asarray(labels, float).reshape(len(labels), model.rank)
+    weyl = np.stack([w.matrix for w in weyl_group(model)])
+    orbits = [list(dict.fromkeys(map(tuple, images)))
+              for images in np.einsum("wab,nb->nwa", weyl, tops)]
+    sizes = np.array([len(orbit) for orbit in orbits])
+    haar, gauss = _torus_gram_factors(model, np.concatenate(orbits), level)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    gram = np.add.reduceat(np.add.reduceat(haar * gauss, starts, axis=0),
+                           starts, axis=1)
+    return _scaled(gram, sizes * _torus_norms(tops))
 
 
 def qr_commutes_certificate(model: LieModel, cutoff=None,
                             level: int = 4) -> CheckReport:
-    """Quantization and reduction commute at desk scale: the reduced
-    quantization and the quantized reduction produce identity Gram matrices
-    of equal dimension over matching cutoffs."""
-    if model.is_abelian:
-        if cutoff is None:
-            cutoff = 4
-        labels = irrep_labels(model, cutoff)
-        hl2, gram_red, _ = _side_a_grams(model, labels, level)
-        # side (B) on a torus model is word-for-word the same construction
-        gram_b = gram_red.copy()
-        winv_a = winv_b = 0.0
-        dims_match = True
-        tol = 1e-9
-    else:
-        if cutoff is None:
-            cutoff = 2.0
-        labels = irrep_labels(model, cutoff)
-        hl2, gram_red, values = _side_a_grams(model, labels, level)
-        gram_b, winv_b = _side_b_gram(model, labels, level)
-        dims_match = gram_b.shape == gram_red.shape
-        tol = 1e-4
-        # reduced sections are Weyl-even: the angle grid maps onto itself
-        # under tau -> -tau by index reversal
-        winv_a = 0.0
-        for v in values:
-            flipped = np.concatenate([v[:1], v[1:][::-1]])
-            winv_a = max(winv_a, float(np.abs(v - flipped).max()))
+    """Quantization and reduction commute at desk scale.  Route A
+    (``_side_a_grams``) quantizes and then reduces, route B
+    (``_side_b_gram``) quantizes the reduced space, by the same calls on
+    every model.  Every Gram must be the identity and every reduced
+    character Weyl-even.  On a torus route B is route A's holomorphic Gram,
+    so a broken restriction shows on route A only.  The default cutoff is
+    4 on a torus and 2.0 on su2."""
+    if cutoff is None:
+        cutoff = 4 if model.is_abelian else 2.0
+    labels = irrep_labels(model, cutoff)
+    hl2, gram_red, winv = _side_a_grams(model, labels, level)
+    gram_b = _side_b_gram(model, labels, level)
     eye = np.eye(len(labels))
     dev_a_hl2 = float(np.abs(hl2 - eye).max())
     dev_a_red = float(np.abs(gram_red - eye).max())
     dev_b = float(np.abs(gram_b - eye).max())
-    max_err = max(dev_a_hl2, dev_a_red, dev_b, winv_a, winv_b,
-                  0.0 if dims_match else 1.0)
     return CheckReport.from_error(
         f"reduction.qr_commutes.{model.name}",
         "the invariant part of the quantization, reduced to the torus, and "
         "the quantization of the reduced space span unitarily equivalent "
         "systems: both Gram matrices are the identity at each cutoff",
-        tolerance=tol,
-        max_error=max_err,
+        tolerance=1e-9 if model.is_abelian else 1e-4,
+        max_error=max(dev_a_hl2, dev_a_red, dev_b, winv),
         cutoff=cutoff,
         dimension=len(labels),
-        dims_match=bool(dims_match),
         deviation_quantize_then_reduce=max(dev_a_hl2, dev_a_red),
         deviation_reduce_then_quantize=dev_b,
-        weyl_invariance_residual=max(winv_a, winv_b),
+        weyl_invariance_residual=winv,
         gram_a=[[float(v) for v in row] for row in np.real(gram_red)],
         gram_b=[[float(v) for v in row] for row in np.real(gram_b)],
     )

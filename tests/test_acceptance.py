@@ -13,6 +13,12 @@ import numpy as np
 import pytest
 
 from quantlab.cli_report import SuiteConfig, main, run_suite
+from quantlab.coherent_transform import (
+    _scaled,
+    build_sigma_table,
+    character_gram,
+    irrep_labels,
+)
 from quantlab.lie_core import get_model
 from quantlab.psh_analysis import make_potential
 from quantlab.reduction import qr_commutes_certificate
@@ -116,16 +122,24 @@ def test_criterion_7_qr_commutes(suites):
     reports, _ = suites("su2", "reduction")
     cert = reports["reduction.qr_commutes.su2"]
     assert cert.passed
-    assert cert.metadata["dims_match"]
     assert cert.metadata["dimension"] == 5
     gram_a = np.array(cert.metadata["gram_a"])
     gram_b = np.array(cert.metadata["gram_b"])
     eye = np.eye(gram_a.shape[0])
     assert np.abs(gram_a - eye).max() < 1e-4
     assert np.abs(gram_b - eye).max() < 1e-4
-    torus = qr_commutes_certificate(get_model("u1"))
+    # on a torus route B is the holomorphic torus Gram over the closed-form
+    # norms, and both routes sit at the identity
+    u1 = get_model("u1")
+    torus = qr_commutes_certificate(u1)
     assert torus.passed
-    assert torus.metadata["gram_a"] == torus.metadata["gram_b"]
+    labels = irrep_labels(u1, torus.metadata["cutoff"])
+    holomorphic = _scaled(character_gram(u1, labels, 4),
+                          build_sigma_table(u1, labels))
+    assert torus.metadata["gram_b"] == np.real(holomorphic).tolist()
+    for key in ("gram_a", "gram_b"):
+        gram = np.array(torus.metadata[key])
+        assert np.abs(gram - np.eye(len(labels))).max() < 1e-9
 
 
 def test_criterion_8_density_demo():

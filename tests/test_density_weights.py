@@ -1,6 +1,7 @@
 """Density, log-convexity, and the Weyl denominator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,25 @@ def test_log_convexity_certificate():
     rep = dw.eta_log_convexity_certificate(grid=4000)
     assert rep.passed, rep
     assert rep.metadata["min_closed_form"] > 0
+
+
+def _log_convexity_series(t: float) -> Fraction:
+    # (sinh^2 t - t^2) / t^4 = sum_{k >= 2} 2^{2k-1} t^{2k-4} / (2k)!, in
+    # exact rationals at the double t; 40 terms reach past 1e-30 for |t| <= 6
+    x2 = Fraction(t) ** 2
+    return sum(Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * x2 ** (k - 2)
+               for k in range(2, 42))
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-6, 0.0012, 0.0499999, -0.0499999,
+                               0.05, 0.3, 1.0, 1.9999, 2.0, 2.5, -3.0, 6.0])
+def test_log_convexity_closed_form_matches_exact_series(t):
+    # a one-point grid: min_closed_form is the closed form at t.  A
+    # three-term series below |t| = 0.05 was 6.6e-12 off at t = 0.0499999
+    rep = dw.eta_log_convexity_certificate(t_range=(t, t), grid=1)
+    want = _log_convexity_series(t)
+    got = Fraction(rep.metadata["min_closed_form"])
+    assert abs(float((got - want) / want)) <= 1e-15
 
 
 def test_log_convexity_pinned_values():

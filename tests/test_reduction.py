@@ -6,6 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantlab import reduction
+from quantlab.coherent_transform import (
+    _scaled,
+    _torus_norms,
+    build_sigma_table,
+    character_gram,
+    irrep_labels,
+)
 from quantlab.lie_core import (
     adjoint_action_batch,
     alg_to_matrix_batch,
@@ -13,6 +20,7 @@ from quantlab.lie_core import (
     get_model,
     random_group_point,
 )
+from quantlab.quadrature import gaussian_rule, model_torus_rule
 from quantlab.reduction import (
     ReducedRepresentative,
     _su2_torus_angle,
@@ -426,7 +434,6 @@ def test_qr_certificate_su2():
     assert rep.passed
     assert rep.max_error < 1e-4
     assert rep.metadata["dimension"] == 5
-    assert rep.metadata["dims_match"]
     gram_a = np.array(rep.metadata["gram_a"])
     gram_b = np.array(rep.metadata["gram_b"])
     assert np.abs(gram_a - np.eye(5)).max() < 1e-4
@@ -438,7 +445,7 @@ def test_qr_certificate_su2_cutoff_six():
     rep = qr_commutes_certificate(SU2, 6.0)
     assert rep.passed
     assert rep.metadata["dimension"] == 13
-    assert rep.metadata["dims_match"]
+    assert len(rep.metadata["gram_b"]) == 13
 
 
 def test_su2_torus_character_values_are_the_weight_sums():
@@ -465,7 +472,83 @@ def test_qr_certificate_truncation_monotone():
 
 
 def test_qr_certificate_torus_exact():
-    rep = qr_commutes_certificate(U1, 4)
-    assert rep.passed
-    assert rep.max_error < 1e-9
-    assert rep.metadata["gram_a"] == rep.metadata["gram_b"]
+    # reduction by the trivial Weyl group is trivial: route B is the
+    # holomorphic torus Gram over the closed-form norms, bit for bit, and
+    # both routes sit at the identity
+    for model in (U1, get_model("t2")):
+        rep = qr_commutes_certificate(model, 4)
+        assert rep.passed
+        assert rep.max_error < 1e-9
+        labels = irrep_labels(model, 4)
+        holomorphic = _scaled(character_gram(model, labels, 4),
+                              build_sigma_table(model, labels))
+        assert rep.metadata["gram_b"] == np.real(holomorphic).tolist()
+        assert rep.metadata["weyl_invariance_residual"] == 0.0
+        for key in ("gram_a", "gram_b"):
+            gram = np.array(rep.metadata[key])
+            assert np.abs(gram - np.eye(len(labels))).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ["u1", "t2"])
+def test_qr_torus_broken_restriction_shows_on_route_a_only(monkeypatch,
+                                                           name):
+    # a restriction 1% too large: route A's reduced Gram reads 1.01^2 on
+    # its diagonal, route B never restricts
+    unitary = reduction.reduction_unitary
+
+    def too_large(model, labels, modes=None):
+        rule, values = unitary(model, labels, modes)
+        return rule, 1.01 * values
+
+    monkeypatch.setattr(reduction, "reduction_unitary", too_large)
+    rep = qr_commutes_certificate(get_model(name))
+    assert not rep.passed
+    assert abs(rep.metadata["deviation_quantize_then_reduce"] - 0.0201) < 1e-12
+    assert rep.metadata["deviation_reduce_then_quantize"] < 1e-12
+
+
+def test_qr_su2_phase_shifted_restriction_fails_on_the_weyl_residual(
+        monkeypatch):
+    # a phase e^{0.01 i tau} keeps every reduced Gram at the identity, but
+    # the reduced characters are no longer Weyl-even
+    values = reduction._torus_character_values
+    monkeypatch.setattr(
+        reduction, "_torus_character_values",
+        lambda model, labels, taus: (values(model, labels, taus)
+                                     * np.exp(0.01j * taus[:, 0])))
+    rep = qr_commutes_certificate(SU2)
+    assert not rep.passed
+    assert rep.max_error == rep.metadata["weyl_invariance_residual"]
+    assert 0.1 < rep.max_error < 0.2
+    assert rep.metadata["deviation_quantize_then_reduce"] < 1e-13
+    assert rep.metadata["deviation_reduce_then_quantize"] < 1e-13
+
+
+def _node_grid_side_b(labels, level):
+    # route B summed over a torus x Gaussian node grid, one Weyl-orbit sum
+    # (e^{i m tau} e^{-m y} + e^{-i m tau} e^{m y}) / sqrt(2 sigma_T(m)) per
+    # spin m = j (the mode alone at j = 0)
+    reps = [float(lab) for lab in labels]
+    y_rule = gaussian_rule(1, level)
+    y = y_rule.nodes[:, 0][None, :]
+    t_rule = model_torus_rule(SU2, 4 * int(math.ceil(2 * max(reps))) + 6)
+    taus = t_rule.nodes[:, 0][:, None]
+    norms = _torus_norms(np.array(reps)[:, None])
+    vecs = []
+    for m, c in zip(reps, norms):
+        orbit = [m] if m == 0 else [m, -m]
+        vecs.append((sum(np.exp(1j * mm * taus) * np.exp(-mm * y)
+                         for mm in orbit)
+                     / math.sqrt(len(orbit) * c)).reshape(-1))
+    vecs = np.array(vecs)
+    wt = np.outer(t_rule.weights, y_rule.weights).reshape(-1)
+    return (vecs * wt) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.0, 3.5, 5.0, 8.0])
+def test_su2_side_b_tables_match_the_node_grid(cutoff):
+    labels = irrep_labels(SU2, cutoff)
+    got = reduction._side_b_gram(SU2, labels, 4)
+    want = _node_grid_side_b(labels, 4)
+    assert got.shape == (len(labels), len(labels))
+    assert np.abs(got - want).max() <= 1e-14
