@@ -219,45 +219,28 @@ def _basis_owner(model: LieModel, labels) -> np.ndarray:
                      [irrep(model, lab).dim ** 2 for lab in labels])
 
 
-def _torus_sigmas(model: LieModel, labels, level: int) -> np.ndarray:
-    # sigma for every torus label at once, one Gauss-Hermite axis at a
-    # time: sigma(n) = prod_k sum_y w(y) e^{2 n_k y}
-    n = np.asarray(labels, float).reshape(-1, model.rank)
-    axes = gaussian_rule(model.rank, level).axes
-    return np.prod([np.exp(2.0 * np.outer(n[:, k], y)) @ w
-                    for k, (y, w) in enumerate(axes)], axis=0)
+def sigma(model: LieModel, labels, level: int = 3) -> np.ndarray:
+    """Quadrature value of the per-irrep Gaussian weight, one per label in
+    label order.
 
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    # log(sum(exp(a), axis=1)) step for step as scipy.special.logsumexp
-    # computes it, so the value matches bit for bit: the row maximum (each
-    # tied copy of it) comes out of the sum as a_max + log(count), and the
-    # shifted rest goes through log1p.  Finite where a plain sum overflows.
-    a_max = a.max(axis=1, keepdims=True)
-    at_max = a == a_max
-    count = at_max.sum(axis=1, keepdims=True, dtype=float)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=1,
-               keepdims=True) / count
-    return (np.log1p(s) + np.log(count) + a_max)[:, 0]
-
-
-def sigma(ir: Irrep, level: int = 3) -> float:
-    """Quadrature value of the per-irrep Gaussian weight.
-
-    Torus models integrate e^{2 n.y} against the Gaussian with the
-    Gauss-Hermite product rule.  The rank-1 non-abelian model reduces by
-    unitary invariance to the radial rule with the Hilbert-Schmidt norm
-    summed in log-space over the weights of the representation.
+    Torus models integrate e^{2 n.y} against the Gaussian one Gauss-Hermite
+    axis at a time: sigma(n) = prod_k sum_y w(y) e^{2 n_k y}.  The rank-1
+    non-abelian model reduces by unitary invariance to the radial rule,
+    tilted for spin j, with the Hilbert-Schmidt norm the sum of e^{2 r m}
+    over the weights m of the representation.
     """
-    model = ir.model
     if model.is_abelian:
-        return float(_torus_sigmas(model, [ir.label], level)[0])
-    j = float(ir.label)
-    rule = radial_rule(level, tilt=2.0 * j)
-    r = rule.nodes[:, 0]
-    m = ir.weight_diag()
-    hs = np.exp(_logsumexp_rows(2.0 * np.outer(r, m)))
-    return float(rule.weights @ hs) / ir.dim
+        n = np.asarray(labels, float).reshape(-1, model.rank)
+        return np.prod([np.exp(2.0 * np.outer(n[:, k], y)) @ w
+                        for k, (y, w) in enumerate(
+                            gaussian_rule(model.rank, level).axes)], axis=0)
+    out = np.empty(len(labels))
+    for i, lab in enumerate(labels):
+        ir = irrep(model, lab)
+        rule = radial_rule(level, tilt=2.0 * ir.label)
+        hs = np.exp(2.0 * np.outer(rule.nodes[:, 0], ir.weight_diag()))
+        out[i] = float(rule.weights @ hs.sum(axis=1)) / ir.dim
+    return out
 
 
 def _torus_norms(weights: np.ndarray) -> np.ndarray:
@@ -295,8 +278,7 @@ def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
     cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff if not model.is_abelian else
                           min(cutoff, 8))
-    quad = (_torus_sigmas(model, labels, level) if model.is_abelian else
-            np.array([sigma(irrep(model, lab), level) for lab in labels]))
+    quad = sigma(model, labels, level)
     closed = build_sigma_table(model, labels)
     return CheckReport.from_error(
         "transform.sigma_oracle",

@@ -76,12 +76,14 @@ class WeylElement:
     """One Weyl-group element, as an orthogonal matrix acting on t."""
 
     matrix: np.ndarray
-    word: str
 
 
 @dataclass(frozen=True, eq=False)
 class LieModel:
     """A compact group at desk scale.
+
+    The basis {e_k} is orthonormal for the Ad-invariant inner product, so
+    its Gram matrix is the identity and no field carries it.
 
     Fields
     ------
@@ -90,9 +92,6 @@ class LieModel:
         Dimension n of the Lie algebra.
     structure_constants : (n, n, n) array
         c[i, j, k] with [e_i, e_j] = sum_k c[i, j, k] e_k.
-    inner : (n, n) array
-        Gram matrix of the Ad-invariant inner product; the identity in the
-        orthonormal basis used throughout.
     torus_indices : tuple of int
         0-based indices of the basis vectors spanning t.
     torus_periods : tuple of float
@@ -108,7 +107,6 @@ class LieModel:
     name: str
     dim: int
     structure_constants: np.ndarray
-    inner: np.ndarray
     torus_indices: tuple[int, ...]
     torus_periods: tuple[float, ...]
     roots: tuple[RealRoot, ...]
@@ -203,7 +201,6 @@ def _build_torus(name: str, rank: int) -> LieModel:
             name=name,
             dim=rank,
             structure_constants=np.zeros((rank, rank, rank)),
-            inner=np.eye(rank),
             torus_indices=tuple(range(rank)),
             torus_periods=(2.0 * math.pi,) * rank,
             roots=(),
@@ -226,7 +223,6 @@ def _build_su2() -> LieModel:
             name="su2",
             dim=3,
             structure_constants=c,
-            inner=np.eye(3),
             torus_indices=(2,),
             torus_periods=(4.0 * math.pi,),
             roots=(RealRoot(np.array([1.0])), RealRoot(np.array([-1.0]))),
@@ -424,34 +420,21 @@ def unitary_log(g: GroupPoint) -> np.ndarray:
 
 
 def weyl_group(model: LieModel) -> list[WeylElement]:
-    """The Weyl group as orthogonal matrices on t, generated by root
-    reflections and closed under composition; the identity comes first."""
-    r = model.rank
-    elements = [WeylElement(np.eye(r), "e")]
-    gens = []
-    for idx, root in enumerate(model.positive_roots()):
-        a = root.covector
-        refl = np.eye(r) - 2.0 * np.outer(a, a) / float(a @ a)
-        gens.append(WeylElement(refl, f"s{idx}"))
-    frontier = list(gens)
-    seen = [np.eye(r)] + [g.matrix for g in gens]
-    elements += gens
-    guard = 0
-    while frontier:
-        guard += 1
-        if guard > 64:
-            raise ValueError(f"{model.name}: Weyl group failed to close")
-        new = []
-        for w in frontier:
-            for s in gens:
-                m = s.matrix @ w.matrix
-                if not any(np.allclose(m, t, atol=1e-12) for t in seen):
-                    el = WeylElement(m, s.word + w.word)
-                    seen.append(m)
-                    elements.append(el)
-                    new.append(el)
-        frontier = new
-    return elements
+    """The Weyl group as orthogonal matrices on t: the identity, then the
+    reflection in the positive root when there is one.
+
+    ``validate_model``'s ad(Y)^3 = -theta^2 ad(Y) admits at most one
+    positive root, and one reflection generates a group of two.  A model
+    with more positive roots is refused rather than closed under
+    composition."""
+    roots = model.positive_roots()
+    if len(roots) > 1:
+        raise ValueError(f"{model.name}: {len(roots)} positive roots; the "
+                         "Weyl group is built for at most one")
+    eye = np.eye(model.rank)
+    return [WeylElement(eye)] + [
+        WeylElement(eye - 2.0 * np.outer(a, a) / float(a @ a))
+        for a in (root.covector for root in roots)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ Four rule families cover every integral in the package:
   optional exponential tilt so integrands like e^{b r} e^{-2 pi r^2} keep
   their mass inside the truncation radius.
 
+Every rule is a product over its axes (the radial rule has one), and a
+``QuadratureRule`` is just those axes; its flat node grid is derived from
+them.  Only the reduction's torus restriction and the one-axis radial rule
+read that grid; the transform Grams and sigmas sum one axis at a time.
+
 All weights are nonnegative.  No rule checks itself: each certificate
 that integrates with these rules compares the result against a closed
 form.  The transform and reduction Grams are scaled by the closed-form
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -43,22 +48,33 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and nonnegative weights.
+    """A product rule, kept as its factors.
 
-    ``nodes`` is an (N, d) array of point coordinates for flat rules, or an
-    (N, k, k) array of defining-representation matrices for group rules.
-    A product rule may also keep its factors in ``axes``: one (points,
-    weights) pair per axis, with ``nodes`` and ``weights`` running over
-    the axes in C order, last axis fastest.
+    ``axes`` holds one (points, weights) pair per axis, every weight
+    nonnegative.  ``nodes`` (N, d) and ``weights`` (N,) are the product
+    grid, derived on first use, running over the axes in C order, last
+    axis fastest: one coordinate column and one weight factor per axis.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    axes: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        if np.any(self.weights < 0):
+        if any(np.any(w < 0) for _, w in self.axes):
             raise ValueError("quadrature weights must be nonnegative")
+
+    def _grid(self, part: int) -> np.ndarray:
+        # the product grid of the axes' points (part 0) or weights (part 1),
+        # one column per axis
+        grids = np.meshgrid(*[ax[part] for ax in self.axes], indexing="ij")
+        return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self._grid(0)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.prod(self._grid(1), axis=1)
 
 
 def torus_rule(r: int, modes: int) -> QuadratureRule:
@@ -69,10 +85,7 @@ def torus_rule(r: int, modes: int) -> QuadratureRule:
     """
     n = modes + 1
     theta = np.arange(n) * (2.0 * math.pi / n)
-    grids = np.meshgrid(*([theta] * r), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weights = np.full(nodes.shape[0], 1.0 / n**r)
-    return QuadratureRule(nodes, weights, ((theta, np.full(n, 1.0 / n)),) * r)
+    return QuadratureRule(((theta, np.full(n, 1.0 / n)),) * r)
 
 
 def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
@@ -83,13 +96,14 @@ def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
     where the period is 4*pi) is resolved exactly as long as its integer
     frequency in the rescaled angle is at most ``modes``.
     """
-    base = torus_rule(model.rank, modes)
-    nodes = base.nodes * (np.asarray(model.torus_periods) / (2.0 * math.pi))
-    return QuadratureRule(nodes, base.weights.copy())
+    return QuadratureRule(tuple(
+        (theta * (period / (2.0 * math.pi)), w)
+        for (theta, w), period in zip(torus_rule(model.rank, modes).axes,
+                                      model.torus_periods)))
 
 
 def su2_haar_rule(level: int) -> QuadratureRule:
-    """Probability Haar on SU(2) by Euler angles, nodes as 2x2 matrices.
+    """Probability Haar on SU(2) by Euler angles.
 
     g = exp(a e3) exp(b e2) exp(c e3) with Haar density proportional to
     sin(b): trapezoid in a over [0, 2*pi), Gauss-Legendre in u = cos(b),
@@ -99,45 +113,22 @@ def su2_haar_rule(level: int) -> QuadratureRule:
     Products of coefficients with total spin <= level are exact too, which
     is how the Gram certificates choose their level.
 
-    The rule is a product over the three angles: ``axes`` holds
-    (alpha, 1/n_a), (beta, w_u/2) and (gamma, 1/n_c), and node
-    (i_a, i_u, i_c) sits at flat index (i_a * n_u + i_u) * n_c + i_c.  A
-    spin-j matrix there is e^{-i m a} d^j(b) e^{-i m' c}, so callers can
-    build it from the n_u distinct values of b alone.
+    ``axes`` holds (a, 1/n_a), (b, w_u/2) and (c, 1/n_c), so ``nodes`` are
+    the Euler-angle triples (a, b, c).  A spin-j matrix at a node is
+    e^{-i m a} d^j(b) e^{-i m' c}, so callers build it from the n_u
+    distinct values of b alone.
     """
     if level < 1:
         raise ValueError("level >= 1 required")
     n_a = 2 * level + 2
     n_u = 2 * level + 2
     n_c = 4 * level + 3
-    alpha = np.arange(n_a) * (2.0 * math.pi / n_a)
-    gamma = np.arange(n_c) * (4.0 * math.pi / n_c)
     u, wu = _legendre_points(n_u)
-    beta = np.arccos(u)
-    # exp(t e3) = diag(e^{-it/2}, e^{it/2});  exp(b e2) rotates by b/2.
-    half_a = alpha / 2.0
-    half_b = beta / 2.0
-    half_c = gamma / 2.0
-    za = np.exp(-1j * half_a)
-    zc = np.exp(-1j * half_c)
-    cb, sb = np.cos(half_b), np.sin(half_b)
-    A, B, C = np.meshgrid(np.arange(n_a), np.arange(n_u), np.arange(n_c),
-                          indexing="ij")
-    mats = np.empty((n_a, n_u, n_c, 2, 2), dtype=complex)
-    mats[..., 0, 0] = za[A] * cb[B] * zc[C]
-    mats[..., 0, 1] = -za[A] * sb[B] / zc[C]
-    mats[..., 1, 0] = sb[B] * zc[C] / za[A]
-    mats[..., 1, 1] = cb[B] / (za[A] * zc[C])
-    weights = (wu[B] / 2.0) / (n_a * n_c)
-    return QuadratureRule(
-        mats.reshape(-1, 2, 2),
-        weights.reshape(-1),
-        (
-            (alpha, np.full(n_a, 1.0 / n_a)),
-            (beta, wu / 2.0),
-            (gamma, np.full(n_c, 1.0 / n_c)),
-        ),
-    )
+    return QuadratureRule((
+        (np.arange(n_a) * (2.0 * math.pi / n_a), np.full(n_a, 1.0 / n_a)),
+        (np.arccos(u), wu / 2.0),
+        (np.arange(n_c) * (4.0 * math.pi / n_c), np.full(n_c, 1.0 / n_c)),
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -172,12 +163,7 @@ def gaussian_rule(r: int, level: int) -> QuadratureRule:
     """
     if level < 1:
         raise ValueError("level >= 1 required")
-    y, wy = _hermite_points(16 * level)
-    grids = np.meshgrid(*([y] * r), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([wy] * r), indexing="ij")
-    weights = np.prod(np.stack([g.reshape(-1) for g in wgrids], axis=1), axis=1)
-    return QuadratureRule(nodes, weights, ((y, wy),) * r)
+    return QuadratureRule((_hermite_points(16 * level),) * r)
 
 
 def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
@@ -195,5 +181,5 @@ def radial_rule(level: int, tilt: float = 0.0) -> QuadratureRule:
     x, w = _legendre_points(16 * level)
     r = (x + 1.0) * (rmax / 2.0)
     wr = w * (rmax / 2.0)
-    weights = wr * 4.0 * math.pi * r**2 * np.exp(-2.0 * math.pi * r**2)
-    return QuadratureRule(r.reshape(-1, 1), weights)
+    return QuadratureRule(
+        ((r, wr * 4.0 * math.pi * r**2 * np.exp(-2.0 * math.pi * r**2)),))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, logsumexp
+from scipy.special import erf
 from scipy.stats import norm, qmc
 
 from quantlab.coherent_transform import (
     _basis_owner,
-    _logsumexp_rows,
     build_sigma_table,
     character_gram,
     equivariance_certificate,
@@ -39,6 +38,16 @@ from quantlab.quadrature import (
 SU2 = get_model("su2")
 U1 = get_model("u1")
 T2 = get_model("t2")
+
+
+def _haar_matrices(rule) -> np.ndarray:
+    # the defining-representation matrix exp(a e3) exp(b e2) exp(c e3) at
+    # each Euler-angle node (a, b, c) of an su2 Haar rule
+    basis = np.eye(3)
+    a, b, c = rule.nodes.T
+    return (exp_alg_batch(SU2, np.outer(a, basis[2]))
+            @ exp_alg_batch(SU2, np.outer(b, basis[1]))
+            @ exp_alg_batch(SU2, np.outer(c, basis[2])))
 
 
 def sigma_u1_closed(n: int) -> float:
@@ -118,7 +127,7 @@ def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
             :, None, None, :] * d_b[None, :, None, :]
             * np.exp(-0.5j * np.multiply.outer(gamma, twice_k))[
             None, None, :, :]).reshape(len(rule.nodes), -1)
-        for node, got in zip(rule.nodes, closed):
+        for node, got in zip(_haar_matrices(rule), closed):
             want = np.concatenate([
                 rep_unitary(irrep(SU2, lab), GroupPoint(SU2, node)).reshape(-1)
                 for lab in labels])
@@ -173,22 +182,26 @@ def test_character_on_torus_points():
 
 
 def test_sigma_u1_against_closed_form():
-    for n in range(-8, 9):
-        got = sigma(irrep(U1, n), level=4)
+    labels = list(range(-8, 9))
+    for n, got in zip(labels, sigma(U1, labels, level=4)):
         assert abs(got - sigma_u1_closed(n)) / sigma_u1_closed(n) < 1e-10
 
 
 def test_sigma_trivial_is_gaussian_mass():
-    assert abs(sigma(irrep(U1, 0)) - 2 ** -0.5) < 1e-12
-    assert abs(sigma(irrep(T2, (0, 0))) - 0.5) < 1e-12
-    assert abs(sigma(irrep(SU2, 0.0)) - 2 ** -1.5) < 1e-12
+    assert abs(sigma(U1, [0])[0] - 2 ** -0.5) < 1e-12
+    assert abs(sigma(T2, [(0, 0)])[0] - 0.5) < 1e-12
+    assert abs(sigma(SU2, [0.0])[0] - 2 ** -1.5) < 1e-12
 
 
 def test_sigma_su2_against_erf_oracle():
-    for j in (0.5, 1.0, 1.5, 2.0):
-        got = sigma(irrep(SU2, j), level=4)
+    # every spin up to 40, where the sum of e^{2 r m} is still a finite
+    # double at every radial node
+    labels = [k / 2.0 for k in range(1, 81)]
+    got = sigma(SU2, labels, level=4)
+    assert got.shape == (len(labels),)
+    for j, value in zip(labels, got):
         want = sigma_su2_closed(j)
-        assert abs(got - want) / want < 1e-10
+        assert abs(value - want) / want < 1e-10, j
 
 
 def test_sigma_su2_against_quasirandom_3d():
@@ -206,37 +219,10 @@ def test_sigma_su2_against_quasirandom_3d():
     assert abs(est - want) / want < 1e-3
 
 
-def _sigma_exponents(j, level):
-    # the rows sigma sums in log space: 2 r m over radial nodes r and
-    # weights m of spin j
-    r = radial_rule(level, tilt=2.0 * j).nodes[:, 0]
-    return 2.0 * np.outer(r, irrep(SU2, j).weight_diag())
-
-
-@pytest.mark.parametrize("level", [3, 4, 5])
-def test_logsumexp_rows_matches_scipy_bit_for_bit(level):
-    for twice_j in range(21):
-        a = _sigma_exponents(twice_j / 2, level)
-        assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
-    # tied row maxima, including an all-zero row
-    a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, -2.0], [3.0, -1.0, 0.5]])
-    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
-
-
-def test_logsumexp_rows_finite_where_plain_sum_overflows():
-    a = _sigma_exponents(100, 3)
-    with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(np.log(np.sum(np.exp(a), axis=1))))
-    got = _logsumexp_rows(a)
-    assert np.all(np.isfinite(got))
-    assert np.allclose(got, logsumexp(a, axis=1), rtol=1e-15, atol=0)
-
-
 def test_sigma_symmetric_under_weyl():
-    for n in range(9):
-        a = sigma(irrep(U1, n))
-        b = sigma(irrep(U1, -n))
-        assert abs(a - b) <= 1e-10 * max(1.0, a)
+    plus = sigma(U1, list(range(9)))
+    minus = sigma(U1, [-n for n in range(9)])
+    assert np.all(np.abs(plus - minus) <= 1e-10 * np.maximum(1.0, plus))
 
 
 def test_sigma_table_is_the_closed_form():
@@ -320,8 +306,8 @@ def test_transform_su2_character_against_quadrature():
     tpoint = exp_alg_batch(
         SU2, np.array([[0.2, -0.1, 0.4]]), np.array([[0.0, 0.0, 0.3]])
     )[0]
-    vals = np.empty(rule.nodes.shape[0], dtype=complex)
-    for i, x in enumerate(rule.nodes):
+    vals = np.empty(len(rule.weights), dtype=complex)
+    for i, x in enumerate(_haar_matrices(rule)):
         vals[i] = ir.character(x) * phi_kernel(
             np.linalg.inv(x) @ tpoint, SU2, labels, table
         )
@@ -425,12 +411,12 @@ def test_torus_grams_match_pairwise_formula():
 
 @pytest.mark.parametrize("model,cutoff", [(U1, 8), (T2, 5)])
 def test_axis_first_torus_tables_match_full_node_sums(model, cutoff):
-    from quantlab.coherent_transform import _torus_gram_factors, _torus_sigmas
+    from quantlab.coherent_transform import _torus_gram_factors
 
     labels = irrep_labels(model, cutoff)
     for level in (3, 4):
         sig, haar, gauss = _full_node_sums(model, labels, level)
-        got = _torus_sigmas(model, labels, level)
+        got = sigma(model, labels, level)
         assert np.abs(got / sig - 1.0).max() <= 1e-14
         got_haar, got_gauss = _torus_gram_factors(model, labels, level)
         # the Haar factor is the identity, so its scale is 1
@@ -443,7 +429,7 @@ def test_axis_first_sigma_keeps_the_untilted_rule_error():
     # n / (2 pi): at |n| = 20 and level 3 it misses the closed form by
     # about 1.5e-2, and the axis-first sum reproduces that error
     for label in ((20,), (-20,)):
-        got = sigma(irrep(U1, label), level=3)
+        got = sigma(U1, [label], level=3)[0]
         node_sum, _, _ = _full_node_sums(U1, [label], 3)
         assert abs(got / node_sum[0] - 1.0) <= 1e-14
         closed = build_sigma_table(U1, [label])[0]
@@ -454,10 +440,8 @@ def _quadrature_sigma_error(model, cutoff, level):
     # the worst relative error of the Gauss-Hermite sigma against the
     # closed form, one sigma_u1_closed factor per axis, over the labels
     # within the cutoff
-    from quantlab.coherent_transform import _torus_sigmas
-
     labels = irrep_labels(model, cutoff)
-    quad = _torus_sigmas(model, labels, level)
+    quad = sigma(model, labels, level)
     closed = np.array([math.prod(sigma_u1_closed(n) for n in lab)
                        for lab in labels])
     return float(np.abs(quad / closed - 1.0).max())
@@ -594,8 +578,9 @@ def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):
     from quantlab.coherent_transform import _su2_characters
 
     grow = np.exp(r_rule.nodes[:, 0] / 2.0)
-    half_tr = (np.outer(g_rule.nodes[:, 0, 0], grow)
-               + np.outer(g_rule.nodes[:, 1, 1], 1.0 / grow)) / 2.0
+    mats = _haar_matrices(g_rule)
+    half_tr = (np.outer(mats[:, 0, 0], grow)
+               + np.outer(mats[:, 1, 1], 1.0 / grow)) / 2.0
     chi = _su2_characters(half_tr, [float(lab) for lab in labels])
     return np.einsum("g,r,agr,bgr->ab", g_rule.weights, radial_weights, chi,
                      chi.conj())
@@ -654,7 +639,8 @@ def _node_sum_basis_grams(labels, level):
     g_rule = su2_haar_rule(max(1, math.ceil(2 * max(labels))))
     r_rule = radial_rule(level, tilt=4.0 * max(labels))
     (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
-    dirs = g_rule.nodes.reshape(len(w_a), len(w_u), len(w_c), 2, 2)[:, :, 0]
+    mats = _haar_matrices(g_rule)
+    dirs = mats.reshape(len(w_a), len(w_u), len(w_c), 2, 2)[:, :, 0]
     w_ur = np.multiply.outer(np.outer(w_a, w_u), r_rule.weights).reshape(-1)
     irs = [irrep(SU2, lab) for lab in labels]
     gauss = []
@@ -667,7 +653,7 @@ def _node_sum_basis_grams(labels, level):
     n = sum(ir.dim ** 2 for ir in irs)
     hl2 = np.zeros((n, n), dtype=complex)
     l2 = np.zeros((n, n), dtype=complex)
-    for node, w_g in zip(g_rule.nodes, g_rule.weights):
+    for node, w_g in zip(mats, g_rule.weights):
         d_g = [rep_unitary(ir, GroupPoint(SU2, node)) for ir in irs]
         flat = np.concatenate([math.sqrt(ir.dim) * d.reshape(-1)
                                for ir, d in zip(irs, d_g)])

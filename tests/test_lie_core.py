@@ -43,7 +43,7 @@ def _su2_plus_su2():
     roots = tuple(lc.RealRoot(np.array(v, float))
                   for v in ([1, 0], [-1, 0], [0, 1], [0, -1]))
     return lc.LieModel(
-        name="su2+su2", dim=6, structure_constants=c, inner=np.eye(6),
+        name="su2+su2", dim=6, structure_constants=c,
         torus_indices=(2, 5), torus_periods=(4 * math.pi,) * 2, roots=roots,
         defining_rep_dim=4, generators=tuple(gens))
 
@@ -212,6 +212,13 @@ def test_weyl_group_su2():
     assert len(ws) == 2
     mats = sorted(float(w.matrix[0, 0]) for w in ws)
     assert np.allclose(mats, [-1.0, 1.0])
+
+
+def test_weyl_group_refuses_more_than_one_positive_root():
+    # su(2) + su(2) has two positive roots; validate_model refuses it, and
+    # weyl_group does not build a group for it either
+    with pytest.raises(ValueError, match="positive roots"):
+        lc.weyl_group(_su2_plus_su2())
 
 
 def test_weyl_elements_permute_roots():

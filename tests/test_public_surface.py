@@ -35,15 +35,25 @@ def test_export_list_is_the_public_surface(module):
 # matrix and a coordinate array, with no wrapper type or one-point twin;
 # and the dict coefficient format: a coefficient vector is one
 # basis-ordered array, a sigma table one array in label order, and a
-# reduced character one row of samples
+# reduced character one row of samples; and the quadrature layer's second
+# formats: a rule is its axes, with no stored node grid, and the quadrature
+# sigma is one stacked call, with no scalar or torus-only twin
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
-    "coherent_transform": ("PeterWeylVector", "SigmaTable"),
+    "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
+                           "_logsumexp_rows"),
+    "quadrature": (),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction"),
+}
+# the dataclasses whose fields are exactly these
+FIELDS = {
+    "lie_core": {"WeylElement": ["matrix"]},
+    "quadrature": {"QuadratureRule": ["axes"]},
+    "reduction": {"ReducedRepresentative": ["t", "Y0", "conjugator"]},
 }
 
 
@@ -51,6 +61,6 @@ DELETED = {
 def test_point_wrappers_and_scalar_twins_stay_deleted(module):
     mod = importlib.import_module(f"quantlab.{module}")
     assert [name for name in DELETED[module] if hasattr(mod, name)] == []
-    if module == "reduction":
-        fields = dataclasses.fields(mod.ReducedRepresentative)
-        assert [f.name for f in fields] == ["t", "Y0", "conjugator"]
+    for cls, names in FIELDS.get(module, {}).items():
+        fields = dataclasses.fields(getattr(mod, cls))
+        assert [f.name for f in fields] == names

@@ -6,6 +6,7 @@ touches the package's own representation code): if a group element has
 eigenvalues e^{+/- i tau/2}, its spin-j character is U_{2j}(cos(tau/2)).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from scipy.special import erf, eval_chebyu
 
 from quantlab import quadrature as quad
-from quantlab.lie_core import get_model
+from quantlab.lie_core import exp_alg_batch, get_model
 
 
 def test_torus_rule_mass_and_exactness():
@@ -46,6 +47,17 @@ def test_model_torus_rule_su2_half_integer_weights():
     assert abs(rule.weights @ np.ones_like(tau) - 1.0) < 1e-14
 
 
+def _haar_matrices(rule) -> np.ndarray:
+    # the defining-representation matrix exp(a e3) exp(b e2) exp(c e3) at
+    # each Euler-angle node (a, b, c)
+    su2 = get_model("su2")
+    basis = np.eye(3)
+    a, b, c = rule.nodes.T
+    return (exp_alg_batch(su2, np.outer(a, basis[2]))
+            @ exp_alg_batch(su2, np.outer(b, basis[1]))
+            @ exp_alg_batch(su2, np.outer(c, basis[2])))
+
+
 def _su2_character(mats: np.ndarray, j: float) -> np.ndarray:
     half_trace = np.real(np.trace(mats, axis1=-2, axis2=-1)) / 2.0
     return eval_chebyu(int(round(2 * j)), half_trace)
@@ -55,7 +67,8 @@ def test_su2_haar_rule_schur_orthogonality():
     rule = quad.su2_haar_rule(level=4)
     assert abs(rule.weights.sum() - 1.0) < 1e-13
     js = [0.0, 0.5, 1.0, 1.5, 2.0]
-    chars = {j: _su2_character(rule.nodes, j) for j in js}
+    mats = _haar_matrices(rule)
+    chars = {j: _su2_character(mats, j) for j in js}
     for j in js:
         for k in js:
             val = rule.weights @ (chars[j] * np.conj(chars[k]))
@@ -78,13 +91,12 @@ def test_su2_haar_rule_against_monte_carlo():
     mc_g00 = q[:, 0] + 1j * q[:, 3]
     mc_g01 = q[:, 2] + 1j * q[:, 1]
     mc = np.mean(np.abs(mc_g00) ** 2 * np.real(mc_g01) ** 2)
-    val = rule.weights @ integrand_mats(rule.nodes)
+    val = rule.weights @ integrand_mats(_haar_matrices(rule))
     assert abs(val - mc) < 5e-3
 
 
 def test_su2_haar_nodes_are_unitary():
-    rule = quad.su2_haar_rule(level=2)
-    mats = rule.nodes
+    mats = _haar_matrices(quad.su2_haar_rule(level=2))
     prods = mats @ np.conj(np.swapaxes(mats, -1, -2))
     assert np.abs(prods - np.eye(2)).max() < 1e-12
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
@@ -114,29 +126,32 @@ def test_gaussian_rule_arrays_are_not_shared():
         assert np.abs(again.nodes).max() > 1.0
 
 
-def test_su2_haar_rule_axes_rebuild_the_product():
-    rule = quad.su2_haar_rule(level=3)
-    (alpha, w_a), (beta, w_u), (gamma, w_c) = rule.axes
-    weights = np.einsum("a,u,c->auc", w_a, w_u, w_c).reshape(-1)
-    assert np.abs(weights - rule.weights).max() < 1e-16
-    # the (0, 0) entry of exp(a e3) exp(b e2) exp(c e3) at each node
-    corner = np.einsum("a,u,c->auc", np.exp(-0.5j * alpha),
-                       np.cos(beta / 2.0), np.exp(-0.5j * gamma))
-    assert np.abs(corner.reshape(-1) - rule.nodes[:, 0, 0]).max() < 1e-15
+@pytest.mark.parametrize("rule", [
+    quad.torus_rule(1, 4),
+    quad.torus_rule(2, 5),
+    quad.model_torus_rule(get_model("su2"), 6),
+    quad.model_torus_rule(get_model("t2"), 3),
+    quad.su2_haar_rule(3),
+    quad.gaussian_rule(1, 2),
+    quad.gaussian_rule(2, 1),
+    quad.radial_rule(2, tilt=4.0),
+], ids=["torus-1", "torus-2", "model-torus-su2", "model-torus-t2", "su2-haar",
+        "gaussian-1", "gaussian-2", "radial"])
+def test_rule_grid_is_the_product_of_its_axes(rule):
+    # nodes and weights run over the axes in C order, last axis fastest:
+    # one coordinate and one weight factor per axis
+    nodes = list(itertools.product(*[p for p, _ in rule.axes]))
+    weights = [math.prod(ws) for ws in
+               itertools.product(*[w for _, w in rule.axes])]
+    assert rule.nodes.shape == (len(nodes), len(rule.axes))
+    assert np.array_equal(rule.nodes, np.array(nodes))
+    assert np.abs(rule.weights - np.array(weights)).max() < 1e-16
 
 
-@pytest.mark.parametrize("rule", [quad.torus_rule(2, 5),
-                                  quad.gaussian_rule(1, 2),
-                                  quad.gaussian_rule(2, 1)])
-def test_flat_product_rule_axes_rebuild_the_product(rule):
-    # nodes and weights run over the axes in C order, last axis fastest
-    points = np.meshgrid(*[p for p, _ in rule.axes], indexing="ij")
-    weights = np.meshgrid(*[w for _, w in rule.axes], indexing="ij")
-    assert len(rule.axes) == rule.nodes.shape[1]
-    for k, grid in enumerate(points):
-        assert np.array_equal(grid.reshape(-1), rule.nodes[:, k])
-    assert np.abs(np.prod(weights, axis=0).reshape(-1)
-                  - rule.weights).max() < 1e-16
+def test_negative_axis_weight_rejected():
+    theta, w = quad.torus_rule(1, 3).axes[0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        quad.QuadratureRule(((theta, w), (theta, -w)))
 
 
 def test_radial_rule_mass():
