@@ -149,31 +149,38 @@ def j_squared_certificate(
 
 
 def _complex_hessian(fun, n, h=1e-3):
-    hess = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-
-            def second(part_k, part_l):
-                def val(s_k, s_l):
-                    zx = np.zeros(n)
-                    zy = np.zeros(n)
-                    for m, part, s in ((k, part_k, s_k), (l, part_l, s_l)):
-                        (zx if part == "x" else zy)[m] += s * h
-                    return fun(zx + 1j * zy)
-
-                if k == l and part_k == part_l:
-                    return (val(1, 0) - 2 * val(0, 0) + val(-1, 0)) / (h * h)
-                return (
-                    val(1, 1) - val(1, -1) - val(-1, 1) + val(-1, -1)
-                ) / (4 * h * h)
-
-            # d^2/dz_k dzbar_l via Wirtinger combination
-            hess[k, l] = 0.25 * (
-                second("x", "x")
-                + second("y", "y")
-                + 1j * (second("x", "y") - second("y", "x"))
-            )
-    return hess
+    """d^2 fun / dz_k dzbar_l at z = 0 by central differences, combined as
+    (f_xx + f_yy + i (f_xy - f_yx)) / 4.  ``fun`` maps an (N, n) stack of
+    chart points to N values: every stencil point of every entry, in loop
+    order, is evaluated in that one call."""
+    # (k, l, part_k, part_l, steps): the (s_k, s_l) steps of one second
+    # difference, three points when it is a pure second derivative
+    seconds = [
+        (k, l, part_k, part_l,
+         ((1, 0), (0, 0), (-1, 0)) if k == l and part_k == part_l
+         else ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        for k in range(n) for l in range(n)
+        for part_k, part_l in ("xx", "yy", "xy", "yx")
+    ]
+    zs = []
+    for k, l, part_k, part_l, steps in seconds:
+        for s_k, s_l in steps:
+            z = np.zeros((2, n))  # rows: the x and the y parts
+            for m, part, s in ((k, part_k, s_k), (l, part_l, s_l)):
+                z["xy".index(part), m] += s * h
+            zs.append(z)
+    zs = np.array(zs)
+    vals = iter(fun(zs[:, 0] + 1j * zs[:, 1]).tolist())
+    second = []
+    for *_, steps in seconds:
+        if len(steps) == 3:
+            up, mid, down = next(vals), next(vals), next(vals)
+            second.append((up - 2 * mid + down) / (h * h))
+        else:
+            pp, pm, mp, mm = next(vals), next(vals), next(vals), next(vals)
+            second.append((pp - pm - mp + mm) / (4 * h * h))
+    xx, yy, xy, yx = np.reshape(second, (n, n, 4)).transpose(2, 0, 1)
+    return 0.25 * (xx + yy + 1j * (xy - yx))
 
 
 def _omega_potential_error(model: LieModel, y_coords) -> float:
@@ -184,18 +191,19 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
     y = np.asarray(y_coords, float)
     center = exp_alg_batch(model, np.zeros((1, n)), y[None])[0]
 
-    def potential(gmat):
-        w, vec = np.linalg.eigh(gmat.conj().T @ gmat)
-        coords = coords_from_matrix_batch(
-            model, -0.5j * (vec @ np.diag(np.log(w)) @ vec.conj().T)[None]
-        )[0]
-        return float(np.dot(coords, coords))
+    def chart_values(zs):
+        # |Y|^2 at g = center @ exp(z) for each row z, Y = log(g^H g) / 2i
+        zmats = sum(zs[:, k, None, None] * model.generators[k]
+                    for k in range(n))
+        gmats = center @ _exp_matrices(model, zmats)
+        w, vec = np.linalg.eigh(np.conj(np.swapaxes(gmats, 1, 2)) @ gmats)
+        logs = ((vec * np.log(w)[:, None, :])
+                @ np.conj(np.swapaxes(vec, 1, 2)))
+        coords = coords_from_matrix_batch(model, -0.5j * logs)
+        # one dot per row: a stacked einsum rounds the sum differently
+        return np.array([np.dot(c, c) for c in coords])
 
-    def chart_value(z):
-        zmat = sum(z[k] * model.generators[k] for k in range(n))
-        return potential(center @ _exp_matrices(model, zmat[None])[0])
-
-    hess = _complex_hessian(chart_value, n)
+    hess = _complex_hessian(chart_values, n)
     dphi = dphi_batch(model, y[None])[0]
     om = omega_batch(model, y)[0]
     za = dphi[:n, :] + 1j * dphi[n:, :]

@@ -514,6 +514,44 @@ def test_kahler_potential_consistency(name, y):
     assert worst < 1e-5, worst
 
 
+def _chart_points(model):
+    # omega_potential_certificate's two chart points, then ten random ones
+    n = model.dim
+    if model.is_abelian:
+        pts = [0.5 * np.ones(n), -0.3 * np.ones(n)]
+    else:
+        pts = [np.array([0.1, -0.2, 0.5]), np.array([0.0, 0.0, 1.1])]
+    rng = np.random.default_rng(20)
+    return pts + list(rng.standard_normal((10, n)))
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_batched_hessian_is_the_scalar_loop(name, monkeypatch):
+    # the stacked stencil evaluation against one chart call per stencil
+    # point, combined by the scalar loop above: equal bit for bit
+    model = lc.get_model(name)
+    n = model.dim
+    hessians = []
+    batched_hessian = kg._complex_hessian
+
+    def spy(fun, n, h=1e-3):
+        hessians.append(batched_hessian(fun, n, h))
+        return hessians[-1]
+
+    monkeypatch.setattr(kg, "_complex_hessian", spy)
+    for y in _chart_points(model):
+        kg._omega_potential_error(model, y)
+        center = _exp(model, np.zeros(n), y)
+
+        def chart_value(z):
+            zmat = sum(z[k] * model.generators[k] for k in range(n))
+            gmat = center @ lc._exp_matrices(model, zmat[None])[0]
+            return _potential_value(model, gmat)
+
+        reference = _complex_hessian(chart_value, n)
+        assert np.array_equal(hessians[-1], reference), y
+
+
 # ---------------------------------------------------------------------------
 # completeness certificate
 

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quantlab import stratum_density
 from quantlab.stratum_density import (
     CutoffSequence,
     GridField,
+    _diff,
+    _discarded_box,
     _graph_norm,
+    _l2_sq,
     field_from_function,
     grid_axes,
     line_removal_contrast,
@@ -143,6 +148,111 @@ def test_norm_equivalence_metadata_is_the_standalone_norms(make):
     sq = np.abs(f.values) ** 2 + np.abs(dx) ** 2 + np.abs(dy) ** 2
     assert h1 == pytest.approx(h * math.sqrt(np.sum(sq)), rel=1e-13)
     assert graph == _graph_norm(f.values, h)
+
+
+def _padded_diff(values, axis, h):
+    # the reference central difference: a zero-padded complex copy
+    p = np.pad(np.asarray(values, dtype=complex), 1)
+    if axis == 0:
+        d = p[2:, 1:-1] - p[:-2, 1:-1]
+    else:
+        d = p[1:-1, 2:] - p[1:-1, :-2]
+    return d / (2.0 * h)
+
+
+def _padded_terms(values, h):
+    # ||f||^2, ||dx f||^2, ||dy f||^2 and the graph norm, all in complex128
+    values = np.asarray(values, dtype=complex)
+    dx, dy = _padded_diff(values, 0, h), _padded_diff(values, 1, h)
+    dbar = 0.5 * (dx + 1j * dy)
+    l2 = _l2_sq(values, h)
+    return l2, _l2_sq(dx, h), _l2_sq(dy, h), math.sqrt(
+        l2 + 2.0 * _l2_sq(dbar, h))
+
+
+def _padded_removal_error(f, m, removed_codim):
+    # E(m) on the same box, with the discarded piece formed in complex128
+    box, _ = _discarded_box(f, m, removed_codim)
+    x, h = grid_axes(f.size)
+    band = box[1]
+    if removed_codim == 2:
+        dist = np.hypot(x[band, None], x[None, band])
+    else:
+        dist = np.abs(x[None, band])
+    piece = f.values.astype(complex)[box] * (
+        1.0 - CutoffSequence(m).profile(dist))
+    return _padded_terms(piece, h)[3]
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 1024])
+@pytest.mark.parametrize("make", [standard_bump, _lopsided])
+def test_kernels_match_the_padded_complex_reference(make, n):
+    # the real field's differences, deletion costs and norms are the
+    # complex128 ones bit for bit; m = 2n leaves an even grid's box empty
+    f = make(n)
+    h = f.spacing
+    for axis in (0, 1):
+        assert np.array_equal(
+            _diff(f.values, axis, h), _padded_diff(f.values, axis, h))
+    m_list = [1.01, *M_LIST, 2.0 * n]
+    for removed_codim in (1, 2):
+        got = removal_errors(f, m_list, removed_codim)
+        ref = [_padded_removal_error(f, m, removed_codim) for m in m_list]
+        assert got == ref
+    l2, dx_sq, dy_sq, graph = _padded_terms(f.values, h)
+    assert _norms(f) == (math.sqrt(l2 + dx_sq + dy_sq), graph)
+
+
+@pytest.mark.parametrize("make", [standard_bump, _lopsided])
+def test_diff_on_boxes_zero_and_one_sample_wide(make):
+    f = make(64)
+    h = f.spacing
+    for box in (np.s_[:0, :], np.s_[:1, :], np.s_[:2, :], np.s_[:, :0],
+                np.s_[:, :1], np.s_[:, 30:32], np.s_[:0, :0]):
+        vals = f.values[box]
+        for axis in (0, 1):
+            got = _diff(vals, axis, h)
+            assert got.shape == vals.shape
+            assert np.array_equal(got, _padded_diff(vals, axis, h))
+
+
+def test_grid_field_keeps_a_real_field_real():
+    _, h = grid_axes(64)
+    assert standard_bump(64).values.dtype == np.float64
+    assert _lopsided(64).values.dtype == np.complex128
+    assert GridField(np.zeros((64, 64), int), h).values.dtype == np.float64
+    assert GridField(
+        np.zeros((64, 64), np.complex64), h).values.dtype == np.complex128
+
+
+def test_norm_equivalence_fails_a_forward_difference(monkeypatch):
+    # a forward difference is not antisymmetric, so the dbar cross term
+    # survives on a complex field.  On a real field the cross term is zero
+    # pointwise, whatever the difference: the bump cannot see the fault.
+    f, bump = _lopsided(256), standard_bump(256)
+    rep = norm_equivalence_report(f)
+    assert rep.passed and rep.max_error <= 1e-12
+
+    def forward(values, axis, h):
+        widths = [(0, 1) if a == axis else (0, 0) for a in range(2)]
+        return np.diff(np.pad(values, widths), axis=axis) / h
+
+    monkeypatch.setattr(stratum_density, "_diff", forward)
+    rep = norm_equivalence_report(f)
+    assert not rep.passed and rep.max_error > 1e-4
+    assert norm_equivalence_report(bump).max_error == 0.0
+
+
+def test_norm_equivalence_peak_memory():
+    # the real grid, its two real differences and one complex dbar: a
+    # complex grid and a padded copy per difference read 80 MiB here
+    tracemalloc.start()
+    try:
+        norm_equivalence_report(standard_bump(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20, peak / 2**20
 
 
 def test_removal_errors_input_validation():
