@@ -12,15 +12,17 @@ space is not assumed: the certificates here recompute the Gram matrices by
 quadrature over group x algebra, scale them by the closed form and compare
 against the flat L2 Gram.
 
-Irrep labels: integer tuples for torus models, half-integers for the rank-1
-non-abelian model.
+An irrep is its label, read as its highest weight.  A torus label is an
+integer tuple n, the irrep's only weight, so d = 1 and pi(exp X) = e^{i n.X}.
+An su2 label is a half-integer spin j >= 0, with the d = 2 j + 1 weights
+j, j - 1, ..., -j.  ``_highest_weights`` refuses a label that names no irrep,
+and every dimension, weight and spin matrix here is read from ``_weights``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,8 +45,6 @@ from quantlab.quadrature import (
 from quantlab.report import CheckReport
 
 __all__ = [
-    "Irrep",
-    "irrep",
     "irrep_labels",
     "top_label",
     "sigma",
@@ -67,65 +67,28 @@ def _default_cutoff(model: LieModel, cutoff):
     return DEFAULT_CUTOFF[model.name] if cutoff is None else cutoff
 
 
-@dataclass(frozen=True, eq=False)
-class Irrep:
-    """An irreducible representation with holomorphic extension data."""
-
-    model: LieModel
-    label: object
-    dim: int
-    generator_images: np.ndarray
-
-    def character(self, mat: np.ndarray) -> complex:
-        """Trace of the representation at a (possibly complexified)
-        defining-representation point."""
-        if self.model.is_abelian:
-            diag = np.diagonal(np.asarray(mat, complex))
-            out = 1.0 + 0.0j
-            for t, n in zip(diag, self.label):
-                out *= t**n
-            return complex(out)
-        # a length-1 array, not a scalar: numpy's scalar complex power
-        # rounds differently from the array one
-        half = np.trace(np.asarray(mat, complex)[None], axis1=1, axis2=2)
-        return complex(_su2_characters(half / 2.0, [self.label])[0, 0])
-
-    def _rep_exp(self, coords: np.ndarray) -> np.ndarray:
-        # pi(exp X) from the coordinates of X; on a torus that is the
-        # phase e^{i n.X} itself
-        if self.model.is_abelian:
-            return np.array([[np.exp(1j * np.dot(self.label, coords))]])
-        skew = np.einsum("k,kab->ab", coords, self.generator_images)
-        lam, vec = np.linalg.eigh(-1j * skew)
-        return (vec * np.exp(1j * lam)) @ vec.conj().T
-
-    def weight_diag(self) -> np.ndarray:
-        """Torus weights m in basis order: the diagonal of the hermitian
-        operator i * pi(torus generator), which the spin construction keeps
-        diagonal."""
-        h = 1j * self.generator_images[self.model.torus_indices[0]]
-        return np.real(np.diagonal(h)).copy()
-
-
 def _su2_characters(half: np.ndarray, spins) -> np.ndarray:
-    # one row per spin j: the sum of z^{2m} over m = -j..j, with z an
-    # eigenvalue of a 2x2 point of half-trace ``half``; the |z| >= 1
-    # branch keeps complexified powers stable
+    # one row per spin j: the sum of z^{2m} over its weights m, from -j up,
+    # with z an eigenvalue of a 2x2 point of half-trace ``half``; the
+    # |z| >= 1 branch keeps complexified powers stable
     root = np.sqrt(half * half - 1.0 + 0j)
     z1, z2 = half + root, half - root
     z = np.where(np.abs(z1) >= np.abs(z2), z1, z2)
     out = np.empty((len(spins),) + z.shape, dtype=complex)
-    for i, j in enumerate(spins):
+    for i, w in enumerate(_weights(get_model("su2"), spins)):
         acc = np.zeros_like(z)
-        for k in range(int(round(2 * j)) + 1):
-            acc = acc + z ** (2 * (k - j))
+        for m in w[::-1, 0].tolist():
+            acc = acc + z ** (2 * m)
         out[i] = acc
     return out
 
 
+@lru_cache(maxsize=None)
 def _su2_spin_matrices(j: float) -> np.ndarray:
-    d = int(round(2 * j + 1))
-    m = j - np.arange(d)
+    # the skew-hermitian images of the su2 generators in spin j, built once
+    # per spin; read-only, since every caller shares them
+    m = _weights(get_model("su2"), [j])[0][:, 0]
+    j, d = m[0], len(m)
     jz = np.diag(m)
     jp = np.zeros((d, d))
     for i in range(1, d):
@@ -134,7 +97,9 @@ def _su2_spin_matrices(j: float) -> np.ndarray:
     jm = jp.T
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
-    return np.stack([-1j * jx, -1j * jy, -1j * jz])
+    out = np.stack([-1j * jx, -1j * jy, -1j * jz])
+    out.flags.writeable = False
+    return out
 
 
 def _normalize_label(model: LieModel, label) -> object:
@@ -147,49 +112,43 @@ def _normalize_label(model: LieModel, label) -> object:
             raise ValueError("abelian irrep labels are rank-length int tuples")
         out = []
         for n in label:
-            if float(n) != int(n):
+            if not float(n).is_integer():
                 raise ValueError("torus mode labels must be integers")
             out.append(int(n))
         return tuple(out)
     jj = float(label)
-    if round(2 * jj) != 2 * jj or jj < 0:
+    if not (jj >= 0 and (2 * jj).is_integer()):
         raise ValueError("spin labels are nonnegative half-integers")
     return jj
 
 
-@lru_cache(maxsize=None)
-def _irrep_cached(model_name: str, label) -> Irrep:
-    model = get_model(model_name)
+def _highest_weights(model: LieModel, labels) -> np.ndarray:
+    """The labels as highest weights, one row of torus coordinates per
+    label, after checking that every label names an irrep: a torus label
+    is its only weight, and the spin j is the highest weight of its
+    irrep.  Raises ValueError for the first label that names none."""
+    return np.array([_normalize_label(model, lab) for lab in labels],
+                    float).reshape(len(labels), model.rank)
+
+
+def _weights(model: LieModel, labels) -> list:
+    """Each label's weights, highest first, as a (d, rank) array whose
+    length d is the irrep's dimension: the label alone on a torus, and
+    j, j - 1, ..., -j for the spin j."""
+    tops = _highest_weights(model, labels)
     if model.is_abelian:
-        gens = np.zeros((model.dim, 1, 1), dtype=complex)
-        for k, n in enumerate(label):
-            gens[k, 0, 0] = 1j * n
-        out = Irrep(model, label, 1, gens)
-    else:
-        gens = _su2_spin_matrices(label)
-        out = Irrep(model, label, gens.shape[1], gens)
-    _validate_irrep(out)
-    return out
+        return list(tops[:, None, :])
+    return [(j - np.arange(int(2 * j) + 1))[:, None] for j in tops[:, 0]]
 
 
-def irrep(model: LieModel, label) -> Irrep:
-    return _irrep_cached(model.name, _normalize_label(model, label))
-
-
-def _validate_irrep(ir: Irrep) -> None:
-    g = ir.generator_images
-    skew = np.abs(g + np.transpose(g.conj(), (0, 2, 1))).max()
-    if skew > 1e-10:
-        raise ValueError("generator images must be skew-hermitian")
-    c = ir.model.structure_constants
-    comm = np.einsum("iab,jbc->ijac", g, g)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
-    target = np.einsum("ijk,kab->ijab", c, g)
-    if np.abs(comm - target).max() > 1e-10:
-        raise ValueError("generator images violate the bracket table")
-    ident = np.eye(ir.model.defining_rep_dim)
-    if abs(ir.character(ident) - ir.dim) > 1e-10:
-        raise ValueError("character at the identity must equal the dimension")
+def _rep_exp(model: LieModel, label, coords: np.ndarray) -> np.ndarray:
+    # pi(exp X) in the irrep ``label`` from the coordinates of X; on a
+    # torus that is the phase e^{i n.X} itself
+    if model.is_abelian:
+        return np.exp(1j * _highest_weights(model, [label]) @ coords)[:, None]
+    skew = np.einsum("k,kab->ab", coords, _su2_spin_matrices(label))
+    lam, vec = np.linalg.eigh(-1j * skew)
+    return (vec * np.exp(1j * lam)) @ vec.conj().T
 
 
 def top_label(model: LieModel, cutoff) -> object:
@@ -216,7 +175,7 @@ def _basis_owner(model: LieModel, labels) -> np.ndarray:
     order, each label's d x d block row-major.  Entry i is the position in
     ``labels`` of basis element i's label."""
     return np.repeat(np.arange(len(labels)),
-                     [irrep(model, lab).dim ** 2 for lab in labels])
+                     [len(w) ** 2 for w in _weights(model, labels)])
 
 
 def sigma(model: LieModel, labels, level: int = 3) -> np.ndarray:
@@ -230,16 +189,15 @@ def sigma(model: LieModel, labels, level: int = 3) -> np.ndarray:
     over the weights m of the representation.
     """
     if model.is_abelian:
-        n = np.asarray(labels, float).reshape(-1, model.rank)
+        n = _highest_weights(model, labels)
         return np.prod([np.exp(2.0 * np.outer(n[:, k], y)) @ w
                         for k, (y, w) in enumerate(
                             gaussian_rule(model.rank, level).axes)], axis=0)
     out = np.empty(len(labels))
-    for i, lab in enumerate(labels):
-        ir = irrep(model, lab)
-        rule = radial_rule(level, tilt=2.0 * ir.label)
-        hs = np.exp(2.0 * np.outer(rule.nodes[:, 0], ir.weight_diag()))
-        out[i] = float(rule.weights @ hs.sum(axis=1)) / ir.dim
+    for i, w in enumerate(_weights(model, labels)):
+        rule = radial_rule(level, tilt=2.0 * float(w[0, 0]))
+        hs = np.exp(2.0 * np.outer(rule.nodes[:, 0], w[:, 0]))
+        out[i] = float(rule.weights @ hs.sum(axis=1)) / len(w)
     return out
 
 
@@ -258,14 +216,17 @@ def build_sigma_table(model: LieModel, labels) -> np.ndarray:
     radial integral a full Gaussian moment, so sigma is the sum over
     m = j, ..., -j of sigma_T(m) (1 + m^2 / pi) / (2 dim).  inf past a
     double: from |n| = 67 on u1, j = 67 on su2 and n = (48, 48) on t2."""
+    tops = _highest_weights(model, labels)
     if model.is_abelian:
-        return _torus_norms(np.asarray(labels, float).reshape(-1, model.rank))
+        return _torus_norms(tops)
     out = np.full(len(labels), np.inf)
-    for i, j in enumerate(map(float, labels)):
-        if np.isfinite(_torus_norms([[j]])[0]):  # else sigma is inf too
-            m = j - np.arange(int(2 * j) + 1)
-            out[i] = np.sum(_torus_norms(m[:, None])
-                            * ((1 + m * m / math.pi) / (2 * len(m))))
+    # the highest weight's term overflows first, so past it sigma is inf
+    # too, and a huge spin's weights are never listed
+    finite = np.flatnonzero(np.isfinite(_torus_norms(tops)))
+    for i, w in zip(finite, _weights(model, tops[finite, 0])):
+        m = w[:, 0]
+        out[i] = np.sum(_torus_norms(w)
+                        * ((1 + m * m / math.pi) / (2 * len(m))))
     return out
 
 
@@ -318,16 +279,16 @@ def group_action(model: LieModel, labels, coeffs: np.ndarray,
     if coeffs.shape != owner.shape:
         raise ValueError(f"{coeffs.shape} coefficients for a basis of "
                          f"{owner.size}")
+    tops = _highest_weights(model, labels)
     if model.is_abelian:
-        n = np.array(labels, float).reshape(-1, model.rank)
-        return np.exp(1j * (n @ x1)).conj() * coeffs * np.exp(1j * (n @ x2))
+        return (np.exp(1j * (tops @ x1)).conj() * coeffs
+                * np.exp(1j * (tops @ x2)))
     out = np.empty_like(coeffs)
-    for k, label in enumerate(labels):
-        ir = irrep(model, label)
+    for k, j in enumerate(tops[:, 0].tolist()):
         block = owner == k
-        out[block] = (ir._rep_exp(x1).conj()
-                      @ coeffs[block].reshape(ir.dim, ir.dim)
-                      @ ir._rep_exp(x2).T).reshape(-1)
+        rep1, rep2 = _rep_exp(model, j, x1), _rep_exp(model, j, x2)
+        out[block] = (rep1.conj() @ coeffs[block].reshape(len(rep1), -1)
+                      @ rep2.T).reshape(-1)
     return out
 
 
@@ -378,15 +339,14 @@ def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
     """
     (alpha, w_a), (beta, _), (gamma, w_c) = g_rule.axes
     d_b, twice_p, twice_k = [], [], []
-    for lab in labels:
-        ir = irrep(model, lab)
-        lam, vec = np.linalg.eigh(1j * ir.generator_images[1])
+    for w in _weights(model, labels):
+        lam, vec = np.linalg.eigh(1j * _su2_spin_matrices(w[0, 0])[1])
         d_b.append(np.einsum("pk,uk,qk->upq", vec,
                              np.exp(-1j * np.outer(beta, lam)),
                              vec.conj()).reshape(len(beta), -1))
-        m2 = np.rint(2.0 * ir.weight_diag()).astype(int)
-        twice_p.append(np.repeat(m2, ir.dim))
-        twice_k.append(np.tile(m2, ir.dim))
+        m2 = np.rint(2.0 * w[:, 0]).astype(int)
+        twice_p.append(np.repeat(m2, len(w)))
+        twice_k.append(np.tile(m2, len(w)))
     twice_p = np.concatenate(twice_p)
     span = 4 * int(np.abs(twice_p).max())
     shifts = np.arange(-span, span + 1) / 2.0
@@ -395,11 +355,11 @@ def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
             np.exp(-1j * np.outer(shifts, gamma)) @ w_c)
 
 
-def _su2_gram_rules(labels, level: int):
+def _su2_gram_rules(model: LieModel, labels, level: int):
     # the Haar rule integrates every product of two spin-j coefficients
     # within the labels exactly, and the radial rule resolves the largest
     # growth e^{2 j_max r}
-    top = max(float(lab) for lab in labels)
+    top = float(_highest_weights(model, labels).max())
     return (su2_haar_rule(max(1, int(math.ceil(2 * top)))),
             radial_rule(level, tilt=4.0 * top))
 
@@ -427,14 +387,15 @@ def _basis_grams(model: LieModel, labels, level: int):
       q')], one small product per label pair over blocks already built.
     """
     if model.is_abelian:
-        haar, gauss = _torus_gram_factors(model, labels, level)
+        haar, gauss = _torus_gram_factors(
+            model, _highest_weights(model, labels), level)
         return haar * gauss, haar
-    g_rule, r_rule = _su2_gram_rules(labels, level)
+    g_rule, r_rule = _su2_gram_rules(model, labels, level)
     w_u = g_rule.axes[1][1]
     r = r_rule.nodes[:, 0]
     d_b, twice_p, twice_k, t_a, t_c = _su2_axis_tables(model, labels, g_rule)
     span = len(t_a) // 2
-    dims = [irrep(model, lab).dim for lab in labels]
+    dims = [len(w) for w in _weights(model, labels)]
     a_full = (t_a[twice_p[:, None] - twice_p[None, :] + span]
               * t_c[twice_k[:, None] - twice_k[None, :] + span]
               * ((d_b.T * w_u) @ d_b.conj()))
@@ -506,7 +467,7 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
     labels = irrep_labels(model, cutoff)
     sigmas = build_sigma_table(model, labels)
     owner = _basis_owner(model, labels)
-    dims = [irrep(model, lab).dim for lab in labels]
+    dims = [len(w) for w in _weights(model, labels)]
     worst = 0.0
     for _ in range(samples):
         f = np.concatenate([
@@ -561,7 +522,7 @@ def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
     top = 2 * int(np.abs(twice_m).max())
     radial = radial_weights @ np.exp(np.outer(
         r_rule.nodes[:, 0], np.arange(-top, top + 1) / 2.0))
-    starts = np.cumsum([0] + [irrep(model, lab).dim for lab in labels[:-1]])
+    starts = np.cumsum([0] + [len(w) for w in _weights(model, labels[:-1])])
     return np.add.reduceat(np.add.reduceat(
         haar * radial[twice_m[:, None] + twice_m[None, :] + top], starts,
         axis=0), starts, axis=1)
@@ -585,9 +546,10 @@ def character_gram(model: LieModel, labels, level: int = 4,
     """
     labels = list(labels)
     if model.is_abelian:
-        haar, gauss = _torus_gram_factors(model, labels, level)
+        haar, gauss = _torus_gram_factors(
+            model, _highest_weights(model, labels), level)
         return haar * gauss
-    g_rule, r_rule = _su2_gram_rules(labels, level)
+    g_rule, r_rule = _su2_gram_rules(model, labels, level)
     weights = r_rule.weights
     if eta_weight:
         weights = weights * eta_tilde(model, r_rule.nodes)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantlab.coherent_transform import (
+    _highest_weights,
     _scaled,
     _su2_characters,
     _torus_gram_factors,
@@ -287,17 +288,16 @@ def round_trip_certificate(
 def _torus_character_values(model: LieModel, labels, taus: np.ndarray
                             ) -> np.ndarray:
     # one row per label: its character on the torus nodes ``taus``
+    tops = _highest_weights(model, labels)
     if model.is_abelian:
-        return np.array([np.exp(1j * taus @ np.asarray(label, float))
-                         for label in labels])
+        return np.array([np.exp(1j * taus @ top) for top in tops])
     # diag(e^{-i tau/2}, e^{i tau/2}) has half-trace cos(tau/2)
-    return _su2_characters(np.cos(taus[:, 0] / 2.0),
-                           [float(label) for label in labels])
+    return _su2_characters(np.cos(taus[:, 0] / 2.0), tops[:, 0].tolist())
 
 
 def _top_frequency(model: LieModel, labels) -> float:
-    return max(float(l) if not model.is_abelian else max(abs(c) for c in l)
-               for l in labels)
+    # the largest |weight|, which a highest weight attains
+    return float(np.abs(_highest_weights(model, labels)).max())
 
 
 def reduction_unitary(model: LieModel, labels, modes: int | None = None):
@@ -372,7 +372,7 @@ def _side_b_gram(model: LieModel, labels, level: int):
     of the orbit sums.  The Haar factor makes the modes of one orbit
     orthogonal, so an orbit sum has norm |orbit| times the torus norm of
     its top weight."""
-    tops = np.asarray(labels, float).reshape(len(labels), model.rank)
+    tops = _highest_weights(model, labels)
     weyl = np.stack([w.matrix for w in weyl_group(model)])
     orbits = [list(dict.fromkeys(map(tuple, images)))
               for images in np.einsum("wab,nb->nwa", weyl, tops)]

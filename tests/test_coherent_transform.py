@@ -9,11 +9,14 @@ from scipy.stats import norm, qmc
 
 from quantlab.coherent_transform import (
     _basis_owner,
+    _rep_exp,
+    _su2_characters,
+    _su2_spin_matrices,
+    _weights,
     build_sigma_table,
     character_gram,
     equivariance_certificate,
     group_action,
-    irrep,
     irrep_labels,
     sigma,
     spin_weighted_gram,
@@ -28,6 +31,7 @@ from quantlab.lie_core import (
     unitary_log,
 )
 from quantlab.density_weights import eta_tilde
+from quantlab.reduction import reduction_unitary
 from quantlab.quadrature import (
     gaussian_rule,
     radial_rule,
@@ -72,9 +76,22 @@ def sigma_su2_closed(j: float) -> float:
     return 4.0 * math.pi * total / (2 * j + 1)
 
 
-def rep_unitary(ir, g):
+def rep_unitary(model, label, g):
     # pi(g) for a unitary group point, via the exponentiated log
-    return ir._rep_exp(unitary_log(g))
+    return _rep_exp(model, label, unitary_log(g))
+
+
+def character(model, label, mat):
+    # the trace of pi at a (possibly complexified) defining-representation
+    # point: the torus phase prod_k t_k^{n_k}, or the su2 character at the
+    # half-trace
+    mat = np.asarray(mat, complex)
+    if model.is_abelian:
+        return complex(np.prod(np.diagonal(mat) ** np.asarray(label)))
+    # a length-1 array, not a scalar: numpy's scalar complex power rounds
+    # differently from the array one
+    half = np.trace(mat[None], axis1=1, axis2=2) / 2.0
+    return complex(_su2_characters(half, [label])[0, 0])
 
 
 def phi_kernel(tmat, model, labels, sigmas):
@@ -82,9 +99,8 @@ def phi_kernel(tmat, model, labels, sigmas):
     # irreps of dim / sqrt(sigma) times the character of the inverse point
     tinv = np.linalg.inv(np.asarray(tmat, complex))
     out = 0.0 + 0.0j
-    for label, s in zip(labels, sigmas):
-        ir = irrep(model, label)
-        out += ir.dim / math.sqrt(s) * ir.character(tinv)
+    for label, s, w in zip(labels, sigmas, _weights(model, labels)):
+        out += len(w) / math.sqrt(s) * character(model, label, tinv)
     return complex(out)
 
 
@@ -94,24 +110,67 @@ def sigma_table(model, cutoff):
     return labels, build_sigma_table(model, labels)
 
 
-def test_irrep_construction_and_validation():
+def test_label_validation_and_dimensions():
+    # a torus label is its only weight, spin j has the weights j, ..., -j,
+    # and the character at the identity is the dimension
     for n in (-3, 0, 5):
-        ir = irrep(U1, n)
-        assert ir.dim == 1
-        assert abs(ir.character(np.eye(1)) - 1) < 1e-12
+        (w,) = _weights(U1, [n])
+        assert w.tolist() == [[n]]
+        assert abs(character(U1, (n,), np.eye(1)) - 1) < 1e-12
+    assert _weights(T2, [(3, -2)])[0].tolist() == [[3, -2]]
     for j in (0.0, 0.5, 1.0, 2.0):
-        ir = irrep(SU2, j)
-        assert ir.dim == int(2 * j + 1)
-        assert abs(ir.character(np.eye(2)) - ir.dim) < 1e-10
+        (w,) = _weights(SU2, [j])
+        assert w[:, 0].tolist() == [j - k for k in range(int(2 * j + 1))]
+        assert abs(character(SU2, j, np.eye(2)) - len(w)) < 1e-10
     with pytest.raises(ValueError):
-        irrep(SU2, 0.3)
+        _weights(SU2, [0.3])
     with pytest.raises(ValueError):
-        irrep(T2, 4)
+        _weights(T2, [4])
+
+
+# every public function that takes labels refuses one that names no irrep,
+# where it used to return a number: a spin below 0, a fractional or
+# infinite torus mode, a spin that is not a half-integer, an infinite spin
+@pytest.mark.parametrize("func,args", [
+    (build_sigma_table, (SU2, [-1.0])),
+    (build_sigma_table, (U1, [(2.5,)])),
+    (build_sigma_table, (U1, [(math.inf,)])),
+    (build_sigma_table, (SU2, [math.inf])),
+    (character_gram, (U1, [(2.5,), (0,)])),
+    (sigma, (U1, [(2.5,)])),
+    (sigma, (SU2, [math.inf])),
+    (reduction_unitary, (SU2, [0.3])),
+    (reduction_unitary, (SU2, [0.3], 8)),
+], ids=["sigma-table-negative-spin", "sigma-table-fractional-mode",
+        "sigma-table-infinite-mode", "sigma-table-infinite-spin",
+        "character-gram-fractional-mode", "sigma-fractional-mode",
+        "sigma-infinite-spin", "reduction-fractional-spin",
+        "reduction-fractional-spin-with-modes"])
+def test_entry_points_refuse_a_label_that_names_no_irrep(func, args):
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_spin_half_matches_defining_rep():
-    ir = irrep(SU2, 0.5)
-    assert np.abs(ir.generator_images - SU2.generators).max() < 1e-12
+    assert np.abs(_su2_spin_matrices(0.5) - SU2.generators).max() < 1e-12
+
+
+def test_spin_matrices_represent_su2():
+    # skew-hermitian images that keep the bracket table, with i J_3
+    # diagonal and carrying the weights, for every spin up to 8
+    c = SU2.structure_constants
+    for j in (k / 2.0 for k in range(17)):
+        g = _su2_spin_matrices(j)
+        assert g.shape == (3, int(2 * j + 1), int(2 * j + 1))
+        assert np.abs(g + np.transpose(g.conj(), (0, 2, 1))).max() < 1e-10
+        comm = np.einsum("iab,jbc->ijac", g, g)
+        comm = comm - np.transpose(comm, (1, 0, 2, 3))
+        assert np.abs(comm - np.einsum("ijk,kab->ijab", c, g)).max() < 1e-10
+        h = 1j * g[SU2.torus_indices[0]]
+        assert np.array_equal(h, np.diag(np.diagonal(h)))
+        assert np.array_equal(np.diagonal(h).real, _weights(SU2, [j])[0][:, 0])
+        # built once per spin and shared, so read-only
+        assert _su2_spin_matrices(j) is g and not g.flags.writeable
 
 
 def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
@@ -129,7 +188,7 @@ def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
             None, None, :, :]).reshape(len(rule.nodes), -1)
         for node, got in zip(_haar_matrices(rule), closed):
             want = np.concatenate([
-                rep_unitary(irrep(SU2, lab), GroupPoint(SU2, node)).reshape(-1)
+                rep_unitary(SU2, lab, GroupPoint(SU2, node)).reshape(-1)
                 for lab in labels])
             assert np.abs(got - want).max() < 1e-13
 
@@ -141,44 +200,42 @@ def test_torus_rep_unitary_rejects_nonunitary_points():
     f = np.zeros(len(labels), complex)
     f[labels.index((1, -2))] = 1.0
     with pytest.raises(ValueError):
-        rep_unitary(irrep(T2, (1, -2)), bad)
+        rep_unitary(T2, (1, -2), bad)
     with pytest.raises(ValueError):
         group_action(T2, labels, f, bad, good)
     with pytest.raises(ValueError):
         group_action(T2, labels, f, good, bad)
     with pytest.raises(ValueError):
-        rep_unitary(irrep(U1, 3), GroupPoint(U1, np.array([[0.5 + 0j]])))
+        rep_unitary(U1, (3,), GroupPoint(U1, np.array([[0.5 + 0j]])))
 
 
 def test_torus_rep_unitary_is_the_phase():
     theta = np.array([0.7, -2.9])
     g = GroupPoint(T2, np.diag(np.exp(1j * theta)))
-    got = rep_unitary(irrep(T2, (3, -2)), g)
+    got = rep_unitary(T2, (3, -2), g)
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - np.exp(1j * (3 * theta[0] - 2 * theta[1]))) < 1e-13
 
 
 def test_rep_unitary_is_homomorphism():
     rng = np.random.default_rng(3)
-    ir = irrep(SU2, 1.5)
     for _ in range(10):
         g = random_group_point(SU2, rng)
         h = random_group_point(SU2, rng)
         gh = GroupPoint(SU2, g.matrix @ h.matrix)
-        lhs = rep_unitary(ir, gh)
-        rhs = rep_unitary(ir, g) @ rep_unitary(ir, h)
+        lhs = rep_unitary(SU2, 1.5, gh)
+        rhs = rep_unitary(SU2, 1.5, g) @ rep_unitary(SU2, 1.5, h)
         assert np.abs(lhs - rhs).max() < 1e-10
         # unitary and character consistent with the eigenvalue route
-        assert np.abs(lhs @ lhs.conj().T - np.eye(ir.dim)).max() < 1e-10
-        assert abs(np.trace(lhs) - ir.character(gh.matrix)) < 1e-10
+        assert np.abs(lhs @ lhs.conj().T - np.eye(4)).max() < 1e-10
+        assert abs(np.trace(lhs) - character(SU2, 1.5, gh.matrix)) < 1e-10
 
 
 def test_character_on_torus_points():
-    ir = irrep(SU2, 1.0)
     for tau in (0.3, 1.7, -2.2):
         g = exp_alg_batch(SU2, np.array([[0.0, 0.0, tau]]))[0]
         want = sum(np.exp(1j * m * tau) for m in (-1, 0, 1))
-        assert abs(ir.character(g) - want) < 1e-12
+        assert abs(character(SU2, 1.0, g) - want) < 1e-12
 
 
 def test_sigma_u1_against_closed_form():
@@ -293,7 +350,7 @@ def test_transform_diagonal_action_u1_against_quadrature():
             vals.append(np.exp(1j * n * ang)
                         * phi_kernel(xinv_t, U1, labels, table))
         got = complex(np.dot(rule.weights, vals))
-        want = irrep(U1, n).character(tpoint) / math.sqrt(
+        want = character(U1, (n,), tpoint) / math.sqrt(
             table[labels.index((n,))])
         assert abs(got - want) < 1e-8
 
@@ -302,17 +359,17 @@ def test_transform_su2_character_against_quadrature():
     cutoff = 2.0
     labels, table = sigma_table(SU2, cutoff)
     rule = su2_haar_rule(3)
-    ir = irrep(SU2, 0.5)
     tpoint = exp_alg_batch(
         SU2, np.array([[0.2, -0.1, 0.4]]), np.array([[0.0, 0.0, 0.3]])
     )[0]
     vals = np.empty(len(rule.weights), dtype=complex)
     for i, x in enumerate(_haar_matrices(rule)):
-        vals[i] = ir.character(x) * phi_kernel(
+        vals[i] = character(SU2, 0.5, x) * phi_kernel(
             np.linalg.inv(x) @ tpoint, SU2, labels, table
         )
     got = complex(np.dot(rule.weights, vals))
-    want = ir.character(tpoint) / math.sqrt(table[labels.index(0.5)])
+    want = character(SU2, 0.5, tpoint) / math.sqrt(
+        table[labels.index(0.5)])
     assert abs(got - want) < 1e-8
 
 
@@ -481,7 +538,7 @@ def _identity(model):
 def test_group_action_rejects_wrong_length(model, cutoff, extra):
     # an array one entry off the basis size is refused, not sliced
     labels = irrep_labels(model, cutoff)
-    size = sum(irrep(model, lab).dim ** 2 for lab in labels)
+    size = sum(len(w) ** 2 for w in _weights(model, labels))
     e = _identity(model)
     f = np.arange(size, dtype=complex)
     assert np.array_equal(group_action(model, labels, f, e, e), f)
@@ -529,12 +586,13 @@ def test_action_and_transform_match_per_label_loop(model, cutoff):
         want_act, want_tr = [], []
         lo = 0
         for lab, s in zip(labels, table):
-            ir = irrep(model, lab)
-            block = f[lo:lo + ir.dim ** 2].reshape(ir.dim, ir.dim)
-            want_act.append((rep_unitary(ir, h1).conj() @ block
-                             @ rep_unitary(ir, h2).T).reshape(-1))
+            left = rep_unitary(model, lab, h1)
+            d = len(left)
+            block = f[lo:lo + d * d].reshape(d, d)
+            want_act.append((left.conj() @ block
+                             @ rep_unitary(model, lab, h2).T).reshape(-1))
             want_tr.append(block.reshape(-1) / math.sqrt(s))
-            lo += ir.dim ** 2
+            lo += d * d
         assert lo == f.size
         for got, want in ((group_action(model, labels, f, h1, h2), want_act),
                           (transform_C_phi(f, table, owner), want_tr)):
@@ -642,23 +700,25 @@ def _node_sum_basis_grams(labels, level):
     mats = _haar_matrices(g_rule)
     dirs = mats.reshape(len(w_a), len(w_u), len(w_c), 2, 2)[:, :, 0]
     w_ur = np.multiply.outer(np.outer(w_a, w_u), r_rule.weights).reshape(-1)
-    irs = [irrep(SU2, lab) for lab in labels]
     gauss = []
-    for ir in irs:
-        d_u = np.array([rep_unitary(ir, GroupPoint(SU2, u))
+    for lab in labels:
+        d_u = np.array([rep_unitary(SU2, lab, GroupPoint(SU2, u))
                         for u in dirs.reshape(-1, 2, 2)])
-        grow = np.exp(np.outer(r_rule.nodes[:, 0], ir.weight_diag()))
+        # the weights in basis order: the diagonal of i J_3
+        m = np.real(np.diagonal(1j * _su2_spin_matrices(lab)[2]))
+        grow = np.exp(np.outer(r_rule.nodes[:, 0], m))
         gauss.append(np.einsum("upk,rk,uqk->urpq", d_u, grow, d_u.conj())
-                     .reshape(-1, ir.dim, ir.dim))
-    n = sum(ir.dim ** 2 for ir in irs)
+                     .reshape(-1, len(m), len(m)))
+    dims = [e.shape[1] for e in gauss]
+    n = sum(d * d for d in dims)
     hl2 = np.zeros((n, n), dtype=complex)
     l2 = np.zeros((n, n), dtype=complex)
     for node, w_g in zip(mats, g_rule.weights):
-        d_g = [rep_unitary(ir, GroupPoint(SU2, node)) for ir in irs]
-        flat = np.concatenate([math.sqrt(ir.dim) * d.reshape(-1)
-                               for ir, d in zip(irs, d_g)])
-        holo = np.concatenate([math.sqrt(ir.dim) * (d @ e).reshape(len(e), -1)
-                               for ir, d, e in zip(irs, d_g, gauss)], axis=1)
+        d_g = [rep_unitary(SU2, lab, GroupPoint(SU2, node)) for lab in labels]
+        flat = np.concatenate([math.sqrt(d) * g.reshape(-1)
+                               for d, g in zip(dims, d_g)])
+        holo = np.concatenate([math.sqrt(d) * (g @ e).reshape(len(e), -1)
+                               for d, g, e in zip(dims, d_g, gauss)], axis=1)
         l2 += w_g * np.outer(flat, flat.conj())
         hl2 += w_g * ((holo.T * w_ur) @ holo.conj())
     return hl2, l2

@@ -37,14 +37,15 @@ def test_export_list_is_the_public_surface(module):
 # basis-ordered array, a sigma table one array in label order, and a
 # reduced character one row of samples; and the quadrature layer's second
 # formats: a rule is its axes, with no stored node grid, and the quadrature
-# sigma is one stacked call, with no scalar or torus-only twin
+# sigma is one stacked call, with no scalar or torus-only twin; and the
+# irrep object: an irrep is its label
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
-                           "_logsumexp_rows"),
+                           "_logsumexp_rows", "Irrep", "irrep"),
     "quadrature": (),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction"),
