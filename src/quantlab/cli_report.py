@@ -299,6 +299,42 @@ def _config_dict(config: SuiteConfig) -> dict:
             for f in fields(SuiteConfig) if f.name != "out"}
 
 
+# JSON has no NaN or infinity: a non-finite float is written as the string
+# of its repr, and parse_reports reads each such string back as the float
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _encode_non_finite(obj):
+    # obj with every non-finite float replaced by its string
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _encode_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_non_finite(v) for v in obj]
+    return obj
+
+
+def _strict_dumps(obj, **kwargs) -> str:
+    # json.dumps with no bare NaN or Infinity token; reports are walked
+    # for non-finite floats only when the plain dump meets one
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_encode_non_finite(obj), allow_nan=False, **kwargs)
+
+
+def _decode_non_finite(obj):
+    # the inverse of _encode_non_finite
+    if isinstance(obj, str):
+        return _NON_FINITE.get(obj, obj)
+    if isinstance(obj, dict):
+        return {k: _decode_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_decode_non_finite(v) for v in obj]
+    return obj
+
+
 def render_json(reports: list[CheckReport],
                 config: SuiteConfig | None = None) -> str:
     if not reports:
@@ -318,14 +354,15 @@ def render_json(reports: list[CheckReport],
             for r in reports
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _strict_dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_reports(text: str) -> list[CheckReport]:
-    """Inverse of render_json, up to the config echo.  Input that is not
-    such a document is a usage error: not JSON, ``checks`` not a list of
-    objects, a missing key, or a ``pass`` that the check's own numbers
-    contradict."""
+    """Inverse of render_json, up to the config echo: the strings "nan",
+    "inf" and "-inf" in ``tolerance``, ``max_error`` and the metadata
+    read back as floats.  Input that is not such a document is a usage
+    error: not JSON, ``checks`` not a list of objects, a missing key, or
+    a ``pass`` that the check's own numbers contradict."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -341,10 +378,10 @@ def parse_reports(text: str) -> list[CheckReport]:
             reports.append(CheckReport(
                 check_id=c["check_id"],
                 citation=c["citation"],
-                tolerance=c["tolerance"],
-                max_error=c["max_error"],
+                tolerance=_decode_non_finite(c["tolerance"]),
+                max_error=_decode_non_finite(c["max_error"]),
                 passed=c["pass"],
-                metadata=c["metadata"],
+                metadata=_decode_non_finite(c["metadata"]),
             ))
         except KeyError as exc:
             raise UsageError(f"check {index} lacks key {exc}") from exc
@@ -370,7 +407,7 @@ def render_csv(reports: list[CheckReport]) -> str:
                 repr(r.tolerance),
                 repr(r.max_error),
                 "true" if r.passed else "false",
-                json.dumps(r.metadata, sort_keys=True),
+                _strict_dumps(r.metadata, sort_keys=True),
             ]
         )
     return buf.getvalue()

@@ -34,6 +34,7 @@ from quantlab.lie_core import (
     _exp_matrices,
     coords_from_matrix_batch,
     exp_alg_batch,
+    matmul_batch,
 )
 from quantlab.report import CheckReport
 
@@ -291,9 +292,9 @@ def _dphi_fd_oracle_batch(model: LieModel, ys: np.ndarray,
         xs = exp_alg_batch(model, s * e1)
         ps = exp_alg_batch(model, zeros,
                            (ys[:, None, :] + s * e2).reshape(-1, n))
-        return xs @ ps.reshape(count, 2 * n, k, k)
+        return matmul_batch(xs, ps.reshape(count, 2 * n, k, k))
 
-    m = base_inv[:, None] @ (shifted(h) - shifted(-h)) / (2 * h)
+    m = matmul_batch(base_inv[:, None], shifted(h) - shifted(-h)) / (2 * h)
     mh = np.conj(np.swapaxes(m, -1, -2))
     cols = np.concatenate(
         [

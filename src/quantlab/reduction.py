@@ -40,6 +40,7 @@ from quantlab.lie_core import (
     adjoint_action_batch,
     alg_to_matrix_batch,
     exp_alg_batch,
+    matmul_batch,
     random_coords_batch,
     weyl_group,
 )
@@ -59,6 +60,11 @@ __all__ = [
 ]
 
 ZERO_SET_TOL = 1e-9
+
+
+def _conjugate(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # h g h^-1 for unitary h, row by row of (..., k, k) stacks
+    return matmul_batch(matmul_batch(h, g), np.conj(np.swapaxes(h, -1, -2)))
 
 
 def momentum_map_batch(model: LieModel, g_mats: np.ndarray,
@@ -85,7 +91,7 @@ def momentum_equivariance_certificate(
                                        ("group", "algebra", "group"))
     g = exp_alg_batch(model, g_c)
     h = exp_alg_batch(model, h_c)
-    moved_g = h @ g @ np.conj(np.swapaxes(h, -1, -2))
+    moved_g = _conjugate(h, g)
     moved_y = adjoint_action_batch(model, h, ys)
     lhs = momentum_map_batch(model, moved_g, moved_y)
     rhs = adjoint_action_batch(model, h, momentum_map_batch(model, g, ys))
@@ -193,7 +199,7 @@ def torus_representative(model: LieModel, gs: np.ndarray,
         h[:, 0, 1] = np.conj(v[:, 1])
         h[:, 1, 0] = -v[:, 1]
         h[:, 1, 1] = v[:, 0]
-        t_mat = h @ g @ np.conj(np.swapaxes(h, 1, 2))
+        t_mat = _conjugate(h, g)
         y_new = adjoint_action_batch(model, h, ys[todo])
         # the discarded off-diagonal and off-torus parts must be below 1e-9
         off = np.max(np.abs(np.stack([t_mat[:, 0, 1], t_mat[:, 1, 0],
@@ -230,9 +236,9 @@ def weyl_canonicalize(model: LieModel,
     flip = exp_alg_batch(model, np.array([[math.pi, 0.0, 0.0]]))[0]
     rows = flipped[:, None, None]
     return ReducedRepresentative(
-        np.where(rows, flip @ rep.t @ flip.conj().T, rep.t),
+        np.where(rows, _conjugate(flip, rep.t), rep.t),
         np.where(flipped[:, None], -y0, y0),
-        np.where(rows, flip @ rep.conjugator, rep.conjugator))
+        np.where(rows, matmul_batch(flip, rep.conjugator), rep.conjugator))
 
 
 def round_trip_certificate(
@@ -268,8 +274,7 @@ def round_trip_certificate(
         t0 = exp_alg_batch(model, _torus_rows(model, draws[:, 0]))
         y0 = _torus_rows(model, draws[:, 1])
         h0 = exp_alg_batch(model, draws[:, 2:])
-        rep = reduce(h0 @ t0 @ np.conj(np.swapaxes(h0, 1, 2)),
-                     adjoint_action_batch(model, h0, y0))
+        rep = reduce(_conjugate(h0, t0), adjoint_action_batch(model, h0, y0))
         direct = reduce(t0, y0)
         t0, y0 = direct.t, direct.Y0
     worst = max(float(np.abs(rep.t - t0).max(initial=0.0)),

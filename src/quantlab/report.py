@@ -8,6 +8,7 @@ those two numbers rather than stored independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,12 +59,19 @@ class CheckReport:
         max_error: float,
         **metadata: Any,
     ) -> "CheckReport":
-        """Build a report, deriving the verdict from the numbers."""
+        """Build a report, deriving the verdict from the numbers.  An
+        error that is NaN or +inf fails every finite tolerance; the
+        metadata then says so under ``failure``, unless the caller gave
+        a reason of its own."""
+        if math.isnan(max_error) or max_error == math.inf:
+            metadata.setdefault(
+                "failure", f"max_error is {float(max_error)!r}: the check "
+                "computed no finite error")
         return cls(
             check_id=check_id,
             citation=citation,
             tolerance=float(tolerance),
             max_error=float(max_error),
             passed=bool(max_error <= tolerance),
-            metadata=dict(metadata),
+            metadata=metadata,
         )

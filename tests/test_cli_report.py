@@ -194,6 +194,53 @@ def test_json_round_trip_and_determinism():
         }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} token: not strict JSON")
+
+
+def test_non_finite_floats_are_strict_json(monkeypatch, tmp_path):
+    # a NaN error is an honest FAIL, written as strings a strict parser
+    # reads; parse_reports turns the strings back into floats
+    def nan_suite(cfg):
+        return [CheckReport.from_error(
+            "x.nan", "c", 1e-4, math.nan, deviation=math.nan,
+            spread=[math.inf, -math.inf, 1.5], label="nan label")]
+
+    monkeypatch.setitem(cli_report._SUITE_RUNNERS, "reduction", nan_suite)
+    out = tmp_path / "nan.json"
+    assert main(["run", "--model", "su2", "--suite", "reduction",
+                 "--out", str(out)]) == 1
+    check = json.loads(out.read_text(),
+                       parse_constant=_refuse_constant)["checks"][0]
+    assert check["max_error"] == "nan" and check["pass"] is False
+    assert check["metadata"]["deviation"] == "nan"
+    assert check["metadata"]["spread"] == ["inf", "-inf", 1.5]
+    assert check["metadata"]["failure"].startswith("max_error is nan")
+    (report,) = parse_reports(out.read_text())
+    assert math.isnan(report.max_error) and not report.passed
+    assert math.isnan(report.metadata["deviation"])
+    assert report.metadata["spread"] == [math.inf, -math.inf, 1.5]
+    assert report.metadata["label"] == "nan label"
+    csv_out = tmp_path / "nan.csv"
+    assert main(["emit", "--in", str(out), "--format", "csv",
+                 "--out", str(csv_out)]) == 0
+    (row,) = list(csv.reader(io.StringIO(csv_out.read_text())))[1:]
+    assert row[3] == "nan"
+    assert json.loads(row[5], parse_constant=_refuse_constant)["spread"] == [
+        "inf", "-inf", 1.5]
+
+
+def test_a_non_finite_error_says_why_it_failed():
+    for bad in (math.nan, math.inf):
+        report = CheckReport.from_error("x.y", "c", 1.0, bad)
+        assert not report.passed
+        assert report.metadata["failure"] == (
+            f"max_error is {bad!r}: the check computed no finite error")
+    own = CheckReport.from_error("x.y", "c", 1.0, math.nan, failure="mine")
+    assert own.metadata["failure"] == "mine"
+    assert "failure" not in CheckReport.from_error("x.y", "c", 1.0, 2.0).metadata
+
+
 def test_csv_has_six_columns():
     reports = run_suite(SuiteConfig(model="u1", suite="density", grid=128))
     rows = list(csv.reader(io.StringIO(render_csv(reports))))

@@ -370,3 +370,36 @@ def test_unitarity_rejects_a_small_drift():
     assert not lc.is_unitary_batch(g_mats)
     with pytest.raises(ValueError):
         lc.adjoint_action_batch(su2, g_mats, ys)
+    nan_row = lc.exp_alg_batch(su2, coords)
+    nan_row[6789, 0, 1] = np.nan
+    assert not lc.is_unitary_batch(nan_row)
+    assert not lc.GroupPoint(su2, nan_row[6789]).is_unitary
+
+
+# the leading axes of every operand pair the sampling path multiplies:
+# stack by stack, a fixed matrix on either side of a stack, and one factor
+# per row against six per row
+MATMUL_LEADS = [((50,), (50,)), ((), (50,)), ((50,), ()), ((50, 1), (50, 6))]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("leads", MATMUL_LEADS)
+def test_matmul_batch_matches_matmul(k, dtype, leads):
+    rng = np.random.default_rng(31)
+
+    def draw(lead):
+        shape = lead + (k, k)
+        if dtype is float:
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = (draw(lead) for lead in leads)
+    got, ref = lc.matmul_batch(a, b), np.matmul(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    # no entry of a product exceeds k * max|a| * max|b|
+    scale = k * np.abs(a).max() * np.abs(b).max()
+    assert np.abs(got - ref).max() <= 1e-15 * scale
+    # a row of a stack is the product of that row alone, bit for bit
+    row = (a[3:4] if a.ndim > 2 else a, b[3:4] if b.ndim > 2 else b)
+    assert np.array_equal(lc.matmul_batch(*row)[0], got[3])

@@ -18,6 +18,7 @@ from quantlab.lie_core import (
     alg_to_matrix_batch,
     exp_alg_batch,
     get_model,
+    matmul_batch,
     random_group_point,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
@@ -384,7 +385,13 @@ def _round_trip_loop(model, rng, trips):
             yv = rng.uniform(-2, 2)
             h0 = random_group_point(model, rng).matrix
             t0, y0 = torus_pair(tau, yv)
-            rep = reduce(h0 @ t0 @ h0.conj().T, _ad(model, h0, y0))
+            # the certificate's product kernel on a one-row stack: a
+            # matrix alone multiplies in numpy scalars, whose complex
+            # product rounds apart from a stack's in the last bit
+            h = h0[None]
+            moved = matmul_batch(matmul_batch(h, t0[None]),
+                                 h.conj().swapaxes(1, 2))[0]
+            rep = reduce(moved, _ad(model, h0, y0))
             direct = reduce(t0, y0)
             t_ref, y_ref = direct.t[0], direct.Y0[0]
         worst = max(worst, float(np.abs(rep.t[0] - t_ref).max()),

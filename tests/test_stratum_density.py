@@ -233,26 +233,42 @@ def test_norm_equivalence_fails_a_forward_difference(monkeypatch):
     rep = norm_equivalence_report(f)
     assert rep.passed and rep.max_error <= 1e-12
 
-    def forward(values, axis, h):
+    calls = []
+
+    def forward(values, axis, h, out=None):
+        calls.append(out is not None)
         widths = [(0, 1) if a == axis else (0, 0) for a in range(2)]
-        return np.diff(np.pad(values, widths), axis=axis) / h
+        return np.divide(np.diff(np.pad(values, widths), axis=axis), h,
+                         out=out)
 
     monkeypatch.setattr(stratum_density, "_diff", forward)
     rep = norm_equivalence_report(f)
     assert not rep.passed and rep.max_error > 1e-4
+    assert calls == [False, False]
+    # the real field's differences go into the parts of one complex buffer
     assert norm_equivalence_report(bump).max_error == 0.0
+    assert calls == [False, False, True, True]
 
 
 def test_norm_equivalence_peak_memory():
-    # the real grid, its two real differences and one complex dbar: a
-    # complex grid and a padded copy per difference read 80 MiB here
+    # one float64 grid is 8 MiB at n = 1024.  The bump is rho^2 turned
+    # into the bump in place, plus |f| for the support check; the report
+    # holds the field, one complex buffer (two grids) that is dx + i dy
+    # and then dbar, and one real |.|^2 temporary.  Building dbar from two
+    # real differences through complex temporaries read 40.1 MiB, and the
+    # bump from full-grid rho^2, mask and gap arrays 29.1 MiB.
+    grid = 8 * 1024 * 1024
     tracemalloc.start()
     try:
-        norm_equivalence_report(standard_bump(1024))
-        peak = tracemalloc.get_traced_memory()[1]
+        bump = standard_bump(1024)
+        bump_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        norm_equivalence_report(bump)
+        report_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20, peak / 2**20
+    assert bump_peak <= 3 * grid, bump_peak / 2**20
+    assert report_peak <= 4 * grid + 2**20, report_peak / 2**20
 
 
 def test_removal_errors_input_validation():
