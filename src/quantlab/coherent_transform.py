@@ -479,7 +479,7 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
                                sigmas, owner)
         right = group_action(model, labels,
                              transform_C_phi(f, sigmas, owner), h1, h2)
-        worst = max(worst, float(np.abs(left - right).max()))
+        worst = np.maximum(worst, np.abs(left - right).max())
     return CheckReport.from_error(
         f"transform.equivariance.{model.name}",
         "the transform scales each irrep block by a scalar, so two-sided "
@@ -583,7 +583,7 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
         "weight, with the closed-form norms: sigma unweighted, the "
         "rho-shifted torus norm over |W| weighted",
         tolerance=1e-6,
-        max_error=max(dev_eta, dev_flat),
+        max_error=np.maximum(dev_eta, dev_flat),
         labels=[str(l) for l in labels],
         eta_diagonal=[float(v) for v in np.real(np.diagonal(gram_eta))],
         flat_diagonal=[float(v) for v in np.real(np.diagonal(gram))],

@@ -67,18 +67,12 @@ def eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     coordinates; identically 1 for tori (empty product).  One value per row
     of an (N, r) stack, shape (N,), a one-row stack included."""
     t_coords = np.atleast_2d(np.asarray(t_coords, dtype=float))
-    out = np.ones(t_coords.shape[0])
-    for root in model.positive_roots():
-        out = out * sinhc(t_coords @ root.covector)
-    return out
+    return sinhc(t_coords @ model.positive_roots().T).prod(axis=1)
 
 
 def log_eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
     t_coords = np.atleast_2d(np.asarray(t_coords, dtype=float))
-    out = np.zeros(t_coords.shape[0])
-    for root in model.positive_roots():
-        out = out + log_sinhc(t_coords @ root.covector)
-    return out
+    return log_sinhc(t_coords @ model.positive_roots().T).sum(axis=1)
 
 
 def eta_log_convexity_certificate(

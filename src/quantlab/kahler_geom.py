@@ -209,9 +209,8 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
     om = omega_batch(model, y)[0]
     za = dphi[:n, :] + 1j * dphi[n:, :]
     rhs = -1j * (za.T @ hess @ np.conj(za) - (za.T @ hess @ np.conj(za)).T)
-    return float(
-        max(np.abs(om - np.real(rhs)).max(), np.abs(np.imag(rhs)).max())
-    )
+    return float(np.maximum(np.abs(om - np.real(rhs)).max(),
+                            np.abs(np.imag(rhs)).max()))
 
 
 def omega_potential_certificate(
@@ -227,7 +226,7 @@ def omega_potential_certificate(
         "the symplectic form equals the complex Hessian of |Y|^2 "
         "transported through the polar chart",
         tolerance=tolerance,
-        max_error=max(_omega_potential_error(model, y) for y in pts),
+        max_error=np.max([_omega_potential_error(model, y) for y in pts]),
         chart_points=len(pts),
     )
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -47,8 +47,6 @@ import numpy.random  # noqa: F401
 
 __all__ = [
     "LieModel",
-    "RealRoot",
-    "WeylElement",
     "GroupPoint",
     "get_model",
     "bracket",
@@ -64,21 +62,6 @@ __all__ = [
     "random_coords_batch",
     "validate_model",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class RealRoot:
-    """A real root: a linear functional on t given by coefficients on the
-    orthonormal torus basis, so ``alpha(Y) = dot(covector, Y_t-part)``."""
-
-    covector: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class WeylElement:
-    """One Weyl-group element, as an orthogonal matrix acting on t."""
-
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +82,10 @@ class LieModel:
         0-based indices of the basis vectors spanning t.
     torus_periods : tuple of float
         Period of each torus coordinate: exp(period * e_k) = identity.
-    roots : tuple of RealRoot
-        The full real root set (closed under negation); empty for tori.
+    roots : (R, r) array
+        The full real root set (closed under negation), one covector per
+        row in the orthonormal torus basis, so alpha(Y) = roots[i] @ Y_t;
+        no rows on a torus.
     defining_rep_dim : int
         Matrix size of the faithful defining representation.
     generators : tuple of arrays
@@ -112,10 +97,9 @@ class LieModel:
     structure_constants: np.ndarray
     torus_indices: tuple[int, ...]
     torus_periods: tuple[float, ...]
-    roots: tuple[RealRoot, ...]
+    roots: np.ndarray
     defining_rep_dim: int
     generators: tuple[np.ndarray, ...]
-    _coord_proj: np.ndarray = field(repr=False, default=None)
 
     @property
     def rank(self) -> int:
@@ -131,14 +115,16 @@ class LieModel:
         # (n, k*k): row i is the flattened defining-rep image of e_i
         return np.stack([g.reshape(-1) for g in self.generators])
 
-    def positive_roots(self) -> list[RealRoot]:
-        """Roots whose first nonzero coefficient is positive."""
-        out = []
-        for root in self.roots:
-            nz = root.covector[np.nonzero(root.covector)[0]]
-            if nz.size and nz[0] > 0:
-                out.append(root)
-        return out
+    @cached_property
+    def _coord_proj(self) -> np.ndarray:
+        # (n, k*k): the least-squares inverse of the generator columns
+        return np.linalg.pinv(self._generator_rows.T)
+
+    def positive_roots(self) -> np.ndarray:
+        """The (P, r) rows of ``roots`` whose first nonzero coefficient is
+        positive."""
+        first = np.argmax(self.roots != 0, axis=1)
+        return self.roots[self.roots[np.arange(len(first)), first] > 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,34 +204,21 @@ def _su2_generators() -> tuple[np.ndarray, ...]:
     return tuple(-0.5j * s for s in (s1, s2, s3))
 
 
-def _coord_projector(generators: Sequence[np.ndarray]) -> np.ndarray:
-    cols = np.stack([g.reshape(-1) for g in generators], axis=1)
-    return np.linalg.pinv(cols)
-
-
-def _finish(model: LieModel) -> LieModel:
-    object.__setattr__(model, "_coord_proj", _coord_projector(model.generators))
-    validate_model(model)
-    return model
-
-
 def _build_torus(name: str, rank: int) -> LieModel:
     gens = []
     for k in range(rank):
         g = np.zeros((rank, rank), dtype=complex)
         g[k, k] = 1j
         gens.append(g)
-    return _finish(
-        LieModel(
-            name=name,
-            dim=rank,
-            structure_constants=np.zeros((rank, rank, rank)),
-            torus_indices=tuple(range(rank)),
-            torus_periods=(2.0 * math.pi,) * rank,
-            roots=(),
-            defining_rep_dim=rank,
-            generators=tuple(gens),
-        )
+    return LieModel(
+        name=name,
+        dim=rank,
+        structure_constants=np.zeros((rank, rank, rank)),
+        torus_indices=tuple(range(rank)),
+        torus_periods=(2.0 * math.pi,) * rank,
+        roots=np.zeros((0, rank)),
+        defining_rep_dim=rank,
+        generators=tuple(gens),
     )
 
 
@@ -257,17 +230,15 @@ def _build_su2() -> LieModel:
     gens = _su2_generators()
     # With this basis, t = exp(tau e_3) = diag(e^{-i tau/2}, e^{i tau/2}):
     # the torus coordinate has period 4*pi, and exp(2*pi e_3) = -identity.
-    return _finish(
-        LieModel(
-            name="su2",
-            dim=3,
-            structure_constants=c,
-            torus_indices=(2,),
-            torus_periods=(4.0 * math.pi,),
-            roots=(RealRoot(np.array([1.0])), RealRoot(np.array([-1.0]))),
-            defining_rep_dim=2,
-            generators=gens,
-        )
+    return LieModel(
+        name="su2",
+        dim=3,
+        structure_constants=c,
+        torus_indices=(2,),
+        torus_periods=(4.0 * math.pi,),
+        roots=np.array([[1.0], [-1.0]]),
+        defining_rep_dim=2,
+        generators=gens,
     )
 
 
@@ -278,13 +249,15 @@ def get_model(name: str) -> LieModel:
     """Return a built-in model by name: "u1", "t2", or "su2"."""
     if name not in _MODELS:
         if name == "u1":
-            _MODELS[name] = _build_torus("u1", 1)
+            model = _build_torus("u1", 1)
         elif name == "t2":
-            _MODELS[name] = _build_torus("t2", 2)
+            model = _build_torus("t2", 2)
         elif name == "su2":
-            _MODELS[name] = _build_su2()
+            model = _build_su2()
         else:
             raise ValueError(f"unknown model {name!r}; try u1, t2, su2")
+        validate_model(model)
+        _MODELS[name] = model
     return _MODELS[name]
 
 
@@ -458,9 +431,10 @@ def unitary_log(g: GroupPoint) -> np.ndarray:
     return coords_from_matrix_batch(model, mat[None])[0]
 
 
-def weyl_group(model: LieModel) -> list[WeylElement]:
-    """The Weyl group as orthogonal matrices on t: the identity, then the
-    reflection in the positive root when there is one.
+def weyl_group(model: LieModel) -> np.ndarray:
+    """The Weyl group as a (|W|, r, r) stack of orthogonal matrices on t:
+    the identity, then the reflection in the positive root when there is
+    one.
 
     ``validate_model``'s ad(Y)^3 = -theta^2 ad(Y) admits at most one
     positive root, and one reflection generates a group of two.  A model
@@ -471,9 +445,8 @@ def weyl_group(model: LieModel) -> list[WeylElement]:
         raise ValueError(f"{model.name}: {len(roots)} positive roots; the "
                          "Weyl group is built for at most one")
     eye = np.eye(model.rank)
-    return [WeylElement(eye)] + [
-        WeylElement(eye - 2.0 * np.outer(a, a) / float(a @ a))
-        for a in (root.covector for root in roots)]
+    return np.stack([eye] + [eye - 2.0 * np.outer(a, a) / float(a @ a)
+                             for a in roots])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from quantlab.report import CheckReport
 
 __all__ = [
     "InvariantPotential",
-    "SpectrumReport",
     "make_potential",
     "mu_gradient",
     "theta_spectrum",
@@ -81,29 +80,6 @@ class InvariantPotential:
         return np.asarray(self.hess_fn(self._checked(ts)), float)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    """Closed-form curvature spectra at N torus points: ``point`` (N, r),
-    ``hessian_eigenvalues`` (N, r) in ascending order, ``root_eigenvalues``
-    (N, R) with one column per root of ``model.roots`` in order, and
-    ``min_eigenvalue`` (N,)."""
-
-    point: np.ndarray
-    hessian_eigenvalues: np.ndarray
-    root_eigenvalues: np.ndarray
-    min_eigenvalue: np.ndarray
-
-    def all_values(self) -> np.ndarray:
-        return np.concatenate([self.hessian_eigenvalues,
-                               self.root_eigenvalues], axis=1)
-
-
-def _covectors(model: LieModel, roots) -> np.ndarray:
-    # (R, r): one root covector per row
-    return np.array([root.covector for root in roots], float).reshape(
-        len(roots), model.rank)
-
-
 def make_potential(model: LieModel, spec: str) -> InvariantPotential:
     """Built-in potentials by name: "square", "logeta", "combined:a,b"."""
     if spec == "square":
@@ -115,7 +91,7 @@ def make_potential(model: LieModel, spec: str) -> InvariantPotential:
                 2.0 * np.eye(t.shape[1]), (t.shape[0],) + 2 * t.shape[1:]),
         )
     if spec == "logeta":
-        pos = _covectors(model, model.positive_roots())
+        pos = model.positive_roots()
         outers = pos[:, :, None] * pos[:, None, :]
 
         # coth x - 1/x = (x cosh x - sinh x)/(x sinh x) and its derivative
@@ -198,10 +174,12 @@ def _torus_part_checked(model: LieModel, ys: np.ndarray) -> np.ndarray:
     return ys[:, tidx]
 
 
-def theta_spectrum(K: InvariantPotential, ys: np.ndarray) -> SpectrumReport:
+def theta_spectrum(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
     """Closed-form spectra of the hermitian curvature endomorphism at the
-    torus points given by the rows of the (N, n) array ys: Hessian
-    eigenvalues plus one value per root.
+    torus points given by the rows of the (N, n) array ys, as an
+    (N, r + R) array: the r Hessian eigenvalues in ascending order, then
+    one column per row of ``model.roots``, in order.  The least
+    eigenvalue of row i is ``.min(axis=1)[i]``.
 
     Within 1e-6 of a root hyperplane the root value switches to its limit
     form: the across-wall second derivative of the potential times
@@ -210,7 +188,7 @@ def theta_spectrum(K: InvariantPotential, ys: np.ndarray) -> SpectrumReport:
     model = K.model
     t = _torus_part_checked(model, ys)
     heigs = np.linalg.eigvalsh(K.hess(t))
-    covs = _covectors(model, model.roots)
+    covs = model.roots
     ay = t @ covs.T
     amu = K.grad(t) @ covs.T
     near = np.abs(ay) < 1e-6
@@ -227,13 +205,7 @@ def theta_spectrum(K: InvariantPotential, ys: np.ndarray) -> SpectrumReport:
     zero = ay == 0.0
     safe = np.where(zero, 1.0, ay)
     factor = np.where(zero, 1.0, -2.0 * safe / np.expm1(-2.0 * safe))
-    root_vals = ratio * factor
-    return SpectrumReport(
-        point=t,
-        hessian_eigenvalues=heigs,
-        root_eigenvalues=root_vals,
-        min_eigenvalue=np.concatenate([heigs, root_vals], axis=1).min(axis=1),
-    )
+    return np.concatenate([heigs, ratio * factor], axis=1)
 
 
 def theta_matrix_oracle(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
@@ -304,7 +276,7 @@ def psh_verdict(
         )
     coords = np.zeros((grid.shape[0], model.dim))
     coords[:, list(model.torus_indices)] = grid
-    mins = theta_spectrum(K, coords).min_eigenvalue
+    mins = theta_spectrum(K, coords).min(axis=1)
     worst = int(np.argmin(mins))
     worst_val = float(mins[worst])
     return CheckReport.from_error(
@@ -363,7 +335,8 @@ def twist_positivity_certificate(
         "the quadratic prequantum potential plus b times the log-density "
         "stays strictly convex in the curvature-spectrum sense",
         tolerance=1e-15,
-        max_error=max(0.0, _TWIST_MARGIN - meta["min_eigenvalue"]),
+        # the verdict's own error, which a NaN eigenvalue makes NaN
+        max_error=inner.max_error,
         **meta,
     )
 
@@ -388,7 +361,7 @@ def oracle_agreement_certificate(
     worst = 0.0
     for preset in _PRESETS:
         K = make_potential(model, preset)
-        closed = theta_spectrum(K, coords).all_values()
+        closed = theta_spectrum(K, coords)
         oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, coords))
         # np.maximum, so that a NaN gap propagates and fails the check
         worst = np.maximum(worst, _spectra_gaps(closed, oracle).max())
@@ -415,12 +388,13 @@ def wall_limit_certificate(
     if not model.is_abelian:
         for preset in _PRESETS:
             K = make_potential(model, preset)
-            rep = theta_spectrum(K, np.array([[0.0, 0.0, yval]]))
+            spec = theta_spectrum(K, np.array([[0.0, 0.0, yval]]))
             hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
-            for root, val in zip(model.roots, rep.root_eigenvalues[0]):
-                ay = float(root.covector[0]) * yval
+            for a, val in zip(model.roots[:, 0], spec[0, model.rank:]):
+                ay = float(a) * yval
                 limit = hess0 * (ay / math.tanh(ay) + ay)
-                worst = max(worst, abs(float(val) - limit))
+                # np.maximum, so that a NaN eigenvalue fails the check
+                worst = np.maximum(worst, abs(float(val) - limit))
     return CheckReport.from_error(
         "psh.wall_limit",
         "next to a reflection wall the root-direction eigenvalue "
@@ -440,7 +414,7 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
     coords[:, -model.rank:] = curve_pts
     curves = {
         preset: [float(v) for v in theta_spectrum(
-            make_potential(model, preset), coords).min_eigenvalue]
+            make_potential(model, preset), coords).min(axis=1)]
         for preset in ("square", "logeta")
     }
     return CheckReport.from_error(
@@ -448,7 +422,7 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
         "the flat potential keeps a nonnegative curvature spectrum "
         "along the scanned slice of the flat directions",
         tolerance=1e-8,
-        max_error=max(0.0, -min(curves["square"])),
+        max_error=np.maximum(0.0, -np.min(curves["square"])),
         spectrum_grid=[float(g) for g in curve_pts[:, 0]],
         spectrum_min=curves,
     )

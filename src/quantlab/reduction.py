@@ -277,8 +277,8 @@ def round_trip_certificate(
         rep = reduce(_conjugate(h0, t0), adjoint_action_batch(model, h0, y0))
         direct = reduce(t0, y0)
         t0, y0 = direct.t, direct.Y0
-    worst = max(float(np.abs(rep.t - t0).max(initial=0.0)),
-                float(np.abs(rep.Y0 - y0).max(initial=0.0)))
+    worst = np.max([np.abs(rep.t - t0).max(initial=0.0),
+                    np.abs(rep.Y0 - y0).max(initial=0.0)])
     return CheckReport.from_error(
         "reduction.round_trip",
         "conjugating a torus pair by a random element and reducing "
@@ -332,7 +332,7 @@ def weyl_isometry_certificate(model: LieModel,
     for label in labels:
         rule, values = reduction_unitary(model, [label])
         norm_sq = float(rule.weights @ (np.abs(values[0]) ** 2))
-        worst = max(worst, abs(norm_sq - 1.0))
+        worst = np.maximum(worst, abs(norm_sq - 1.0))
     return CheckReport.from_error(
         "reduction.weyl_isometry",
         "restriction to the torus weighted by the absolute Weyl "
@@ -360,8 +360,8 @@ def _side_a_grams(model: LieModel, labels, level: int):
     winv = 0.0
     for w in weyl_group(model)[1:]:
         image = np.ravel_multi_index(
-            (w.matrix.astype(int) @ index) % (modes + 1), shape)
-        winv = max(winv, float(np.abs(values - values[:, image]).max()))
+            (w.astype(int) @ index) % (modes + 1), shape)
+        winv = np.maximum(winv, np.abs(values - values[:, image]).max())
     return hl2, gram_red, winv
 
 
@@ -378,9 +378,8 @@ def _side_b_gram(model: LieModel, labels, level: int):
     orthogonal, so an orbit sum has norm |orbit| times the torus norm of
     its top weight."""
     tops = _highest_weights(model, labels)
-    weyl = np.stack([w.matrix for w in weyl_group(model)])
     orbits = [list(dict.fromkeys(map(tuple, images)))
-              for images in np.einsum("wab,nb->nwa", weyl, tops)]
+              for images in np.einsum("wab,nb->nwa", weyl_group(model), tops)]
     sizes = np.array([len(orbit) for orbit in orbits])
     haar, gauss = _torus_gram_factors(model, np.concatenate(orbits), level)
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
@@ -413,12 +412,12 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         "the quantization of the reduced space span unitarily equivalent "
         "systems: both Gram matrices are the identity at each cutoff",
         tolerance=1e-9 if model.is_abelian else 1e-4,
-        max_error=max(dev_a_hl2, dev_a_red, dev_b, winv),
+        max_error=np.max([dev_a_hl2, dev_a_red, dev_b, winv]),
         cutoff=cutoff,
         dimension=len(labels),
-        deviation_quantize_then_reduce=max(dev_a_hl2, dev_a_red),
+        deviation_quantize_then_reduce=float(np.maximum(dev_a_hl2, dev_a_red)),
         deviation_reduce_then_quantize=dev_b,
-        weyl_invariance_residual=winv,
+        weyl_invariance_residual=float(winv),
         gram_a=[[float(v) for v in row] for row in np.real(gram_red)],
         gram_b=[[float(v) for v in row] for row in np.real(gram_b)],
     )

@@ -25,6 +25,19 @@ import numpy as np
 
 from .report import CheckReport
 
+__all__ = [
+    "GridField",
+    "grid_axes",
+    "field_from_function",
+    "standard_bump",
+    "norm_equivalence_report",
+    "cutoff_profile",
+    "removal_errors",
+    "removal_density_demo",
+    "line_removal_contrast",
+    "refinement_study",
+]
+
 GRID_DEFAULT = 2048
 
 # boundary values below this (relative) level count as compact support
@@ -205,22 +218,15 @@ def norm_equivalence_report(f: GridField) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class CutoffSequence:
-    """Logarithmic capacity cutoff: 0 inside r = 1/m^2, 1 outside r = 1/m."""
-
-    index: float
-
-    def __post_init__(self):
-        if not self.index > 1:
-            raise ValueError("cutoff index must exceed 1")
-
-    def profile(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        m = self.index
-        with np.errstate(divide="ignore"):
-            ramp = np.log(np.maximum(m * m * r, 1e-300)) / math.log(m)
-        return np.clip(ramp, 0.0, 1.0)
+def cutoff_profile(m: float, r) -> np.ndarray:
+    """The logarithmic capacity cutoff of index m > 1 at distances r: 0
+    inside r = 1/m^2, 1 outside r = 1/m, linear in log r between."""
+    if not m > 1:
+        raise ValueError("cutoff index must exceed 1")
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        ramp = np.log(np.maximum(m * m * r, 1e-300)) / math.log(m)
+    return np.clip(ramp, 0.0, 1.0)
 
 
 def _discarded_box(
@@ -237,8 +243,7 @@ def _discarded_box(
     x, h = grid_axes(f.size)
     if abs(h - f.spacing) > 1e-12:
         raise ValueError("field spacing does not match its grid size")
-    cut = CutoffSequence(m)
-    inside = np.flatnonzero(cut.profile(np.abs(x)) < 1.0)
+    inside = np.flatnonzero(cutoff_profile(m, np.abs(x)) < 1.0)
     lo, hi = (inside[0] - 1, inside[-1] + 2) if inside.size else (0, 0)
     band = slice(max(lo, 0), min(hi, f.size))
     if removed_codim == 2:
@@ -247,7 +252,7 @@ def _discarded_box(
     else:
         box = (slice(None), band)
         dist = np.abs(x[None, band])
-    return box, f.values[box] * (1.0 - cut.profile(dist))
+    return box, f.values[box] * (1.0 - cutoff_profile(m, dist))
 
 
 def removal_errors(
@@ -355,7 +360,7 @@ def line_removal_contrast(f: GridField, m_list, point_errors) -> CheckReport:
     m_list, point_errors = _checked_costs(m_list, point_errors)
     line_errors = removal_errors(f, m_list, removed_codim=1)
     floor = 0.1 * point_errors[0]
-    worst = min(line_errors)
+    worst = np.min(line_errors)
     return CheckReport.from_error(
         "density.codim1_contrast",
         (
@@ -364,7 +369,7 @@ def line_removal_contrast(f: GridField, m_list, point_errors) -> CheckReport:
             "point-deletion cost instead of decaying"
         ),
         tolerance=1e-12,
-        max_error=max(0.0, floor - worst),
+        max_error=np.maximum(0.0, floor - worst),
         m_list=m_list,
         line_errors=[float(e) for e in line_errors],
         point_errors=point_errors,
@@ -403,7 +408,7 @@ def refinement_study(
             "by less than ten percent"
         ),
         tolerance=0.10,
-        max_error=max(rel),
+        max_error=np.max(rel),
         coarse_grid=coarse.size,
         fine_grid=f.size,
         resolved_m=resolved,

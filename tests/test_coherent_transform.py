@@ -817,3 +817,40 @@ def test_su2_irrep_labels_are_the_half_integers_within_the_cutoff(cutoff):
     owner = _basis_owner(SU2, labels)
     assert np.array_equal(np.bincount(owner),
                           [(2 * j + 1) ** 2 for j in labels])
+
+
+def test_spin_weighted_gram_fails_on_a_nan_flat_gram(monkeypatch):
+    # the eta-weighted Gram stays exact; only the flat one carries a NaN
+    from quantlab import coherent_transform
+    real = coherent_transform.character_gram
+
+    def nan_flat(model, labels, level=4, eta_weight=False):
+        gram = real(model, labels, level, eta_weight)
+        if not eta_weight:
+            gram[-1, -1] = np.nan
+        return gram
+
+    monkeypatch.setattr(coherent_transform, "character_gram", nan_flat)
+    rep = spin_weighted_gram(SU2, 2.0)
+    assert rep.passed is False
+    assert "failure" in rep.metadata
+
+
+def test_equivariance_fails_on_one_nan_sample(monkeypatch):
+    # the first sample's transform is NaN, every later one is exact
+    from quantlab import coherent_transform
+    real = coherent_transform.transform_C_phi
+    calls = []
+
+    def nan_first(coeffs, sigmas, owner):
+        out = real(coeffs, sigmas, owner)
+        if not calls:
+            out = np.full_like(out, np.nan)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(coherent_transform, "transform_C_phi", nan_first)
+    rep = equivariance_certificate(SU2, 1.0, samples=4, seed=2)
+    assert len(calls) == 8
+    assert rep.passed is False
+    assert "failure" in rep.metadata

@@ -39,7 +39,7 @@ def test_eta_weyl_invariance():
     ws = lc.weyl_group(su2)
     for _ in range(50):
         t = rng.standard_normal(1) * 2.0
-        vals = [float(dw.eta_tilde(su2, w.matrix @ t)[0]) for w in ws]
+        vals = [float(dw.eta_tilde(su2, w @ t)[0]) for w in ws]
         assert max(vals) - min(vals) < 1e-12
 
 

@@ -574,3 +574,19 @@ def test_completeness_certificate_passes():
         )
         assert rep.passed, rep
         assert rep.metadata["sup_norm_sq"] <= 4.0 + 1e-9
+
+
+def test_omega_potential_fails_on_a_nan_chart_point(monkeypatch):
+    # the first chart point is exact, the second reads NaN
+    real = kg._omega_potential_error
+    calls = []
+
+    def nan_second(model, y):
+        calls.append(y)
+        return np.nan if len(calls) == 2 else real(model, y)
+
+    monkeypatch.setattr(kg, "_omega_potential_error", nan_second)
+    rep = kg.omega_potential_certificate(lc.get_model("su2"))
+    assert len(calls) == 2
+    assert rep.passed is False
+    assert "failure" in rep.metadata

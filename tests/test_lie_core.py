@@ -40,8 +40,7 @@ def _su2_plus_su2():
         b = 2 * (k // 3)
         g[b:b + 2, b:b + 2] = su2.generators[k % 3]
         gens.append(g)
-    roots = tuple(lc.RealRoot(np.array(v, float))
-                  for v in ([1, 0], [-1, 0], [0, 1], [0, -1]))
+    roots = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)
     return lc.LieModel(
         name="su2+su2", dim=6, structure_constants=c,
         torus_indices=(2, 5), torus_periods=(4 * math.pi,) * 2, roots=roots,
@@ -201,17 +200,17 @@ def test_ad_matrix_spectrum_on_torus_element():
 
 def test_weyl_group_torus_trivial():
     for name in ("u1", "t2"):
+        rank = lc.get_model(name).rank
         ws = lc.weyl_group(lc.get_model(name))
-        assert len(ws) == 1
-        assert np.allclose(ws[0].matrix, np.eye(lc.get_model(name).rank))
+        assert ws.shape == (1, rank, rank)
+        assert np.allclose(ws[0], np.eye(rank))
 
 
 def test_weyl_group_su2():
     su2 = lc.get_model("su2")
     ws = lc.weyl_group(su2)
-    assert len(ws) == 2
-    mats = sorted(float(w.matrix[0, 0]) for w in ws)
-    assert np.allclose(mats, [-1.0, 1.0])
+    assert ws.shape == (2, 1, 1)
+    assert np.allclose(np.sort(ws[:, 0, 0]), [-1.0, 1.0])
 
 
 def test_weyl_group_refuses_more_than_one_positive_root():
@@ -223,11 +222,10 @@ def test_weyl_group_refuses_more_than_one_positive_root():
 
 def test_weyl_elements_permute_roots():
     su2 = lc.get_model("su2")
-    covs = [r.covector for r in su2.roots]
     for w in lc.weyl_group(su2):
-        for cov in covs:
-            image = w.matrix.T @ cov
-            assert any(np.allclose(image, c, atol=1e-12) for c in covs)
+        for cov in su2.roots:
+            image = w.T @ cov
+            assert any(np.allclose(image, c, atol=1e-12) for c in su2.roots)
 
 
 def test_unitary_log_round_trip():
@@ -403,3 +401,16 @@ def test_matmul_batch_matches_matmul(k, dtype, leads):
     # a row of a stack is the product of that row alone, bit for bit
     row = (a[3:4] if a.ndim > 2 else a, b[3:4] if b.ndim > 2 else b)
     assert np.array_equal(lc.matmul_batch(*row)[0], got[3])
+
+
+def test_positive_roots_are_the_rows_with_a_positive_leading_entry():
+    su2 = lc.get_model("su2")
+    assert su2.roots.shape == (2, 1)
+    assert np.array_equal(su2.positive_roots(), [[1.0]])
+    for name, rank in (("u1", 1), ("t2", 2)):
+        model = lc.get_model(name)
+        assert model.roots.shape == (0, rank)
+        assert model.positive_roots().shape == (0, rank)
+    # the leading entry is the first nonzero one: (0, 1) is positive
+    assert np.array_equal(_su2_plus_su2().positive_roots(),
+                          [[1.0, 0.0], [0.0, 1.0]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quantlab import psh_analysis
 from quantlab.lie_core import (
     adjoint_action_batch,
     get_model,
@@ -14,9 +15,11 @@ from quantlab.psh_analysis import (
     make_potential,
     mu_gradient,
     psh_verdict,
+    spectrum_curve_certificate,
     theta_matrix_oracle,
     theta_spectrum,
     twist_positivity_certificate,
+    wall_limit_certificate,
 )
 
 SU2 = get_model("su2")
@@ -40,7 +43,7 @@ def _mu(K, x, y):
 
 
 def _spectrum(K, y):
-    # one point: a one-row call; every field keeps its row axis
+    # one point: a one-row call, a (1, r + R) array
     return theta_spectrum(K, y[None])
 
 
@@ -68,20 +71,20 @@ def test_mu_is_equivariant():
 def test_spectrum_square_at_unit_torus_point():
     # Hessian eigenvalue 2; root values 2(coth(1) +/- 1)
     K = make_potential(SU2, "square")
-    rep = _spectrum(K, torus_vec(SU2, 1.0))
+    spec = _spectrum(K, torus_vec(SU2, 1.0))
     coth1 = 1.0 / math.tanh(1.0)
-    assert rep.hessian_eigenvalues.shape == (1, 1)
-    assert abs(rep.hessian_eigenvalues[0, 0] - 2.0) < 1e-10
-    got = sorted(rep.root_eigenvalues[0])
+    # rank 1 and two roots: the Hessian eigenvalue, then the root values
+    assert spec.shape == (1, 3)
+    assert abs(spec[0, 0] - 2.0) < 1e-10
+    got = sorted(spec[0, 1:])
     want = sorted([2 * (coth1 + 1), 2 * (coth1 - 1)])
     assert np.allclose(got, want, atol=1e-10)
-    assert abs(rep.min_eigenvalue[0] - 2 * (coth1 - 1)) < 1e-10
+    assert abs(spec.min(axis=1)[0] - 2 * (coth1 - 1)) < 1e-10
 
 
 def test_spectrum_logeta_at_origin_is_one_third():
     K = make_potential(SU2, "logeta")
-    rep = _spectrum(K, torus_vec(SU2, 0.0))
-    vals = rep.all_values()
+    vals = _spectrum(K, torus_vec(SU2, 0.0))
     assert vals.shape == (1, 3)
     assert np.abs(vals - 1.0 / 3.0).max() < 1e-9
 
@@ -93,18 +96,17 @@ def test_wall_limit_matches_nearby_closed_form():
                  "combined:6.283185307179586,1"):
         K = make_potential(SU2, name)
         y = 1e-3
-        rep = _spectrum(K, torus_vec(SU2, y))
+        spec = _spectrum(K, torus_vec(SU2, y))
         hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
-        for root, val in zip(SU2.roots, rep.root_eigenvalues[0]):
-            ay = root.covector[0] * y
+        for a, val in zip(SU2.roots[:, 0], spec[0, SU2.rank:]):
+            ay = a * y
             limit = hess0 * (ay / math.tanh(ay) + ay)
             assert abs(val - limit) < 1e-5
 
 
 def test_spectrum_exactly_on_wall_uses_limit():
     K = make_potential(SU2, "square")
-    rep = _spectrum(K, torus_vec(SU2, 0.0))
-    assert np.abs(rep.all_values() - 2.0).max() < 1e-12
+    assert np.abs(_spectrum(K, torus_vec(SU2, 0.0)) - 2.0).max() < 1e-12
 
 
 def test_gradient_sign_lemma_for_convex_potentials():
@@ -126,7 +128,7 @@ def test_oracle_matrix_matches_closed_spectrum_su2(name, y):
     mat = theta_matrix_oracle(K, Y[None])[0]
     assert np.abs(mat - mat.conj().T).max() < 1e-8
     oracle = np.linalg.eigvalsh(mat)
-    closed = np.sort(_spectrum(K, Y).all_values()[0])
+    closed = np.sort(_spectrum(K, Y)[0])
     scale = max(1e-8, np.abs(closed).max())
     assert np.abs(oracle - closed).max() / scale < 1e-4
 
@@ -165,8 +167,8 @@ def test_psh_verdict_locates_witness_for_cosine():
     assert rep.metadata["min_eigenvalue"] < -0.5
     # the witness really attains the reported minimum
     witness = torus_vec(SU2, rep.metadata["witness_point"][0])
-    again = _spectrum(pot, witness)
-    assert abs(again.min_eigenvalue[0] - rep.metadata["min_eigenvalue"]) < 1e-12
+    again = _spectrum(pot, witness).min(axis=1)[0]
+    assert abs(again - rep.metadata["min_eigenvalue"]) < 1e-12
 
 
 def test_canonical_certificate_su2_and_torus():
@@ -218,13 +220,13 @@ PRESETS = ["square", "logeta", "combined:6.283185307179586,2"]
 def test_theta_spectrum_rows_equal_one_row_calls(model, preset):
     K = make_potential(model, preset)
     coords = _scan_coords(model)
-    rep = theta_spectrum(K, coords)
+    spec = theta_spectrum(K, coords)
+    assert spec.shape == (len(coords), model.rank + len(model.roots))
+    # the Hessian eigenvalues come first, in ascending order
+    hess = spec[:, :model.rank]
+    assert np.array_equal(hess, np.sort(hess, axis=1))
     for i, y in enumerate(coords):
-        one = _spectrum(K, y)
-        for field in ("point", "hessian_eigenvalues", "root_eigenvalues",
-                      "min_eigenvalue"):
-            assert np.array_equal(getattr(one, field)[0],
-                                  getattr(rep, field)[i])
+        assert np.array_equal(_spectrum(K, y)[0], spec[i])
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -243,10 +245,11 @@ def test_root_values_keep_their_digits_below_the_wall(alpha):
     # the square potential's root value is 2 (alpha coth(alpha) + alpha),
     # that is 4 alpha e^{2 alpha} / (e^{2 alpha} - 1), where the sum
     # cancels for alpha << 0
-    rep = _spectrum(make_potential(SU2, "square"), torus_vec(SU2, alpha))
+    spec = _spectrum(make_potential(SU2, "square"), torus_vec(SU2, alpha))
     e = math.exp(2.0 * alpha)
     want = 4.0 * alpha * e / math.expm1(2.0 * alpha)
-    got = rep.root_eigenvalues[0][0]
+    # the first root column
+    got = spec[0, SU2.rank]
     assert abs(got / want - 1.0) < 1e-15
 
 
@@ -294,3 +297,24 @@ def test_psh_verdict_fails_on_a_nan_spectrum():
         hess_fn=lambda t: np.full((len(t), 1, 1), np.nan),
     )
     assert not psh_verdict(nan_pot, np.linspace(-1, 1, 5)).passed
+
+
+@pytest.mark.parametrize("certificate", [
+    lambda: twist_positivity_certificate(SU2, 2 * math.pi, 2.0),
+    lambda: spectrum_curve_certificate(SU2),
+    lambda: wall_limit_certificate(SU2),
+], ids=["twist_positivity", "spectrum_curve", "wall_limit"])
+def test_certificates_fail_on_a_nan_spectrum(monkeypatch, certificate):
+    # a NaN in the last entry of the last row: not the first row, so a
+    # fold that drops NaN would skip it
+    real = psh_analysis.theta_spectrum
+
+    def nan_spectrum(K, ys):
+        spec = real(K, ys)
+        spec[-1, -1] = np.nan
+        return spec
+
+    monkeypatch.setattr(psh_analysis, "theta_spectrum", nan_spectrum)
+    rep = certificate()
+    assert rep.passed is False
+    assert "failure" in rep.metadata

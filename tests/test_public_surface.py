@@ -38,21 +38,25 @@ def test_export_list_is_the_public_surface(module):
 # reduced character one row of samples; and the quadrature layer's second
 # formats: a rule is its axes, with no stored node grid, and the quadrature
 # sigma is one stacked call, with no scalar or torus-only twin; and the
-# irrep object: an irrep is its label
+# irrep object: an irrep is its label; and the torus-side records: a root
+# is a row, the Weyl group a stack, a curvature spectrum one array and the
+# capacity cutoff a function
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
-                 "torus_point", "random_algebra"),
+                 "torus_point", "random_algebra", "RealRoot",
+                 "WeylElement", "_coord_projector"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
                            "_logsumexp_rows", "Irrep", "irrep"),
+    "psh_analysis": ("SpectrumReport", "_covectors"),
     "quadrature": (),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction"),
+    "stratum_density": ("CutoffSequence",),
 }
 # the dataclasses whose fields are exactly these
 FIELDS = {
-    "lie_core": {"WeylElement": ["matrix"]},
     "quadrature": {"QuadratureRule": ["axes"]},
     "reduction": {"ReducedRepresentative": ["t", "Y0", "conjugator"]},
 }

@@ -31,6 +31,7 @@ from quantlab.reduction import (
     reduction_unitary,
     torus_representative,
     weyl_canonicalize,
+    weyl_isometry_certificate,
 )
 
 SU2 = get_model("su2")
@@ -559,3 +560,56 @@ def test_su2_side_b_tables_match_the_node_grid(cutoff):
     want = _node_grid_side_b(labels, 4)
     assert got.shape == (len(labels), len(labels))
     assert np.abs(got - want).max() <= 1e-14
+
+
+def test_qr_commutes_fails_on_a_nan_route_b(monkeypatch):
+    real = reduction._side_b_gram
+
+    def nan_gram(model, labels, level):
+        gram = real(model, labels, level)
+        gram[-1, -1] = np.nan
+        return gram
+
+    monkeypatch.setattr(reduction, "_side_b_gram", nan_gram)
+    rep = qr_commutes_certificate(SU2, 2.0)
+    assert rep.passed is False
+    assert "failure" in rep.metadata
+
+
+def test_weyl_isometry_fails_on_a_nan_character(monkeypatch):
+    # the first character reduces to NaN samples, the others are exact
+    real = reduction.reduction_unitary
+    calls = []
+
+    def nan_first(model, labels, modes=None):
+        rule, values = real(model, labels, modes)
+        if not calls:
+            values = np.full_like(values, np.nan)
+        calls.append(labels)
+        return rule, values
+
+    monkeypatch.setattr(reduction, "reduction_unitary", nan_first)
+    rep = weyl_isometry_certificate(SU2)
+    assert len(calls) > 1
+    assert rep.passed is False
+    assert "failure" in rep.metadata
+
+
+def test_round_trip_fails_on_a_nan_y0(monkeypatch):
+    # the conjugated trips reduce to a NaN Y0 in one row; t stays exact
+    real = reduction.weyl_canonicalize
+    calls = []
+
+    def nan_y0(model, rep):
+        out = real(model, rep)
+        if not calls:
+            y0 = out.Y0.copy()
+            y0[0, -1] = np.nan
+            out = ReducedRepresentative(out.t, y0, out.conjugator)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(reduction, "weyl_canonicalize", nan_y0)
+    rep = reduction.round_trip_certificate(SU2, np.random.default_rng(0), 0)
+    assert rep.passed is False
+    assert "failure" in rep.metadata

@@ -6,12 +6,12 @@ import pytest
 
 from quantlab import stratum_density
 from quantlab.stratum_density import (
-    CutoffSequence,
     GridField,
     _diff,
     _discarded_box,
     _graph_norm,
     _l2_sq,
+    cutoff_profile,
     field_from_function,
     grid_axes,
     line_removal_contrast,
@@ -42,7 +42,7 @@ def _full_grid_discarded(f, m, removed_codim):
     x, _ = grid_axes(f.size)
     X, Y = np.meshgrid(x, x, indexing="ij")
     dist = np.hypot(X, Y) if removed_codim == 2 else np.abs(Y)
-    return f.values * (1.0 - CutoffSequence(m).profile(dist))
+    return f.values * (1.0 - cutoff_profile(m, dist))
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +108,15 @@ def test_norm_equivalence_certificate():
 
 
 def test_cutoff_profile_shape():
-    cut = CutoffSequence(5.0)
-    assert cut.profile(0.0) == 0.0
+    assert cutoff_profile(5.0, 0.0) == 0.0
     # 0 inside r = 1/m^2, 1 outside r = 1/m
-    assert cut.profile(0.04) == pytest.approx(0.0, abs=1e-14)
-    assert cut.profile(0.2) == pytest.approx(1.0, abs=1e-14)
-    assert cut.profile(10.0) == 1.0
-    mid = cut.profile(0.09)
+    assert cutoff_profile(5.0, 0.04) == pytest.approx(0.0, abs=1e-14)
+    assert cutoff_profile(5.0, 0.2) == pytest.approx(1.0, abs=1e-14)
+    assert cutoff_profile(5.0, 10.0) == 1.0
+    mid = cutoff_profile(5.0, 0.09)
     assert 0.0 < mid < 1.0
     with pytest.raises(ValueError):
-        CutoffSequence(1.0)
+        cutoff_profile(1.0, 0.5)
 
 
 @pytest.mark.parametrize("n", [64, 65, 257, 1024])
@@ -180,7 +179,7 @@ def _padded_removal_error(f, m, removed_codim):
     else:
         dist = np.abs(x[None, band])
     piece = f.values.astype(complex)[box] * (
-        1.0 - CutoffSequence(m).profile(dist))
+        1.0 - cutoff_profile(m, dist))
     return _padded_terms(piece, h)[3]
 
 
@@ -404,3 +403,36 @@ def test_removal_demo_passing_report_has_no_failure(bump_1024):
     rep = _demo(bump_1024, M_LIST)
     assert rep.passed
     assert "failure" not in rep.metadata
+
+
+def test_line_contrast_fails_on_a_nan_line_cost(monkeypatch, bump_1024):
+    # one line-deletion cost past the first is NaN
+    point_errors = removal_errors(bump_1024, M_LIST)
+    real = stratum_density.removal_errors
+
+    def nan_line(f, m_list, removed_codim=2):
+        errors = real(f, m_list, removed_codim)
+        errors[1] = math.nan
+        return errors
+
+    monkeypatch.setattr(stratum_density, "removal_errors", nan_line)
+    rep = line_removal_contrast(bump_1024, M_LIST, point_errors)
+    assert rep.passed is False
+    assert "failure" in rep.metadata
+
+
+def test_grid_refinement_fails_on_a_nan_coarse_cost(monkeypatch, bump_1024):
+    # the last resolved coarse cost is NaN, so is the last relative shift
+    errors = removal_errors(bump_1024, M_LIST)
+    real = stratum_density.removal_errors
+
+    def nan_last(f, m_list, removed_codim=2):
+        costs = real(f, m_list, removed_codim)
+        costs[-1] = math.nan
+        return costs
+
+    monkeypatch.setattr(stratum_density, "removal_errors", nan_last)
+    rep = refinement_study(bump_1024, standard_bump(512), M_LIST, errors)
+    assert len(rep.metadata["resolved_m"]) > 1
+    assert rep.passed is False
+    assert "failure" in rep.metadata
