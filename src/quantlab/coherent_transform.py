@@ -34,6 +34,7 @@ from quantlab.lie_core import (
     get_model,
     random_group_point,
     unitary_log,
+    weyl_group,
 )
 from quantlab.quadrature import (
     QuadratureRule,
@@ -67,22 +68,6 @@ def _default_cutoff(model: LieModel, cutoff):
     return DEFAULT_CUTOFF[model.name] if cutoff is None else cutoff
 
 
-def _su2_characters(half: np.ndarray, spins) -> np.ndarray:
-    # one row per spin j: the sum of z^{2m} over its weights m, from -j up,
-    # with z an eigenvalue of a 2x2 point of half-trace ``half``; the
-    # |z| >= 1 branch keeps complexified powers stable
-    root = np.sqrt(half * half - 1.0 + 0j)
-    z1, z2 = half + root, half - root
-    z = np.where(np.abs(z1) >= np.abs(z2), z1, z2)
-    out = np.empty((len(spins),) + z.shape, dtype=complex)
-    for i, w in enumerate(_weights(get_model("su2"), spins)):
-        acc = np.zeros_like(z)
-        for m in w[::-1, 0].tolist():
-            acc = acc + z ** (2 * m)
-        out[i] = acc
-    return out
-
-
 @lru_cache(maxsize=None)
 def _su2_spin_matrices(j: float) -> np.ndarray:
     # the skew-hermitian images of the su2 generators in spin j, built once
@@ -102,33 +87,28 @@ def _su2_spin_matrices(j: float) -> np.ndarray:
     return out
 
 
-def _normalize_label(model: LieModel, label) -> object:
-    if model.is_abelian:
-        if isinstance(label, (int, np.integer)):
-            if model.rank != 1:
-                raise ValueError("higher-rank torus labels must be tuples")
-            return (int(label),)
-        if not hasattr(label, "__len__") or len(label) != model.rank:
-            raise ValueError("abelian irrep labels are rank-length int tuples")
-        out = []
-        for n in label:
-            if not float(n).is_integer():
-                raise ValueError("torus mode labels must be integers")
-            out.append(int(n))
-        return tuple(out)
-    jj = float(label)
-    if not (jj >= 0 and (2 * jj).is_integer()):
-        raise ValueError("spin labels are nonnegative half-integers")
-    return jj
-
-
 def _highest_weights(model: LieModel, labels) -> np.ndarray:
     """The labels as highest weights, one row of torus coordinates per
     label, after checking that every label names an irrep: a torus label
     is its only weight, and the spin j is the highest weight of its
-    irrep.  Raises ValueError for the first label that names none."""
-    return np.array([_normalize_label(model, lab) for lab in labels],
-                    float).reshape(len(labels), model.rank)
+    irrep.  The list is read as one (L, rank) float array, whose entries
+    must be finite integers on a torus and finite, nonnegative
+    half-integers on su2.  Raises ValueError for a list of another shape
+    and for the first label that names no irrep."""
+    try:
+        tops = np.array(labels, float).reshape(len(labels), model.rank)
+    except ValueError:
+        raise ValueError(f"{model.name} labels are weights of rank "
+                         f"{model.rank}, not {labels!r}") from None
+    if model.is_abelian:
+        ok = np.isfinite(tops) & (tops == np.round(tops))
+        rule = "torus mode labels must be integers"
+    else:
+        ok = np.isfinite(tops) & (tops >= 0) & (2 * tops == np.round(2 * tops))
+        rule = "spin labels are finite, nonnegative half-integers"
+    if not ok.all():
+        raise ValueError(f"{rule}, not {labels[int(np.argmin(ok.all(1)))]!r}")
+    return tops
 
 
 def _weights(model: LieModel, labels) -> list:
@@ -563,18 +543,19 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
     diagonal c: diag(c)^{-1/2} G diag(c)^{-1/2} against the identity.
 
     c is sigma unweighted.  Weighted it is the torus norm at the rho-shifted
-    weight over |W| (Hall 2002): sigma_T(j + 1/2) / 2 on su2, and sigma on
-    a torus, where rho = 0, |W| = 1 and the two Grams coincide.
+    highest weight over |W| (Hall 2002), with rho half the sum of the
+    model's positive roots and |W| the order of ``weyl_group``:
+    sigma_T(j + 1/2) / 2 on su2, and sigma on a torus, where rho = 0,
+    |W| = 1 and the two Grams coincide.
     """
     cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
     gram = character_gram(model, labels, level, eta_weight=False)
     norms = build_sigma_table(model, labels)
-    gram_eta, norms_eta = gram, norms
-    if not model.is_abelian:
-        gram_eta = character_gram(model, labels, level, eta_weight=True)
-        # rho = 1/2 in the torus weights m = j, ..., -j, and |W| = 2
-        norms_eta = _torus_norms(np.asarray(labels)[:, None] + 0.5) / 2
+    gram_eta = character_gram(model, labels, level, eta_weight=True)
+    rho = model.positive_roots().sum(axis=0) / 2
+    norms_eta = (_torus_norms(_highest_weights(model, labels) + rho)
+                 / len(weyl_group(model)))
     dev_eta, dev_flat = (float(np.abs(_scaled(g, c) - np.eye(len(c))).max())
                          for g, c in ((gram_eta, norms_eta), (gram, norms)))
     return CheckReport.from_error(

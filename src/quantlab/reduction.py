@@ -27,9 +27,9 @@ import numpy as np
 from quantlab.coherent_transform import (
     _highest_weights,
     _scaled,
-    _su2_characters,
     _torus_gram_factors,
     _torus_norms,
+    _weights,
     build_sigma_table,
     character_gram,
     irrep_labels,
@@ -136,10 +136,16 @@ def _unit_eigenvectors(mats: np.ndarray) -> np.ndarray:
     # one unit eigenvector per 2x2 matrix of an (N, 2, 2) stack: with
     # h = (a - d)/2 and s = sqrt(h^2 + bc), (s + h, c) is an eigenvector
     # for (a + d)/2 + s, and the root whose sign makes Re(conj(h) s) >= 0
-    # keeps |s + h|^2 >= |s|^2 + |h|^2, free of cancellation
+    # keeps |s + h|^2 >= |s|^2 + |h|^2, free of cancellation.  A power of
+    # two brings the largest of h, b, c into [1/2, 1): exact, so it moves
+    # no bit of a result in the normal range, and it keeps bc and |v|^2 of
+    # a matrix a hair from scalar (b c ~ 1e-315) clear of underflow
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, d = mats[:, 1, 0], mats[:, 1, 1]
     h = 0.5 * (a - d)
+    _, e = np.frexp(np.max(np.abs([h, b, c]), axis=0))
+    scale = np.ldexp(1.0, -np.maximum(e, -1021))
+    h, b, c = h * scale, b * scale, c * scale
     s = np.sqrt(h * h + b * c)
     s = np.where((np.conj(h) * s).real < 0, -s, s)
     v = np.stack([s + h, c], axis=1)
@@ -150,10 +156,6 @@ def _unit_eigenvectors(mats: np.ndarray) -> np.ndarray:
     return v / np.where(scalar, 1.0, norm)[:, None]
 
 
-# mix weights of g + lam * i Y, tried in order on the rows still open
-_MIX_WEIGHTS = (0.7310585786300049, 0.31830988618367, 1.9021605823)
-
-
 def torus_representative(model: LieModel, gs: np.ndarray,
                          ys: np.ndarray) -> ReducedRepresentative:
     """Conjugators h with (h g h^{-1}, Ad_h Y) in T x t, row by row, for an
@@ -162,13 +164,15 @@ def torus_representative(model: LieModel, gs: np.ndarray,
 
     Raises ValueError unless the momentum residual |j(g, Y)| of every row
     is below ZERO_SET_TOL.  The pair commutes on the zero set, so the
-    defining-representation matrices are simultaneously diagonalizable, and
-    the normal matrix of a generic linear mix diagonalizes both at once.
-    Its 2x2 Schur basis is one unit eigenvector v and its orthogonal
-    complement, which together form the SU(2) matrix
-    [[v0, -v1*], [v1, v0*]].  A row whose mix leaves off-diagonal parts
-    above 1e-9 is retried with the next mix weight, and only such rows;
-    a row that no weight diagonalizes raises ArithmeticError.
+    defining-representation matrices are simultaneously diagonalizable,
+    and an eigenbasis of either one diagonalizes both unless its
+    eigenvalues coincide.  Each row diagonalizes whichever of g and iY has
+    the wider eigenvalue gap: 2 |sin phi| = sqrt|det(g - g^*)| for g with
+    eigenvalues e^{+-i phi}, and |Y| for iY, whose eigenvalues are
+    +-|Y| / 2.  Its 2x2 Schur basis is one unit eigenvector v and its
+    orthogonal complement, which together form the SU(2) matrix
+    [[v0, -v1*], [v1, v0*]].  A row whose conjugator leaves off-diagonal
+    parts above 1e-9 raises ArithmeticError naming the row.
     """
     gs = np.asarray(gs)
     ys = np.asarray(ys, float)
@@ -184,39 +188,34 @@ def torus_representative(model: LieModel, gs: np.ndarray,
         eye = np.eye(model.defining_rep_dim, dtype=complex)
         return ReducedRepresentative(
             gs, ys, np.broadcast_to(eye, gs.shape).copy())
-    herm = 1j * alg_to_matrix_batch(model, ys)
-    t_out = np.empty_like(gs, dtype=complex)
-    y_out = np.zeros_like(ys)
-    h_out = np.empty_like(t_out)
-    todo = np.arange(len(ys))
-    for lam in _MIX_WEIGHTS:
-        if not len(todo):
-            break
-        g = gs[todo]
-        v = _unit_eigenvectors(g + lam * herm[todo])
-        h = np.empty((len(todo), 2, 2), dtype=complex)
-        h[:, 0, 0] = np.conj(v[:, 0])
-        h[:, 0, 1] = np.conj(v[:, 1])
-        h[:, 1, 0] = -v[:, 1]
-        h[:, 1, 1] = v[:, 0]
-        t_mat = _conjugate(h, g)
-        y_new = adjoint_action_batch(model, h, ys[todo])
-        # the discarded off-diagonal and off-torus parts must be below 1e-9
-        off = np.max(np.abs(np.stack([t_mat[:, 0, 1], t_mat[:, 1, 0],
-                                      y_new[:, 0], y_new[:, 1]])), axis=0)
-        ok = off <= 1e-9
-        done = todo[ok]
-        taus = 2.0 * np.angle(t_mat[ok, 1, 1])
-        t_out[done] = exp_alg_batch(model, _torus_rows(model, taus))
-        y_out[done, 2] = y_new[ok, 2]
-        h_out[done] = h[ok]
-        todo = todo[~ok]
-    if len(todo):
+    skew = gs - np.conj(np.swapaxes(gs, -1, -2))
+    gap_g = np.sqrt(np.abs(skew[:, 0, 0] * skew[:, 1, 1]
+                           - skew[:, 0, 1] * skew[:, 1, 0]))
+    use_g = gap_g >= np.linalg.norm(ys, axis=1)
+    v = _unit_eigenvectors(np.where(use_g[:, None, None], gs,
+                                    1j * alg_to_matrix_batch(model, ys)))
+    h = np.empty((len(ys), 2, 2), dtype=complex)
+    h[:, 0, 0] = np.conj(v[:, 0])
+    h[:, 0, 1] = np.conj(v[:, 1])
+    h[:, 1, 0] = -v[:, 1]
+    h[:, 1, 1] = v[:, 0]
+    t_mat = _conjugate(h, gs)
+    y_new = adjoint_action_batch(model, h, ys)
+    # the discarded off-diagonal and off-torus parts must be below 1e-9
+    off = np.max(np.abs(np.stack([t_mat[:, 0, 1], t_mat[:, 1, 0],
+                                  y_new[:, 0], y_new[:, 1]])), axis=0)
+    bad = ~(off <= 1e-9)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
         raise ArithmeticError(
-            f"no mix weight produced a joint diagonalization of row "
-            f"{int(todo[0])}"
+            f"the conjugator of row {row} leaves off-diagonal parts of "
+            f"{off[row]:g}, above 1e-9"
         )
-    return ReducedRepresentative(t_out, y_out, h_out)
+    y_out = np.zeros_like(ys)
+    y_out[:, 2] = y_new[:, 2]
+    taus = 2.0 * np.angle(t_mat[:, 1, 1])
+    return ReducedRepresentative(
+        exp_alg_batch(model, _torus_rows(model, taus)), y_out, h)
 
 
 def weyl_canonicalize(model: LieModel,
@@ -292,12 +291,10 @@ def round_trip_certificate(
 
 def _torus_character_values(model: LieModel, labels, taus: np.ndarray
                             ) -> np.ndarray:
-    # one row per label: its character on the torus nodes ``taus``
-    tops = _highest_weights(model, labels)
-    if model.is_abelian:
-        return np.array([np.exp(1j * taus @ top) for top in tops])
-    # diag(e^{-i tau/2}, e^{i tau/2}) has half-trace cos(tau/2)
-    return _su2_characters(np.cos(taus[:, 0] / 2.0), tops[:, 0].tolist())
+    # one row per label: its character on the torus nodes ``taus``, the sum
+    # of e^{i m.tau} over its weights m
+    return np.array([sum(np.exp(1j * taus @ m) for m in w)
+                     for w in _weights(model, labels)])
 
 
 def _top_frequency(model: LieModel, labels) -> float:

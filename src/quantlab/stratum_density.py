@@ -75,7 +75,11 @@ class GridField:
             float(np.abs(vals[:, 0]).max()),
             float(np.abs(vals[:, -1]).max()),
         )
-        scale = max(1.0, float(np.abs(vals).max()))
+        # a real field's largest |value| from its extremes, with no |vals|
+        # temporary the size of the grid
+        peak = (np.abs(vals).max() if np.iscomplexobj(vals)
+                else max(vals.max(), -vals.min()))
+        scale = max(1.0, float(peak))
         if edge > _SUPPORT_TOL * scale:
             raise ValueError(
                 "support touches the boundary of [-1,1]^2; "

@@ -10,7 +10,6 @@ from scipy.stats import norm, qmc
 from quantlab.coherent_transform import (
     _basis_owner,
     _rep_exp,
-    _su2_characters,
     _su2_spin_matrices,
     _weights,
     build_sigma_table,
@@ -52,6 +51,24 @@ def _haar_matrices(rule) -> np.ndarray:
     return (exp_alg_batch(SU2, np.outer(a, basis[2]))
             @ exp_alg_batch(SU2, np.outer(b, basis[1]))
             @ exp_alg_batch(SU2, np.outer(c, basis[2])))
+
+
+def _su2_characters(half: np.ndarray, spins) -> np.ndarray:
+    # the su2 characters at complexified points, the oracle of the
+    # character tests: one row per spin j, the sum of z^{2m} over its
+    # weights m, from -j up, with z an eigenvalue of a 2x2 point of
+    # half-trace ``half``; the |z| >= 1 branch keeps complexified powers
+    # stable
+    root = np.sqrt(half * half - 1.0 + 0j)
+    z1, z2 = half + root, half - root
+    z = np.where(np.abs(z1) >= np.abs(z2), z1, z2)
+    out = np.empty((len(spins),) + z.shape, dtype=complex)
+    for i, w in enumerate(_weights(SU2, spins)):
+        acc = np.zeros_like(z)
+        for m in w[::-1, 0].tolist():
+            acc = acc + z ** (2 * m)
+        out[i] = acc
+    return out
 
 
 def sigma_u1_closed(n: int) -> float:
@@ -130,7 +147,8 @@ def test_label_validation_and_dimensions():
 
 # every public function that takes labels refuses one that names no irrep,
 # where it used to return a number: a spin below 0, a fractional or
-# infinite torus mode, a spin that is not a half-integer, an infinite spin
+# infinite torus mode, a spin that is not a half-integer, an infinite spin;
+# and a NaN mode or spin, a ragged t2 label list and a bare int on t2
 @pytest.mark.parametrize("func,args", [
     (build_sigma_table, (SU2, [-1.0])),
     (build_sigma_table, (U1, [(2.5,)])),
@@ -141,11 +159,17 @@ def test_label_validation_and_dimensions():
     (sigma, (SU2, [math.inf])),
     (reduction_unitary, (SU2, [0.3])),
     (reduction_unitary, (SU2, [0.3], 8)),
+    (build_sigma_table, (U1, [(math.nan,)])),
+    (build_sigma_table, (SU2, [math.nan])),
+    (character_gram, (T2, [(1, 2), (3,)])),
+    (build_sigma_table, (T2, [4])),
 ], ids=["sigma-table-negative-spin", "sigma-table-fractional-mode",
         "sigma-table-infinite-mode", "sigma-table-infinite-spin",
         "character-gram-fractional-mode", "sigma-fractional-mode",
         "sigma-infinite-spin", "reduction-fractional-spin",
-        "reduction-fractional-spin-with-modes"])
+        "reduction-fractional-spin-with-modes", "sigma-table-nan-mode",
+        "sigma-table-nan-spin", "character-gram-ragged-t2-labels",
+        "sigma-table-bare-int-on-t2"])
 def test_entry_points_refuse_a_label_that_names_no_irrep(func, args):
     with pytest.raises(ValueError):
         func(*args)
@@ -633,8 +657,6 @@ def test_group_action_is_a_unitary_representation(model, cutoff, seed):
 def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):
     # brute force: every character at every Haar x radial node, then one
     # weighted sum over both node sets
-    from quantlab.coherent_transform import _su2_characters
-
     grow = np.exp(r_rule.nodes[:, 0] / 2.0)
     mats = _haar_matrices(g_rule)
     half_tr = (np.outer(mats[:, 0, 0], grow)

@@ -40,7 +40,10 @@ def test_export_list_is_the_public_surface(module):
 # sigma is one stacked call, with no scalar or torus-only twin; and the
 # irrep object: an irrep is its label; and the torus-side records: a root
 # is a row, the Weyl group a stack, a curvature spectrum one array and the
-# capacity cutoff a function
+# capacity cutoff a function; and the rules that the input decides: a
+# label list is checked as one array, a torus character is summed over the
+# weights, and the zero-set conjugator diagonalizes the matrix with the
+# wider eigenvalue gap, with no retry over mix weights
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
@@ -48,11 +51,12 @@ DELETED = {
                  "WeylElement", "_coord_projector"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
-                           "_logsumexp_rows", "Irrep", "irrep"),
+                           "_logsumexp_rows", "Irrep", "irrep",
+                           "_normalize_label", "_su2_characters"),
     "psh_analysis": ("SpectrumReport", "_covectors"),
     "quadrature": (),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
-                  "ReducedFunction"),
+                  "ReducedFunction", "_MIX_WEIGHTS"),
     "stratum_density": ("CutoffSequence",),
 }
 # the dataclasses whose fields are exactly these

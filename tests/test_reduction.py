@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quantlab import reduction
@@ -207,13 +207,13 @@ def test_torus_representative_already_reduced():
     assert np.abs(canon.t[0] - g).max() < 1e-9
 
 
-def assert_su2_conjugator_diagonalizes(rep, g, y, row=0):
+def assert_su2_conjugator_diagonalizes(rep, g, y, row=0, tol=1e-12):
     h = rep.conjugator[row]
     assert abs(np.linalg.det(h) - 1.0) < 1e-12
     assert np.abs(h @ h.conj().T - np.eye(2)).max() < 1e-12
     for mat in (g, 1j * alg_to_matrix_batch(SU2, y[None])[0]):
         conj = h @ mat @ h.conj().T
-        assert max(abs(conj[0, 1]), abs(conj[1, 0])) < 1e-12
+        assert max(abs(conj[0, 1]), abs(conj[1, 0])) < tol
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -346,25 +346,49 @@ def test_torus_representative_rows_equal_one_row_calls():
                        [_rep(t2, g, y) for g, y in zip(gs2, ys2)])
 
 
-def test_mix_weight_retry_reaches_only_the_failed_rows(monkeypatch):
-    # with a first weight of 0 the mix is g alone: a central g is scalar,
-    # so its rows fail and are retried with the next weight, while every
-    # other row is finished by the first weight
-    gs, ys = _pair_stack()
-    central = np.array([np.allclose(g, g[0, 0] * EYE2) for g in gs])
-    assert central.any() and not central.all()
-    monkeypatch.setattr(reduction, "_MIX_WEIGHTS",
-                        (0.0,) + reduction._MIX_WEIGHTS)
-    stacked = torus_representative(SU2, gs, ys)
-    _assert_rows_equal(stacked, [_rep(SU2, g, y) for g, y in zip(gs, ys)])
-    for row, (g, y) in enumerate(zip(gs, ys)):
-        assert_su2_conjugator_diagonalizes(stacked, g, y, row)
-    monkeypatch.setattr(reduction, "_MIX_WEIGHTS", (0.0,))
-    alone = torus_representative(SU2, gs[~central], ys[~central])
-    assert np.array_equal(alone.conjugator, stacked.conjugator[~central])
-    first = int(np.flatnonzero(central & np.any(ys != 0, axis=1))[0])
-    with pytest.raises(ArithmeticError, match=f"row {first}"):
-        torus_representative(SU2, gs, ys)
+def _gaps(top):
+    # an eigenvalue gap of the zero-set tests: exactly 0, or 1e-12 to top
+    return st.one_of(st.just(0.0), st.floats(1e-12, top))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_g=_gaps(2.0), gap_y=_gaps(10.0), tie=st.booleans(),
+       near_minus=st.booleans(), y_sign=st.sampled_from([1.0, -1.0]),
+       h_coords=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+# g a hair from scalar: its off-diagonal entries are 5.7e-158, whose
+# product underflows to a subnormal unless the eigenvector is scaled first
+@example(gap_g=0.0, gap_y=0.0, tie=False, near_minus=False, y_sign=1.0,
+         h_coords=[0.0, 6.744402381053159e-71, 6.744402381053159e-71])
+def test_conjugator_diagonalizes_zero_set_pairs_at_every_gap(
+        gap_g, gap_y, tie, near_minus, y_sign, h_coords):
+    # a conjugated torus pair whose g has the eigenvalue gap 2 |sin phi| =
+    # gap_g and whose iY has the gap |Y| = gap_y, or the same gap as g when
+    # ``tie``: the conjugator diagonalizes whichever is wider and must
+    # diagonalize both
+    phi = math.asin(gap_g / 2.0)
+    if near_minus:
+        phi = math.pi - phi
+    t0, y0 = torus_pair(2.0 * phi, y_sign * (gap_g if tie else gap_y))
+    h0 = _exp(SU2, h_coords)
+    g, y = h0 @ t0 @ h0.conj().T, _ad(SU2, h0, y0)
+    rep = _rep(SU2, g, y)
+    assert_su2_conjugator_diagonalizes(rep, g, y, tol=1e-9)
+
+
+def test_conjugator_off_the_zero_set_raises_naming_the_row():
+    # momentum residual 4e-10, inside the zero-set tolerance, but g and Y
+    # do not commute closely enough for Y's eigenbasis (|Y| = 2.8e-5, the
+    # wider gap) to diagonalize g (gap 2e-5) to 1e-9
+    g = _exp(SU2, [0.0, 0.0, 2e-5])
+    y = np.array([2e-5, 0.0, 2e-5])
+    assert np.linalg.norm(_momentum(SU2, g, y)) == pytest.approx(4e-10,
+                                                               rel=1e-3)
+    with pytest.raises(ArithmeticError, match="row 0"):
+        _rep(SU2, g, y)
+    good, _, _ = commuting_pair(np.random.default_rng(4))
+    with pytest.raises(ArithmeticError, match="row 1"):
+        torus_representative(SU2, np.stack([good[0], g]),
+                             np.stack([good[1], y]))
 
 
 def _round_trip_loop(model, rng, trips):
