@@ -208,7 +208,7 @@ def _suite_kahler(cfg: SuiteConfig) -> list[CheckReport]:
     return [
         j_squared_certificate(model, rng, cfg.seed, **_tol(cfg)),
         omega_potential_certificate(model, **_tol(cfg)),
-        completeness_certificate(model, sample_count=10_000, seed=cfg.seed),
+        completeness_certificate(model, seed=cfg.seed),
         polar_differential_certificate(
             model, rng, cfg.seed,
             samples=100 if model.is_abelian else 1000, **_tol(cfg),
@@ -235,8 +235,7 @@ def _suite_transform(cfg: SuiteConfig) -> list[CheckReport]:
     return [
         sigma_oracle_certificate(model, cfg.cutoff, level=level, **_tol(cfg)),
         unitarity_certificate(model, cutoff=cfg.cutoff, level=cfg.level),
-        equivariance_certificate(model, cutoff=cfg.cutoff, samples=10,
-                                 seed=cfg.seed),
+        equivariance_certificate(model, cutoff=cfg.cutoff, seed=cfg.seed),
         spin_weighted_gram(model, cutoff=cfg.cutoff, level=level),
     ]
 

@@ -439,20 +439,26 @@ def unitarity_certificate(model: LieModel, cutoff=None,
     )
 
 
-def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 20,
+def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 10,
                              seed: int = 0) -> CheckReport:
-    """Two-sided translations commute with the transform."""
+    """Two-sided translations commute with the transform.  Each sample
+    draws its coefficients in one standard-normal call, label by label the
+    real and then the imaginary d x d part, and then h1 and h2."""
     cutoff = _default_cutoff(model, cutoff)
     rng = np.random.default_rng(seed)
     labels = irrep_labels(model, cutoff)
     sigmas = build_sigma_table(model, labels)
     owner = _basis_owner(model, labels)
-    dims = [len(w) for w in _weights(model, labels)]
+    sizes = np.bincount(owner)  # d^2 per label
+    # a sample's stream holds each label's real d x d part, then its
+    # imaginary part: basis element i reads its real part at i plus the
+    # sizes of the earlier labels, and its imaginary part d^2 further on
+    re_at = np.arange(len(owner)) + (np.cumsum(sizes) - sizes)[owner]
+    im_at = re_at + sizes[owner]
     worst = 0.0
     for _ in range(samples):
-        f = np.concatenate([
-            (rng.standard_normal((d, d))
-             + 1j * rng.standard_normal((d, d))).reshape(-1) for d in dims])
+        z = rng.standard_normal(2 * len(owner))
+        f = z[re_at] + 1j * z[im_at]
         h1 = random_group_point(model, rng)
         h2 = random_group_point(model, rng)
         left = transform_C_phi(group_action(model, labels, f, h1, h2),
@@ -552,8 +558,11 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
     labels = irrep_labels(model, cutoff)
     gram = character_gram(model, labels, level, eta_weight=False)
     norms = build_sigma_table(model, labels)
-    gram_eta = character_gram(model, labels, level, eta_weight=True)
-    rho = model.positive_roots().sum(axis=0) / 2
+    roots = model.positive_roots()
+    # eta~ is the empty product 1 without positive roots
+    gram_eta = (character_gram(model, labels, level, eta_weight=True)
+                if len(roots) else gram)
+    rho = roots.sum(axis=0) / 2
     norms_eta = (_torus_norms(_highest_weights(model, labels) + rho)
                  / len(weyl_group(model)))
     dev_eta, dev_flat = (float(np.abs(_scaled(g, c) - np.eye(len(c))).max())

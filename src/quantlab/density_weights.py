@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from quantlab.lie_core import LieModel, exp_alg_batch, get_model
+from quantlab.lie_core import LieModel, get_model
 from quantlab.report import CheckReport
 
 __all__ = [
@@ -111,21 +111,10 @@ def eta_log_convexity_certificate(
 
 
 def weyl_denominator(model: LieModel, t_coords: np.ndarray) -> np.ndarray:
-    """delta at torus points: the Vandermonde of the defining-representation
-    eigenvalues.  Only |delta| carries meaning; the phase is a convention.
-    Identically 1 for tori.  One value per row of an (N, r) stack, shape
-    (N,)."""
+    """|delta| at torus points: the product over positive roots of
+    2 |sin(alpha(t)/2)|, the root-product form of ``eta_tilde``;
+    identically 1 for tori (empty product).  One value per row of an
+    (N, r) stack, shape (N,)."""
     t_coords = np.atleast_2d(np.asarray(t_coords, dtype=float))
-    if model.is_abelian:
-        return np.ones(t_coords.shape[0], dtype=complex)
-    coords = np.zeros((t_coords.shape[0], model.dim))
-    coords[:, list(model.torus_indices)] = t_coords
-    # torus points are diagonal: their eigenvalues are the diagonal,
-    # ordered by angle so that |delta| stays smooth
-    lam = np.diagonal(exp_alg_batch(model, coords), axis1=1, axis2=2)
-    lam = np.take_along_axis(lam, np.argsort(np.angle(lam), axis=1), axis=1)
-    out = np.ones(t_coords.shape[0], dtype=complex)
-    for a in range(lam.shape[1]):
-        for b in range(a + 1, lam.shape[1]):
-            out = out * (lam[:, b] - lam[:, a])
-    return out
+    half = 0.5 * (t_coords @ model.positive_roots().T)
+    return (2.0 * np.abs(np.sin(half))).prod(axis=1)

@@ -232,7 +232,7 @@ def omega_potential_certificate(
 
 
 def completeness_certificate(
-    model: LieModel, sample_count: int = 100_000, seed: int = 0
+    model: LieModel, sample_count: int = 10_000, seed: int = 0
 ) -> CheckReport:
     """Bounded differential of f = log(1 + |Y|^2), the witness for geodesic
     completeness.

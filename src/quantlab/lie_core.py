@@ -38,7 +38,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 # numpy 2 loads numpy.random on first use; every suite seeds a Generator,
@@ -59,7 +58,7 @@ __all__ = [
     "matmul_batch",
     "unitary_log",
     "random_group_point",
-    "random_coords_batch",
+    "random_group_coords",
     "validate_model",
 ]
 
@@ -453,46 +452,20 @@ def weyl_group(model: LieModel) -> np.ndarray:
 # sampling helpers shared by the test suites
 
 
-def random_coords_batch(model: LieModel, rng: np.random.Generator,
-                        count: int, kinds: Sequence[str]) -> list[np.ndarray]:
-    """``count`` rounds of draws, each drawing one coordinate vector per
-    entry of ``kinds``, in order: "group" for the algebra vector whose
-    exponential is a random group point (uniform torus angles on tori,
-    2 * standard normal otherwise), "algebra" for a standard-normal algebra
-    vector.  Returns one (count, n) array per kind.  The stream is consumed
-    exactly as ``count`` rounds of scalar draws would consume it, so the
-    samples do not depend on whether a caller batches them."""
-    for kind in kinds:
-        if kind not in ("group", "algebra"):
-            raise ValueError(f"unknown sample kind {kind!r}; use group, "
-                             "algebra")
+def random_group_coords(model: LieModel, rng: np.random.Generator,
+                        count: int) -> np.ndarray:
+    """One (count, n) block of algebra coordinates whose exponentials are
+    random group points: uniform angles in [0, 2 pi) on the torus axes of
+    a torus (zero elsewhere), 2 * standard normal otherwise."""
     if not model.is_abelian:
-        # every draw is standard normal: one call yields the same stream
-        block = rng.standard_normal((count, len(kinds) * model.dim))
-        cols = np.split(block, len(kinds), axis=1)
-        return [2.0 * c if kind == "group" else c
-                for kind, c in zip(kinds, cols)]
-    # uniform and normal draws interleave on tori: draw round by round, one
-    # scalar call per coordinate, which consumes the stream exactly as an
-    # array call of that size does and costs less than one.
-    # 2 pi * random() is what uniform(0, 2 pi) computes, draw for draw,
-    # without the argument handling that is most of its call cost.
-    sizes = [model.rank if kind == "group" else model.dim for kind in kinds]
-    one_round = [rng.random if kind == "group" else rng.standard_normal
-                 for kind, size in zip(kinds, sizes) for _ in range(size)]
-    flat = np.array([draw() for _ in range(count) for draw in one_round])
-    raw = np.split(flat.reshape(count, len(one_round)),
-                   np.cumsum(sizes)[:-1], axis=1)
-    out = []
-    for kind, arr in zip(kinds, raw):
-        if kind == "group":
-            coords = np.zeros((count, model.dim))
-            coords[:, list(model.torus_indices)] = 2.0 * math.pi * arr
-            arr = coords
-        out.append(arr)
-    return out
+        return 2.0 * rng.standard_normal((count, model.dim))
+    coords = np.zeros((count, model.dim))
+    coords[:, list(model.torus_indices)] = (
+        2.0 * math.pi * rng.random((count, model.rank)))
+    return coords
 
 
 def random_group_point(model: LieModel, rng: np.random.Generator) -> GroupPoint:
-    (coords,) = random_coords_batch(model, rng, 1, ("group",))
+    """The exponential of a one-row ``random_group_coords`` block."""
+    coords = random_group_coords(model, rng, 1)
     return GroupPoint(model, exp_alg_batch(model, coords)[0])

@@ -41,7 +41,7 @@ from quantlab.lie_core import (
     alg_to_matrix_batch,
     exp_alg_batch,
     matmul_batch,
-    random_coords_batch,
+    random_group_coords,
     weyl_group,
 )
 from quantlab.quadrature import model_torus_rule
@@ -80,17 +80,14 @@ def momentum_equivariance_certificate(
 ) -> CheckReport:
     """j(h g h^-1, Ad_h Y) = Ad_h j(g, Y) at random (g, Y, h).
 
-    Each sample draws g, then Y, then h from ``rng``: a
-    ``random_group_point``, a standard-normal coordinate vector, and a
-    ``random_group_point`` again, through ``random_coords_batch``, which
-    consumes the stream exactly as that per-sample sequence would.  So a
-    caller that keeps drawing from ``rng`` afterwards sees the same stream;
-    ``seed`` is the seed ``rng`` was made from, recorded in the report.
+    Draws from ``rng`` three (samples, n) blocks in turn: g and h as
+    ``random_group_coords`` and Y as standard normal coordinates, g, then
+    Y, then h.  ``seed`` is the seed ``rng`` was made from, recorded in
+    the report.
     """
-    g_c, ys, h_c = random_coords_batch(model, rng, samples,
-                                       ("group", "algebra", "group"))
-    g = exp_alg_batch(model, g_c)
-    h = exp_alg_batch(model, h_c)
+    g = exp_alg_batch(model, random_group_coords(model, rng, samples))
+    ys = rng.standard_normal((samples, model.dim))
+    h = exp_alg_batch(model, random_group_coords(model, rng, samples))
     moved_g = _conjugate(h, g)
     moved_y = adjoint_action_batch(model, h, ys)
     lhs = momentum_map_batch(model, moved_g, moved_y)
@@ -247,32 +244,25 @@ def round_trip_certificate(
     """Reduce a conjugated torus pair and compare with the pair's own
     canonical representative.
 
-    Each trip draws from ``rng``: on tori an angle vector and a flat vector
-    (the pair is its own representative); on su2 tau, then y, then the
-    coordinates of a random_group_point h, and reduces
-    (h t h^-1, Ad_h y e3).  Every trip is drawn first, trip by trip, and
-    then all trips are reduced in one stack.  ``seed`` is the seed ``rng``
-    was made from, recorded in the report.
+    Draws from ``rng`` one block per coordinate, each over all trips: on
+    tori the angles (``random_group_coords``) and then a flat vector in
+    [-2, 2)^r, a pair that is its own representative; on su2 tau, then y,
+    then the ``random_group_coords`` of h, and reduces
+    (h t h^-1, Ad_h y e3).  All trips are reduced in one stack.  ``seed``
+    is the seed ``rng`` was made from, recorded in the report.
     """
     def reduce(g, y):
         return weyl_canonicalize(model, torus_representative(model, g, y))
 
-    r, n = model.rank, model.dim
     if model.is_abelian:
-        draws = np.array([
-            np.concatenate([rng.uniform(0, 2 * math.pi, size=r),
-                            rng.uniform(-2, 2, size=r)])
-            for _ in range(trips)]).reshape(trips, 2 * r)
-        t0, y0 = exp_alg_batch(model, draws[:, :r]), draws[:, r:]
+        t0 = exp_alg_batch(model, random_group_coords(model, rng, trips))
+        y0 = rng.uniform(-2, 2, (trips, model.rank))
         rep = reduce(t0, y0)
     else:
-        draws = np.array([
-            [rng.uniform(0.3, 5.5), rng.uniform(-2, 2),
-             *random_coords_batch(model, rng, 1, ("group",))[0][0]]
-            for _ in range(trips)]).reshape(trips, 2 + n)
-        t0 = exp_alg_batch(model, _torus_rows(model, draws[:, 0]))
-        y0 = _torus_rows(model, draws[:, 1])
-        h0 = exp_alg_batch(model, draws[:, 2:])
+        taus = rng.uniform(0.3, 5.5, trips)
+        y0 = _torus_rows(model, rng.uniform(-2, 2, trips))
+        h0 = exp_alg_batch(model, random_group_coords(model, rng, trips))
+        t0 = exp_alg_batch(model, _torus_rows(model, taus))
         rep = reduce(_conjugate(h0, t0), adjoint_action_batch(model, h0, y0))
         direct = reduce(t0, y0)
         t0, y0 = direct.t, direct.Y0
@@ -313,7 +303,7 @@ def reduction_unitary(model: LieModel, labels, modes: int | None = None):
     wfactor = 1.0 / math.sqrt(len(weyl_group(model)))
     delta = weyl_denominator(model, taus)
     chars = _torus_character_values(model, labels, taus)
-    return rule, wfactor * np.abs(delta) * chars
+    return rule, wfactor * delta * chars
 
 
 def weyl_isometry_certificate(model: LieModel,

@@ -779,6 +779,34 @@ def test_equivariance_certificates():
         assert rep.max_error < 1e-8
 
 
+@pytest.mark.parametrize("model,cutoff", [(T2, 2), (SU2, 1.5)])
+def test_equivariance_draws_each_label_real_then_imaginary(monkeypatch, model,
+                                                           cutoff):
+    # one call per sample reads the stream the per-label draws read: each
+    # label's real d x d part, then its imaginary part, then h1 and h2
+    from quantlab import coherent_transform
+    real = coherent_transform.group_action
+    seen = []
+
+    def record(model, labels, coeffs, h1, h2):
+        seen.append((coeffs, h1.matrix, h2.matrix))
+        return real(model, labels, coeffs, h1, h2)
+
+    monkeypatch.setattr(coherent_transform, "group_action", record)
+    equivariance_certificate(model, cutoff, samples=3, seed=5)
+    rng = np.random.default_rng(5)
+    labels = irrep_labels(model, cutoff)
+    for coeffs, h1, h2 in seen[::2]:
+        want = np.concatenate([
+            (rng.standard_normal((len(w), len(w)))
+             + 1j * rng.standard_normal((len(w), len(w)))).reshape(-1)
+            for w in _weights(model, labels)])
+        assert np.array_equal(coeffs, want)
+        assert np.array_equal(h1, random_group_point(model, rng).matrix)
+        assert np.array_equal(h2, random_group_point(model, rng).matrix)
+    assert len(seen) == 6
+
+
 def test_spin_weighted_gram_su2():
     rep = spin_weighted_gram(SU2, 2.0)
     assert rep.passed
@@ -828,6 +856,23 @@ def test_spin_weighted_gram_torus_trivial():
     rep = spin_weighted_gram(U1, 4)
     assert rep.passed
     assert rep.metadata["eta_diagonal"] == rep.metadata["flat_diagonal"]
+
+
+@pytest.mark.parametrize("model,grams", [(U1, 1), (T2, 1), (SU2, 2)])
+def test_spin_weighted_gram_builds_the_torus_gram_once(monkeypatch, model,
+                                                       grams):
+    # with no positive roots eta~ is 1, so the eta Gram is the flat one
+    from quantlab import coherent_transform
+    real = coherent_transform.character_gram
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("eta_weight"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coherent_transform, "character_gram", counted)
+    assert spin_weighted_gram(model).passed
+    assert len(calls) == grams
 
 
 @given(st.floats(0.0, 8.0, exclude_min=True))

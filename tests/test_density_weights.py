@@ -110,26 +110,34 @@ def test_hessian_of_log_eta_nonnegative_on_grid():
     assert second.min() >= -1e-8
 
 
+def _vandermonde(model, t_coords):
+    # the oracle: the Vandermonde of the defining-representation
+    # eigenvalues at the torus points, ordered by angle
+    coords = np.zeros((len(t_coords), model.dim))
+    coords[:, list(model.torus_indices)] = t_coords
+    lam = np.diagonal(lc.exp_alg_batch(model, coords), axis1=1, axis2=2)
+    lam = np.take_along_axis(lam, np.argsort(np.angle(lam), axis=1), axis=1)
+    out = np.ones(len(t_coords), dtype=complex)
+    for a in range(lam.shape[1]):
+        for b in range(a + 1, lam.shape[1]):
+            out = out * (lam[:, b] - lam[:, a])
+    return out
+
+
 def test_weyl_denominator_su2():
     su2 = lc.get_model("su2")
     taus = np.array([0.5, 1.0, 2.0, math.pi, 5.0])
     delta = dw.weyl_denominator(su2, taus.reshape(-1, 1))
-    assert np.allclose(
-        np.abs(delta) ** 2, 2.0 - 2.0 * np.cos(taus), atol=1e-12
-    )
-    # vanishes exactly at the singular torus points tau = 0, 2 pi
-    sing = dw.weyl_denominator(su2, np.array([[0.0], [2 * math.pi]]))
-    assert np.abs(sing).max() < 1e-12
-    # the diagonal read equals eigenvalues per point, sorted by angle,
-    # bit for bit
+    assert delta.dtype == float and delta.min() > 0.0
+    assert np.allclose(delta ** 2, 2.0 - 2.0 * np.cos(taus), atol=1e-12)
+    # the root product is the modulus of the eigenvalue Vandermonde
     many = np.random.default_rng(4).uniform(-10.0, 10.0, (200, 1))
-    ref = []
-    for tc in many:
-        lam = np.linalg.eigvals(
-            lc.exp_alg_batch(su2, np.array([[0.0, 0.0, tc[0]]]))[0])
-        lam = lam[np.argsort(np.angle(lam))]
-        ref.append(lam[1] - lam[0])
-    assert np.array_equal(dw.weyl_denominator(su2, many), np.array(ref))
+    assert np.allclose(dw.weyl_denominator(su2, many),
+                       np.abs(_vandermonde(su2, many)), rtol=0, atol=1e-14)
+    # both vanish at the singular torus points tau = 0, 2 pi
+    sing = np.array([[0.0], [2 * math.pi]])
+    assert dw.weyl_denominator(su2, sing).max() < 1e-12
+    assert np.abs(_vandermonde(su2, sing)).max() < 1e-12
     t2 = lc.get_model("t2")
     ones = dw.weyl_denominator(t2, np.array([[0.3, 1.1], [2.0, -0.4]]))
-    assert np.allclose(ones, 1.0)
+    assert np.array_equal(ones, [1.0, 1.0])

@@ -314,39 +314,26 @@ def test_exp_matrices_on_complex_combinations_match_expm(name):
         assert err < 1e-13
 
 
-def _scalar_group_point(model, rng):
-    # the per-point sampler the stacked draws must reproduce: uniform
-    # torus angles on tori, 2 * standard normal coordinates otherwise
-    if model.is_abelian:
-        coords = np.zeros(model.dim)
-        coords[list(model.torus_indices)] = rng.uniform(
-            0.0, 2.0 * math.pi, size=model.rank)
-    else:
-        coords = 2.0 * rng.standard_normal(model.dim)
-    return _exp(model, coords)
-
-
 @pytest.mark.parametrize("name", ["u1", "t2", "su2"])
-def test_random_coords_batch_keeps_the_scalar_stream(name):
-    # rounds of (group, algebra, group), drawn in batch and one by one
+def test_random_group_coords_draws_one_block(name):
+    # uniform torus angles in [0, 2 pi) on tori, zero off the torus axes,
+    # and 2 * standard normal otherwise, each one block from the stream
     model = lc.get_model(name)
-    batch_rng = np.random.default_rng(23)
-    scalar_rng = np.random.default_rng(23)
-    g_c, y_c, h_c = lc.random_coords_batch(
-        model, batch_rng, 50, ("group", "algebra", "group"))
-    g_mats = lc.exp_alg_batch(model, g_c)
-    for i in range(50):
-        g = _scalar_group_point(model, scalar_rng)
-        y = scalar_rng.standard_normal(model.dim)
-        h = _scalar_group_point(model, scalar_rng)
-        assert np.array_equal(g, g_mats[i])
-        assert np.array_equal(y, y_c[i])
-        assert np.array_equal(h, lc.exp_alg_batch(model, h_c[i:i + 1])[0])
-    assert batch_rng.random() == scalar_rng.random()
-    one_rng = np.random.default_rng(23)
-    assert np.array_equal(lc.random_group_point(model, one_rng).matrix, g_mats[0])
-    with pytest.raises(ValueError):
-        lc.random_coords_batch(model, batch_rng, 1, ("torus",))
+    block = lc.random_group_coords(model, np.random.default_rng(23), 50)
+    assert block.shape == (50, model.dim)
+    same_seed = np.random.default_rng(23)
+    if model.is_abelian:
+        torus = list(model.torus_indices)
+        angles = block[:, torus]
+        assert angles.min() >= 0.0 and angles.max() < 2.0 * math.pi
+        assert np.array_equal(
+            angles, 2.0 * math.pi * same_seed.random((50, model.rank)))
+        assert not np.any(np.delete(block, torus, axis=1))
+    else:
+        assert np.array_equal(
+            block, 2.0 * same_seed.standard_normal((50, model.dim)))
+    one = lc.random_group_point(model, np.random.default_rng(23))
+    assert np.array_equal(one.matrix, lc.exp_alg_batch(model, block)[0])
 
 
 def test_unitarity_rejects_a_small_drift():
@@ -359,7 +346,7 @@ def test_unitarity_rejects_a_small_drift():
     with pytest.raises(ValueError):
         lc.unitary_log(drift)
     rng = np.random.default_rng(24)
-    (coords,) = lc.random_coords_batch(su2, rng, 10_000, ("group",))
+    coords = lc.random_group_coords(su2, rng, 10_000)
     g_mats = lc.exp_alg_batch(su2, coords)
     ys = rng.standard_normal((10_000, 3))
     assert lc.is_unitary_batch(g_mats)

@@ -43,12 +43,13 @@ def test_export_list_is_the_public_surface(module):
 # capacity cutoff a function; and the rules that the input decides: a
 # label list is checked as one array, a torus character is summed over the
 # weights, and the zero-set conjugator diagonalizes the matrix with the
-# wider eigenvalue gap, with no retry over mix weights
+# wider eigenvalue gap, with no retry over mix weights; and the
+# round-by-round sampler: samples are drawn as blocks
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra", "RealRoot",
-                 "WeylElement", "_coord_projector"),
+                 "WeylElement", "_coord_projector", "random_coords_batch"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
                            "_logsumexp_rows", "Irrep", "irrep",

@@ -19,6 +19,7 @@ from quantlab.lie_core import (
     exp_alg_batch,
     get_model,
     matmul_batch,
+    random_group_coords,
     random_group_point,
 )
 from quantlab.quadrature import gaussian_rule, model_torus_rule
@@ -121,16 +122,19 @@ def test_momentum_map_batch_rows_equal_scalar(name):
         assert np.array_equal(row, _momentum(model, g, y))
 
 
-def _scalar_momentum_equivariance(model, rng, samples):
+def _scalar_momentum_equivariance(model, g_c, ys, h_c):
     # the per-sample loop the certificate replaced, kept as its reference:
-    # g, a standard-normal Y, then h, drawn one point at a time
+    # one point at a time over the rows of the certificate's own blocks
     worst = 0.0
-    for _ in range(samples):
-        g = random_group_point(model, rng).matrix
-        y = rng.standard_normal(model.dim)
-        h = random_group_point(model, rng).matrix
+    for g_row, y, h_row in zip(g_c, ys, h_c):
+        g, h = _exp(model, g_row), _exp(model, h_row)
+        # the certificate's product kernel on a one-row stack: a matrix
+        # alone multiplies in numpy scalars, whose complex product rounds
+        # apart from a stack's in the last bit
+        moved = matmul_batch(matmul_batch(h[None], g[None]),
+                             h.conj().T[None])[0]
         gap = np.abs(
-            _momentum(model, h @ g @ h.conj().T, _ad(model, h, y))
+            _momentum(model, moved, _ad(model, h, y))
             - _ad(model, h, _momentum(model, g, y))
         ).max()
         worst = max(worst, float(gap))
@@ -145,8 +149,12 @@ def test_momentum_certificate_reproduces_scalar_loop(name):
     report = momentum_equivariance_certificate(model, rng_batch, seed=0,
                                                samples=300)
     assert report.passed
+    # the certificate's blocks, in its order: g, then Y, then h
+    g_c = random_group_coords(model, rng_loop, 300)
+    ys = rng_loop.standard_normal((300, model.dim))
+    h_c = random_group_coords(model, rng_loop, 300)
     assert report.max_error == _scalar_momentum_equivariance(
-        model, rng_loop, 300)
+        model, g_c, ys, h_c)
     if not model.is_abelian:
         assert report.max_error > 0.0
     # the suite keeps drawing from the same stream afterwards
@@ -393,26 +401,29 @@ def test_conjugator_off_the_zero_set_raises_naming_the_row():
 
 def _round_trip_loop(model, rng, trips):
     # the trip-by-trip loop the certificate replaced, kept as its
-    # reference: draw, reduce and compare one trip at a time
+    # reference: the certificate's blocks, drawn in its order, then
+    # reduced and compared one trip at a time
     def reduce(g, y):
         return weyl_canonicalize(model, _rep(model, g, y))
 
+    if model.is_abelian:
+        taus = random_group_coords(model, rng, trips)
+        ys = rng.uniform(-2, 2, (trips, model.rank))
+        hs = [None] * trips
+    else:
+        taus = rng.uniform(0.3, 5.5, trips)
+        ys = rng.uniform(-2, 2, trips)
+        hs = random_group_coords(model, rng, trips)
     worst = 0.0
-    for _ in range(trips):
+    for tau, y, h_row in zip(taus, ys, hs):
         if model.is_abelian:
-            tau = rng.uniform(0, 2 * math.pi, size=model.rank)
-            y0 = rng.uniform(-2, 2, size=model.rank)
             t0 = _exp(model, tau)
-            rep = reduce(t0, y0)
-            t_ref, y_ref = t0, y0
+            rep = reduce(t0, y)
+            t_ref, y_ref = t0, y
         else:
-            tau = rng.uniform(0.3, 5.5)
-            yv = rng.uniform(-2, 2)
-            h0 = random_group_point(model, rng).matrix
-            t0, y0 = torus_pair(tau, yv)
-            # the certificate's product kernel on a one-row stack: a
-            # matrix alone multiplies in numpy scalars, whose complex
-            # product rounds apart from a stack's in the last bit
+            h0 = _exp(model, h_row)
+            t0, y0 = torus_pair(tau, y)
+            # the certificate's product kernel on a one-row stack
             h = h0[None]
             moved = matmul_batch(matmul_batch(h, t0[None]),
                                  h.conj().swapaxes(1, 2))[0]
