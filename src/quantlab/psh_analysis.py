@@ -35,11 +35,12 @@ from quantlab.report import CheckReport
 
 __all__ = [
     "InvariantPotential",
-    "make_potential",
+    "square_potential",
+    "logeta_potential",
+    "combined_potential",
     "mu_gradient",
     "theta_spectrum",
     "theta_matrix_oracle",
-    "psh_verdict",
     "canonical_semi_negativity_certificate",
     "twist_positivity_certificate",
     "oracle_agreement_certificate",
@@ -47,7 +48,6 @@ __all__ = [
     "spectrum_curve_certificate",
 ]
 
-_PRESETS = ("square", "logeta", "combined:6.283185307179586,2")
 # the least eigenvalue a twisted potential must clear to count as positive
 _TWIST_MARGIN = 1e-6
 
@@ -56,77 +56,65 @@ _TWIST_MARGIN = 1e-6
 class InvariantPotential:
     """A Weyl-invariant potential on t, given by its analytic gradient and
     Hessian.  Both act on (N, r) stacks of torus coordinates, r =
-    ``model.rank``: ``grad_fn`` returns an (N, r) array and ``hess_fn`` an
+    ``model.rank``: ``grad`` returns an (N, r) array and ``hess`` an
     (N, r, r) one."""
 
-    name: str
     model: LieModel
-    grad_fn: Callable[[np.ndarray], np.ndarray]
-    hess_fn: Callable[[np.ndarray], np.ndarray]
-
-    def _checked(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, float)
-        if ts.ndim != 2 or ts.shape[1] != self.model.rank:
-            raise ValueError(
-                f"{self.name} takes an (N, {self.model.rank}) stack of "
-                f"torus coordinates, got shape {ts.shape}"
-            )
-        return ts
-
-    def grad(self, ts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(self._checked(ts)), float)
-
-    def hess(self, ts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.hess_fn(self._checked(ts)), float)
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]
 
 
-def make_potential(model: LieModel, spec: str) -> InvariantPotential:
-    """Built-in potentials by name: "square", "logeta", "combined:a,b"."""
-    if spec == "square":
-        return InvariantPotential(
-            "square",
-            model,
-            grad_fn=lambda t: 2.0 * t,
-            hess_fn=lambda t: np.broadcast_to(
-                2.0 * np.eye(t.shape[1]), (t.shape[0],) + 2 * t.shape[1:]),
-        )
-    if spec == "logeta":
-        pos = model.positive_roots()
-        outers = pos[:, :, None] * pos[:, None, :]
+def square_potential(model: LieModel) -> InvariantPotential:
+    """The quadratic potential |Y|^2."""
+    return InvariantPotential(
+        model,
+        grad=lambda t: 2.0 * t,
+        hess=lambda t: np.broadcast_to(
+            2.0 * np.eye(t.shape[1]), (t.shape[0],) + 2 * t.shape[1:]),
+    )
 
-        # coth x - 1/x = (x cosh x - sinh x)/(x sinh x) and its derivative
-        # 1/x^2 - 1/sinh(x)^2 = (sinh x - x)(sinh x + x)/(x sinh x)^2, with
-        # x cosh x - sinh x = 2x sinh(x/2)^2 - (sinh x - x): no cancellation
-        def grad(t):
-            x = t @ pos.T
-            return (x * (0.5 * sinhc(x / 2.0) ** 2 - _sinh_remainder(x))
-                    / sinhc(x)) @ pos
 
-        def hess(t):
-            x = t @ pos.T
-            inv_sinhc = 1.0 / sinhc(x)
-            second = _sinh_remainder(x) * inv_sinhc * (1.0 + inv_sinhc)
-            return (second[:, :, None, None] * outers).sum(axis=1)
+def logeta_potential(model: LieModel) -> InvariantPotential:
+    """log eta~, the sum of log(sinh(x) / x) at x = alpha(Y), alpha > 0."""
+    pos = model.positive_roots()
+    outers = pos[:, :, None] * pos[:, None, :]
 
-        return InvariantPotential("logeta", model, grad_fn=grad,
-                                  hess_fn=hess)
-    if spec.startswith("combined:"):
-        try:
-            a_str, b_str = spec.split(":", 1)[1].split(",")
-            a, b = float(a_str), float(b_str)
-        except ValueError as exc:
-            raise ValueError(
-                f"combined potential wants 'combined:a,b', got {spec!r}"
-            ) from exc
-        sq = make_potential(model, "square")
-        le = make_potential(model, "logeta")
-        return InvariantPotential(
-            spec,
-            model,
-            grad_fn=lambda t: a * sq.grad(t) + b * le.grad(t),
-            hess_fn=lambda t: a * sq.hess(t) + b * le.hess(t),
-        )
-    raise ValueError(f"unknown potential {spec!r}")
+    # coth x - 1/x = (x cosh x - sinh x)/(x sinh x) and its derivative
+    # 1/x^2 - 1/sinh(x)^2 = (sinh x - x)(sinh x + x)/(x sinh x)^2, with
+    # x cosh x - sinh x = 2x sinh(x/2)^2 - (sinh x - x): no cancellation
+    def grad(t):
+        x = t @ pos.T
+        return (x * (0.5 * sinhc(x / 2.0) ** 2 - _sinh_remainder(x))
+                / sinhc(x)) @ pos
+
+    def hess(t):
+        x = t @ pos.T
+        inv_sinhc = 1.0 / sinhc(x)
+        second = _sinh_remainder(x) * inv_sinhc * (1.0 + inv_sinhc)
+        return (second[:, :, None, None] * outers).sum(axis=1)
+
+    return InvariantPotential(model, grad=grad, hess=hess)
+
+
+def combined_potential(model: LieModel, a: float,
+                       b: float) -> InvariantPotential:
+    """The twisted potential a|Y|^2 + b log eta~."""
+    sq = square_potential(model)
+    le = logeta_potential(model)
+    return InvariantPotential(
+        model,
+        grad=lambda t: a * sq.grad(t) + b * le.grad(t),
+        hess=lambda t: a * sq.hess(t) + b * le.hess(t),
+    )
+
+
+# the potentials the oracle and wall checks run, by report name
+_PRESETS = {
+    "square": square_potential,
+    "logeta": logeta_potential,
+    "combined:6.283185307179586,2":
+        lambda model: combined_potential(model, 2 * math.pi, 2.0),
+}
 
 
 def _flat_gradient(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
@@ -139,10 +127,8 @@ def _flat_gradient(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
     """
     model = K.model
     if model.is_abelian:
-        out = np.zeros_like(ys)
-        tidx = list(model.torus_indices)
-        out[:, tidx] = K.grad(ys[:, tidx])
-        return out
+        # an abelian algebra is its own torus: every axis is a torus axis
+        return K.grad(ys)
     r = np.linalg.norm(ys, axis=1)
     small = r < 1e-9
     slope = np.empty_like(r)
@@ -258,63 +244,38 @@ def theta_matrix_oracle(K: InvariantPotential, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def psh_verdict(
-    K: InvariantPotential, grid: np.ndarray, margin: float = 0.0
-) -> CheckReport:
-    """Spectrum scan over a grid on t, one point per row of an (N, r)
-    array (a 1-D array is accepted at rank 1 only): the potential is
-    accepted when every eigenvalue stays above -1e-8 + margin, and
-    otherwise the worst witness point is reported."""
+def _scan(K: InvariantPotential) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid, 201 points of [-5, 5] on t, one per row, every
+    further torus axis at 0.3 times the first; and the least eigenvalue of
+    theta_spectrum at each of its points."""
     model = K.model
-    grid = np.asarray(grid, float)
-    if grid.ndim == 1 and model.rank == 1:
-        grid = grid[:, None]
-    if grid.ndim != 2 or grid.shape[1] != model.rank or not grid.shape[0]:
-        raise ValueError(
-            f"psh_verdict on {model.name} takes a nonempty (N, {model.rank}) "
-            f"grid of torus coordinates, got shape {grid.shape}"
-        )
-    coords = np.zeros((grid.shape[0], model.dim))
-    coords[:, list(model.torus_indices)] = grid
-    mins = theta_spectrum(K, coords).min(axis=1)
-    worst = int(np.argmin(mins))
-    worst_val = float(mins[worst])
-    return CheckReport.from_error(
-        f"psh.verdict.{K.name}",
-        "an invariant potential is plurisubharmonic exactly when its flat "
-        "Hessian and all root values alpha(mu)(coth(alpha)+1) are "
-        "nonnegative over t",
-        tolerance=1e-8,
-        # a NaN eigenvalue propagates and fails the check
-        max_error=np.maximum(0.0, margin - worst_val),
-        min_eigenvalue=worst_val,
-        witness_point=list(grid[worst]),
-        grid_points=int(grid.shape[0]),
-        margin=margin,
-    )
-
-
-def _scan_grid(model: LieModel) -> np.ndarray:
-    """201 points of [-5, 5] on t, one per row; every further torus axis
-    runs at 0.3 times the first."""
     grid = np.linspace(-5.0, 5.0, 201).reshape(-1, 1)
-    return np.hstack([grid] + [0.3 * grid] * (model.rank - 1))
+    grid = np.hstack([grid] + [0.3 * grid] * (model.rank - 1))
+    coords = np.zeros((len(grid), model.dim))
+    coords[:, list(model.torus_indices)] = grid
+    return grid, theta_spectrum(K, coords).min(axis=1)
 
 
 def canonical_semi_negativity_certificate(model: LieModel) -> CheckReport:
     """Convexity of the log-density over the scan grid: the curvature of
     the top-degree holomorphic form bundle is semi-negative iff this
     spectrum is nonnegative; tori give the identically flat case."""
-    K = make_potential(model, "logeta")
-    inner = psh_verdict(K, _scan_grid(model))
+    grid, mins = _scan(logeta_potential(model))
+    worst = int(np.argmin(mins))
+    least = float(mins[worst])
     return CheckReport.from_error(
         "psh.canonical_semi_negativity",
         "log of the fiber density is convex on t (limit value 1/3 at the "
         "origin for each root), so the dual of the top-form bundle has "
         "nonnegative curvature spectrum",
-        tolerance=inner.tolerance,
-        max_error=inner.max_error,
-        **inner.metadata,
+        tolerance=1e-8,
+        # a NaN eigenvalue propagates and fails the check; 0.0 - least,
+        # not -least, so that a flat spectrum reads 0.0 rather than -0.0
+        max_error=np.maximum(0.0, 0.0 - least),
+        min_eigenvalue=least,
+        witness_point=list(grid[worst]),
+        grid_points=len(grid),
+        margin=0.0,
     )
 
 
@@ -326,18 +287,22 @@ def twist_positivity_certificate(
     positive when this spectrum clears _TWIST_MARGIN."""
     if a <= 0:
         raise ValueError("twist coefficient a must be positive")
-    K = make_potential(model, f"combined:{a},{b}")
-    inner = psh_verdict(K, _scan_grid(model), margin=_TWIST_MARGIN)
-    meta = dict(inner.metadata)
-    meta.update({"a": a, "b": b})
+    grid, mins = _scan(combined_potential(model, a, b))
+    worst = int(np.argmin(mins))
+    least = float(mins[worst])
     return CheckReport.from_error(
         "psh.twist_positivity",
         "the quadratic prequantum potential plus b times the log-density "
         "stays strictly convex in the curvature-spectrum sense",
         tolerance=1e-15,
-        # the verdict's own error, which a NaN eigenvalue makes NaN
-        max_error=inner.max_error,
-        **meta,
+        # a NaN eigenvalue propagates and fails the check
+        max_error=np.maximum(0.0, _TWIST_MARGIN - least),
+        min_eigenvalue=least,
+        witness_point=list(grid[worst]),
+        grid_points=len(grid),
+        margin=_TWIST_MARGIN,
+        a=a,
+        b=b,
     )
 
 
@@ -359,8 +324,8 @@ def oracle_agreement_certificate(
     coords = np.zeros((17, model.dim))
     coords[:, -1] = np.linspace(0.15, 2.5, 17)
     worst = 0.0
-    for preset in _PRESETS:
-        K = make_potential(model, preset)
+    for potential in _PRESETS.values():
+        K = potential(model)
         closed = theta_spectrum(K, coords)
         oracle = np.linalg.eigvalsh(theta_matrix_oracle(K, coords))
         # np.maximum, so that a NaN gap propagates and fails the check
@@ -386,8 +351,8 @@ def wall_limit_certificate(
     yval = 1e-3
     worst = 0.0
     if not model.is_abelian:
-        for preset in _PRESETS:
-            K = make_potential(model, preset)
+        for potential in _PRESETS.values():
+            K = potential(model)
             spec = theta_spectrum(K, np.array([[0.0, 0.0, yval]]))
             hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
             for a, val in zip(model.roots[:, 0], spec[0, model.rank:]):
@@ -409,20 +374,15 @@ def spectrum_curve_certificate(model: LieModel) -> CheckReport:
     """The least curvature eigenvalue of the square and logeta potentials
     along the scan grid; the square potential's curve must stay
     nonnegative, and both curves go into the report."""
-    curve_pts = _scan_grid(model)
-    coords = np.zeros((len(curve_pts), model.dim))
-    coords[:, -model.rank:] = curve_pts
-    curves = {
-        preset: [float(v) for v in theta_spectrum(
-            make_potential(model, preset), coords).min(axis=1)]
-        for preset in ("square", "logeta")
-    }
+    grid, square = _scan(square_potential(model))
+    curves = {"square": square.tolist(),
+              "logeta": _scan(logeta_potential(model))[1].tolist()}
     return CheckReport.from_error(
         "psh.spectrum_curve",
         "the flat potential keeps a nonnegative curvature spectrum "
         "along the scanned slice of the flat directions",
         tolerance=1e-8,
-        max_error=np.maximum(0.0, -np.min(curves["square"])),
-        spectrum_grid=[float(g) for g in curve_pts[:, 0]],
+        max_error=np.maximum(0.0, -square.min()),
+        spectrum_grid=grid[:, 0].tolist(),
         spectrum_min=curves,
     )

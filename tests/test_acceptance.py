@@ -20,7 +20,7 @@ from quantlab.coherent_transform import (
     irrep_labels,
 )
 from quantlab.lie_core import get_model
-from quantlab.psh_analysis import make_potential
+from quantlab.psh_analysis import logeta_potential
 from quantlab.reduction import qr_commutes_certificate
 from quantlab.stratum_density import (
     line_removal_contrast,
@@ -77,7 +77,7 @@ def test_criterion_3_eta_suite(suites):
     assert eta.tolerance <= 1e-5
     assert eta.metadata["grid"] >= 10_000
     # log of the fiber density is convex along the torus directions
-    K = make_potential(get_model("su2"), "logeta")
+    K = logeta_potential(get_model("su2"))
     eigs = np.linalg.eigvalsh(K.hess(np.linspace(-6.0, 6.0, 301)[:, None]))
     assert min(0.0, float(eigs.min())) >= -1e-8
     semi = reports["psh.canonical_semi_negativity"]

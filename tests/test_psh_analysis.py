@@ -12,10 +12,11 @@ from quantlab.lie_core import (
 from quantlab.psh_analysis import (
     InvariantPotential,
     canonical_semi_negativity_certificate,
-    make_potential,
+    combined_potential,
+    logeta_potential,
     mu_gradient,
-    psh_verdict,
     spectrum_curve_certificate,
+    square_potential,
     theta_matrix_oracle,
     theta_spectrum,
     twist_positivity_certificate,
@@ -25,6 +26,19 @@ from quantlab.psh_analysis import (
 SU2 = get_model("su2")
 U1 = get_model("u1")
 T2 = get_model("t2")
+TWO_PI = 2 * math.pi
+
+
+def _twisted(a, b):
+    return lambda model: combined_potential(model, a, b)
+
+
+# the three potentials the oracle and wall certificates run, by report name
+PRESETS = {
+    "square": square_potential,
+    "logeta": logeta_potential,
+    "combined:6.283185307179586,2": _twisted(TWO_PI, 2.0),
+}
 
 
 def torus_vec(model, *tvals):
@@ -48,7 +62,7 @@ def _spectrum(K, y):
 
 
 def test_square_gradient_is_doubling():
-    K = make_potential(SU2, "square")
+    K = square_potential(SU2)
     y = np.array([0.3, -0.1, 0.7])
     mu = _mu(K, np.eye(2, dtype=complex), y)
     assert np.allclose(mu, 2 * y, atol=1e-12)
@@ -56,8 +70,8 @@ def test_square_gradient_is_doubling():
 
 def test_mu_is_equivariant():
     rng = np.random.default_rng(7)
-    for name in ("square", "logeta", "combined:1.5,0.5"):
-        K = make_potential(SU2, name)
+    for potential in (square_potential, logeta_potential, _twisted(1.5, 0.5)):
+        K = potential(SU2)
         for _ in range(40):
             x = random_group_point(SU2, rng).matrix
             h = random_group_point(SU2, rng).matrix
@@ -70,7 +84,7 @@ def test_mu_is_equivariant():
 
 def test_spectrum_square_at_unit_torus_point():
     # Hessian eigenvalue 2; root values 2(coth(1) +/- 1)
-    K = make_potential(SU2, "square")
+    K = square_potential(SU2)
     spec = _spectrum(K, torus_vec(SU2, 1.0))
     coth1 = 1.0 / math.tanh(1.0)
     # rank 1 and two roots: the Hessian eigenvalue, then the root values
@@ -83,7 +97,7 @@ def test_spectrum_square_at_unit_torus_point():
 
 
 def test_spectrum_logeta_at_origin_is_one_third():
-    K = make_potential(SU2, "logeta")
+    K = logeta_potential(SU2)
     vals = _spectrum(K, torus_vec(SU2, 0.0))
     assert vals.shape == (1, 3)
     assert np.abs(vals - 1.0 / 3.0).max() < 1e-9
@@ -92,9 +106,8 @@ def test_spectrum_logeta_at_origin_is_one_third():
 def test_wall_limit_matches_nearby_closed_form():
     # At alpha(Y) = 1e-3 the closed-form value must agree with the
     # across-wall limit formula to 1e-5.
-    for name in ("square", "logeta", "combined:6.283185307179586,2",
-                 "combined:6.283185307179586,1"):
-        K = make_potential(SU2, name)
+    for potential in [*PRESETS.values(), _twisted(TWO_PI, 1.0)]:
+        K = potential(SU2)
         y = 1e-3
         spec = _spectrum(K, torus_vec(SU2, y))
         hess0 = float(K.hess(np.zeros((1, 1)))[0, 0, 0])
@@ -105,25 +118,24 @@ def test_wall_limit_matches_nearby_closed_form():
 
 
 def test_spectrum_exactly_on_wall_uses_limit():
-    K = make_potential(SU2, "square")
+    K = square_potential(SU2)
     assert np.abs(_spectrum(K, torus_vec(SU2, 0.0)) - 2.0).max() < 1e-12
 
 
 def test_gradient_sign_lemma_for_convex_potentials():
     # alpha(grad) has the sign of alpha(Y) when the potential is convex
-    for name in ("square", "combined:6.283185307179586,2"):
-        K = make_potential(SU2, name)
+    for potential in (square_potential, _twisted(TWO_PI, 2.0)):
+        K = potential(SU2)
         ys = np.linspace(-5, 5, 41)
         ys = ys[np.abs(ys) >= 1e-12]
         ratio = K.grad(ys[:, None])[:, 0] / ys
         assert ratio.min() >= -1e-10
 
 
-@pytest.mark.parametrize("name", ["square", "logeta",
-                                  "combined:6.283185307179586,2"])
+@pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("y", [0.35, 1.0, 2.2])
-def test_oracle_matrix_matches_closed_spectrum_su2(name, y):
-    K = make_potential(SU2, name)
+def test_oracle_matrix_matches_closed_spectrum_su2(preset, y):
+    K = PRESETS[preset](SU2)
     Y = torus_vec(SU2, y)
     mat = theta_matrix_oracle(K, Y[None])[0]
     assert np.abs(mat - mat.conj().T).max() < 1e-8
@@ -134,41 +146,59 @@ def test_oracle_matrix_matches_closed_spectrum_su2(name, y):
 
 
 def test_oracle_reduces_to_hessian_on_torus_models():
-    K = make_potential(U1, "square")
+    K = square_potential(U1)
     mat = theta_matrix_oracle(K, torus_vec(U1, 0.8)[None])
     assert np.abs(mat - 2.0 * np.eye(1)).max() < 1e-6
-    K2 = make_potential(T2, "square")
+    K2 = square_potential(T2)
     mat2 = theta_matrix_oracle(K2, torus_vec(T2, 0.4, -1.1)[None])
     assert np.abs(mat2 - 2.0 * np.eye(2)).max() < 1e-6
 
 
-def test_psh_verdict_accepts_square_and_rejects_negative_square():
-    grid = np.linspace(-4, 4, 81)
-    good = psh_verdict(make_potential(SU2, "square"), grid)
-    assert good.passed
-    bad_pot = InvariantPotential(
-        "negsquare", SU2,
-        grad_fn=lambda t: -2.0 * t,
-        hess_fn=lambda t: -2.0 * np.eye(t.shape[1]) * np.ones((len(t), 1, 1)),
+def test_scan_certificates_reject_a_negative_square(monkeypatch):
+    assert spectrum_curve_certificate(SU2).passed
+    neg_square = InvariantPotential(
+        SU2,
+        grad=lambda t: -2.0 * t,
+        hess=lambda t: -2.0 * np.eye(t.shape[1]) * np.ones((len(t), 1, 1)),
     )
-    bad = psh_verdict(bad_pot, grid)
-    assert not bad.passed
-    assert bad.metadata["min_eigenvalue"] < -1.9
+    monkeypatch.setattr(psh_analysis, "logeta_potential",
+                        lambda model: neg_square)
+    monkeypatch.setattr(psh_analysis, "combined_potential",
+                        lambda model, a, b: neg_square)
+    for rep in (canonical_semi_negativity_certificate(SU2),
+                twist_positivity_certificate(SU2, TWO_PI, 2.0)):
+        assert not rep.passed
+        assert rep.metadata["min_eigenvalue"] < -1.9
 
 
-def test_psh_verdict_locates_witness_for_cosine():
-    pot = InvariantPotential(
-        "cosine", SU2,
-        grad_fn=lambda t: -np.sin(t),
-        hess_fn=lambda t: -np.cos(t)[:, :, None] * np.eye(t.shape[1]),
+def test_scan_certificate_witness_attains_the_minimum(monkeypatch):
+    cosine = InvariantPotential(
+        SU2,
+        grad=lambda t: -np.sin(t),
+        hess=lambda t: -np.cos(t)[:, :, None] * np.eye(t.shape[1]),
     )
-    rep = psh_verdict(pot, np.linspace(-3, 3, 121))
+    monkeypatch.setattr(psh_analysis, "logeta_potential",
+                        lambda model: cosine)
+    rep = canonical_semi_negativity_certificate(SU2)
     assert not rep.passed
     assert rep.metadata["min_eigenvalue"] < -0.5
     # the witness really attains the reported minimum
     witness = torus_vec(SU2, rep.metadata["witness_point"][0])
-    again = _spectrum(pot, witness).min(axis=1)[0]
+    again = _spectrum(cosine, witness).min(axis=1)[0]
     assert abs(again - rep.metadata["min_eigenvalue"]) < 1e-12
+
+
+def test_scan_certificates_fail_on_a_nan_potential(monkeypatch):
+    nan_pot = InvariantPotential(
+        SU2,
+        grad=lambda t: np.full_like(t, np.nan),
+        hess=lambda t: np.full((len(t), 1, 1), np.nan),
+    )
+    monkeypatch.setattr(psh_analysis, "logeta_potential",
+                        lambda model: nan_pot)
+    rep = canonical_semi_negativity_certificate(SU2)
+    assert rep.passed is False
+    assert "failure" in rep.metadata
 
 
 def test_canonical_certificate_su2_and_torus():
@@ -178,12 +208,13 @@ def test_canonical_certificate_su2_and_torus():
     flat = canonical_semi_negativity_certificate(T2)
     assert flat.passed
     assert abs(flat.metadata["min_eigenvalue"]) < 1e-12
+    # a flat spectrum's error is 0.0, not -0.0
+    assert math.copysign(1.0, flat.max_error) == 1.0
 
 
 def test_twist_certificates_for_shipped_coefficients():
-    two_pi = 2 * math.pi
     for b in (2.0, 1.0):
-        rep = twist_positivity_certificate(SU2, two_pi, b)
+        rep = twist_positivity_certificate(SU2, TWO_PI, b)
         assert rep.passed
         assert rep.metadata["min_eigenvalue"] > 1e-6
 
@@ -193,13 +224,6 @@ def test_twist_certificate_rejects_bad_coefficients():
         twist_positivity_certificate(SU2, -1.0, 2.0)
     rep = twist_positivity_certificate(SU2, 0.001, -5.0)
     assert not rep.passed
-
-
-def test_combined_parse_errors():
-    with pytest.raises(ValueError):
-        make_potential(SU2, "combined:1")
-    with pytest.raises(ValueError):
-        make_potential(SU2, "no-such-potential")
 
 
 def _scan_coords(model):
@@ -212,13 +236,10 @@ def _scan_coords(model):
     return coords
 
 
-PRESETS = ["square", "logeta", "combined:6.283185307179586,2"]
-
-
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("model", [U1, T2, SU2], ids=lambda m: m.name)
 def test_theta_spectrum_rows_equal_one_row_calls(model, preset):
-    K = make_potential(model, preset)
+    K = PRESETS[preset](model)
     coords = _scan_coords(model)
     spec = theta_spectrum(K, coords)
     assert spec.shape == (len(coords), model.rank + len(model.roots))
@@ -232,7 +253,7 @@ def test_theta_spectrum_rows_equal_one_row_calls(model, preset):
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("model", [U1, T2, SU2], ids=lambda m: m.name)
 def test_theta_matrix_oracle_rows_equal_one_row_calls(model, preset):
-    K = make_potential(model, preset)
+    K = PRESETS[preset](model)
     coords = _scan_coords(model)[::4]
     mats = theta_matrix_oracle(K, coords)
     assert mats.shape == (len(coords), model.dim, model.dim)
@@ -245,7 +266,7 @@ def test_root_values_keep_their_digits_below_the_wall(alpha):
     # the square potential's root value is 2 (alpha coth(alpha) + alpha),
     # that is 4 alpha e^{2 alpha} / (e^{2 alpha} - 1), where the sum
     # cancels for alpha << 0
-    spec = _spectrum(make_potential(SU2, "square"), torus_vec(SU2, alpha))
+    spec = _spectrum(square_potential(SU2), torus_vec(SU2, alpha))
     e = math.exp(2.0 * alpha)
     want = 4.0 * alpha * e / math.expm1(2.0 * alpha)
     # the first root column
@@ -270,40 +291,20 @@ def test_logeta_derivatives_keep_their_digits_at_small_arguments(x):
                   for k, a in enumerate(_COTH_MINUS_RECIPROCAL_SERIES)]
     for terms in (grad_terms, hess_terms):
         assert abs(terms[-1]) < 1e-17 * abs(math.fsum(terms))
-    K = make_potential(SU2, "logeta")
+    K = logeta_potential(SU2)
     for sign in (1.0, -1.0):
         t = np.array([[sign * x]])
         assert abs(K.grad(t)[0, 0] / (sign * math.fsum(grad_terms)) - 1) < 1e-15
         assert abs(K.hess(t)[0, 0, 0] / math.fsum(hess_terms) - 1) < 1e-15
 
 
-def test_psh_verdict_refuses_a_grid_that_is_not_rank_wide():
-    # full su2 coordinates are not 15 rank-1 points, a 1-D grid is only
-    # a rank-1 grid, and an empty grid has nothing to certify
-    K = make_potential(SU2, "square")
-    with pytest.raises(ValueError, match="grid"):
-        psh_verdict(K, np.zeros((5, 3)))
-    with pytest.raises(ValueError, match="grid"):
-        psh_verdict(make_potential(T2, "square"), np.linspace(-1, 1, 6))
-    with pytest.raises(ValueError, match="grid"):
-        psh_verdict(K, np.zeros((0, 1)))
-    assert psh_verdict(K, np.linspace(-1, 1, 5)).metadata["grid_points"] == 5
-
-
-def test_psh_verdict_fails_on_a_nan_spectrum():
-    nan_pot = InvariantPotential(
-        "nan", SU2,
-        grad_fn=lambda t: np.full_like(t, np.nan),
-        hess_fn=lambda t: np.full((len(t), 1, 1), np.nan),
-    )
-    assert not psh_verdict(nan_pot, np.linspace(-1, 1, 5)).passed
-
-
 @pytest.mark.parametrize("certificate", [
-    lambda: twist_positivity_certificate(SU2, 2 * math.pi, 2.0),
+    lambda: canonical_semi_negativity_certificate(SU2),
+    lambda: twist_positivity_certificate(SU2, TWO_PI, 2.0),
     lambda: spectrum_curve_certificate(SU2),
     lambda: wall_limit_certificate(SU2),
-], ids=["twist_positivity", "spectrum_curve", "wall_limit"])
+], ids=["canonical_semi_negativity", "twist_positivity", "spectrum_curve",
+        "wall_limit"])
 def test_certificates_fail_on_a_nan_spectrum(monkeypatch, certificate):
     # a NaN in the last entry of the last row: not the first row, so a
     # fold that drops NaN would skip it
@@ -318,3 +319,20 @@ def test_certificates_fail_on_a_nan_spectrum(monkeypatch, certificate):
     rep = certificate()
     assert rep.passed is False
     assert "failure" in rep.metadata
+
+
+@pytest.mark.parametrize("model", [U1, T2, SU2], ids=lambda m: m.name)
+def test_scan_certificates_read_one_scan(model):
+    # the canonical certificate and the logeta curve scan one grid
+    semi = canonical_semi_negativity_certificate(model)
+    curve = spectrum_curve_certificate(model).metadata["spectrum_min"]
+    assert semi.metadata["min_eigenvalue"] == min(curve["logeta"])
+    # the twist certificate and the oracle preset are one potential
+    coords = _scan_coords(model)
+    preset = psh_analysis._PRESETS["combined:6.283185307179586,2"](model)
+    twisted = combined_potential(model, TWO_PI, 2.0)
+    assert np.array_equal(theta_spectrum(twisted, coords),
+                          theta_spectrum(preset, coords))
+    twist = twist_positivity_certificate(model, TWO_PI, 2.0)
+    _, mins = psh_analysis._scan(preset)
+    assert twist.metadata["min_eigenvalue"] == mins.min()

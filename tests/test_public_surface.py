@@ -44,7 +44,10 @@ def test_export_list_is_the_public_surface(module):
 # label list is checked as one array, a torus character is summed over the
 # weights, and the zero-set conjugator diagonalizes the matrix with the
 # wider eigenvalue gap, with no retry over mix weights; and the
-# round-by-round sampler: samples are drawn as blocks
+# round-by-round sampler: samples are drawn as blocks; and the potential's
+# spec language and report layer: a potential is its model and two closed
+# forms, built by a factory with float coefficients, and each scan
+# certificate builds its own report from one scan
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
@@ -54,7 +57,8 @@ DELETED = {
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
                            "_logsumexp_rows", "Irrep", "irrep",
                            "_normalize_label", "_su2_characters"),
-    "psh_analysis": ("SpectrumReport", "_covectors"),
+    "psh_analysis": ("SpectrumReport", "_covectors", "make_potential",
+                     "psh_verdict", "_scan_grid"),
     "quadrature": (),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction", "_MIX_WEIGHTS"),
@@ -62,6 +66,7 @@ DELETED = {
 }
 # the dataclasses whose fields are exactly these
 FIELDS = {
+    "psh_analysis": {"InvariantPotential": ["model", "grad", "hess"]},
     "quadrature": {"QuadratureRule": ["axes"]},
     "reduction": {"ReducedRepresentative": ["t", "Y0", "conjugator"]},
 }
