@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from quantlab import stratum_density
+from quantlab.cli_report import SuiteConfig, _suite_density
 from quantlab.stratum_density import (
     GridField,
     _diff,
+    _diff_buffer,
     _discarded_box,
     _graph_norm,
     _l2_sq,
+    _strip_sums,
     cutoff_profile,
     field_from_function,
     grid_axes,
@@ -159,14 +162,27 @@ def _padded_diff(values, axis, h):
     return d / (2.0 * h)
 
 
+def _slabs(shape):
+    # the row slabs _strip_sums sums over: whole rows, at most
+    # _STRIP_CELLS samples each, at least one row
+    n, width = shape
+    rows = max(1, stratum_density._STRIP_CELLS // max(width, 1))
+    return [np.s_[lo:lo + rows] for lo in range(0, n, rows)]
+
+
 def _padded_terms(values, h):
-    # ||f||^2, ||dx f||^2, ||dy f||^2 and the graph norm, all in complex128
+    # ||f||^2, ||dx f||^2, ||dy f||^2 and the graph norm, all in complex128,
+    # each summed over the same row slabs as the kernels
     values = np.asarray(values, dtype=complex)
     dx, dy = _padded_diff(values, 0, h), _padded_diff(values, 1, h)
     dbar = 0.5 * (dx + 1j * dy)
-    l2 = _l2_sq(values, h)
-    return l2, _l2_sq(dx, h), _l2_sq(dy, h), math.sqrt(
-        l2 + 2.0 * _l2_sq(dbar, h))
+    l2 = dx_sq = dy_sq = dbar_sq = 0.0
+    for rows in _slabs(values.shape):
+        l2 += _l2_sq(values[rows], h)
+        dx_sq += _l2_sq(dx[rows], h)
+        dy_sq += _l2_sq(dy[rows], h)
+        dbar_sq += _l2_sq(dbar[rows], h)
+    return l2, dx_sq, dy_sq, math.sqrt(l2 + 2.0 * dbar_sq)
 
 
 def _padded_removal_error(f, m, removed_codim):
@@ -243,21 +259,25 @@ def test_norm_equivalence_fails_a_forward_difference(monkeypatch):
     monkeypatch.setattr(stratum_density, "_diff", forward)
     rep = norm_equivalence_report(f)
     assert not rep.passed and rep.max_error > 1e-4
-    assert calls == [False, False]
+    # each slab is differenced along both axes
+    slabs = len(_slabs(f.values.shape))
+    assert slabs > 1
+    assert calls == [False, False] * slabs
     # the real field's differences go into the parts of one complex buffer
     assert norm_equivalence_report(bump).max_error == 0.0
-    assert calls == [False, False, True, True]
+    assert calls == [False, False] * slabs + [True, True] * slabs
 
 
 def test_norm_equivalence_peak_memory():
     # one float64 grid is 8 MiB at n = 1024.  The bump is rho^2 turned
     # into the bump in place, plus a boolean mask and its complement (a
     # quarter of a grid); the support check reads a real field's scale off
-    # its extremes.  The report holds the field, one complex buffer (two
-    # grids) that is dx + i dy and then dbar, and one real |.|^2
-    # temporary.  Building dbar from two real differences through complex
-    # temporaries read 40.1 MiB, the bump from full-grid rho^2, mask and
-    # gap arrays 29.1 MiB, and the support check with an |f| grid 17.0 MiB.
+    # its extremes.  The report holds the field and, one slab of rows at a
+    # time, the slab's complex buffer (dx + i dy, then dbar) and its |.|^2
+    # temporaries.  Building dbar from two real differences through complex
+    # temporaries read 40.1 MiB, one whole-grid complex buffer 32 MiB, the
+    # bump from full-grid rho^2, mask and gap arrays 29.1 MiB, and the
+    # support check with an |f| grid 17.0 MiB.
     grid = 8 * 1024 * 1024
     tracemalloc.start()
     try:
@@ -269,7 +289,64 @@ def test_norm_equivalence_peak_memory():
     finally:
         tracemalloc.stop()
     assert bump_peak <= 1.25 * grid + 2**20, bump_peak / 2**20
-    assert report_peak <= 4 * grid + 2**20, report_peak / 2**20
+    assert report_peak <= 1.5 * grid, report_peak / 2**20
+
+
+def test_density_suite_peak_memory():
+    # the whole density suite at grid 1024, field included: the grid-n and
+    # grid-n // 2 bumps, the largest deletion box (the line box, every row
+    # and about 0.37 of the columns) and one slab's buffers.  With
+    # whole-grid dbar buffers it read 4.00 grids.
+    grid = 8 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        reports = _suite_density(SuiteConfig(suite="density", grid=1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 1.75 * grid, peak / grid
+
+
+def _whole_dbar(values, h):
+    # dbar over the whole array at once, as one buffer
+    if np.iscomplexobj(values):
+        return 0.5 * (_diff(values, 0, h) + 1j * _diff(values, 1, h))
+    dbar = _diff_buffer(values, h)
+    dbar *= 0.5
+    return dbar
+
+
+@pytest.mark.parametrize("n", [65, 1025])
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("make", [standard_bump, _lopsided])
+@pytest.mark.parametrize("box", ["grid", "line"])
+def test_strip_sums_do_not_depend_on_the_strip_height(
+        monkeypatch, n, rows, make, box):
+    # slabs of 1, 7 and all n rows, over the whole grid and over the line
+    # box at m = e (every row, about 0.37 of the columns)
+    f = make(n)
+    h = f.spacing
+    values = f.values if box == "grid" else _discarded_box(f, math.e, 1)[1]
+    height, width = values.shape
+    rows = rows or height
+    monkeypatch.setattr(stratum_density, "_STRIP_CELLS", rows * width)
+    seen = []
+
+    def spy(vals, h):
+        # per slab, the sums are taken in the order dx, dy, dbar, f
+        seen.append(np.array(vals) if len(seen) % 4 == 2 else None)
+        return _l2_sq(vals, h)
+
+    monkeypatch.setattr(stratum_density, "_l2_sq", spy)
+    sums = _strip_sums(values, h)
+    assert len(seen) == 4 * -(-height // rows)
+    dbar = _whole_dbar(values, h)
+    assert np.array_equal(np.concatenate(seen[2::4]), dbar)
+    dx, dy = _diff(values, 0, h), _diff(values, 1, h)
+    for got, a in zip(sums, (values, dx, dy, dbar)):
+        ref = h * h * np.sum(np.abs(a) ** 2)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_removal_errors_input_validation():
