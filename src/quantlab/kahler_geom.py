@@ -22,6 +22,14 @@ Every model satisfies A^3 = -theta^2 A, theta^2 = -trace(A^2)/2
 coefficients in theta that keep every digit as theta -> 0 and overflow
 with sinh(theta), near theta = 710.  On a torus A = 0 and the same code
 gives the flat blocks.
+
+Each (N, 2n, 2n) stack is written block by block into one preallocated
+array.  The 10,000-sample certificates draw their whole (N, n) coordinate
+stack first, in stream order, and then evaluate J, the metric and its
+solve over fixed blocks of rows (``lie_core._row_block_max``), keeping a
+running maximum of the error; every row is computed on its own, so the
+maxima are the whole stack's bit for bit and no (N, 2n, 2n) stack of all
+N rows is held.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from quantlab.density_weights import _sinh_remainder, sinhc
 from quantlab.lie_core import (
     LieModel,
     _exp_matrices,
+    _row_block_max,
     coords_from_matrix_batch,
     exp_alg_batch,
     matmul_batch,
@@ -98,6 +107,15 @@ def _j_block_values(theta: np.ndarray):
     return b_ul, c_ur, _sinh_remainder(theta) / sinhc(theta)
 
 
+def _block_matrix(ad: np.ndarray):
+    """An empty (N, 2n, 2n) stack for the (N, n, n) stack ad, with views
+    ((ul, ur), (ll, lr)) of its four (N, n, n) blocks to write in place."""
+    count, n = ad.shape[0], ad.shape[1]
+    out = np.empty((count, 2 * n, 2 * n))
+    return out, ((out[:, :n, :n], out[:, :n, n:]),
+                 (out[:, n:, :n], out[:, n:, n:]))
+
+
 def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     """Differentials of the polar map at (anything, Y), batched over Y.
 
@@ -107,8 +125,14 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     ad, ad2, theta = _ad_powers(model, ys)
     eye = np.eye(model.dim)
     c_cos, b_onemcos, b_msin, c_sinc = _block_values(theta)
-    return np.block([[eye + c_cos * ad2, b_onemcos * ad],
-                     [b_msin * ad, eye + c_sinc * ad2]])
+    out, ((ul, ur), (ll, lr)) = _block_matrix(ad)
+    np.multiply(c_cos, ad2, out=ul)
+    ul += eye
+    np.multiply(b_onemcos, ad, out=ur)
+    np.multiply(b_msin, ad, out=ll)
+    np.multiply(c_sinc, ad2, out=lr)
+    lr += eye
+    return out
 
 
 def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -116,8 +140,15 @@ def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     ad, ad2, theta = _ad_powers(model, ys)
     eye = np.eye(model.dim)
     b_ul, c_ur, c_ll = _j_block_values(theta)
-    return np.block([[b_ul * ad, c_ur * ad2 - eye],
-                     [c_ll * ad2 + eye, -b_ul * ad]])
+    out, ((ul, ur), (ll, lr)) = _block_matrix(ad)
+    np.multiply(b_ul, ad, out=ul)
+    np.multiply(c_ur, ad2, out=ur)
+    ur -= eye
+    np.multiply(c_ll, ad2, out=ll)
+    ll += eye
+    # -(b_ul A) is (-b_ul) A exactly
+    np.negative(ul, out=lr)
+    return out
 
 
 def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
@@ -134,16 +165,21 @@ def j_squared_certificate(
 ) -> CheckReport:
     """J^2 = -identity for the pulled-back complex structure at Y drawn as
     1.5 times a standard normal vector, in one draw of (samples, n) from
-    ``rng``; ``seed`` is the seed ``rng`` was made from, recorded in the
-    report."""
+    ``rng``, with J and J^2 formed one block of rows at a time; ``seed``
+    is the seed ``rng`` was made from, recorded in the report."""
     ys = rng.standard_normal((samples, model.dim)) * 1.5
-    js = complex_structure_batch(model, ys)
+    eye = np.eye(2 * model.dim)
+
+    def worst(ys):
+        js = complex_structure_batch(model, ys)
+        return np.abs(js @ js + eye).max()
+
     return CheckReport.from_error(
         "kahler.j_squared",
         "the pulled-back complex structure squares to -identity at "
         "every base point",
         tolerance=tolerance,
-        max_error=float(np.abs(js @ js + np.eye(2 * model.dim)).max()),
+        max_error=float(_row_block_max(worst, ys)),
         samples=samples,
         seed=seed,
     )
@@ -241,23 +277,31 @@ def completeness_certificate(
     metric Gram matrix and contract, (ii) the closed form
     4 |Y|^2 / (1 + |Y|^2)^2.  Both must agree to 1e-6 and stay below the
     global bound 4 (+1e-9 slack); the report folds any bound violation
-    into max_error.
+    into max_error.  The samples are drawn as one (sample_count, n) stack
+    and the metric is built and solved one block of rows at a time.
     """
     rng = np.random.default_rng(seed)
     n = model.dim
     ys = rng.standard_normal((sample_count, n)) * rng.uniform(
         0.1, 3.0, size=(sample_count, 1)
     )
-    norms_sq = np.sum(ys**2, axis=1)
-    # df = (0, 2 Y / (1 + |Y|^2)) on the dual of the 2n-vector frame.
-    cov = np.zeros((sample_count, 2 * n))
-    cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
-    grams = metric_batch(model, ys)
-    sharped = np.linalg.solve(grams, cov[:, :, None])[:, :, 0]
-    via_metric = np.einsum("mi,mi->m", cov, sharped)
-    closed = 4.0 * norms_sq / (1.0 + norms_sq) ** 2
-    agreement = float(np.abs(via_metric - closed).max())
-    sup_val = float(max(via_metric.max(), closed.max()))
+
+    def worst(ys):
+        # (agreement, largest via_metric, largest closed) over these rows
+        norms_sq = np.sum(ys**2, axis=1)
+        # df = (0, 2 Y / (1 + |Y|^2)) on the dual of the 2n-vector frame.
+        cov = np.zeros((len(ys), 2 * n))
+        cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
+        grams = metric_batch(model, ys)
+        sharped = np.linalg.solve(grams, cov[:, :, None])[:, :, 0]
+        via_metric = np.einsum("mi,mi->m", cov, sharped)
+        closed = 4.0 * norms_sq / (1.0 + norms_sq) ** 2
+        return (np.abs(via_metric - closed).max(), via_metric.max(),
+                closed.max())
+
+    agreement, via_max, closed_max = _row_block_max(worst, ys)
+    agreement = float(agreement)
+    sup_val = float(max(via_max, closed_max))
     bound_excess = max(0.0, sup_val - 4.0 - 1e-9)
     return CheckReport.from_error(
         "kahler.completeness",

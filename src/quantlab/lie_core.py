@@ -192,6 +192,26 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out_t.T
 
 
+# rows per block of _row_block_max: 2048 su2 rows keep a block's (N, 6, 6)
+# stacks near 0.6 MiB each; smaller blocks add per-block call overhead,
+# which the small torus stacks feel first
+_ROW_BLOCK = 2048
+
+
+def _row_block_max(fn, *stacks: np.ndarray) -> np.ndarray:
+    """The largest value of ``fn`` over fixed blocks of rows.
+
+    ``fn`` takes the same rows of every (N, ...) stack and returns a value
+    or a tuple of values, each a maximum over those rows; the result is
+    the maximum of each over the blocks, NaN if any block reads NaN, so it
+    is the maximum over all N rows as long as every row is computed on its
+    own.  An empty stack is one empty block, so it reads as ``fn`` does.
+    Only one block's temporaries are held at a time."""
+    count = len(stacks[0])
+    return np.max([fn(*(s[lo:lo + _ROW_BLOCK] for s in stacks))
+                   for lo in range(0, max(count, 1), _ROW_BLOCK)], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # built-in models
 

@@ -17,15 +17,17 @@ sum the same nonzero terms as on the whole grid.
 
 Every norm, of the field and of each box, is summed over slabs of whole
 rows, each read with its neighbour rows, so a slab's differences are the
-whole grid's bit for bit and no buffer the size of the grid is built
-beside the field.  At grid 1024 the norm-equivalence report peaks at 1.16
-float64 grids under tracemalloc, the field included, and the whole density
-suite at 1.52 grids.
+whole grid's bit for bit.  The standard bump is its closed form, sampled
+a slab at a time as the norms read it, and each box's discarded piece is
+formed a slab at a time too, so the density suite holds no array the
+size of the grid or of a box: under tracemalloc it peaks at 1.8 MiB at
+grid 1024 (0.23 float64 grids) and 1.9 MiB at grid 2048.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,51 +53,97 @@ GRID_DEFAULT = 2048
 _SUPPORT_TOL = 1e-13
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
+class _Sampled:
+    """The box ``rows`` x ``cols`` of a grid, sampled on demand.
+
+    ``self[r, c]`` (``self[r]``: every column) is the ndarray of the
+    box's rows r and columns c, slices of step 1 taken relative to the
+    box; ``sample`` receives them shifted to slices of the grid, and must
+    compute each sample on its own, so that any box reads the same values.
+    """
+
+    sample: Callable[[slice, slice], np.ndarray]
+    rows: slice
+    cols: slice
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows.stop - self.rows.start,
+                self.cols.stop - self.cols.start)
+
+    def __getitem__(self, key) -> np.ndarray:
+        r, c = key if isinstance(key, tuple) else (key, slice(None))
+        return self.sample(_within(r, self.rows), _within(c, self.cols))
+
+
+def _within(key: slice, box: slice) -> slice:
+    # the box-relative slice key as a slice of the grid
+    lo, hi, _ = key.indices(box.stop - box.start)
+    return slice(box.start + lo, box.start + hi)
+
+
 class GridField:
     """Real or complex field sampled on the uniform n-by-n grid over
     [-1, 1]^2; a real field stays real (float64), a complex one complex.
 
     ``values[i, j]`` is the sample at ``(x_i, y_j)`` with
-    ``x_i = -1 + i * spacing``.  The support must stay strictly inside the
-    square: a field whose boundary ring is not (numerically) zero is
-    rejected, because the difference operators silently assume zero
-    extension.
+    ``x_i = -1 + i * spacing``.  ``values`` is an array of samples, or a
+    closed form sampled on demand (``standard_bump``): the norms then read
+    it a slab of rows at a time, and reading ``values`` builds the whole
+    array anew.  The support must stay strictly inside the square: a
+    field whose boundary ring is not (numerically) zero is rejected,
+    because the difference operators silently assume zero extension.
     """
 
-    values: np.ndarray
-    spacing: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        vals = np.asarray(vals, dtype=np.result_type(vals, np.float64))
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+    def __init__(self, values, spacing: float):
+        if not isinstance(values, _Sampled):
+            values = np.asarray(values)
+            values = np.asarray(
+                values, dtype=np.result_type(values, np.float64))
+        shape = values.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("grid field must be a square 2-D array")
-        if vals.shape[0] < 8:
+        if shape[0] < 8:
             raise ValueError("grid too small to be meaningful")
-        if not self.spacing > 0:
+        if not spacing > 0:
             raise ValueError("spacing must be positive")
-        object.__setattr__(self, "values", vals)
+        self._samples, self.spacing = values, spacing
+        n = shape[0]
         edge = max(
-            float(np.abs(vals[0, :]).max()),
-            float(np.abs(vals[-1, :]).max()),
-            float(np.abs(vals[:, 0]).max()),
-            float(np.abs(vals[:, -1]).max()),
+            float(np.abs(values[r, c]).max())
+            for r, c in ((slice(0, 1), slice(0, n)),
+                         (slice(n - 1, n), slice(0, n)),
+                         (slice(0, n), slice(0, 1)),
+                         (slice(0, n), slice(n - 1, n)))
         )
-        # a real field's largest |value| from its extremes, with no |vals|
-        # temporary the size of the grid
-        peak = (np.abs(vals).max() if np.iscomplexobj(vals)
-                else max(vals.max(), -vals.min()))
-        scale = max(1.0, float(peak))
-        if edge > _SUPPORT_TOL * scale:
+        # the scale max(1, peak) is at least 1, so the peak is read only
+        # when the edge is above the tolerance itself
+        if edge > _SUPPORT_TOL and edge > _SUPPORT_TOL * max(
+                1.0, self._peak()):
             raise ValueError(
                 "support touches the boundary of [-1,1]^2; "
                 "shrink the field or enlarge the domain"
             )
 
+    def _peak(self) -> float:
+        # the largest |value|, NaN if any sample is NaN, a slab of rows at
+        # a time: a real slab's from its extremes, a complex one's from
+        # its |.|, so no temporary the size of the grid is built
+        peaks = []
+        for lo, hi in _slabs(self.size, self.size):
+            slab = self._samples[lo:hi]
+            peaks.append(np.abs(slab).max() if np.iscomplexobj(slab)
+                         else max(slab.max(), -slab.min()))
+        return float(np.max(peaks))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._samples[:, :]
+
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self._samples.shape[0]
 
 
 def grid_axes(n: int) -> tuple[np.ndarray, float]:
@@ -116,19 +164,26 @@ def standard_bump(n: int = GRID_DEFAULT, radius: float = 0.8) -> GridField:
     """Smooth radial bump exp(-1/(R^2 - rho^2)), zero outside rho = R.
 
     Nonzero at the origin, so it is a worst case for deleting the origin.
-    Built in one n-by-n buffer: rho^2, then the bump in place inside R.
+    Sampled from the closed form on demand, one box of the grid at a time
+    (rho^2 in one buffer, then the bump in place inside R), so building
+    it builds no grid: the norms read it a slab of rows at a time, and
+    ``values`` builds the whole grid, the same samples bit for bit.
     """
     if not 0 < radius < 1:
         raise ValueError("radius must sit strictly inside the domain")
     x, h = grid_axes(n)
     x_sq = x * x
-    out = np.add.outer(x_sq, x_sq)
-    inside = out < radius * radius
-    np.subtract(radius * radius, out, out=out, where=inside)
-    np.divide(-1.0, out, out=out, where=inside)
-    np.exp(out, out=out, where=inside)
-    out[~inside] = 0.0
-    return GridField(out, h)
+
+    def sample(rows: slice, cols: slice) -> np.ndarray:
+        out = np.add.outer(x_sq[rows], x_sq[cols])
+        inside = out < radius * radius
+        np.subtract(radius * radius, out, out=out, where=inside)
+        np.divide(-1.0, out, out=out, where=inside)
+        np.exp(out, out=out, where=inside)
+        out[~inside] = 0.0
+        return out
+
+    return GridField(_Sampled(sample, slice(0, n), slice(0, n)), h)
 
 
 def _diff(values: np.ndarray, axis: int, h: float,
@@ -166,48 +221,56 @@ def _diff_buffer(values: np.ndarray, h: float) -> np.ndarray:
     return buf
 
 
-# samples per slab of _strip_sums: 32 rows of the 1024 grid, whose complex
-# buffer is then a sixteenth of a float64 grid.  A box narrower than the
-# grid gets taller slabs, so that its slab count follows its size.
+# samples per slab of every grid read: 32 rows of the 1024 grid, whose
+# complex buffer is then a sixteenth of a float64 grid.  A box narrower
+# than the grid gets taller slabs, so that its slab count follows its size.
 _STRIP_CELLS = 32 * 1024
 
 
-def _strip_sums(values: np.ndarray, h: float) -> list[float]:
-    # ||f||^2, ||dx f||^2, ||dy f||^2 and ||dbar f||^2 of any rectangular
-    # array of samples, zero-extended, summed over slabs of whole rows (at
-    # most _STRIP_CELLS samples, at least one row), so that no buffer the
-    # size of the array is built.  Each slab is read with its neighbour row
-    # on either side; past the array's edge there is none, and _diff's edge
-    # rule is the zero extension.  So a slab's differences are the whole
-    # array's bit for bit, and only the order of the sums changes.
-    # dbar = 0.5 * (dx + i dy) is complex even when the field is real; a
-    # real field's dx + i dy is one complex buffer.
-    n, width = values.shape
+def _slabs(height: int, width: int) -> list[tuple[int, int]]:
+    # (lo, hi) of the slabs of whole rows, at most _STRIP_CELLS samples
+    # and at least one row each, of a height-by-width array
     strip = max(1, _STRIP_CELLS // max(width, 1))
-    sums = np.zeros(4)
-    for lo in range(0, n, strip):
-        hi = min(lo + strip, n)
+    return [(lo, min(lo + strip, height)) for lo in range(0, height, strip)]
+
+
+def _strip_sums(values, h: float, seminorm: bool = True) -> list[float]:
+    # ||f||^2, ||dx f||^2, ||dy f||^2 and ||dbar f||^2 (without the
+    # seminorm: ||f||^2 and ||dbar f||^2) of any rectangular array of
+    # samples, zero-extended, summed over _slabs, so that no buffer the
+    # size of the array is built.  ``values`` is an ndarray or a _Sampled
+    # box, read only as values[lo:hi], so a sampled field or box is
+    # evaluated one slab at a time.  Each slab is read with its neighbour
+    # row on either side; past the array's edge there is none, and
+    # _diff's edge rule is the zero extension.  So a slab's differences
+    # are the whole array's bit for bit, and only the order of the sums
+    # changes.  dbar = 0.5 * (dx + i dy) is complex even when the field is
+    # real; a real field's dx + i dy is one complex buffer.
+    n, width = values.shape
+    sums = np.zeros(4 if seminorm else 2)
+    for lo, hi in _slabs(n, width):
         top = max(lo - 1, 0)
         slab = values[top:hi + 1]
         rows = slice(lo - top, hi - top)
         if np.iscomplexobj(slab):
             dx, dy = _diff(slab, 0, h)[rows], _diff(slab, 1, h)[rows]
-            terms = [_l2_sq(dx, h), _l2_sq(dy, h),
-                     _l2_sq(0.5 * (dx + 1j * dy), h)]
+            semi = [_l2_sq(dx, h), _l2_sq(dy, h)] if seminorm else []
+            dbar_sq = _l2_sq(0.5 * (dx + 1j * dy), h)
         else:
             # the seminorm is read off the buffer's parts before the
             # buffer is scaled to dbar in place
             dbar = _diff_buffer(slab, h)[rows]
-            terms = [_l2_sq(dbar.real, h), _l2_sq(dbar.imag, h)]
+            semi = ([_l2_sq(dbar.real, h), _l2_sq(dbar.imag, h)]
+                    if seminorm else [])
             dbar *= 0.5
-            terms.append(_l2_sq(dbar, h))
-        sums += [_l2_sq(slab[rows], h), *terms]
+            dbar_sq = _l2_sq(dbar, h)
+        sums += [_l2_sq(slab[rows], h), *semi, dbar_sq]
     return sums.tolist()
 
 
-def _graph_norm(values: np.ndarray, h: float) -> float:
+def _graph_norm(values, h: float) -> float:
     # zero-extended graph norm of any rectangular array of samples
-    l2, _, _, dbar_sq = _strip_sums(values, h)
+    l2, dbar_sq = _strip_sums(values, h, seminorm=False)
     return math.sqrt(l2 + 2.0 * dbar_sq)
 
 
@@ -224,7 +287,7 @@ def norm_equivalence_report(f: GridField) -> CheckReport:
     1 <= H1 / graph <= sqrt(2).
     """
     # graph^2 from the complex dbar, set against the dx/dy seminorm
-    l2, dx_sq, dy_sq, dbar_sq = _strip_sums(f.values, f.spacing)
+    l2, dx_sq, dy_sq, dbar_sq = _strip_sums(f._samples, f.spacing)
     graph = math.sqrt(l2 + 2.0 * dbar_sq)
     predicted = l2 + 0.5 * (dx_sq + dy_sq)
     scale = max(1.0, predicted)
@@ -261,13 +324,15 @@ def cutoff_profile(m: float, r) -> np.ndarray:
 
 def _discarded_box(
     f: GridField, m: float, removed_codim: int
-) -> tuple[tuple[slice, slice], np.ndarray]:
-    # (1 - psi_m(dist)) * f on the index box outside which it is exactly
-    # zero, widened by one (zero) cell on each side where the grid allows.
-    # The box spans the axis samples with psi_m(|x|) < 1: the distance to
-    # the origin is at least |x_i| and |y_j|, and the distance to the line
-    # {y = 0} is |y_j|, so for the line the box spans every row.  With no
-    # such sample the box is empty.
+) -> tuple[tuple[slice, slice], _Sampled]:
+    # (1 - psi_m(dist)) * f, sampled on demand on the index box outside
+    # which it is exactly zero, widened by one (zero) cell on each side
+    # where the grid allows.  The box spans the axis samples with
+    # psi_m(|x|) < 1: the distance to the origin is at least |x_i| and
+    # |y_j|, and the distance to the line {y = 0} is |y_j|, so for the line
+    # the box spans every row.  With no such sample the box is empty.
+    # Each sample is f's times its own cutoff factor, so any slab of the
+    # box reads the whole box's values bit for bit.
     if removed_codim not in (1, 2):
         raise ValueError("removed_codim must be 1 or 2")
     x, h = grid_axes(f.size)
@@ -276,13 +341,16 @@ def _discarded_box(
     inside = np.flatnonzero(cutoff_profile(m, np.abs(x)) < 1.0)
     lo, hi = (inside[0] - 1, inside[-1] + 2) if inside.size else (0, 0)
     band = slice(max(lo, 0), min(hi, f.size))
-    if removed_codim == 2:
-        box = (band, band)
-        dist = np.hypot(x[band, None], x[None, band])
-    else:
-        box = (slice(None), band)
-        dist = np.abs(x[None, band])
-    return box, f.values[box] * (1.0 - cutoff_profile(m, dist))
+    box = (band if removed_codim == 2 else slice(0, f.size), band)
+
+    def sample(rows: slice, cols: slice) -> np.ndarray:
+        if removed_codim == 2:
+            dist = np.hypot(x[rows, None], x[None, cols])
+        else:
+            dist = np.abs(x[None, cols])
+        return f._samples[rows, cols] * (1.0 - cutoff_profile(m, dist))
+
+    return box, _Sampled(sample, *box)
 
 
 def removal_errors(

@@ -401,3 +401,26 @@ def test_positive_roots_are_the_rows_with_a_positive_leading_entry():
     # the leading entry is the first nonzero one: (0, 1) is positive
     assert np.array_equal(_su2_plus_su2().positive_roots(),
                           [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 100])
+def test_row_block_max_is_the_max_over_every_row(monkeypatch, block):
+    monkeypatch.setattr(lc, "_ROW_BLOCK", block)
+    a = np.random.default_rng(0).standard_normal((20, 2))
+    b = np.arange(20.0)
+    calls = []
+
+    def both(a, b):
+        calls.append(len(a))
+        return np.abs(a).max(initial=0.0), (a[:, 0] + b).max(initial=-1.0)
+
+    got = lc._row_block_max(both, a, b)
+    assert got.tolist() == [np.abs(a).max(), (a[:, 0] + b).max()]
+    assert calls == [min(block, 20 - lo) for lo in range(0, 20, block)]
+    # a NaN in any block reads NaN, as a whole-stack max does
+    a[13, 1] = np.nan
+    assert math.isnan(lc._row_block_max(lambda a: a.max(), a))
+    # an empty stack is one empty block
+    calls.clear()
+    assert lc._row_block_max(both, a[:0], b[:0]).tolist() == [0.0, -1.0]
+    assert calls == [0]

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quantlab import reduction
+from quantlab import lie_core, reduction
 from quantlab.coherent_transform import (
     _scaled,
     _torus_norms,
@@ -159,6 +160,42 @@ def test_momentum_certificate_reproduces_scalar_loop(name):
         assert report.max_error > 0.0
     # the suite keeps drawing from the same stream afterwards
     assert rng_batch.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("block", [7, 333, 10_000])
+def test_momentum_row_blocks_give_the_whole_stack_max(monkeypatch, block):
+    # the certificate's three draws, exponentiated and conjugated over the
+    # whole (10,000, 3) stacks at once
+    whole = np.random.default_rng(3)
+    g = exp_alg_batch(SU2, random_group_coords(SU2, whole, 10_000))
+    ys = whole.standard_normal((10_000, 3))
+    h = exp_alg_batch(SU2, random_group_coords(SU2, whole, 10_000))
+    moved_g = matmul_batch(matmul_batch(h, g), np.conj(np.swapaxes(h, 1, 2)))
+    lhs = momentum_map_batch(SU2, moved_g, adjoint_action_batch(SU2, h, ys))
+    rhs = adjoint_action_batch(SU2, h, momentum_map_batch(SU2, g, ys))
+    want = float(np.abs(lhs - rhs).max())
+    monkeypatch.setattr(lie_core, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(3)
+    rep = momentum_equivariance_certificate(SU2, rng, 3)
+    assert rep.max_error == want > 0.0
+    # the draws are the same three blocks, so the stream is where the
+    # whole-stack draws left it
+    assert rng.random() == whole.random()
+
+
+def test_momentum_certificate_peak_memory():
+    # 10,000 su2 rows over row blocks: the (N, 2, 2) group stacks and their
+    # products are one block's.  Over the whole stack it peaked at 5.1 MiB.
+    momentum_equivariance_certificate(SU2, np.random.default_rng(0), 0)
+    tracemalloc.start()
+    try:
+        rep = momentum_equivariance_certificate(
+            SU2, np.random.default_rng(0), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 4 * 2**20, peak / 2**20
 
 
 def test_zero_set_gate():

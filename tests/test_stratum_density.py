@@ -8,6 +8,7 @@ from quantlab import stratum_density
 from quantlab.cli_report import SuiteConfig, _suite_density
 from quantlab.stratum_density import (
     GridField,
+    _Sampled,
     _diff,
     _diff_buffer,
     _discarded_box,
@@ -73,6 +74,44 @@ def test_support_boundary_rejected():
         field_from_function(
             lambda X, Y: np.exp(-(X**2 + Y**2) / (2 * 0.5**2)), 128
         )
+
+
+def test_support_check_runs_on_a_sampled_field():
+    # a closed form whose ring is not zero is refused like an array
+    def ones(rows, cols):
+        return np.ones((rows.stop - rows.start, cols.stop - cols.start))
+
+    _, h = grid_axes(64)
+    with pytest.raises(ValueError, match="support touches"):
+        GridField(_Sampled(ones, slice(0, 64), slice(0, 64)), h)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_support_check_reads_the_scale_slab_by_slab(dtype):
+    # an edge of 1e-10 is above the 1e-13 gate on its own, so the check
+    # reads the field's largest |value| (1e4): a complex field's |.| was
+    # one float64 grid, 8 MiB at n = 1024, and the peak read now holds one
+    # slab's.  Against the scale the edge passes; at ten times it, not.
+    n = 1024
+    values = np.zeros((n, n), dtype)
+    values[n // 2, n // 3] = -1e4
+    values[0, 5] = 1e-10
+    _, h = grid_axes(n)
+    tracemalloc.start()
+    try:
+        GridField(values, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak / 2**20
+    values[0, 5] = 1e-8
+    with pytest.raises(ValueError, match="support touches"):
+        GridField(values, h)
+    # a NaN sample anywhere leaves the scale at 1, as a whole-grid max does
+    values[0, 5] = 1e-10
+    values[n - 9, 7] = np.nan
+    with pytest.raises(ValueError, match="support touches"):
+        GridField(values, h)
 
 
 def test_grid_field_validation():
@@ -269,15 +308,11 @@ def test_norm_equivalence_fails_a_forward_difference(monkeypatch):
 
 
 def test_norm_equivalence_peak_memory():
-    # one float64 grid is 8 MiB at n = 1024.  The bump is rho^2 turned
-    # into the bump in place, plus a boolean mask and its complement (a
-    # quarter of a grid); the support check reads a real field's scale off
-    # its extremes.  The report holds the field and, one slab of rows at a
-    # time, the slab's complex buffer (dx + i dy, then dbar) and its |.|^2
-    # temporaries.  Building dbar from two real differences through complex
-    # temporaries read 40.1 MiB, one whole-grid complex buffer 32 MiB, the
-    # bump from full-grid rho^2, mask and gap arrays 29.1 MiB, and the
-    # support check with an |f| grid 17.0 MiB.
+    # one float64 grid is 8 MiB at n = 1024.  The bump is its closed form:
+    # building it reads only its boundary ring (the support check), and the
+    # report samples it one slab of rows at a time beside the slab's
+    # complex buffer (dx + i dy, then dbar) and its |.|^2 temporaries.
+    # Built whole, the bump took 1.25 grids and the report 1.16 with it.
     grid = 8 * 1024 * 1024
     tracemalloc.start()
     try:
@@ -288,24 +323,97 @@ def test_norm_equivalence_peak_memory():
         report_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bump_peak <= 1.25 * grid + 2**20, bump_peak / 2**20
-    assert report_peak <= 1.5 * grid, report_peak / 2**20
+    assert bump_peak <= grid / 64, bump_peak / 2**20
+    assert report_peak <= 0.25 * grid, report_peak / 2**20
 
 
-def test_density_suite_peak_memory():
-    # the whole density suite at grid 1024, field included: the grid-n and
-    # grid-n // 2 bumps, the largest deletion box (the line box, every row
-    # and about 0.37 of the columns) and one slab's buffers.  With
-    # whole-grid dbar buffers it read 4.00 grids.
-    grid = 8 * 1024 * 1024
+def _density_suite_peak(grid):
     tracemalloc.start()
     try:
-        reports = _suite_density(SuiteConfig(suite="density", grid=1024))
+        reports = _suite_density(SuiteConfig(suite="density", grid=grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in reports)
-    assert peak <= 1.75 * grid, peak / grid
+    return peak
+
+
+def test_density_suite_peak_memory():
+    # the whole density suite: the grid-n and grid-n // 2 bumps and every
+    # deletion box's discarded piece are sampled one slab of rows at a
+    # time, so the peak is a few slabs' buffers and does not grow with the
+    # grid.  With the bumps built whole it read 1.52 grids at 1024 (4.00
+    # with whole-grid dbar buffers), and 3.7 times as much at 2048.
+    grid = 8 * 1024 * 1024
+    peak = _density_suite_peak(1024)
+    assert peak <= 0.25 * grid, peak / grid
+    assert _density_suite_peak(2048) <= 1.5 * peak
+
+
+def _whole_bump(n, radius=0.8):
+    # the bump built whole, in one n-by-n buffer: rho^2, then the bump in
+    # place inside R
+    x, _ = grid_axes(n)
+    x_sq = x * x
+    out = np.add.outer(x_sq, x_sq)
+    inside = out < radius * radius
+    np.subtract(radius * radius, out, out=out, where=inside)
+    np.divide(-1.0, out, out=out, where=inside)
+    np.exp(out, out=out, where=inside)
+    out[~inside] = 0.0
+    return out
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+class _CheckedReads:
+    # a sampled box that holds every slab read against the whole array:
+    # the same bits, and every row read
+    def __init__(self, rect, whole):
+        self.rect, self.whole, self.shape = rect, whole, rect.shape
+        self.rows_read = np.zeros(rect.shape[0], bool)
+
+    def __getitem__(self, rows):
+        got, want = self.rect[rows], self.whole[rows]
+        assert got.dtype == want.dtype == np.float64
+        assert _bits_equal(got, want)
+        self.rows_read[rows] = True
+        return got
+
+
+@pytest.mark.parametrize("n", [64, 65, 1024, 1025, 2048])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_sampled_bump_and_box_rows_are_the_whole_arrays(monkeypatch, n, rows):
+    # every slab the norms read of the bump, and of each deletion box's
+    # discarded piece, is the whole array's rows bit for bit, at strips of
+    # 1, 7 and all rows; and values is the whole bump, as the benchmark's
+    # grid counters read it
+    whole = _whole_bump(n)
+    f = standard_bump(n)
+    assert isinstance(f.values, np.ndarray) and f.size == n
+    assert f.values.nbytes == n * n * 8
+    assert _bits_equal(f.values, whole)
+    x, h = grid_axes(n)
+    rects = [(f._samples, whole)]
+    for m in M_LIST:
+        for removed_codim in (1, 2):
+            box, rect = _discarded_box(f, m, removed_codim)
+            band = box[1]
+            dist = (np.hypot(x[band, None], x[None, band])
+                    if removed_codim == 2 else np.abs(x[None, band]))
+            piece = whole[box] * (1.0 - cutoff_profile(m, dist))
+            assert _bits_equal(rect[:, :], piece)
+            rects.append((rect, piece))
+    for rect, want in rects:
+        height, width = rect.shape
+        monkeypatch.setattr(stratum_density, "_STRIP_CELLS",
+                            (rows or height) * width)
+        reads = _CheckedReads(rect, want)
+        _strip_sums(reads, h)
+        assert reads.rows_read.all()
 
 
 def _whole_dbar(values, h):
@@ -324,10 +432,13 @@ def _whole_dbar(values, h):
 def test_strip_sums_do_not_depend_on_the_strip_height(
         monkeypatch, n, rows, make, box):
     # slabs of 1, 7 and all n rows, over the whole grid and over the line
-    # box at m = e (every row, about 0.37 of the columns)
+    # box at m = e (every row, about 0.37 of the columns); the sums read
+    # the field's own samples (the bump's closed form, the complex field's
+    # array) and the box's on-demand piece, the references their arrays
     f = make(n)
     h = f.spacing
-    values = f.values if box == "grid" else _discarded_box(f, math.e, 1)[1]
+    rect = f._samples if box == "grid" else _discarded_box(f, math.e, 1)[1]
+    values = rect[:, :]
     height, width = values.shape
     rows = rows or height
     monkeypatch.setattr(stratum_density, "_STRIP_CELLS", rows * width)
@@ -339,7 +450,7 @@ def test_strip_sums_do_not_depend_on_the_strip_height(
         return _l2_sq(vals, h)
 
     monkeypatch.setattr(stratum_density, "_l2_sq", spy)
-    sums = _strip_sums(values, h)
+    sums = _strip_sums(rect, h)
     assert len(seen) == 4 * -(-height // rows)
     dbar = _whole_dbar(values, h)
     assert np.array_equal(np.concatenate(seen[2::4]), dbar)
