@@ -27,6 +27,7 @@ from .coherent_transform import (
     sigma_oracle_certificate,
     spin_weighted_gram,
     top_label,
+    transform_bytes,
     unitarity_certificate,
 )
 from .density_weights import eta_log_convexity_certificate
@@ -66,6 +67,8 @@ DENSITY_M_LIST = (math.e, math.e**2, math.e**3, math.e**4)
 # suites whose reports carry nothing render_svg can plot
 UNPLOTTABLE_SUITES = ("kahler", "transform")
 REPORT_SCHEMA = "quantlab.report.v1"
+# the transform suite is refused where transform_bytes estimates more
+TRANSFORM_BUDGET = 2 * 2**30
 EXIT_CRASH = 3
 
 
@@ -77,21 +80,16 @@ class UsageError(Exception):
 class SuiteConfig:
     """Everything a suite run depends on.
 
-    ``cutoff`` and ``tol`` default to None, meaning each certificate keeps
-    its own pinned value.  ``tol`` replaces the tolerance of exactly these
-    checks: ``kahler.j_squared``, ``kahler.omega_potential``,
-    ``kahler.polar_differential``, ``psh.oracle_agreement``,
-    ``psh.wall_limit``, ``transform.sigma_oracle``,
-    ``reduction.momentum_equivariance``, ``reduction.round_trip`` and
-    ``reduction.weyl_isometry``.  Every other check keeps its pinned
-    tolerance.
+    ``cutoff`` defaults to None, meaning each certificate keeps its own
+    default cutoff.  No setting reaches a tolerance: each certificate pins
+    its own.  The transform suite (alone or in "all") is refused when
+    ``transform_bytes`` puts it past ``TRANSFORM_BUDGET``.
     """
 
     model: str = "su2"
     suite: str = "all"
     seed: int = 0
     cutoff: float | None = None
-    tol: float | None = None
     level: int = 3
     grid: int = 1024
     out: str | None = None
@@ -109,10 +107,7 @@ class SuiteConfig:
             )
         if self.seed < 0:
             raise UsageError("seed must be a non-negative integer")
-        # an infinite tolerance passes every check, and an infinite cutoff
-        # sizes no basis
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise UsageError("tolerance override must be positive and finite")
+        # an infinite cutoff sizes no basis
         if self.cutoff is not None and not 0 < self.cutoff < math.inf:
             raise UsageError("cutoff override must be positive and finite")
         if self.cutoff is not None:
@@ -135,6 +130,14 @@ class SuiteConfig:
             raise UsageError("quadrature level must be at least 1")
         if self.grid < 64:
             raise UsageError("density grid must have at least 64 points")
+        if self.suite in ("transform", "all"):
+            need = transform_bytes(get_model(self.model), self.cutoff,
+                                   self.level)
+            if need > TRANSFORM_BUDGET:
+                raise UsageError(
+                    f"the transform suite on {self.model} needs about "
+                    f"{need / 2**30:.1f} GiB at this cutoff and level, "
+                    f"past its budget of {TRANSFORM_BUDGET / 2**30:g} GiB")
 
 
 _CONFIG_PARSERS = {
@@ -142,7 +145,6 @@ _CONFIG_PARSERS = {
     "suite": str,
     "seed": int,
     "cutoff": float,
-    "tol": float,
     "level": int,
     "grid": int,
     "out": str,
@@ -196,23 +198,16 @@ def _sanitize(report: CheckReport) -> CheckReport:
     return replace(report, metadata=_plain(report.metadata))
 
 
-def _tol(cfg: SuiteConfig) -> dict:
-    # for the checks that honour an override (see SuiteConfig)
-    return {} if cfg.tol is None else {"tolerance": cfg.tol}
-
-
 def _suite_kahler(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
     # j_squared and polar_differential draw from one stream, in this order
     rng = np.random.default_rng(cfg.seed)
     return [
-        j_squared_certificate(model, rng, cfg.seed, **_tol(cfg)),
-        omega_potential_certificate(model, **_tol(cfg)),
+        j_squared_certificate(model, rng, cfg.seed),
+        omega_potential_certificate(model),
         completeness_certificate(model, seed=cfg.seed),
         polar_differential_certificate(
-            model, rng, cfg.seed,
-            samples=100 if model.is_abelian else 1000, **_tol(cfg),
-        ),
+            model, rng, cfg.seed, samples=100 if model.is_abelian else 1000),
     ]
 
 
@@ -222,8 +217,8 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
         eta_log_convexity_certificate(),
         canonical_semi_negativity_certificate(model),
         twist_positivity_certificate(model, 2 * math.pi, 2.0),
-        oracle_agreement_certificate(model, **_tol(cfg)),
-        wall_limit_certificate(model, **_tol(cfg)),
+        oracle_agreement_certificate(model),
+        wall_limit_certificate(model),
         spectrum_curve_certificate(model),
     ]
 
@@ -233,7 +228,7 @@ def _suite_transform(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
     level = max(cfg.level, 4)
     return [
-        sigma_oracle_certificate(model, cfg.cutoff, level=level, **_tol(cfg)),
+        sigma_oracle_certificate(model, cfg.cutoff, level=level),
         unitarity_certificate(model, cutoff=cfg.cutoff, level=cfg.level),
         equivariance_certificate(model, cutoff=cfg.cutoff, seed=cfg.seed),
         spin_weighted_gram(model, cutoff=cfg.cutoff, level=level),
@@ -245,9 +240,9 @@ def _suite_reduction(cfg: SuiteConfig) -> list[CheckReport]:
     # the round trips keep drawing from the momentum check's stream
     rng = np.random.default_rng(cfg.seed)
     return [
-        momentum_equivariance_certificate(model, rng, cfg.seed, **_tol(cfg)),
-        round_trip_certificate(model, rng, cfg.seed, **_tol(cfg)),
-        weyl_isometry_certificate(model, **_tol(cfg)),
+        momentum_equivariance_certificate(model, rng, cfg.seed),
+        round_trip_certificate(model, rng, cfg.seed),
+        weyl_isometry_certificate(model),
         qr_commutes_certificate(model, cutoff=cfg.cutoff, level=4),
     ]
 

@@ -48,6 +48,7 @@ from quantlab.report import CheckReport
 __all__ = [
     "irrep_labels",
     "top_label",
+    "transform_bytes",
     "sigma",
     "build_sigma_table",
     "sigma_oracle_certificate",
@@ -150,6 +151,23 @@ def irrep_labels(model: LieModel, cutoff) -> list:
     return [k / 2.0 for k in range(int(2 * top) + 1)]
 
 
+def transform_bytes(model: LieModel, cutoff, level: int) -> int:
+    """Estimated peak memory of the transform certificates, from the sizes
+    alone, before any array is built: 80 B per entry of the N x N basis
+    Grams, of su2's radial node tables (a row per Haar b node and radial
+    node, a column per basis element) and of the P x P companion matrix
+    of a Gauss rule, with P = 16 max(level, 4) nodes per rule."""
+    top = top_label(model, _default_cutoff(model, cutoff))
+    points = 16 * max(level, 4)
+    if model.is_abelian:
+        size, node_rows = (2 * top[0] + 1) ** model.rank, 0
+    else:
+        d = int(2 * top) + 1
+        size = d * (d + 1) * (2 * d + 1) // 6
+        node_rows = (2 * max(1, d - 1) + 2) * points
+    return 80 * (size * size + node_rows * size + points * points)
+
+
 def _basis_owner(model: LieModel, labels) -> np.ndarray:
     """The basis order every coefficient array and Gram uses: the labels in
     order, each label's d x d block row-major.  Entry i is the position in
@@ -210,8 +228,8 @@ def build_sigma_table(model: LieModel, labels) -> np.ndarray:
     return out
 
 
-def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
-                             tolerance: float = 1e-10) -> CheckReport:
+def sigma_oracle_certificate(model: LieModel, cutoff=None,
+                             level: int = 4) -> CheckReport:
     """The quadrature sigma, which only this check reads, against the
     closed form, relative error, over every label within the cutoff; torus
     labels stop at 8, where the untilted Gauss-Hermite rule still resolves
@@ -225,7 +243,7 @@ def sigma_oracle_certificate(model: LieModel, cutoff=None, level: int = 4,
         "transform.sigma_oracle",
         "per-block Gaussian normalization by quadrature matches its "
         "complete-the-square closed form",
-        tolerance=tolerance,
+        tolerance=1e-10,
         max_error=float(np.max(np.abs(quad - closed) / closed)),
         labels=len(labels),
         cutoff=cutoff,
@@ -423,15 +441,13 @@ def unitarity_certificate(model: LieModel, cutoff=None,
     big_c = _scaled(hl2, build_sigma_table(model, labels)[owner])
     off_block = owner[:, None] != owner[None, :]
     leakage = float(np.abs(big_c[off_block]).max()) if len(labels) > 1 else 0.0
-    tol = 1e-6 if model.is_abelian else 1e-4
-    max_err = float(np.abs(big_c - big_l2).max())
     return CheckReport.from_error(
         f"transform.unitarity.{model.name}",
         "the sigma^{-1/2}-scaled matrix-coefficient basis has the same Gram "
         "in the Gaussian-weighted holomorphic inner product as the source "
         "basis has on the group",
-        tolerance=tol,
-        max_error=max_err,
+        tolerance=1e-6 if model.is_abelian else 1e-4,
+        max_error=float(np.abs(big_c - big_l2).max()),
         cutoff=cutoff,
         basis_size=int(big_c.shape[0]),
         block_leakage=leakage,

@@ -159,10 +159,8 @@ def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
             @ omega_batch(model, ys))
 
 
-def j_squared_certificate(
-    model: LieModel, rng: np.random.Generator, seed: int,
-    samples: int = 10_000, tolerance: float = 1e-10,
-) -> CheckReport:
+def j_squared_certificate(model: LieModel, rng: np.random.Generator,
+                          seed: int, samples: int = 10_000) -> CheckReport:
     """J^2 = -identity for the pulled-back complex structure at Y drawn as
     1.5 times a standard normal vector, in one draw of (samples, n) from
     ``rng``, with J and J^2 formed one block of rows at a time; ``seed``
@@ -178,7 +176,7 @@ def j_squared_certificate(
         "kahler.j_squared",
         "the pulled-back complex structure squares to -identity at "
         "every base point",
-        tolerance=tolerance,
+        tolerance=1e-10,
         max_error=float(_row_block_max(worst, ys)),
         samples=samples,
         seed=seed,
@@ -249,9 +247,7 @@ def _omega_potential_error(model: LieModel, y_coords) -> float:
                             np.abs(np.imag(rhs)).max()))
 
 
-def omega_potential_certificate(
-    model: LieModel, tolerance: float = 1e-5
-) -> CheckReport:
+def omega_potential_certificate(model: LieModel) -> CheckReport:
     """omega = -i dd-bar |Y|^2 at two fixed chart points."""
     if model.is_abelian:
         pts = [0.5 * np.ones(model.dim), -0.3 * np.ones(model.dim)]
@@ -261,7 +257,7 @@ def omega_potential_certificate(
         "kahler.omega_potential",
         "the symplectic form equals the complex Hessian of |Y|^2 "
         "transported through the polar chart",
-        tolerance=tolerance,
+        tolerance=1e-5,
         max_error=np.max([_omega_potential_error(model, y) for y in pts]),
         chart_points=len(pts),
     )
@@ -350,8 +346,7 @@ def _dphi_fd_oracle_batch(model: LieModel, ys: np.ndarray,
 
 
 def polar_differential_certificate(
-    model: LieModel, rng: np.random.Generator, seed: int,
-    samples: int = 1000, tolerance: float = 1e-6,
+    model: LieModel, rng: np.random.Generator, seed: int, samples: int = 1000,
 ) -> CheckReport:
     """The closed-form differential of the polar map against central
     finite differences of x exp(iY) in the defining representation.
@@ -369,7 +364,7 @@ def polar_differential_certificate(
         "kahler.polar_differential",
         "the closed-form differential of (x, Y) -> x exp(iY) matches "
         "central finite differences in the defining representation",
-        tolerance=tolerance,
+        tolerance=1e-6,
         max_error=float(err.max(initial=0.0)),
         samples=samples,
         seed=seed,

@@ -315,9 +315,7 @@ def _spectra_gaps(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     return np.abs(a - b).max(axis=1) / scale
 
 
-def oracle_agreement_certificate(
-    model: LieModel, tolerance: float = 1e-4
-) -> CheckReport:
+def oracle_agreement_certificate(model: LieModel) -> CheckReport:
     """theta_spectrum against the eigenvalues of theta_matrix_oracle at 17
     points of the last algebra axis, Y in [0.15, 2.5], for each preset; the
     gap is relative to the larger spectrum."""
@@ -335,16 +333,14 @@ def oracle_agreement_certificate(
         "closed-form curvature eigenvalues agree with the "
         "finite-difference hermitian-operator route at every grid "
         "point, for each potential preset",
-        tolerance=tolerance,
+        tolerance=1e-4,
         max_error=float(worst),
         grid_points=len(coords) * len(_PRESETS),
         presets=list(_PRESETS),
     )
 
 
-def wall_limit_certificate(
-    model: LieModel, tolerance: float = 1e-5
-) -> CheckReport:
+def wall_limit_certificate(model: LieModel) -> CheckReport:
     """Root eigenvalues at alpha(Y) = 1e-3 against K~''(0) (alpha(Y)
     coth(alpha(Y)) + alpha(Y)), for each preset; tori have no wall and
     read 0."""
@@ -364,7 +360,7 @@ def wall_limit_certificate(
         "psh.wall_limit",
         "next to a reflection wall the root-direction eigenvalue "
         "matches its continuous limit formula",
-        tolerance=tolerance,
+        tolerance=1e-5,
         max_error=worst,
         alpha_y=yval,
     )

@@ -77,7 +77,7 @@ def momentum_map_batch(model: LieModel, g_mats: np.ndarray,
 
 def momentum_equivariance_certificate(
     model: LieModel, rng: np.random.Generator, seed: int,
-    samples: int = 10_000, tolerance: float = 1e-10,
+    samples: int = 10_000,
 ) -> CheckReport:
     """j(h g h^-1, Ad_h Y) = Ad_h j(g, Y) at random (g, Y, h).
 
@@ -104,7 +104,7 @@ def momentum_equivariance_certificate(
         "reduction.momentum_equivariance",
         "the momentum map intertwines conjugation on the group with "
         "the adjoint action on the fiber",
-        tolerance=tolerance,
+        tolerance=1e-10,
         max_error=float(_row_block_max(worst, g_coords, ys, h_coords)),
         samples=samples,
         seed=seed,
@@ -245,10 +245,8 @@ def weyl_canonicalize(model: LieModel,
         np.where(rows, matmul_batch(flip, rep.conjugator), rep.conjugator))
 
 
-def round_trip_certificate(
-    model: LieModel, rng: np.random.Generator, seed: int,
-    trips: int = 200, tolerance: float = 1e-8,
-) -> CheckReport:
+def round_trip_certificate(model: LieModel, rng: np.random.Generator,
+                           seed: int, trips: int = 200) -> CheckReport:
     """Reduce a conjugated torus pair and compare with the pair's own
     canonical representative.
 
@@ -280,7 +278,7 @@ def round_trip_certificate(
         "reduction.round_trip",
         "conjugating a torus pair by a random element and reducing "
         "recovers the same canonical representative",
-        tolerance=tolerance,
+        tolerance=1e-8,
         max_error=worst,
         samples=trips,
         seed=seed,
@@ -314,8 +312,7 @@ def reduction_unitary(model: LieModel, labels, modes: int | None = None):
     return rule, wfactor * delta * chars
 
 
-def weyl_isometry_certificate(model: LieModel,
-                              tolerance: float = 1e-6) -> CheckReport:
+def weyl_isometry_certificate(model: LieModel) -> CheckReport:
     """|reduction_unitary(chi)|^2 = 1 for unit-norm characters: modes 0..3
     of the first torus axis, or spins 0..3 in half steps on su2.  Each
     character is reduced on its own grid."""
@@ -332,7 +329,7 @@ def weyl_isometry_certificate(model: LieModel,
         "reduction.weyl_isometry",
         "restriction to the torus weighted by the absolute Weyl "
         "denominator preserves the norm of every character",
-        tolerance=tolerance,
+        tolerance=1e-6,
         max_error=worst,
         characters=len(labels),
     )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import quantlab
 from quantlab import cli_report, stratum_density
 from quantlab.cli_report import (
+    MODEL_NAMES,
     SUITE_NAMES,
     UNPLOTTABLE_SUITES,
     SuiteConfig,
@@ -37,19 +39,18 @@ def test_config_validation():
     with pytest.raises(UsageError):
         SuiteConfig(suite="everything")
     with pytest.raises(UsageError):
-        SuiteConfig(tol=-1.0)
-    with pytest.raises(UsageError):
         SuiteConfig(cutoff=0.0)
     with pytest.raises(UsageError):
         SuiteConfig(cutoff=math.inf)
-    with pytest.raises(UsageError):
-        SuiteConfig(tol=math.inf)
     with pytest.raises(UsageError):
         SuiteConfig(grid=32)
     with pytest.raises(UsageError):
         SuiteConfig(level=0)
     with pytest.raises(UsageError):
         SuiteConfig(seed=-1)
+    # tolerances are pinned in each certificate: no setting reaches one
+    with pytest.raises(TypeError):
+        SuiteConfig(tol=1e-3)
 
 
 @pytest.mark.parametrize("model,cutoff", [("su2", 0.2), ("su2", 0.49),
@@ -79,8 +80,56 @@ def test_cutoff_past_a_finite_sigma_is_a_usage_error(model, suite, cutoff,
                  "--cutoff", str(cutoff)]) == 2
     err = capsys.readouterr().err
     assert "largest double" in err and "crashed" not in err
-    # the largest cutoff whose top sigma is finite is accepted
-    SuiteConfig(model=model, cutoff=accepted)
+    # the largest cutoff whose top sigma is finite is accepted, by a suite
+    # that the transform's memory budget does not refuse
+    SuiteConfig(model=model, suite="reduction", cutoff=accepted)
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "su2", "suite": "transform", "cutoff": 11},
+    {"model": "su2", "suite": "all", "cutoff": 11},
+    {"model": "t2", "suite": "transform", "cutoff": 36},
+    {"model": "su2", "suite": "transform", "level": 1000},
+    {"model": "u1", "suite": "all", "level": 330},
+])
+def test_transform_past_the_memory_budget_is_a_usage_error(config):
+    # estimated from the sizes alone; no Gram or rule is built
+    with pytest.raises(UsageError, match="budget of 2 GiB"):
+        SuiteConfig(**config)
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "su2", "suite": "transform", "cutoff": 10.5},
+    {"model": "su2", "suite": "reduction", "cutoff": 32},
+    {"model": "t2", "suite": "transform", "cutoff": 5},
+    {"model": "t2", "suite": "transform", "cutoff": 35},
+    {"model": "t2", "suite": "reduction", "cutoff": 47},
+    {"model": "u1", "suite": "all", "cutoff": 66},
+    {"model": "u1", "suite": "transform", "level": 320},
+])
+def test_transform_within_the_memory_budget_is_accepted(config):
+    SuiteConfig(**config)
+
+
+def test_every_default_configuration_is_within_the_memory_budget():
+    for model in MODEL_NAMES:
+        for suite in SUITE_NAMES:
+            SuiteConfig(model=model, suite=suite)
+
+
+def test_cli_refuses_a_transform_past_the_budget_before_allocating(capsys):
+    # at su2 cutoff 30 one int64 index array of the basis Grams alone
+    # would take 44.8 GiB
+    tracemalloc.start()
+    try:
+        rc = main(["run", "--model", "su2", "--suite", "transform",
+                   "--cutoff", "30"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "budget" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_huge_cutoff_is_refused_without_enumerating_labels():
@@ -114,16 +163,15 @@ def test_parse_config_file(tmp_path):
         "model = u1\n"
         "suite=psh\n"
         "seed = 11  # trailing comment\n"
-        "tol = 1e-6\n"
         "\n"
     )
     values = parse_config_file(str(p))
-    assert values == {"model": "u1", "suite": "psh", "seed": 11,
-                      "tol": 1e-6}
+    assert values == {"model": "u1", "suite": "psh", "seed": 11}
     bad = tmp_path / "bad"
-    bad.write_text("colour = blue\n")
-    with pytest.raises(UsageError):
-        parse_config_file(str(bad))
+    for line in ("colour = blue\n", "tol = 1e-3\n"):
+        bad.write_text(line)
+        with pytest.raises(UsageError, match="unknown key"):
+            parse_config_file(str(bad))
     bad.write_text("just a line\n")
     with pytest.raises(UsageError):
         parse_config_file(str(bad))
@@ -164,17 +212,6 @@ def test_full_pipeline_all_passes(model):
     failed = [r.check_id for r in reports if not r.passed]
     assert failed == []
     assert all(r.citation for r in reports)
-
-
-def test_tol_override_reaches_exactly_the_documented_checks():
-    reports = run_suite(SuiteConfig(model="su2", suite="all", tol=1e-3))
-    assert {r.check_id for r in reports if r.tolerance == 1e-3} == {
-        "kahler.j_squared", "kahler.omega_potential",
-        "kahler.polar_differential", "psh.oracle_agreement",
-        "psh.wall_limit", "transform.sigma_oracle",
-        "reduction.momentum_equivariance", "reduction.round_trip",
-        "reduction.weyl_isometry",
-    }
 
 
 def test_json_round_trip_and_determinism():
@@ -400,12 +437,11 @@ def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, via_config):
     assert "seed" in err and "crashed" not in err
 
 
-@pytest.mark.parametrize("key", ["cutoff", "tol"])
+@pytest.mark.parametrize("key", ["cutoff"])
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 def test_cli_non_finite_override_is_a_usage_error(tmp_path, capsys,
                                                   via_config, key):
-    # an infinite cutoff sizes no basis, and an infinite tolerance passes
-    # every check it reaches and writes Infinity, which is not JSON
+    # an infinite cutoff sizes no basis
     out = tmp_path / "r.json"
     for value in ("inf", "nan"):
         argv = ["run", "--model", "u1", "--suite", "reduction",
@@ -458,10 +494,14 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert doc["config"]["seed"] == 9
 
 
-def test_cli_honest_failure_exits_one():
-    # an unreachable tolerance must surface as exit code 1, not a throw
-    assert main(["run", "--model", "u1", "--suite", "kahler",
-                 "--tol", "1e-18"]) == 1
+def test_cli_honest_failure_exits_one(capsys):
+    # at cutoff 20 the level-3 Gauss-Hermite rule no longer resolves the
+    # top u1 label: a missed tolerance is exit code 1, not a throw
+    assert main(["run", "--model", "u1", "--suite", "transform",
+                 "--cutoff", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] transform.unitarity.u1" in out
+    assert "[FAIL] transform.spin_gram.u1" in out
 
 
 def test_cli_suite_crash_exits_three(monkeypatch, capsys):

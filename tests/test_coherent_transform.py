@@ -10,6 +10,7 @@ from scipy.stats import norm, qmc
 from quantlab.coherent_transform import (
     _basis_owner,
     _rep_exp,
+    _su2_gram_rules,
     _su2_spin_matrices,
     _weights,
     build_sigma_table,
@@ -20,6 +21,7 @@ from quantlab.coherent_transform import (
     sigma,
     spin_weighted_gram,
     transform_C_phi,
+    transform_bytes,
     unitarity_certificate,
 )
 from quantlab.lie_core import (
@@ -921,3 +923,26 @@ def test_equivariance_fails_on_one_nan_sample(monkeypatch):
     assert len(calls) == 8
     assert rep.passed is False
     assert "failure" in rep.metadata
+
+
+@pytest.mark.parametrize("name,cutoff", [
+    ("u1", 8), ("u1", 20), ("t2", 3), ("t2", 9.5), ("su2", 0.5),
+    ("su2", 2.0), ("su2", 6.7)])
+@pytest.mark.parametrize("level", [1, 3, 12])
+def test_transform_bytes_reads_the_sizes_the_grams_are_built_at(
+        name, cutoff, level):
+    # the estimate works the sizes out without listing the basis: it must
+    # agree with the basis, the Haar rule and the Gauss rules built here
+    model = get_model(name)
+    labels = irrep_labels(model, cutoff)
+    size = _basis_owner(model, labels).size
+    points = len(gaussian_rule(1, max(level, 4)).axes[0][0])
+    assert points == len(radial_rule(max(level, 4)).axes[0][0])
+    rows = 0
+    if not model.is_abelian:
+        haar_b = _su2_gram_rules(model, labels, level)[0].axes[1][0]
+        rows = len(haar_b) * points
+    assert transform_bytes(model, cutoff, level) == 80 * (
+        size * size + rows * size + points * points)
+    assert transform_bytes(model, None, level) == transform_bytes(
+        model, {"u1": 8, "t2": 3, "su2": 2.0}[name], level)

@@ -47,7 +47,8 @@ def test_export_list_is_the_public_surface(module):
 # round-by-round sampler: samples are drawn as blocks; and the potential's
 # spec language and report layer: a potential is its model and two closed
 # forms, built by a factory with float coefficients, and each scan
-# certificate builds its own report from one scan
+# certificate builds its own report from one scan; and the tolerance
+# override: each certificate pins its own tolerance
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
@@ -63,9 +64,12 @@ DELETED = {
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction", "_MIX_WEIGHTS"),
     "stratum_density": ("CutoffSequence",),
+    "cli_report": ("_tol",),
 }
 # the dataclasses whose fields are exactly these
 FIELDS = {
+    "cli_report": {"SuiteConfig": ["model", "suite", "seed", "cutoff",
+                                   "level", "grid", "out"]},
     "psh_analysis": {"InvariantPotential": ["model", "grad", "hess"]},
     "quadrature": {"QuadratureRule": ["axes"]},
     "reduction": {"ReducedRepresentative": ["t", "Y0", "conjugator"]},
