@@ -45,6 +45,7 @@ from .psh_analysis import (
     twist_positivity_certificate,
     wall_limit_certificate,
 )
+from .quadrature import gaussian_rule
 from .reduction import (
     momentum_equivariance_certificate,
     qr_commutes_certificate,
@@ -83,7 +84,8 @@ class SuiteConfig:
     ``cutoff`` defaults to None, meaning each certificate keeps its own
     default cutoff.  No setting reaches a tolerance: each certificate pins
     its own.  The transform suite (alone or in "all") is refused when
-    ``transform_bytes`` puts it past ``TRANSFORM_BUDGET``.
+    ``transform_bytes`` puts it past ``TRANSFORM_BUDGET``, and on a torus
+    when its Gauss-Hermite rule at the level has a non-finite weight.
     """
 
     model: str = "su2"
@@ -131,13 +133,22 @@ class SuiteConfig:
         if self.grid < 64:
             raise UsageError("density grid must have at least 64 points")
         if self.suite in ("transform", "all"):
-            need = transform_bytes(get_model(self.model), self.cutoff,
-                                   self.level)
+            model = get_model(self.model)
+            need = transform_bytes(model, self.cutoff, self.level)
             if need > TRANSFORM_BUDGET:
                 raise UsageError(
                     f"the transform suite on {self.model} needs about "
                     f"{need / 2**30:.1f} GiB at this cutoff and level, "
                     f"past its budget of {TRANSFORM_BUDGET / 2**30:g} GiB")
+            # torus sigmas and Gaussian tables sum on Gauss-Hermite nodes,
+            # whose weights overflow from some number of points on
+            level = max(self.level, 4)
+            with np.errstate(all="ignore"):
+                if model.is_abelian and not np.isfinite(
+                        gaussian_rule(1, level).axes[0][1]).all():
+                    raise UsageError(f"the Gauss-Hermite rule of level "
+                                     f"{level} has a weight that is not a "
+                                     "finite double")
 
 
 _CONFIG_PARSERS = {

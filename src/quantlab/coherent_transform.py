@@ -290,6 +290,24 @@ def group_action(model: LieModel, labels, coeffs: np.ndarray,
     return out
 
 
+def _frequencies(model: LieModel, weights) -> np.ndarray:
+    """The integer frequencies n = m period / 2 pi of the rows m of
+    ``weights``: e^{i m.tau} = e^{i n.theta} at tau = theta period / 2 pi,
+    so n is m itself on a torus and 2 m on su2."""
+    scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
+    return np.rint(np.asarray(weights, float).reshape(-1, model.rank)
+                   * scale).astype(int)
+
+
+def _fold(gram: np.ndarray, sizes) -> np.ndarray:
+    """A Gram over weights summed over consecutive blocks of ``sizes``
+    rows and columns: the Gram of the blocks' sums."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts,
+                           axis=1)
+
+
 def _torus_gram_factors(model: LieModel, weights, level: int):
     """Haar and Gaussian factors of the Gram of the holomorphic torus modes
     e^{i m.tau} e^{-m.y}, one per weight m: the rows of ``weights``, in the
@@ -302,11 +320,9 @@ def _torus_gram_factors(model: LieModel, weights, level: int):
     a product over k of one-axis sums that depend only on (m_a - m_b)_k or
     (m_a + m_b)_k: tables over -span..span, summed on the rule's nodes
     rather than taken as Kronecker deltas.  They run over the integer
-    weights n = m period / 2 pi, with y scaled by 2 pi / period; both
-    scales are exactly 1 on a torus."""
+    frequencies n (``_frequencies``), with y scaled by 2 pi / period."""
     scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
-    n = np.rint(np.asarray(weights, float).reshape(-1, model.rank)
-                * scale).astype(int)
+    n = _frequencies(model, weights)
     span = 2 * int(np.abs(n).max())
     shifts = np.arange(-span, span + 1)
     haar = gauss = 1.0
@@ -342,7 +358,7 @@ def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
         d_b.append(np.einsum("pk,uk,qk->upq", vec,
                              np.exp(-1j * np.outer(beta, lam)),
                              vec.conj()).reshape(len(beta), -1))
-        m2 = np.rint(2.0 * w[:, 0]).astype(int)
+        m2 = _frequencies(model, w)[:, 0]
         twice_p.append(np.repeat(m2, len(w)))
         twice_k.append(np.tile(m2, len(w)))
     twice_p = np.concatenate(twice_p)
@@ -524,10 +540,8 @@ def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
     top = 2 * int(np.abs(twice_m).max())
     radial = radial_weights @ np.exp(np.outer(
         r_rule.nodes[:, 0], np.arange(-top, top + 1) / 2.0))
-    starts = np.cumsum([0] + [len(w) for w in _weights(model, labels[:-1])])
-    return np.add.reduceat(np.add.reduceat(
-        haar * radial[twice_m[:, None] + twice_m[None, :] + top], starts,
-        axis=0), starts, axis=1)
+    return _fold(haar * radial[twice_m[:, None] + twice_m[None, :] + top],
+                 [len(w) for w in _weights(model, labels)])
 
 
 def character_gram(model: LieModel, labels, level: int = 4,

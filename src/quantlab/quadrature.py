@@ -13,15 +13,16 @@ Four rule families cover every integral in the package:
 
 Every rule is a product over its axes (the radial rule has one), and a
 ``QuadratureRule`` is just those axes; its flat node grid is derived from
-them.  Only the reduction's torus restriction and the one-axis radial rule
-read that grid; the transform Grams and sigmas sum one axis at a time.
+them.  Only the radial rule and the reduced Gram's |delta|^2 read that
+grid; every Gram and sigma sums its characters one axis at a time.
 
 All weights are nonnegative.  No rule checks itself: each certificate
 that integrates with these rules compares the result against a closed
 form.  The transform and reduction Grams are scaled by the closed-form
 sigma, coherent_transform.sigma_oracle_certificate compares the
 Gauss-Hermite and radial sigma against it label by label, and
-reduction.weyl_isometry_certificate compares the torus norms against 1.
+reduction.weyl_isometry_certificate compares the reduced Gram of unit
+characters against the identity.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from quantlab.lie_core import LieModel
-
 __all__ = [
     "QuadratureRule",
     "torus_rule",
-    "model_torus_rule",
     "su2_haar_rule",
     "gaussian_rule",
     "radial_rule",
@@ -86,20 +84,6 @@ def torus_rule(r: int, modes: int) -> QuadratureRule:
     n = modes + 1
     theta = np.arange(n) * (2.0 * math.pi / n)
     return QuadratureRule(((theta, np.full(n, 1.0 / n)),) * r)
-
-
-def model_torus_rule(model: LieModel, modes: int) -> QuadratureRule:
-    """Trapezoid rule in a model's own torus coordinates.
-
-    Nodes cover one fundamental period per coordinate, so a character with
-    frequency index m (m integer for 2*pi-periodic coordinates, half-integer
-    where the period is 4*pi) is resolved exactly as long as its integer
-    frequency in the rescaled angle is at most ``modes``.
-    """
-    return QuadratureRule(tuple(
-        (theta * (period / (2.0 * math.pi)), w)
-        for (theta, w), period in zip(torus_rule(model.rank, modes).axes,
-                                      model.torus_periods)))
 
 
 def su2_haar_rule(level: int) -> QuadratureRule:

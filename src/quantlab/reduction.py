@@ -7,7 +7,8 @@ so every orbit meets the torus part; the quotient is (T x t)/W.  The
 operations here construct that normal form numerically: find a conjugator
 into T x t, canonicalize under the Weyl group, and realize the reduction
 isometry on class functions as multiplication by |W|^{-1/2} |delta|
-followed by torus restriction.
+followed by torus restriction, whose Gram is read from the characters'
+weight lists as one |delta|^2-weighted shift table.
 
 The headline certificate builds the reduced quantization two ways, with
 the same calls on every model: once by reducing the invariant part of the
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from quantlab.coherent_transform import (
+    _fold,
+    _frequencies,
     _highest_weights,
     _scaled,
     _torus_gram_factors,
@@ -45,7 +48,7 @@ from quantlab.lie_core import (
     random_group_coords,
     weyl_group,
 )
-from quantlab.quadrature import model_torus_rule
+from quantlab.quadrature import torus_rule
 from quantlab.report import CheckReport
 
 __all__ = [
@@ -55,7 +58,6 @@ __all__ = [
     "torus_representative",
     "weyl_canonicalize",
     "round_trip_certificate",
-    "reduction_unitary",
     "weyl_isometry_certificate",
     "qr_commutes_certificate",
 ]
@@ -285,76 +287,67 @@ def round_trip_certificate(model: LieModel, rng: np.random.Generator,
     )
 
 
-def _torus_character_values(model: LieModel, labels, taus: np.ndarray
-                            ) -> np.ndarray:
-    # one row per label: its character on the torus nodes ``taus``, the sum
-    # of e^{i m.tau} over its weights m
-    return np.array([sum(np.exp(1j * taus @ m) for m in w)
-                     for w in _weights(model, labels)])
-
-
-def _top_frequency(model: LieModel, labels) -> float:
-    # the largest |weight|, which a highest weight attains
-    return float(np.abs(_highest_weights(model, labels)).max())
-
-
-def reduction_unitary(model: LieModel, labels, modes: int | None = None):
-    """The reduction isometry on the unit characters of ``labels``: each
-    torus restriction times |W|^{-1/2} |delta|, sampled on a torus grid.
-    Returns (rule, values), one row of ``values`` per label."""
-    if modes is None:
-        modes = 2 * int(math.ceil(2 * _top_frequency(model, labels))) + 4
-    rule = model_torus_rule(model, modes)
-    taus = rule.nodes
-    wfactor = 1.0 / math.sqrt(len(weyl_group(model)))
-    delta = weyl_denominator(model, taus)
-    chars = _torus_character_values(model, labels, taus)
-    return rule, wfactor * delta * chars
+def _reduced_gram(model: LieModel, labels) -> np.ndarray:
+    """The torus Gram of the reduced characters |W|^{-1/2} |delta| chi of
+    ``labels``, from their weight lists: with n the integer frequencies of
+    the weights (``_frequencies``), each entry sums one shift table F(n -
+    n') = sum_theta w |delta|^2 / |W| e^{i (n - n').theta} over the weight
+    pairs of its two labels.  F is summed on ``torus_rule``'s s nodes per
+    axis (tau = theta period / 2 pi), one axis at a time, with the phases
+    reduced modulo s in integers, so it is exactly s-periodic.  With top
+    the largest |m|, s = 4 ceil(top) + 7 resolves every weight difference
+    times |delta|^2; F at a nonzero shift is summed, not taken as 0, so a
+    rule too coarse for the labels shows as aliasing."""
+    weights = _weights(model, labels)
+    n = _frequencies(model, np.concatenate(weights))
+    top = float(np.abs(_highest_weights(model, labels)).max())
+    s = 4 * int(math.ceil(top)) + 7
+    rule = torus_rule(model.rank, s - 1)
+    scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
+    table = (rule.weights * weyl_denominator(model, rule.nodes * scale) ** 2
+             / len(weyl_group(model))).reshape((s,) * model.rank)
+    phase = np.exp(2j * math.pi / s * (np.outer(range(s), range(s)) % s))
+    for axis in range(model.rank):
+        table = np.moveaxis(np.tensordot(phase, table, (1, axis)), 0, axis)
+    return _fold(table[tuple((n[:, None, a] - n[None, :, a]) % s
+                             for a in range(model.rank))],
+                 [len(w) for w in weights])
 
 
 def weyl_isometry_certificate(model: LieModel) -> CheckReport:
-    """|reduction_unitary(chi)|^2 = 1 for unit-norm characters: modes 0..3
-    of the first torus axis, or spins 0..3 in half steps on su2.  Each
-    character is reduced on its own grid."""
+    """The reduced Gram of unit-norm characters is the identity: modes
+    0..3 of the first torus axis, or spins 0..3 in half steps on su2, all
+    read from one ``_reduced_gram`` table."""
     if model.is_abelian:
         labels = [tuple([k] + [0] * (model.rank - 1)) for k in range(4)]
     else:
         labels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    worst = 0.0
-    for label in labels:
-        rule, values = reduction_unitary(model, [label])
-        norm_sq = float(rule.weights @ (np.abs(values[0]) ** 2))
-        worst = np.maximum(worst, abs(norm_sq - 1.0))
+    gram = _reduced_gram(model, labels)
     return CheckReport.from_error(
         "reduction.weyl_isometry",
         "restriction to the torus weighted by the absolute Weyl "
-        "denominator preserves the norm of every character",
+        "denominator preserves the inner products of the characters",
         tolerance=1e-6,
-        max_error=worst,
+        max_error=float(np.abs(gram - np.eye(len(labels))).max()),
         characters=len(labels),
     )
 
 
 def _side_a_grams(model: LieModel, labels, level: int):
     """Reduction after quantization: the sigma^{-1/2}-scaled character Gram
-    in the holomorphic inner product, the torus Gram of the reduced
-    characters, and the largest change of a reduced character under a Weyl
-    element other than the identity (none on a torus).  Each maps the
-    angle grid onto itself: node index vector i goes to w i mod n, so on
-    su2 tau -> -tau is the index reversal i -> -i."""
+    in the holomorphic inner product, ``_reduced_gram``, and the largest
+    change of a label's sorted integer frequencies under a Weyl element
+    other than the identity (none on a torus): 0 exactly when every reduced
+    character is Weyl-even, at least 1 for a single stray weight."""
     hl2 = _scaled(character_gram(model, labels, level),
                   build_sigma_table(model, labels))
-    modes = 4 * int(math.ceil(_top_frequency(model, labels))) + 6
-    rule, values = reduction_unitary(model, labels, modes=modes)
-    gram_red = (values * rule.weights) @ values.conj().T
-    shape = (modes + 1,) * model.rank
-    index = np.indices(shape).reshape(model.rank, -1)
     winv = 0.0
     for w in weyl_group(model)[1:]:
-        image = np.ravel_multi_index(
-            (w.astype(int) @ index) % (modes + 1), shape)
-        winv = np.maximum(winv, np.abs(values - values[:, image]).max())
-    return hl2, gram_red, winv
+        for m in _weights(model, labels):
+            n, image = (f[np.lexsort(f.T[::-1])] for f in (
+                _frequencies(model, m), _frequencies(model, m @ w.T)))
+            winv = max(winv, float(np.abs(n - image).max()))
+    return hl2, _reduced_gram(model, labels), winv
 
 
 def _side_b_gram(model: LieModel, labels, level: int):
@@ -374,21 +367,18 @@ def _side_b_gram(model: LieModel, labels, level: int):
               for images in np.einsum("wab,nb->nwa", weyl_group(model), tops)]
     sizes = np.array([len(orbit) for orbit in orbits])
     haar, gauss = _torus_gram_factors(model, np.concatenate(orbits), level)
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
-    gram = np.add.reduceat(np.add.reduceat(haar * gauss, starts, axis=0),
-                           starts, axis=1)
-    return _scaled(gram, sizes * _torus_norms(tops))
+    return _scaled(_fold(haar * gauss, sizes), sizes * _torus_norms(tops))
 
 
 def qr_commutes_certificate(model: LieModel, cutoff=None,
                             level: int = 4) -> CheckReport:
     """Quantization and reduction commute at desk scale.  Route A
-    (``_side_a_grams``) quantizes and then reduces, route B
-    (``_side_b_gram``) quantizes the reduced space, by the same calls on
-    every model.  Every Gram must be the identity and every reduced
-    character Weyl-even.  On a torus route B is route A's holomorphic Gram,
-    so a broken restriction shows on route A only.  The default cutoff is
-    4 on a torus and 2.0 on su2."""
+    (``_side_a_grams``) quantizes and then reduces, reading the reduced
+    characters from their weight lists; route B (``_side_b_gram``)
+    quantizes the reduced space.  Every Gram must be the identity and every
+    reduced character Weyl-even.  On a torus route B is route A's
+    holomorphic Gram, so a broken |delta| shows on route A only.  The
+    default cutoff is 4 on a torus and 2.0 on su2."""
     if cutoff is None:
         cutoff = 4 if model.is_abelian else 2.0
     labels = irrep_labels(model, cutoff)

@@ -105,10 +105,31 @@ def test_transform_past_the_memory_budget_is_a_usage_error(config):
     {"model": "t2", "suite": "transform", "cutoff": 35},
     {"model": "t2", "suite": "reduction", "cutoff": 47},
     {"model": "u1", "suite": "all", "cutoff": 66},
-    {"model": "u1", "suite": "transform", "level": 320},
+    {"model": "u1", "suite": "transform", "level": 23},
 ])
 def test_transform_within_the_memory_budget_is_accepted(config):
     SuiteConfig(**config)
+
+
+@pytest.mark.parametrize("model,suite", [("u1", "transform"), ("t2", "all")])
+def test_torus_level_past_a_finite_gauss_hermite_rule_is_refused(
+        model, suite, capsys):
+    # hermgauss(384) overflows into NaN weights: level 24 is refused before
+    # any suite runs, and the check itself does not warn under -W error
+    with pytest.raises(UsageError, match="not a finite double"):
+        SuiteConfig(model=model, suite=suite, level=24)
+    assert main(["run", "--model", model, "--suite", suite,
+                 "--level", "24"]) == 2
+    assert "Gauss-Hermite rule of level 24" in capsys.readouterr().err
+    # su2 sums its sigmas on the radial rule, and no other suite reads one
+    SuiteConfig(model="su2", suite=suite, level=24)
+    SuiteConfig(model=model, suite="reduction", level=24)
+
+
+def test_torus_transform_runs_at_the_last_finite_gauss_hermite_level(capsys):
+    assert main(["run", "--model", "u1", "--suite", "transform",
+                 "--level", "23"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_every_default_configuration_is_within_the_memory_budget():

@@ -32,7 +32,6 @@ from quantlab.lie_core import (
     unitary_log,
 )
 from quantlab.density_weights import eta_tilde
-from quantlab.reduction import reduction_unitary
 from quantlab.quadrature import (
     gaussian_rule,
     radial_rule,
@@ -159,8 +158,7 @@ def test_label_validation_and_dimensions():
     (character_gram, (U1, [(2.5,), (0,)])),
     (sigma, (U1, [(2.5,)])),
     (sigma, (SU2, [math.inf])),
-    (reduction_unitary, (SU2, [0.3])),
-    (reduction_unitary, (SU2, [0.3], 8)),
+    (build_sigma_table, (SU2, [0.3])),
     (build_sigma_table, (U1, [(math.nan,)])),
     (build_sigma_table, (SU2, [math.nan])),
     (character_gram, (T2, [(1, 2), (3,)])),
@@ -168,8 +166,8 @@ def test_label_validation_and_dimensions():
 ], ids=["sigma-table-negative-spin", "sigma-table-fractional-mode",
         "sigma-table-infinite-mode", "sigma-table-infinite-spin",
         "character-gram-fractional-mode", "sigma-fractional-mode",
-        "sigma-infinite-spin", "reduction-fractional-spin",
-        "reduction-fractional-spin-with-modes", "sigma-table-nan-mode",
+        "sigma-infinite-spin", "sigma-table-fractional-spin",
+        "sigma-table-nan-mode",
         "sigma-table-nan-spin", "character-gram-ragged-t2-labels",
         "sigma-table-bare-int-on-t2"])
 def test_entry_points_refuse_a_label_that_names_no_irrep(func, args):

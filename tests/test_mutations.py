@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from quantlab import kahler_geom
+from quantlab import kahler_geom, reduction
 from quantlab.cli_report import main
 
 
@@ -18,6 +18,14 @@ def _times(factor):
     # a patch that scales what the original binding returns
     def wrap(original):
         return lambda *args, **kwargs: original(*args, **kwargs) * factor
+    return wrap
+
+
+def _shifted(shift):
+    # a patch that adds ``shift`` to every weight of every label
+    def wrap(original):
+        return lambda *args, **kwargs: [w + shift for w in
+                                        original(*args, **kwargs)]
     return wrap
 
 
@@ -44,6 +52,24 @@ MUTATIONS = [
         "kahler",
         {model: {"kahler.j_squared", "kahler.completeness"}
          for model in ("u1", "t2", "su2")},
+    ),
+    # |delta| x 1.001 scales the reduced Gram by 1.002001: weyl_isometry
+    # and route A read 2.001e-3 against 1e-6 and the qr tolerance
+    Mutation(
+        "Weyl denominator x 1.001",
+        ((reduction, "weyl_denominator", _times(1.001)),),
+        "reduction",
+        {model: {"reduction.weyl_isometry", f"reduction.qr_commutes.{model}"}
+         for model in ("u1", "t2", "su2")},
+    ),
+    # su2 weights + 1/2 keep every weight difference, so every Gram, but no
+    # reduced character is Weyl-even: the residual reads 2.0.  On a torus
+    # m + 1/2 is no weight at all, and its integer frequency would round it
+    Mutation(
+        "weights + 1/2",
+        ((reduction, "_weights", _shifted(0.5)),),
+        "reduction",
+        {"su2": {"reduction.qr_commutes.su2"}},
     ),
 ]
 

@@ -60,9 +60,10 @@ DELETED = {
                            "_normalize_label", "_su2_characters"),
     "psh_analysis": ("SpectrumReport", "_covectors", "make_potential",
                      "psh_verdict", "_scan_grid"),
-    "quadrature": (),
+    "quadrature": ("model_torus_rule",),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
-                  "ReducedFunction", "_MIX_WEIGHTS"),
+                  "ReducedFunction", "_MIX_WEIGHTS", "reduction_unitary",
+                  "_torus_character_values"),
     "stratum_density": ("CutoffSequence",),
     "cli_report": ("_tol",),
 }

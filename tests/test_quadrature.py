@@ -35,18 +35,6 @@ def test_torus_rule_rank2():
     assert abs(rule.weights @ np.ones(len(t1)) - 1.0) < 1e-14
 
 
-def test_model_torus_rule_su2_half_integer_weights():
-    # The su(2) torus coordinate has period 4*pi and characters e^{i m tau}
-    # with half-integer m; the rescaled frequency 2m must be resolved.
-    su2 = get_model("su2")
-    rule = quad.model_torus_rule(su2, modes=6)
-    tau = rule.nodes[:, 0]
-    assert tau.max() > 2 * math.pi  # covers the full 4*pi period
-    for m in (0.5, 1.0, 1.5, 2.5, 3.0):
-        assert abs(rule.weights @ np.exp(1j * m * tau)) < 1e-13
-    assert abs(rule.weights @ np.ones_like(tau) - 1.0) < 1e-14
-
-
 def _haar_matrices(rule) -> np.ndarray:
     # the defining-representation matrix exp(a e3) exp(b e2) exp(c e3) at
     # each Euler-angle node (a, b, c)
@@ -126,11 +114,20 @@ def test_gaussian_rule_arrays_are_not_shared():
         assert np.abs(again.nodes).max() > 1.0
 
 
+def _model_torus(name, modes):
+    # torus_rule's angles times the period scale: a model's own torus
+    # coordinates, tau in [0, 4 pi) on su2
+    model = get_model(name)
+    return quad.QuadratureRule(tuple(
+        (theta * (period / (2 * math.pi)), w) for (theta, w), period in zip(
+            quad.torus_rule(model.rank, modes).axes, model.torus_periods)))
+
+
 @pytest.mark.parametrize("rule", [
     quad.torus_rule(1, 4),
     quad.torus_rule(2, 5),
-    quad.model_torus_rule(get_model("su2"), 6),
-    quad.model_torus_rule(get_model("t2"), 3),
+    _model_torus("su2", 6),
+    _model_torus("t2", 3),
     quad.su2_haar_rule(3),
     quad.gaussian_rule(1, 2),
     quad.gaussian_rule(2, 1),

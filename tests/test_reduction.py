@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from quantlab import lie_core, reduction
 from quantlab.coherent_transform import (
+    _highest_weights,
     _scaled,
     _torus_norms,
+    _weights,
     build_sigma_table,
     character_gram,
     irrep_labels,
 )
+from quantlab.density_weights import weyl_denominator
 from quantlab.lie_core import (
     adjoint_action_batch,
     alg_to_matrix_batch,
@@ -22,15 +25,15 @@ from quantlab.lie_core import (
     matmul_batch,
     random_group_coords,
     random_group_point,
+    weyl_group,
 )
-from quantlab.quadrature import gaussian_rule, model_torus_rule
+from quantlab.quadrature import gaussian_rule, torus_rule
 from quantlab.reduction import (
     ReducedRepresentative,
     _su2_torus_angle,
     momentum_equivariance_certificate,
     momentum_map_batch,
     qr_commutes_certificate,
-    reduction_unitary,
     torus_representative,
     weyl_canonicalize,
     weyl_isometry_certificate,
@@ -484,29 +487,36 @@ def test_round_trip_certificate_reproduces_the_trip_loop(name):
     assert rng_batch.random() == rng_loop.random()
 
 
-def _norm_sq(rule, values):
-    return rule.weights @ (np.abs(values) ** 2)
+def _sampled_reduced_gram(model, labels):
+    # the reduced characters sampled on the model's torus grid, torus_rule's
+    # angles times the period scale: one row per label, the sum of
+    # e^{i m.tau} over its weights times |W|^{-1/2} |delta|, and their Gram
+    top = float(np.abs(_highest_weights(model, labels)).max())
+    rule = torus_rule(model.rank, 4 * math.ceil(top) + 6)
+    taus = rule.nodes * (np.array(model.torus_periods) / (2 * math.pi))
+    values = (np.array([np.exp(1j * taus @ w.T).sum(axis=1)
+                        for w in _weights(model, labels)])
+              * weyl_denominator(model, taus)
+              / math.sqrt(len(weyl_group(model))))
+    return taus, (values * rule.weights) @ values.conj().T
 
 
-def test_reduction_unitary_torus_identity():
-    rule, values = reduction_unitary(U1, [(2,)])
-    taus = rule.nodes[:, 0]
-    assert values.shape == (1, len(taus))
-    assert np.abs(values[0] - np.exp(2j * taus)).max() < 1e-12
-    assert abs(_norm_sq(rule, values[0]) - 1.0) < 1e-12
-
-
-def test_reduction_unitary_su2_isometry():
-    for j in (0.0, 0.5, 1.0, 2.0):
-        rule, values = reduction_unitary(SU2, [j])
-        assert abs(_norm_sq(rule, values[0]) - 1.0) < 1e-10
-
-
-def test_reduction_unitary_preserves_orthogonality():
-    # one call, one grid, one row per character
-    rule, values = reduction_unitary(SU2, [0.5, 1.0, 1.5], modes=16)
-    gram = (values * rule.weights) @ values.conj().T
-    assert np.abs(gram - np.eye(3)).max() < 1e-10
+@pytest.mark.parametrize("name,cutoff", [
+    ("u1", 1), ("u1", 4), ("u1", 8), ("t2", 1), ("t2", 4), ("t2", 8),
+    ("su2", 0.5), ("su2", 2.0), ("su2", 3.5), ("su2", 8.0)])
+def test_reduced_gram_is_the_gram_of_the_sampled_characters(name, cutoff):
+    model = get_model(name)
+    labels = irrep_labels(model, cutoff)
+    taus, want = _sampled_reduced_gram(model, labels)
+    got = reduction._reduced_gram(model, labels)
+    assert got.shape == (len(labels), len(labels))
+    assert np.abs(got - want).max() <= 5e-14
+    # unit characters reduce to an orthonormal system
+    assert np.abs(want - np.eye(len(labels))).max() < 1e-12
+    if name == "su2":
+        # half-integer spins have half-integer weights, e^{i m tau} with
+        # period 4 pi: the grid covers that whole period
+        assert taus.max() > 2 * math.pi
 
 
 def test_qr_certificate_su2():
@@ -526,20 +536,6 @@ def test_qr_certificate_su2_cutoff_six():
     assert rep.passed
     assert rep.metadata["dimension"] == 13
     assert len(rep.metadata["gram_b"]) == 13
-
-
-def test_su2_torus_character_values_are_the_weight_sums():
-    # chi_j(diag(e^{-i tau/2}, e^{i tau/2})) = sum of e^{i m tau}, m = -j..j
-    from quantlab.reduction import _torus_character_values
-
-    taus = np.linspace(0.0, 4.0 * math.pi, 41)[:, None]
-    spins = (0.0, 0.5, 1.0, 2.5, 4.0)
-    rows = _torus_character_values(SU2, spins, taus)
-    assert rows.shape == (len(spins), len(taus))
-    for j, got in zip(spins, rows):
-        want = sum(np.exp(1j * (k - j) * taus[:, 0])
-                   for k in range(int(2 * j) + 1))
-        assert np.abs(got - want).max() < 1e-13 * (2 * j + 1)
 
 
 def test_qr_certificate_truncation_monotone():
@@ -572,36 +568,64 @@ def test_qr_certificate_torus_exact():
 @pytest.mark.parametrize("name", ["u1", "t2"])
 def test_qr_torus_broken_restriction_shows_on_route_a_only(monkeypatch,
                                                            name):
-    # a restriction 1% too large: route A's reduced Gram reads 1.01^2 on
-    # its diagonal, route B never restricts
-    unitary = reduction.reduction_unitary
-
-    def too_large(model, labels, modes=None):
-        rule, values = unitary(model, labels, modes)
-        return rule, 1.01 * values
-
-    monkeypatch.setattr(reduction, "reduction_unitary", too_large)
+    # a Weyl denominator 1% too large: route A's reduced Gram reads 1.01^2
+    # on its diagonal, route B never restricts
+    delta = reduction.weyl_denominator
+    monkeypatch.setattr(reduction, "weyl_denominator",
+                        lambda model, taus: 1.01 * delta(model, taus))
     rep = qr_commutes_certificate(get_model(name))
     assert not rep.passed
     assert abs(rep.metadata["deviation_quantize_then_reduce"] - 0.0201) < 1e-12
     assert rep.metadata["deviation_reduce_then_quantize"] < 1e-12
 
 
+def _shifted_weights(shift, spin=None, index=0):
+    # su2 weight lists with ``shift`` added to every weight, or only to the
+    # weight at ``index`` of ``spin``
+    weights = reduction._weights
+
+    def shifted(model, labels):
+        out = [w.copy() for w in weights(model, labels)]
+        for label, w in zip(labels, out):
+            if spin is None:
+                w += shift
+            elif label == spin:
+                w[index] += shift
+        return out
+    return shifted
+
+
 def test_qr_su2_phase_shifted_restriction_fails_on_the_weyl_residual(
         monkeypatch):
-    # a phase e^{0.01 i tau} keeps every reduced Gram at the identity, but
-    # the reduced characters are no longer Weyl-even
-    values = reduction._torus_character_values
-    monkeypatch.setattr(
-        reduction, "_torus_character_values",
-        lambda model, labels, taus: (values(model, labels, taus)
-                                     * np.exp(0.01j * taus[:, 0])))
+    # weights shifted by 1/2 shift every reduced character by the phase
+    # e^{i tau / 2}: the weight differences, so every Gram, stay as they
+    # are, but the integer frequencies 2 m + 1 of each label are no longer
+    # those of its Weyl image, -2 m - 1
+    monkeypatch.setattr(reduction, "_weights", _shifted_weights(0.5))
     rep = qr_commutes_certificate(SU2)
     assert not rep.passed
-    assert rep.max_error == rep.metadata["weyl_invariance_residual"]
-    assert 0.1 < rep.max_error < 0.2
+    assert rep.max_error == rep.metadata["weyl_invariance_residual"] == 2.0
     assert rep.metadata["deviation_quantize_then_reduce"] < 1e-13
     assert rep.metadata["deviation_reduce_then_quantize"] < 1e-13
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_weyl_residual_reads_a_single_stray_weight(monkeypatch, index):
+    # one weight of spin 1 moved by 1/2 is one integer frequency moved by 1:
+    # the residual is linear in the defect, not its square
+    monkeypatch.setattr(reduction, "_weights",
+                        _shifted_weights(0.5, spin=1.0, index=index))
+    rep = qr_commutes_certificate(SU2)
+    assert not rep.passed
+    assert rep.metadata["weyl_invariance_residual"] >= 1.0
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_weyl_isometry_reads_the_whole_gram(name):
+    # the off-diagonal table sums are rounding, never an exact 0
+    rep = weyl_isometry_certificate(get_model(name))
+    assert rep.passed
+    assert 0.0 < rep.max_error < 1e-13
 
 
 def _node_grid_side_b(labels, level):
@@ -611,8 +635,8 @@ def _node_grid_side_b(labels, level):
     reps = [float(lab) for lab in labels]
     y_rule = gaussian_rule(1, level)
     y = y_rule.nodes[:, 0][None, :]
-    t_rule = model_torus_rule(SU2, 4 * int(math.ceil(2 * max(reps))) + 6)
-    taus = t_rule.nodes[:, 0][:, None]
+    t_rule = torus_rule(1, 4 * int(math.ceil(2 * max(reps))) + 6)
+    taus = 2.0 * t_rule.nodes[:, 0][:, None]
     norms = _torus_norms(np.array(reps)[:, None])
     vecs = []
     for m, c in zip(reps, norms):
@@ -649,20 +673,16 @@ def test_qr_commutes_fails_on_a_nan_route_b(monkeypatch):
 
 
 def test_weyl_isometry_fails_on_a_nan_character(monkeypatch):
-    # the first character reduces to NaN samples, the others are exact
-    real = reduction.reduction_unitary
-    calls = []
+    # one torus node of |delta| reads NaN, the others are exact
+    real = reduction.weyl_denominator
 
-    def nan_first(model, labels, modes=None):
-        rule, values = real(model, labels, modes)
-        if not calls:
-            values = np.full_like(values, np.nan)
-        calls.append(labels)
-        return rule, values
+    def nan_node(model, taus):
+        out = real(model, taus)
+        out[0] = np.nan
+        return out
 
-    monkeypatch.setattr(reduction, "reduction_unitary", nan_first)
+    monkeypatch.setattr(reduction, "weyl_denominator", nan_node)
     rep = weyl_isometry_certificate(SU2)
-    assert len(calls) > 1
     assert rep.passed is False
     assert "failure" in rep.metadata
 
