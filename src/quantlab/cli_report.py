@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,29 +186,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _plain(obj):
-    # metadata must survive a JSON round trip unchanged
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
-
-
-def _sanitize(report: CheckReport) -> CheckReport:
-    return replace(report, metadata=_plain(report.metadata))
-
-
 def _suite_kahler(cfg: SuiteConfig) -> list[CheckReport]:
     model = get_model(cfg.model)
     # j_squared and polar_differential draw from one stream, in this order
@@ -283,14 +260,15 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
-    """Run the selected suite(s).  A check that misses its tolerance is
-    reported as a FAIL; an exception inside a suite propagates to the
-    caller (``quantlab run`` turns it into exit code 3)."""
+    """Run the selected suite(s) and return their reports unchanged: each
+    certificate builds its metadata from JSON values only.  A check that
+    misses its tolerance is reported as a FAIL; an exception inside a
+    suite propagates to the caller (``quantlab run`` exits 3)."""
     names = _SUITE_RUNNERS if config.suite == "all" else (config.suite,)
     reports = []
     for name in names:
         reports.extend(_SUITE_RUNNERS[name](config))
-    return [_sanitize(r) for r in reports]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +344,9 @@ def parse_reports(text: str) -> list[CheckReport]:
     """Inverse of render_json, up to the config echo: the strings "nan",
     "inf" and "-inf" in ``tolerance``, ``max_error`` and the metadata
     read back as floats.  Input that is not such a document is a usage
-    error: not JSON, ``checks`` not a list of objects, a missing key, or
-    a ``pass`` that the check's own numbers contradict."""
+    error: not JSON, ``checks`` not a list of objects, a missing key, a
+    ``metadata`` that is not an object, or a ``pass`` that the check's
+    own numbers contradict."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -392,6 +371,8 @@ def parse_reports(text: str) -> list[CheckReport]:
             raise UsageError(f"check {index} lacks key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise UsageError(f"check {index} is malformed: {exc}") from exc
+        if not isinstance(reports[-1].metadata, dict):
+            raise UsageError(f"check {index}: metadata is not an object")
     return reports
 
 
@@ -444,8 +425,7 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
         f'<text x="{x0 + 10}" y="{y0 + 18}" font-size="14" '
         f'font-family="monospace">{title}</text>'
     )
-    def scaled(vals, log):
-        v = np.asarray(vals, float)
+    def scaled(v, log):
         return np.log10(np.maximum(v, 1e-300)) if log else v
 
     all_x = np.concatenate([scaled(s[1], logx) for s in series])
@@ -510,7 +490,6 @@ def _heatmap_panel(out, x0, y0, title, matrices):
     xoff = x0 + 20
     height = 0
     for name, mat in matrices:
-        mat = np.asarray(mat, float)
         n = mat.shape[0]
         lo, hi = float(mat.min()), float(mat.max())
         span = max(hi - lo, 1e-12)
@@ -532,49 +511,77 @@ def _heatmap_panel(out, x0, y0, title, matrices):
     return height + 10
 
 
+def _numbers(check_id: str, key: str, value, ndim: int = 1) -> np.ndarray:
+    # a saved report is untrusted input: metadata that cannot be drawn is
+    # refused as a usage error that names the check, not met by a traceback
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != ndim or not arr.size or arr.shape != arr.shape[:1] * ndim:
+        shape = "square matrix" if ndim == 2 else "list"
+        raise UsageError(f"check {check_id}: metadata {key} is not a "
+                         f"non-empty {shape} of numbers")
+    return arr
+
+
+def _curve(check_id: str, name: str, x: tuple, y: tuple) -> tuple:
+    # one series of a line panel from two (metadata key, value) pairs
+    xs, ys = _numbers(check_id, *x), _numbers(check_id, *y)
+    if len(xs) != len(ys):
+        raise UsageError(f"check {check_id}: metadata {y[0]} has "
+                         f"{len(ys)} values for the {len(xs)} of {x[0]}")
+    return name, xs, ys
+
+
 def render_svg(reports: list[CheckReport]) -> str:
     """One self-contained SVG sheet: deletion-cost curves, curvature
     spectra over their scan grid, and Gram heatmaps, for every report
-    that carries the matching metadata."""
+    that carries the matching metadata.  Plotted metadata that is not
+    numbers of the right shape is a usage error naming its check."""
     if not reports:
         raise UsageError("no reports to emit")
     body: list[str] = []
     y = 10
     width = 620
     for r in reports:
-        md = r.metadata
+        md, cid = r.metadata, r.check_id
         if "errors" in md and "m_list" in md:
             y += _line_panel(
                 body, 0, y,
-                f"{r.check_id}: deletion cost vs cutoff index",
-                [("E(m)", md["m_list"], md["errors"])],
+                f"{cid}: deletion cost vs cutoff index",
+                [_curve(cid, "E(m)", ("m_list", md["m_list"]),
+                        ("errors", md["errors"]))],
                 logx=True, logy=True,
             )
         elif "line_errors" in md and "m_list" in md:
             y += _line_panel(
                 body, 0, y,
-                f"{r.check_id}: line vs point deletion",
-                [
-                    ("line", md["m_list"], md["line_errors"]),
-                    ("point", md["m_list"], md["point_errors"]),
-                ],
+                f"{cid}: line vs point deletion",
+                [_curve(cid, name, ("m_list", md["m_list"]),
+                        (f"{name}_errors", md.get(f"{name}_errors")))
+                 for name in ("line", "point")],
                 logx=True, logy=True,
             )
         elif "spectrum_grid" in md and "spectrum_min" in md:
-            series = [
-                (name, md["spectrum_grid"], vals)
-                for name, vals in sorted(md["spectrum_min"].items())
-            ]
+            spectra = md["spectrum_min"]
+            if not isinstance(spectra, dict) or not spectra:
+                raise UsageError(f"check {cid}: metadata spectrum_min is "
+                                 "not a non-empty object of spectra")
             y += _line_panel(
                 body, 0, y,
-                f"{r.check_id}: least curvature eigenvalue over the scan",
-                series,
+                f"{cid}: least curvature eigenvalue over the scan",
+                [_curve(cid, name, ("spectrum_grid", md["spectrum_grid"]),
+                        (f"spectrum_min.{name}", vals))
+                 for name, vals in sorted(spectra.items())],
             )
         elif "gram_a" in md and "gram_b" in md:
             y += _heatmap_panel(
                 body, 0, y,
-                f"{r.check_id}: Gram matrices of the two routes",
-                [("route A", md["gram_a"]), ("route B", md["gram_b"])],
+                f"{cid}: Gram matrices of the two routes",
+                [(label, _numbers(cid, key, md[key], ndim=2))
+                 for label, key in (("route A", "gram_a"),
+                                    ("route B", "gram_b"))],
             )
     if not body:
         raise UsageError("no report carries plottable metadata")

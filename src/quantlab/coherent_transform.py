@@ -605,8 +605,8 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
         tolerance=1e-6,
         max_error=np.maximum(dev_eta, dev_flat),
         labels=[str(l) for l in labels],
-        eta_diagonal=[float(v) for v in np.real(np.diagonal(gram_eta))],
-        flat_diagonal=[float(v) for v in np.real(np.diagonal(gram))],
+        eta_diagonal=np.real(np.diagonal(gram_eta)).tolist(),
+        flat_diagonal=np.real(np.diagonal(gram)).tolist(),
         deviation_eta=dev_eta,
         deviation_flat=dev_flat,
     )

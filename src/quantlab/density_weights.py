@@ -104,7 +104,7 @@ def eta_log_convexity_certificate(
         tolerance=1e-5,
         max_error=max(agreement, positivity_violation),
         grid=grid,
-        t_range=t_range,
+        t_range=list(t_range),
         min_closed_form=float(closed.min()),
         agreement=agreement,
     )

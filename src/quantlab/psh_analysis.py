@@ -273,7 +273,7 @@ def canonical_semi_negativity_certificate(model: LieModel) -> CheckReport:
         # not -least, so that a flat spectrum reads 0.0 rather than -0.0
         max_error=np.maximum(0.0, 0.0 - least),
         min_eigenvalue=least,
-        witness_point=list(grid[worst]),
+        witness_point=grid[worst].tolist(),
         grid_points=len(grid),
         margin=0.0,
     )
@@ -298,7 +298,7 @@ def twist_positivity_certificate(
         # a NaN eigenvalue propagates and fails the check
         max_error=np.maximum(0.0, _TWIST_MARGIN - least),
         min_eigenvalue=least,
-        witness_point=list(grid[worst]),
+        witness_point=grid[worst].tolist(),
         grid_points=len(grid),
         margin=_TWIST_MARGIN,
         a=a,

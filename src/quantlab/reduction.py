@@ -400,6 +400,6 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
         deviation_quantize_then_reduce=float(np.maximum(dev_a_hl2, dev_a_red)),
         deviation_reduce_then_quantize=dev_b,
         weyl_invariance_residual=float(winv),
-        gram_a=[[float(v) for v in row] for row in np.real(gram_red)],
-        gram_b=[[float(v) for v in row] for row in np.real(gram_b)],
+        gram_a=np.real(gram_red).tolist(),
+        gram_b=np.real(gram_b).tolist(),
     )

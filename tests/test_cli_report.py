@@ -228,11 +228,15 @@ def _all_check_ids(model):
 
 @pytest.mark.parametrize("model", ["u1", "t2", "su2"])
 def test_full_pipeline_all_passes(model):
-    reports = run_suite(SuiteConfig(model=model, suite="all", seed=0))
+    cfg = SuiteConfig(model=model, suite="all", seed=0)
+    reports = run_suite(cfg)
     assert [r.check_id for r in reports] == _all_check_ids(model)
     failed = [r.check_id for r in reports if not r.passed]
     assert failed == []
     assert all(r.citation for r in reports)
+    # run_suite converts nothing: a tuple or a numpy scalar left in any
+    # certificate's metadata reads back as something else
+    assert parse_reports(render_json(reports, cfg)) == reports
 
 
 def test_json_round_trip_and_determinism():
@@ -431,8 +435,9 @@ def _mangled_report(mangle):
     _mangled_report(lambda doc: doc.update(checks=["not an object"])),
     _mangled_report(lambda doc: doc["checks"][0].pop("citation")),
     _mangled_report(lambda doc: doc["checks"][0].update({"pass": False})),
+    _mangled_report(lambda doc: doc["checks"][0].update(metadata=[1])),
 ], ids=["not-json", "checks-not-a-list", "check-not-an-object",
-        "missing-key", "pass-contradicts-numbers"])
+        "missing-key", "pass-contradicts-numbers", "metadata-not-an-object"])
 def test_emit_of_a_malformed_report_is_a_usage_error(tmp_path, text):
     with pytest.raises(UsageError):
         parse_reports(text)
@@ -441,6 +446,32 @@ def test_emit_of_a_malformed_report_is_a_usage_error(tmp_path, text):
     out = tmp_path / "out.csv"
     assert main(["emit", "--in", str(bad), "--format", "csv",
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _with_metadata(metadata):
+    return _mangled_report(
+        lambda doc: doc["checks"][0].update(metadata=metadata))
+
+
+@pytest.mark.parametrize("text,key", [
+    (_with_metadata({"gram_a": [[1.0, 0.0], [0.0]], "gram_b": [[1.0]]}),
+     "gram_a"),
+    (_with_metadata({"m_list": ["a", "b"], "errors": [0.3, 0.2]}), "m_list"),
+    (_with_metadata({"m_list": [], "errors": []}), "m_list"),
+    (_with_metadata({"m_list": [1.0, 2.0], "errors": [0.3]}), "errors"),
+], ids=["ragged-gram", "m-list-not-numbers", "empty-curve", "unequal-curve"])
+def test_emit_svg_of_malformed_plot_metadata_is_a_usage_error(
+        tmp_path, capsys, text, key):
+    # the report parses, but what its SVG panel would plot cannot be drawn
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out.svg"
+    assert main(["emit", "--in", str(bad), "--format", "svg",
+                 "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(
+        f"error: check density.codim2_removal: metadata {key} ")
     assert not out.exists()
 
 
