@@ -301,8 +301,11 @@ def _frequencies(model: LieModel, weights) -> np.ndarray:
 
 def _fold(gram: np.ndarray, sizes) -> np.ndarray:
     """A Gram over weights summed over consecutive blocks of ``sizes``
-    rows and columns: the Gram of the blocks' sums."""
+    rows and columns: the Gram of the blocks' sums.  When every block has
+    one row, as on a torus, that is ``gram`` itself, returned as is."""
     sizes = np.asarray(sizes)
+    if np.all(sizes == 1):
+        return gram
     starts = np.cumsum(sizes) - sizes
     return np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts,
                            axis=1)

@@ -26,12 +26,18 @@ __all__ = [
 
 
 def sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x with a series branch against cancellation near zero."""
+    """sinh(x)/x, by the series 1 + x^2/6 + x^4/120 where |x| < 1e-4, so
+    that it does not cancel near zero.  Each branch is evaluated only on
+    the entries that take it."""
     x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    series = 1.0 + x**2 / 6.0 + x**4 / 120.0
-    return np.where(small, series, np.sinh(safe) / safe)
+    xs = x[small]
+    out[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0
+    rest = ~small
+    xr = x[rest]
+    out[rest] = np.sinh(xr) / xr
+    return out
 
 
 # 1/(2k+3)!, k = 11, ..., 0: the series of (sinh x - x)/x^3 in x^2, as
@@ -41,25 +47,39 @@ _SINH_REMAINDER_SERIES = [1.0 / math.factorial(2 * k + 3)
 
 
 def _sinh_remainder(x: np.ndarray) -> np.ndarray:
-    """(sinh(x) - x)/x^3 elementwise, by its series where it cancels."""
+    """(sinh(x) - x)/x^3 elementwise: its 12-term series in x^2 where
+    |x| < 2, where the difference cancels, and the quotient elsewhere,
+    each on only the entries that take it."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
     small = np.abs(x) < 2.0
-    safe = np.where(small, 2.0, x)
-    return np.where(small, np.polyval(_SINH_REMAINDER_SERIES, x * x),
-                    (np.sinh(safe) - safe) / safe**3)
+    xs = x[small]
+    out[small] = np.polyval(_SINH_REMAINDER_SERIES, xs * xs)
+    rest = ~small
+    xr = x[rest]
+    out[rest] = (np.sinh(xr) - xr) / xr**3
+    return out
 
 
 def log_sinhc(x: np.ndarray) -> np.ndarray:
-    """log(sinh(x)/x), stable for both tiny and large |x|."""
+    """log(sinh(x)/x), stable for both tiny and large |x|: the series
+    x^2/6 - x^4/180 below 1e-4, x - log(2x) + log1p(-e^{-2x}) above 20,
+    and the logarithm of the quotient between.  Each branch is evaluated
+    only on the entries that take it, so a large |x| whose result is
+    finite never reaches the series' x^4."""
     x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty(x.shape)
     small = x < 1e-4
     large = x > 20.0
-    safe = np.where(small | large, 1.0, x)
-    series = x**2 / 6.0 - x**4 / 180.0
+    xs = x[small]
+    out[small] = xs**2 / 6.0 - xs**4 / 180.0
     # sinh(x)/x = e^x (1 - e^{-2x}) / (2x)
-    xl = np.where(large, x, 1.0)
-    big = x - np.log(2.0 * xl) + np.log1p(-np.exp(-2.0 * xl))
-    mid = np.log(np.sinh(safe) / safe)
-    return np.where(small, series, np.where(large, big, mid))
+    xl = x[large]
+    out[large] = xl - np.log(2.0 * xl) + np.log1p(-np.exp(-2.0 * xl))
+    mid = ~(small | large)
+    xm = x[mid]
+    out[mid] = np.log(np.sinh(xm) / xm)
+    return out
 
 
 def eta_tilde(model: LieModel, t_coords: np.ndarray) -> np.ndarray:

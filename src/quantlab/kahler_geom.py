@@ -23,19 +23,24 @@ coefficients in theta that keep every digit as theta -> 0 and overflow
 with sinh(theta), near theta = 710.  On a torus A = 0 and the same code
 gives the flat blocks.
 
-Each (N, 2n, 2n) stack is written block by block into one preallocated
-array.  The 10,000-sample certificates draw their whole (N, n) coordinate
-stack first, in stream order, and then evaluate J, the metric and its
-solve over fixed blocks of rows (``lie_core._row_block_max``), keeping a
-running maximum of the error; every row is computed on its own, so the
-maxima are the whole stack's bit for bit and no (N, 2n, 2n) stack of all
-N rows is held.
+Each (N, 2n, 2n) stack is written block by block into one array, a new
+one or the ``out`` array that ``complex_structure_batch`` and
+``omega_batch`` are given.  The 10,000-sample certificates draw their
+whole (N, n) coordinate stack first, in stream order, and then evaluate
+J, the metric and its solve over fixed blocks of rows
+(``lie_core._row_block_max``), keeping a running maximum of the error.
+Each certificate allocates its (rows, 2n, 2n) buffers once, rows read
+from ``lie_core._ROW_BLOCK`` when it is called, and every block writes J,
+J^2, Omega and the metric into them; every row is computed on its own,
+so the maxima are the whole stack's bit for bit and no (N, 2n, 2n) stack
+of all N rows is held.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from quantlab import lie_core
 from quantlab.density_weights import _sinh_remainder, sinhc
 from quantlab.lie_core import (
     LieModel,
@@ -72,15 +77,19 @@ def _ad_powers(model: LieModel, ys: np.ndarray):
     return ad, ad2, theta[:, None, None]
 
 
-def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
+def omega_batch(model: LieModel, ys: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Matrices of omega, [[-B, -I], [I, 0]] with B[i,j] = <Y, [e_i, e_j]>,
-    batched over the rows of the (N, n) array ys."""
+    batched over the rows of the (N, n) array ys.  Written into ``out``,
+    an (N, 2n, 2n) float array, and returned, when it is given."""
     ys = np.atleast_2d(np.asarray(ys, float))
     n = model.dim
-    out = np.zeros((ys.shape[0], 2 * n, 2 * n))
-    out[:, :n, :n] = -np.einsum("ijk,mk->mij", model.structure_constants, ys)
-    out[:, :n, n:] = -np.eye(n)
-    out[:, n:, :n] = np.eye(n)
+    out, ((ul, ur), (ll, lr)) = _block_matrix(ys.shape[0], n, out)
+    np.einsum("ijk,mk->mij", model.structure_constants, ys, out=ul)
+    np.negative(ul, out=ul)
+    ur[:] = -np.eye(n)
+    ll[:] = np.eye(n)
+    lr[:] = 0.0
     return out
 
 
@@ -101,17 +110,23 @@ def _j_block_values(theta: np.ndarray):
     c_ur = (tanh(h)/h - 1)/theta^2 and c_ll = (1 - theta/sinh theta)/theta^2
     are taken through (sinh x - x)/x^3."""
     half = theta / 2.0
-    b_ul = 0.5 * sinhc(half) / np.cosh(half)
+    cosh_half = np.cosh(half)
+    b_ul = 0.5 * sinhc(half) / cosh_half
     c_ur = (_sinh_remainder(half) - 0.5 * sinhc(half / 2.0) ** 2) / (
-        4.0 * np.cosh(half))
+        4.0 * cosh_half)
     return b_ul, c_ur, _sinh_remainder(theta) / sinhc(theta)
 
 
-def _block_matrix(ad: np.ndarray):
-    """An empty (N, 2n, 2n) stack for the (N, n, n) stack ad, with views
-    ((ul, ur), (ll, lr)) of its four (N, n, n) blocks to write in place."""
-    count, n = ad.shape[0], ad.shape[1]
-    out = np.empty((count, 2 * n, 2 * n))
+def _block_matrix(count: int, n: int, out: np.ndarray | None = None):
+    """An (N, 2n, 2n) stack to write in place, ``out`` if given (it must
+    be a float array of that shape) or a new empty one, with views
+    ((ul, ur), (ll, lr)) of its four (N, n, n) blocks."""
+    shape = (count, 2 * n, 2 * n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float:
+        raise ValueError(f"out must be a float array of shape {shape}, "
+                         f"not {out.dtype} {out.shape}")
     return out, ((out[:, :n, :n], out[:, :n, n:]),
                  (out[:, n:, :n], out[:, n:, n:]))
 
@@ -125,7 +140,7 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     ad, ad2, theta = _ad_powers(model, ys)
     eye = np.eye(model.dim)
     c_cos, b_onemcos, b_msin, c_sinc = _block_values(theta)
-    out, ((ul, ur), (ll, lr)) = _block_matrix(ad)
+    out, ((ul, ur), (ll, lr)) = _block_matrix(len(ad), model.dim)
     np.multiply(c_cos, ad2, out=ul)
     ul += eye
     np.multiply(b_onemcos, ad, out=ur)
@@ -135,12 +150,15 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
-    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form."""
+def complex_structure_batch(model: LieModel, ys: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form.
+    Written into ``out``, an (N, 2n, 2n) float array, and returned, when
+    it is given."""
     ad, ad2, theta = _ad_powers(model, ys)
     eye = np.eye(model.dim)
     b_ul, c_ur, c_ll = _j_block_values(theta)
-    out, ((ul, ur), (ll, lr)) = _block_matrix(ad)
+    out, ((ul, ur), (ll, lr)) = _block_matrix(len(ad), model.dim, out)
     np.multiply(b_ul, ad, out=ul)
     np.multiply(c_ur, ad2, out=ur)
     ur -= eye
@@ -159,6 +177,14 @@ def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
             @ omega_batch(model, ys))
 
 
+def _row_buffers(count: int, samples: int, n: int) -> list[np.ndarray]:
+    """``count`` empty (rows, 2n, 2n) stacks that every row block of a
+    ``samples``-row certificate writes into, rows the smaller of samples
+    and ``lie_core._ROW_BLOCK``."""
+    rows = min(samples, lie_core._ROW_BLOCK)
+    return [np.empty((rows, 2 * n, 2 * n)) for _ in range(count)]
+
+
 def j_squared_certificate(model: LieModel, rng: np.random.Generator,
                           seed: int, samples: int = 10_000) -> CheckReport:
     """J^2 = -identity for the pulled-back complex structure at Y drawn as
@@ -167,10 +193,13 @@ def j_squared_certificate(model: LieModel, rng: np.random.Generator,
     is the seed ``rng`` was made from, recorded in the report."""
     ys = rng.standard_normal((samples, model.dim)) * 1.5
     eye = np.eye(2 * model.dim)
+    j_buf, sq_buf = _row_buffers(2, samples, model.dim)
 
     def worst(ys):
-        js = complex_structure_batch(model, ys)
-        return np.abs(js @ js + eye).max()
+        js = complex_structure_batch(model, ys, out=j_buf[:len(ys)])
+        sq = np.matmul(js, js, out=sq_buf[:len(ys)])
+        sq += eye
+        return np.abs(sq, out=sq).max()
 
     return CheckReport.from_error(
         "kahler.j_squared",
@@ -281,6 +310,7 @@ def completeness_certificate(
     ys = rng.standard_normal((sample_count, n)) * rng.uniform(
         0.1, 3.0, size=(sample_count, 1)
     )
+    j_buf, om_buf, gram_buf = _row_buffers(3, sample_count, n)
 
     def worst(ys):
         # (agreement, largest via_metric, largest closed) over these rows
@@ -288,7 +318,11 @@ def completeness_certificate(
         # df = (0, 2 Y / (1 + |Y|^2)) on the dual of the 2n-vector frame.
         cov = np.zeros((len(ys), 2 * n))
         cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
-        grams = metric_batch(model, ys)
+        # J^T Omega, as metric_batch forms it, in the certificate's buffers
+        m = len(ys)
+        js = complex_structure_batch(model, ys, out=j_buf[:m])
+        oms = omega_batch(model, ys, out=om_buf[:m])
+        grams = np.matmul(np.swapaxes(js, 1, 2), oms, out=gram_buf[:m])
         sharped = np.linalg.solve(grams, cov[:, :, None])[:, :, 0]
         via_metric = np.einsum("mi,mi->m", cov, sharped)
         closed = 4.0 * norms_sq / (1.0 + norms_sq) ** 2

@@ -9,6 +9,7 @@ from scipy.stats import norm, qmc
 
 from quantlab.coherent_transform import (
     _basis_owner,
+    _fold,
     _rep_exp,
     _su2_gram_rules,
     _su2_spin_matrices,
@@ -471,6 +472,35 @@ def _full_node_sums(model, labels, level):
     gauss = np.array([y_rule.weights @ np.exp(-y_rule.nodes @ (na + n).T)
                       for na in n])
     return sig, haar, gauss
+
+
+def test_fold_of_unit_blocks_is_the_gram_itself():
+    rng = np.random.default_rng(2)
+    gram = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    # two reduceat passes over one-row blocks copy every entry bit for bit
+    want = np.add.reduceat(np.add.reduceat(gram, np.arange(7), axis=0),
+                           np.arange(7), axis=1)
+    got = _fold(gram, [1] * 7)
+    assert got is gram
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fold_sums_mixed_blocks():
+    rng = np.random.default_rng(3)
+    gram = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    sizes = [1, 3, 2, 1, 2]
+    edges = np.cumsum([0] + sizes)
+    want = np.array([[gram[a:b, c:d].sum(axis=0).sum() for c, d in
+                      zip(edges[:-1], edges[1:])]
+                     for a, b in zip(edges[:-1], edges[1:])])
+    got = _fold(gram, sizes)
+    assert got.shape == (5, 5)
+    # the rows of each block are summed first, then its columns
+    starts = edges[:-1]
+    exact = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts,
+                            axis=1)
+    assert np.array_equal(got.view(np.uint64), exact.view(np.uint64))
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 def test_torus_grams_match_pairwise_formula():

@@ -62,6 +62,80 @@ def test_log_sinhc_values():
     assert abs(dw.log_sinhc(np.array([x]))[0] - expect) < 1e-12
 
 
+# The three-branch closed forms as np.where picks them, every branch taken
+# on every entry: the reference the branch-only forms must equal bit for bit.
+
+
+def _where_sinhc(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    series = 1.0 + x**2 / 6.0 + x**4 / 120.0
+    return np.where(small, series, np.sinh(safe) / safe)
+
+
+def _where_sinh_remainder(x):
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 2.0
+    safe = np.where(small, 2.0, x)
+    return np.where(small, np.polyval(dw._SINH_REMAINDER_SERIES, x * x),
+                    (np.sinh(safe) - safe) / safe**3)
+
+
+def _where_log_sinhc(x):
+    x = np.abs(np.asarray(x, dtype=float))
+    small = x < 1e-4
+    large = x > 20.0
+    safe = np.where(small | large, 1.0, x)
+    series = x**2 / 6.0 - x**4 / 180.0
+    xl = np.where(large, x, 1.0)
+    big = x - np.log(2.0 * xl) + np.log1p(-np.exp(-2.0 * xl))
+    mid = np.log(np.sinh(safe) / safe)
+    return np.where(small, series, np.where(large, big, mid))
+
+
+def _branch_inputs():
+    edges = [1e-4, 2.0, 20.0]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+    values = np.array(edges + near + [0.0, -0.0, np.inf, -np.inf, np.nan,
+                                      1e-9, 0.3, 1.5, 5.0, 30.0, 700.0,
+                                      800.0])
+    values = np.concatenate([values, -values])
+    rng = np.random.default_rng(5)
+    spread = np.concatenate([rng.standard_normal(500) * s
+                             for s in (1e-4, 1.0, 4.0, 40.0)])
+    return [values, spread, values.reshape(-1, 1, 1), spread[:, None, None],
+            np.empty(0), np.empty((0, 1, 1))] + [np.asarray(v)
+                                                  for v in values]
+
+
+@pytest.mark.parametrize("func,reference", [
+    (dw.sinhc, _where_sinhc),
+    (dw._sinh_remainder, _where_sinh_remainder),
+    (dw.log_sinhc, _where_log_sinhc),
+], ids=["sinhc", "sinh_remainder", "log_sinhc"])
+def test_branch_only_forms_are_the_where_forms(func, reference):
+    for x in _branch_inputs():
+        # sinh overflows and inf/inf is invalid in both forms alike
+        with np.errstate(all="ignore"):
+            got, want = func(x), reference(x)
+        assert got.shape == want.shape == x.shape
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_log_sinhc_of_a_huge_argument_is_finite():
+    # the series branch's x^4 overflowed here while the large branch,
+    # the one these entries take, reads x - log(2x) = x to rounding
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert dw.log_sinhc(np.array([1e78]))[0] == 1e78
+        assert dw.log_sinhc(np.array([-1e78, 25.0]))[0] == 1e78
+        got = dw.log_eta_tilde(lc.get_model("su2"), [[1e78]])
+    (root,) = lc.get_model("su2").positive_roots() @ [1e78]
+    assert np.isfinite(got[0]) and got[0] == abs(root)
+
+
 def test_log_convexity_certificate():
     rep = dw.eta_log_convexity_certificate(grid=4000)
     assert rep.passed, rep

@@ -629,6 +629,29 @@ def test_blocks_written_in_place_are_the_np_block_ones(name, seed):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_out_buffers_hold_the_allocating_stacks(name):
+    model = lc.get_model(name)
+    n2 = 2 * model.dim
+    ys = np.random.default_rng(4).standard_normal((300, model.dim)) * 1.5
+    for batch in (kg.complex_structure_batch, kg.omega_batch):
+        want = batch(model, ys)
+        # NaN first, so an entry left unwritten shows
+        buf = np.full((len(ys), n2, n2), np.nan)
+        assert batch(model, ys, out=buf) is buf
+        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+        # a leading-row view of a larger buffer, as the certificates pass
+        big = np.full((len(ys) + 5, n2, n2), np.nan)
+        view = batch(model, ys, out=big[:len(ys)])
+        assert np.shares_memory(view, big)
+        assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(big[len(ys):]).all()
+        for bad in (np.empty((1, n2, n2)), np.empty((len(ys), n2, n2),
+                                                    np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                batch(model, ys, out=bad)
+
+
 def _whole_stack_j_squared(model, seed):
     # worst |J^2 + I| over the certificate's whole (10,000, n) stack at once
     ys = np.random.default_rng(seed).standard_normal((10_000, model.dim))
