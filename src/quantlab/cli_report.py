@@ -85,7 +85,7 @@ class SuiteConfig:
     default cutoff.  No setting reaches a tolerance: each certificate pins
     its own.  The transform suite (alone or in "all") is refused when
     ``transform_bytes`` puts it past ``TRANSFORM_BUDGET``, and on a torus
-    when its Gauss-Hermite rule at the level has a non-finite weight.
+    when its Gauss-Hermite rule at ``gauss_level`` has a non-finite weight.
     """
 
     model: str = "su2"
@@ -95,6 +95,11 @@ class SuiteConfig:
     level: int = 3
     grid: int = 1024
     out: str | None = None
+
+    @property
+    def gauss_level(self) -> int:
+        """The Gauss level of sigma_oracle and spin_gram: at least 4."""
+        return max(self.level, 4)
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
@@ -134,7 +139,7 @@ class SuiteConfig:
             raise UsageError("density grid must have at least 64 points")
         if self.suite in ("transform", "all"):
             model = get_model(self.model)
-            need = transform_bytes(model, self.cutoff, self.level)
+            need = transform_bytes(model, self.cutoff, self.gauss_level)
             if need > TRANSFORM_BUDGET:
                 raise UsageError(
                     f"the transform suite on {self.model} needs about "
@@ -142,13 +147,12 @@ class SuiteConfig:
                     f"past its budget of {TRANSFORM_BUDGET / 2**30:g} GiB")
             # torus sigmas and Gaussian tables sum on Gauss-Hermite nodes,
             # whose weights overflow from some number of points on
-            level = max(self.level, 4)
             with np.errstate(all="ignore"):
                 if model.is_abelian and not np.isfinite(
-                        gaussian_rule(1, level).axes[0][1]).all():
+                        gaussian_rule(self.gauss_level)[1]).all():
                     raise UsageError(f"the Gauss-Hermite rule of level "
-                                     f"{level} has a weight that is not a "
-                                     "finite double")
+                                     f"{self.gauss_level} has a weight that "
+                                     "is not a finite double")
 
 
 _CONFIG_PARSERS = {
@@ -204,7 +208,7 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
     return [
         eta_log_convexity_certificate(),
         canonical_semi_negativity_certificate(model),
-        twist_positivity_certificate(model, 2 * math.pi, 2.0),
+        twist_positivity_certificate(model),
         oracle_agreement_certificate(model),
         wall_limit_certificate(model),
         spectrum_curve_certificate(model),
@@ -214,12 +218,11 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckReport]:
 def _suite_transform(cfg: SuiteConfig) -> list[CheckReport]:
     # a cutoff of None keeps each certificate's DEFAULT_CUTOFF for the model
     model = get_model(cfg.model)
-    level = max(cfg.level, 4)
     return [
-        sigma_oracle_certificate(model, cfg.cutoff, level=level),
+        sigma_oracle_certificate(model, cfg.cutoff, level=cfg.gauss_level),
         unitarity_certificate(model, cutoff=cfg.cutoff, level=cfg.level),
         equivariance_certificate(model, cutoff=cfg.cutoff, seed=cfg.seed),
-        spin_weighted_gram(model, cutoff=cfg.cutoff, level=level),
+        spin_weighted_gram(model, cutoff=cfg.cutoff, level=cfg.gauss_level),
     ]
 
 

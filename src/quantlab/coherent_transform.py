@@ -37,7 +37,7 @@ from quantlab.lie_core import (
     weyl_group,
 )
 from quantlab.quadrature import (
-    QuadratureRule,
+    gauss_points,
     gaussian_rule,
     radial_rule,
     su2_haar_rule,
@@ -152,13 +152,13 @@ def irrep_labels(model: LieModel, cutoff) -> list:
 
 
 def transform_bytes(model: LieModel, cutoff, level: int) -> int:
-    """Estimated peak memory of the transform certificates, from the sizes
-    alone, before any array is built: 80 B per entry of the N x N basis
-    Grams, of su2's radial node tables (a row per Haar b node and radial
-    node, a column per basis element) and of the P x P companion matrix
-    of a Gauss rule, with P = 16 max(level, 4) nodes per rule."""
+    """Estimated peak memory of the transform certificates at Gauss levels
+    up to ``level``, from the sizes alone, before any rule is built: 80 B
+    per entry of the N x N basis Grams, of su2's radial node tables (a row
+    per Haar b node and radial node, a column per basis element) and of
+    the P x P companion matrix of a P = ``gauss_points(level)`` rule."""
     top = top_label(model, _default_cutoff(model, cutoff))
-    points = 16 * max(level, 4)
+    points = gauss_points(level)
     if model.is_abelian:
         size, node_rows = (2 * top[0] + 1) ** model.rank, 0
     else:
@@ -180,22 +180,23 @@ def sigma(model: LieModel, labels, level: int = 3) -> np.ndarray:
     """Quadrature value of the per-irrep Gaussian weight, one per label in
     label order.
 
-    Torus models integrate e^{2 n.y} against the Gaussian one Gauss-Hermite
-    axis at a time: sigma(n) = prod_k sum_y w(y) e^{2 n_k y}.  The rank-1
-    non-abelian model reduces by unitary invariance to the radial rule,
-    tilted for spin j, with the Hilbert-Schmidt norm the sum of e^{2 r m}
-    over the weights m of the representation.
+    Torus models integrate e^{2 n.y} against the Gaussian one axis at a
+    time, reusing the one Gauss-Hermite axis on each of the rank axes:
+    sigma(n) = prod_k sum_y w(y) e^{2 n_k y}.  The rank-1 non-abelian
+    model reduces by unitary invariance to the radial rule, tilted for
+    spin j, with the Hilbert-Schmidt norm the sum of e^{2 r m} over the
+    weights m of the representation.
     """
     if model.is_abelian:
         n = _highest_weights(model, labels)
-        return np.prod([np.exp(2.0 * np.outer(n[:, k], y)) @ w
-                        for k, (y, w) in enumerate(
-                            gaussian_rule(model.rank, level).axes)], axis=0)
+        y, w = gaussian_rule(level)
+        return np.prod([np.exp(2.0 * np.outer(col, y)) @ w for col in n.T],
+                       axis=0)
     out = np.empty(len(labels))
-    for i, w in enumerate(_weights(model, labels)):
-        rule = radial_rule(level, tilt=2.0 * float(w[0, 0]))
-        hs = np.exp(2.0 * np.outer(rule.nodes[:, 0], w[:, 0]))
-        out[i] = float(rule.weights @ hs.sum(axis=1)) / len(w)
+    for i, m in enumerate(_weights(model, labels)):
+        r, w_r = radial_rule(level, tilt=2.0 * float(m[0, 0]))
+        hs = np.exp(2.0 * np.outer(r, m[:, 0]))
+        out[i] = float(w_r @ hs.sum(axis=1)) / len(m)
     return out
 
 
@@ -319,20 +320,20 @@ def _torus_gram_factors(model: LieModel, weights, level: int):
     The product measure splits the Gram entrywise, G = A * B, with A_ab =
     sum_tau e^{i (m_a - m_b).tau} over the probability angle rule (exact,
     so the identity) and B_ab = sum_y e^{-(m_a + m_b).y} over the Gaussian
-    rule.  Both rules are products over the torus axes, so each factor is
-    a product over k of one-axis sums that depend only on (m_a - m_b)_k or
-    (m_a + m_b)_k: tables over -span..span, summed on the rule's nodes
-    rather than taken as Kronecker deltas.  They run over the integer
-    frequencies n (``_frequencies``), with y scaled by 2 pi / period."""
+    rule.  Both run one torus axis at a time, reusing the one angle and
+    one Gauss-Hermite axis on each, so each factor is a product over k of
+    one-axis sums that depend only on (m_a - m_b)_k or (m_a + m_b)_k:
+    tables over -span..span, summed on the rule's nodes rather than taken
+    as Kronecker deltas.  They run over the integer frequencies n
+    (``_frequencies``), with y scaled by 2 pi / period."""
     scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
     n = _frequencies(model, weights)
     span = 2 * int(np.abs(n).max())
     shifts = np.arange(-span, span + 1)
+    theta, w_t = torus_rule(span)
+    y, w_y = gaussian_rule(level)
     haar = gauss = 1.0
-    for k, ((theta, w_t), (y, w_y)) in enumerate(zip(
-            torus_rule(model.rank, span).axes,
-            gaussian_rule(model.rank, level).axes)):
-        col = n[:, k]
+    for k, col in enumerate(n.T):
         haar = haar * (np.exp(1j * np.outer(shifts, theta)) @ w_t)[
             col[:, None] - col[None, :] + span]
         gauss = gauss * (np.exp(-np.outer(shifts, y / scale[k])) @ w_y)[
@@ -340,9 +341,10 @@ def _torus_gram_factors(model: LieModel, weights, level: int):
     return haar, gauss
 
 
-def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
-    """Euler-axis tables of the spin matrices of ``labels`` on the rule
-    ``g_rule``, one column per basis element (x, p, k) in label order.
+def _su2_axis_tables(model: LieModel, labels, g_rule):
+    """Euler-axis tables of the spin matrices of ``labels`` on the Haar
+    rule's axes ``g_rule``, one column per basis element (x, p, k) in label
+    order.
 
     D^x_pk(a, b, c) = e^{-i m_p a} d^x_pk(b) e^{-i m_k c}.  Returns
     (d_b, twice_p, twice_k, t_a, t_c): d_b[u, (x, p, k)] = d^x_pk(b_u) at
@@ -354,7 +356,7 @@ def _su2_axis_tables(model: LieModel, labels, g_rule: QuadratureRule):
     not taken as Kronecker deltas, so a rule too coarse for the spins shows
     up as the aliasing the node sum would have.
     """
-    (alpha, w_a), (beta, _), (gamma, w_c) = g_rule.axes
+    (alpha, w_a), (beta, _), (gamma, w_c) = g_rule
     d_b, twice_p, twice_k = [], [], []
     for w in _weights(model, labels):
         lam, vec = np.linalg.eigh(1j * _su2_spin_matrices(w[0, 0])[1])
@@ -407,9 +409,8 @@ def _basis_grams(model: LieModel, labels, level: int):
         haar, gauss = _torus_gram_factors(
             model, _highest_weights(model, labels), level)
         return haar * gauss, haar
-    g_rule, r_rule = _su2_gram_rules(model, labels, level)
-    w_u = g_rule.axes[1][1]
-    r = r_rule.nodes[:, 0]
+    g_rule, (r, w_r) = _su2_gram_rules(model, labels, level)
+    w_u = g_rule[1][1]
     d_b, twice_p, twice_k, t_a, t_c = _su2_axis_tables(model, labels, g_rule)
     span = len(t_a) // 2
     dims = [len(w) for w in _weights(model, labels)]
@@ -425,7 +426,7 @@ def _basis_grams(model: LieModel, labels, level: int):
         f = (dd[:, :, None, :] * dd.conj()[:, None, :, :]) @ grow
         f_nodes.append(f.transpose(0, 3, 1, 2).reshape(-1, d * d))
     f_nodes = np.concatenate(f_nodes, axis=1)
-    w_ur = np.outer(w_u, r_rule.weights).reshape(-1)
+    w_ur = np.outer(w_u, w_r).reshape(-1)
     diff = twice_p - twice_k
     b_full = (t_a[diff[:, None] - diff[None, :] + span]
               * ((f_nodes.T * w_ur) @ f_nodes.conj()))
@@ -512,11 +513,10 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 10,
     )
 
 
-def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
-                        r_rule: QuadratureRule,
+def _su2_character_gram(model: LieModel, labels, g_rule, radii: np.ndarray,
                         radial_weights: np.ndarray) -> np.ndarray:
-    """su2 character Gram under ``radial_weights`` (weights on the nodes of
-    ``r_rule``), from axis tables of the Euler-angle rule ``g_rule``.
+    """su2 character Gram under ``radial_weights`` on the nodes ``radii``,
+    from axis tables of the Euler-angle rule's axes ``g_rule``.
 
     At g e^{rH}, H = diag(1/2, -1/2), the spin-j character is
     chi_j = sum_m D^j_mm(g) e^{r m}, with D^j_mm = e^{-i m (a + c)}
@@ -537,12 +537,12 @@ def _su2_character_gram(model: LieModel, labels, g_rule: QuadratureRule,
     on_diag = twice_p == twice_k
     twice_m = twice_p[on_diag]
     d_diag = d_b[:, on_diag]
-    t_b = (d_diag.T * g_rule.axes[1][1]) @ d_diag.conj()
+    t_b = (d_diag.T * g_rule[1][1]) @ d_diag.conj()
     haar = (t_a * t_c)[twice_m[:, None] - twice_m[None, :] + span] * t_b
     # R[m + m'] at every 2 (m + m') in -top..top
     top = 2 * int(np.abs(twice_m).max())
     radial = radial_weights @ np.exp(np.outer(
-        r_rule.nodes[:, 0], np.arange(-top, top + 1) / 2.0))
+        radii, np.arange(-top, top + 1) / 2.0))
     return _fold(haar * radial[twice_m[:, None] + twice_m[None, :] + top],
                  [len(w) for w in _weights(model, labels)])
 
@@ -568,11 +568,10 @@ def character_gram(model: LieModel, labels, level: int = 4,
         haar, gauss = _torus_gram_factors(
             model, _highest_weights(model, labels), level)
         return haar * gauss
-    g_rule, r_rule = _su2_gram_rules(model, labels, level)
-    weights = r_rule.weights
+    g_rule, (r, w_r) = _su2_gram_rules(model, labels, level)
     if eta_weight:
-        weights = weights * eta_tilde(model, r_rule.nodes)
-    return _su2_character_gram(model, labels, g_rule, r_rule, weights)
+        w_r = w_r * eta_tilde(model, r[:, None])
+    return _su2_character_gram(model, labels, g_rule, r, w_r)
 
 
 def spin_weighted_gram(model: LieModel, cutoff=None,

@@ -50,6 +50,8 @@ __all__ = [
 
 # the least eigenvalue a twisted potential must clear to count as positive
 _TWIST_MARGIN = 1e-6
+# the (a, b) of a|Y|^2 + b log eta~ the twist, oracle and wall checks run
+_TWIST = (2 * math.pi, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +114,8 @@ def combined_potential(model: LieModel, a: float,
 _PRESETS = {
     "square": square_potential,
     "logeta": logeta_potential,
-    "combined:6.283185307179586,2":
-        lambda model: combined_potential(model, 2 * math.pi, 2.0),
+    f"combined:{_TWIST[0]!r},{_TWIST[1]:g}":
+        lambda model: combined_potential(model, *_TWIST),
 }
 
 
@@ -280,7 +282,7 @@ def canonical_semi_negativity_certificate(model: LieModel) -> CheckReport:
 
 
 def twist_positivity_certificate(
-    model: LieModel, a: float, b: float
+    model: LieModel, a: float = _TWIST[0], b: float = _TWIST[1]
 ) -> CheckReport:
     """Strict positivity of the combined potential a|Y|^2 + b log(eta)
     over the scan grid: the curvature form of the twisted bundle is

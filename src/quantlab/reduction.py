@@ -20,6 +20,7 @@ the resulting Gram matrices with the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -292,20 +293,24 @@ def _reduced_gram(model: LieModel, labels) -> np.ndarray:
     ``labels``, from their weight lists: with n the integer frequencies of
     the weights (``_frequencies``), each entry sums one shift table F(n -
     n') = sum_theta w |delta|^2 / |W| e^{i (n - n').theta} over the weight
-    pairs of its two labels.  F is summed on ``torus_rule``'s s nodes per
-    axis (tau = theta period / 2 pi), one axis at a time, with the phases
-    reduced modulo s in integers, so it is exactly s-periodic.  With top
-    the largest |m|, s = 4 ceil(top) + 7 resolves every weight difference
-    times |delta|^2; F at a nonzero shift is summed, not taken as 0, so a
-    rule too coarse for the labels shows as aliasing."""
+    pairs of its two labels.  |delta|^2 does not split by axis, so F is
+    summed on the product of r copies of ``torus_rule``'s s nodes (tau =
+    theta period / 2 pi), one axis at a time, with the phases reduced
+    modulo s in integers, so it is exactly s-periodic.  With top the
+    largest |m|, s = 4 ceil(top) + 7 resolves every weight difference times
+    |delta|^2; F at a nonzero shift is summed, not taken as 0, so a rule
+    too coarse for the labels shows as aliasing."""
     weights = _weights(model, labels)
     n = _frequencies(model, np.concatenate(weights))
     top = float(np.abs(_highest_weights(model, labels)).max())
     s = 4 * int(math.ceil(top)) + 7
-    rule = torus_rule(model.rank, s - 1)
+    theta, w = torus_rule(s - 1)
     scale = np.asarray(model.torus_periods) / (2.0 * math.pi)
-    table = (rule.weights * weyl_denominator(model, rule.nodes * scale) ** 2
-             / len(weyl_group(model))).reshape((s,) * model.rank)
+    taus = np.meshgrid(*[theta * c for c in scale], indexing="ij")
+    table = (functools.reduce(np.multiply.outer, [w] * model.rank)
+             * weyl_denominator(model, np.stack(taus, -1).reshape(
+                 -1, model.rank)).reshape(taus[0].shape) ** 2
+             / len(weyl_group(model)))
     phase = np.exp(2j * math.pi / s * (np.outer(range(s), range(s)) % s))
     for axis in range(model.rank):
         table = np.moveaxis(np.tensordot(phase, table, (1, axis)), 0, axis)

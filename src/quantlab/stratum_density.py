@@ -47,8 +47,6 @@ __all__ = [
     "refinement_study",
 ]
 
-GRID_DEFAULT = 2048
-
 # boundary values below this (relative) level count as compact support
 _SUPPORT_TOL = 1e-13
 
@@ -152,7 +150,7 @@ def grid_axes(n: int) -> tuple[np.ndarray, float]:
     return x, float(x[1] - x[0])
 
 
-def field_from_function(fn, n: int = GRID_DEFAULT) -> GridField:
+def field_from_function(fn, n: int) -> GridField:
     """Sample ``fn(X, Y)`` (vectorized) on the n-by-n grid."""
     x, h = grid_axes(n)
     # full-shape broadcast views of the axis, not two n-by-n copies
@@ -160,7 +158,7 @@ def field_from_function(fn, n: int = GRID_DEFAULT) -> GridField:
     return GridField(fn(X, Y), h)
 
 
-def standard_bump(n: int = GRID_DEFAULT, radius: float = 0.8) -> GridField:
+def standard_bump(n: int, radius: float = 0.8) -> GridField:
     """Smooth radial bump exp(-1/(R^2 - rho^2)), zero outside rho = R.
 
     Nonzero at the origin, so it is a worst case for deleting the origin.
@@ -322,9 +320,7 @@ def cutoff_profile(m: float, r) -> np.ndarray:
     return np.clip(ramp, 0.0, 1.0)
 
 
-def _discarded_box(
-    f: GridField, m: float, removed_codim: int
-) -> tuple[tuple[slice, slice], _Sampled]:
+def _discarded_box(f: GridField, m: float, removed_codim: int) -> _Sampled:
     # (1 - psi_m(dist)) * f, sampled on demand on the index box outside
     # which it is exactly zero, widened by one (zero) cell on each side
     # where the grid allows.  The box spans the axis samples with
@@ -341,7 +337,6 @@ def _discarded_box(
     inside = np.flatnonzero(cutoff_profile(m, np.abs(x)) < 1.0)
     lo, hi = (inside[0] - 1, inside[-1] + 2) if inside.size else (0, 0)
     band = slice(max(lo, 0), min(hi, f.size))
-    box = (band if removed_codim == 2 else slice(0, f.size), band)
 
     def sample(rows: slice, cols: slice) -> np.ndarray:
         if removed_codim == 2:
@@ -350,7 +345,8 @@ def _discarded_box(
             dist = np.abs(x[None, cols])
         return f._samples[rows, cols] * (1.0 - cutoff_profile(m, dist))
 
-    return box, _Sampled(sample, *box)
+    return _Sampled(sample, band if removed_codim == 2 else slice(0, f.size),
+                    band)
 
 
 def removal_errors(
@@ -366,7 +362,7 @@ def removal_errors(
     1/m the box is empty and E(m) = 0.0.
     """
     return [
-        _graph_norm(_discarded_box(f, m, removed_codim)[1], f.spacing)
+        _graph_norm(_discarded_box(f, m, removed_codim), f.spacing)
         for m in m_list
     ]
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -45,11 +46,21 @@ U1 = get_model("u1")
 T2 = get_model("t2")
 
 
-def _haar_matrices(rule) -> np.ndarray:
+def _product(*axes):
+    # the product grid of one-axis rules, a reference for the node-by-node
+    # sums: nodes (N, d), one column per axis, and weights (N,), in C
+    # order, last axis fastest
+    nodes = np.stack(np.meshgrid(*[p for p, _ in axes], indexing="ij"),
+                     axis=-1).reshape(-1, len(axes))
+    weights = functools.reduce(np.multiply.outer, [w for _, w in axes])
+    return nodes, weights.reshape(-1)
+
+
+def _haar_matrices(nodes) -> np.ndarray:
     # the defining-representation matrix exp(a e3) exp(b e2) exp(c e3) at
     # each Euler-angle node (a, b, c) of an su2 Haar rule
     basis = np.eye(3)
-    a, b, c = rule.nodes.T
+    a, b, c = nodes.T
     return (exp_alg_batch(SU2, np.outer(a, basis[2]))
             @ exp_alg_batch(SU2, np.outer(b, basis[1]))
             @ exp_alg_batch(SU2, np.outer(c, basis[2])))
@@ -204,14 +215,15 @@ def test_closed_form_wigner_matches_rep_unitary_at_haar_nodes():
     labels = [k / 2.0 for k in range(7)]
     for level in (1, 2, 3, 4):
         rule = su2_haar_rule(level)
-        (alpha, _), (beta, _), (gamma, _) = rule.axes
+        (alpha, _), (beta, _), (gamma, _) = rule
+        nodes = _product(*rule)[0]
         d_b, twice_p, twice_k, _, _ = _su2_axis_tables(SU2, labels, rule)
         # D^x_pk at node (a, b, c) = e^{-i m_p a} d^x_pk(b) e^{-i m_k c}
         closed = (np.exp(-0.5j * np.multiply.outer(alpha, twice_p))[
             :, None, None, :] * d_b[None, :, None, :]
             * np.exp(-0.5j * np.multiply.outer(gamma, twice_k))[
-            None, None, :, :]).reshape(len(rule.nodes), -1)
-        for node, got in zip(_haar_matrices(rule), closed):
+            None, None, :, :]).reshape(len(nodes), -1)
+        for node, got in zip(_haar_matrices(nodes), closed):
             want = np.concatenate([
                 rep_unitary(SU2, lab, GroupPoint(SU2, node)).reshape(-1)
                 for lab in labels])
@@ -364,17 +376,17 @@ def test_transform_diagonal_action_u1_against_quadrature():
     # at a complexified point t = e^{i(theta + i y)}
     cutoff = 6
     labels, table = sigma_table(U1, cutoff)
-    rule = torus_rule(1, 2 * cutoff + 2)
+    angles, weights = torus_rule(2 * cutoff + 2)
     theta, yy = 0.7, 0.4
     tpoint = np.array([[np.exp(1j * (theta + 1j * yy))]])
     for n in (-4, 0, 3):
         vals = []
-        for (ang,) in rule.nodes:
+        for ang in angles:
             x = np.array([[np.exp(1j * ang)]])
             xinv_t = np.linalg.inv(x) @ tpoint
             vals.append(np.exp(1j * n * ang)
                         * phi_kernel(xinv_t, U1, labels, table))
-        got = complex(np.dot(rule.weights, vals))
+        got = complex(np.dot(weights, vals))
         want = character(U1, (n,), tpoint) / math.sqrt(
             table[labels.index((n,))])
         assert abs(got - want) < 1e-8
@@ -383,16 +395,16 @@ def test_transform_diagonal_action_u1_against_quadrature():
 def test_transform_su2_character_against_quadrature():
     cutoff = 2.0
     labels, table = sigma_table(SU2, cutoff)
-    rule = su2_haar_rule(3)
+    nodes, weights = _product(*su2_haar_rule(3))
     tpoint = exp_alg_batch(
         SU2, np.array([[0.2, -0.1, 0.4]]), np.array([[0.0, 0.0, 0.3]])
     )[0]
-    vals = np.empty(len(rule.weights), dtype=complex)
-    for i, x in enumerate(_haar_matrices(rule)):
+    vals = np.empty(len(weights), dtype=complex)
+    for i, x in enumerate(_haar_matrices(nodes)):
         vals[i] = character(SU2, 0.5, x) * phi_kernel(
             np.linalg.inv(x) @ tpoint, SU2, labels, table
         )
-    got = complex(np.dot(rule.weights, vals))
+    got = complex(np.dot(weights, vals))
     want = character(SU2, 0.5, tpoint) / math.sqrt(
         table[labels.index(0.5)])
     assert abs(got - want) < 1e-8
@@ -416,11 +428,11 @@ def test_parseval_truncated():
     cutoff = 5
     labels = irrep_labels(U1, cutoff)
     coeffs = np.array([complex(*rng.standard_normal(2)) for _ in labels])
-    rule = torus_rule(1, 2 * cutoff)
-    vals = np.zeros(rule.nodes.shape[0], dtype=complex)
+    theta, w = torus_rule(2 * cutoff)
+    vals = np.zeros(len(theta), dtype=complex)
     for (n,), c in zip(labels, coeffs):
-        vals += c * np.exp(1j * n * rule.nodes[:, 0])
-    quad_norm = float(np.dot(rule.weights, np.abs(vals) ** 2))
+        vals += c * np.exp(1j * n * theta)
+    quad_norm = float(np.dot(w, np.abs(vals) ** 2))
     norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     assert abs(quad_norm - norm_sq) < 1e-10
 
@@ -464,13 +476,12 @@ def _full_node_sums(model, labels, level):
     # sigma and both Gram factors as sums over every node of the product
     # rules, one row of label pairs at a time
     n = np.asarray(labels, float).reshape(len(labels), model.rank)
-    y_rule = gaussian_rule(model.rank, level)
-    g_rule = torus_rule(model.rank, 2 * int(np.abs(n).max()))
-    sig = y_rule.weights @ np.exp(2.0 * y_rule.nodes @ n.T)
-    haar = np.array([g_rule.weights @ np.exp(1j * g_rule.nodes @ (na - n).T)
-                     for na in n])
-    gauss = np.array([y_rule.weights @ np.exp(-y_rule.nodes @ (na + n).T)
-                      for na in n])
+    y, w_y = _product(*[gaussian_rule(level)] * model.rank)
+    theta, w_t = _product(
+        *[torus_rule(2 * int(np.abs(n).max()))] * model.rank)
+    sig = w_y @ np.exp(2.0 * y @ n.T)
+    haar = np.array([w_t @ np.exp(1j * theta @ (na - n).T) for na in n])
+    gauss = np.array([w_y @ np.exp(-y @ (na + n).T) for na in n])
     return sig, haar, gauss
 
 
@@ -684,15 +695,16 @@ def test_group_action_is_a_unitary_representation(model, cutoff, seed):
             <= 1e-12 * scale)
 
 
-def _node_sum_character_gram(labels, g_rule, r_rule, radial_weights):
+def _node_sum_character_gram(labels, g_rule, radii, radial_weights):
     # brute force: every character at every Haar x radial node, then one
     # weighted sum over both node sets
-    grow = np.exp(r_rule.nodes[:, 0] / 2.0)
-    mats = _haar_matrices(g_rule)
+    grow = np.exp(radii / 2.0)
+    nodes, weights = _product(*g_rule)
+    mats = _haar_matrices(nodes)
     half_tr = (np.outer(mats[:, 0, 0], grow)
                + np.outer(mats[:, 1, 1], 1.0 / grow)) / 2.0
     chi = _su2_characters(half_tr, [float(lab) for lab in labels])
-    return np.einsum("g,r,agr,bgr->ab", g_rule.weights, radial_weights, chi,
+    return np.einsum("g,r,agr,bgr->ab", weights, radial_weights, chi,
                      chi.conj())
 
 
@@ -707,11 +719,10 @@ def _relative_to_diagonal(got, want):
 def test_su2_character_gram_matches_node_sum(cutoff, eta_weight):
     labels = irrep_labels(SU2, cutoff)
     g_rule = su2_haar_rule(max(1, math.ceil(2 * cutoff)))
-    r_rule = radial_rule(4, tilt=4.0 * cutoff)
-    weights = r_rule.weights
+    r, weights = radial_rule(4, tilt=4.0 * cutoff)
     if eta_weight:
-        weights = weights * eta_tilde(SU2, r_rule.nodes)
-    want = _node_sum_character_gram(labels, g_rule, r_rule, weights)
+        weights = weights * eta_tilde(SU2, r[:, None])
+    want = _node_sum_character_gram(labels, g_rule, r, weights)
     got = character_gram(SU2, labels, 4, eta_weight=eta_weight)
     assert _relative_to_diagonal(got, want) < 1e-13
 
@@ -724,9 +735,9 @@ def test_su2_character_gram_keeps_the_aliasing_of_a_coarse_rule():
 
     labels = irrep_labels(SU2, 2.0)
     g_rule = su2_haar_rule(1)
-    r_rule = radial_rule(4, tilt=8.0)
-    want = _node_sum_character_gram(labels, g_rule, r_rule, r_rule.weights)
-    got = _su2_character_gram(SU2, labels, g_rule, r_rule, r_rule.weights)
+    r, w_r = radial_rule(4, tilt=8.0)
+    want = _node_sum_character_gram(labels, g_rule, r, w_r)
+    got = _su2_character_gram(SU2, labels, g_rule, r, w_r)
     assert _relative_to_diagonal(got, want) < 1e-13
     off = got - np.diag(np.diagonal(got))
     assert _relative_to_diagonal(off, want) > 1e-2
@@ -747,25 +758,26 @@ def _node_sum_basis_grams(labels, level):
     # node r, with E^x(u, r) = D^x(u) diag(e^{r m}) D^x(u)^dagger; one Haar
     # node at a time, summed over the whole direction x radial set
     g_rule = su2_haar_rule(max(1, math.ceil(2 * max(labels))))
-    r_rule = radial_rule(level, tilt=4.0 * max(labels))
-    (_, w_a), (_, w_u), (_, w_c) = g_rule.axes
-    mats = _haar_matrices(g_rule)
+    r, w_r = radial_rule(level, tilt=4.0 * max(labels))
+    (_, w_a), (_, w_u), (_, w_c) = g_rule
+    nodes, weights = _product(*g_rule)
+    mats = _haar_matrices(nodes)
     dirs = mats.reshape(len(w_a), len(w_u), len(w_c), 2, 2)[:, :, 0]
-    w_ur = np.multiply.outer(np.outer(w_a, w_u), r_rule.weights).reshape(-1)
+    w_ur = np.multiply.outer(np.outer(w_a, w_u), w_r).reshape(-1)
     gauss = []
     for lab in labels:
         d_u = np.array([rep_unitary(SU2, lab, GroupPoint(SU2, u))
                         for u in dirs.reshape(-1, 2, 2)])
         # the weights in basis order: the diagonal of i J_3
         m = np.real(np.diagonal(1j * _su2_spin_matrices(lab)[2]))
-        grow = np.exp(np.outer(r_rule.nodes[:, 0], m))
+        grow = np.exp(np.outer(r, m))
         gauss.append(np.einsum("upk,rk,uqk->urpq", d_u, grow, d_u.conj())
                      .reshape(-1, len(m), len(m)))
     dims = [e.shape[1] for e in gauss]
     n = sum(d * d for d in dims)
     hl2 = np.zeros((n, n), dtype=complex)
     l2 = np.zeros((n, n), dtype=complex)
-    for node, w_g in zip(mats, g_rule.weights):
+    for node, w_g in zip(mats, weights):
         d_g = [rep_unitary(SU2, lab, GroupPoint(SU2, node)) for lab in labels]
         flat = np.concatenate([math.sqrt(d) * g.reshape(-1)
                                for d, g in zip(dims, d_g)])
@@ -964,11 +976,11 @@ def test_transform_bytes_reads_the_sizes_the_grams_are_built_at(
     model = get_model(name)
     labels = irrep_labels(model, cutoff)
     size = _basis_owner(model, labels).size
-    points = len(gaussian_rule(1, max(level, 4)).axes[0][0])
-    assert points == len(radial_rule(max(level, 4)).axes[0][0])
+    points = len(gaussian_rule(level)[0])
+    assert points == len(radial_rule(level)[0])
     rows = 0
     if not model.is_abelian:
-        haar_b = _su2_gram_rules(model, labels, level)[0].axes[1][0]
+        haar_b = _su2_gram_rules(model, labels, level)[0][1][0]
         rows = len(haar_b) * points
     assert transform_bytes(model, cutoff, level) == 80 * (
         size * size + rows * size + points * points)

@@ -36,8 +36,9 @@ def test_export_list_is_the_public_surface(module):
 # and the dict coefficient format: a coefficient vector is one
 # basis-ordered array, a sigma table one array in label order, and a
 # reduced character one row of samples; and the quadrature layer's second
-# formats: a rule is its axes, with no stored node grid, and the quadrature
-# sigma is one stacked call, with no scalar or torus-only twin; and the
+# formats: a rule is one axis, a (points, weights) pair, with no rule class
+# or product grid, and the quadrature sigma is one stacked call, with no
+# scalar or torus-only twin; and the
 # irrep object: an irrep is its label; and the torus-side records: a root
 # is a row, the Weyl group a stack, a curvature spectrum one array and the
 # capacity cutoff a function; and the rules that the input decides: a
@@ -60,7 +61,7 @@ DELETED = {
                            "_normalize_label", "_su2_characters"),
     "psh_analysis": ("SpectrumReport", "_covectors", "make_potential",
                      "psh_verdict", "_scan_grid"),
-    "quadrature": ("model_torus_rule",),
+    "quadrature": ("model_torus_rule", "QuadratureRule"),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction", "_MIX_WEIGHTS", "reduction_unitary",
                   "_torus_character_values"),
@@ -72,7 +73,6 @@ FIELDS = {
     "cli_report": {"SuiteConfig": ["model", "suite", "seed", "cutoff",
                                    "level", "grid", "out"]},
     "psh_analysis": {"InvariantPotential": ["model", "grad", "hess"]},
-    "quadrature": {"QuadratureRule": ["axes"]},
     "reduction": {"ReducedRepresentative": ["t", "Y0", "conjugator"]},
 }
 

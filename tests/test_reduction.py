@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -492,13 +493,17 @@ def _sampled_reduced_gram(model, labels):
     # angles times the period scale: one row per label, the sum of
     # e^{i m.tau} over its weights times |W|^{-1/2} |delta|, and their Gram
     top = float(np.abs(_highest_weights(model, labels)).max())
-    rule = torus_rule(model.rank, 4 * math.ceil(top) + 6)
-    taus = rule.nodes * (np.array(model.torus_periods) / (2 * math.pi))
+    theta, w = torus_rule(4 * math.ceil(top) + 6)
+    # the product grid of rank copies of the one axis, in C order
+    nodes = np.stack(np.meshgrid(*[theta] * model.rank, indexing="ij"),
+                     axis=-1).reshape(-1, model.rank)
+    weights = functools.reduce(np.multiply.outer, [w] * model.rank)
+    taus = nodes * (np.array(model.torus_periods) / (2 * math.pi))
     values = (np.array([np.exp(1j * taus @ w.T).sum(axis=1)
                         for w in _weights(model, labels)])
               * weyl_denominator(model, taus)
               / math.sqrt(len(weyl_group(model))))
-    return taus, (values * rule.weights) @ values.conj().T
+    return taus, (values * weights.reshape(-1)) @ values.conj().T
 
 
 @pytest.mark.parametrize("name,cutoff", [
@@ -633,10 +638,10 @@ def _node_grid_side_b(labels, level):
     # (e^{i m tau} e^{-m y} + e^{-i m tau} e^{m y}) / sqrt(2 sigma_T(m)) per
     # spin m = j (the mode alone at j = 0)
     reps = [float(lab) for lab in labels]
-    y_rule = gaussian_rule(1, level)
-    y = y_rule.nodes[:, 0][None, :]
-    t_rule = torus_rule(1, 4 * int(math.ceil(2 * max(reps))) + 6)
-    taus = 2.0 * t_rule.nodes[:, 0][:, None]
+    y, w_y = gaussian_rule(level)
+    y = y[None, :]
+    theta, w_t = torus_rule(4 * int(math.ceil(2 * max(reps))) + 6)
+    taus = 2.0 * theta[:, None]
     norms = _torus_norms(np.array(reps)[:, None])
     vecs = []
     for m, c in zip(reps, norms):
@@ -645,7 +650,7 @@ def _node_grid_side_b(labels, level):
                          for mm in orbit)
                      / math.sqrt(len(orbit) * c)).reshape(-1))
     vecs = np.array(vecs)
-    wt = np.outer(t_rule.weights, y_rule.weights).reshape(-1)
+    wt = np.outer(w_t, w_y).reshape(-1)
     return (vecs * wt) @ vecs.conj().T
 
 

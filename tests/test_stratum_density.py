@@ -226,14 +226,14 @@ def _padded_terms(values, h):
 
 def _padded_removal_error(f, m, removed_codim):
     # E(m) on the same box, with the discarded piece formed in complex128
-    box, _ = _discarded_box(f, m, removed_codim)
+    rect = _discarded_box(f, m, removed_codim)
     x, h = grid_axes(f.size)
-    band = box[1]
+    band = rect.cols
     if removed_codim == 2:
         dist = np.hypot(x[band, None], x[None, band])
     else:
         dist = np.abs(x[None, band])
-    piece = f.values.astype(complex)[box] * (
+    piece = f.values.astype(complex)[rect.rows, band] * (
         1.0 - cutoff_profile(m, dist))
     return _padded_terms(piece, h)[3]
 
@@ -400,11 +400,11 @@ def test_sampled_bump_and_box_rows_are_the_whole_arrays(monkeypatch, n, rows):
     rects = [(f._samples, whole)]
     for m in M_LIST:
         for removed_codim in (1, 2):
-            box, rect = _discarded_box(f, m, removed_codim)
-            band = box[1]
+            rect = _discarded_box(f, m, removed_codim)
+            band = rect.cols
             dist = (np.hypot(x[band, None], x[None, band])
                     if removed_codim == 2 else np.abs(x[None, band]))
-            piece = whole[box] * (1.0 - cutoff_profile(m, dist))
+            piece = whole[rect.rows, band] * (1.0 - cutoff_profile(m, dist))
             assert _bits_equal(rect[:, :], piece)
             rects.append((rect, piece))
     for rect, want in rects:
@@ -437,7 +437,7 @@ def test_strip_sums_do_not_depend_on_the_strip_height(
     # array) and the box's on-demand piece, the references their arrays
     f = make(n)
     h = f.spacing
-    rect = f._samples if box == "grid" else _discarded_box(f, math.e, 1)[1]
+    rect = f._samples if box == "grid" else _discarded_box(f, math.e, 1)
     values = rect[:, :]
     height, width = values.shape
     rows = rows or height
