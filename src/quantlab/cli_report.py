@@ -49,6 +49,7 @@ from .quadrature import gaussian_rule
 from .reduction import (
     momentum_equivariance_certificate,
     qr_commutes_certificate,
+    reduction_bytes,
     round_trip_certificate,
     weyl_isometry_certificate,
 )
@@ -68,8 +69,9 @@ DENSITY_M_LIST = (math.e, math.e**2, math.e**3, math.e**4)
 # suites whose reports carry nothing render_svg can plot
 UNPLOTTABLE_SUITES = ("kahler", "transform")
 REPORT_SCHEMA = "quantlab.report.v1"
-# the transform suite is refused where transform_bytes estimates more
-TRANSFORM_BUDGET = 2 * 2**30
+# the transform and reduction suites are refused where transform_bytes or
+# reduction_bytes estimates more
+MEMORY_BUDGET = 2 * 2**30
 EXIT_CRASH = 3
 
 
@@ -83,9 +85,10 @@ class SuiteConfig:
 
     ``cutoff`` defaults to None, meaning each certificate keeps its own
     default cutoff.  No setting reaches a tolerance: each certificate pins
-    its own.  The transform suite (alone or in "all") is refused when
-    ``transform_bytes`` puts it past ``TRANSFORM_BUDGET``, and on a torus
-    when its Gauss-Hermite rule at ``gauss_level`` has a non-finite weight.
+    its own.  The transform and reduction suites (alone or in "all") are
+    refused when ``transform_bytes`` or ``reduction_bytes`` puts them past
+    ``MEMORY_BUDGET``, and the transform suite on a torus when its
+    Gauss-Hermite rule at ``gauss_level`` has a non-finite weight.
     """
 
     model: str = "su2"
@@ -137,14 +140,17 @@ class SuiteConfig:
             raise UsageError("quadrature level must be at least 1")
         if self.grid < 64:
             raise UsageError("density grid must have at least 64 points")
-        if self.suite in ("transform", "all"):
-            model = get_model(self.model)
-            need = transform_bytes(model, self.cutoff, self.gauss_level)
-            if need > TRANSFORM_BUDGET:
+        model = get_model(self.model)
+        needs = {"transform": transform_bytes(model, self.cutoff,
+                                              self.gauss_level),
+                 "reduction": reduction_bytes(model, self.cutoff)}
+        for suite, need in needs.items():
+            if self.suite in (suite, "all") and need > MEMORY_BUDGET:
                 raise UsageError(
-                    f"the transform suite on {self.model} needs about "
-                    f"{need / 2**30:.1f} GiB at this cutoff and level, "
-                    f"past its budget of {TRANSFORM_BUDGET / 2**30:g} GiB")
+                    f"the {suite} suite on {self.model} needs about "
+                    f"{need / 2**30:.1f} GiB here, past its budget of "
+                    f"{MEMORY_BUDGET / 2**30:g} GiB")
+        if self.suite in ("transform", "all"):
             # torus sigmas and Gaussian tables sum on Gauss-Hermite nodes,
             # whose weights overflow from some number of points on
             with np.errstate(all="ignore"):

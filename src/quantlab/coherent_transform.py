@@ -513,65 +513,58 @@ def equivariance_certificate(model: LieModel, cutoff=None, samples: int = 10,
     )
 
 
-def _su2_character_gram(model: LieModel, labels, g_rule, radii: np.ndarray,
-                        radial_weights: np.ndarray) -> np.ndarray:
-    """su2 character Gram under ``radial_weights`` on the nodes ``radii``,
-    from axis tables of the Euler-angle rule's axes ``g_rule``.
+def character_gram(model: LieModel, labels, level: int = 4):
+    """Quadrature Grams of the holomorphically extended characters in the
+    Gaussian-weighted inner product over group x algebra: the pair (flat,
+    eta), eta with the fiber density eta~ as an extra radial weight.  On a
+    torus eta~ is 1 and both are the one Gram, the product of a Haar and a
+    Gaussian character table over label differences and sums.
 
-    At g e^{rH}, H = diag(1/2, -1/2), the spin-j character is
-    chi_j = sum_m D^j_mm(g) e^{r m}, with D^j_mm = e^{-i m (a + c)}
-    d^j_mm(b) on the rule's axes.  So each Gram entry is a sum over weight
-    pairs (m, m') of labels (x, y) of four one-axis factors:
+    Class invariance lets the algebra integral run in polar form with a
+    fixed direction.  At g e^{rH}, H = diag(1/2, -1/2), the spin-j
+    character is sum_m D^j_mm(g) e^{r m}, with D^j_mm = e^{-i m (a + c)}
+    d^j_mm(b) on the Haar rule's axes, so an su2 entry sums over weight
+    pairs (m, m') of labels (x, y) four one-axis factors, never characters
+    at the Haar x radial nodes:
 
         G_xy = sum T_a[m - m'] T_b[m, m'] T_c[m - m'] R[m + m'],
 
-    with T_a and T_c the trapezoid sums of e^{-i (m - m') angle} over the
-    a and c axes, T_b[m, m'] = sum_u w_u d^x_mm(b_u) conj(d^y_m'm'(b_u))
-    over the n_u distinct b, and R[m + m'] = sum_r w_r e^{r (m + m')}.
-    T_a, T_c and the Wigner diagonals are those of ``_su2_axis_tables``.
-    """
-    d_b, twice_p, twice_k, t_a, t_c = _su2_axis_tables(model, labels, g_rule)
-    span = len(t_a) // 2
-    # the Wigner diagonals: the p = k columns, which within one label are
-    # the columns with m_p = m_k
-    on_diag = twice_p == twice_k
-    twice_m = twice_p[on_diag]
-    d_diag = d_b[:, on_diag]
-    t_b = (d_diag.T * g_rule[1][1]) @ d_diag.conj()
-    haar = (t_a * t_c)[twice_m[:, None] - twice_m[None, :] + span] * t_b
-    # R[m + m'] at every 2 (m + m') in -top..top
-    top = 2 * int(np.abs(twice_m).max())
-    radial = radial_weights @ np.exp(np.outer(
-        radii, np.arange(-top, top + 1) / 2.0))
-    return _fold(haar * radial[twice_m[:, None] + twice_m[None, :] + top],
-                 [len(w) for w in _weights(model, labels)])
-
-
-def character_gram(model: LieModel, labels, level: int = 4,
-                   eta_weight: bool = False) -> np.ndarray:
-    """Quadrature Gram of the holomorphically extended characters in the
-    Gaussian-weighted inner product over group x algebra, optionally with
-    the fiber density eta~ as an extra radial weight.
-
-    Class invariance lets the algebra integral run in polar form with a
-    fixed direction: the group average is exact for the spins involved, so
-    the direction dependence integrates away.  On a torus the Gram is the
-    product of a Haar and a Gaussian character table over label
-    differences and sums.  On su2 it is contracted from one-axis tables,
-    never from characters at the Haar x radial nodes: a trapezoid table
-    in each of the angles a and c over m - m', a Gauss-Legendre table in
-    b of the Wigner diagonals d^x_mm d^y_m'm', and a radial table over
-    m + m' (``_su2_character_gram``).
+    T_a and T_c the trapezoid sums of e^{-i (m - m') angle} over the a and
+    c axes, T_b[m, m'] = sum_u w_u d^x_mm(b_u) conj(d^y_m'm'(b_u)) over the
+    distinct b, with d^x_mm(b) = sum_s |V_ms|^2 e^{-i b lam_s} from one
+    eigh of J_y per label, and R[m + m'] = sum_r w_r e^{r (m + m')}, times
+    eta~(r) for eta.  The tables are summed on the rule's nodes, so a rule
+    too coarse for the spins shows as aliasing.
     """
     labels = list(labels)
     if model.is_abelian:
         haar, gauss = _torus_gram_factors(
             model, _highest_weights(model, labels), level)
-        return haar * gauss
-    g_rule, (r, w_r) = _su2_gram_rules(model, labels, level)
-    if eta_weight:
-        w_r = w_r * eta_tilde(model, r[:, None])
-    return _su2_character_gram(model, labels, g_rule, r, w_r)
+        return (haar * gauss,) * 2
+    ((alpha, w_a), (beta, w_b), (gamma, w_c)), (r, w_r) = _su2_gram_rules(
+        model, labels, level)
+    weights = _weights(model, labels)
+    d_diag = []
+    for w in weights:
+        lam, vec = np.linalg.eigh(1j * _su2_spin_matrices(w[0, 0])[1])
+        d_diag.append(np.einsum("pk,uk,pk->up", vec,
+                                np.exp(-1j * np.outer(beta, lam)),
+                                vec.conj()))
+    d_diag = np.concatenate(d_diag, axis=1)
+    twice_m = _frequencies(model, np.concatenate(weights))[:, 0]
+    # 2 (m - m') and 2 (m + m') both lie in -top..top
+    top = 2 * int(np.abs(twice_m).max())
+    shifts = np.arange(-top, top + 1) / 2.0
+    t_ac = ((np.exp(-1j * np.outer(shifts, alpha)) @ w_a)
+            * (np.exp(-1j * np.outer(shifts, gamma)) @ w_c))
+    haar = (t_ac[twice_m[:, None] - twice_m[None, :] + top]
+            * ((d_diag.T * w_b) @ d_diag.conj()))
+    grow = np.exp(np.outer(r, shifts))
+    sizes = [len(w) for w in weights]
+    # R[m + m'] gathered at 2 (m + m') + top, from an index built per Gram
+    return tuple(_fold(haar * (w @ grow)[twice_m[:, None] + twice_m + top],
+                       sizes)
+                 for w in (w_r, w_r * eta_tilde(model, r[:, None])))
 
 
 def spin_weighted_gram(model: LieModel, cutoff=None,
@@ -588,13 +581,9 @@ def spin_weighted_gram(model: LieModel, cutoff=None,
     """
     cutoff = _default_cutoff(model, cutoff)
     labels = irrep_labels(model, cutoff)
-    gram = character_gram(model, labels, level, eta_weight=False)
+    gram, gram_eta = character_gram(model, labels, level)
     norms = build_sigma_table(model, labels)
-    roots = model.positive_roots()
-    # eta~ is the empty product 1 without positive roots
-    gram_eta = (character_gram(model, labels, level, eta_weight=True)
-                if len(roots) else gram)
-    rho = roots.sum(axis=0) / 2
+    rho = model.positive_roots().sum(axis=0) / 2
     norms_eta = (_torus_norms(_highest_weights(model, labels) + rho)
                  / len(weyl_group(model)))
     dev_eta, dev_flat = (float(np.abs(_scaled(g, c) - np.eye(len(c))).max())

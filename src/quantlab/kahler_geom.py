@@ -56,7 +56,6 @@ __all__ = [
     "omega_batch",
     "dphi_batch",
     "complex_structure_batch",
-    "metric_batch",
     "j_squared_certificate",
     "omega_potential_certificate",
     "completeness_certificate",
@@ -167,14 +166,6 @@ def complex_structure_batch(model: LieModel, ys: np.ndarray,
     # -(b_ul A) is (-b_ul) A exactly
     np.negative(ul, out=lr)
     return out
-
-
-def metric_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
-    """Gram matrices J^T Omega of the metric g(v, w) = omega(Jv, w),
-    batched over the rows of the (N, n) array ys."""
-    ys = np.atleast_2d(np.asarray(ys, float))
-    return (np.swapaxes(complex_structure_batch(model, ys), 1, 2)
-            @ omega_batch(model, ys))
 
 
 def _row_buffers(count: int, samples: int, n: int) -> list[np.ndarray]:
@@ -318,7 +309,7 @@ def completeness_certificate(
         # df = (0, 2 Y / (1 + |Y|^2)) on the dual of the 2n-vector frame.
         cov = np.zeros((len(ys), 2 * n))
         cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
-        # J^T Omega, as metric_batch forms it, in the certificate's buffers
+        # the metric g(v, w) = omega(Jv, w) as J^T Omega, in the buffers
         m = len(ys)
         js = complex_structure_batch(model, ys, out=j_buf[:m])
         oms = omega_batch(model, ys, out=om_buf[:m])

@@ -37,6 +37,7 @@ from quantlab.coherent_transform import (
     build_sigma_table,
     character_gram,
     irrep_labels,
+    top_label,
 )
 from quantlab.density_weights import weyl_denominator
 from quantlab.lie_core import (
@@ -53,6 +54,7 @@ from quantlab.quadrature import torus_rule
 from quantlab.report import CheckReport
 
 __all__ = [
+    "reduction_bytes",
     "ReducedRepresentative",
     "momentum_map_batch",
     "momentum_equivariance_certificate",
@@ -64,6 +66,24 @@ __all__ = [
 ]
 
 ZERO_SET_TOL = 1e-9
+# the cutoff qr_commutes uses when given none
+QR_DEFAULT_CUTOFF = {"u1": 4, "t2": 4, "su2": 2.0}
+
+
+def reduction_bytes(model: LieModel, cutoff) -> int:
+    """Estimated peak memory of the reduction suite at ``cutoff``, from the
+    sizes alone, before any Gram is built, per pair of the labels' W
+    weights (one per label on a torus, 2 j + 1 for the spin j): 160 B on a
+    torus, where both routes' label Grams, their gather indices and the
+    report's two lists are W x W, and 48 B on su2, where the character
+    Gram's weight-pair tables are.  The sampled checks' few MiB, the same
+    at every cutoff, are not counted."""
+    top = top_label(model, QR_DEFAULT_CUTOFF[model.name]
+                    if cutoff is None else cutoff)
+    if model.is_abelian:
+        return 160 * (2 * top[0] + 1) ** (2 * model.rank)
+    d = int(2 * top) + 1
+    return 48 * (d * (d + 1) // 2) ** 2
 
 
 def _conjugate(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -344,7 +364,7 @@ def _side_a_grams(model: LieModel, labels, level: int):
     change of a label's sorted integer frequencies under a Weyl element
     other than the identity (none on a torus): 0 exactly when every reduced
     character is Weyl-even, at least 1 for a single stray weight."""
-    hl2 = _scaled(character_gram(model, labels, level),
+    hl2 = _scaled(character_gram(model, labels, level)[0],
                   build_sigma_table(model, labels))
     winv = 0.0
     for w in weyl_group(model)[1:]:
@@ -383,9 +403,9 @@ def qr_commutes_certificate(model: LieModel, cutoff=None,
     quantizes the reduced space.  Every Gram must be the identity and every
     reduced character Weyl-even.  On a torus route B is route A's
     holomorphic Gram, so a broken |delta| shows on route A only.  The
-    default cutoff is 4 on a torus and 2.0 on su2."""
+    default cutoff is ``QR_DEFAULT_CUTOFF``'s."""
     if cutoff is None:
-        cutoff = 4 if model.is_abelian else 2.0
+        cutoff = QR_DEFAULT_CUTOFF[model.name]
     labels = irrep_labels(model, cutoff)
     hl2, gram_red, winv = _side_a_grams(model, labels, level)
     gram_b = _side_b_gram(model, labels, level)

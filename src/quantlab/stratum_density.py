@@ -37,7 +37,6 @@ from .report import CheckReport
 __all__ = [
     "GridField",
     "grid_axes",
-    "field_from_function",
     "standard_bump",
     "norm_equivalence_report",
     "cutoff_profile",
@@ -148,14 +147,6 @@ def grid_axes(n: int) -> tuple[np.ndarray, float]:
     """Return the 1-D coordinate array and spacing of the n-point grid."""
     x = np.linspace(-1.0, 1.0, n)
     return x, float(x[1] - x[0])
-
-
-def field_from_function(fn, n: int) -> GridField:
-    """Sample ``fn(X, Y)`` (vectorized) on the n-by-n grid."""
-    x, h = grid_axes(n)
-    # full-shape broadcast views of the axis, not two n-by-n copies
-    X, Y = np.meshgrid(x, x, indexing="ij", copy=False)
-    return GridField(fn(X, Y), h)
 
 
 def standard_bump(n: int, radius: float = 0.8) -> GridField:

@@ -134,7 +134,7 @@ def test_criterion_7_qr_commutes(suites):
     torus = qr_commutes_certificate(u1)
     assert torus.passed
     labels = irrep_labels(u1, torus.metadata["cutoff"])
-    holomorphic = _scaled(character_gram(u1, labels, 4),
+    holomorphic = _scaled(character_gram(u1, labels, 4)[0],
                           build_sigma_table(u1, labels))
     assert torus.metadata["gram_b"] == np.real(holomorphic).tolist()
     for key in ("gram_a", "gram_b"):

@@ -81,8 +81,8 @@ def test_cutoff_past_a_finite_sigma_is_a_usage_error(model, suite, cutoff,
     err = capsys.readouterr().err
     assert "largest double" in err and "crashed" not in err
     # the largest cutoff whose top sigma is finite is accepted, by a suite
-    # that the transform's memory budget does not refuse
-    SuiteConfig(model=model, suite="reduction", cutoff=accepted)
+    # that no memory budget refuses
+    SuiteConfig(model=model, suite="psh", cutoff=accepted)
 
 
 @pytest.mark.parametrize("config", [
@@ -91,6 +91,10 @@ def test_cutoff_past_a_finite_sigma_is_a_usage_error(model, suite, cutoff,
     {"model": "t2", "suite": "transform", "cutoff": 36},
     {"model": "su2", "suite": "transform", "level": 1000},
     {"model": "u1", "suite": "all", "level": 330},
+    {"model": "t2", "suite": "reduction", "cutoff": 47},
+    {"model": "t2", "suite": "all", "cutoff": 30},
+    {"model": "su2", "suite": "reduction", "cutoff": 57.5},
+    {"model": "su2", "suite": "reduction", "cutoff": 66},
 ])
 def test_transform_past_the_memory_budget_is_a_usage_error(config):
     # estimated from the sizes alone; no Gram or rule is built
@@ -103,9 +107,11 @@ def test_transform_past_the_memory_budget_is_a_usage_error(config):
     {"model": "su2", "suite": "reduction", "cutoff": 32},
     {"model": "t2", "suite": "transform", "cutoff": 5},
     {"model": "t2", "suite": "transform", "cutoff": 35},
-    {"model": "t2", "suite": "reduction", "cutoff": 47},
+    {"model": "t2", "suite": "reduction", "cutoff": 16},
     {"model": "u1", "suite": "all", "cutoff": 66},
     {"model": "u1", "suite": "transform", "level": 23},
+    {"model": "t2", "suite": "reduction", "cutoff": 29},
+    {"model": "su2", "suite": "reduction", "cutoff": 57},
 ])
 def test_transform_within_the_memory_budget_is_accepted(config):
     SuiteConfig(**config)
@@ -150,6 +156,21 @@ def test_cli_refuses_a_transform_past_the_budget_before_allocating(capsys):
         tracemalloc.stop()
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_cli_refuses_a_reduction_past_the_budget_before_allocating(capsys):
+    # t2 at cutoff 47 has 9,025 labels: its N x N Grams, gather indices and
+    # report lists would take about 12 GiB
+    tracemalloc.start()
+    try:
+        rc = main(["run", "--model", "t2", "--suite", "reduction",
+                   "--cutoff", "47"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "reduction suite on t2" in capsys.readouterr().err
     assert peak < 2**20
 
 

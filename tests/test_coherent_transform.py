@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,8 +524,10 @@ def test_torus_grams_match_pairwise_formula():
         _, haar, gauss = _full_node_sums(model, labels, level)
         want = haar * gauss
         scale = np.abs(want).max()
-        got = character_gram(model, labels, level)
-        assert np.abs(got - want).max() <= 1e-14 * scale
+        flat, eta = character_gram(model, labels, level)
+        # eta~ is 1 on a torus: both entries are the one Gram
+        assert eta is flat
+        assert np.abs(flat - want).max() <= 1e-14 * scale
         hl2, l2 = _basis_grams(model, labels, level)
         assert hl2.shape == l2.shape == (len(labels), len(labels))
         assert np.abs(hl2 - want).max() <= 1e-14 * scale
@@ -723,32 +726,49 @@ def test_su2_character_gram_matches_node_sum(cutoff, eta_weight):
     if eta_weight:
         weights = weights * eta_tilde(SU2, r[:, None])
     want = _node_sum_character_gram(labels, g_rule, r, weights)
-    got = character_gram(SU2, labels, 4, eta_weight=eta_weight)
+    got = character_gram(SU2, labels, 4)[int(eta_weight)]
     assert _relative_to_diagonal(got, want) < 1e-13
 
 
-def test_su2_character_gram_keeps_the_aliasing_of_a_coarse_rule():
+def test_su2_character_gram_keeps_the_aliasing_of_a_coarse_rule(
+        monkeypatch):
     # level 1 integrates products of total spin <= 1 exactly; spins up to 2
     # need level 4.  The angle tables are summed, not assumed to be Kronecker
     # deltas, so the too-coarse rule aliases exactly as the node sum does.
-    from quantlab.coherent_transform import _su2_character_gram
+    from quantlab import coherent_transform
 
     labels = irrep_labels(SU2, 2.0)
     g_rule = su2_haar_rule(1)
     r, w_r = radial_rule(4, tilt=8.0)
+    monkeypatch.setattr(coherent_transform, "_su2_gram_rules",
+                        lambda model, labels, level: (g_rule, (r, w_r)))
     want = _node_sum_character_gram(labels, g_rule, r, w_r)
-    got = _su2_character_gram(SU2, labels, g_rule, r, w_r)
+    got = character_gram(SU2, labels, 4)[0]
     assert _relative_to_diagonal(got, want) < 1e-13
     off = got - np.diag(np.diagonal(got))
     assert _relative_to_diagonal(off, want) > 1e-2
 
 
+def test_su2_character_grams_peak_below_80_mib_at_cutoff_24():
+    # both Grams from the Wigner diagonals alone: 59 MiB traced, where
+    # every Wigner column of the spins, then the diagonal ones, read 145
+    labels = irrep_labels(SU2, 24)
+    tracemalloc.start()
+    try:
+        flat, eta = character_gram(SU2, labels, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.shape == eta.shape == (len(labels), len(labels))
+    assert peak < 80 * 2**20, peak / 2**20
+
+
 def test_spin_weighted_gram_su2_is_the_character_grams():
     labels = irrep_labels(SU2, 2.0)
     rep = spin_weighted_gram(SU2, 2.0)
-    for key, eta_weight in (("flat_diagonal", False), ("eta_diagonal", True)):
-        want = np.real(np.diagonal(
-            character_gram(SU2, labels, 4, eta_weight=eta_weight)))
+    for key, gram in zip(("flat_diagonal", "eta_diagonal"),
+                         character_gram(SU2, labels, 4)):
+        want = np.real(np.diagonal(gram))
         assert np.abs(np.array(rep.metadata[key]) / want - 1.0).max() < 1e-14
 
 
@@ -900,21 +920,20 @@ def test_spin_weighted_gram_torus_trivial():
     assert rep.metadata["eta_diagonal"] == rep.metadata["flat_diagonal"]
 
 
-@pytest.mark.parametrize("model,grams", [(U1, 1), (T2, 1), (SU2, 2)])
-def test_spin_weighted_gram_builds_the_torus_gram_once(monkeypatch, model,
-                                                       grams):
-    # with no positive roots eta~ is 1, so the eta Gram is the flat one
+@pytest.mark.parametrize("model", [U1, T2, SU2])
+def test_spin_weighted_gram_calls_character_gram_once(monkeypatch, model):
+    # one call builds the flat and the eta-weighted Gram on every model
     from quantlab import coherent_transform
     real = coherent_transform.character_gram
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("eta_weight"))
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(coherent_transform, "character_gram", counted)
     assert spin_weighted_gram(model).passed
-    assert len(calls) == grams
+    assert len(calls) == 1
 
 
 @given(st.floats(0.0, 8.0, exclude_min=True))
@@ -933,11 +952,10 @@ def test_spin_weighted_gram_fails_on_a_nan_flat_gram(monkeypatch):
     from quantlab import coherent_transform
     real = coherent_transform.character_gram
 
-    def nan_flat(model, labels, level=4, eta_weight=False):
-        gram = real(model, labels, level, eta_weight)
-        if not eta_weight:
-            gram[-1, -1] = np.nan
-        return gram
+    def nan_flat(model, labels, level=4):
+        flat, eta = real(model, labels, level)
+        flat[-1, -1] = np.nan
+        return flat, eta
 
     monkeypatch.setattr(coherent_transform, "character_gram", nan_flat)
     rep = spin_weighted_gram(SU2, 2.0)

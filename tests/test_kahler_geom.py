@@ -29,6 +29,14 @@ def _J(model, y):
     return kg.complex_structure_batch(model, np.asarray(y, float)[None])[0]
 
 
+def _metric(model, ys):
+    # the Gram matrices J^T Omega of g(v, w) = omega(Jv, w), one per row of
+    # ys, as completeness_certificate forms them
+    ys = np.atleast_2d(np.asarray(ys, float))
+    return (np.swapaxes(kg.complex_structure_batch(model, ys), 1, 2)
+            @ kg.omega_batch(model, ys))
+
+
 def _exp(model, y, c=None):
     cs = None if c is None else np.asarray(c, float)[None]
     return lc.exp_alg_batch(model, np.asarray(y, float)[None], cs)[0]
@@ -355,7 +363,7 @@ def test_J_squared_and_spectrum():
 
 def test_metric_flat_at_zero():
     su2 = lc.get_model("su2")
-    g = kg.metric_batch(su2, np.zeros(3))[0]
+    g = _metric(su2, np.zeros(3))[0]
     assert np.abs(g - np.eye(6)).max() < 1e-13
 
 
@@ -363,7 +371,7 @@ def test_metric_symmetric_and_compatible():
     su2 = lc.get_model("su2")
     rng = np.random.default_rng(7)
     ys = rng.standard_normal((10, 3))
-    gs = kg.metric_batch(su2, ys)
+    gs = _metric(su2, ys)
     assert np.abs(gs - np.swapaxes(gs, 1, 2)).max() < 1e-10
     for y in ys:
         j = _J(su2, y)
@@ -376,7 +384,7 @@ def test_metric_positive_definite_at_e3():
     # g = J^T Omega is positive definite only for this orientation of J:
     # -J squares to -identity too, but gives a negative definite g
     su2 = lc.get_model("su2")
-    g = kg.metric_batch(su2, np.array([0, 0, 1.0]))[0]
+    g = _metric(su2, np.array([0, 0, 1.0]))[0]
     assert np.linalg.eigvalsh(g).min() > 0
 
 
@@ -563,7 +571,7 @@ def test_completeness_values():
     # |Y| = 1 gives exactly 1.0 through the closed form; the metric route
     # must match it.
     y = np.array([1.0, 0, 0])
-    g = kg.metric_batch(su2, y)[0]
+    g = _metric(su2, y)[0]
     cov = np.concatenate([np.zeros(3), 2 * y / 2.0])
     val = cov @ np.linalg.solve(g, cov)
     assert abs(val - 1.0) < 1e-9
@@ -669,7 +677,7 @@ def _whole_stack_completeness(model, seed):
     cov = np.zeros((10_000, 2 * n))
     cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
     sharped = np.linalg.solve(
-        kg.metric_batch(model, ys), cov[:, :, None])[:, :, 0]
+        _metric(model, ys), cov[:, :, None])[:, :, 0]
     via_metric = np.einsum("mi,mi->m", cov, sharped)
     closed = 4.0 * norms_sq / (1.0 + norms_sq) ** 2
     return (float(np.abs(via_metric - closed).max()),

@@ -49,23 +49,28 @@ def test_export_list_is_the_public_surface(module):
 # spec language and report layer: a potential is its model and two closed
 # forms, built by a factory with float coefficients, and each scan
 # certificate builds its own report from one scan; and the tolerance
-# override: each certificate pins its own tolerance
+# override: each certificate pins its own tolerance; and the names only
+# tests reached, the metric J^T Omega and a grid field from a closed form,
+# which the tests build; and the su2 character Gram's second entry point:
+# one character_gram call builds the flat and the eta-weighted Gram
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra", "RealRoot",
                  "WeylElement", "_coord_projector", "random_coords_batch"),
-    "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J"),
+    "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J",
+                    "metric_batch"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
                            "_logsumexp_rows", "Irrep", "irrep",
-                           "_normalize_label", "_su2_characters"),
+                           "_normalize_label", "_su2_characters",
+                           "_su2_character_gram"),
     "psh_analysis": ("SpectrumReport", "_covectors", "make_potential",
                      "psh_verdict", "_scan_grid"),
     "quadrature": ("model_torus_rule", "QuadratureRule"),
     "reduction": ("ZeroSetPoint", "zero_set_point", "momentum_map",
                   "ReducedFunction", "_MIX_WEIGHTS", "reduction_unitary",
                   "_torus_character_values"),
-    "stratum_density": ("CutoffSequence",),
+    "stratum_density": ("CutoffSequence", "field_from_function"),
     "cli_report": ("_tol",),
 }
 # the dataclasses whose fields are exactly these

@@ -30,11 +30,13 @@ from quantlab.lie_core import (
 )
 from quantlab.quadrature import gaussian_rule, torus_rule
 from quantlab.reduction import (
+    QR_DEFAULT_CUTOFF,
     ReducedRepresentative,
     _su2_torus_angle,
     momentum_equivariance_certificate,
     momentum_map_batch,
     qr_commutes_certificate,
+    reduction_bytes,
     torus_representative,
     weyl_canonicalize,
     weyl_isometry_certificate,
@@ -200,6 +202,33 @@ def test_momentum_certificate_peak_memory():
         tracemalloc.stop()
     assert rep.passed
     assert peak <= 4 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("name,cutoff", [
+    ("u1", 66), ("t2", 8), ("t2", 12), ("su2", 16), ("su2", 24)])
+def test_reduction_bytes_bounds_the_suite_peak(name, cutoff):
+    # the estimate reads the sizes alone; at cutoffs where the W x W
+    # weight-pair tables outweigh the sampled checks it must bound the
+    # suite's traced peak without overstating it by half
+    from quantlab.cli_report import SuiteConfig, _suite_reduction
+
+    config = SuiteConfig(model=name, suite="reduction", cutoff=cutoff)
+    tracemalloc.start()
+    try:
+        _suite_reduction(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = reduction_bytes(get_model(name), cutoff)
+    assert peak <= need <= 1.5 * peak, (peak / 2**20, need / 2**20)
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_reduction_bytes_and_qr_commutes_share_the_default_cutoff(name):
+    model = get_model(name)
+    cutoff = QR_DEFAULT_CUTOFF[name]
+    assert qr_commutes_certificate(model).metadata["cutoff"] == cutoff
+    assert reduction_bytes(model, None) == reduction_bytes(model, cutoff)
 
 
 def test_zero_set_gate():
@@ -561,7 +590,7 @@ def test_qr_certificate_torus_exact():
         assert rep.passed
         assert rep.max_error < 1e-9
         labels = irrep_labels(model, 4)
-        holomorphic = _scaled(character_gram(model, labels, 4),
+        holomorphic = _scaled(character_gram(model, labels, 4)[0],
                               build_sigma_table(model, labels))
         assert rep.metadata["gram_b"] == np.real(holomorphic).tolist()
         assert rep.metadata["weyl_invariance_residual"] == 0.0

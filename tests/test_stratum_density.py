@@ -16,7 +16,6 @@ from quantlab.stratum_density import (
     _l2_sq,
     _strip_sums,
     cutoff_profile,
-    field_from_function,
     grid_axes,
     line_removal_contrast,
     norm_equivalence_report,
@@ -27,6 +26,13 @@ from quantlab.stratum_density import (
 )
 
 M_LIST = [math.e, math.e**2, math.e**3, math.e**4]
+
+
+def field_from_function(fn, n):
+    # fn(X, Y), vectorized, sampled on the n-by-n grid
+    x, h = grid_axes(n)
+    X, Y = np.meshgrid(x, x, indexing="ij", copy=False)
+    return GridField(fn(X, Y), h)
 
 
 def _lopsided(n):
