@@ -23,9 +23,8 @@ coefficients in theta that keep every digit as theta -> 0 and overflow
 with sinh(theta), near theta = 710.  On a torus A = 0 and the same code
 gives the flat blocks.
 
-Each (N, 2n, 2n) stack is written block by block into one array, a new
-one or the ``out`` array that ``complex_structure_batch`` and
-``omega_batch`` are given.  The 10,000-sample certificates draw their
+Every (N, 2n, 2n) stack, dphi, J and Omega, is a 2 x 2 table of such
+blocks, which one writer fills.  The 10,000-sample certificates draw their
 whole (N, n) coordinate stack first, in stream order, and then evaluate
 J, the metric and its solve over fixed blocks of rows
 (``lie_core._row_block_max``), keeping a running maximum of the error.
@@ -68,28 +67,47 @@ __all__ = [
 
 
 def _ad_powers(model: LieModel, ys: np.ndarray):
-    """A = ad(Y), A @ A and theta, (N, 1, 1), for the rows of ys."""
+    """A = ad(Y), A @ A and theta, (N, 1, 1), for the rows of ys.  A[m, k, j]
+    = sum_i ys[m, i] c[i, j, k] is -(ys @ c)[m, k, j], c read as (n, n^2):
+    validate_model refuses structure constants not totally antisymmetric."""
     ys = np.atleast_2d(np.asarray(ys, float))
-    ad = np.einsum("mi,ijk->mkj", ys, model.structure_constants)
+    n = model.dim
+    ad = -(ys @ model.structure_constants.reshape(n, n * n)).reshape(-1, n, n)
     ad2 = ad @ ad
     theta = np.sqrt(-0.5 * np.trace(ad2, axis1=1, axis2=2))
     return ad, ad2, theta[:, None, None]
 
 
-def omega_batch(model: LieModel, ys: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Matrices of omega, [[-B, -I], [I, 0]] with B[i,j] = <Y, [e_i, e_j]>,
-    batched over the rows of the (N, n) array ys.  Written into ``out``,
-    an (N, 2n, 2n) float array, and returned, when it is given."""
-    ys = np.atleast_2d(np.asarray(ys, float))
-    n = model.dim
-    out, ((ul, ur), (ll, lr)) = _block_matrix(ys.shape[0], n, out)
-    np.einsum("ijk,mk->mij", model.structure_constants, ys, out=ul)
-    np.negative(ul, out=ul)
-    ur[:] = -np.eye(n)
-    ll[:] = np.eye(n)
-    lr[:] = 0.0
+def _blocks(ad, ad2, table, out=None):
+    """The (N, 2n, 2n) stack whose block (i, j) is a I + b A + c A^2 for
+    (a, b, c) = table[i][j] (None: no such term), formed whole and copied
+    once into its quadrant of ``out`` (C-contiguous) or of a new array."""
+    count, n, _ = ad.shape
+    if out is None:
+        out = np.empty((count, 2 * n, 2 * n))
+    quads = out.reshape(count, 2, n, 2, n)
+    eye = np.eye(n)
+    for i, row in enumerate(table):
+        for j, (a, b, c) in enumerate(row):
+            terms = [k * p for k, p in ((b, ad), (c, ad2)) if k is not None]
+            # a I with a = 0 is left out: it would turn -0.0 into 0.0
+            if a or not terms:
+                terms.append(a * eye)
+            quads[:, i, :, j] = sum(terms[1:], terms[0])
     return out
+
+
+def _omega(ad, out=None):
+    """Omega, [[-B, -I], [I, 0]] with B[i,j] = <Y, [e_i, e_j]>, as
+    [[A, -I], [I, 0]]: validate_model refuses structure constants that are
+    not totally antisymmetric, so -B is A."""
+    return _blocks(ad, None, (((0, 1, None), (-1, None, None)),
+                              ((1, None, None), (0, None, None))), out)
+
+
+def omega_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
+    """Matrices of omega, batched over the rows of the (N, n) array ys."""
+    return _omega(_ad_powers(model, ys)[0])
 
 
 def _block_values(theta: np.ndarray):
@@ -116,20 +134,6 @@ def _j_block_values(theta: np.ndarray):
     return b_ul, c_ur, _sinh_remainder(theta) / sinhc(theta)
 
 
-def _block_matrix(count: int, n: int, out: np.ndarray | None = None):
-    """An (N, 2n, 2n) stack to write in place, ``out`` if given (it must
-    be a float array of that shape) or a new empty one, with views
-    ((ul, ur), (ll, lr)) of its four (N, n, n) blocks."""
-    shape = (count, 2 * n, 2 * n)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != float:
-        raise ValueError(f"out must be a float array of shape {shape}, "
-                         f"not {out.dtype} {out.shape}")
-    return out, ((out[:, :n, :n], out[:, :n, n:]),
-                 (out[:, n:, :n], out[:, n:, n:]))
-
-
 def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     """Differentials of the polar map at (anything, Y), batched over Y.
 
@@ -137,35 +141,22 @@ def dphi_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
     [[cos A, (1-cos A)/A], [-sin A, sin A / A]], A = ad(Y).
     """
     ad, ad2, theta = _ad_powers(model, ys)
-    eye = np.eye(model.dim)
     c_cos, b_onemcos, b_msin, c_sinc = _block_values(theta)
-    out, ((ul, ur), (ll, lr)) = _block_matrix(len(ad), model.dim)
-    np.multiply(c_cos, ad2, out=ul)
-    ul += eye
-    np.multiply(b_onemcos, ad, out=ur)
-    np.multiply(b_msin, ad, out=ll)
-    np.multiply(c_sinc, ad2, out=lr)
-    lr += eye
-    return out
+    return _blocks(ad, ad2, (((1, None, c_cos), (0, b_onemcos, None)),
+                             ((0, b_msin, None), (1, None, c_sinc))))
 
 
-def complex_structure_batch(model: LieModel, ys: np.ndarray,
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form.
-    Written into ``out``, an (N, 2n, 2n) float array, and returned, when
-    it is given."""
-    ad, ad2, theta = _ad_powers(model, ys)
-    eye = np.eye(model.dim)
+def _complex_structure(ad, ad2, theta, out=None):
+    """J from ``_ad_powers``' A, A @ A and theta, into ``out`` if given."""
     b_ul, c_ur, c_ll = _j_block_values(theta)
-    out, ((ul, ur), (ll, lr)) = _block_matrix(len(ad), model.dim, out)
-    np.multiply(b_ul, ad, out=ul)
-    np.multiply(c_ur, ad2, out=ur)
-    ur -= eye
-    np.multiply(c_ll, ad2, out=ll)
-    ll += eye
     # -(b_ul A) is (-b_ul) A exactly
-    np.negative(ul, out=lr)
-    return out
+    return _blocks(ad, ad2, (((0, b_ul, None), (-1, None, c_ur)),
+                             ((1, None, c_ll), (0, -b_ul, None))), out)
+
+
+def complex_structure_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
+    """J = (TPhi)^{-1} J_flat (TPhi), batched over Y, in closed form."""
+    return _complex_structure(*_ad_powers(model, ys))
 
 
 def _row_buffers(count: int, samples: int, n: int) -> list[np.ndarray]:
@@ -187,7 +178,7 @@ def j_squared_certificate(model: LieModel, rng: np.random.Generator,
     j_buf, sq_buf = _row_buffers(2, samples, model.dim)
 
     def worst(ys):
-        js = complex_structure_batch(model, ys, out=j_buf[:len(ys)])
+        js = _complex_structure(*_ad_powers(model, ys), out=j_buf[:len(ys)])
         sq = np.matmul(js, js, out=sq_buf[:len(ys)])
         sq += eye
         return np.abs(sq, out=sq).max()
@@ -311,8 +302,9 @@ def completeness_certificate(
         cov[:, n:] = 2.0 * ys / (1.0 + norms_sq)[:, None]
         # the metric g(v, w) = omega(Jv, w) as J^T Omega, in the buffers
         m = len(ys)
-        js = complex_structure_batch(model, ys, out=j_buf[:m])
-        oms = omega_batch(model, ys, out=om_buf[:m])
+        ad, ad2, theta = _ad_powers(model, ys)
+        js = _complex_structure(ad, ad2, theta, out=j_buf[:m])
+        oms = _omega(ad, out=om_buf[:m])
         grams = np.matmul(np.swapaxes(js, 1, 2), oms, out=gram_buf[:m])
         sharped = np.linalg.solve(grams, cov[:, :, None])[:, :, 0]
         via_metric = np.einsum("mi,mi->m", cov, sharped)

@@ -638,26 +638,37 @@ def test_blocks_written_in_place_are_the_np_block_ones(name, seed):
 
 
 @pytest.mark.parametrize("name", ["u1", "t2", "su2"])
-def test_out_buffers_hold_the_allocating_stacks(name):
+def test_private_writers_fill_a_leading_row_view(name):
+    # the certificates hand J and Omega the leading rows of a larger
+    # buffer; NaN first, so an entry left unwritten shows
     model = lc.get_model(name)
     n2 = 2 * model.dim
     ys = np.random.default_rng(4).standard_normal((300, model.dim)) * 1.5
-    for batch in (kg.complex_structure_batch, kg.omega_batch):
-        want = batch(model, ys)
-        # NaN first, so an entry left unwritten shows
-        buf = np.full((len(ys), n2, n2), np.nan)
-        assert batch(model, ys, out=buf) is buf
-        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
-        # a leading-row view of a larger buffer, as the certificates pass
+    ad, ad2, theta = kg._ad_powers(model, ys)
+    for want, write in (
+            (kg.complex_structure_batch(model, ys),
+             lambda out: kg._complex_structure(ad, ad2, theta, out=out)),
+            (kg.omega_batch(model, ys), lambda out: kg._omega(ad, out=out))):
         big = np.full((len(ys) + 5, n2, n2), np.nan)
-        view = batch(model, ys, out=big[:len(ys)])
+        view = write(big[:len(ys)])
         assert np.shares_memory(view, big)
-        assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(big[:len(ys)].view(np.uint64),
+                              want.view(np.uint64))
         assert np.isnan(big[len(ys):]).all()
-        for bad in (np.empty((1, n2, n2)), np.empty((len(ys), n2, n2),
-                                                    np.float32)):
-            with pytest.raises(ValueError, match="out must be"):
-                batch(model, ys, out=bad)
+
+
+@pytest.mark.parametrize("name", ["u1", "t2", "su2"])
+def test_omega_upper_left_block_is_the_bracket_contraction(name):
+    # Omega's block -B, B[i, j] = <Y, [e_i, e_j]>, is written as A = ad(Y),
+    # which the structure constants' total antisymmetry makes the same
+    # numbers, the signs of zeros included
+    model = lc.get_model(name)
+    n = model.dim
+    ys = np.random.default_rng(6).standard_normal((1000, n)) * 1.5
+    ys[:2] = 0.0
+    got = kg.omega_batch(model, ys)[:, :n, :n]
+    want = -np.einsum("ijk,mk->mij", model.structure_constants, ys)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _whole_stack_j_squared(model, seed):

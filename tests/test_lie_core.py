@@ -62,6 +62,26 @@ def test_validate_model_refuses_su2_plus_su2():
         lc.validate_model(model)
 
 
+def test_validate_model_refuses_a_rescaled_su2_basis():
+    # e_0 -> 2 e_0 keeps a Lie algebra, so the constants stay antisymmetric
+    # in (i, j) and satisfy Jacobi, but the basis is no longer orthonormal
+    # for an ad-invariant product: c[0, 1, 2] = 2 while c[1, 2, 0] = 1/2.
+    # kahler_geom writes Omega's block -B as ad(Y), which needs this refusal
+    su2 = lc.get_model("su2")
+    scale = np.array([2.0, 1.0, 1.0])
+    c = su2.structure_constants * np.einsum("i,j,k->ijk", scale, scale,
+                                            1.0 / scale)
+    assert np.abs(c + np.swapaxes(c, 0, 1)).max() == 0.0
+    assert np.abs(c + np.swapaxes(c, 1, 2)).max() > 1.0
+    model = lc.LieModel(
+        name="su2-rescaled", dim=3, structure_constants=c,
+        torus_indices=su2.torus_indices, torus_periods=su2.torus_periods,
+        roots=su2.roots, defining_rep_dim=2,
+        generators=tuple(s * g for s, g in zip(scale, su2.generators)))
+    with pytest.raises(ValueError, match="inner product is not ad-invariant"):
+        lc.validate_model(model)
+
+
 def test_bracket_su2_basis():
     # [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2, one row each
     su2 = lc.get_model("su2")

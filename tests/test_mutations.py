@@ -48,9 +48,19 @@ MUTATIONS = [
     # and completeness 9.99e-4 against 1e-6
     Mutation(
         "complex structure x 1.001",
-        ((kahler_geom, "complex_structure_batch", _times(1.001)),),
+        ((kahler_geom, "_complex_structure", _times(1.001)),),
         "kahler",
         {model: {"kahler.j_squared", "kahler.completeness"}
+         for model in ("u1", "t2", "su2")},
+    ),
+    # Omega x 1.001, read by omega_potential (through omega_batch) and by
+    # completeness: omega_potential reads 1.00e-3 on the tori and 1.10e-3
+    # on su2 against 1e-5, and completeness 9.99e-4 against 1e-6
+    Mutation(
+        "symplectic form x 1.001",
+        ((kahler_geom, "_omega", _times(1.001)),),
+        "kahler",
+        {model: {"kahler.omega_potential", "kahler.completeness"}
          for model in ("u1", "t2", "su2")},
     ),
     # |delta| x 1.001 scales the reduced Gram by 1.002001: weyl_isometry

@@ -52,14 +52,15 @@ def test_export_list_is_the_public_surface(module):
 # override: each certificate pins its own tolerance; and the names only
 # tests reached, the metric J^T Omega and a grid field from a closed form,
 # which the tests build; and the su2 character Gram's second entry point:
-# one character_gram call builds the flat and the eta-weighted Gram
+# one character_gram call builds the flat and the eta-weighted Gram; and
+# the Kahler stacks' second writer: one block writer fills every stack
 DELETED = {
     "lie_core": ("AlgebraVec", "algebra_vec", "alg_to_matrix",
                  "coords_from_matrix", "adjoint_action", "exp_alg",
                  "torus_point", "random_algebra", "RealRoot",
                  "WeylElement", "_coord_projector", "random_coords_batch"),
     "kahler_geom": ("BasePoint", "dphi_matrix", "complex_structure_J",
-                    "metric_batch"),
+                    "metric_batch", "_block_matrix"),
     "coherent_transform": ("PeterWeylVector", "SigmaTable", "_torus_sigmas",
                            "_logsumexp_rows", "Irrep", "irrep",
                            "_normalize_label", "_su2_characters",
@@ -89,3 +90,11 @@ def test_point_wrappers_and_scalar_twins_stay_deleted(module):
     for cls, names in FIELDS.get(module, {}).items():
         fields = dataclasses.fields(getattr(mod, cls))
         assert [f.name for f in fields] == names
+
+
+def test_kahler_stacks_take_no_out_buffer():
+    # the certificates hand their row buffers to the private writers
+    kahler_geom = importlib.import_module("quantlab.kahler_geom")
+    for name in ("dphi_batch", "complex_structure_batch", "omega_batch"):
+        params = inspect.signature(getattr(kahler_geom, name)).parameters
+        assert list(params) == ["model", "ys"]
