@@ -37,7 +37,7 @@ from .kahler_geom import (
     omega_potential_certificate,
     polar_differential_certificate,
 )
-from .lie_core import get_model
+from .lie_core import _BUILDERS, get_model
 from .psh_analysis import (
     canonical_semi_negativity_certificate,
     oracle_agreement_certificate,
@@ -63,8 +63,7 @@ from .stratum_density import (
     standard_bump,
 )
 
-MODEL_NAMES = ("u1", "t2", "su2")
-SUITE_NAMES = ("kahler", "psh", "transform", "reduction", "density", "all")
+MODEL_NAMES = tuple(_BUILDERS)
 DENSITY_M_LIST = (math.e, math.e**2, math.e**3, math.e**4)
 # suites whose reports carry nothing render_svg can plot
 UNPLOTTABLE_SUITES = ("kahler", "transform")
@@ -240,7 +239,7 @@ def _suite_reduction(cfg: SuiteConfig) -> list[CheckReport]:
         momentum_equivariance_certificate(model, rng, cfg.seed),
         round_trip_certificate(model, rng, cfg.seed),
         weyl_isometry_certificate(model),
-        qr_commutes_certificate(model, cutoff=cfg.cutoff, level=4),
+        qr_commutes_certificate(model, cutoff=cfg.cutoff),
     ]
 
 
@@ -266,6 +265,7 @@ _SUITE_RUNNERS = {
     "reduction": _suite_reduction,
     "density": _suite_density,
 }
+SUITE_NAMES = (*_SUITE_RUNNERS, "all")
 
 
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
@@ -427,18 +427,19 @@ def _color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
+def _line_panel(out, y0, title, series, log=False):
+    # both axes on a log10 scale when ``log``, both linear otherwise
     w, h = 560, 240
     pad = 50
     out.append(
-        f'<text x="{x0 + 10}" y="{y0 + 18}" font-size="14" '
+        f'<text x="10" y="{y0 + 18}" font-size="14" '
         f'font-family="monospace">{title}</text>'
     )
-    def scaled(v, log):
+    def scaled(v):
         return np.log10(np.maximum(v, 1e-300)) if log else v
 
-    all_x = np.concatenate([scaled(s[1], logx) for s in series])
-    all_y = np.concatenate([scaled(s[2], logy) for s in series])
+    all_x = np.concatenate([scaled(s[1]) for s in series])
+    all_y = np.concatenate([scaled(s[2]) for s in series])
     xmin, xmax = float(all_x.min()), float(all_x.max())
     ymin, ymax = float(all_y.min()), float(all_y.max())
     if xmax - xmin < 1e-12:
@@ -447,27 +448,26 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
         ymax = ymin + 1.0
 
     def px(v):
-        return x0 + pad + (v - xmin) / (xmax - xmin) * (w - 2 * pad)
+        return pad + (v - xmin) / (xmax - xmin) * (w - 2 * pad)
 
     def py(v):
         return y0 + h - pad - (v - ymin) / (ymax - ymin) * (h - 2 * pad)
 
     out.append(
-        f'<rect x="{x0 + pad}" y="{y0 + pad}" width="{w - 2 * pad}" '
+        f'<rect x="{pad}" y="{y0 + pad}" width="{w - 2 * pad}" '
         f'height="{h - 2 * pad}" fill="none" stroke="#888"/>'
     )
     for frac in (0.0, 0.5, 1.0):
         xv = xmin + frac * (xmax - xmin)
         yv = ymin + frac * (ymax - ymin)
-        xlabel = _fmt(10**xv) if logx else _fmt(xv)
-        ylabel = _fmt(10**yv) if logy else _fmt(yv)
+        xlabel, ylabel = (_fmt(10**v if log else v) for v in (xv, yv))
         out.append(
             f'<text x="{_fmt(px(xv))}" y="{y0 + h - pad + 16}" '
             f'font-size="10" text-anchor="middle" '
             f'font-family="monospace">{xlabel}</text>'
         )
         out.append(
-            f'<text x="{x0 + pad - 6}" y="{_fmt(py(yv) + 3)}" '
+            f'<text x="{pad - 6}" y="{_fmt(py(yv) + 3)}" '
             f'font-size="10" text-anchor="end" '
             f'font-family="monospace">{ylabel}</text>'
         )
@@ -475,7 +475,7 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
     for k, (name, xs, ys) in enumerate(series):
         pts = " ".join(
             f"{_fmt(px(a))},{_fmt(py(b))}"
-            for a, b in zip(scaled(xs, logx), scaled(ys, logy))
+            for a, b in zip(scaled(xs), scaled(ys))
         )
         color = palette[k % len(palette)]
         out.append(
@@ -483,20 +483,20 @@ def _line_panel(out, x0, y0, title, series, logx=False, logy=False):
             f'stroke-width="1.5"/>'
         )
         out.append(
-            f'<text x="{x0 + w - pad - 4}" y="{y0 + pad + 14 + 13 * k}" '
+            f'<text x="{w - pad - 4}" y="{y0 + pad + 14 + 13 * k}" '
             f'font-size="11" text-anchor="end" fill="{color}" '
             f'font-family="monospace">{name}</text>'
         )
     return h + 30
 
 
-def _heatmap_panel(out, x0, y0, title, matrices):
+def _heatmap_panel(out, y0, title, matrices):
     cell = 18
     out.append(
-        f'<text x="{x0 + 10}" y="{y0 + 18}" font-size="14" '
+        f'<text x="10" y="{y0 + 18}" font-size="14" '
         f'font-family="monospace">{title}</text>'
     )
-    xoff = x0 + 20
+    xoff = 20
     height = 0
     for name, mat in matrices:
         n = mat.shape[0]
@@ -557,20 +557,20 @@ def render_svg(reports: list[CheckReport]) -> str:
         md, cid = r.metadata, r.check_id
         if "errors" in md and "m_list" in md:
             y += _line_panel(
-                body, 0, y,
+                body, y,
                 f"{cid}: deletion cost vs cutoff index",
                 [_curve(cid, "E(m)", ("m_list", md["m_list"]),
                         ("errors", md["errors"]))],
-                logx=True, logy=True,
+                log=True,
             )
         elif "line_errors" in md and "m_list" in md:
             y += _line_panel(
-                body, 0, y,
+                body, y,
                 f"{cid}: line vs point deletion",
                 [_curve(cid, name, ("m_list", md["m_list"]),
                         (f"{name}_errors", md.get(f"{name}_errors")))
                  for name in ("line", "point")],
-                logx=True, logy=True,
+                log=True,
             )
         elif "spectrum_grid" in md and "spectrum_min" in md:
             spectra = md["spectrum_min"]
@@ -578,7 +578,7 @@ def render_svg(reports: list[CheckReport]) -> str:
                 raise UsageError(f"check {cid}: metadata spectrum_min is "
                                  "not a non-empty object of spectra")
             y += _line_panel(
-                body, 0, y,
+                body, y,
                 f"{cid}: least curvature eigenvalue over the scan",
                 [_curve(cid, name, ("spectrum_grid", md["spectrum_grid"]),
                         (f"spectrum_min.{name}", vals))
@@ -586,7 +586,7 @@ def render_svg(reports: list[CheckReport]) -> str:
             )
         elif "gram_a" in md and "gram_b" in md:
             y += _heatmap_panel(
-                body, 0, y,
+                body, y,
                 f"{cid}: Gram matrices of the two routes",
                 [(label, _numbers(cid, key, md[key], ndim=2))
                  for label, key in (("route A", "gram_a"),

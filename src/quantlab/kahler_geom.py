@@ -61,6 +61,9 @@ __all__ = [
     "polar_differential_certificate",
 ]
 
+# the central-difference steps of _complex_hessian, _dphi_fd_oracle_batch
+_HESSIAN_STEP, _FD_STEP = 1e-3, 1e-6
+
 
 # ---------------------------------------------------------------------------
 # the polar-map differential and everything built on it
@@ -194,38 +197,28 @@ def j_squared_certificate(model: LieModel, rng: np.random.Generator,
     )
 
 
-def _complex_hessian(fun, n, h=1e-3):
-    """d^2 fun / dz_k dzbar_l at z = 0 by central differences, combined as
-    (f_xx + f_yy + i (f_xy - f_yx)) / 4.  ``fun`` maps an (N, n) stack of
-    chart points to N values: every stencil point of every entry, in loop
-    order, is evaluated in that one call."""
-    # (k, l, part_k, part_l, steps): the (s_k, s_l) steps of one second
-    # difference, three points when it is a pure second derivative
-    seconds = [
-        (k, l, part_k, part_l,
-         ((1, 0), (0, 0), (-1, 0)) if k == l and part_k == part_l
-         else ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-        for k in range(n) for l in range(n)
-        for part_k, part_l in ("xx", "yy", "xy", "yx")
-    ]
-    zs = []
-    for k, l, part_k, part_l, steps in seconds:
-        for s_k, s_l in steps:
-            z = np.zeros((2, n))  # rows: the x and the y parts
-            for m, part, s in ((k, part_k, s_k), (l, part_l, s_l)):
-                z["xy".index(part), m] += s * h
-            zs.append(z)
-    zs = np.array(zs)
-    vals = iter(fun(zs[:, 0] + 1j * zs[:, 1]).tolist())
-    second = []
-    for *_, steps in seconds:
-        if len(steps) == 3:
-            up, mid, down = next(vals), next(vals), next(vals)
-            second.append((up - 2 * mid + down) / (h * h))
-        else:
-            pp, pm, mp, mm = next(vals), next(vals), next(vals), next(vals)
-            second.append((pp - pm - mp + mm) / (4 * h * h))
-    xx, yy, xy, yx = np.reshape(second, (n, n, 4)).transpose(2, 0, 1)
+def _complex_hessian(fun, n):
+    """d^2 fun / dz_k dzbar_l at z = 0 by central differences of step
+    ``_HESSIAN_STEP``, combined as (f_xx + f_yy + i (f_xy - f_yx)) / 4 from
+    the real 2n x 2n Hessian over (x, y): a 3-point stencil on its
+    diagonal, a 4-point one elsewhere.  ``fun`` maps an (N, n) stack of
+    chart points to N values: every stencil point of every entry, in
+    row-major order, is evaluated in that one call."""
+    h, dim = _HESSIAN_STEP, 2 * n
+    points = [(a, b, step) for a in range(dim) for b in range(dim)
+              for step in (((1, 0), (0, 0), (-1, 0)) if a == b
+                           else ((1, 1), (1, -1), (-1, 1), (-1, -1)))]
+    us = np.zeros((len(points), dim))
+    for u, (a, b, (s_a, s_b)) in zip(us, points):
+        u[a] += s_a * h
+        u[b] += s_b * h
+    # Python reads the operands left to right, which is stencil order
+    f = iter(fun(us[:, :n] + 1j * us[:, n:]).tolist())
+    hess = np.array([
+        (next(f) - 2 * next(f) + next(f)) / (h * h) if a == b
+        else (next(f) - next(f) - next(f) + next(f)) / (4 * h * h)
+        for a in range(dim) for b in range(dim)])
+    (xx, xy), (yx, yy) = hess.reshape(2, n, 2, n).swapaxes(1, 2)
     return 0.25 * (xx + yy + 1j * (xy - yx))
 
 
@@ -329,13 +322,12 @@ def completeness_certificate(
     )
 
 
-def _dphi_fd_oracle_batch(model: LieModel, ys: np.ndarray,
-                          h: float = 1e-6) -> np.ndarray:
-    """Central-difference polar differentials at each row of the (N, n)
-    array ys, as (N, 2n, 2n) matrices: column k is the left-trivialized
-    velocity of s -> exp(s E1) exp(i (Y + s E2)) in the defining
-    representation, with (E1, E2) the k-th vector of the frame
-    {(e_k, 0), (0, e_k)}."""
+def _dphi_fd_oracle_batch(model: LieModel, ys: np.ndarray) -> np.ndarray:
+    """Central-difference polar differentials, of step ``_FD_STEP``, at
+    each row of the (N, n) array ys, as (N, 2n, 2n) matrices: column k is
+    the left-trivialized velocity of s -> exp(s E1) exp(i (Y + s E2)) in
+    the defining representation, with (E1, E2) the k-th vector of the
+    frame {(e_k, 0), (0, e_k)}."""
     count, n = ys.shape
     k = model.defining_rep_dim
     frame = np.eye(2 * n)
@@ -350,6 +342,7 @@ def _dphi_fd_oracle_batch(model: LieModel, ys: np.ndarray,
                            (ys[:, None, :] + s * e2).reshape(-1, n))
         return matmul_batch(xs, ps.reshape(count, 2 * n, k, k))
 
+    h = _FD_STEP
     m = matmul_batch(base_inv[:, None], shifted(h) - shifted(-h)) / (2 * h)
     mh = np.conj(np.swapaxes(m, -1, -2))
     cols = np.concatenate(

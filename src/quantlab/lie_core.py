@@ -68,7 +68,8 @@ class LieModel:
     """A compact group at desk scale.
 
     The basis {e_k} is orthonormal for the Ad-invariant inner product, so
-    its Gram matrix is the identity and no field carries it.
+    its Gram matrix is the identity and no field carries it.  A model is
+    checked by ``validate_model`` when it is built.
 
     Fields
     ------
@@ -99,6 +100,9 @@ class LieModel:
     roots: np.ndarray
     defining_rep_dim: int
     generators: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        validate_model(self)
 
     @property
     def rank(self) -> int:
@@ -261,22 +265,19 @@ def _build_su2() -> LieModel:
     )
 
 
+# the built-in models by name, each built on first use
+_BUILDERS = {"u1": lambda: _build_torus("u1", 1),
+             "t2": lambda: _build_torus("t2", 2), "su2": _build_su2}
 _MODELS = {}
 
 
 def get_model(name: str) -> LieModel:
     """Return a built-in model by name: "u1", "t2", or "su2"."""
+    if name not in _BUILDERS:
+        raise ValueError(
+            f"unknown model {name!r}; try {', '.join(_BUILDERS)}")
     if name not in _MODELS:
-        if name == "u1":
-            model = _build_torus("u1", 1)
-        elif name == "t2":
-            model = _build_torus("t2", 2)
-        elif name == "su2":
-            model = _build_su2()
-        else:
-            raise ValueError(f"unknown model {name!r}; try u1, t2, su2")
-        validate_model(model)
-        _MODELS[name] = model
+        _MODELS[name] = _BUILDERS[name]()
     return _MODELS[name]
 
 
@@ -302,23 +303,15 @@ def validate_model(model: LieModel) -> None:
     # ad-invariance of the (identity) inner product: total antisymmetry.
     if np.abs(c + np.swapaxes(c, 1, 2)).max() > 1e-12:
         raise ValueError(f"{model.name}: inner product is not ad-invariant")
-    for a in model.torus_indices:
-        for b in model.torus_indices:
-            if np.abs(c[a, b]).max() > 1e-12:
-                raise ValueError(f"{model.name}: torus basis does not commute")
-    for i in range(model.dim):
-        for j in range(model.dim):
-            lhs = (
-                model.generators[i] @ model.generators[j]
-                - model.generators[j] @ model.generators[i]
-            )
-            rhs = sum(
-                c[i, j, k] * model.generators[k] for k in range(model.dim)
-            )
-            if not np.allclose(lhs, rhs, atol=1e-12):
-                raise ValueError(
-                    f"{model.name}: generators do not satisfy the bracket table"
-                )
+    torus = list(model.torus_indices)
+    if np.abs(c[np.ix_(torus, torus)]).max(initial=0.0) > 1e-12:
+        raise ValueError(f"{model.name}: torus basis does not commute")
+    # [g_i, g_j] against sum_k c[i, j, k] g_k, for every pair at once
+    gens = np.array(model.generators)
+    lhs = gens[:, None] @ gens[None] - gens[None] @ gens[:, None]
+    if not np.allclose(lhs, np.einsum("ijk,kab->ijab", c, gens), atol=1e-12):
+        raise ValueError(
+            f"{model.name}: generators do not satisfy the bracket table")
     # ad(Y)^3 + theta^2 ad(Y) is cubic in Y: it vanishes for every Y iff
     # its coefficient tensor, symmetrized over i, j, k, does
     ad = np.swapaxes(c, 1, 2)  # ad[i] is the matrix of ad(e_i)

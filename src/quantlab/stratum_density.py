@@ -48,6 +48,8 @@ __all__ = [
 
 # boundary values below this (relative) level count as compact support
 _SUPPORT_TOL = 1e-13
+# the radius R of the standard bump's support disk
+_BUMP_RADIUS = 0.8
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,17 @@ class GridField:
     """Real or complex field sampled on the uniform n-by-n grid over
     [-1, 1]^2; a real field stays real (float64), a complex one complex.
 
-    ``values[i, j]`` is the sample at ``(x_i, y_j)`` with
-    ``x_i = -1 + i * spacing``.  ``values`` is an array of samples, or a
-    closed form sampled on demand (``standard_bump``): the norms then read
-    it a slab of rows at a time, and reading ``values`` builds the whole
-    array anew.  The support must stay strictly inside the square: a
-    field whose boundary ring is not (numerically) zero is rejected,
-    because the difference operators silently assume zero extension.
+    ``values[i, j]`` is the sample at ``(x_i, y_j)``, x_i = -1 + i h with
+    h = ``spacing``, which ``grid_axes`` reads off the grid size.
+    ``values`` is an array of samples, or a closed form sampled on demand
+    (``standard_bump``): the norms then read it a slab of rows at a time,
+    and reading ``values`` builds the whole array anew.  The support must
+    stay strictly inside the square: a field whose boundary ring is not
+    (numerically) zero is rejected, because the difference operators
+    silently assume zero extension.
     """
 
-    def __init__(self, values, spacing: float):
+    def __init__(self, values):
         if not isinstance(values, _Sampled):
             values = np.asarray(values)
             values = np.asarray(
@@ -103,10 +106,8 @@ class GridField:
             raise ValueError("grid field must be a square 2-D array")
         if shape[0] < 8:
             raise ValueError("grid too small to be meaningful")
-        if not spacing > 0:
-            raise ValueError("spacing must be positive")
-        self._samples, self.spacing = values, spacing
         n = shape[0]
+        self._samples, self.spacing = values, grid_axes(n)[1]
         edge = max(
             float(np.abs(values[r, c]).max())
             for r, c in ((slice(0, 1), slice(0, n)),
@@ -125,14 +126,9 @@ class GridField:
 
     def _peak(self) -> float:
         # the largest |value|, NaN if any sample is NaN, a slab of rows at
-        # a time: a real slab's from its extremes, a complex one's from
-        # its |.|, so no temporary the size of the grid is built
-        peaks = []
-        for lo, hi in _slabs(self.size, self.size):
-            slab = self._samples[lo:hi]
-            peaks.append(np.abs(slab).max() if np.iscomplexobj(slab)
-                         else max(slab.max(), -slab.min()))
-        return float(np.max(peaks))
+        # a time, so no temporary the size of the grid is built
+        return float(np.max([np.abs(self._samples[lo:hi]).max()
+                             for lo, hi in _slabs(self.size, self.size)]))
 
     @property
     def values(self) -> np.ndarray:
@@ -149,8 +145,9 @@ def grid_axes(n: int) -> tuple[np.ndarray, float]:
     return x, float(x[1] - x[0])
 
 
-def standard_bump(n: int, radius: float = 0.8) -> GridField:
-    """Smooth radial bump exp(-1/(R^2 - rho^2)), zero outside rho = R.
+def standard_bump(n: int) -> GridField:
+    """Smooth radial bump exp(-1/(R^2 - rho^2)), zero outside rho = R,
+    R = ``_BUMP_RADIUS``.
 
     Nonzero at the origin, so it is a worst case for deleting the origin.
     Sampled from the closed form on demand, one box of the grid at a time
@@ -158,21 +155,20 @@ def standard_bump(n: int, radius: float = 0.8) -> GridField:
     it builds no grid: the norms read it a slab of rows at a time, and
     ``values`` builds the whole grid, the same samples bit for bit.
     """
-    if not 0 < radius < 1:
-        raise ValueError("radius must sit strictly inside the domain")
-    x, h = grid_axes(n)
+    x = grid_axes(n)[0]
     x_sq = x * x
+    r_sq = _BUMP_RADIUS * _BUMP_RADIUS
 
     def sample(rows: slice, cols: slice) -> np.ndarray:
         out = np.add.outer(x_sq[rows], x_sq[cols])
-        inside = out < radius * radius
-        np.subtract(radius * radius, out, out=out, where=inside)
+        inside = out < r_sq
+        np.subtract(r_sq, out, out=out, where=inside)
         np.divide(-1.0, out, out=out, where=inside)
         np.exp(out, out=out, where=inside)
         out[~inside] = 0.0
         return out
 
-    return GridField(_Sampled(sample, slice(0, n), slice(0, n)), h)
+    return GridField(_Sampled(sample, slice(0, n), slice(0, n)))
 
 
 def _diff(values: np.ndarray, axis: int, h: float,
@@ -322,9 +318,7 @@ def _discarded_box(f: GridField, m: float, removed_codim: int) -> _Sampled:
     # box reads the whole box's values bit for bit.
     if removed_codim not in (1, 2):
         raise ValueError("removed_codim must be 1 or 2")
-    x, h = grid_axes(f.size)
-    if abs(h - f.spacing) > 1e-12:
-        raise ValueError("field spacing does not match its grid size")
+    x = grid_axes(f.size)[0]
     inside = np.flatnonzero(cutoff_profile(m, np.abs(x)) < 1.0)
     lo, hi = (inside[0] - 1, inside[-1] + 2) if inside.size else (0, 0)
     band = slice(max(lo, 0), min(hi, f.size))

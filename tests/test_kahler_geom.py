@@ -544,8 +544,8 @@ def test_batched_hessian_is_the_scalar_loop(name, monkeypatch):
     hessians = []
     batched_hessian = kg._complex_hessian
 
-    def spy(fun, n, h=1e-3):
-        hessians.append(batched_hessian(fun, n, h))
+    def spy(fun, n):
+        hessians.append(batched_hessian(fun, n))
         return hessians[-1]
 
     monkeypatch.setattr(kg, "_complex_hessian", spy)

@@ -1,6 +1,7 @@
 """Structural checks for the group models: brackets, exponentials, adjoint
 orbits, roots, and Weyl groups."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,9 +29,10 @@ def test_builtin_models_validate():
         lc.validate_model(model)
 
 
-def _su2_plus_su2():
-    # su(2) + su(2): direct-sum structure constants, generators block
-    # diagonal in the 4x4 sum of two defining representations
+def _su2_plus_su2_fields():
+    # su(2) + su(2) as LieModel fields: direct-sum structure constants,
+    # generators block diagonal in the 4x4 sum of two defining
+    # representations
     su2 = lc.get_model("su2")
     c = np.zeros((6, 6, 6))
     c[:3, :3, :3] = c[3:, 3:, 3:] = su2.structure_constants
@@ -41,7 +43,7 @@ def _su2_plus_su2():
         g[b:b + 2, b:b + 2] = su2.generators[k % 3]
         gens.append(g)
     roots = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], float)
-    return lc.LieModel(
+    return dict(
         name="su2+su2", dim=6, structure_constants=c,
         torus_indices=(2, 5), torus_periods=(4 * math.pi,) * 2, roots=roots,
         defining_rep_dim=4, generators=tuple(gens))
@@ -50,36 +52,36 @@ def _su2_plus_su2():
 def test_validate_model_refuses_su2_plus_su2():
     # A = ad(Y) is block diagonal with blocks of moduli theta_1, theta_2,
     # so A^3 + theta^2 A, theta^2 = theta_1^2 + theta_2^2, is not zero
-    model = _su2_plus_su2()
+    fields = _su2_plus_su2_fields()
     y = np.array([0.3, -1.2, 0.7, 1.1, 0.4, -0.5])
-    ad = np.einsum("i,ijk->kj", y, model.structure_constants)
+    ad = np.einsum("i,ijk->kj", y, fields["structure_constants"])
     theta_sq = -0.5 * np.trace(ad @ ad)
     assert np.abs(ad @ ad @ ad + theta_sq * ad).max() > 0.1
     # the cubic identity is checked last, so every earlier invariant
     # (antisymmetry, Jacobi, ad-invariance, commuting torus, bracket table)
-    # has passed when this message is raised
+    # has passed when this message is raised; building the model raises it
     with pytest.raises(ValueError, match=r"ad\(Y\)\^3 = -theta\^2 ad\(Y\)"):
-        lc.validate_model(model)
+        lc.LieModel(**fields)
 
 
 def test_validate_model_refuses_a_rescaled_su2_basis():
     # e_0 -> 2 e_0 keeps a Lie algebra, so the constants stay antisymmetric
     # in (i, j) and satisfy Jacobi, but the basis is no longer orthonormal
     # for an ad-invariant product: c[0, 1, 2] = 2 while c[1, 2, 0] = 1/2.
-    # kahler_geom writes Omega's block -B as ad(Y), which needs this refusal
+    # kahler_geom writes Omega's block -B as ad(Y), which needs this
+    # refusal, and building the model raises it
     su2 = lc.get_model("su2")
     scale = np.array([2.0, 1.0, 1.0])
     c = su2.structure_constants * np.einsum("i,j,k->ijk", scale, scale,
                                             1.0 / scale)
     assert np.abs(c + np.swapaxes(c, 0, 1)).max() == 0.0
     assert np.abs(c + np.swapaxes(c, 1, 2)).max() > 1.0
-    model = lc.LieModel(
-        name="su2-rescaled", dim=3, structure_constants=c,
-        torus_indices=su2.torus_indices, torus_periods=su2.torus_periods,
-        roots=su2.roots, defining_rep_dim=2,
-        generators=tuple(s * g for s, g in zip(scale, su2.generators)))
     with pytest.raises(ValueError, match="inner product is not ad-invariant"):
-        lc.validate_model(model)
+        lc.LieModel(
+            name="su2-rescaled", dim=3, structure_constants=c,
+            torus_indices=su2.torus_indices, torus_periods=su2.torus_periods,
+            roots=su2.roots, defining_rep_dim=2,
+            generators=tuple(s * g for s, g in zip(scale, su2.generators)))
 
 
 def test_bracket_su2_basis():
@@ -234,10 +236,12 @@ def test_weyl_group_su2():
 
 
 def test_weyl_group_refuses_more_than_one_positive_root():
-    # su(2) + su(2) has two positive roots; validate_model refuses it, and
-    # weyl_group does not build a group for it either
-    with pytest.raises(ValueError, match="positive roots"):
-        lc.weyl_group(_su2_plus_su2())
+    # validate_model reads no roots, so su2 listing the roots +-1 and +-2
+    # builds; its two positive roots are refused by weyl_group itself
+    model = dataclasses.replace(lc.get_model("su2"), name="su2-four-roots",
+                                roots=np.array([[1.0], [-1.0], [2.0], [-2.0]]))
+    with pytest.raises(ValueError, match="2 positive roots"):
+        lc.weyl_group(model)
 
 
 def test_weyl_elements_permute_roots():
@@ -418,9 +422,11 @@ def test_positive_roots_are_the_rows_with_a_positive_leading_entry():
         model = lc.get_model(name)
         assert model.roots.shape == (0, rank)
         assert model.positive_roots().shape == (0, rank)
-    # the leading entry is the first nonzero one: (0, 1) is positive
-    assert np.array_equal(_su2_plus_su2().positive_roots(),
-                          [[1.0, 0.0], [0.0, 1.0]])
+    # the leading entry is the first nonzero one: (0, 1) is positive, on
+    # t2 listing su(2) + su(2)'s roots (validate_model reads no roots)
+    four = dataclasses.replace(
+        lc.get_model("t2"), roots=_su2_plus_su2_fields()["roots"])
+    assert np.array_equal(four.positive_roots(), [[1.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 100])

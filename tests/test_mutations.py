@@ -8,9 +8,11 @@ checks that FAIL.
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from quantlab import kahler_geom, reduction
+from quantlab import (coherent_transform, kahler_geom, reduction,
+                      stratum_density)
 from quantlab.cli_report import main
 
 
@@ -27,6 +29,21 @@ def _shifted(shift):
         return lambda *args, **kwargs: [w + shift for w in
                                         original(*args, **kwargs)]
     return wrap
+
+
+def _hard_step(original):
+    # the capacity cutoff replaced by a hard step: 1 where r >= 1/m, else 0
+    def step(m, r):
+        return (np.asarray(r, dtype=float) >= 1.0 / m).astype(float)
+    return step
+
+
+def _bent_eta(original):
+    # eta~ times 1 + 1e-3 |t|^2, row by row of the (N, r) torus stack
+    def bent(model, t_coords):
+        t = np.atleast_2d(np.asarray(t_coords, dtype=float))
+        return original(model, t) * (1.0 + 1e-3 * np.sum(t * t, axis=1))
+    return bent
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,39 @@ MUTATIONS = [
         ((reduction, "_weights", _shifted(0.5)),),
         "reduction",
         {"su2": {"reduction.qr_commutes.su2"}},
+    ),
+    # a hard step deletes the disk of radius 1/m outright.  The
+    # codimension-2 cost still decays and the line cost stays above its
+    # floor, but the step's cost moves with the grid: grid_refinement reads
+    # 0.2885 against 0.10.  The density suite reads no model
+    Mutation(
+        "hard-step cutoff",
+        ((stratum_density, "cutoff_profile", _hard_step),),
+        "density",
+        {model: {"density.grid_refinement"} for model in ("u1", "t2", "su2")},
+    ),
+    # eta~ x (1 + 1e-3 |t|^2) moves the eta-weighted Gram off its closed
+    # norms: spin_gram reads 3.97e-4 against 1e-6 on su2.  On a torus the
+    # two Grams are one and eta~ is never read, so the tori exit 0
+    Mutation(
+        "eta~ x (1 + 1e-3 |t|^2)",
+        ((coherent_transform, "eta_tilde", _bent_eta),),
+        "transform",
+        {"su2": {"transform.spin_gram.su2"}},
+    ),
+    # the closed-form sigma x (1 + 1e-5): sigma_oracle, unitarity and
+    # spin_gram each read 1.00e-5, against 1e-10, 1e-6 and 1e-6.  su2
+    # unitarity passes at its tolerance of 1e-4, which this error cannot
+    # trip (ROADMAP direction 14)
+    Mutation(
+        "sigma table x (1 + 1e-5)",
+        ((coherent_transform, "build_sigma_table", _times(1.0 + 1e-5)),),
+        "transform",
+        {"u1": {"transform.sigma_oracle", "transform.unitarity.u1",
+                "transform.spin_gram.u1"},
+         "t2": {"transform.sigma_oracle", "transform.unitarity.t2",
+                "transform.spin_gram.t2"},
+         "su2": {"transform.sigma_oracle", "transform.spin_gram.su2"}},
     ),
 ]
 

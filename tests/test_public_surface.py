@@ -98,3 +98,14 @@ def test_kahler_stacks_take_no_out_buffer():
     for name in ("dphi_batch", "complex_structure_batch", "omega_batch"):
         params = inspect.signature(getattr(kahler_geom, name)).parameters
         assert list(params) == ["model", "ys"]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("GridField", ["values"]),
+    ("standard_bump", ["n"]),
+])
+def test_no_parameter_sets_what_the_code_knows(name, params):
+    # a field's spacing is its grid's and the bump's radius is a module
+    # constant
+    obj = getattr(importlib.import_module("quantlab.stratum_density"), name)
+    assert list(inspect.signature(obj).parameters) == params

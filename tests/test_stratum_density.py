@@ -30,9 +30,9 @@ M_LIST = [math.e, math.e**2, math.e**3, math.e**4]
 
 def field_from_function(fn, n):
     # fn(X, Y), vectorized, sampled on the n-by-n grid
-    x, h = grid_axes(n)
+    x, _ = grid_axes(n)
     X, Y = np.meshgrid(x, x, indexing="ij", copy=False)
-    return GridField(fn(X, Y), h)
+    return GridField(fn(X, Y))
 
 
 def _lopsided(n):
@@ -67,8 +67,7 @@ def _norms(f):
 
 
 def test_zero_field_norms():
-    _, h = grid_axes(64)
-    f = GridField(np.zeros((64, 64)), h)
+    f = GridField(np.zeros((64, 64)))
     assert _norms(f) == (0.0, 0.0)
 
 
@@ -87,9 +86,8 @@ def test_support_check_runs_on_a_sampled_field():
     def ones(rows, cols):
         return np.ones((rows.stop - rows.start, cols.stop - cols.start))
 
-    _, h = grid_axes(64)
     with pytest.raises(ValueError, match="support touches"):
-        GridField(_Sampled(ones, slice(0, 64), slice(0, 64)), h)
+        GridField(_Sampled(ones, slice(0, 64), slice(0, 64)))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -102,31 +100,36 @@ def test_support_check_reads_the_scale_slab_by_slab(dtype):
     values = np.zeros((n, n), dtype)
     values[n // 2, n // 3] = -1e4
     values[0, 5] = 1e-10
-    _, h = grid_axes(n)
     tracemalloc.start()
     try:
-        GridField(values, h)
+        GridField(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak / 2**20
     values[0, 5] = 1e-8
     with pytest.raises(ValueError, match="support touches"):
-        GridField(values, h)
+        GridField(values)
     # a NaN sample anywhere leaves the scale at 1, as a whole-grid max does
     values[0, 5] = 1e-10
     values[n - 9, 7] = np.nan
     with pytest.raises(ValueError, match="support touches"):
-        GridField(values, h)
+        GridField(values)
 
 
 def test_grid_field_validation():
     with pytest.raises(ValueError):
-        GridField(np.zeros((8, 9)), 0.1)
+        GridField(np.zeros((8, 9)))
     with pytest.raises(ValueError):
-        GridField(np.zeros((4, 4)), 0.1)
-    with pytest.raises(ValueError):
-        GridField(np.zeros((16, 16)), -0.1)
+        GridField(np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("n", [64, 1025])
+def test_grid_field_reads_its_spacing_off_its_grid(n):
+    # the spacing is the grid's, for an array field and a sampled one
+    h = grid_axes(n)[1]
+    assert GridField(np.zeros((n, n))).spacing == h
+    assert standard_bump(n).spacing == h
 
 
 def test_gaussian_h1_analytic_oracle():
@@ -277,12 +280,11 @@ def test_diff_on_boxes_zero_and_one_sample_wide(make):
 
 
 def test_grid_field_keeps_a_real_field_real():
-    _, h = grid_axes(64)
     assert standard_bump(64).values.dtype == np.float64
     assert _lopsided(64).values.dtype == np.complex128
-    assert GridField(np.zeros((64, 64), int), h).values.dtype == np.float64
+    assert GridField(np.zeros((64, 64), int)).values.dtype == np.float64
     assert GridField(
-        np.zeros((64, 64), np.complex64), h).values.dtype == np.complex128
+        np.zeros((64, 64), np.complex64)).values.dtype == np.complex128
 
 
 def test_norm_equivalence_fails_a_forward_difference(monkeypatch):
@@ -470,8 +472,6 @@ def test_removal_errors_input_validation():
     f = standard_bump(512)
     with pytest.raises(ValueError):
         removal_errors(f, M_LIST, removed_codim=3)
-    with pytest.raises(ValueError):
-        removal_errors(GridField(np.zeros((64, 64)), 0.1), M_LIST)
 
 
 def _demo(f, m_list):
@@ -589,7 +589,7 @@ def test_removal_demo_fails_when_a_cutoff_deletes_nothing():
 def test_removal_demo_fails_on_a_non_finite_cost():
     values = standard_bump(256).values.copy()
     values[128, 128] = np.nan
-    rep = _demo(GridField(values, grid_axes(256)[1]), M_LIST)
+    rep = _demo(GridField(values), M_LIST)
     assert not rep.passed
     assert rep.metadata["rate_exponent"] is None
     assert "failure" in rep.metadata
